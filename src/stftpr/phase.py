@@ -111,14 +111,30 @@ def edge_phase(
     correlation magnitude - the most noise-robust choice - with ties broken
     lexicographically); the first one whose evidence clears the degeneracy
     tolerance wins.  If none does, the edge is unusable at this noise level.
+
+    This public entry point validates ``windows`` on every call.  The
+    reconstruction pipeline validates the family once per run and extracts
+    every edge phase through the same per-edge step without re-validating.
     """
     fam = as_window_family(windows)
-    n = fam.shape[1]
-    hop = n // agg.num_hops
     if supports is None:
         supports = [window_support(w) for w in fam]
     if degenerate_tol is None:
-        degenerate_tol = default_degenerate_tol(n, agg.noise_level)
+        degenerate_tol = default_degenerate_tol(fam.shape[1], agg.noise_level)
+    return _edge_phase(edge, agg, fam, supports, witness_rule, degenerate_tol)
+
+
+def _edge_phase(
+    edge: SupportGraphEdge,
+    agg: AggregateMeasurements,
+    fam: np.ndarray,
+    supports: list[WindowSupport],
+    witness_rule,
+    degenerate_tol: float,
+) -> EdgePhaseEvidence:
+    """:func:`edge_phase` on an already-validated family and resolved tolerance."""
+    n = fam.shape[1]
+    hop = n // agg.num_hops
     usable = [(r, m) for (r, m) in edge.witnesses if supports[r].length >= 2]
     if not usable:
         raise DegenerateEdgeError(
@@ -299,14 +315,11 @@ def _run_pipeline(
             failing=too_long,
         )
     tree = spanning_tree(graph)
+    if degenerate_tol is None:
+        degenerate_tol = default_degenerate_tol(cfg.n, agg.noise_level)
     evidences = {
-        te.edge.endpoints: edge_phase(
-            te.edge,
-            agg,
-            fam,
-            witness_rule=witness_rule,
-            degenerate_tol=degenerate_tol,
-            supports=supports,
+        te.edge.endpoints: _edge_phase(
+            te.edge, agg, fam, supports, witness_rule, degenerate_tol
         )
         for te in tree.edges
     }
@@ -321,12 +334,7 @@ def _run_pipeline(
         if edge.endpoints in tree_pairs:
             continue
         try:
-            ev = edge_phase(
-                edge, agg, fam,
-                witness_rule=witness_rule,
-                degenerate_tol=degenerate_tol,
-                supports=supports,
-            )
+            ev = _edge_phase(edge, agg, fam, supports, witness_rule, degenerate_tol)
         except DegenerateEdgeError:
             residuals.append(
                 {"n1": edge.endpoints[0], "n2": edge.endpoints[1], "residual": None}

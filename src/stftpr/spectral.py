@@ -98,19 +98,18 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
         rank_tol = default_rank_tol(fam.shape[0], hop)
     spectra = window_power_spectra(fam)
     num_hops = n // hop
-    cols = np.arange(hop) * num_hops
-    matrices = [np.ascontiguousarray(spectra[:, m + cols]) for m in range(num_hops)]
-    svals = [np.linalg.svd(a, compute_uv=False) for a in matrices]
-    scale = max((float(s[0]) for s in svals if s.size), default=0.0)
-    threshold = rank_tol * scale
-    ranks = tuple(int(np.sum(s > threshold)) for s in svals)
-    pinvs = tuple(
-        np.linalg.pinv(a) if rank == hop else None for a, rank in zip(matrices, ranks)
-    )
+    cols = np.arange(num_hops)[:, None] + np.arange(hop)[None, :] * num_hops
+    # one (num_hops, num_windows, hop) stack, factored by batched LAPACK calls
+    stack = np.ascontiguousarray(spectra[:, cols].transpose(1, 0, 2))
+    svals = np.linalg.svd(stack, compute_uv=False)
+    threshold = rank_tol * float(svals[:, 0].max())
+    ranks = tuple(int(k) for k in np.sum(svals > threshold, axis=1))
+    pinv_stack = np.linalg.pinv(stack)
+    pinvs = tuple(p if rank == hop else None for p, rank in zip(pinv_stack, ranks))
     failing = tuple(m for m, rank in enumerate(ranks) if rank != hop)
     return ModulationMatrices(
         hop=hop,
-        matrices=tuple(matrices),
+        matrices=tuple(stack),
         pseudo_inverses=pinvs,
         ranks=ranks,
         singular_values=tuple(svals),

@@ -10,6 +10,7 @@ no randomness of its own.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,13 +44,24 @@ def stft(x, w, hop: int) -> np.ndarray:
     return np.fft.fft(sections, axis=1) / n
 
 
+def _check_finite(what: str, noise_level: float, *arrays: np.ndarray) -> None:
+    # one NaN would otherwise flow through the pipeline into a silent all-zero estimate
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ConfigurationError(f"{what} contains NaN or infinite values")
+    if not (np.isfinite(noise_level) and noise_level >= 0):
+        raise ConfigurationError(
+            f"noise_level must be finite and nonnegative, got {noise_level}"
+        )
+
+
 @dataclass(frozen=True)
 class MeasurementGrid:
     """Squared STFT magnitudes indexed by (window, hop, frequency).
 
     ``noise_level`` is the worst-case entrywise perturbation bound: 0 for
     exact data.  Noisy grids may contain small negative entries, bounded
-    below by ``-noise_level``.
+    below by ``-noise_level``.  NaN or infinite values, and a negative or
+    non-finite ``noise_level``, raise ``ConfigurationError``.
     """
 
     values: np.ndarray
@@ -61,8 +73,7 @@ class MeasurementGrid:
             raise DimensionMismatchError(
                 f"expected (windows, hops, frequencies) grid, got shape {vals.shape}"
             )
-        if self.noise_level < 0:
-            raise ConfigurationError("noise_level must be nonnegative")
+        _check_finite("measurement grid", self.noise_level, vals)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -83,10 +94,30 @@ class MeasurementGrid:
 
 
 def measure(x, windows, hop: int) -> MeasurementGrid:
-    """Exact squared-magnitude measurements of the multiple-window STFT."""
+    """Exact squared-magnitude measurements of the multiple-window STFT.
+
+    Only the entries of each section inside the window's exact cyclic support
+    are gathered.  With anchor ``a`` and supporting length ``L``, section m is
+    nonzero only at ``t = t0 + i`` for ``i < L`` and ``t0 = hop*m - a - (L-1)``,
+    where it equals ``x(t0 + i) * w(a + L - 1 - i)``.  Its DFT is therefore
+    ``exp(-2j*pi*k*t0/n)`` times the n-point DFT of those L products, and the
+    unit-modulus factor drops out of the magnitude, so the result equals
+    ``|stft(x, w, hop)|**2`` at O((n/hop) * L) gather cost instead of
+    O((n/hop) * n).  :func:`stft` stays the complex-valued reference.
+    """
     xa = as_signal(x)
-    fam = as_window_family(windows, xa.shape[0])
-    vals = np.stack([np.abs(stft(xa, w, hop)) ** 2 for w in fam])
+    n = xa.shape[0]
+    fam = as_window_family(windows, n)
+    if hop <= 0 or n % hop != 0:
+        raise ConfigurationError(f"hop {hop} does not divide signal length {n}")
+    starts = hop * np.arange(n // hop)
+    vals = np.empty((fam.shape[0], n // hop, n))
+    for r, w in enumerate(fam):
+        ws = window_support(w, 0.0)
+        offsets = np.arange(ws.length)
+        taps = w[(ws.anchor + ws.length - 1 - offsets) % n]
+        t = (starts[:, None] - ws.anchor - (ws.length - 1) + offsets[None, :]) % n
+        vals[r] = np.abs(np.fft.fft(xa[t] * taps, n=n, axis=1) / n) ** 2
     return MeasurementGrid(values=vals, noise_level=0.0)
 
 
@@ -129,6 +160,7 @@ class AggregateMeasurements:
             raise DimensionMismatchError(
                 f"aggregate shapes disagree: {en.shape} vs {co.shape}"
             )
+        _check_finite("aggregate measurements", self.noise_level, en, co)
         object.__setattr__(self, "energy", en)
         object.__setattr__(self, "correlation", co)
 
@@ -167,6 +199,12 @@ def aggregate(
     )
 
 
+# one parsed grid CSV row: integer (r, m, k) and the float value
+_GRID_ROW = np.dtype([("r", np.int64), ("m", np.int64), ("k", np.int64), ("value", float)])
+# rows parsed per numpy call: bounds the parse buffers to a few tens of kB
+_CSV_CHUNK_ROWS = 512
+
+
 def _meta_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
@@ -197,29 +235,67 @@ def write_grid_csv(grid: MeasurementGrid, path, hop: int | None = None) -> None:
         fh.write("\n")
 
 
+def _cell_indices(table: np.ndarray, shape, path, first_row: int) -> np.ndarray:
+    """Flat cell index of each parsed row; negative or out-of-range indices raise."""
+    index = np.stack([table["r"], table["m"], table["k"]])
+    bad = np.flatnonzero(((index < 0) | (index >= np.array(shape)[:, None])).any(axis=0))
+    if bad.size:
+        raise ConfigurationError(
+            f"grid CSV {path} data row {first_row + int(bad[0]) + 1} has index "
+            f"{tuple(int(i) for i in index[:, bad[0]])} outside shape {shape}"
+        )
+    return np.ravel_multi_index(index, shape)
+
+
 def read_grid_csv(path) -> tuple[MeasurementGrid, int]:
-    """Read a grid CSV and its sibling metadata; returns (grid, hop)."""
+    """Read a grid CSV and its sibling metadata; returns (grid, hop).
+
+    Every ``(r, m, k)`` cell must appear exactly once, with each index in
+    ``[0, num_windows)``, ``[0, num_hops)`` and ``[0, n)`` respectively;
+    a negative, out-of-range or repeated index, a malformed row or a wrong
+    row count raises ``ConfigurationError``.
+    """
     path = Path(path)
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ConfigurationError(f"missing grid metadata file {meta_file}")
     with meta_file.open() as fh:
         meta = json.load(fh)
-    shape = (int(meta["num_windows"]), int(meta["num_hops"]), int(meta["n"]))
-    values = np.zeros(shape, dtype=float)
-    seen = 0
+    try:
+        shape = (int(meta["num_windows"]), int(meta["num_hops"]), int(meta["n"]))
+        hop, noise_level = int(meta["hop"]), float(meta["noise_level"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad grid metadata in {meta_file}: {exc!r}") from None
+    size = shape[0] * shape[1] * shape[2]
+    values = np.empty(size, dtype=float)
+    seen = np.zeros(size, dtype=bool)
+    rows = 0
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != ["r", "m", "k", "value"]:
             raise ConfigurationError(f"unexpected grid CSV header {header!r} in {path}")
-        for row in reader:
-            r, m, k = int(row[0]), int(row[1]), int(row[2])
-            values[r, m, k] = float(row[3])
-            seen += 1
-    if seen != values.size:
-        raise ConfigurationError(
-            f"grid CSV {path} has {seen} rows, expected {values.size}"
-        )
-    grid = MeasurementGrid(values=values, noise_level=float(meta["noise_level"]))
-    return grid, int(meta["hop"])
+        while chunk := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+            try:
+                table = np.loadtxt(
+                    chunk, delimiter=",", dtype=_GRID_ROW, comments=None, ndmin=1
+                )
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"malformed grid CSV {path} after data row {rows}: {exc}"
+                ) from None
+            flat = _cell_indices(table, shape, path, rows)
+            # a repeat is a cell seen in an earlier chunk or earlier in this one
+            repeat = np.ones(flat.size, dtype=bool)
+            repeat[np.unique(flat, return_index=True)[1]] = False
+            repeat |= seen[flat]
+            if repeat.any():
+                cell = np.unravel_index(flat[np.argmax(repeat)], shape)
+                raise ConfigurationError(
+                    f"grid CSV {path} repeats cell {tuple(int(i) for i in cell)}"
+                )
+            seen[flat] = True
+            values[flat] = table["value"]
+            rows += flat.size
+    if rows != size:
+        raise ConfigurationError(f"grid CSV {path} has {rows} rows, expected {size}")
+    return MeasurementGrid(values=values.reshape(shape), noise_level=noise_level), hop

@@ -165,6 +165,19 @@ class TestRecover:
         assert code == 4
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row", ["2,3,7,nan", "0,3,99,1.0", "0,3,-1,1.0", "0,0,0,1.0"],
+        ids=["nan", "out-of-range", "negative", "duplicate"],
+    )
+    def test_bad_grid_row_exits_one(self, tmp_path, capsys, row):
+        out = _simulate(tmp_path, "bad")
+        lines = (out / "grid.csv").read_text().splitlines()
+        lines[-1] = row  # replaces the row for cell (2, 3, 7)
+        (out / "grid.csv").write_text("\n".join(lines) + "\n")
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
+        assert code == 1
+        assert "stftpr: error:" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_non_retrievable_verdict(self, tmp_path, capsys):

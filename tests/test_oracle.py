@@ -19,6 +19,17 @@ from stftpr.errors import ConfigurationError, SearchSpaceError
 from stftpr.generators import antipodal_pair_signal, certified_instance
 
 
+# (n, hop, indices carrying the window's nonzero entries)
+MEASURE_GEOMETRIES = {
+    "full-support": (8, 2, range(8)),
+    "short-wrapping": (12, 3, (10, 11, 0, 1)),
+    "gapped": (8, 2, (0, 2, 4, 6)),
+    "length-one": (8, 4, (5,)),
+    "hop-one": (8, 1, (6, 7, 0)),
+    "hop-n": (8, 8, (3, 4, 5)),
+}
+
+
 class TestStftDirect:
     def test_delta_case(self):
         x = np.zeros(4, complex)
@@ -39,12 +50,19 @@ class TestStftDirect:
             ref = stft_direct(x, w, hop)
             assert np.max(np.abs(fast - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_measure_direct(self):
+    @pytest.mark.parametrize(
+        "n, hop, taps",
+        list(MEASURE_GEOMETRIES.values()),
+        ids=list(MEASURE_GEOMETRIES),
+    )
+    def test_measure_direct(self, n, hop, taps):
+        # measure gathers only the window's support; the oracle sums every t
         rng = np.random.default_rng(307)
-        x = rng.normal(size=8) + 1j * rng.normal(size=8)
-        fam = [rng.normal(size=8) + 1j * rng.normal(size=8)]
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = np.zeros(n, complex)
+        w[list(taps)] = rng.normal(size=len(taps)) + 1j * rng.normal(size=len(taps))
         assert np.allclose(
-            measure_direct(x, fam, 2).values, measure(x, fam, 2).values, atol=1e-12
+            measure_direct(x, [w], hop).values, measure(x, [w], hop).values, atol=1e-12
         )
 
 

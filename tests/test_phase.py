@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from stftpr import model
 from stftpr import (
     MeasurementGrid,
     ProblemConfig,
@@ -244,6 +247,29 @@ class TestReconstruct:
         cfg = ProblemConfig(8, 2, 2)
         with pytest.raises(InvalidPriorError):
             reconstruct(grid, fam, cfg)
+
+    def test_family_validated_once_per_run(self, monkeypatch):
+        original = model.as_window_family
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stftpr") and vars(module).get("as_window_family") is original:
+                monkeypatch.setattr(module, "as_window_family", counting)
+        counts, edges = [], []
+        for n in (16, 64):
+            x, fam = certified_instance(n, 2, 3, np.random.default_rng(167))
+            grid = measure(x, fam, 2)
+            calls.clear()
+            res = reconstruct(grid, fam, ProblemConfig(n, 2, 3))
+            counts.append(len(calls))
+            d = res.diagnostics
+            edges.append(len(d["used_witnesses"]) + len(d["nontree_residuals"]))
+        assert edges[1] > edges[0]
+        assert counts[0] == counts[1]
 
     def test_diagnostics_contents(self):
         rng = np.random.default_rng(151)

@@ -10,7 +10,7 @@ from stftpr import (
     window_power_spectra,
 )
 from stftpr.errors import CertificationError
-from stftpr.generators import certified_instance, random_interval_window
+from stftpr.generators import certified_instance, chain_family, random_interval_window
 from stftpr.stft import AggregateMeasurements
 
 
@@ -88,6 +88,33 @@ class TestCertifyRank:
             threshold = mats.rank_tol * max(np.abs(spectra).max(), 0.0)
             nonzero = [bool(np.linalg.norm(spectra[:, m]) > threshold) for m in range(8)]
             assert [r == 1 for r in mats.ranks] == nonzero
+
+    @pytest.mark.parametrize("family", ["certified-chain", "duplicated-windows"])
+    def test_batched_gate_matches_per_residue_factorizations(self, family):
+        rng = np.random.default_rng(59)
+        if family == "certified-chain":
+            fam, hop = chain_family(16, 4, 6, rng), 4
+        else:
+            w = random_interval_window(8, 3, rng)
+            fam, hop = np.stack([w, w]), 2
+        mats = certify_rank(fam, hop)
+        spectra = window_power_spectra(fam)
+        num_hops = spectra.shape[1] // hop
+        scale = 0.0
+        for m in range(num_hops):
+            a = spectra[:, m + num_hops * np.arange(hop)]
+            assert np.array_equal(mats.matrices[m], a)
+            s = np.linalg.svd(a, compute_uv=False)
+            assert np.array_equal(mats.singular_values[m], s)
+            scale = max(scale, float(s[0]))
+        for m in range(num_hops):
+            rank = int(np.sum(mats.singular_values[m] > mats.rank_tol * scale))
+            assert mats.ranks[m] == rank
+            if rank == hop:
+                assert np.array_equal(mats.pseudo_inverses[m], np.linalg.pinv(mats.matrices[m]))
+            else:
+                assert mats.pseudo_inverses[m] is None
+        assert mats.certified == (family == "certified-chain")
 
     def test_full_hop_specialization(self):
         # rank gate == power matrix of the masks has full rank

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from stftpr import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
+from stftpr import (
+    MeasurementGrid,
+    aggregate,
+    corrupt,
+    measure,
+    read_grid_csv,
+    stft,
+    write_grid_csv,
+)
 from stftpr.errors import (
     ConfigurationError,
     DimensionMismatchError,
     InvalidWindowError,
 )
 from stftpr.oracle import stft_direct
+from stftpr.stft import AggregateMeasurements
 
 # frozen via the direct-sum oracle: x=(1,2,3,4), w=(1,1,0,0), n=4, hop=2
 EXPECTED_STFT = np.array(
@@ -130,6 +139,26 @@ class TestCorrupt:
             corrupt(grid, np.zeros((1, 1, 3)))
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_rejects(self, bad):
+        values = np.ones((1, 2, 4))
+        values[0, 1, 2] = bad
+        with pytest.raises(ConfigurationError):
+            MeasurementGrid(values)
+
+    def test_grid_rejects_non_finite_noise_level(self):
+        with pytest.raises(ConfigurationError):
+            MeasurementGrid(np.ones((1, 2, 4)), noise_level=np.nan)
+
+    def test_aggregate_rejects(self):
+        energy = np.ones((1, 2))
+        with pytest.raises(ConfigurationError):
+            AggregateMeasurements(energy, np.array([[1.0, complex(0, np.nan)]]))
+        with pytest.raises(ConfigurationError):
+            AggregateMeasurements(np.array([[1.0, np.inf]]), np.ones((1, 2)))
+
+
 class TestAggregate:
     def test_zero_grid(self):
         grid = measure(np.zeros(4), [[1, 1, 0, 0]], hop=2)
@@ -176,6 +205,37 @@ class TestGridCsv:
         write_grid_csv(grid, a)
         write_grid_csv(grid, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def _written_grid(tmp_path):
+        # n=32, one window, hop 1: 32 * 32 rows, more than one parse chunk
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=32) + 1j * rng.normal(size=32)
+        grid = measure(x, [np.ones(32)], hop=1)
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, path, hop=1)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [("0,31,99,1.0", "outside shape"), ("0,31,-1,1.0", "outside shape"),
+         ("0,0,0,1.0", "repeats cell"), ("0,31,30,1.0", "repeats cell"),
+         ("0,31,31", "malformed"), ("0,31,31,nan", "NaN")],
+        ids=["out-of-range", "negative", "duplicate-across-chunks",
+             "duplicate-in-chunk", "short-row", "nan"],
+    )
+    def test_bad_rows_rejected(self, tmp_path, row, match):
+        path, lines = self._written_grid(tmp_path)
+        lines[-1] = row  # replaces the row for cell (0, 31, 31)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=match):
+            read_grid_csv(path)
+
+    def test_bad_meta_rejected(self, tmp_path):
+        path, _ = self._written_grid(tmp_path)
+        path.with_suffix(".meta.json").write_text('{"n": 32, "num_hops": 32}')
+        with pytest.raises(ConfigurationError, match="metadata"):
+            read_grid_csv(path)
 
     def test_missing_meta(self, tmp_path):
         path = tmp_path / "orphan.csv"
