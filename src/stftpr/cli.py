@@ -3,7 +3,11 @@
 All randomness flows through one generator seeded from ``--seed`` (mandatory
 whenever anything random is requested), and every output is written with
 sorted keys and round-trip float formatting, so identical configurations
-produce byte-identical files.
+produce byte-identical files.  Reports are byte-for-byte what
+``json.dumps(obj, indent=2, sort_keys=True)`` writes (two-space indent, ASCII
+escapes, shortest round-trip floats, NaN/Infinity tokens) plus a newline;
+``verify`` writes compact sorted-key JSON lines, and grid CSV rows end in
+CRLF.
 
 Exit codes: 0 success, 1 usage or I/O problem, 2 provably non-retrievable
 (disconnected support graph), 3 certification failure (rank gate or window
@@ -60,25 +64,73 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays and tuples for json.dump."""
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == _INF:
+        return "Infinity"
+    if v == -_INF:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+# exact-type formatters for the scalars a payload is mostly made of
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, pad: str) -> str:
+    """JSON text of ``obj``, as ``json.dumps(indent=2, sort_keys=True)`` writes it.
+
+    ``pad`` is the newline plus indent of the line ``obj`` starts on.  Numpy
+    integers and floats are written as Python ints and floats, arrays as
+    nested lists, complex values as ``[re, im]`` and tuples as lists; dict
+    keys are sorted after ``str()``.  Any other type raises ``TypeError``.
+    """
+    fmt = _SCALAR_TEXT.get(type(obj))
+    if fmt is not None:
+        return fmt(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _json_text(v, inner) for k, v in items]
+        ) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        try:  # a list of plain scalars, such as a witness pair, in one pass
+            texts = [_SCALAR_TEXT[type(v)](v) for v in obj]
+        except KeyError:
+            texts = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(texts) + pad + "]"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return _json_text([float(obj.real), float(obj.imag)], pad)
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
+        return _json_text(obj.tolist(), pad)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _dump_json(payload, out: str | None) -> None:
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload, "\n") + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -361,7 +413,7 @@ def cmd_verify(args) -> int:
                 reports.append(
                     compare(f"edge:{edge.endpoints}:witness=({r},{m})", lhs, rhs, 1e-10)
                 )
-    lines = "".join(json.dumps(_jsonify(r.to_dict()), sort_keys=True) + "\n" for r in reports)
+    lines = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
     if args.out is None or args.out == "-":
         sys.stdout.write(lines)
     else:

@@ -14,7 +14,8 @@ class ConfigurationError(PhaseRetrievalError, ValueError):
 
 
 class InvalidWindowError(PhaseRetrievalError, ValueError):
-    """A window is identically zero (after tolerance thresholding)."""
+    """A window is identically zero (after tolerance thresholding) or has a
+    NaN or infinite entry."""
 
 
 class CertificationError(PhaseRetrievalError):

@@ -86,7 +86,10 @@ def as_signal(x, n: int | None = None) -> np.ndarray:
 
 
 def as_window_family(windows, n: int | None = None) -> np.ndarray:
-    """Coerce to a (num_windows, n) complex array, rejecting all-zero rows."""
+    """Coerce to a (num_windows, n) complex array, rejecting all-zero rows.
+
+    A NaN or infinite entry raises ``InvalidWindowError`` as well.
+    """
     fam = np.asarray(windows, dtype=complex)
     if fam.ndim == 1:
         fam = fam[None, :]
@@ -98,6 +101,10 @@ def as_window_family(windows, n: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"windows have length {fam.shape[1]}, expected {n}"
         )
+    finite = np.isfinite(fam).all(axis=1)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise InvalidWindowError(f"window {r} has a NaN or infinite entry")
     for r in range(fam.shape[0]):
         if not np.any(fam[r]):
             raise InvalidWindowError(f"window {r} is identically zero")

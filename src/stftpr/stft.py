@@ -212,17 +212,23 @@ def _meta_path(path: Path) -> Path:
 def write_grid_csv(grid: MeasurementGrid, path, hop: int | None = None) -> None:
     """Write a grid as ``r,m,k,value`` CSV plus a sibling ``.meta.json``.
 
-    Rows are sorted lexicographically by (r, m, k); values use shortest
-    round-trip float repr so identical grids produce byte-identical files.
+    The file is a header row ``r,m,k,value`` and then one row per cell,
+    sorted lexicographically by (r, m, k); every row ends in ``\\r\\n``.
+    Values use the shortest round-trip float repr, so identical grids give
+    byte-identical files.  The metadata is JSON with two-space indent and
+    sorted keys.
     """
     path = Path(path)
+    suffixes = [f"{k}," for k in range(grid.n)]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "m", "k", "value"])
+        fh.write("r,m,k,value\r\n")
+        # one write per (r, m) block keeps the string buffers O(n)
         for r in range(grid.num_windows):
             for m in range(grid.num_hops):
-                for k in range(grid.n):
-                    writer.writerow([r, m, k, repr(float(grid.values[r, m, k]))])
+                prefix = f"{r},{m},"
+                values = map(float.__repr__, grid.values[r, m].tolist())
+                rows = map(str.__add__, suffixes, values)
+                fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
     meta = {
         "n": grid.n,
         "hop": int(hop) if hop is not None else grid.hop,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stftpr.cli import main
+from stftpr.cli import _dump_json, main
 
 
 def run(*argv):
@@ -165,6 +165,18 @@ class TestRecover:
         assert code == 4
         assert "degenerate" in capsys.readouterr().err
 
+    def test_non_finite_window_exits_one(self, tmp_path, capsys):
+        out = _simulate(tmp_path, "nanwin")
+        windows = json.loads((out / "windows.json").read_text())
+        windows[1][0][0] = float("nan")
+        (out / "windows.json").write_text(json.dumps(windows))
+        assert "NaN" in (out / "windows.json").read_text()
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stftpr: error:" in err and "window 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "row", ["2,3,7,nan", "0,3,99,1.0", "0,3,-1,1.0", "0,0,0,1.0"],
         ids=["nan", "out-of-range", "negative", "duplicate"],
@@ -273,3 +285,93 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["recover"])  # missing required arguments
     assert err.value.code == 1
+
+
+def _stdlib_jsonify(obj):
+    # converts numpy values, complex numbers and tuples for json.dumps
+    if isinstance(obj, dict):
+        return {str(k): _stdlib_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_stdlib_jsonify(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.ndarray):
+        return _stdlib_jsonify(obj.tolist())
+    return obj
+
+
+class TestJsonOutput:
+    PAYLOADS = [
+        {
+            "ints": [np.int32(-7), np.int64(2**40), 3],
+            "floats": [np.float64(0.1), 1e300, 5e-324, -0.0, np.float32(0.1)],
+            "array": np.arange(6).reshape(2, 3),
+            "complex_array": np.array([1 + 2j, -0.5j]),
+            "complex": [3 - 4j, np.complex128(0.25 + 1e-20j)],
+            "tuple": (1, (2, 3), ()),
+            10: "ten",
+            2: "two",
+            (1, 2): "tuple key",
+            "non_finite": [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+            "strings": ["é ü 日本", 'quote " here', "back\\slash", "ctl \x00\x1f\n\t", ""],
+            "empty": [[], {}, [[]], [{}]],
+            "nested": [[1, [2, [3, []]]], [[0.5], [True, False, None]]],
+            "scalars": [None, True, False],
+        },
+        [],
+        {},
+        [[1, 2], [3, 4]],
+        np.float64(1.5),
+        "top-level string",
+        None,
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS, ids=range(len(PAYLOADS)))
+    def test_matches_stdlib_encoder(self, payload, capsys):
+        _dump_json(payload, None)
+        expected = json.dumps(_stdlib_jsonify(payload), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def test_unknown_type_raises_type_error(self, capsys):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump_json({"a": [object()]}, None)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump_json({"flag": np.bool_(True)}, None)
+
+    def test_written_files_follow_the_format(self, tmp_path):
+        # reports and grid metadata: two-space indent, sorted keys;
+        # signal and window files: compact; verify: compact sorted JSON lines
+        sim = _simulate(tmp_path, "sim", "--noise", "0.001")
+        geometry = ["--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+                    "--signal", "random", "--seed", 7]
+        assert run("analyze", *geometry, "--out", tmp_path / "analyze.json") == 0
+        assert run("bounds", *geometry, "--noise", 1e-4, "--out", tmp_path / "bounds.json") == 0
+        for grid, name in (("grid.csv", "recover.json"), ("grid_noisy.csv", "noisy.json")):
+            assert run(
+                "recover", "--grid", sim / grid, "--windows", sim / "windows.json",
+                "--signal", sim / "signal.json", "--out", tmp_path / name,
+            ) == 0
+        assert run("recover", "--grid", sim / "grid.csv", "--windows", sim / "windows.json",
+                   "--compressed", "--out", tmp_path / "compressed.json") == 0
+        assert run("verify", *geometry, "--out", tmp_path / "verify.jsonl") == 0
+        indented = [sim / "report.json", sim / "grid.meta.json", sim / "grid_noisy.meta.json",
+                    *(tmp_path / f for f in ("analyze.json", "bounds.json", "recover.json",
+                                             "noisy.json", "compressed.json"))]
+        for path in indented:
+            text = path.read_text()
+            assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path
+        for path in (sim / "signal.json", sim / "windows.json"):
+            text = path.read_text()
+            assert json.dumps(json.loads(text)) + "\n" == text, path
+        lines = (tmp_path / "verify.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) >= 5
+        for line in lines:
+            assert json.dumps(json.loads(line), sort_keys=True) + "\n" == line
+        for path in (sim / "grid.csv", sim / "grid_noisy.csv"):
+            raw = path.read_bytes()
+            assert raw.startswith(b"r,m,k,value\r\n") and raw.endswith(b"\r\n")
+            assert b"\n" not in raw.replace(b"\r\n", b"")

@@ -21,6 +21,7 @@ from stftpr.errors import (
     DegenerateEdgeError,
     DisconnectedGraphError,
     InvalidPriorError,
+    InvalidWindowError,
 )
 from stftpr.generators import certified_instance, random_interval_window
 
@@ -184,6 +185,16 @@ class TestReconstruct:
         cfg = ProblemConfig(8, 2, 2)
         with pytest.raises(CertificationError):
             reconstruct(measure(x, [w, w], 2), [w, w], cfg)
+
+    def test_non_finite_window_rejected(self):
+        # a NaN tap used to reach the rank gate and fail inside numpy's SVD
+        rng = np.random.default_rng(127)
+        x, fam = certified_instance(8, 2, 2, rng)
+        grid = measure(x, fam, 2)
+        bad = fam.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(InvalidWindowError, match="window 1"):
+            reconstruct(grid, bad, ProblemConfig(8, 2, 2))
 
     def test_zero_signal(self):
         rng = np.random.default_rng(127)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -199,12 +201,43 @@ class TestGridCsv:
         assert np.array_equal(loaded.values, grid.values)
         assert loaded.noise_level == grid.noise_level
 
+    @staticmethod
+    def _reference_csv(grid, path):
+        # the per-row csv.writer loop the grid format was first written with
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["r", "m", "k", "value"])
+            for r in range(grid.num_windows):
+                for m in range(grid.num_hops):
+                    for k in range(grid.n):
+                        writer.writerow([r, m, k, repr(float(grid.values[r, m, k]))])
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         grid = measure([1, 2, 3, 4], [[1, 1, 0, 0]], hop=2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_grid_csv(grid, a)
         write_grid_csv(grid, b)
         assert a.read_bytes() == b.read_bytes()
+        ref = tmp_path / "ref.csv"
+        self._reference_csv(grid, ref)
+        assert a.read_bytes() == ref.read_bytes()
+
+    def test_matches_reference_csv_writer(self, tmp_path):
+        # noisy grid with negative entries and extreme finite values
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=12) + 1j * rng.normal(size=12)
+        fam = [rng.normal(size=12) + 1j * rng.normal(size=12) for _ in range(3)]
+        noisy = corrupt(measure(x, fam, hop=3), rng.uniform(-0.5, 0.5, (3, 4, 12)))
+        values = noisy.values.copy()
+        values[0, 0, :4] = [-0.0, 5e-324, 1e300, -0.25]
+        grid = MeasurementGrid(values=values, noise_level=noisy.noise_level)
+        assert (grid.values < 0).sum() > 1
+        path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
+        write_grid_csv(grid, path, hop=3)
+        self._reference_csv(grid, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == 1 + grid.values.size
+        assert np.array_equal(read_grid_csv(path)[0].values, grid.values)
 
     @staticmethod
     def _written_grid(tmp_path):
