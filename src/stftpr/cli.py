@@ -47,6 +47,8 @@ from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_c
 from .supportgraph import (
     build_covisibility_graph,
     build_endpoint_graph,
+    endpoint_witness,
+    long_windows,
     window_support,
 )
 
@@ -235,20 +237,13 @@ def _signal_from_spec(spec: str, n: int, rng) -> np.ndarray:
     )
 
 
-def _stability_section(fam, hop, noise_level, reference, min_magnitude, zero_tol, rank_tol):
-    mats = certify_rank(fam, hop, rank_tol)
+def _stability_section(fam, mats, noise_level, reference, min_magnitude, zero_tol):
     consts = stability_constants(fam, mats, zero_tol)
     section = consts.to_dict()
     section["noise_level"] = float(noise_level)
     ref = min_magnitude if min_magnitude is not None else reference
     if ref is not None:
-        budget = error_budget(consts, noise_level, ref, zero_tol)
-        section.update(
-            admissible=budget.admissible,
-            magnitude_bound=budget.magnitude_bound,
-            phase_bound=budget.phase_bound,
-            min_support_magnitude_sq=budget.min_support_magnitude_sq,
-        )
+        section.update(error_budget(consts, noise_level, ref, zero_tol).to_dict())
     return section
 
 
@@ -286,7 +281,7 @@ def cmd_simulate(args) -> int:
             {"window": r, "length": ws.length, "anchor": ws.anchor}
             for r, ws in enumerate(supports)
         ],
-        "short_windows": all(2 * ws.length <= cfg.n for ws in supports),
+        "short_windows": not long_windows(supports, cfg.n),
         "signal_support": list(support(x, cfg.zero_tol)),
     }
     _dump_json(report, str(outdir / "report.json"))
@@ -302,7 +297,7 @@ def cmd_analyze(args) -> int:
     end = build_endpoint_graph(x, fam, cfg.hop, cfg.zero_tol)
     mats = certify_rank(fam, cfg.hop, args.rank_tol)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
-    short = all(2 * ws.length <= cfg.n for ws in supports)
+    short = not long_windows(supports, cfg.n)
     necessary = len(cov.components()) <= 1
     sufficient = len(end.components()) <= 1 and short and mats.certified
     if not necessary:
@@ -348,8 +343,7 @@ def cmd_recover(args) -> int:
         "connected": True,
         "diagnostics": result.diagnostics,
         "stability": _stability_section(
-            fam, hop, grid.noise_level, reference, min_magnitude,
-            cfg.zero_tol, args.rank_tol,
+            fam, result.modulation, grid.noise_level, reference, min_magnitude, cfg.zero_tol
         ),
     }
     if reference is not None:
@@ -372,8 +366,8 @@ def cmd_bounds(args) -> int:
     if reference is None and args.min_magnitude is None:
         raise ConfigurationError("bounds needs --signal or --min-magnitude")
     section = _stability_section(
-        fam, args.hop, args.noise, reference, args.min_magnitude,
-        args.zero_tol, args.rank_tol,
+        fam, certify_rank(fam, args.hop, args.rank_tol), args.noise, reference,
+        args.min_magnitude, args.zero_tol,
     )
     _dump_json(section, args.out)
     return EXIT_OK
@@ -405,9 +399,8 @@ def cmd_verify(args) -> int:
         for edge in graph.edges:
             for r, m in edge.witnesses:
                 ws = supports[r]
-                n1 = (cfg.hop * m - ws.anchor) % cfg.n
-                n2 = (n1 - (ws.length - 1)) % cfg.n
-                far = (ws.anchor + ws.length - 1) % cfg.n
+                n1, n2 = endpoint_witness(ws, cfg.hop, m, cfg.n)
+                far = ws.far(cfg.n)
                 lhs = cfg.n * agg.correlation[r, m]
                 rhs = x[n1] * np.conj(x[n2]) * fam[r, ws.anchor] * np.conj(fam[r, far])
                 reports.append(

@@ -6,17 +6,23 @@ correlation collapses to a single term:
     n * correlation[r, m] = x(n1) * conj(x(n2)) * w_r(a) * conj(w_r(a + l - 1))
 
 with n1 = hop*m - a and n2 = n1 - (l - 1) (indices mod n, a and l the
-window's anchor and supporting length).  The collapse needs l <= n/2:
-longer windows make the endpoint product ambiguous, so that bound is hard
-enforced before any edge phase is trusted.  Dividing out the window's
-endpoint-product phase leaves the unit phasor of x(n1)*conj(x(n2)), and a
-spanning-tree walk anchored at the smallest support index (phase 0 by
-convention) assembles the full signal from the recovered magnitudes.
+window's anchor and supporting length; see
+:func:`~stftpr.supportgraph.endpoint_witness`).  The collapse needs
+l <= n/2: longer windows make the endpoint product ambiguous, so that bound
+is hard enforced before any edge phase is trusted.  Dividing out the
+window's endpoint-product phase leaves the unit phasor of
+x(n1)*conj(x(n2)), and a spanning-tree walk anchored at the smallest
+support index (phase 0 by convention) assembles the full signal from the
+recovered magnitudes.
+
+:func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
+rank gate, magnitudes, support, endpoint graph, edge phases, propagation -
+and differ only in where the ``2nR/L`` aggregate statistics come from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +41,8 @@ from .supportgraph import (
     SupportGraphEdge,
     WindowSupport,
     endpoint_graph_from_support,
+    endpoint_witness,
+    long_windows,
     spanning_tree,
     window_support,
 )
@@ -67,11 +75,14 @@ class ReconstructionResult:
     (the smallest support index) carries phase 0 by convention.  Diagnostics
     include clamping residues, the weakest edge evidence used, tree depth,
     the witnesses consumed, and phase residuals of redundant (non-tree) edges.
+    ``modulation`` holds the certified modulation matrices of the run; it is
+    never serialised.
     """
 
     estimate: np.ndarray
     root_vertex: int | None
     diagnostics: dict
+    modulation: ModulationMatrices | None = None
 
 
 def default_degenerate_tol(n: int, noise_level: float) -> float:
@@ -103,7 +114,6 @@ def edge_phase(
     windows,
     witness_rule="max_evidence",
     degenerate_tol: float | None = None,
-    supports: list[WindowSupport] | None = None,
 ) -> EdgePhaseEvidence:
     """Extract the relative phase of an endpoint-graph edge.
 
@@ -117,8 +127,7 @@ def edge_phase(
     every edge phase through the same per-edge step without re-validating.
     """
     fam = as_window_family(windows)
-    if supports is None:
-        supports = [window_support(w) for w in fam]
+    supports = [window_support(w) for w in fam]
     if degenerate_tol is None:
         degenerate_tol = default_degenerate_tol(fam.shape[1], agg.noise_level)
     return _edge_phase(edge, agg, fam, supports, witness_rule, degenerate_tol)
@@ -147,14 +156,12 @@ def _edge_phase(
         if abs(value) <= degenerate_tol:
             continue
         ws = supports[r]
-        n1 = (hop * m - ws.anchor) % n
-        n2 = (n1 - (ws.length - 1)) % n
+        n1, n2 = endpoint_witness(ws, hop, m, n)
         if {n1, n2} != set(edge.endpoints):
             raise RuntimeError(
                 f"witness ({r}, {m}) maps to ({n1}, {n2}), not edge {edge.endpoints}"
             )
-        far = fam[r, (ws.anchor + ws.length - 1) % n]
-        wp = far * np.conj(fam[r, ws.anchor])
+        wp = fam[r, ws.far(n)] * np.conj(fam[r, ws.anchor])
         wp = wp / abs(wp)
         rel = wp * value / abs(value)
         return EdgePhaseEvidence(
@@ -262,18 +269,27 @@ def _detect_support(
     )
 
 
+def _family(windows, cfg: ProblemConfig) -> np.ndarray:
+    fam = as_window_family(windows, cfg.n)
+    if fam.shape[0] != cfg.num_windows:
+        raise DimensionMismatchError(
+            f"config expects {cfg.num_windows} windows, family has {fam.shape[0]}"
+        )
+    return fam
+
+
 def _run_pipeline(
     agg: AggregateMeasurements,
     fam: np.ndarray,
     cfg: ProblemConfig,
-    mats: ModulationMatrices,
     min_support_magnitude: float | None,
-    method: str,
     witness_rule,
+    rank_tol: float | None,
     degenerate_tol: float | None,
 ) -> ReconstructionResult:
+    mats = certify_rank(fam, cfg.hop, rank_tol)
+    magnitudes = recover_magnitudes(agg, mats, cfg)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
-    magnitudes = recover_magnitudes(agg, mats, cfg, method=method)
     detected, rule = _detect_support(
         magnitudes, agg.noise_level, cfg.zero_tol, min_support_magnitude
     )
@@ -296,6 +312,7 @@ def _run_pipeline(
                 "min_evidence": None,
                 "nontree_residuals": [],
             },
+            modulation=mats,
         )
     graph = endpoint_graph_from_support(
         detected, fam, cfg.hop, cfg.zero_tol, supports=supports
@@ -306,8 +323,7 @@ def _run_pipeline(
             f"endpoint graph on the detected support has {len(comps)} components: {comps}",
             components=comps,
         )
-    # the endpoint-product collapse is only unambiguous for short windows
-    too_long = [r for r, ws in enumerate(supports) if 2 * ws.length > cfg.n]
+    too_long = long_windows(supports, cfg.n)
     if too_long:
         raise CertificationError(
             f"windows {too_long} have supporting length above half the signal "
@@ -323,7 +339,7 @@ def _run_pipeline(
         )
         for te in tree.edges
     }
-    result = propagate(tree, magnitudes, evidences, detected)
+    result = replace(propagate(tree, magnitudes, evidences, detected), modulation=mats)
     result.diagnostics.update(diagnostics)
     tree_pairs = {te.edge.endpoints for te in tree.edges}
     unit = np.zeros(cfg.n, dtype=complex)
@@ -360,7 +376,6 @@ def reconstruct(
     windows,
     cfg: ProblemConfig,
     min_support_magnitude: float | None = None,
-    method: str = "lstsq",
     witness_rule="max_evidence",
     rank_tol: float | None = None,
     degenerate_tol: float | None = None,
@@ -376,25 +391,15 @@ def reconstruct(
     endpoint graph is disconnected, and ``DegenerateEdgeError`` when noise
     drowns out a needed edge.
     """
-    fam = as_window_family(windows, cfg.n)
-    if fam.shape[0] != cfg.num_windows:
-        raise DimensionMismatchError(
-            f"config expects {cfg.num_windows} windows, family has {fam.shape[0]}"
-        )
+    fam = _family(windows, cfg)
     if grid.values.shape != (cfg.num_windows, cfg.num_hops, cfg.n):
         raise DimensionMismatchError(
             f"grid shape {grid.values.shape} does not match config "
             f"({cfg.num_windows}, {cfg.num_hops}, {cfg.n})"
         )
-    mats = certify_rank(fam, cfg.hop, rank_tol)
-    if not mats.certified:
-        raise CertificationError(
-            f"modulation matrices are rank-deficient at residues {list(mats.failing)}",
-            failing=mats.failing,
-        )
     agg = aggregate(grid, fam, cfg.zero_tol)
     return _run_pipeline(
-        agg, fam, cfg, mats, min_support_magnitude, method, witness_rule, degenerate_tol
+        agg, fam, cfg, min_support_magnitude, witness_rule, rank_tol, degenerate_tol
     )
 
 
@@ -404,7 +409,6 @@ def reconstruct_compressed(
     cfg: ProblemConfig,
     support_hint=None,
     min_support_magnitude: float | None = None,
-    method: str = "lstsq",
     witness_rule="max_evidence",
     rank_tol: float | None = None,
     degenerate_tol: float | None = None,
@@ -412,29 +416,20 @@ def reconstruct_compressed(
     """Reconstruct from the aggregate statistics alone.
 
     Consumes exactly ``2 * num_windows * n / hop`` measurements (one energy
-    and one correlation per window and hop) and, on exact data, returns the
-    same estimate as :func:`reconstruct` on the full grid.  The support is
+    and one correlation per window and hop) and runs the pipeline of
+    :func:`reconstruct` on them, so ``reconstruct_compressed(aggregate(grid))``
+    returns the same estimate as ``reconstruct(grid)``.  The support is
     detected from the recovered magnitudes; ``support_hint`` is only
     cross-checked and reported, never trusted.
     """
-    fam = as_window_family(windows, cfg.n)
-    if fam.shape[0] != cfg.num_windows:
-        raise DimensionMismatchError(
-            f"config expects {cfg.num_windows} windows, family has {fam.shape[0]}"
-        )
+    fam = _family(windows, cfg)
     if agg.energy.shape != (cfg.num_windows, cfg.num_hops):
         raise DimensionMismatchError(
             f"aggregate shape {agg.energy.shape} does not match config "
             f"({cfg.num_windows}, {cfg.num_hops})"
         )
-    mats = certify_rank(fam, cfg.hop, rank_tol)
-    if not mats.certified:
-        raise CertificationError(
-            f"modulation matrices are rank-deficient at residues {list(mats.failing)}",
-            failing=mats.failing,
-        )
     result = _run_pipeline(
-        agg, fam, cfg, mats, min_support_magnitude, method, witness_rule, degenerate_tol
+        agg, fam, cfg, min_support_magnitude, witness_rule, rank_tol, degenerate_tol
     )
     result.diagnostics["compressed_count"] = agg.measurement_count
     if support_hint is not None:

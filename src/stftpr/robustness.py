@@ -103,8 +103,7 @@ def stability_constants(
     endpoint_products = []
     for w in fam:
         ws = window_support(w, zero_tol)
-        far = (ws.anchor + ws.length - 1) % n
-        endpoint_products.append(abs(w[ws.anchor] * w[far]))
+        endpoint_products.append(abs(w[ws.anchor] * w[ws.far(n)]))
     gram_l1 = 0.0
     for a in mats.matrices:
         gram = a.conj().T @ a

@@ -139,17 +139,16 @@ def recover_magnitudes(
     agg: AggregateMeasurements,
     mats: ModulationMatrices,
     cfg: ProblemConfig | None = None,
-    method: str = "lstsq",
 ) -> MagnitudeSpectrum:
     """Recover ``|x(t)|**2`` from the per-hop energies.
 
     A DFT of the energy rows over the hop axis gives, per residue m, a vector
     in the column span of the m-th modulation matrix; solving each small
-    system yields the signal's power spectrum on that residue class, and an
-    inverse DFT produces the squared magnitudes.  ``method="lstsq"`` solves
-    through the stored SVD pseudo-inverses; ``method="normal"`` goes through
-    the explicit Gram inverse instead - algebraically identical at full rank
-    and retained for equivalence testing.
+    system through the rank gate's SVD pseudo-inverse yields the signal's
+    power spectrum on that residue class, and an inverse DFT produces the
+    squared magnitudes.  :func:`stftpr.oracle.magnitudes_direct` evaluates
+    the explicit Gram-inverse formula term by term and is the reference this
+    path is checked against.
 
     Negative squared magnitudes (noise artifacts) are clamped to zero;
     ``severe_clamping`` flags a clamped mass above 10% of the total.
@@ -159,8 +158,6 @@ def recover_magnitudes(
             f"modulation matrices are rank-deficient at residues {list(mats.failing)}",
             failing=mats.failing,
         )
-    if method not in ("lstsq", "normal"):
-        raise ValueError(f"unknown method {method!r}")
     num_windows, num_hops = agg.energy.shape
     if num_windows != mats.num_windows or num_hops != mats.num_hops:
         raise DimensionMismatchError(
@@ -175,13 +172,7 @@ def recover_magnitudes(
     rhs = np.fft.fft(agg.energy, axis=1) / num_hops  # (R, M)
     power = np.empty(n, dtype=complex)
     for m in range(num_hops):
-        if method == "lstsq":
-            gamma = mats.pseudo_inverses[m] @ rhs[:, m]
-        else:
-            a = mats.matrices[m]
-            gram = a.conj().T @ a
-            gamma = np.linalg.inv(gram) @ (a.conj().T @ rhs[:, m])
-        power[m + num_hops * np.arange(mats.hop)] = gamma
+        power[m + num_hops * np.arange(mats.hop)] = mats.pseudo_inverses[m] @ rhs[:, m]
     raw = np.fft.ifft(power) * n
     imag_residue = float(np.max(np.abs(raw.imag))) if n else 0.0
     real = raw.real

@@ -40,6 +40,25 @@ class WindowSupport:
     length: int
     anchor: int
 
+    def far(self, n: int) -> int:
+        """Index of the interval's far endpoint, ``anchor + length - 1`` mod n."""
+        return (self.anchor + self.length - 1) % n
+
+
+def endpoint_witness(ws: WindowSupport, hop: int, m: int, n: int) -> tuple[int, int]:
+    """Signal indices (n1, n2) at the two endpoints of the section at hop ``m``.
+
+    ``n1 = hop*m - anchor`` is seen through the window's anchor and
+    ``n2 = n1 - (length - 1)`` through its far endpoint (indices mod n).
+    """
+    n1 = (hop * m - ws.anchor) % n
+    return n1, (n1 - (ws.length - 1)) % n
+
+
+def long_windows(supports: list[WindowSupport], n: int) -> list[int]:
+    """Windows whose supporting length exceeds n/2; they make edge phases ambiguous."""
+    return [r for r, ws in enumerate(supports) if 2 * ws.length > n]
+
 
 def window_support(w, zero_tol: float = DEFAULT_ZERO_TOL) -> WindowSupport:
     """Supporting length and anchor of a window.
@@ -209,12 +228,10 @@ def endpoint_graph_from_support(
     vset = set(verts)
     witnesses: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for r, ws in enumerate(supports):
-        span = ws.length - 1
-        if span == 0:
+        if ws.length == 1:
             continue
         for m in range(n // hop):
-            n1 = (hop * m - ws.anchor) % n
-            n2 = (n1 - span) % n
+            n1, n2 = endpoint_witness(ws, hop, m, n)
             if n1 == n2 or n1 not in vset or n2 not in vset:
                 continue
             pair = (min(n1, n2), max(n1, n2))

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from stftpr import spectral
 from stftpr.cli import _dump_json, main
 
 
@@ -112,6 +114,27 @@ class TestRecover:
         assert rep["stability"]["noise_level"] > 0
         assert rep["stability"]["admissible"] is True
         assert rep["reference_distance"]["distance"] <= 0.01
+
+    def test_rank_gate_runs_once(self, tmp_path, monkeypatch):
+        # the stability section reuses the matrices the reconstruction certified
+        out = _simulate(tmp_path, "once")
+        original = spectral.certify_rank
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stftpr") and vars(module).get("certify_rank") is original:
+                monkeypatch.setattr(module, "certify_rank", counting)
+        code = run(
+            "recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+            "--signal", out / "signal.json", "--out", tmp_path / "once.json",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads((tmp_path / "once.json").read_text())["stability"]["admissible"]
 
     def test_missing_window_file(self, tmp_path, capsys):
         out = _simulate(tmp_path, "miss")

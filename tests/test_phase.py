@@ -312,6 +312,32 @@ class TestReconstructCompressed:
         assert comp.diagnostics["compressed_count"] == 2 * n * num // hop == 24
         assert comp.diagnostics["support_hint_matched"] is True
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_one_pipeline(self, noise):
+        # after the aggregates, the full and compressed runs are the same run
+        rng = np.random.default_rng(173)
+        n, hop, num = 16, 2, 3
+        x, fam = certified_instance(n, hop, num, rng)
+        cfg = ProblemConfig(n, hop, num)
+        grid = measure(x, fam, hop)
+        prior = None
+        if noise:
+            grid = corrupt(grid, rng.uniform(-noise, noise, grid.values.shape))
+            prior = float(np.min(np.abs(x)))
+        full = reconstruct(grid, fam, cfg, min_support_magnitude=prior)
+        agg = aggregate(grid, fam, cfg.zero_tol)
+        comp = reconstruct_compressed(
+            agg, fam, cfg, support_hint=range(n), min_support_magnitude=prior
+        )
+        assert np.array_equal(comp.estimate, full.estimate)
+        assert comp.root_vertex == full.root_vertex
+        diagnostics = dict(comp.diagnostics)
+        assert diagnostics.pop("compressed_count") == 2 * n * num // hop
+        assert diagnostics.pop("support_hint_matched") is True
+        assert diagnostics == full.diagnostics
+        assert diagnostics["support_rule"] == ("half-minimum" if noise else "relative-threshold")
+        assert full.modulation.certified and comp.modulation.certified
+
     def test_zero_aggregates(self):
         rng = np.random.default_rng(163)
         _, fam = certified_instance(8, 2, 2, rng)

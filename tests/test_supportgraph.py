@@ -18,7 +18,13 @@ from stftpr.errors import (
     InvalidWindowError,
 )
 from stftpr.generators import antipodal_pair_signal, random_interval_window
-from stftpr.supportgraph import SupportGraph, SupportGraphEdge
+from stftpr.supportgraph import (
+    SupportGraph,
+    SupportGraphEdge,
+    WindowSupport,
+    endpoint_witness,
+    long_windows,
+)
 
 
 class TestWindowSupport:
@@ -57,6 +63,35 @@ class TestWindowSupport:
             for t in range(n):
                 if t not in inside:
                     assert w[t] == 0
+
+
+class TestEndpointWitness:
+    def test_far_endpoint_wraps(self):
+        ws = window_support([1, 1, 0, 0, 0, 0, 0, 1])
+        assert ws.far(8) == 1
+        assert WindowSupport(length=1, anchor=5).far(8) == 5
+
+    def test_matches_definition_on_random_geometries(self):
+        # section m sees n1 through the window's anchor and n2 through its far end
+        rng = np.random.default_rng(19)
+        wrapped = strided = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 33))
+            hop = int(rng.choice([d for d in range(1, n + 1) if n % d == 0]))
+            ws = window_support(random_interval_window(n, int(rng.integers(1, n + 1)), rng))
+            wrapped += ws.anchor + ws.length - 1 > n - 1
+            strided += hop > 1
+            for m in range(n // hop):
+                n1, n2 = endpoint_witness(ws, hop, m, n)
+                assert 0 <= n1 < n and 0 <= n2 < n
+                assert (hop * m - n1) % n == ws.anchor
+                assert (hop * m - n2) % n == ws.far(n)
+        assert wrapped > 0 and strided > 0
+
+    def test_long_windows(self):
+        supports = [WindowSupport(4, 0), WindowSupport(5, 3), WindowSupport(1, 7)]
+        assert long_windows(supports, 8) == [1]
+        assert long_windows(supports, 10) == []
 
 
 def _brute_covisibility_edges(x, fam, hop):
