@@ -8,6 +8,7 @@ ever defined modulo a global phase, so signal comparisons go through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,16 @@ from .errors import ConfigurationError, DimensionMismatchError, InvalidWindowErr
 
 DEFAULT_ZERO_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is finite and nonnegative.
+
+    Comparisons with NaN are false, so a NaN tolerance would otherwise pass a
+    plain ``value < 0`` check and then silently drop or admit everything.
+    """
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +65,7 @@ class ProblemConfig:
             raise ConfigurationError(
                 f"hop {self.hop} does not divide signal length {self.n}"
             )
-        if self.zero_tol < 0:
-            raise ConfigurationError(f"zero_tol must be nonnegative, got {self.zero_tol}")
+        check_tolerance("zero_tol", self.zero_tol)
 
     @property
     def num_hops(self) -> int:

@@ -15,6 +15,14 @@ x(n1)*conj(x(n2)), and a spanning-tree walk anchored at the smallest
 support index (phase 0 by convention) assembles the full signal from the
 recovered magnitudes.
 
+Edge phases come from one edge-phase table, built in a single array pass
+over the (window, hop) correlation table for every edge of the endpoint
+graph at once: each edge's witnesses are ranked by the witness rule, the
+first whose evidence clears the degeneracy tolerance is chosen, and its
+endpoints, window phase and relative phase are computed.  Spanning-tree
+edges feed :func:`propagate`; the remaining edges give the residuals of the
+redundant edges.
+
 :func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
 rank gate, magnitudes, support, endpoint graph, edge phases, propagation -
 and differ only in where the ``2nR/L`` aggregate statistics come from.
@@ -33,7 +41,7 @@ from .errors import (
     DisconnectedGraphError,
     InvalidPriorError,
 )
-from .model import ProblemConfig, as_window_family
+from .model import ProblemConfig, as_window_family, check_tolerance
 from .spectral import MagnitudeSpectrum, ModulationMatrices, certify_rank, recover_magnitudes
 from .stft import AggregateMeasurements, MeasurementGrid, aggregate
 from .supportgraph import (
@@ -95,17 +103,180 @@ def default_degenerate_tol(n: int, noise_level: float) -> float:
     return n * noise_level + 1e-12
 
 
-def _witness_order(witnesses, magnitudes, rule):
+def _resolve_degenerate_tol(degenerate_tol: float | None, n: int, noise_level: float) -> float:
+    if degenerate_tol is None:
+        return default_degenerate_tol(n, noise_level)
+    check_tolerance("degenerate_tol", degenerate_tol)
+    return degenerate_tol
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # equal to Python's abs(complex) bit for bit; np.abs on complex arrays can
+    # differ in the last bit, which would move ties and tolerance decisions
+    return np.hypot(z.real, z.imag)
+
+
+def _rank_witnesses(eid, r, m, correlation, rule, num_edges):
+    """Reorder flat (edge, window, hop) witness arrays: by edge, then by rule within an edge.
+
+    The two named rules are sort keys; a callable rule is called once per edge
+    with a nonempty witness list and returns that edge's witnesses in order.
+    """
     if callable(rule):
-        return list(rule(list(witnesses), magnitudes))
+        bounds = np.searchsorted(eid, np.arange(num_edges + 1)).tolist()
+        pairs = list(zip(r.tolist(), m.tolist()))
+        mags = _modulus(correlation[r, m]).tolist()
+        ranked = [
+            (i, wr, wm)
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            if a < b
+            for wr, wm in rule(pairs[a:b], mags[a:b])
+        ]
+        return np.array(ranked, dtype=np.intp).reshape(-1, 3).T
     if rule == "max_evidence":
-        order = sorted(
-            range(len(witnesses)), key=lambda i: (-magnitudes[i], witnesses[i])
+        order = np.lexsort((m, r, -_modulus(correlation[r, m]), eid))
+    elif rule == "lexicographic":
+        order = np.lexsort((m, r, eid))
+    else:
+        raise ValueError(f"unknown witness rule {rule!r}")
+    return eid[order], r[order], m[order]
+
+
+@dataclass(frozen=True)
+class _EdgeTable:
+    """Chosen witness and phases of every edge, one array entry per edge.
+
+    ``window`` is -1 on edges with no usable witness above the tolerance;
+    their other entries are meaningless.
+    """
+
+    edges: tuple[SupportGraphEdge, ...]
+    usable: np.ndarray
+    window: np.ndarray
+    hop_index: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    evidence: np.ndarray
+    window_phase: np.ndarray
+    relative_phase: np.ndarray
+    degenerate_tol: float
+    noise_level: float
+
+    def raise_degenerate(self, rows: list[int]) -> None:
+        """Raise ``DegenerateEdgeError`` for the first of ``rows`` without a phase."""
+        bad = np.flatnonzero(self.window[rows] < 0)
+        if not bad.size:
+            return
+        i = rows[int(bad[0])]
+        ends = self.edges[i].endpoints
+        if not self.usable[i]:
+            raise DegenerateEdgeError(
+                f"edge {ends} has no witness with supporting length >= 2", endpoints=ends
+            )
+        raise DegenerateEdgeError(
+            f"edge {ends}: all witness evidence magnitudes are below "
+            f"{self.degenerate_tol:.3e} (noise level {self.noise_level:.3e})",
+            endpoints=ends,
         )
-        return [witnesses[i] for i in order]
-    if rule == "lexicographic":
-        return sorted(witnesses)
-    raise ValueError(f"unknown witness rule {rule!r}")
+
+    def evidences(self, rows: list[int]) -> dict[tuple[int, int], EdgePhaseEvidence]:
+        """Evidence records of ``rows``, which must all have a phase."""
+        cols = (self.n1, self.n2, self.window, self.hop_index, self.evidence,
+                self.window_phase, self.relative_phase)
+        return {
+            self.edges[i].endpoints: EdgePhaseEvidence(*fields)
+            for i, *fields in zip(rows, *(c[rows].tolist() for c in cols))
+        }
+
+    def residuals(self, rows: list[int], estimate: np.ndarray) -> list[dict]:
+        """Phase residual of each of ``rows`` against the estimate; None if degenerate."""
+        unit = np.zeros(estimate.shape, dtype=complex)
+        on = estimate != 0
+        unit[on] = estimate[on] / np.abs(estimate[on])
+        rows = np.asarray(rows, dtype=np.intp)
+        n1, n2, window, hop_index = (c[rows] for c in (self.n1, self.n2, self.window, self.hop_index))
+        # degenerate rows (window -1) get a meaningless value here and None below
+        residual = _modulus(self.relative_phase[rows] - unit[n1] * np.conj(unit[n2]))
+        out = []
+        for i, a, b, w, h, res in zip(
+            rows.tolist(), n1.tolist(), n2.tolist(), window.tolist(), hop_index.tolist(),
+            residual.tolist(),
+        ):
+            if w < 0:
+                a, b = self.edges[i].endpoints
+                out.append({"n1": a, "n2": b, "residual": None})
+            else:
+                out.append({"n1": a, "n2": b, "window": w, "hop_index": h, "residual": res})
+        return out
+
+
+def _edge_table(
+    edges: tuple[SupportGraphEdge, ...],
+    agg: AggregateMeasurements,
+    fam: np.ndarray,
+    supports: list[WindowSupport],
+    witness_rule,
+    degenerate_tol: float,
+) -> _EdgeTable:
+    """Relative phase of every edge in one array pass over the correlation table.
+
+    Witnesses of windows with supporting length 1 are unusable.  The usable
+    ones are ranked within each edge by ``witness_rule``, and each edge takes
+    the first ranked witness whose evidence clears ``degenerate_tol``.
+    """
+    n = fam.shape[1]
+    hop = n // agg.num_hops
+    num_edges = len(edges)
+    lengths = np.array([ws.length for ws in supports])
+    flat = np.array([w for e in edges for w in e.witnesses], dtype=np.intp).reshape(-1, 2)
+    eid = np.repeat(np.arange(num_edges), [len(e.witnesses) for e in edges])
+    keep = lengths[flat[:, 0]] >= 2
+    usable = np.zeros(num_edges, dtype=bool)
+    usable[eid[keep]] = True
+    eid, r, m = _rank_witnesses(
+        eid[keep], flat[keep, 0], flat[keep, 1], agg.correlation, witness_rule, num_edges
+    )
+    value = agg.correlation[r, m]
+    clear = np.flatnonzero(_modulus(value) > degenerate_tol)
+    # the first clearing entry of each edge's group is its first ranked usable witness
+    first = clear[np.diff(eid[clear], prepend=-1) != 0]
+    chosen, r, m, value = eid[first], r[first], m[first], value[first]
+    n1, n2 = np.empty_like(r), np.empty_like(r)
+    for w in np.unique(r).tolist():
+        on = r == w
+        n1[on], n2[on] = endpoint_witness(supports[w], hop, m[on], n)
+    ends = np.array([e.endpoints for e in edges], dtype=np.intp).reshape(-1, 2)[chosen]
+    match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
+    if not match.all():
+        k = int(np.argmin(match))
+        raise RuntimeError(
+            f"witness ({r[k]}, {m[k]}) maps to ({n1[k]}, {n2[k]}), "
+            f"not edge {edges[chosen[k]].endpoints}"
+        )
+    anchor = np.array([ws.anchor for ws in supports], dtype=np.intp)
+    far = np.array([ws.far(n) for ws in supports], dtype=np.intp)
+    wp = fam[r, far[r]] * np.conj(fam[r, anchor[r]])
+    wp = wp / _modulus(wp)
+    rel = wp * value / _modulus(value)
+
+    def per_edge(col, fill):
+        out = np.full(num_edges, fill, dtype=col.dtype)
+        out[chosen] = col
+        return out
+
+    return _EdgeTable(
+        edges=edges,
+        usable=usable,
+        window=per_edge(r, -1),
+        hop_index=per_edge(m, -1),
+        n1=per_edge(n1, -1),
+        n2=per_edge(n2, -1),
+        evidence=per_edge(value, 0),
+        window_phase=per_edge(wp, 0),
+        relative_phase=per_edge(rel, 0),
+        degenerate_tol=degenerate_tol,
+        noise_level=agg.noise_level,
+    )
 
 
 def edge_phase(
@@ -115,69 +286,22 @@ def edge_phase(
     witness_rule="max_evidence",
     degenerate_tol: float | None = None,
 ) -> EdgePhaseEvidence:
-    """Extract the relative phase of an endpoint-graph edge.
+    """Extract the relative phase of one endpoint-graph edge.
 
     Witnesses are tried in rule order ("max_evidence" prefers the largest
     correlation magnitude - the most noise-robust choice - with ties broken
     lexicographically); the first one whose evidence clears the degeneracy
     tolerance wins.  If none does, the edge is unusable at this noise level.
 
-    This public entry point validates ``windows`` on every call.  The
-    reconstruction pipeline validates the family once per run and extracts
-    every edge phase through the same per-edge step without re-validating.
+    This is the edge-phase table of the reconstruction pipeline run on a
+    single edge; ``windows`` are validated on every call.
     """
     fam = as_window_family(windows)
     supports = [window_support(w) for w in fam]
-    if degenerate_tol is None:
-        degenerate_tol = default_degenerate_tol(fam.shape[1], agg.noise_level)
-    return _edge_phase(edge, agg, fam, supports, witness_rule, degenerate_tol)
-
-
-def _edge_phase(
-    edge: SupportGraphEdge,
-    agg: AggregateMeasurements,
-    fam: np.ndarray,
-    supports: list[WindowSupport],
-    witness_rule,
-    degenerate_tol: float,
-) -> EdgePhaseEvidence:
-    """:func:`edge_phase` on an already-validated family and resolved tolerance."""
-    n = fam.shape[1]
-    hop = n // agg.num_hops
-    usable = [(r, m) for (r, m) in edge.witnesses if supports[r].length >= 2]
-    if not usable:
-        raise DegenerateEdgeError(
-            f"edge {edge.endpoints} has no witness with supporting length >= 2",
-            endpoints=edge.endpoints,
-        )
-    magnitudes = [abs(agg.correlation[r, m]) for (r, m) in usable]
-    for r, m in _witness_order(usable, magnitudes, witness_rule):
-        value = complex(agg.correlation[r, m])
-        if abs(value) <= degenerate_tol:
-            continue
-        ws = supports[r]
-        n1, n2 = endpoint_witness(ws, hop, m, n)
-        if {n1, n2} != set(edge.endpoints):
-            raise RuntimeError(
-                f"witness ({r}, {m}) maps to ({n1}, {n2}), not edge {edge.endpoints}"
-            )
-        wp = fam[r, ws.far(n)] * np.conj(fam[r, ws.anchor])
-        wp = wp / abs(wp)
-        rel = wp * value / abs(value)
-        return EdgePhaseEvidence(
-            n1=n1,
-            n2=n2,
-            window=r,
-            hop_index=m,
-            evidence=value,
-            window_phase=complex(wp),
-            relative_phase=complex(rel),
-        )
-    raise DegenerateEdgeError(
-        f"edge {edge.endpoints}: all witness evidence magnitudes are below "
-        f"{degenerate_tol:.3e} (noise level {agg.noise_level:.3e})",
-        endpoints=edge.endpoints,
-    )
+    tol = _resolve_degenerate_tol(degenerate_tol, fam.shape[1], agg.noise_level)
+    table = _edge_table((edge,), agg, fam, supports, witness_rule, tol)
+    table.raise_degenerate([0])
+    return table.evidences([0])[edge.endpoints]
 
 
 def propagate(
@@ -205,6 +329,7 @@ def propagate(
             root_vertex=None,
             diagnostics={"tree_depth": 0, "used_witnesses": [], "min_evidence": None},
         )
+    # plain Python complex arithmetic: the walk is sequential, one edge at a time
     phasor: dict[int, complex] = {tree.root: 1.0 + 0.0j}
     used = []
     min_evidence = None
@@ -216,7 +341,7 @@ def propagate(
                 f"({te.parent}, {te.child})"
             )
         rel = ev.relative_phase
-        phasor[te.child] = phasor[te.parent] * (rel if te.child == ev.n1 else np.conj(rel))
+        phasor[te.child] = phasor[te.parent] * (rel if te.child == ev.n1 else rel.conjugate())
         used.append(
             {"n1": ev.n1, "n2": ev.n2, "window": ev.window, "hop_index": ev.hop_index}
         )
@@ -225,8 +350,8 @@ def propagate(
     missing = [v for v in verts if v not in phasor]
     if missing:
         raise RuntimeError(f"tree does not span the support; unreached: {missing}")
-    for v in verts:
-        estimate[v] = amps[v] * phasor[v]
+    idx = list(verts)
+    estimate[idx] = amps[idx] * np.array([phasor[v] for v in verts], dtype=complex)
     return ReconstructionResult(
         estimate=estimate,
         root_vertex=tree.root,
@@ -287,6 +412,7 @@ def _run_pipeline(
     rank_tol: float | None,
     degenerate_tol: float | None,
 ) -> ReconstructionResult:
+    degenerate_tol = _resolve_degenerate_tol(degenerate_tol, cfg.n, agg.noise_level)
     mats = certify_rank(fam, cfg.hop, rank_tol)
     magnitudes = recover_magnitudes(agg, mats, cfg)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
@@ -331,43 +457,18 @@ def _run_pipeline(
             failing=too_long,
         )
     tree = spanning_tree(graph)
-    if degenerate_tol is None:
-        degenerate_tol = default_degenerate_tol(cfg.n, agg.noise_level)
-    evidences = {
-        te.edge.endpoints: _edge_phase(
-            te.edge, agg, fam, supports, witness_rule, degenerate_tol
-        )
-        for te in tree.edges
-    }
+    table = _edge_table(graph.edges, agg, fam, supports, witness_rule, degenerate_tol)
+    row = {edge.endpoints: i for i, edge in enumerate(graph.edges)}
+    tree_rows = [row[te.edge.endpoints] for te in tree.edges]
+    table.raise_degenerate(tree_rows)
+    evidences = table.evidences(tree_rows)
     result = replace(propagate(tree, magnitudes, evidences, detected), modulation=mats)
     result.diagnostics.update(diagnostics)
-    tree_pairs = {te.edge.endpoints for te in tree.edges}
-    unit = np.zeros(cfg.n, dtype=complex)
-    on = result.estimate != 0
-    unit[on] = result.estimate[on] / np.abs(result.estimate[on])
-    residuals = []
-    for edge in graph.edges:
-        if edge.endpoints in tree_pairs:
-            continue
-        try:
-            ev = _edge_phase(edge, agg, fam, supports, witness_rule, degenerate_tol)
-        except DegenerateEdgeError:
-            residuals.append(
-                {"n1": edge.endpoints[0], "n2": edge.endpoints[1], "residual": None}
-            )
-            continue
-        residuals.append(
-            {
-                "n1": ev.n1,
-                "n2": ev.n2,
-                "window": ev.window,
-                "hop_index": ev.hop_index,
-                "residual": float(
-                    abs(ev.relative_phase - unit[ev.n1] * np.conj(unit[ev.n2]))
-                ),
-            }
-        )
-    result.diagnostics["nontree_residuals"] = residuals
+    nontree = np.ones(len(graph.edges), dtype=bool)
+    nontree[tree_rows] = False
+    result.diagnostics["nontree_residuals"] = table.residuals(
+        np.flatnonzero(nontree), result.estimate
+    )
     return result
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, DimensionMismatchError
-from .model import ProblemConfig, as_window_family
+from .model import ProblemConfig, as_window_family, check_tolerance
 from .stft import AggregateMeasurements
 
 
@@ -88,7 +88,9 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     matrix is essentially zero cannot certify itself against its own scale.
     For hop 1 the condition reduces to every spectrum column being nonzero;
     for hop n it reduces to the matrix of squared window magnitudes having
-    full rank.  Full rank requires at least as many windows as the hop.
+    full rank.  Full rank requires at least as many windows as the hop.  A
+    negative or non-finite ``rank_tol`` raises ``ConfigurationError``: below
+    zero every singular value would count, certifying rank-deficient families.
     """
     fam = as_window_family(windows)
     n = fam.shape[1]
@@ -96,6 +98,7 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
         raise DimensionMismatchError(f"hop {hop} does not divide signal length {n}")
     if rank_tol is None:
         rank_tol = default_rank_tol(fam.shape[0], hop)
+    check_tolerance("rank_tol", rank_tol)
     spectra = window_power_spectra(fam)
     num_hops = n // hop
     cols = np.arange(num_hops)[:, None] + np.arange(hop)[None, :] * num_hops
@@ -170,9 +173,9 @@ def recover_magnitudes(
             f"config ({cfg.n}, hop {cfg.hop}) does not match matrices ({n}, hop {mats.hop})"
         )
     rhs = np.fft.fft(agg.energy, axis=1) / num_hops  # (R, M)
-    power = np.empty(n, dtype=complex)
-    for m in range(num_hops):
-        power[m + num_hops * np.arange(mats.hop)] = mats.pseudo_inverses[m] @ rhs[:, m]
+    # one stacked solve: (M, hop, R) @ (M, R, 1) -> power[m + M*j] = solution[m, j]
+    solution = np.stack(mats.pseudo_inverses) @ rhs.T[:, :, None]
+    power = solution[:, :, 0].T.reshape(n)
     raw = np.fft.ifft(power) * n
     imag_residue = float(np.max(np.abs(raw.imag))) if n else 0.0
     real = raw.real

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
-from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family
+from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, check_tolerance
 from .supportgraph import window_support
 
 
@@ -48,10 +48,7 @@ def _check_finite(what: str, noise_level: float, *arrays: np.ndarray) -> None:
     # one NaN would otherwise flow through the pipeline into a silent all-zero estimate
     if not all(np.isfinite(a).all() for a in arrays):
         raise ConfigurationError(f"{what} contains NaN or infinite values")
-    if not (np.isfinite(noise_level) and noise_level >= 0):
-        raise ConfigurationError(
-            f"noise_level must be finite and nonnegative, got {noise_level}"
-        )
+    check_tolerance("noise_level", noise_level)
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,10 @@ def aggregate(
     k = np.arange(n)
     for r in range(fam.shape[0]):
         span = window_support(fam[r], zero_tol).length - 1
-        correlation[r] = grid.values[r] @ np.exp(2j * np.pi * k * span / n)
+        angle = 2 * np.pi * k * span / n
+        # two real mat-vecs: a complex one would first copy the block to complex
+        correlation[r].real = grid.values[r] @ np.cos(angle)
+        correlation[r].imag = grid.values[r] @ np.sin(angle)
     return AggregateMeasurements(
         energy=energy, correlation=correlation, noise_level=grid.noise_level
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,7 @@ def endpoint_witness(ws: WindowSupport, hop: int, m: int, n: int) -> tuple[int, 
 
     ``n1 = hop*m - anchor`` is seen through the window's anchor and
     ``n2 = n1 - (length - 1)`` through its far endpoint (indices mod n).
+    An integer array ``m`` gives arrays of endpoints, one pair per hop.
     """
     n1 = (hop * m - ws.anchor) % n
     return n1, (n1 - (ws.length - 1)) % n
@@ -67,6 +69,8 @@ def window_support(w, zero_tol: float = DEFAULT_ZERO_TOL) -> WindowSupport:
     relative tolerance; both endpoints then land on nonzero entries.  When
     several intervals tie for minimal length (e.g. (1, 0, 1, 0) on n = 4),
     the smallest anchor wins; a window with no zero entries gets anchor 0.
+    A window with no entry above the tolerance (``zero_tol >= 1``) raises
+    ``InvalidWindowError``.
     """
     arr = as_signal(w)
     n = arr.shape[0]
@@ -75,18 +79,14 @@ def window_support(w, zero_tol: float = DEFAULT_ZERO_TOL) -> WindowSupport:
     if peak == 0.0:
         raise InvalidWindowError("window is identically zero")
     nonzero = np.flatnonzero(mags > zero_tol * peak)
-    if nonzero.size == n:
-        return WindowSupport(length=n, anchor=0)
-    best_length = n + 1
-    best_anchor = 0
-    for i, a in enumerate(nonzero):
-        # going forward from a, the last nonzero reached is its cyclic predecessor
-        end = nonzero[i - 1]
-        length = (int(end) - int(a)) % n + 1
-        if length < best_length:
-            best_length = length
-            best_anchor = int(a)
-    return WindowSupport(length=best_length, anchor=best_anchor)
+    if nonzero.size == 0:
+        raise InvalidWindowError(f"window has no entry above {zero_tol} times its peak")
+    # an interval starting at a nonzero entry ends at its cyclic predecessor, so
+    # its length is n + 1 minus the gap between the two: the widest gap gives the
+    # shortest interval, and argmax keeps the first (smallest) anchor among ties
+    gaps = nonzero - np.concatenate(([nonzero[-1] - n], nonzero[:-1]))
+    best = int(np.argmax(gaps))
+    return WindowSupport(length=n + 1 - int(gaps[best]), anchor=int(nonzero[best]))
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,18 @@ class SupportGraphEdge:
 
 @dataclass(frozen=True)
 class SupportGraph:
-    """Support graph with a variant tag ("covisibility" or "endpoint")."""
+    """Support graph with a variant tag ("covisibility" or "endpoint").
+
+    The adjacency and the components are computed once per graph and shared
+    between calls; treat them as read-only.
+    """
 
     variant: str
     vertices: tuple[int, ...]
     edges: tuple[SupportGraphEdge, ...]
 
-    def adjacency(self) -> dict[int, list[int]]:
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for edge in self.edges:
             a, b = edge.endpoints
@@ -119,9 +124,9 @@ class SupportGraph:
             adj[v].sort()
         return adj
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by minimum vertex."""
-        adj = self.adjacency()
+    @cached_property
+    def _components(self) -> list[list[int]]:
+        adj = self._adjacency
         seen: set[int] = set()
         comps: list[list[int]] = []
         for start in self.vertices:
@@ -140,6 +145,14 @@ class SupportGraph:
             comps.append(sorted(comp))
         comps.sort(key=lambda c: c[0])
         return comps
+
+    def adjacency(self) -> dict[int, list[int]]:
+        """Sorted neighbour list of every vertex."""
+        return self._adjacency
+
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted vertex lists, ordered by minimum vertex."""
+        return self._components
 
     def edge_lookup(self) -> dict[tuple[int, int], SupportGraphEdge]:
         return {edge.endpoints: edge for edge in self.edges}
@@ -218,27 +231,41 @@ def endpoint_graph_from_support(
     """Endpoint graph over an explicit vertex set.
 
     Windows of supporting length 1 contribute no edges (the two interval
-    endpoints coincide).
+    endpoints coincide).  The witnesses of each window come from one
+    :func:`endpoint_witness` call over all hops; one ``lexsort`` then groups
+    them by edge, each edge's witnesses in (window, hop) order.
     """
     fam = as_window_family(windows)
     n = fam.shape[1]
     if supports is None:
         supports = [window_support(w, zero_tol) for w in fam]
     verts = tuple(sorted(int(v) % n for v in set(vertices)))
-    vset = set(verts)
-    witnesses: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for r, ws in enumerate(supports):
-        if ws.length == 1:
-            continue
-        for m in range(n // hop):
-            n1, n2 = endpoint_witness(ws, hop, m, n)
-            if n1 == n2 or n1 not in vset or n2 not in vset:
-                continue
-            pair = (min(n1, n2), max(n1, n2))
-            witnesses.setdefault(pair, []).append((r, m))
-    return SupportGraph(
-        variant="endpoint", vertices=verts, edges=_edges_from_witnesses(witnesses)
+    member = np.zeros(n, dtype=bool)
+    member[list(verts)] = True
+    hops = np.arange(n // hop)
+    # length-1 windows are skipped; for 2 <= length <= n the endpoints differ
+    used = [r for r, ws in enumerate(supports) if ws.length > 1]
+    ends = np.array(
+        [endpoint_witness(supports[r], hop, hops, n) for r in used], dtype=int
+    ).reshape(len(used), 2, hops.size)
+    n1, n2 = ends[:, 0].ravel(), ends[:, 1].ravel()
+    keep = member[n1] & member[n2]
+    n1, n2 = n1[keep], n2[keep]
+    lo, hi = np.minimum(n1, n2), np.maximum(n1, n2)
+    rs = np.repeat(np.array(used, dtype=int), hops.size)[keep]
+    ms = np.tile(hops, len(used))[keep]
+    order = np.lexsort((ms, rs, hi, lo))
+    lo, hi, rs, ms = lo[order], hi[order], rs[order], ms[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    bounds = np.append(np.flatnonzero(first), lo.size).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    pairs = list(zip(rs.tolist(), ms.tolist()))
+    edges = tuple(
+        SupportGraphEdge(endpoints=(lo[a], hi[a]), witnesses=tuple(pairs[a:b]))
+        for a, b in zip(bounds, bounds[1:])
     )
+    return SupportGraph(variant="endpoint", vertices=verts, edges=edges)
 
 
 def build_endpoint_graph(

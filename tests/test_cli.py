@@ -201,6 +201,29 @@ class TestRecover:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--zero-tol", "nan"),  # NaN compares false: would detect an empty support
+            ("--zero-tol", "-1e-3"),
+            ("--rank-tol", "-1"),  # below zero every singular value counts
+            ("--rank-tol", "inf"),
+            ("--degenerate-tol", "nan"),  # would let zero evidence through
+            ("--degenerate-tol", "-1"),
+        ],
+    )
+    def test_bad_tolerance_exits_one(self, tmp_path, capsys, flag, value):
+        out = _simulate(tmp_path, "tol")
+        report = tmp_path / "tol.json"
+        code = run(
+            "recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+            f"{flag}={value}", "--out", report,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stftpr: error:" in err and "must be finite and nonnegative" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
         "row", ["2,3,7,nan", "0,3,99,1.0", "0,3,-1,1.0", "0,0,0,1.0"],
         ids=["nan", "out-of-range", "negative", "duplicate"],
     )

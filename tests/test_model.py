@@ -25,6 +25,9 @@ class TestProblemConfig:
             dict(n=8, hop=0, num_windows=1),
             dict(n=8, hop=2, num_windows=0),
             dict(n=8, hop=2, num_windows=1, zero_tol=-1e-3),
+            # NaN passes a plain `zero_tol < 0` check and would empty every support
+            dict(n=8, hop=2, num_windows=1, zero_tol=float("nan")),
+            dict(n=8, hop=2, num_windows=1, zero_tol=float("inf")),
         ],
     )
     def test_invalid(self, kwargs):

@@ -2,8 +2,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stftpr import model
+from stftpr import model, phase
 from stftpr import (
     MeasurementGrid,
     ProblemConfig,
@@ -15,15 +17,19 @@ from stftpr import (
     phase_distance,
     reconstruct,
     reconstruct_compressed,
+    spanning_tree,
+    window_support,
 )
 from stftpr.errors import (
     CertificationError,
+    ConfigurationError,
     DegenerateEdgeError,
     DisconnectedGraphError,
     InvalidPriorError,
     InvalidWindowError,
 )
 from stftpr.generators import certified_instance, random_interval_window
+from stftpr.supportgraph import SupportGraphEdge, endpoint_witness
 
 
 def _edge(graph, a, b):
@@ -345,3 +351,144 @@ class TestReconstructCompressed:
         agg = aggregate(measure(np.zeros(8), fam, 2), fam)
         res = reconstruct_compressed(agg, fam, cfg)
         assert np.all(res.estimate == 0)
+
+
+def _reference_edge_phase(edge, agg, fam, supports, rule, tol):
+    """The per-edge witness loop that the edge-phase table replaced.
+
+    Returns ``(n1, n2, window, hop_index, relative_phase)``, or None when no
+    usable witness clears ``tol``.
+    """
+    n = fam.shape[1]
+    hop = n // agg.num_hops
+    usable = [(r, m) for (r, m) in edge.witnesses if supports[r].length >= 2]
+    if not usable:
+        return None
+    mags = [abs(agg.correlation[r, m]) for (r, m) in usable]
+    if callable(rule):
+        order = list(rule(list(usable), mags))
+    elif rule == "max_evidence":
+        order = [usable[i] for i in sorted(range(len(usable)), key=lambda i: (-mags[i], usable[i]))]
+    else:
+        order = sorted(usable)
+    for r, m in order:
+        value = complex(agg.correlation[r, m])
+        if abs(value) <= tol:
+            continue
+        ws = supports[r]
+        n1, n2 = endpoint_witness(ws, hop, m, n)
+        wp = fam[r, ws.far(n)] * np.conj(fam[r, ws.anchor])
+        wp = wp / abs(wp)
+        return n1, n2, r, m, complex(wp * value / abs(value))
+    return None
+
+
+_RULES = {
+    "max_evidence": "max_evidence",
+    "lexicographic": "lexicographic",
+    "reversed": lambda ws, mags: list(reversed(sorted(ws))),
+}
+
+
+class TestEdgeTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([4, 6, 8, 12, 16]),
+        rule=st.sampled_from(sorted(_RULES)),
+        data=st.data(),
+    )
+    def test_matches_per_edge_reference(self, seed, n, rule, data):
+        rng = np.random.default_rng(seed)
+        hop = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        num_windows = data.draw(st.integers(1, 3))
+        fam = np.array([
+            random_interval_window(n, int(rng.integers(1, n // 2 + 1)), rng)
+            for _ in range(num_windows)
+        ])
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * (rng.random(n) < 0.8)
+        grid = measure(x, fam, hop)
+        if data.draw(st.booleans()):
+            grid = corrupt(grid, rng.uniform(-1e-3, 1e-3, grid.values.shape))
+        agg = aggregate(grid, fam)
+        supports = [window_support(w) for w in fam]
+        graph = build_endpoint_graph(x, fam, hop)
+        # a tolerance among the evidence magnitudes leaves some edges degenerate
+        tol = data.draw(st.sampled_from([0.0, *np.quantile(np.abs(agg.correlation), [0.3, 0.7])]))
+        table = phase._edge_table(graph.edges, agg, fam, supports, _RULES[rule], tol)
+        for i, edge in enumerate(graph.edges):
+            want = _reference_edge_phase(edge, agg, fam, supports, _RULES[rule], tol)
+            if want is None:
+                assert table.window[i] == -1
+                continue
+            got = (table.n1[i], table.n2[i], table.window[i], table.hop_index[i])
+            assert got == want[:4]
+            assert abs(table.relative_phase[i] - want[4]) <= 1e-12
+        rows = list(range(len(graph.edges)))
+        for i, entry in zip(rows, table.residuals(rows, x)):
+            assert (entry["residual"] is None) == (table.window[i] == -1)
+
+    def test_length_one_witnesses_are_unusable(self):
+        # window 1 has supporting length 1: its witness never carries a phase
+        x = np.ones(4, complex)
+        fam = [np.array([1, 1, 0, 0], dtype=complex), np.array([0, 2, 0, 0], dtype=complex)]
+        agg = aggregate(measure(x, fam, 1), fam)
+        only_short = SupportGraphEdge(endpoints=(0, 3), witnesses=((1, 0),))
+        with pytest.raises(DegenerateEdgeError, match="supporting length >= 2"):
+            edge_phase(only_short, agg, fam)
+        mixed = SupportGraphEdge(endpoints=(0, 3), witnesses=((0, 0), (1, 0)))
+        ev = edge_phase(mixed, agg, fam)
+        assert (ev.window, ev.hop_index, ev.n1, ev.n2) == (0, 0, 0, 3)
+
+    def test_degenerate_nontree_edge_reports_none(self):
+        # find an instance whose weakest non-tree edge sits below every tree edge,
+        # then put the tolerance between them: the tree survives, that edge does not
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x, fam = certified_instance(8, 1, 2, rng)
+            grid = measure(x, fam, 1)
+            agg = aggregate(grid, fam)
+            graph = build_endpoint_graph(x, fam, 1)
+            tree = {te.edge.endpoints for te in spanning_tree(graph).edges}
+            best = {
+                e.endpoints: max(abs(agg.correlation[r, m]) for r, m in e.witnesses)
+                for e in graph.edges
+            }
+            floor = min(best[p] for p in tree)
+            weak = [p for p in best if p not in tree and best[p] < floor]
+            if weak:
+                break
+        else:
+            pytest.fail("no instance with a weak non-tree edge")
+        tol = 0.5 * (max(best[p] for p in weak) + floor)
+        res = reconstruct(grid, fam, ProblemConfig(8, 1, 2), degenerate_tol=tol)
+        entries = {(e["n1"], e["n2"]): e for e in res.diagnostics["nontree_residuals"]}
+        for p in weak:
+            assert entries[p] == {"n1": p[0], "n2": p[1], "residual": None}
+        assert phase_distance(res.estimate, x).distance <= 1e-8 * np.linalg.norm(x)
+
+
+class TestTolerances:
+    def test_negative_rank_tol_rejected(self):
+        # [1, 1, 0, ...] is rank-deficient at n=8, hop 1; a negative rank_tol would
+        # certify it and return an estimate with 14% relative error
+        w = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
+        x = np.random.default_rng(181).normal(size=8) + 0j
+        grid = measure(x, [w], 1)
+        cfg = ProblemConfig(8, 1, 1)
+        with pytest.raises(CertificationError):
+            reconstruct(grid, [w], cfg)
+        with pytest.raises(ConfigurationError, match="rank_tol"):
+            reconstruct(grid, [w], cfg, rank_tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_degenerate_tol_rejected(self, tol):
+        rng = np.random.default_rng(191)
+        x, fam = certified_instance(8, 2, 3, rng)
+        grid = measure(x, fam, 2)
+        with pytest.raises(ConfigurationError, match="degenerate_tol"):
+            reconstruct(grid, fam, ProblemConfig(8, 2, 3), degenerate_tol=tol)
+        agg = aggregate(grid, fam)
+        edge = build_endpoint_graph(x, fam, 2).edges[0]
+        with pytest.raises(ConfigurationError, match="degenerate_tol"):
+            edge_phase(edge, agg, fam, degenerate_tol=tol)

@@ -10,7 +10,7 @@ from stftpr import (
     recover_magnitudes,
     window_power_spectra,
 )
-from stftpr.errors import CertificationError
+from stftpr.errors import CertificationError, ConfigurationError
 from stftpr.generators import certified_instance, chain_family, random_interval_window
 from stftpr.stft import AggregateMeasurements
 
@@ -117,6 +117,12 @@ class TestCertifyRank:
                 assert mats.pseudo_inverses[m] is None
         assert mats.certified == (family == "certified-chain")
 
+    @pytest.mark.parametrize("rank_tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        # a negative tolerance counts every singular value, certifying anything
+        with pytest.raises(ConfigurationError, match="rank_tol"):
+            certify_rank([np.array([1, 1, 0, 0, 0, 0, 0, 0])], hop=1, rank_tol=rank_tol)
+
     def test_full_hop_specialization(self):
         # rank gate == power matrix of the masks has full rank
         rng = np.random.default_rng(53)
@@ -165,6 +171,17 @@ class TestRecoverMagnitudes:
         b = magnitudes_direct(agg.energy, mats)
         scale = np.abs(x).max() ** 2
         assert np.max(np.abs(a.magnitudes_sq - b)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("geometry", [(16, 1, 1), (16, 4, 5), (12, 12, 13)])
+    def test_stacked_solve_matches_per_residue_solves(self, geometry):
+        x, _, agg, mats = self._instance(*geometry, seed=73)
+        num_hops = mats.num_hops
+        rhs = np.fft.fft(agg.energy, axis=1) / num_hops
+        power = np.empty(mats.n, dtype=complex)
+        for m in range(num_hops):
+            power[m + num_hops * np.arange(mats.hop)] = mats.pseudo_inverses[m] @ rhs[:, m]
+        got = recover_magnitudes(agg, mats).power_spectrum
+        assert np.max(np.abs(got - power)) <= 1e-14 * np.max(np.abs(power))
 
     def test_power_spectrum_conjugate_symmetry(self):
         _, _, agg, mats = self._instance(16, 4, 5, seed=71)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from stftpr.errors import (
     DimensionMismatchError,
     InvalidWindowError,
 )
+from stftpr.generators import random_interval_window
 from stftpr.oracle import stft_direct
 from stftpr.stft import AggregateMeasurements
 
@@ -186,6 +188,33 @@ class TestAggregate:
         w = [1, 1, 0, 0]
         agg = aggregate(measure([1, 2, 3, 4], [w], hop=2), [w])
         assert agg.measurement_count == 4  # 2 * 1 window * 2 hops
+
+    def test_matches_complex_modulation(self):
+        # the definition: each grid block times the complex modulation vector
+        rng = np.random.default_rng(5)
+        n, hop = 64, 4
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        fam = np.stack([random_interval_window(n, length, rng) for length in (1, 5, 32)])
+        grid = measure(x, fam, hop)
+        agg = aggregate(grid, fam)
+        k = np.arange(n)
+        for r, length in enumerate((1, 5, 32)):
+            want = grid.values[r] @ np.exp(2j * np.pi * k * (length - 1) / n)
+            assert np.max(np.abs(agg.correlation[r] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_no_complex_copy_of_the_grid(self):
+        # two real mat-vecs: peak allocation stays well below one complex grid block
+        rng = np.random.default_rng(6)
+        n = 256
+        fam = [random_interval_window(n, 9, rng)]
+        grid = measure(rng.normal(size=n) + 0j, fam, 1)
+        tracemalloc.start()
+        try:
+            aggregate(grid, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.values[0].nbytes  # a complex copy would be twice that
 
 
 class TestGridCsv:

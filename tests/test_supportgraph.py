@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stftpr import (
     build_covisibility_graph,
@@ -22,6 +24,7 @@ from stftpr.supportgraph import (
     SupportGraph,
     SupportGraphEdge,
     WindowSupport,
+    endpoint_graph_from_support,
     endpoint_witness,
     long_windows,
 )
@@ -314,3 +317,96 @@ def test_certificate_dict_shape():
     assert cert["connected"] is True
     assert set(cert) == {"variant", "vertices", "edges", "connected", "components"}
     assert all(set(e) == {"n", "n2", "witnesses"} for e in cert["edges"])
+
+
+def _loop_window_support(w, zero_tol=1e-12):
+    """The per-entry loop that ``window_support`` replaced, kept as its reference."""
+    mags = np.abs(np.asarray(w, dtype=complex))
+    n = mags.size
+    nonzero = np.flatnonzero(mags > zero_tol * mags.max())
+    if nonzero.size == n:
+        return n, 0
+    best_length, best_anchor = n + 1, 0
+    for i, a in enumerate(nonzero):
+        length = (int(nonzero[i - 1]) - int(a)) % n + 1
+        if length < best_length:
+            best_length, best_anchor = length, int(a)
+    return best_length, best_anchor
+
+
+@st.composite
+def _masked_windows(draw, min_size=1, max_size=24):
+    """A window with an arbitrary nonzero pattern (at least one nonzero entry)."""
+    mask = draw(st.lists(st.booleans(), min_size=min_size, max_size=max_size).filter(any))
+    return np.array(mask, dtype=complex) * (1.0 + np.arange(len(mask)))
+
+
+class TestWindowSupportReference:
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [1, 1, 0, 0, 0, 0, 0, 1],  # wraps around index 0
+            [1, 0, 1, 0],  # two intervals of length 3 tie
+            [0, 1, 0, 1, 0, 1],  # three intervals of length 5 tie
+            [1, 0, 0, 1, 0, 0],  # two intervals of length 4 tie
+            np.ones(7),  # full support
+            [0, 0, 0, 2j, 0],  # a single nonzero entry
+            [3.0],  # length-1 window
+            [1, 1e-13, 0, 1],  # an entry below the relative tolerance
+        ],
+        ids=["wrap", "tie-2", "tie-3", "tie-4", "full", "single", "length-1", "tolerance"],
+    )
+    def test_matches_loop(self, w):
+        ws = window_support(w)
+        assert (ws.length, ws.anchor) == _loop_window_support(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=_masked_windows())
+    def test_matches_loop_on_random_patterns(self, w):
+        ws = window_support(w)
+        assert (ws.length, ws.anchor) == _loop_window_support(w)
+        assert type(ws.length) is int and type(ws.anchor) is int
+
+    def test_no_entry_above_tolerance(self):
+        # zero_tol >= 1 leaves no entry strictly above the peak-relative floor
+        with pytest.raises(InvalidWindowError, match="no entry above"):
+            window_support([1, 2, 0, 0], zero_tol=1.0)
+
+
+def _brute_endpoint_witnesses(vertices, fam, hop):
+    """Endpoint-graph witnesses from a literal loop over (window, hop)."""
+    n = fam.shape[1]
+    found = {}
+    for r, w in enumerate(fam):
+        ws = window_support(w)
+        for m in range(n // hop):
+            n1, n2 = endpoint_witness(ws, hop, m, n)
+            if n1 != n2 and n1 in vertices and n2 in vertices:
+                found.setdefault((min(n1, n2), max(n1, n2)), []).append((r, m))
+    return {pair: tuple(sorted(ws)) for pair, ws in found.items()}
+
+
+@st.composite
+def _endpoint_geometries(draw):
+    n = draw(st.integers(1, 16))
+    hop = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    fam = np.array(
+        [draw(_masked_windows(n, n)) for _ in range(draw(st.integers(1, 3)))]
+    )
+    vertices = draw(st.sets(st.integers(0, n - 1)))
+    return hop, fam, vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=_endpoint_geometries())
+def test_endpoint_graph_matches_brute_force(geometry):
+    # length-1, wrapping and full-length windows, arbitrary vertex subsets
+    hop, fam, vertices = geometry
+    graph = endpoint_graph_from_support(vertices, fam, hop)
+    assert graph.vertices == tuple(sorted(vertices))
+    got = {edge.endpoints: edge.witnesses for edge in graph.edges}
+    assert got == _brute_endpoint_witnesses(vertices, fam, hop)
+    assert [edge.endpoints for edge in graph.edges] == sorted(got)
+    for edge in graph.edges:
+        assert all(type(i) is int for i in edge.endpoints)
+        assert all(type(i) is int for w in edge.witnesses for i in w)
