@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
+from .errors import (
+    ConfigurationError, DimensionMismatchError, InvalidPriorError, InvalidWindowError,
+)
 
 DEFAULT_ZERO_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
@@ -27,6 +29,18 @@ def check_tolerance(name: str, value: float) -> None:
     """
     if not (math.isfinite(value) and value >= 0):
         raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def check_prior(value, message: str | None = None) -> float:
+    """Minimum-magnitude prior as a float; ``InvalidPriorError`` unless finite and positive.
+
+    NaN fails ``value > 0`` and gets ``message``, as a missing or nonpositive prior does.
+    """
+    if value is None or not value > 0:
+        raise InvalidPriorError(message or f"minimum-magnitude prior must be positive, got {value}")
+    if not math.isfinite(value):
+        raise InvalidPriorError(f"minimum-magnitude prior must be finite, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)

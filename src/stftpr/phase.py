@@ -16,12 +16,13 @@ support index (phase 0 by convention) assembles the full signal from the
 recovered magnitudes.
 
 Edge phases come from one edge-phase table, built in a single array pass
-over the (window, hop) correlation table for every edge of the endpoint
-graph at once: each edge's witnesses are ranked by the witness rule, the
-first whose evidence clears the degeneracy tolerance is chosen, and its
-endpoints, window phase and relative phase are computed.  Spanning-tree
-edges feed :func:`propagate`; the remaining edges give the residuals of the
-redundant edges.
+over the endpoint graph's witness arrays and the (window, hop) correlation
+table: each edge's witnesses are ranked by the witness rule, the first whose
+evidence clears the degeneracy tolerance is chosen, and its endpoints,
+window phase and relative phase are computed.  The spanning tree's
+edge-row array picks the tree edges' phases, oriented from parent to child,
+and :func:`propagate` multiplies them along the tree in discovery order; the
+remaining edges give the residuals of the redundant edges.
 
 :func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
 rank gate, magnitudes, support, endpoint graph, edge phases, propagation -
@@ -39,13 +40,13 @@ from .errors import (
     DegenerateEdgeError,
     DimensionMismatchError,
     DisconnectedGraphError,
-    InvalidPriorError,
 )
-from .model import ProblemConfig, as_window_family, check_tolerance
+from .model import ProblemConfig, as_window_family, check_prior, check_tolerance
 from .spectral import MagnitudeSpectrum, ModulationMatrices, certify_rank, recover_magnitudes
 from .stft import AggregateMeasurements, MeasurementGrid, aggregate
 from .supportgraph import (
     SpanningTree,
+    SupportGraph,
     SupportGraphEdge,
     WindowSupport,
     endpoint_graph_from_support,
@@ -150,7 +151,7 @@ class _EdgeTable:
     their other entries are meaningless.
     """
 
-    edges: tuple[SupportGraphEdge, ...]
+    endpoints: np.ndarray
     usable: np.ndarray
     window: np.ndarray
     hop_index: np.ndarray
@@ -162,13 +163,13 @@ class _EdgeTable:
     degenerate_tol: float
     noise_level: float
 
-    def raise_degenerate(self, rows: list[int]) -> None:
+    def raise_degenerate(self, rows: np.ndarray) -> None:
         """Raise ``DegenerateEdgeError`` for the first of ``rows`` without a phase."""
         bad = np.flatnonzero(self.window[rows] < 0)
         if not bad.size:
             return
-        i = rows[int(bad[0])]
-        ends = self.edges[i].endpoints
+        i = int(rows[bad[0]])
+        ends = tuple(self.endpoints[i].tolist())
         if not self.usable[i]:
             raise DegenerateEdgeError(
                 f"edge {ends} has no witness with supporting length >= 2", endpoints=ends
@@ -179,39 +180,52 @@ class _EdgeTable:
             endpoints=ends,
         )
 
-    def evidences(self, rows: list[int]) -> dict[tuple[int, int], EdgePhaseEvidence]:
-        """Evidence records of ``rows``, which must all have a phase."""
-        cols = (self.n1, self.n2, self.window, self.hop_index, self.evidence,
-                self.window_phase, self.relative_phase)
-        return {
-            self.edges[i].endpoints: EdgePhaseEvidence(*fields)
-            for i, *fields in zip(rows, *(c[rows].tolist() for c in cols))
+    def witnesses(self, rows) -> list[dict]:
+        """Chosen witness of each of ``rows``; a row without a phase gives only its endpoints."""
+        cols = (self.n1, self.n2, self.window, self.hop_index)
+        out = []
+        for i, a, b, w, h in zip(rows.tolist(), *(c[rows].tolist() for c in cols)):
+            if w < 0:
+                a, b = self.endpoints[i].tolist()
+                out.append({"n1": a, "n2": b})
+            else:
+                out.append({"n1": a, "n2": b, "window": w, "hop_index": h})
+        return out
+
+    def along(self, tree: SpanningTree) -> tuple[np.ndarray, dict]:
+        """Phasors of ``x(child) * conj(x(parent))`` on the tree's edges, and their diagnostics.
+
+        Every tree edge must have a phase; the diagnostics are the witnesses
+        used and the smallest evidence magnitude.
+        """
+        rows = tree.edge_row
+        n1, n2 = self.n1[rows], self.n2[rows]
+        forward = tree.child == n1
+        if not np.where(forward, tree.parent == n2, (tree.child == n2) & (tree.parent == n1)).all():
+            raise RuntimeError("edge-phase witnesses do not match the tree's edges")
+        rel = self.relative_phase[rows]
+        return np.where(forward, rel, rel.conj()), {
+            "used_witnesses": self.witnesses(rows),
+            "min_evidence": float(_modulus(self.evidence[rows]).min()) if rows.size else None,
         }
 
-    def residuals(self, rows: list[int], estimate: np.ndarray) -> list[dict]:
+    def residuals(self, rows: np.ndarray, estimate: np.ndarray) -> list[dict]:
         """Phase residual of each of ``rows`` against the estimate; None if degenerate."""
         unit = np.zeros(estimate.shape, dtype=complex)
         on = estimate != 0
         unit[on] = estimate[on] / np.abs(estimate[on])
         rows = np.asarray(rows, dtype=np.intp)
-        n1, n2, window, hop_index = (c[rows] for c in (self.n1, self.n2, self.window, self.hop_index))
         # degenerate rows (window -1) get a meaningless value here and None below
+        n1, n2 = self.n1[rows], self.n2[rows]
         residual = _modulus(self.relative_phase[rows] - unit[n1] * np.conj(unit[n2]))
-        out = []
-        for i, a, b, w, h, res in zip(
-            rows.tolist(), n1.tolist(), n2.tolist(), window.tolist(), hop_index.tolist(),
-            residual.tolist(),
-        ):
-            if w < 0:
-                a, b = self.edges[i].endpoints
-                out.append({"n1": a, "n2": b, "residual": None})
-            else:
-                out.append({"n1": a, "n2": b, "window": w, "hop_index": h, "residual": res})
+        out = self.witnesses(rows)
+        for entry, res in zip(out, residual.tolist()):
+            entry["residual"] = res if "window" in entry else None
         return out
 
 
 def _edge_table(
-    edges: tuple[SupportGraphEdge, ...],
+    graph: SupportGraph,
     agg: AggregateMeasurements,
     fam: np.ndarray,
     supports: list[WindowSupport],
@@ -226,36 +240,33 @@ def _edge_table(
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
-    num_edges = len(edges)
+    num_edges = len(graph.endpoints)
     lengths = np.array([ws.length for ws in supports])
-    flat = np.array([w for e in edges for w in e.witnesses], dtype=np.intp).reshape(-1, 2)
-    eid = np.repeat(np.arange(num_edges), [len(e.witnesses) for e in edges])
-    keep = lengths[flat[:, 0]] >= 2
+    eid = np.repeat(np.arange(num_edges), np.diff(graph.offsets))
+    keep = lengths[graph.window] >= 2
     usable = np.zeros(num_edges, dtype=bool)
     usable[eid[keep]] = True
     eid, r, m = _rank_witnesses(
-        eid[keep], flat[keep, 0], flat[keep, 1], agg.correlation, witness_rule, num_edges
+        eid[keep], graph.window[keep], graph.hop_index[keep], agg.correlation,
+        witness_rule, num_edges,
     )
     value = agg.correlation[r, m]
     clear = np.flatnonzero(_modulus(value) > degenerate_tol)
     # the first clearing entry of each edge's group is its first ranked usable witness
     first = clear[np.diff(eid[clear], prepend=-1) != 0]
     chosen, r, m, value = eid[first], r[first], m[first], value[first]
-    n1, n2 = np.empty_like(r), np.empty_like(r)
-    for w in np.unique(r).tolist():
-        on = r == w
-        n1[on], n2[on] = endpoint_witness(supports[w], hop, m[on], n)
-    ends = np.array([e.endpoints for e in edges], dtype=np.intp).reshape(-1, 2)[chosen]
+    # a support whose fields are per-witness arrays maps every chosen witness at once
+    ws = WindowSupport(length=lengths[r], anchor=np.array([s.anchor for s in supports])[r])
+    n1, n2 = endpoint_witness(ws, hop, m, n)
+    ends = graph.endpoints[chosen]
     match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
     if not match.all():
         k = int(np.argmin(match))
         raise RuntimeError(
             f"witness ({r[k]}, {m[k]}) maps to ({n1[k]}, {n2[k]}), "
-            f"not edge {edges[chosen[k]].endpoints}"
+            f"not edge {tuple(ends[k].tolist())}"
         )
-    anchor = np.array([ws.anchor for ws in supports], dtype=np.intp)
-    far = np.array([ws.far(n) for ws in supports], dtype=np.intp)
-    wp = fam[r, far[r]] * np.conj(fam[r, anchor[r]])
+    wp = fam[r, ws.far(n)] * np.conj(fam[r, ws.anchor])
     wp = wp / _modulus(wp)
     rel = wp * value / _modulus(value)
 
@@ -265,7 +276,7 @@ def _edge_table(
         return out
 
     return _EdgeTable(
-        edges=edges,
+        endpoints=graph.endpoints,
         usable=usable,
         window=per_edge(r, -1),
         hop_index=per_edge(m, -1),
@@ -299,68 +310,43 @@ def edge_phase(
     fam = as_window_family(windows)
     supports = [window_support(w) for w in fam]
     tol = _resolve_degenerate_tol(degenerate_tol, fam.shape[1], agg.noise_level)
-    table = _edge_table((edge,), agg, fam, supports, witness_rule, tol)
-    table.raise_degenerate([0])
-    return table.evidences([0])[edge.endpoints]
+    graph = SupportGraph.from_edges("endpoint", edge.endpoints, (edge,))
+    table = _edge_table(graph, agg, fam, supports, witness_rule, tol)
+    table.raise_degenerate(np.zeros(1, dtype=np.intp))
+    return EdgePhaseEvidence(*(c[0].item() for c in (
+        table.n1, table.n2, table.window, table.hop_index, table.evidence,
+        table.window_phase, table.relative_phase,
+    )))
 
 
 def propagate(
     tree: SpanningTree,
     magnitudes: MagnitudeSpectrum,
-    evidences: dict[tuple[int, int], EdgePhaseEvidence],
+    phases,
     support_set,
 ) -> ReconstructionResult:
     """Walk the spanning tree, assigning each vertex its accumulated phasor.
 
-    The root gets phase 0.  Crossing an edge multiplies by the relative
-    phase or its conjugate depending on whether the child plays the n1 or n2
-    role in the edge's orientation - the bookkeeping that prevents silent
-    conjugation when an edge is walked backwards.
+    The root gets phase 0.  ``phases[k]`` is the unit phasor of
+    ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.  The walk
+    follows the tree's discovery order, so each parent's phasor is known
+    before its children's, one plain Python complex product per edge.
     """
     amps = np.sqrt(magnitudes.magnitudes_sq)
-    n = amps.shape[0]
-    verts = tuple(sorted(int(v) for v in support_set))
-    estimate = np.zeros(n, dtype=complex)
-    if tree.root is None:
-        if verts:
-            raise RuntimeError("empty tree cannot span a nonempty support")
-        return ReconstructionResult(
-            estimate=estimate,
-            root_vertex=None,
-            diagnostics={"tree_depth": 0, "used_witnesses": [], "min_evidence": None},
-        )
-    # plain Python complex arithmetic: the walk is sequential, one edge at a time
-    phasor: dict[int, complex] = {tree.root: 1.0 + 0.0j}
-    used = []
-    min_evidence = None
-    for te in tree.edges:
-        ev = evidences[te.edge.endpoints]
-        if {te.parent, te.child} != {ev.n1, ev.n2}:
-            raise RuntimeError(
-                f"evidence for {te.edge.endpoints} does not match tree edge "
-                f"({te.parent}, {te.child})"
-            )
-        rel = ev.relative_phase
-        phasor[te.child] = phasor[te.parent] * (rel if te.child == ev.n1 else rel.conjugate())
-        used.append(
-            {"n1": ev.n1, "n2": ev.n2, "window": ev.window, "hop_index": ev.hop_index}
-        )
-        mag = abs(ev.evidence)
-        min_evidence = mag if min_evidence is None else min(min_evidence, mag)
-    missing = [v for v in verts if v not in phasor]
-    if missing:
-        raise RuntimeError(f"tree does not span the support; unreached: {missing}")
-    idx = list(verts)
-    estimate[idx] = amps[idx] * np.array([phasor[v] for v in verts], dtype=complex)
-    return ReconstructionResult(
-        estimate=estimate,
-        root_vertex=tree.root,
-        diagnostics={
-            "tree_depth": tree.depth,
-            "used_witnesses": used,
-            "min_evidence": min_evidence,
-        },
-    )
+    verts = np.array(sorted({int(v) for v in support_set}), dtype=np.intp)
+    # position of each vertex in discovery order, -1 where the tree does not reach
+    walk = np.full(amps.shape[0], -1, dtype=np.intp)
+    if tree.root is not None:
+        walk[[tree.root, *tree.child.tolist()]] = np.arange(tree.child.size + 1)
+    missing = verts[walk[verts] < 0]
+    if missing.size:
+        raise RuntimeError(f"tree does not span the support; unreached: {missing.tolist()}")
+    phasor = [1.0 + 0.0j]
+    for p, z in zip(walk[tree.parent].tolist(), np.asarray(phases, dtype=complex).tolist()):
+        phasor.append(phasor[p] * z)
+    estimate = np.zeros(amps.shape[0], dtype=complex)
+    estimate[verts] = amps[verts] * np.array(phasor)[walk[verts]]
+    return ReconstructionResult(estimate, tree.root, {"tree_depth": tree.depth})
 
 
 def _detect_support(
@@ -378,12 +364,12 @@ def _detect_support(
     """
     sq = magnitudes.magnitudes_sq
     if noise_level > 0.0:
-        if min_support_magnitude is None or min_support_magnitude <= 0.0:
-            raise InvalidPriorError(
-                "noisy reconstruction needs a positive prior for the smallest "
-                "nonzero magnitude (min_support_magnitude)"
-            )
-        keep = np.sqrt(sq) > 0.5 * min_support_magnitude
+        prior = check_prior(
+            min_support_magnitude,
+            "noisy reconstruction needs a positive prior for the smallest "
+            "nonzero magnitude (min_support_magnitude)",
+        )
+        keep = np.sqrt(sq) > 0.5 * prior
         return tuple(int(i) for i in np.flatnonzero(keep)), "half-minimum"
     peak = float(sq.max()) if sq.size else 0.0
     if peak == 0.0:
@@ -427,48 +413,32 @@ def _run_pipeline(
         "imag_residue": magnitudes.imag_residue,
         "severe_clamping": magnitudes.severe_clamping,
     }
-    if not detected:
-        return ReconstructionResult(
-            estimate=np.zeros(cfg.n, dtype=complex),
-            root_vertex=None,
-            diagnostics={
-                **diagnostics,
-                "tree_depth": 0,
-                "used_witnesses": [],
-                "min_evidence": None,
-                "nontree_residuals": [],
-            },
-            modulation=mats,
-        )
+    # an empty support gives an empty graph and tree, and an all-zero estimate
     graph = endpoint_graph_from_support(
         detected, fam, cfg.hop, cfg.zero_tol, supports=supports
     )
-    comps = graph.components()
-    if len(comps) > 1:
+    try:
+        tree = spanning_tree(graph)
+    except DisconnectedGraphError:
+        comps = graph.components()
         raise DisconnectedGraphError(
             f"endpoint graph on the detected support has {len(comps)} components: {comps}",
             components=comps,
-        )
-    too_long = long_windows(supports, cfg.n)
+        ) from None
+    too_long = long_windows(supports, cfg.n) if detected else []
     if too_long:
         raise CertificationError(
             f"windows {too_long} have supporting length above half the signal "
             f"length; edge phases would be ambiguous",
             failing=too_long,
         )
-    tree = spanning_tree(graph)
-    table = _edge_table(graph.edges, agg, fam, supports, witness_rule, degenerate_tol)
-    row = {edge.endpoints: i for i, edge in enumerate(graph.edges)}
-    tree_rows = [row[te.edge.endpoints] for te in tree.edges]
-    table.raise_degenerate(tree_rows)
-    evidences = table.evidences(tree_rows)
-    result = replace(propagate(tree, magnitudes, evidences, detected), modulation=mats)
-    result.diagnostics.update(diagnostics)
-    nontree = np.ones(len(graph.edges), dtype=bool)
-    nontree[tree_rows] = False
-    result.diagnostics["nontree_residuals"] = table.residuals(
-        np.flatnonzero(nontree), result.estimate
-    )
+    table = _edge_table(graph, agg, fam, supports, witness_rule, degenerate_tol)
+    table.raise_degenerate(tree.edge_row)
+    phases, used = table.along(tree)
+    result = replace(propagate(tree, magnitudes, phases, detected), modulation=mats)
+    result.diagnostics.update(**used, **diagnostics)
+    nontree = np.setdiff1d(np.arange(len(graph.endpoints)), tree.edge_row)
+    result.diagnostics["nontree_residuals"] = table.residuals(nontree, result.estimate)
     return result
 
 

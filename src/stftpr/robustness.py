@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    ConfigurationError,
-    InvalidPriorError,
-    UndefinedBudgetError,
+from .errors import CertificationError, UndefinedBudgetError
+from .model import (
+    DEFAULT_ZERO_TOL, as_signal, as_window_family, check_prior, check_tolerance, support,
 )
-from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, support
 from .spectral import ModulationMatrices
 from .supportgraph import window_support
 
@@ -129,14 +126,9 @@ def error_budget(
     nonzero magnitude (deployment mode, the same quantity the half-minimum
     support rule consumes).
     """
-    if noise_level < 0:
-        raise ConfigurationError("noise_level must be nonnegative")
+    check_tolerance("noise_level", noise_level)
     if np.isscalar(reference) and not isinstance(reference, (complex, np.complexfloating)):
-        min_mag = float(reference)
-        if min_mag <= 0:
-            raise InvalidPriorError(
-                f"minimum-magnitude prior must be positive, got {min_mag}"
-            )
+        min_mag = check_prior(float(reference))
     else:
         x = as_signal(reference)
         supp = support(x, zero_tol)
@@ -165,11 +157,7 @@ def threshold_support(estimate, min_support_magnitude: float) -> ThresholdedEsti
     Under admissible noise the surviving index set equals the true support
     (and hence so does the endpoint graph built on it).
     """
-    if min_support_magnitude is None or min_support_magnitude <= 0:
-        raise InvalidPriorError(
-            f"minimum-magnitude prior must be positive, got {min_support_magnitude}"
-        )
+    threshold = 0.5 * check_prior(min_support_magnitude)
     x = as_signal(estimate)
-    threshold = 0.5 * float(min_support_magnitude)
     out = np.where(np.abs(x) <= threshold, 0.0 + 0.0j, x)
     return ThresholdedEstimate(signal=out, threshold=threshold)

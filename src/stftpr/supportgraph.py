@@ -15,22 +15,23 @@ Two graphs on the signal's support drive everything:
   covisibility graph, and its connectivity - together with short windows and
   full-rank modulation matrices - is sufficient for recovery.
 
-Both graphs are stored undirected and are immutable after construction.
+Both graphs are undirected, immutable, and held as arrays: a sorted
+``(E, 2)`` endpoint array and CSR witness arrays, which the builders fill
+from one ``lexsort`` over the flat (edge, window, hop) witnesses.  The
+spanning tree comes from one breadth-first search over a CSR adjacency and is
+held as parent, child and edge-row arrays in discovery order.  The
+``SupportGraphEdge`` and ``TreeEdge`` records are views built on demand.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraphError,
-    InvalidPartitionError,
-    InvalidWindowError,
-)
+from .errors import DisconnectedGraphError, InvalidPartitionError, InvalidWindowError
 from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, support
 
 
@@ -101,61 +102,101 @@ class SupportGraphEdge:
     witnesses: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SupportGraph:
-    """Support graph with a variant tag ("covisibility" or "endpoint").
+class _Records(Sequence):
+    """Records built from array rows on first iteration or indexing; ``len`` builds none."""
 
-    The adjacency and the components are computed once per graph and shared
-    between calls; treat them as read-only.
+    def __init__(self, size: int, build):
+        self._size, self._build = size, build
+
+    @cached_property
+    def _all(self) -> tuple:
+        return self._build()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        return self._all[i]
+
+
+def _ints(values) -> np.ndarray:
+    return np.array(values, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class SupportGraph:
+    """Support graph with a variant tag ("covisibility" or "endpoint"), held as arrays.
+
+    ``endpoints`` is an ``(E, 2)`` array of (lo, hi) support indices, one row
+    per edge; the builders sort the rows.  Edge ``i``'s witnesses are the
+    (window, hop) pairs ``(window[j], hop_index[j])`` for ``offsets[i] <= j <
+    offsets[i + 1]``, in (window, hop) order.  ``edges`` shows the same edges
+    as ``SupportGraphEdge`` records.  Everything is computed once per graph
+    and shared; treat it as read-only.
     """
 
     variant: str
     vertices: tuple[int, ...]
-    edges: tuple[SupportGraphEdge, ...]
+    endpoints: np.ndarray
+    offsets: np.ndarray
+    window: np.ndarray
+    hop_index: np.ndarray
+
+    @classmethod
+    def from_edges(cls, variant: str, vertices, edges) -> SupportGraph:
+        """Graph from ``SupportGraphEdge`` records, kept in the given order."""
+        edges = tuple(edges)
+        verts = tuple(sorted({int(v) for v in vertices}))
+        ends = _ints([e.endpoints for e in edges]).reshape(-1, 2)
+        offsets = np.cumsum(_ints([0, *(len(e.witnesses) for e in edges)]))
+        window, hop_index = _ints([w for e in edges for w in e.witnesses]).reshape(-1, 2).T
+        return cls(variant, verts, ends, offsets, window, hop_index)
+
+    def _rows(self, pair) -> list:
+        """(lo, hi, witnesses) of every edge, each witness built by ``pair(window, hop)``."""
+        pairs = list(map(pair, self.window.tolist(), self.hop_index.tolist()))
+        bounds = self.offsets.tolist()
+        ends = self.endpoints.tolist()
+        return [(lo, hi, pairs[a:b]) for (lo, hi), a, b in zip(ends, bounds, bounds[1:])]
 
     @cached_property
-    def _adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for edge in self.edges:
-            a, b = edge.endpoints
-            adj[a].append(b)
-            adj[b].append(a)
-        for v in adj:
-            adj[v].sort()
-        return adj
+    def edges(self) -> Sequence[SupportGraphEdge]:
+        return _Records(len(self.endpoints), lambda: tuple(
+            SupportGraphEdge((lo, hi), tuple(w)) for lo, hi, w in self._rows(lambda r, m: (r, m))
+        ))
 
     @cached_property
-    def _components(self) -> list[list[int]]:
-        adj = self._adjacency
-        seen: set[int] = set()
-        comps: list[list[int]] = []
-        for start in self.vertices:
-            if start in seen:
+    def _forest(self) -> list[tuple[list[int], list[int], list[int], int]]:
+        """One BFS per component from its smallest vertex, over a CSR adjacency of sorted rows.
+
+        Per component: its vertices in discovery order, the parent and edge
+        row of each vertex after the first, and its depth.
+        """
+        src, dst = np.concatenate((self.endpoints, self.endpoints[:, ::-1])).T
+        order = np.lexsort((dst, src))
+        depth = [-1] * (self.vertices[-1] + 1 if self.vertices else 0)
+        starts = np.searchsorted(src[order], np.arange(len(depth) + 1)).tolist()
+        nbrs, rows = dst[order].tolist(), np.tile(np.arange(len(src) // 2), 2)[order].tolist()
+        forest = []
+        for root in self.vertices:
+            if depth[root] >= 0:
                 continue
-            queue = deque([start])
-            seen.add(start)
-            comp = []
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
+            depth[root] = 0
+            queue, parent, edge_row = [root], [], []
+            for v in queue:  # the queue grows while it is walked
+                for i in range(starts[v], starts[v + 1]):
+                    u = nbrs[i]
+                    if depth[u] < 0:
+                        depth[u] = depth[v] + 1
+                        parent.append(v)
+                        edge_row.append(rows[i])
                         queue.append(u)
-            comps.append(sorted(comp))
-        comps.sort(key=lambda c: c[0])
-        return comps
-
-    def adjacency(self) -> dict[int, list[int]]:
-        """Sorted neighbour list of every vertex."""
-        return self._adjacency
+            forest.append((queue, parent, edge_row, depth[queue[-1]]))
+        return forest
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
-        return self._components
-
-    def edge_lookup(self) -> dict[tuple[int, int], SupportGraphEdge]:
-        return {edge.endpoints: edge for edge in self.edges}
+        return [sorted(queue) for queue, *_ in self._forest]
 
     def to_dict(self) -> dict:
         """Certificate payload: vertices, edges with witnesses, connectivity."""
@@ -164,12 +205,7 @@ class SupportGraph:
             "variant": self.variant,
             "vertices": list(self.vertices),
             "edges": [
-                {
-                    "n": edge.endpoints[0],
-                    "n2": edge.endpoints[1],
-                    "witnesses": [list(w) for w in edge.witnesses],
-                }
-                for edge in self.edges
+                {"n": lo, "n2": hi, "witnesses": w} for lo, hi, w in self._rows(lambda r, m: [r, m])
             ],
             "connected": len(comps) <= 1,
             "components": comps,
@@ -181,35 +217,54 @@ def is_connected(graph: SupportGraph) -> bool:
     return len(graph.components()) <= 1
 
 
-def _edges_from_witnesses(
-    witnesses: dict[tuple[int, int], list[tuple[int, int]]]
-) -> tuple[SupportGraphEdge, ...]:
-    return tuple(
-        SupportGraphEdge(endpoints=pair, witnesses=tuple(sorted(witnesses[pair])))
-        for pair in sorted(witnesses)
-    )
+def _section_graph(variant: str, vertices, n: int, sections) -> SupportGraph:
+    """Graph whose edges join two indices that one windowed section sees.
+
+    ``sections[r]`` is ``(seen, a, b)``: ``seen[m]`` lists the indices the
+    section of window ``r`` at hop ``m`` sees, and column pair ``(a[k], b[k])``
+    is an edge witnessed by ``(r, m)`` when both are vertices.  One ``lexsort``
+    groups the witnesses by edge, then by (window, hop).
+    """
+    verts = tuple(sorted({int(v) % n for v in vertices}))
+    member = np.zeros(n, dtype=bool)
+    member[list(verts)] = True
+    parts = []
+    for r, (seen, a, b) in enumerate(sections):
+        # 32-bit witness arrays halve the peak of graphs with millions of witnesses
+        seen = seen.astype(np.int32)
+        covered = member[seen]
+        m, k = np.nonzero(covered[:, a] & covered[:, b])
+        i, j = seen[m, a[k]], seen[m, b[k]]
+        r = np.full(m.size, r, dtype=np.int32)
+        parts.append((np.minimum(i, j), np.maximum(i, j), r, m.astype(np.int32)))
+    lo, hi, window, hop_index = map(np.concatenate, zip(*parts))
+    del parts
+    order = np.lexsort((hop_index, window, hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(first)
+    ends, offsets = np.stack((lo[starts], hi[starts]), axis=1), np.append(starts, lo.size)
+    return SupportGraph(variant, verts, ends, offsets, window[order], hop_index[order])
 
 
 def covisibility_graph_from_support(
     vertices, windows, hop: int, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> SupportGraph:
-    """Covisibility graph over an explicit vertex set (support indices)."""
+    """Covisibility graph over an explicit vertex set (support indices).
+
+    Each section sees one index per window tap above the tolerance, and every
+    pair of those taps is a candidate edge.
+    """
     fam = as_window_family(windows)
     n = fam.shape[1]
-    verts = tuple(sorted(int(v) % n for v in set(vertices)))
-    witnesses: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for r in range(fam.shape[0]):
-        mags = np.abs(fam[r])
-        mask = mags > zero_tol * mags.max()
-        for m in range(n // hop):
-            covered = [v for v in verts if mask[(hop * m - v) % n]]
-            for i in range(len(covered)):
-                for j in range(i + 1, len(covered)):
-                    pair = (covered[i], covered[j])
-                    witnesses.setdefault(pair, []).append((r, m))
-    return SupportGraph(
-        variant="covisibility", vertices=verts, edges=_edges_from_witnesses(witnesses)
-    )
+    hops = np.arange(n // hop)[:, None]
+    sections = []
+    for w in fam:
+        mags = np.abs(w)
+        taps = np.flatnonzero(mags > zero_tol * mags.max())
+        sections.append(((hop * hops - taps) % n, *np.triu_indices(taps.size, 1)))
+    return _section_graph("covisibility", vertices, n, sections)
 
 
 def build_covisibility_graph(
@@ -230,42 +285,20 @@ def endpoint_graph_from_support(
 ) -> SupportGraph:
     """Endpoint graph over an explicit vertex set.
 
+    Each section sees the two :func:`endpoint_witness` indices of its window.
     Windows of supporting length 1 contribute no edges (the two interval
-    endpoints coincide).  The witnesses of each window come from one
-    :func:`endpoint_witness` call over all hops; one ``lexsort`` then groups
-    them by edge, each edge's witnesses in (window, hop) order.
+    endpoints coincide).
     """
     fam = as_window_family(windows)
     n = fam.shape[1]
     if supports is None:
         supports = [window_support(w, zero_tol) for w in fam]
-    verts = tuple(sorted(int(v) % n for v in set(vertices)))
-    member = np.zeros(n, dtype=bool)
-    member[list(verts)] = True
     hops = np.arange(n // hop)
-    # length-1 windows are skipped; for 2 <= length <= n the endpoints differ
-    used = [r for r, ws in enumerate(supports) if ws.length > 1]
-    ends = np.array(
-        [endpoint_witness(supports[r], hop, hops, n) for r in used], dtype=int
-    ).reshape(len(used), 2, hops.size)
-    n1, n2 = ends[:, 0].ravel(), ends[:, 1].ravel()
-    keep = member[n1] & member[n2]
-    n1, n2 = n1[keep], n2[keep]
-    lo, hi = np.minimum(n1, n2), np.maximum(n1, n2)
-    rs = np.repeat(np.array(used, dtype=int), hops.size)[keep]
-    ms = np.tile(hops, len(used))[keep]
-    order = np.lexsort((ms, rs, hi, lo))
-    lo, hi, rs, ms = lo[order], hi[order], rs[order], ms[order]
-    first = np.ones(lo.size, dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    bounds = np.append(np.flatnonzero(first), lo.size).tolist()
-    lo, hi = lo.tolist(), hi.tolist()
-    pairs = list(zip(rs.tolist(), ms.tolist()))
-    edges = tuple(
-        SupportGraphEdge(endpoints=(lo[a], hi[a]), witnesses=tuple(pairs[a:b]))
-        for a, b in zip(bounds, bounds[1:])
-    )
-    return SupportGraph(variant="endpoint", vertices=verts, edges=edges)
+    pair = {True: (_ints([0]), _ints([1])), False: (_ints([]), _ints([]))}
+    return _section_graph("endpoint", vertices, n, [
+        (np.stack(endpoint_witness(ws, hop, hops, n), axis=1), *pair[ws.length > 1])
+        for ws in supports
+    ])
 
 
 def build_endpoint_graph(
@@ -284,44 +317,45 @@ class TreeEdge:
     edge: SupportGraphEdge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningTree:
+    """BFS spanning tree of ``graph``, as arrays in discovery order.
+
+    Tree edge ``k`` joins ``parent[k]``, found earlier, to ``child[k]`` through
+    graph edge row ``edge_row[k]``; ``root`` is None on an empty graph.
+    ``edges`` shows the same edges as ``TreeEdge`` records.
+    """
+
+    graph: SupportGraph
     root: int | None
-    edges: tuple[TreeEdge, ...]
     depth: int
+    parent: np.ndarray
+    child: np.ndarray
+    edge_row: np.ndarray
+
+    @cached_property
+    def edges(self) -> Sequence[TreeEdge]:
+        return _Records(len(self.child), lambda: tuple(
+            TreeEdge(p, c, self.graph.edges[i])
+            for p, c, i in zip(self.parent.tolist(), self.child.tolist(), self.edge_row.tolist())
+        ))
 
 
 def spanning_tree(graph: SupportGraph) -> SpanningTree:
     """Deterministic BFS tree rooted at the smallest vertex.
 
     Neighbors are visited in increasing order, so the tree (and everything
-    derived from it) is reproducible.  Raises with the component certificate
-    if the graph is disconnected.
+    derived from it) is reproducible.  The graph is connected when the search
+    reaches every vertex; if it does not, this raises with the component
+    certificate.
     """
-    if not graph.vertices:
-        return SpanningTree(root=None, edges=(), depth=0)
-    comps = graph.components()
-    if len(comps) > 1:
+    if len(graph._forest) > 1:
+        comps = graph.components()
         raise DisconnectedGraphError(
-            f"support graph has {len(comps)} components: {comps}",
-            components=comps,
+            f"support graph has {len(comps)} components: {comps}", components=comps
         )
-    root = min(graph.vertices)
-    adj = graph.adjacency()
-    lookup = graph.edge_lookup()
-    depth = {root: 0}
-    order: list[TreeEdge] = []
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u in depth:
-                continue
-            depth[u] = depth[v] + 1
-            edge = lookup[(min(u, v), max(u, v))]
-            order.append(TreeEdge(parent=v, child=u, edge=edge))
-            queue.append(u)
-    return SpanningTree(root=root, edges=tuple(order), depth=max(depth.values()))
+    queue, parent, edge_row, depth = graph._forest[0] if graph.vertices else ([None], [], [], 0)
+    return SpanningTree(graph, queue[0], depth, _ints(parent), _ints(queue[1:]), _ints(edge_row))
 
 
 def rotate_component_phase(
@@ -348,18 +382,11 @@ def rotate_component_phase(
     if comp == supp:
         raise InvalidPartitionError("component must be a proper subset of the support")
     if graph is not None:
-        graph_comps = [set(c) for c in graph.components()]
-        covered = set().union(*(c for c in graph_comps if c <= comp)) if graph_comps else set()
+        covered = set().union(*(c for c in map(set, graph.components()) if c <= comp))
         if covered != comp:
             raise InvalidPartitionError(
                 f"component {sorted(comp)} is not a union of graph components"
             )
-        for edge in graph.edges:
-            a, b = edge.endpoints
-            if (a in comp) != (b in comp):
-                raise InvalidPartitionError(
-                    f"edge {edge.endpoints} crosses the proposed partition"
-                )
     out = xa.copy()
     idx = sorted(comp)
     out[idx] = np.exp(-2j * np.pi * theta) * out[idx]

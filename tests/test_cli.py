@@ -115,6 +115,20 @@ class TestRecover:
         assert rep["stability"]["admissible"] is True
         assert rep["reference_distance"]["distance"] <= 0.01
 
+    @pytest.mark.parametrize("prior", ["nan", "inf"])
+    def test_non_finite_prior_exits_one(self, tmp_path, capsys, prior):
+        # a NaN prior used to exit 0 with an empty support and an all-zero estimate
+        out = _simulate(tmp_path, "prior", "--noise", "1e-7")
+        report = tmp_path / "prior.json"
+        code = run(
+            "recover", "--grid", out / "grid_noisy.csv", "--windows", out / "windows.json",
+            "--min-magnitude", prior, "--out", report,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stftpr: error:" in err and "prior" in err
+        assert not report.exists()
+
     def test_rank_gate_runs_once(self, tmp_path, monkeypatch):
         # the stability section reuses the matrices the reconstruction certified
         out = _simulate(tmp_path, "once")
@@ -311,6 +325,21 @@ class TestBounds:
             "--windows", "rectangular:1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--min-magnitude", "nan"), ("--min-magnitude", "inf"), ("--noise", "nan")],
+    )
+    def test_non_finite_input_exits_one(self, capsys, flag, value):
+        # each used to exit 0 and write NaN or meaningless bounds
+        extra = ["--min-magnitude", 0.5] if flag == "--noise" else []
+        code = run(
+            "bounds", "--n", 8, "--hop", 1, "--num-windows", 1,
+            "--windows", "random-support:3", "--seed", 2, *extra, flag, value,
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "stftpr: error:" in err
 
 
 class TestVerify:

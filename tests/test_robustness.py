@@ -13,6 +13,7 @@ from stftpr import (
 )
 from stftpr.errors import (
     CertificationError,
+    ConfigurationError,
     InvalidPriorError,
     UndefinedBudgetError,
 )
@@ -149,3 +150,21 @@ class TestThresholdSupport:
             if set(detected) == set(supp):
                 hits += 1
         assert hits == trials
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("prior", [float("nan"), float("inf")])
+    def test_error_budget_rejects_prior(self, prior):
+        # NaN used to give NaN bounds, inf a zero phase bound
+        with pytest.raises(InvalidPriorError):
+            error_budget(_impulse_constants(4), 0.0, prior)
+
+    @pytest.mark.parametrize("prior", [float("nan"), float("inf")])
+    def test_threshold_support_rejects_prior(self, prior):
+        with pytest.raises(InvalidPriorError):
+            threshold_support(np.ones(3), prior)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
+    def test_error_budget_rejects_noise_level(self, noise):
+        with pytest.raises(ConfigurationError, match="noise_level must be finite and nonnegative"):
+            error_budget(_impulse_constants(4), noise, 1.0)

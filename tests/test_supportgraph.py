@@ -24,6 +24,7 @@ from stftpr.supportgraph import (
     SupportGraph,
     SupportGraphEdge,
     WindowSupport,
+    covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
     long_windows,
@@ -118,7 +119,7 @@ class TestCovisibilityGraph:
     def test_single_vertex(self):
         g = build_covisibility_graph([0, 7, 0, 0], [[1, 1, 0, 0]], hop=1)
         assert g.vertices == (1,)
-        assert g.edges == ()
+        assert len(g.edges) == 0
         assert is_connected(g)
 
     def test_antipodal_pair_short_windows_disconnected(self):
@@ -128,7 +129,7 @@ class TestCovisibilityGraph:
         rng = np.random.default_rng(23)
         fam = [random_interval_window(n, L, rng) for L in (2, 4, 3)]
         g = build_covisibility_graph(x0, fam, hop=1)
-        assert g.edges == ()
+        assert len(g.edges) == 0
         assert not is_connected(g)
         assert g.components() == [[0], [4]]
 
@@ -157,7 +158,7 @@ class TestEndpointGraph:
         w = np.zeros(6, complex)
         w[3] = 2.0
         g = build_endpoint_graph(np.ones(6), [w], hop=1)
-        assert g.edges == ()
+        assert len(g.edges) == 0
 
     def test_span_three_cycle(self):
         # length 4 from anchor 0: edges join indices 3 apart; gcd(3, 8) = 1
@@ -213,9 +214,9 @@ class TestEndpointGraph:
 
 class TestConnectivity:
     def test_trivial_graphs(self):
-        one = SupportGraph(variant="covisibility", vertices=(3,), edges=())
+        one = SupportGraph.from_edges("covisibility", (3,), ())
         assert is_connected(one)
-        two = SupportGraph(variant="covisibility", vertices=(0, 1), edges=())
+        two = SupportGraph.from_edges("covisibility", (0, 1), ())
         assert not is_connected(two)
 
     def test_path_graph(self):
@@ -223,15 +224,15 @@ class TestConnectivity:
             SupportGraphEdge(endpoints=(i, i + 1), witnesses=((0, i),))
             for i in range(5)
         )
-        g = SupportGraph(variant="endpoint", vertices=tuple(range(6)), edges=edges)
+        g = SupportGraph.from_edges("endpoint", range(6), edges)
         assert is_connected(g)
 
 
 class TestSpanningTree:
     def test_single_vertex(self):
-        g = SupportGraph(variant="endpoint", vertices=(2,), edges=())
+        g = SupportGraph.from_edges("endpoint", (2,), ())
         tree = spanning_tree(g)
-        assert tree.root == 2 and tree.edges == () and tree.depth == 0
+        assert tree.root == 2 and len(tree.edges) == 0 and tree.depth == 0
 
     def test_cycle(self):
         edges = tuple(
@@ -239,7 +240,7 @@ class TestSpanningTree:
                              witnesses=((0, i),))
             for i in range(4)
         )
-        g = SupportGraph(variant="endpoint", vertices=(0, 1, 2, 3), edges=edges)
+        g = SupportGraph.from_edges("endpoint", (0, 1, 2, 3), edges)
         tree = spanning_tree(g)
         assert len(tree.edges) == 3
         assert tree.root == 0
@@ -256,7 +257,7 @@ class TestSpanningTree:
             assert te.parent in reached
 
     def test_disconnected_raises_with_certificate(self):
-        g = SupportGraph(variant="endpoint", vertices=(0, 1, 5), edges=())
+        g = SupportGraph.from_edges("endpoint", (0, 1, 5), ())
         with pytest.raises(DisconnectedGraphError) as err:
             spanning_tree(g)
         assert err.value.components == ((0,), (1,), (5,))
@@ -410,3 +411,110 @@ def test_endpoint_graph_matches_brute_force(geometry):
     for edge in graph.edges:
         assert all(type(i) is int for i in edge.endpoints)
         assert all(type(i) is int for w in edge.witnesses for i in w)
+
+
+def _dict_bfs(vertices, endpoints):
+    """The dict-adjacency BFS the array core replaced: tree edges and components.
+
+    Returns the (parent, child, edge row) of each tree edge in discovery order
+    from the smallest vertex, the tree depth, and the components as sorted
+    vertex lists ordered by minimum vertex.
+    """
+    adj = {v: [] for v in vertices}
+    row = {}
+    for i, (a, b) in enumerate(endpoints):
+        adj[a].append(b)
+        adj[b].append(a)
+        row[(a, b)] = i
+    for v in adj:
+        adj[v].sort()
+    seen, comps, tree, depth = set(), [], [], {}
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        depth[start] = 0
+        queue, comp = [start], []
+        for v in queue:
+            comp.append(v)
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+                    if not comps:  # the tree spans the first component only
+                        tree.append((v, u, row[(min(u, v), max(u, v))]))
+        comps.append(sorted(comp))
+    return tree, max(depth.values(), default=0), comps
+
+
+@st.composite
+def _random_graphs(draw):
+    vertices = sorted(draw(st.sets(st.integers(0, 24), min_size=1, max_size=14)))
+    pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs), max_size=30)) if pairs else [])
+    edges = [
+        SupportGraphEdge(endpoints=p, witnesses=((draw(st.integers(0, 3)), k),))
+        for k, p in enumerate(chosen)
+    ]
+    return vertices, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_graphs())
+def test_array_bfs_matches_dict_bfs(graph_data):
+    # sparse draws give disconnected graphs, dense ones connected graphs with cycles
+    vertices, edges = graph_data
+    graph = SupportGraph.from_edges("endpoint", vertices, edges)
+    tree, depth, comps = _dict_bfs(vertices, [e.endpoints for e in edges])
+    assert graph.components() == comps
+    if len(comps) > 1:
+        with pytest.raises(DisconnectedGraphError) as err:
+            spanning_tree(graph)
+        assert err.value.components == tuple(tuple(c) for c in comps)
+        assert str(err.value) == f"support graph has {len(comps)} components: {comps}"
+        return
+    got = spanning_tree(graph)
+    assert got.root == vertices[0] and got.depth == depth
+    assert list(zip(got.parent.tolist(), got.child.tolist(), got.edge_row.tolist())) == tree
+    assert [(te.parent, te.child, te.edge) for te in got.edges] == [
+        (p, c, edges[i]) for p, c, i in tree
+    ]
+
+
+def _loop_covisibility_witnesses(vertices, fam, hop):
+    """The per-(window, hop) triple loop the covisibility builder replaced."""
+    n = fam.shape[1]
+    verts = sorted({int(v) % n for v in vertices})
+    found = {}
+    for r, w in enumerate(fam):
+        mask = np.abs(w) > 1e-12 * np.abs(w).max()
+        for m in range(n // hop):
+            covered = [v for v in verts if mask[(hop * m - v) % n]]
+            for i in range(len(covered)):
+                for j in range(i + 1, len(covered)):
+                    found.setdefault((covered[i], covered[j]), []).append((r, m))
+    return {pair: tuple(sorted(ws)) for pair, ws in found.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometry=_endpoint_geometries())
+def test_covisibility_witnesses_match_loop(geometry):
+    hop, fam, vertices = geometry
+    graph = covisibility_graph_from_support(vertices, fam, hop)
+    got = {edge.endpoints: edge.witnesses for edge in graph.edges}
+    assert got == _loop_covisibility_witnesses(vertices, fam, hop)
+    assert [edge.endpoints for edge in graph.edges] == sorted(got)
+    assert graph.to_dict()["edges"] == [
+        {"n": a, "n2": b, "witnesses": [list(w) for w in got[(a, b)]]} for a, b in sorted(got)
+    ]
+
+
+def test_len_of_edge_views_builds_no_records():
+    w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
+    graph = build_endpoint_graph(np.ones(8), [w], hop=1)
+    tree = spanning_tree(graph)
+    assert (len(graph.edges), len(tree.edges)) == (8, 7)
+    assert "_all" not in vars(graph.edges) and "_all" not in vars(tree.edges)
+    assert graph.edges[0] == SupportGraphEdge(endpoints=(0, 3), witnesses=((0, 3),))
+    assert tree.edges[-1].edge in graph.edges
