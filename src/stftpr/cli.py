@@ -192,6 +192,8 @@ def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
                 f"window file {spec} has length {fam.shape[1]}, expected {n}"
             )
         return fam
+    if num_windows < 1:
+        raise ConfigurationError(f"--num-windows must be at least 1, got {num_windows}")
     name, _, arg = spec.partition(":")
     if name == "rectangular":
         length = int(arg) if arg else n

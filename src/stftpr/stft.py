@@ -5,6 +5,14 @@ The canonical measurement object is the *squared* magnitude grid indexed by
 formula consumes, and storing them avoids a lossy sqrt/square round trip when
 noise is added.  Noise tensors are always caller-supplied; the library draws
 no randomness of its own.
+
+:func:`measure` never forms the complex transform.  A section of L nonzero
+samples has a squared spectrum that is a trigonometric polynomial of degree
+L - 1 whose coefficients are the section's autocorrelations (lag 0 is its
+energy, lag L - 1 the endpoint correlation that :func:`aggregate` extracts).
+Windows with ``2L - 1 <= log2 n`` are evaluated from those coefficients with
+one real matmul; longer ones take a zero-padded n-point FFT.  :func:`stft` and
+:func:`stftpr.oracle.measure_direct` stay the references for both routes.
 """
 
 from __future__ import annotations
@@ -90,17 +98,85 @@ class MeasurementGrid:
         return self.n // self.num_hops
 
 
+def _trig_table(length: int, n: int) -> np.ndarray:
+    """The ``(2L - 1, n)`` table mapping section autocorrelations to ``|X_k|**2``.
+
+    Row 0 is ``1``, row ``d`` is ``2 cos(2 pi k d / n)`` and row ``L - 1 + d``
+    is ``2 sin(2 pi k d / n)`` for lags ``d = 1 .. L - 1``, all over ``n**2``.
+    """
+    lags = np.arange(1, length)
+    # reduce k*d mod n in integers so the angle stays in [0, 2 pi)
+    angle = (2 * np.pi / n) * ((lags[:, None] * np.arange(n)[None, :]) % n)
+    return np.concatenate((np.ones((1, n)), 2 * np.cos(angle), 2 * np.sin(angle))) / n**2
+
+
+def _autocorrelation_coefficients(sections: np.ndarray) -> np.ndarray:
+    """Per-section ``[c_0, Re c_1 .. Re c_{L-1}, Im c_1 .. Im c_{L-1}]``, shape (M, 2L - 1).
+
+    ``c_d = sum_i s[i + d] * conj(s[i])`` is the lag-d autocorrelation of a
+    section ``s`` of L samples; ``c_0`` is its energy, and its imaginary part
+    (exactly zero) is dropped.
+    """
+    length = sections.shape[1]
+    c = np.stack([np.einsum("mi,mi->m", sections[:, d:], sections[:, : length - d].conj())
+                  for d in range(length)], axis=1)
+    return np.concatenate((c.real, c.imag[:, 1:]), axis=1)
+
+
+def _window_power(xa, w, starts, tables: dict, out: np.ndarray) -> None:
+    """One window's ``(M, n)`` block of squared magnitudes, written into ``out``.
+
+    Sections, spectra and coefficients are locals, so none outlives the call.
+    """
+    n = xa.shape[0]
+    ws = window_support(w, 0.0)
+    offsets = np.arange(ws.length)
+    taps = w[(ws.anchor + ws.length - 1 - offsets) % n]
+    t = (starts[:, None] - ws.anchor - (ws.length - 1) + offsets[None, :]) % n
+    sections = xa[t] * taps
+    # 2L - 1 <= log2 n: the table has 2L - 1 rows, an n-point FFT costs O(log n)
+    # per output.  Well on the cheap side of the crossover: at n = 1024, M = 128
+    # the routes break even between L = 32 and 64, and this stops at L = 5.
+    if 2 * ws.length - 1 <= n.bit_length() - 1:
+        if ws.length not in tables:
+            tables[ws.length] = _trig_table(ws.length, n)
+        np.matmul(_autocorrelation_coefficients(sections), tables[ws.length], out=out)
+        np.maximum(out, 0.0, out=out)
+    else:
+        f = np.fft.fft(sections, n=n, axis=1)
+        f /= n
+        np.abs(f, out=out)
+        np.square(out, out=out)
+
+
 def measure(x, windows, hop: int) -> MeasurementGrid:
     """Exact squared-magnitude measurements of the multiple-window STFT.
 
     Only the entries of each section inside the window's exact cyclic support
     are gathered.  With anchor ``a`` and supporting length ``L``, section m is
     nonzero only at ``t = t0 + i`` for ``i < L`` and ``t0 = hop*m - a - (L-1)``,
-    where it equals ``x(t0 + i) * w(a + L - 1 - i)``.  Its DFT is therefore
-    ``exp(-2j*pi*k*t0/n)`` times the n-point DFT of those L products, and the
-    unit-modulus factor drops out of the magnitude, so the result equals
-    ``|stft(x, w, hop)|**2`` at O((n/hop) * L) gather cost instead of
-    O((n/hop) * n).  :func:`stft` stays the complex-valued reference.
+    where it equals ``s[i] = x(t0 + i) * w(a + L - 1 - i)``.  Its DFT is
+    ``exp(-2j*pi*k*t0/n)`` times the n-point DFT ``X_k`` of those L products,
+    and the unit-modulus factor drops out of the magnitude.
+
+    ``|X_k|**2`` is a trigonometric polynomial of degree L - 1 whose
+    coefficients are the section's autocorrelations
+    ``c_d = sum_i s[i + d] * conj(s[i])``::
+
+        |X_k|**2 = c_0 + 2 * sum_{d=1}^{L-1} (Re c_d cos(2 pi k d / n)
+                                             + Im c_d sin(2 pi k d / n))
+
+    so each window takes one of two routes, chosen from L and n alone:
+
+    * ``2L - 1 <= log2 n`` (short windows): the (M, 2L - 1) autocorrelation
+      coefficients times one shared (2L - 1, n) trig table, a single real
+      matmul, clamped at 0 so exact grids stay nonnegative;
+    * otherwise: a zero-padded n-point FFT of the L products.
+
+    Both equal ``|stft(x, w, hop)|**2``; :func:`stft` and
+    :func:`stftpr.oracle.measure_direct` stay the references.  Values are
+    deterministic, but short-window rows differ from an n-point FFT's in the
+    last digits.
     """
     xa = as_signal(x)
     n = xa.shape[0]
@@ -109,12 +185,9 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
         raise ConfigurationError(f"hop {hop} does not divide signal length {n}")
     starts = hop * np.arange(n // hop)
     vals = np.empty((fam.shape[0], n // hop, n))
+    tables = {}  # windows sharing a supporting length share one trig table
     for r, w in enumerate(fam):
-        ws = window_support(w, 0.0)
-        offsets = np.arange(ws.length)
-        taps = w[(ws.anchor + ws.length - 1 - offsets) % n]
-        t = (starts[:, None] - ws.anchor - (ws.length - 1) + offsets[None, :]) % n
-        vals[r] = np.abs(np.fft.fft(xa[t] * taps, n=n, axis=1) / n) ** 2
+        _window_power(xa, w, starts, tables, vals[r])
     return MeasurementGrid(values=vals, noise_level=0.0)
 
 
@@ -205,8 +278,21 @@ _GRID_ROW = np.dtype([("r", np.int64), ("m", np.int64), ("k", np.int64), ("value
 _CSV_CHUNK_ROWS = 512
 
 
+# the shortest data row, "0,0,0,0" plus a one-byte line end; the header
+# row pays for a last row without one
+_MIN_ROW_BYTES = 8
+
+
 def _meta_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
+
+
+def _meta_dimension(meta: dict, key: str) -> int:
+    """A grid metadata dimension, which must be a positive JSON integer."""
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    return value
 
 
 def write_grid_csv(grid: MeasurementGrid, path, hop: int | None = None) -> None:
@@ -259,7 +345,10 @@ def read_grid_csv(path) -> tuple[MeasurementGrid, int]:
     Every ``(r, m, k)`` cell must appear exactly once, with each index in
     ``[0, num_windows)``, ``[0, num_hops)`` and ``[0, n)`` respectively;
     a negative, out-of-range or repeated index, a malformed row or a wrong
-    row count raises ``ConfigurationError``.
+    row count raises ``ConfigurationError``.  So do metadata dimensions
+    (``num_windows``, ``num_hops``, ``n``, ``hop``) that are not positive
+    JSON integers, and a declared cell count the file is too small to hold;
+    both are caught before the grid is allocated.
     """
     path = Path(path)
     meta_file = _meta_path(path)
@@ -268,11 +357,16 @@ def read_grid_csv(path) -> tuple[MeasurementGrid, int]:
     with meta_file.open() as fh:
         meta = json.load(fh)
     try:
-        shape = (int(meta["num_windows"]), int(meta["num_hops"]), int(meta["n"]))
-        hop, noise_level = int(meta["hop"]), float(meta["noise_level"])
+        shape = tuple(_meta_dimension(meta, key) for key in ("num_windows", "num_hops", "n"))
+        hop, noise_level = _meta_dimension(meta, "hop"), float(meta["noise_level"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad grid metadata in {meta_file}: {exc!r}") from None
     size = shape[0] * shape[1] * shape[2]
+    # checked before allocating: metadata alone must not size a huge buffer
+    if _MIN_ROW_BYTES * size > path.stat().st_size:
+        raise ConfigurationError(
+            f"grid metadata {meta_file} declares {size} cells, more than {path} can hold"
+        )
     values = np.empty(size, dtype=float)
     seen = np.zeros(size, dtype=bool)
     rows = 0

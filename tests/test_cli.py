@@ -250,6 +250,36 @@ class TestRecover:
         assert code == 1
         assert "stftpr: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [("num_windows", 10**6, "more than"),  # with num_hops: a 116 TiB buffer
+         ("n", 16.7, "positive integer"), ("num_hops", -4, "positive integer")],
+        ids=["huge", "fractional", "negative"],
+    )
+    def test_bad_grid_meta_exits_one(self, tmp_path, capsys, key, value, match):
+        out = _simulate(tmp_path, "meta")
+        meta_file = out / "grid.meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        if key == "num_windows":
+            meta["num_hops"] = value
+        meta_file.write_text(json.dumps(meta))
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stftpr: error:" in err and match in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_zero_windows_exits_one(tmp_path, capsys, command):
+    code = run(
+        command, "--n", 8, "--hop", 2, "--num-windows", 0, "--windows", "chain:2",
+        "--seed", 1, "--out", tmp_path / "zero",
+    )
+    assert code == 1
+    assert "--num-windows must be at least 1, got 0" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_non_retrievable_verdict(self, tmp_path, capsys):

@@ -19,7 +19,8 @@ from stftpr.errors import ConfigurationError, SearchSpaceError
 from stftpr.generators import antipodal_pair_signal, certified_instance
 
 
-# (n, hop, indices carrying the window's nonzero entries)
+# (n, hop, indices carrying the window's nonzero entries); measure takes its
+# autocorrelation route when 2L - 1 <= log2 n: L <= 3 at n = 64, L <= 5 at 1024
 MEASURE_GEOMETRIES = {
     "full-support": (8, 2, range(8)),
     "short-wrapping": (12, 3, (10, 11, 0, 1)),
@@ -27,6 +28,15 @@ MEASURE_GEOMETRIES = {
     "length-one": (8, 4, (5,)),
     "hop-one": (8, 1, (6, 7, 0)),
     "hop-n": (8, 8, (3, 4, 5)),
+    "n64-length-one": (64, 4, (17,)),
+    "n64-length-two": (64, 4, (30, 31)),
+    "n64-length-three-wrapping": (64, 8, (63, 0, 1)),
+    "n64-interior-zero": (64, 2, (5, 7)),
+    "n64-length-four-fft-route": (64, 4, (40, 42, 43)),
+    # the oracle is O(n**2) per section: one section each at n = 1024
+    "n1024-length-one": (1024, 1024, (700,)),
+    "n1024-length-two-wrapping": (1024, 1024, (1023, 0)),
+    "n1024-length-three-interior-zero": (1024, 1024, (10, 12)),
 }
 
 

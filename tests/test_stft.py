@@ -1,8 +1,13 @@
 import csv
+import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stftpr import (
     MeasurementGrid,
@@ -19,8 +24,9 @@ from stftpr.errors import (
     InvalidWindowError,
 )
 from stftpr.generators import random_interval_window
-from stftpr.oracle import stft_direct
+from stftpr.oracle import measure_direct, stft_direct
 from stftpr.stft import AggregateMeasurements
+from stftpr.supportgraph import window_support
 
 # frozen via the direct-sum oracle: x=(1,2,3,4), w=(1,1,0,0), n=4, hop=2
 EXPECTED_STFT = np.array(
@@ -116,6 +122,74 @@ class TestMeasure:
         for shift in (1, 3, 5):
             shifted = measure(np.roll(x, shift), [w], hop=1).values
             assert np.allclose(shifted[0], base[0][(np.arange(n) - shift) % n], atol=1e-12)
+
+
+def _window(n, anchor, taps):
+    w = np.zeros(n, complex)
+    w[(anchor + np.arange(len(taps))) % n] = taps
+    return w
+
+
+def _sections(x, w, hop):
+    """The (M, L) products of each section over the window's exact support."""
+    n = len(x)
+    ws = window_support(w, 0.0)
+    i = np.arange(ws.length)
+    t = (hop * np.arange(n // hop)[:, None] - ws.anchor - (ws.length - 1) + i) % n
+    return x[t] * w[(ws.anchor + ws.length - 1 - i) % n]
+
+
+@st.composite
+def _measure_geometries(draw):
+    n = draw(st.integers(1, 32))
+    hop = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    length = draw(st.integers(1, min(n, 6)))
+    anchor = draw(st.integers(0, n - 1))
+    taps = draw(hnp.arrays(complex, length, elements=st.complex_numbers(max_magnitude=2)))
+    # nonzero end taps keep the supporting length L; interior taps may be zero
+    taps[[0, -1]] = [draw(st.floats(0.5, 2)) * np.exp(1j * draw(st.floats(0, 7)))
+                     for _ in range(2)]
+    x = draw(hnp.arrays(complex, n, elements=st.complex_numbers(max_magnitude=4)))
+    return hop, x, _window(n, anchor, taps)
+
+
+class TestMeasureRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(_measure_geometries())
+    def test_matches_oracle(self, geometry):
+        hop, x, w = geometry
+        assert np.allclose(
+            measure_direct(x, [w], hop).values, measure(x, [w], hop).values, atol=1e-12
+        )
+
+    def test_fft_route_rows_are_unchanged(self):
+        # windows past the 2L - 1 <= log2 n line keep the n-point FFT bit for bit
+        rng = np.random.default_rng(21)
+        for n, hop, length in ((64, 4, 4), (96, 4, 5), (1024, 8, 6), (1024, 8, 440)):
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            w = _window(n, int(rng.integers(n)), rng.normal(size=length) + 1j)
+            s = _sections(x, w, hop)
+            want = np.abs(np.fft.fft(s, n=n, axis=1) / n) ** 2
+            assert np.array_equal(measure(x, [w], hop).values[0], want)
+
+    def test_short_route_is_nonnegative_and_exact_on_zero_sections(self):
+        rng = np.random.default_rng(22)
+        n, hop = 1024, 8
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x[: n // 2] = 0  # sections that fall wholly in here read exactly zero
+        fam = [_window(n, int(rng.integers(n)), np.exp(2j * np.pi * rng.random(length)))
+               for length in (1, 2, 3, 4, 5) for _ in range(4)]
+        vals = measure(x, fam, hop).values
+        assert (vals >= 0).all()
+        for r, w in enumerate(fam):
+            zero = ~_sections(x, w, hop).any(axis=1)
+            assert zero.any() and (vals[r][zero] == 0).all()
+            assert np.allclose(vals[r], np.abs(stft(x, w, hop)) ** 2, rtol=0, atol=1e-15)
+        # on x = 1 the taps (-exp(2j pi k0 / n), 1) cancel exactly at k = k0, where
+        # the rounded trig sum lands on either side of zero
+        fam = [_window(n, 0, [-np.exp(2j * np.pi * k0 / n), 1]) for k0 in range(1, 40, 3)]
+        vals = measure(np.ones(n), fam, hop).values
+        assert (vals >= 0).all() and vals.max() > 1e-6
 
 
 class TestCorrupt:
@@ -298,6 +372,46 @@ class TestGridCsv:
         path.with_suffix(".meta.json").write_text('{"n": 32, "num_hops": 32}')
         with pytest.raises(ConfigurationError, match="metadata"):
             read_grid_csv(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 16.7), ("n", "32"), ("num_hops", 0), ("num_windows", -1),
+         ("hop", True), ("hop", 1.0)],
+        ids=["fractional", "string", "zero", "negative", "bool", "float"],
+    )
+    def test_non_integral_meta_rejected(self, tmp_path, key, value):
+        path, _ = self._written_grid(tmp_path)
+        meta_file = path.with_suffix(".meta.json")
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            read_grid_csv(path)
+
+    def test_oversized_meta_rejected_before_allocating(self, tmp_path):
+        path, _ = self._written_grid(tmp_path)
+        meta_file = path.with_suffix(".meta.json")
+        meta = json.loads(meta_file.read_text())
+        meta["num_windows"] = 1000  # 8 MB of cells declared, a 29 kB file
+        meta_file.write_text(json.dumps(meta))
+        tracemalloc.start()
+        with pytest.raises(ConfigurationError, match="more than"):
+            read_grid_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_smallest_rows_fit_the_size_bound(self, tmp_path):
+        # 1000 cells of single-digit indices and value 0, LF line ends: the
+        # smallest file a valid grid can be still passes the size check
+        path = tmp_path / "tiny.csv"
+        cells = itertools.product(range(10), repeat=3)
+        path.write_text("r,m,k,value\n" + "".join(f"{r},{m},{k},0\n" for r, m, k in cells))
+        path.with_suffix(".meta.json").write_text(json.dumps(
+            {"n": 10, "hop": 1, "num_windows": 10, "num_hops": 10, "noise_level": 0.0}
+        ))
+        grid, hop = read_grid_csv(path)
+        assert grid.values.shape == (10, 10, 10) and not grid.values.any() and hop == 1
 
     def test_missing_meta(self, tmp_path):
         path = tmp_path / "orphan.csv"
