@@ -17,6 +17,7 @@ length), 4 degenerate edge (noise overwhelms a needed phase).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,8 +46,10 @@ from .robustness import error_budget, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
 from .supportgraph import (
-    build_covisibility_graph,
+    SupportGraph,
     build_endpoint_graph,
+    covisibility_graph_from_support,
+    endpoint_graph_from_support,
     endpoint_witness,
     long_windows,
     window_support,
@@ -95,20 +98,16 @@ def _json_text(obj, pad: str) -> str:
 
     ``pad`` is the newline plus indent of the line ``obj`` starts on.  Numpy
     integers and floats are written as Python ints and floats, arrays as
-    nested lists, complex values as ``[re, im]`` and tuples as lists; dict
-    keys are sorted after ``str()``.  Any other type raises ``TypeError``.
+    nested lists, complex values as ``[re, im]``, tuples as lists and a
+    ``SupportGraph`` as its ``to_dict()``; dict keys are sorted after
+    ``str()``.  Any other type raises ``TypeError``.
     """
     fmt = _SCALAR_TEXT.get(type(obj))
     if fmt is not None:
         return fmt(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         inner = pad + "  "
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _json_text(v, inner) for k, v in items]
-        ) + pad + "}"
+        return _object_text({str(k): _json_text(v, inner) for k, v in obj.items()}, pad)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -118,6 +117,8 @@ def _json_text(obj, pad: str) -> str:
         except KeyError:
             texts = [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
+    if isinstance(obj, SupportGraph):
+        return _graph_text(obj, pad)
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, (int, np.integer)):
@@ -129,6 +130,46 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, np.ndarray):
         return _json_text(obj.tolist(), pad)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _object_text(texts: dict[str, str], pad: str) -> str:
+    """JSON object from the texts of its values, keys sorted."""
+    if not texts:
+        return "{}"
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(
+        [_encode_str(k) + ": " + t for k, t in sorted(texts.items())]
+    ) + pad + "}"
+
+
+def _graph_text(graph: SupportGraph, pad: str) -> str:
+    """``_json_text(graph.to_dict(), pad)``, written straight from the graph's arrays.
+
+    The text of each (window, hop) witness ``[r, m]`` is formatted once, into
+    a table indexed by ``window * M + hop_index``; an edge's witness list is
+    then one join over table entries, and its dict one format call.
+    """
+    inner = pad + "  "  # the graph's keys
+    item = inner + "  "  # the edges
+    key = item + "  "  # an edge's keys
+    wit = key + "  "  # its witnesses
+    pair = wit + "  "  # the two numbers of a witness
+    num_windows = int(graph.window.max()) + 1 if graph.window.size else 0
+    num_hops = int(graph.hop_index.max()) + 1 if graph.hop_index.size else 0
+    table = [f"[{pair}{r},{pair}{m}{wit}]" for r in range(num_windows) for m in range(num_hops)]
+    rows = graph.window.astype(np.intp) * num_hops + graph.hop_index
+    texts = [table[i] for i in rows.tolist()]
+    head = "{" + key + '"n": %d,' + key + '"n2": %d,' + key + '"witnesses": '
+    edge = head + "[" + wit + "%s" + key + "]" + item + "}"
+    bare = head + "[]" + item + "}"  # an edge without witnesses, as from_edges allows
+    sep, bounds = "," + wit, graph.offsets.tolist()
+    edges = [
+        edge % (lo, hi, sep.join(texts[a:b])) if a < b else bare % (lo, hi)
+        for (lo, hi), a, b in zip(graph.endpoints.tolist(), bounds, bounds[1:])
+    ]
+    fields = {k: _json_text(v, inner) for k, v in graph.summary().items()}
+    fields["edges"] = "[" + item + ("," + item).join(edges) + inner + "]" if edges else "[]"
+    return _object_text(fields, pad)
 
 
 def _dump_json(payload, out: str | None) -> None:
@@ -295,10 +336,11 @@ def cmd_analyze(args) -> int:
     fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
     cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
     x = _signal_from_spec(args.signal, args.n, rng)
-    cov = build_covisibility_graph(x, fam, cfg.hop, cfg.zero_tol)
-    end = build_endpoint_graph(x, fam, cfg.hop, cfg.zero_tol)
-    mats = certify_rank(fam, cfg.hop, args.rank_tol)
+    supp = support(x, cfg.zero_tol)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
+    cov = covisibility_graph_from_support(supp, fam, cfg.hop, cfg.zero_tol)
+    end = endpoint_graph_from_support(supp, fam, cfg.hop, cfg.zero_tol, supports=supports)
+    mats = certify_rank(fam, cfg.hop, args.rank_tol)
     short = not long_windows(supports, cfg.n)
     necessary = len(cov.components()) <= 1
     sufficient = len(end.components()) <= 1 and short and mats.certified
@@ -309,8 +351,8 @@ def cmd_analyze(args) -> int:
     else:
         verdict = "indeterminate"
     payload = {
-        "covisibility": cov.to_dict(),
-        "endpoint": end.to_dict(),
+        "covisibility": cov,
+        "endpoint": end,
         "short_windows": short,
         "certification": mats.report(),
         "verdict": verdict,
@@ -432,7 +474,9 @@ def _add_common(sub, *, signal_default=None):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and shared."""
     parser = _Parser(prog="stftpr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -441,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim, signal_default="random")
     sim.add_argument("--noise", type=float, default=0.0,
                      help="uniform noise level for an additional noisy grid")
-    sim.set_defaults(func=cmd_simulate)
     # simulate writes a directory of files
     for action in sim._actions:
         if action.dest == "out":
@@ -450,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = subs.add_parser("analyze", help="retrievability certificates for a signal/window pair")
     _add_common(ana, signal_default="random")
-    ana.set_defaults(func=cmd_analyze)
 
     rec = subs.add_parser("recover", help="reconstruct a signal from measurement files")
     rec.add_argument("--grid", required=True, help="measurement CSV (with sibling .meta.json)")
@@ -465,26 +507,24 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--degenerate-tol", type=float, default=None,
                      help="evidence-magnitude floor for edge phases")
     rec.add_argument("--out", default=None)
-    rec.set_defaults(func=cmd_recover)
 
     bnd = subs.add_parser("bounds", help="stability constants and noise error budget")
     _add_common(bnd)
     bnd.add_argument("--noise", type=float, default=0.0, help="noise level for the budget")
     bnd.add_argument("--min-magnitude", type=float, default=None,
                      help="prior for the smallest nonzero signal magnitude")
-    bnd.set_defaults(func=cmd_bounds)
 
     ver = subs.add_parser("verify", help="emit fast-vs-oracle comparison reports (JSON lines)")
     _add_common(ver, signal_default="random")
-    ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a rebound ``cmd_*`` (a wrapper, a test double) is reached
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except DisconnectedGraphError as exc:
         print(f"stftpr: non-retrievable: {exc}", file=sys.stderr)
         return EXIT_NON_RETRIEVABLE

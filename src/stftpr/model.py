@@ -129,9 +129,10 @@ def as_window_family(windows, n: int | None = None) -> np.ndarray:
     if not finite.all():
         r = int(np.argmin(finite))
         raise InvalidWindowError(f"window {r} has a NaN or infinite entry")
-    for r in range(fam.shape[0]):
-        if not np.any(fam[r]):
-            raise InvalidWindowError(f"window {r} is identically zero")
+    nonzero = fam.any(axis=1)
+    if not nonzero.all():
+        r = int(np.argmin(nonzero))
+        raise InvalidWindowError(f"window {r} is identically zero")
     return fam
 
 

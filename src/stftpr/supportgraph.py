@@ -198,17 +198,23 @@ class SupportGraph:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
         return [sorted(queue) for queue, *_ in self._forest]
 
-    def to_dict(self) -> dict:
-        """Certificate payload: vertices, edges with witnesses, connectivity."""
+    def summary(self) -> dict:
+        """Certificate payload without its edge list: variant, vertices, connectivity."""
         comps = self.components()
         return {
             "variant": self.variant,
             "vertices": list(self.vertices),
+            "connected": len(comps) <= 1,
+            "components": comps,
+        }
+
+    def to_dict(self) -> dict:
+        """Certificate payload: the summary plus the edges with their witnesses."""
+        return {
+            **self.summary(),
             "edges": [
                 {"n": lo, "n2": hi, "witnesses": w} for lo, hi, w in self._rows(lambda r, m: [r, m])
             ],
-            "connected": len(comps) <= 1,
-            "components": comps,
         }
 
 

@@ -4,8 +4,17 @@ import sys
 import numpy as np
 import pytest
 
-from stftpr import spectral
+from stftpr import cli, spectral
 from stftpr.cli import _dump_json, main
+from stftpr.generators import chain_family, random_signal
+from stftpr.spectral import certify_rank
+from stftpr.supportgraph import (
+    build_covisibility_graph,
+    build_endpoint_graph,
+    is_connected,
+    long_windows,
+    window_support,
+)
 
 
 def run(*argv):
@@ -315,6 +324,30 @@ class TestAnalyze:
         assert verdict["endpoint"]["connected"] is False
         assert verdict["verdict"] == "indeterminate"
 
+    @pytest.mark.parametrize("seed", [0, 1, 17, 4242])
+    def test_certificate_matches_stdlib_dump_of_to_dict(self, tmp_path, seed):
+        # the certify geometry; the graphs are written from their arrays, the
+        # reference payload is built from to_dict() and dumped by the stdlib
+        out = tmp_path / "certificate.json"
+        assert run("analyze", "--n", 40, "--hop", 4, "--num-windows", 16,
+                   "--windows", "chain:4", "--signal", "random", "--seed", seed,
+                   "--out", out) == 0
+        rng = np.random.default_rng(seed)
+        fam = chain_family(40, 4, 16, rng)
+        x = random_signal(40, rng)
+        cov, end = build_covisibility_graph(x, fam, 4), build_endpoint_graph(x, fam, 4)
+        mats = certify_rank(fam, 4)
+        short = not long_windows([window_support(w) for w in fam], 40)
+        assert is_connected(cov) and is_connected(end) and short and mats.certified
+        payload = {
+            "covisibility": cov.to_dict(),
+            "endpoint": end.to_dict(),
+            "short_windows": short,
+            "certification": mats.report(),
+            "verdict": "provably-retrievable",
+        }
+        assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
 
 class TestBounds:
     def test_zero_noise(self, capsys):
@@ -390,6 +423,20 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["recover"])  # missing required arguments
     assert err.value.code == 1
+
+
+def test_main_reaches_a_rebound_command(monkeypatch, capsys):
+    # the parser is built once per process; a cmd_* rebound after that, as a
+    # tracer or a test double does, must still be what main dispatches to
+    geometry = ["--n", "8", "--hop", "2", "--num-windows", "3", "--windows", "chain:2",
+                "--signal", "random", "--seed", "7"]
+    assert main(["analyze", *geometry]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.n) or 0)
+    assert main(["analyze", *geometry]) == 0
+    assert seen == [8]
+    assert capsys.readouterr().out == ""
 
 
 def _stdlib_jsonify(obj):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stftpr import GlobalPhaseDistance, ProblemConfig, phase_distance, support
-from stftpr.errors import ConfigurationError, DimensionMismatchError
-from stftpr.model import as_signal
+from stftpr.errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
+from stftpr.model import as_signal, as_window_family
 
 TWO_PI = 2 * np.pi
 
@@ -122,3 +122,10 @@ def test_distance_dataclass_fields():
     res = phase_distance([1, 0], [1, 0])
     assert isinstance(res, GlobalPhaseDistance)
     assert 0.0 <= res.aligning_phase < TWO_PI
+
+
+def test_window_family_names_the_first_zero_row():
+    fam = np.ones((6, 8), dtype=complex)
+    fam[[2, 4]] = 0
+    with pytest.raises(InvalidWindowError, match=r"^window 2 is identically zero$"):
+        as_window_family(fam)

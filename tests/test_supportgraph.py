@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from stftpr import (
     spanning_tree,
     window_support,
 )
+from stftpr.cli import _graph_text, _json_text
 from stftpr.errors import (
     DisconnectedGraphError,
     InvalidPartitionError,
@@ -508,6 +510,27 @@ def test_covisibility_witnesses_match_loop(geometry):
     assert graph.to_dict()["edges"] == [
         {"n": a, "n2": b, "witnesses": [list(w) for w in got[(a, b)]]} for a, b in sorted(got)
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometry=_endpoint_geometries())
+def test_graph_text_matches_stdlib_dump(geometry):
+    # both variants, including graphs with no vertices, no edges or several components
+    hop, fam, vertices = geometry
+    for build in (covisibility_graph_from_support, endpoint_graph_from_support):
+        graph = build(vertices, fam, hop)
+        assert _graph_text(graph, "\n") == json.dumps(graph.to_dict(), indent=2, sort_keys=True)
+        assert _json_text({"graph": graph}, "\n") == json.dumps(
+            {"graph": graph.to_dict()}, indent=2, sort_keys=True
+        )
+
+
+def test_graph_text_of_an_edge_without_witnesses():
+    graph = SupportGraph.from_edges(
+        "endpoint", [0, 1, 5], [SupportGraphEdge((0, 1), ()), SupportGraphEdge((1, 5), ((2, 3),))]
+    )
+    expected = json.dumps(graph.to_dict(), indent=2, sort_keys=True)
+    assert _graph_text(graph, "\n  ") == expected.replace("\n", "\n  ")
 
 
 def test_len_of_edge_views_builds_no_records():
