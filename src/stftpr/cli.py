@@ -290,22 +290,28 @@ def _stability_section(fam, mats, noise_level, reference, min_magnitude, zero_to
     return section
 
 
-def cmd_simulate(args) -> int:
+def _instance(args):
+    """The generator, window family, config and signal that ``args`` name, drawn in that order."""
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    if args.noise > 0:
-        _require_rng(rng, "--noise")
     fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
     cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
     x = _signal_from_spec(args.signal, args.n, rng)
+    return rng, fam, cfg, x
+
+
+def cmd_simulate(args) -> int:
+    if args.noise > 0:  # checked before any spec is read; no seed means no generator
+        _require_rng(args.seed, "--noise")
+    rng, fam, cfg, x = _instance(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_signal_json(outdir / "signal.json", x)
     write_windows_json(outdir / "windows.json", fam)
     grid = measure(x, fam, cfg.hop)
-    write_grid_csv(grid, outdir / "grid.csv", hop=cfg.hop)
+    write_grid_csv(grid, outdir / "grid.csv")
     if args.noise > 0:
         eps = rng.uniform(-args.noise, args.noise, grid.values.shape)
-        write_grid_csv(corrupt(grid, eps), outdir / "grid_noisy.csv", hop=cfg.hop)
+        write_grid_csv(corrupt(grid, eps), outdir / "grid_noisy.csv")
     mats = certify_rank(fam, cfg.hop, args.rank_tol)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
     report = {
@@ -332,10 +338,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
-    cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
-    x = _signal_from_spec(args.signal, args.n, rng)
+    _, fam, cfg, x = _instance(args)
     supp = support(x, cfg.zero_tol)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
     cov = covisibility_graph_from_support(supp, fam, cfg.hop, cfg.zero_tol)
@@ -362,9 +365,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    grid, hop = read_grid_csv(args.grid)
+    grid = read_grid_csv(args.grid)
     fam = read_windows_json(args.windows)
-    cfg = ProblemConfig(grid.n, hop, fam.shape[0], args.zero_tol)
+    cfg = ProblemConfig(grid.n, grid.hop, fam.shape[0], args.zero_tol)
     reference = read_signal_json(args.signal) if args.signal else None
     min_magnitude = args.min_magnitude
     if min_magnitude is None and grid.noise_level > 0 and reference is not None:
@@ -418,10 +421,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
-    cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
-    x = _signal_from_spec(args.signal, args.n, rng)
+    _, fam, cfg, x = _instance(args)
     reports = []
     for r, w in enumerate(fam):
         reports.append(

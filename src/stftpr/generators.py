@@ -17,6 +17,9 @@ from .model import as_window_family
 from .spectral import certify_rank
 from .supportgraph import endpoint_graph_from_support
 
+# draws of window values before a generator gives up on certifying a family
+_MAX_TRIES = 64
+
 
 def rectangular_window(n: int, length: int) -> np.ndarray:
     """Ones on [0, length), zeros elsewhere."""
@@ -49,7 +52,7 @@ def random_interval_window(
 
 
 def mask_family(
-    n: int, num_windows: int, rng: np.random.Generator, max_tries: int = 64
+    n: int, num_windows: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Half-length masks at cyclically staggered anchors, certified for hop = n.
 
@@ -64,17 +67,17 @@ def mask_family(
             f"rank {n} needs at least {n} masks, got {num_windows}"
         )
     length = n // 2
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         fam = np.stack(
             [random_interval_window(n, length, rng, anchor=r % n) for r in range(num_windows)]
         )
         if certify_rank(fam, n).certified:
             return fam
-    raise ConfigurationError(f"could not certify a mask family after {max_tries} tries")
+    raise ConfigurationError(f"could not certify a mask family after {_MAX_TRIES} tries")
 
 
 def chain_family(
-    n: int, hop: int, num_windows: int, rng: np.random.Generator, max_tries: int = 64
+    n: int, hop: int, num_windows: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Certified family whose endpoint graph covers every consecutive pair.
 
@@ -82,7 +85,7 @@ def chain_family(
     extra windows get random intervals of length 2..n//2.  Redraws values
     until the rank certificate passes (failures are measure-zero accidents).
     """
-    if n % hop != 0:
+    if hop < 1 or n % hop != 0:
         raise ConfigurationError(f"hop {hop} does not divide {n}")
     if num_windows < hop:
         raise ConfigurationError(
@@ -91,7 +94,7 @@ def chain_family(
     if n < 4:
         raise ConfigurationError(f"chain families need length >= 4, got {n}")
     max_len = max(2, n // 2)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         rows = [random_interval_window(n, 2, rng, anchor=a) for a in range(hop)]
         for _ in range(num_windows - hop):
             length = int(rng.integers(2, max_len + 1))
@@ -99,7 +102,7 @@ def chain_family(
         fam = np.stack(rows)
         if certify_rank(fam, hop).certified:
             return fam
-    raise ConfigurationError(f"could not certify a chain family after {max_tries} tries")
+    raise ConfigurationError(f"could not certify a chain family after {_MAX_TRIES} tries")
 
 
 def random_signal(n: int, rng: np.random.Generator, support=None) -> np.ndarray:
@@ -124,14 +127,13 @@ def certified_instance(
     num_windows: int,
     rng: np.random.Generator,
     support=None,
-    max_tries: int = 64,
 ):
     """(signal, windows) with a passing rank gate and connected endpoint graph.
 
     ``support``, when given, should be cyclically contiguous (or the full
     index set) so the chain construction guarantees connectivity.
     """
-    fam = chain_family(n, hop, num_windows, rng, max_tries=max_tries)
+    fam = chain_family(n, hop, num_windows, rng)
     x = random_signal(n, rng, support=support)
     verts = np.flatnonzero(np.abs(x) > 0)
     graph = endpoint_graph_from_support(verts, as_window_family(fam), hop)

@@ -17,12 +17,14 @@ recovered magnitudes.
 
 Edge phases come from one edge-phase table, built in a single array pass
 over the endpoint graph's witness arrays and the (window, hop) correlation
-table: each edge's witnesses are ranked by the witness rule, the first whose
-evidence clears the degeneracy tolerance is chosen, and its endpoints,
-window phase and relative phase are computed.  The spanning tree's
-edge-row array picks the tree edges' phases, oriented from parent to child,
-and :func:`propagate` multiplies them along the tree in discovery order; the
-remaining edges give the residuals of the redundant edges.
+table.  Any one witness determines an edge's phase, because the correlation
+collapses to a single term, so each edge takes its witness of largest
+evidence magnitude (the most robust to noise), ties going to the smaller
+(window, hop); that evidence must clear the degeneracy tolerance.  The
+spanning tree's edge-row array picks the tree edges' phases, oriented from
+parent to child, and :func:`propagate` multiplies them along the tree in
+discovery order; the remaining edges give the residuals of the redundant
+edges.
 
 :func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
 rank gate, magnitudes, support, endpoint graph, edge phases, propagation -
@@ -117,32 +119,6 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _rank_witnesses(eid, r, m, correlation, rule, num_edges):
-    """Reorder flat (edge, window, hop) witness arrays: by edge, then by rule within an edge.
-
-    The two named rules are sort keys; a callable rule is called once per edge
-    with a nonempty witness list and returns that edge's witnesses in order.
-    """
-    if callable(rule):
-        bounds = np.searchsorted(eid, np.arange(num_edges + 1)).tolist()
-        pairs = list(zip(r.tolist(), m.tolist()))
-        mags = _modulus(correlation[r, m]).tolist()
-        ranked = [
-            (i, wr, wm)
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-            if a < b
-            for wr, wm in rule(pairs[a:b], mags[a:b])
-        ]
-        return np.array(ranked, dtype=np.intp).reshape(-1, 3).T
-    if rule == "max_evidence":
-        order = np.lexsort((m, r, -_modulus(correlation[r, m]), eid))
-    elif rule == "lexicographic":
-        order = np.lexsort((m, r, eid))
-    else:
-        raise ValueError(f"unknown witness rule {rule!r}")
-    return eid[order], r[order], m[order]
-
-
 @dataclass(frozen=True)
 class _EdgeTable:
     """Chosen witness and phases of every edge, one array entry per edge.
@@ -229,14 +205,13 @@ def _edge_table(
     agg: AggregateMeasurements,
     fam: np.ndarray,
     supports: list[WindowSupport],
-    witness_rule,
     degenerate_tol: float,
 ) -> _EdgeTable:
     """Relative phase of every edge in one array pass over the correlation table.
 
-    Witnesses of windows with supporting length 1 are unusable.  The usable
-    ones are ranked within each edge by ``witness_rule``, and each edge takes
-    the first ranked witness whose evidence clears ``degenerate_tol``.
+    Witnesses of windows with supporting length 1 are unusable.  Each edge
+    takes the usable witness of largest evidence magnitude, ties going to the
+    smaller (window, hop), provided it clears ``degenerate_tol``.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
@@ -246,15 +221,16 @@ def _edge_table(
     keep = lengths[graph.window] >= 2
     usable = np.zeros(num_edges, dtype=bool)
     usable[eid[keep]] = True
-    eid, r, m = _rank_witnesses(
-        eid[keep], graph.window[keep], graph.hop_index[keep], agg.correlation,
-        witness_rule, num_edges,
-    )
+    eid, r, m = eid[keep], graph.window[keep], graph.hop_index[keep]
+    mag = _modulus(agg.correlation[r, m])
+    # by edge, then strongest evidence first, then smaller (window, hop)
+    order = np.lexsort((m, r, -mag, eid))
+    # each edge's first entry is its strongest usable witness: if it does not
+    # clear the tolerance, no other witness of that edge does
+    first = order[np.diff(eid[order], prepend=-1) != 0]
+    first = first[mag[first] > degenerate_tol]
+    chosen, r, m = eid[first], r[first], m[first]
     value = agg.correlation[r, m]
-    clear = np.flatnonzero(_modulus(value) > degenerate_tol)
-    # the first clearing entry of each edge's group is its first ranked usable witness
-    first = clear[np.diff(eid[clear], prepend=-1) != 0]
-    chosen, r, m, value = eid[first], r[first], m[first], value[first]
     # a support whose fields are per-witness arrays maps every chosen witness at once
     ws = WindowSupport(length=lengths[r], anchor=np.array([s.anchor for s in supports])[r])
     n1, n2 = endpoint_witness(ws, hop, m, n)
@@ -294,15 +270,14 @@ def edge_phase(
     edge: SupportGraphEdge,
     agg: AggregateMeasurements,
     windows,
-    witness_rule="max_evidence",
     degenerate_tol: float | None = None,
 ) -> EdgePhaseEvidence:
     """Extract the relative phase of one endpoint-graph edge.
 
-    Witnesses are tried in rule order ("max_evidence" prefers the largest
-    correlation magnitude - the most noise-robust choice - with ties broken
-    lexicographically); the first one whose evidence clears the degeneracy
-    tolerance wins.  If none does, the edge is unusable at this noise level.
+    The edge's usable witness with the largest evidence magnitude is chosen
+    (the most noise-robust choice), ties going to the smaller (window, hop),
+    and its evidence must clear the degeneracy tolerance; otherwise the edge
+    is unusable at this noise level.
 
     This is the edge-phase table of the reconstruction pipeline run on a
     single edge; ``windows`` are validated on every call.
@@ -311,7 +286,7 @@ def edge_phase(
     supports = [window_support(w) for w in fam]
     tol = _resolve_degenerate_tol(degenerate_tol, fam.shape[1], agg.noise_level)
     graph = SupportGraph.from_edges("endpoint", edge.endpoints, (edge,))
-    table = _edge_table(graph, agg, fam, supports, witness_rule, tol)
+    table = _edge_table(graph, agg, fam, supports, tol)
     table.raise_degenerate(np.zeros(1, dtype=np.intp))
     return EdgePhaseEvidence(*(c[0].item() for c in (
         table.n1, table.n2, table.window, table.hop_index, table.evidence,
@@ -394,7 +369,6 @@ def _run_pipeline(
     fam: np.ndarray,
     cfg: ProblemConfig,
     min_support_magnitude: float | None,
-    witness_rule,
     rank_tol: float | None,
     degenerate_tol: float | None,
 ) -> ReconstructionResult:
@@ -432,7 +406,7 @@ def _run_pipeline(
             f"length; edge phases would be ambiguous",
             failing=too_long,
         )
-    table = _edge_table(graph, agg, fam, supports, witness_rule, degenerate_tol)
+    table = _edge_table(graph, agg, fam, supports, degenerate_tol)
     table.raise_degenerate(tree.edge_row)
     phases, used = table.along(tree)
     result = replace(propagate(tree, magnitudes, phases, detected), modulation=mats)
@@ -447,7 +421,6 @@ def reconstruct(
     windows,
     cfg: ProblemConfig,
     min_support_magnitude: float | None = None,
-    witness_rule="max_evidence",
     rank_tol: float | None = None,
     degenerate_tol: float | None = None,
 ) -> ReconstructionResult:
@@ -456,7 +429,8 @@ def reconstruct(
     The three steps: recover squared magnitudes through the certified
     modulation matrices, build the endpoint graph on the detected support and
     verify connectivity, then extract edge phases and propagate them over a
-    spanning tree.  Raises ``CertificationError`` when the window family
+    spanning tree.  Each edge's phase comes from its witness of largest
+    evidence magnitude, ties going to the smaller (window, hop).  Raises ``CertificationError`` when the window family
     fails the rank gate or has windows longer than half the signal,
     ``DisconnectedGraphError`` (carrying the component certificate) when the
     endpoint graph is disconnected, and ``DegenerateEdgeError`` when noise
@@ -470,7 +444,7 @@ def reconstruct(
         )
     agg = aggregate(grid, fam, cfg.zero_tol)
     return _run_pipeline(
-        agg, fam, cfg, min_support_magnitude, witness_rule, rank_tol, degenerate_tol
+        agg, fam, cfg, min_support_magnitude, rank_tol, degenerate_tol
     )
 
 
@@ -478,9 +452,7 @@ def reconstruct_compressed(
     agg: AggregateMeasurements,
     windows,
     cfg: ProblemConfig,
-    support_hint=None,
     min_support_magnitude: float | None = None,
-    witness_rule="max_evidence",
     rank_tol: float | None = None,
     degenerate_tol: float | None = None,
 ) -> ReconstructionResult:
@@ -489,9 +461,9 @@ def reconstruct_compressed(
     Consumes exactly ``2 * num_windows * n / hop`` measurements (one energy
     and one correlation per window and hop) and runs the pipeline of
     :func:`reconstruct` on them, so ``reconstruct_compressed(aggregate(grid))``
-    returns the same estimate as ``reconstruct(grid)``.  The support is
-    detected from the recovered magnitudes; ``support_hint`` is only
-    cross-checked and reported, never trusted.
+    returns the same estimate as ``reconstruct(grid)``, with the same witness
+    choice.  The support is detected from the recovered magnitudes and
+    reported in ``diagnostics["support"]``.
     """
     fam = _family(windows, cfg)
     if agg.energy.shape != (cfg.num_windows, cfg.num_hops):
@@ -500,12 +472,7 @@ def reconstruct_compressed(
             f"({cfg.num_windows}, {cfg.num_hops})"
         )
     result = _run_pipeline(
-        agg, fam, cfg, min_support_magnitude, witness_rule, rank_tol, degenerate_tol
+        agg, fam, cfg, min_support_magnitude, rank_tol, degenerate_tol
     )
     result.diagnostics["compressed_count"] = agg.measurement_count
-    if support_hint is not None:
-        hint = tuple(sorted(int(v) for v in support_hint))
-        result.diagnostics["support_hint_matched"] = (
-            hint == tuple(result.diagnostics["support"])
-        )
     return result

@@ -295,14 +295,14 @@ def _meta_dimension(meta: dict, key: str) -> int:
     return value
 
 
-def write_grid_csv(grid: MeasurementGrid, path, hop: int | None = None) -> None:
+def write_grid_csv(grid: MeasurementGrid, path) -> None:
     """Write a grid as ``r,m,k,value`` CSV plus a sibling ``.meta.json``.
 
     The file is a header row ``r,m,k,value`` and then one row per cell,
     sorted lexicographically by (r, m, k); every row ends in ``\\r\\n``.
     Values use the shortest round-trip float repr, so identical grids give
     byte-identical files.  The metadata is JSON with two-space indent and
-    sorted keys.
+    sorted keys; its ``hop`` is ``grid.hop``.
     """
     path = Path(path)
     suffixes = [f"{k}," for k in range(grid.n)]
@@ -317,7 +317,7 @@ def write_grid_csv(grid: MeasurementGrid, path, hop: int | None = None) -> None:
                 fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
     meta = {
         "n": grid.n,
-        "hop": int(hop) if hop is not None else grid.hop,
+        "hop": grid.hop,
         "num_windows": grid.num_windows,
         "num_hops": grid.num_hops,
         "noise_level": float(grid.noise_level),
@@ -339,16 +339,17 @@ def _cell_indices(table: np.ndarray, shape, path, first_row: int) -> np.ndarray:
     return np.ravel_multi_index(index, shape)
 
 
-def read_grid_csv(path) -> tuple[MeasurementGrid, int]:
-    """Read a grid CSV and its sibling metadata; returns (grid, hop).
+def read_grid_csv(path) -> MeasurementGrid:
+    """Read a grid CSV and its sibling metadata.
 
     Every ``(r, m, k)`` cell must appear exactly once, with each index in
     ``[0, num_windows)``, ``[0, num_hops)`` and ``[0, n)`` respectively;
     a negative, out-of-range or repeated index, a malformed row or a wrong
     row count raises ``ConfigurationError``.  So do metadata dimensions
     (``num_windows``, ``num_hops``, ``n``, ``hop``) that are not positive
-    JSON integers, and a declared cell count the file is too small to hold;
-    both are caught before the grid is allocated.
+    JSON integers, a declared cell count the file is too small to hold, and
+    a ``hop`` other than ``n / num_hops``; all are caught before the grid is
+    allocated.
     """
     path = Path(path)
     meta_file = _meta_path(path)
@@ -366,6 +367,11 @@ def read_grid_csv(path) -> tuple[MeasurementGrid, int]:
     if _MIN_ROW_BYTES * size > path.stat().st_size:
         raise ConfigurationError(
             f"grid metadata {meta_file} declares {size} cells, more than {path} can hold"
+        )
+    if hop * shape[1] != shape[2]:
+        raise ConfigurationError(
+            f"grid metadata {meta_file} has hop {hop}, but n / num_hops is "
+            f"{shape[2]} / {shape[1]}"
         )
     values = np.empty(size, dtype=float)
     seen = np.zeros(size, dtype=bool)
@@ -398,4 +404,4 @@ def read_grid_csv(path) -> tuple[MeasurementGrid, int]:
             rows += flat.size
     if rows != size:
         raise ConfigurationError(f"grid CSV {path} has {rows} rows, expected {size}")
-    return MeasurementGrid(values=values.reshape(shape), noise_level=noise_level), hop
+    return MeasurementGrid(values=values.reshape(shape), noise_level=noise_level)

@@ -262,8 +262,9 @@ class TestRecover:
     @pytest.mark.parametrize(
         "key, value, match",
         [("num_windows", 10**6, "more than"),  # with num_hops: a 116 TiB buffer
-         ("n", 16.7, "positive integer"), ("num_hops", -4, "positive integer")],
-        ids=["huge", "fractional", "negative"],
+         ("n", 16.7, "positive integer"), ("num_hops", -4, "positive integer"),
+         ("hop", 4, "grid.meta.json has hop 4")],  # n = 8 and 4 hops need hop 2
+        ids=["huge", "fractional", "negative", "inconsistent-hop"],
     )
     def test_bad_grid_meta_exits_one(self, tmp_path, capsys, key, value, match):
         out = _simulate(tmp_path, "meta")
@@ -288,6 +289,20 @@ def test_zero_windows_exits_one(tmp_path, capsys, command):
     )
     assert code == 1
     assert "--num-windows must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "verify"])
+@pytest.mark.parametrize("spec", ["chain:0", "chain:-2"])
+def test_chain_hop_below_one_exits_one(tmp_path, capsys, command, spec):
+    # chain:0 used to raise ZeroDivisionError out of main
+    code = run(
+        command, "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", spec,
+        "--seed", 1, "--out", tmp_path / "chain",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"stftpr: error: hop {spec[6:]} does not divide 8" in err
+    assert "Traceback" not in err
 
 
 class TestAnalyze:

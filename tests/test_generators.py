@@ -61,6 +61,16 @@ def test_chain_family_connects_consecutive_indices():
         assert is_connected(graph)
 
 
+@pytest.mark.parametrize("hop", [0, -2])
+def test_hop_below_one_rejected(hop):
+    # hop 0 used to raise ZeroDivisionError from n % hop
+    rng = np.random.default_rng(5)
+    with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide 8"):
+        chain_family(8, hop, 3, rng)
+    with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide 8"):
+        certified_instance(8, hop, 3, rng)
+
+
 def test_random_signal_support_and_magnitudes():
     rng = np.random.default_rng(4)
     x = random_signal(10, rng, support=[1, 4, 7])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stftpr import model, phase
 from stftpr import (
+    AggregateMeasurements,
     MeasurementGrid,
     ProblemConfig,
     aggregate,
@@ -217,24 +218,24 @@ class TestReconstruct:
         rotated = reconstruct(measure(np.exp(0.7j) * x, fam, hop), fam, cfg)
         assert np.max(np.abs(rotated.estimate - a.estimate)) <= 1e-9
 
-    def test_witness_rule_invariance(self):
-        # two windows of equal span give every edge two witnesses
+    def test_every_witness_gives_the_edge_phase(self):
+        # two windows of equal span give every edge two witnesses; the
+        # correlation collapses to one term, so each alone fixes the edge's phase
         rng = np.random.default_rng(137)
         n = 8
         fam = [random_interval_window(n, 4, rng), random_interval_window(n, 4, rng)]
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.5, 1.5, n)
-        cfg = ProblemConfig(n, 1, 2)
-        grid = measure(x, fam, 1)
-        estimates = [
-            reconstruct(grid, fam, cfg, witness_rule=rule).estimate
-            for rule in (
-                "max_evidence",
-                "lexicographic",
-                lambda ws, mags: list(reversed(sorted(ws))),
-            )
-        ]
-        for est in estimates[1:]:
-            assert np.max(np.abs(est - estimates[0])) <= 1e-9
+        agg = aggregate(measure(x, fam, 1), fam)
+        graph = build_endpoint_graph(x, fam, 1)
+        assert graph.edges and all(len(e.witnesses) == 2 for e in graph.edges)
+        for edge in graph.edges:
+            phases = []
+            for witness in edge.witnesses:
+                ev = edge_phase(SupportGraphEdge(edge.endpoints, (witness,)), agg, fam)
+                # x(lo) * conj(x(hi)), whichever endpoint the witness calls n1
+                rel = ev.relative_phase
+                phases.append(rel if (ev.n1, ev.n2) == edge.endpoints else rel.conjugate())
+            assert abs(phases[1] - phases[0]) <= 1e-9
 
     def test_sign_bookkeeping_both_walk_directions(self):
         # root can play either endpoint role depending on the anchor position
@@ -308,10 +309,10 @@ class TestReconstructCompressed:
         grid = measure(x, fam, hop)
         full = reconstruct(grid, fam, cfg)
         agg = aggregate(grid, fam, cfg.zero_tol)
-        comp = reconstruct_compressed(agg, fam, cfg, support_hint=range(n))
+        comp = reconstruct_compressed(agg, fam, cfg)
         assert np.max(np.abs(comp.estimate - full.estimate)) <= 1e-10
         assert comp.diagnostics["compressed_count"] == 2 * n * num // hop == 24
-        assert comp.diagnostics["support_hint_matched"] is True
+        assert comp.diagnostics["support"] == list(range(n))
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_one_pipeline(self, noise):
@@ -327,14 +328,12 @@ class TestReconstructCompressed:
             prior = float(np.min(np.abs(x)))
         full = reconstruct(grid, fam, cfg, min_support_magnitude=prior)
         agg = aggregate(grid, fam, cfg.zero_tol)
-        comp = reconstruct_compressed(
-            agg, fam, cfg, support_hint=range(n), min_support_magnitude=prior
-        )
+        comp = reconstruct_compressed(agg, fam, cfg, min_support_magnitude=prior)
         assert np.array_equal(comp.estimate, full.estimate)
         assert comp.root_vertex == full.root_vertex
         diagnostics = dict(comp.diagnostics)
         assert diagnostics.pop("compressed_count") == 2 * n * num // hop
-        assert diagnostics.pop("support_hint_matched") is True
+        assert diagnostics["support"] == list(range(n))
         assert diagnostics == full.diagnostics
         assert diagnostics["support_rule"] == ("half-minimum" if noise else "relative-threshold")
         assert full.modulation.certified and comp.modulation.certified
@@ -348,8 +347,11 @@ class TestReconstructCompressed:
         assert np.all(res.estimate == 0)
 
 
-def _reference_edge_phase(edge, agg, fam, supports, rule, tol):
+def _reference_edge_phase(edge, agg, fam, supports, tol):
     """The per-edge witness loop that the edge-phase table replaced.
+
+    Witnesses are tried strongest evidence first, ties going to the smaller
+    (window, hop).
 
     Returns ``(n1, n2, window, hop_index, relative_phase)``, or None when no
     usable witness clears ``tol``.
@@ -360,12 +362,7 @@ def _reference_edge_phase(edge, agg, fam, supports, rule, tol):
     if not usable:
         return None
     mags = [abs(agg.correlation[r, m]) for (r, m) in usable]
-    if callable(rule):
-        order = list(rule(list(usable), mags))
-    elif rule == "max_evidence":
-        order = [usable[i] for i in sorted(range(len(usable)), key=lambda i: (-mags[i], usable[i]))]
-    else:
-        order = sorted(usable)
+    order = [usable[i] for i in sorted(range(len(usable)), key=lambda i: (-mags[i], usable[i]))]
     for r, m in order:
         value = complex(agg.correlation[r, m])
         if abs(value) <= tol:
@@ -378,22 +375,14 @@ def _reference_edge_phase(edge, agg, fam, supports, rule, tol):
     return None
 
 
-_RULES = {
-    "max_evidence": "max_evidence",
-    "lexicographic": "lexicographic",
-    "reversed": lambda ws, mags: list(reversed(sorted(ws))),
-}
-
-
 class TestEdgeTable:
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.sampled_from([4, 6, 8, 12, 16]),
-        rule=st.sampled_from(sorted(_RULES)),
         data=st.data(),
     )
-    def test_matches_per_edge_reference(self, seed, n, rule, data):
+    def test_matches_per_edge_reference(self, seed, n, data):
         rng = np.random.default_rng(seed)
         hop = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
         num_windows = data.draw(st.integers(1, 3))
@@ -410,9 +399,9 @@ class TestEdgeTable:
         graph = build_endpoint_graph(x, fam, hop)
         # a tolerance among the evidence magnitudes leaves some edges degenerate
         tol = data.draw(st.sampled_from([0.0, *np.quantile(np.abs(agg.correlation), [0.3, 0.7])]))
-        table = phase._edge_table(graph, agg, fam, supports, _RULES[rule], tol)
+        table = phase._edge_table(graph, agg, fam, supports, tol)
         for i, edge in enumerate(graph.edges):
-            want = _reference_edge_phase(edge, agg, fam, supports, _RULES[rule], tol)
+            want = _reference_edge_phase(edge, agg, fam, supports, tol)
             if want is None:
                 assert table.window[i] == -1
                 continue
@@ -434,6 +423,17 @@ class TestEdgeTable:
         mixed = SupportGraphEdge(endpoints=(0, 3), witnesses=((0, 0), (1, 0)))
         ev = edge_phase(mixed, agg, fam)
         assert (ev.window, ev.hop_index, ev.n1, ev.n2) == (0, 0, 0, 3)
+
+    def test_evidence_ties_go_to_the_smaller_window(self):
+        # edge (0, 3) is witnessed by window 0 at hop 1 and by window 1 at hop 0
+        fam = [np.array([0, 1, 1, 0], dtype=complex), np.array([1, 1, 0, 0], dtype=complex)]
+        edge = SupportGraphEdge(endpoints=(0, 3), witnesses=((1, 0), (0, 1)))
+        for strength, want in ((0.25, (0, 1)), (0.5, (1, 0))):
+            corr = np.zeros((2, 4), dtype=complex)
+            corr[0, 1], corr[1, 0] = 0.25, strength * 1j
+            agg = AggregateMeasurements(energy=np.ones((2, 4)), correlation=corr)
+            ev = edge_phase(edge, agg, fam)
+            assert (ev.window, ev.hop_index, ev.n1, ev.n2) == (*want, 0, 3)
 
     def test_degenerate_nontree_edge_reports_none(self):
         # find an instance whose weakest non-tree edge sits below every tree edge,
@@ -525,7 +525,7 @@ class TestArrayWalk:
             graph = endpoint_graph_from_support(verts, fam, hop, supports=supports)
             tree = spanning_tree(graph)
             table = phase._edge_table(
-                graph, agg, fam, supports, "max_evidence", phase.default_degenerate_tol(n, 1e-9)
+                graph, agg, fam, supports, phase.default_degenerate_tol(n, 1e-9)
             )
             amps = np.sqrt(recover_magnitudes(agg, certify_rank(fam, hop), cfg).magnitudes_sq)
             want = _dict_walk(tree, table, amps, verts)

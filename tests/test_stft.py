@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -298,9 +299,9 @@ class TestGridCsv:
         fam = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2)]
         grid = corrupt(measure(x, fam, hop=2), rng.uniform(-1e-3, 1e-3, (2, 4, 8)))
         path = tmp_path / "grid.csv"
-        write_grid_csv(grid, path, hop=2)
-        loaded, hop = read_grid_csv(path)
-        assert hop == 2
+        write_grid_csv(grid, path)
+        loaded = read_grid_csv(path)
+        assert loaded.hop == 2
         assert np.array_equal(loaded.values, grid.values)
         assert loaded.noise_level == grid.noise_level
 
@@ -336,11 +337,11 @@ class TestGridCsv:
         grid = MeasurementGrid(values=values, noise_level=noisy.noise_level)
         assert (grid.values < 0).sum() > 1
         path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
-        write_grid_csv(grid, path, hop=3)
+        write_grid_csv(grid, path)
         self._reference_csv(grid, ref)
         assert path.read_bytes() == ref.read_bytes()
         assert path.read_bytes().count(b"\r\n") == 1 + grid.values.size
-        assert np.array_equal(read_grid_csv(path)[0].values, grid.values)
+        assert np.array_equal(read_grid_csv(path).values, grid.values)
 
     @staticmethod
     def _written_grid(tmp_path):
@@ -349,7 +350,7 @@ class TestGridCsv:
         x = rng.normal(size=32) + 1j * rng.normal(size=32)
         grid = measure(x, [np.ones(32)], hop=1)
         path = tmp_path / "grid.csv"
-        write_grid_csv(grid, path, hop=1)
+        write_grid_csv(grid, path)
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize(
@@ -388,6 +389,18 @@ class TestGridCsv:
         with pytest.raises(ConfigurationError, match="positive integer"):
             read_grid_csv(path)
 
+    @pytest.mark.parametrize("hop", [2, 16, 64])
+    def test_inconsistent_hop_rejected(self, tmp_path, hop):
+        # the grid has n = 32 and 32 hops, so the metadata hop must be 1
+        path, _ = self._written_grid(tmp_path)
+        meta_file = path.with_suffix(".meta.json")
+        meta = json.loads(meta_file.read_text())
+        assert meta["hop"] == 1
+        meta["hop"] = hop
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=re.escape(str(meta_file)) + f".* hop {hop}"):
+            read_grid_csv(path)
+
     def test_oversized_meta_rejected_before_allocating(self, tmp_path):
         path, _ = self._written_grid(tmp_path)
         meta_file = path.with_suffix(".meta.json")
@@ -410,8 +423,8 @@ class TestGridCsv:
         path.with_suffix(".meta.json").write_text(json.dumps(
             {"n": 10, "hop": 1, "num_windows": 10, "num_hops": 10, "noise_level": 0.0}
         ))
-        grid, hop = read_grid_csv(path)
-        assert grid.values.shape == (10, 10, 10) and not grid.values.any() and hop == 1
+        grid = read_grid_csv(path)
+        assert grid.values.shape == (10, 10, 10) and not grid.values.any() and grid.hop == 1
 
     def test_missing_meta(self, tmp_path):
         path = tmp_path / "orphan.csv"
