@@ -292,6 +292,7 @@ def _stability_section(fam, mats, noise_level, reference, min_magnitude, zero_to
 
 def _instance(args):
     """The generator, window family, config and signal that ``args`` name, drawn in that order."""
+    ProblemConfig(args.n, args.hop, 1)  # names a bad --n or --hop before windows are drawn
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
     cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
@@ -405,11 +406,10 @@ def cmd_recover(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    ProblemConfig(args.n, args.hop, 1)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
-    reference = None
-    if args.signal:
-        reference = _signal_from_spec(args.signal, args.n, rng)
+    reference = _signal_from_spec(args.signal, args.n, rng) if args.signal else None
     if reference is None and args.min_magnitude is None:
         raise ConfigurationError("bounds needs --signal or --min-magnitude")
     section = _stability_section(

@@ -34,31 +34,31 @@ def default_rank_tol(num_windows: int, hop: int) -> float:
     return 64.0 * max(num_windows, hop) * float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModulationMatrices:
-    """Per-hop-residue modulation matrices with their rank certificate.
+    """Per-hop-residue modulation matrices and their rank certificate, as stacks.
 
-    ``matrices[m]`` has shape (num_windows, hop); its columns sample the
-    window power spectra on the m-th residue class mod ``n // hop``.
-    ``pseudo_inverses[m]`` is the (hop, num_windows) least-squares solver for
-    certified residues, None otherwise.
+    ``matrices`` is (num_hops, num_windows, hop); ``matrices[m]`` samples the
+    window power spectra on residue class m mod ``n // hop``.  ``singular_values``
+    is (num_hops, min(num_windows, hop)), each row descending; ``pseudo_inverses``
+    is the (num_hops, hop, num_windows) solver stack if every residue certifies, else None.
     """
 
     hop: int
-    matrices: tuple[np.ndarray, ...]
-    pseudo_inverses: tuple[np.ndarray | None, ...]
+    matrices: np.ndarray
+    pseudo_inverses: np.ndarray | None
     ranks: tuple[int, ...]
-    singular_values: tuple[np.ndarray, ...]
+    singular_values: np.ndarray
     rank_tol: float
     failing: tuple[int, ...]
 
     @property
     def num_windows(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def num_hops(self) -> int:
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
     @property
     def n(self) -> int:
@@ -70,10 +70,9 @@ class ModulationMatrices:
 
     def report(self) -> dict:
         """Certification report: per-residue ranks and the overall verdict."""
-        smallest = [float(s[-1]) if s.size else 0.0 for s in self.singular_values]
         return {
             "per_m_rank": list(self.ranks),
-            "singular_value_min": min(smallest) if smallest else 0.0,
+            "singular_value_min": float(self.singular_values[:, -1].min()),
             "certified": self.certified,
             "failing_m": list(self.failing),
             "rank_tol": self.rank_tol,
@@ -91,6 +90,9 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     full rank.  Full rank requires at least as many windows as the hop.  A
     negative or non-finite ``rank_tol`` raises ``ConfigurationError``: below
     zero every singular value would count, certifying rank-deficient families.
+    The stack is factored once, by one batched SVD of its conjugate (numpy's
+    pseudo-inverse recipe): it gives the ranks and, when every residue
+    certifies, the stacked pseudo-inverses ``V S^-1 U^H``, bit for bit numpy's.
     """
     fam = as_window_family(windows)
     n = fam.shape[1]
@@ -102,20 +104,17 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     spectra = window_power_spectra(fam)
     num_hops = n // hop
     cols = np.arange(num_hops)[:, None] + np.arange(hop)[None, :] * num_hops
-    # one (num_hops, num_windows, hop) stack, factored by batched LAPACK calls
     stack = np.ascontiguousarray(spectra[:, cols].transpose(1, 0, 2))
-    svals = np.linalg.svd(stack, compute_uv=False)
-    threshold = rank_tol * float(svals[:, 0].max())
-    ranks = tuple(int(k) for k in np.sum(svals > threshold, axis=1))
-    pinv_stack = np.linalg.pinv(stack)
-    pinvs = tuple(p if rank == hop else None for p, rank in zip(pinv_stack, ranks))
-    failing = tuple(m for m, rank in enumerate(ranks) if rank != hop)
+    u, svals, vt = np.linalg.svd(stack.conj(), full_matrices=False)
+    ranks = np.sum(svals > rank_tol * float(svals[:, 0].max()), axis=1)
+    failing = tuple(np.flatnonzero(ranks != hop).tolist())
     return ModulationMatrices(
         hop=hop,
-        matrices=tuple(stack),
-        pseudo_inverses=pinvs,
-        ranks=ranks,
-        singular_values=tuple(svals),
+        matrices=stack,
+        pseudo_inverses=None if failing else np.matmul(
+            vt.transpose(0, 2, 1), (1.0 / svals)[:, :, None] * u.transpose(0, 2, 1)),
+        ranks=tuple(ranks.tolist()),
+        singular_values=svals,
         rank_tol=float(rank_tol),
         failing=failing,
     )
@@ -146,12 +145,12 @@ def recover_magnitudes(
     """Recover ``|x(t)|**2`` from the per-hop energies.
 
     A DFT of the energy rows over the hop axis gives, per residue m, a vector
-    in the column span of the m-th modulation matrix; solving each small
-    system through the rank gate's SVD pseudo-inverse yields the signal's
-    power spectrum on that residue class, and an inverse DFT produces the
-    squared magnitudes.  :func:`stftpr.oracle.magnitudes_direct` evaluates
-    the explicit Gram-inverse formula term by term and is the reference this
-    path is checked against.
+    in the column span of the m-th modulation matrix; one product with the
+    rank gate's stacked SVD pseudo-inverses solves every residue's system,
+    yielding the power spectrum on each residue class, and an inverse DFT
+    gives the squared magnitudes.  :func:`stftpr.oracle.magnitudes_direct`
+    evaluates the explicit Gram-inverse formula term by term and is the
+    reference this path is checked against.
 
     Negative squared magnitudes (noise artifacts) are clamped to zero;
     ``severe_clamping`` flags a clamped mass above 10% of the total.
@@ -174,7 +173,7 @@ def recover_magnitudes(
         )
     rhs = np.fft.fft(agg.energy, axis=1) / num_hops  # (R, M)
     # one stacked solve: (M, hop, R) @ (M, R, 1) -> power[m + M*j] = solution[m, j]
-    solution = np.stack(mats.pseudo_inverses) @ rhs.T[:, :, None]
+    solution = mats.pseudo_inverses @ rhs.T[:, :, None]
     power = solution[:, :, 0].T.reshape(n)
     raw = np.fft.ifft(power) * n
     imag_residue = float(np.max(np.abs(raw.imag))) if n else 0.0

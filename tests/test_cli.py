@@ -291,6 +291,21 @@ def test_zero_windows_exits_one(tmp_path, capsys, command):
     assert "--num-windows must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze", "verify", "bounds"])
+@pytest.mark.parametrize("n", [0, -4])
+def test_nonpositive_length_named_before_windows_are_drawn(tmp_path, capsys, command, n):
+    # used to fail inside the window generator: "window length must be in [1, 0], got 1"
+    extra = ["--min-magnitude", 1] if command == "bounds" else ["--out", tmp_path / "out"]
+    code = run(
+        command, "--n", n, "--hop", 1, "--num-windows", 1, "--windows", "rectangular:1",
+        "--signal", "ones", *extra,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"stftpr: error: signal length must be positive, got {n}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze", "verify"])
 @pytest.mark.parametrize("spec", ["chain:0", "chain:-2"])
 def test_chain_hop_below_one_exits_one(tmp_path, capsys, command, spec):

@@ -92,6 +92,8 @@ class TestCertifyRank:
 
     @pytest.mark.parametrize("family", ["certified-chain", "duplicated-windows"])
     def test_batched_gate_matches_per_residue_factorizations(self, family):
+        # the gate factors conj(A), as np.linalg.pinv does, so its singular
+        # values are those of that factorisation, bit for bit
         rng = np.random.default_rng(59)
         if family == "certified-chain":
             fam, hop = chain_family(16, 4, 6, rng), 4
@@ -105,17 +107,71 @@ class TestCertifyRank:
         for m in range(num_hops):
             a = spectra[:, m + num_hops * np.arange(hop)]
             assert np.array_equal(mats.matrices[m], a)
-            s = np.linalg.svd(a, compute_uv=False)
+            s = np.linalg.svd(a.conj())[1]
             assert np.array_equal(mats.singular_values[m], s)
             scale = max(scale, float(s[0]))
         for m in range(num_hops):
             rank = int(np.sum(mats.singular_values[m] > mats.rank_tol * scale))
             assert mats.ranks[m] == rank
-            if rank == hop:
-                assert np.array_equal(mats.pseudo_inverses[m], np.linalg.pinv(mats.matrices[m]))
-            else:
-                assert mats.pseudo_inverses[m] is None
         assert mats.certified == (family == "certified-chain")
+        if mats.certified:
+            for m in range(num_hops):
+                assert np.array_equal(mats.pseudo_inverses[m], np.linalg.pinv(mats.matrices[m]))
+        else:
+            assert mats.pseudo_inverses is None
+
+    def test_one_factorisation(self, monkeypatch):
+        calls = {"svd": 0, "pinv": 0}
+        svd, pinv = np.linalg.svd, np.linalg.pinv
+
+        def counting_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counting_pinv(*args, **kwargs):
+            calls["pinv"] += 1
+            return pinv(*args, **kwargs)
+
+        fam = chain_family(16, 4, 6, np.random.default_rng(5))  # draws run the gate too
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+        mats = certify_rank(fam, 4)
+        assert mats.certified
+        assert calls == {"svd": 1, "pinv": 0}
+
+    def test_rank_certificate_matches_singular_values_only(self):
+        # ranks, verdict and failing residues agree with a per-residue
+        # svd(compute_uv=False) at the family-wide threshold
+        rng = np.random.default_rng(61)
+        for trial in range(60):
+            hop = int(rng.choice([1, 2, 3, 4]))
+            n = hop * int(rng.integers(4, 9))
+            kind = trial % 3
+            if kind == 0:
+                fam = chain_family(n, hop, hop + int(rng.integers(0, 3)), rng)
+            elif kind == 1:
+                length = int(rng.integers(1, n + 1))
+                fam = [random_interval_window(n, length, rng) for _ in range(int(rng.integers(1, 6)))]
+            else:
+                w = random_interval_window(n, int(rng.integers(1, n + 1)), rng)
+                fam = [w] * int(rng.integers(1, 4))
+            mats = certify_rank(fam, hop)
+            svals = [np.linalg.svd(a, compute_uv=False) for a in mats.matrices]
+            threshold = mats.rank_tol * max(float(s[0]) for s in svals)
+            ranks = tuple(int(np.sum(s > threshold)) for s in svals)
+            failing = tuple(m for m, rank in enumerate(ranks) if rank != hop)
+            assert mats.ranks == ranks
+            assert mats.failing == failing
+            assert mats.certified == (not failing)
+            assert (mats.pseudo_inverses is None) == bool(failing)
+            smallest = min(float(np.linalg.svd(a.conj())[1][-1]) for a in mats.matrices)
+            assert mats.report()["singular_value_min"] == smallest
+
+    def test_equality_is_identity(self):
+        fam = chain_family(8, 2, 3, np.random.default_rng(67))
+        mats = certify_rank(fam, 2)
+        assert mats == mats
+        assert certify_rank(fam, 2) != certify_rank(fam, 2)
 
     @pytest.mark.parametrize("rank_tol", [-1.0, float("nan"), float("inf")])
     def test_bad_rank_tol_rejected(self, rank_tol):

@@ -61,6 +61,9 @@ CORPUS = [
     " --noise 1e-4 --min-magnitude 0.5",
     "bounds --n 8 --hop 2 --windows run/windows.json --signal run/signal.json"
     " --noise 1e-4 --out bounds.json",
+    # two rank certificates whose singular_value_min depends on how the gate factors
+    "analyze --n 40 --hop 4 --num-windows 16 --windows chain:4 --seed 0",
+    "simulate --n 96 --hop 4 --num-windows 6 --windows chain:4 --seed 1 --out gate",
     f"verify {_EXACT.replace('42', '13')}",
     f"verify {_EXACT} --out verify.jsonl",
     # exit 1: usage and input errors
