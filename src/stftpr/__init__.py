@@ -37,7 +37,6 @@ from .oracle import (
     stft_direct,
 )
 from .phase import (
-    EdgePhaseEvidence,
     ReconstructionResult,
     default_degenerate_tol,
     edge_phase,
@@ -74,9 +73,7 @@ from .stft import (
 from .supportgraph import (
     SpanningTree,
     SupportGraph,
-    SupportGraphEdge,
     WindowSupport,
-    build_covisibility_graph,
     build_endpoint_graph,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
@@ -94,7 +91,6 @@ __all__ = [
     "DegenerateEdgeError",
     "DimensionMismatchError",
     "DisconnectedGraphError",
-    "EdgePhaseEvidence",
     "ErrorBudget",
     "GlobalPhaseDistance",
     "InvalidPartitionError",
@@ -111,12 +107,10 @@ __all__ = [
     "SpanningTree",
     "StabilityConstants",
     "SupportGraph",
-    "SupportGraphEdge",
     "ThresholdedEstimate",
     "UndefinedBudgetError",
     "WindowSupport",
     "aggregate",
-    "build_covisibility_graph",
     "build_endpoint_graph",
     "certify_rank",
     "compare",

@@ -9,7 +9,8 @@ escapes, shortest round-trip floats, NaN/Infinity tokens) plus a newline;
 ``verify`` writes compact sorted-key JSON lines, and grid CSV rows end in
 CRLF.
 
-Exit codes: 0 success, 1 usage or I/O problem, 2 provably non-retrievable
+Exit codes: 0 success, 1 usage or I/O problem (including a ``verify``
+instance too large for the direct oracle), 2 provably non-retrievable
 (disconnected support graph), 3 certification failure (rank gate or window
 length), 4 degenerate edge (noise overwhelms a needed phase).
 """
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateEdgeError,
     DisconnectedGraphError,
     PhaseRetrievalError,
+    SearchSpaceError,
 )
 from .generators import (
     antipodal_pair_signal,
@@ -40,14 +42,14 @@ from .generators import (
     rectangular_window,
 )
 from .model import DEFAULT_ZERO_TOL, ProblemConfig, as_window_family, phase_distance, support
-from .oracle import compare, measure_direct, stft_direct
+from .oracle import DIRECT_TERM_CAP, compare, stft_direct
 from .phase import reconstruct, reconstruct_compressed
 from .robustness import error_budget, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
 from .supportgraph import (
     SupportGraph,
-    build_endpoint_graph,
+    WindowSupport,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
@@ -159,13 +161,12 @@ def _graph_text(graph: SupportGraph, pad: str) -> str:
     table = [f"[{pair}{r},{pair}{m}{wit}]" for r in range(num_windows) for m in range(num_hops)]
     rows = graph.window.astype(np.intp) * num_hops + graph.hop_index
     texts = [table[i] for i in rows.tolist()]
-    head = "{" + key + '"n": %d,' + key + '"n2": %d,' + key + '"witnesses": '
-    edge = head + "[" + wit + "%s" + key + "]" + item + "}"
-    bare = head + "[]" + item + "}"  # an edge without witnesses, as from_edges allows
+    edge = ("{" + key + '"n": %d,' + key + '"n2": %d,' + key + '"witnesses": ['
+            + wit + "%s" + key + "]" + item + "}")
     sep, bounds = "," + wit, graph.offsets.tolist()
     edges = [
-        edge % (lo, hi, sep.join(texts[a:b])) if a < b else bare % (lo, hi)
-        for (lo, hi), a, b in zip(graph.endpoints.tolist(), bounds, bounds[1:])
+        edge % (lo, hi, sep.join(texts[a:b]))
+        for (lo, hi), a, b in zip(graph.edges.tolist(), bounds, bounds[1:])
     ]
     fields = {k: _json_text(v, inner) for k, v in graph.summary().items()}
     fields["edges"] = "[" + item + ("," + item).join(edges) + inner + "]" if edges else "[]"
@@ -422,15 +423,21 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     _, fam, cfg, x = _instance(args)
-    reports = []
-    for r, w in enumerate(fam):
-        reports.append(
-            compare(f"stft:window={r}", stft(x, w, cfg.hop), stft_direct(x, w, cfg.hop), 1e-10)
+    terms = cfg.num_windows * cfg.num_hops * cfg.n ** 2
+    if terms > DIRECT_TERM_CAP:
+        raise SearchSpaceError(
+            f"verify needs {terms} direct DFT terms (windows * hops * n**2), above "
+            f"the cap of {DIRECT_TERM_CAP}; use a smaller --n or fewer windows"
         )
+    directs = [stft_direct(x, w, cfg.hop) for w in fam]
+    reports = [
+        compare(f"stft:window={r}", stft(x, w, cfg.hop), direct, 1e-10)
+        for r, (w, direct) in enumerate(zip(fam, directs))
+    ]
     grid = measure(x, fam, cfg.hop)
-    reports.append(
-        compare("measure", grid.values, measure_direct(x, fam, cfg.hop).values, 1e-10)
-    )
+    # measure_direct's expression, on the transforms computed above
+    oracle = np.stack([np.abs(direct) ** 2 for direct in directs])
+    reports.append(compare("measure", grid.values, oracle, 1e-10))
     mats = certify_rank(fam, cfg.hop, args.rank_tol)
     if mats.certified:
         agg = aggregate(grid, fam, cfg.zero_tol)
@@ -438,18 +445,27 @@ def cmd_verify(args) -> int:
         reports.append(
             compare("magnitudes", mag.magnitudes_sq, np.abs(x) ** 2, 1e-9)
         )
+        # every witness of every endpoint-graph edge, in (edge, window, hop) order
         supports = [window_support(w, cfg.zero_tol) for w in fam]
-        graph = build_endpoint_graph(x, fam, cfg.hop, cfg.zero_tol)
-        for edge in graph.edges:
-            for r, m in edge.witnesses:
-                ws = supports[r]
-                n1, n2 = endpoint_witness(ws, cfg.hop, m, cfg.n)
-                far = ws.far(cfg.n)
-                lhs = cfg.n * agg.correlation[r, m]
-                rhs = x[n1] * np.conj(x[n2]) * fam[r, ws.anchor] * np.conj(fam[r, far])
-                reports.append(
-                    compare(f"edge:{edge.endpoints}:witness=({r},{m})", lhs, rhs, 1e-10)
-                )
+        graph = endpoint_graph_from_support(
+            support(x, cfg.zero_tol), fam, cfg.hop, cfg.zero_tol, supports=supports
+        )
+        r, m = graph.window, graph.hop_index
+        ws = WindowSupport(
+            length=np.array([s.length for s in supports])[r],
+            anchor=np.array([s.anchor for s in supports])[r],
+        )
+        n1, n2 = endpoint_witness(ws, cfg.hop, m, cfg.n)
+        ends = np.repeat(graph.edges, np.diff(graph.offsets), axis=0)
+        xs = x.tolist()
+        cols = (ends.tolist(), r.tolist(), m.tolist(), n1.tolist(), n2.tolist(),
+                (cfg.n * agg.correlation[r, m]).tolist(),
+                fam[r, ws.anchor].tolist(), fam[r, ws.far(cfg.n)].tolist())
+        for (lo, hi), window, hop, i, j, lhs, near, far in zip(*cols):
+            # Python complex products: vectorised ones can round differently
+            rhs = xs[i] * xs[j].conjugate() * near * far.conjugate()
+            case = f"edge:({lo}, {hi}):witness=({window},{hop})"
+            reports.append(compare(case, lhs, rhs, 1e-10))
     lines = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
     if args.out is None or args.out == "-":
         sys.stdout.write(lines)

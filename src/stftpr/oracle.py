@@ -20,6 +20,9 @@ from .spectral import ModulationMatrices
 from .stft import MeasurementGrid, measure
 
 SEARCH_CANDIDATE_CAP = 10 ** 6
+# terms of the triple-loop DFT (windows * hops * n**2) that ``verify`` may
+# run; at about a microsecond per term, a few seconds of oracle time
+DIRECT_TERM_CAP = 4 * 10 ** 6
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,15 @@ x(n1)*conj(x(n2)), and a spanning-tree walk anchored at the smallest
 support index (phase 0 by convention) assembles the full signal from the
 recovered magnitudes.
 
-Edge phases come from one edge-phase table, built in a single array pass
-over the endpoint graph's witness arrays and the (window, hop) correlation
-table.  Any one witness determines an edge's phase, because the correlation
-collapses to a single term, so each edge takes its witness of largest
-evidence magnitude (the most robust to noise), ties going to the smaller
-(window, hop); that evidence must clear the degeneracy tolerance.  The
-spanning tree's edge-row array picks the tree edges' phases, oriented from
-parent to child, and :func:`propagate` multiplies them along the tree in
-discovery order; the remaining edges give the residuals of the redundant
+:func:`edge_phase` gives every edge of the endpoint graph its phase in a
+single array pass over the graph's witness arrays and the (window, hop)
+correlation table.  Any one witness determines an edge's phase, because the
+correlation collapses to a single term, so each edge takes its witness of
+largest evidence magnitude (the most robust to noise), ties going to the
+smaller (window, hop); that evidence must clear the degeneracy tolerance.
+The spanning tree's ``edges`` array picks the tree edges' phases, oriented
+from parent to child, and :func:`propagate` multiplies them along the tree
+in discovery order; the remaining edges give the residuals of the redundant
 edges.
 
 :func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
@@ -49,7 +49,6 @@ from .stft import AggregateMeasurements, MeasurementGrid, aggregate
 from .supportgraph import (
     SpanningTree,
     SupportGraph,
-    SupportGraphEdge,
     WindowSupport,
     endpoint_graph_from_support,
     endpoint_witness,
@@ -57,25 +56,6 @@ from .supportgraph import (
     spanning_tree,
     window_support,
 )
-
-
-@dataclass(frozen=True)
-class EdgePhaseEvidence:
-    """Relative phase of one edge, with the witness that produced it.
-
-    ``n1``/``n2`` follow the endpoint convention above (n1 sees the window
-    anchor, n2 the far endpoint).  ``evidence`` is the correlation value
-    backing the edge; ``relative_phase`` is the unit phasor of
-    ``x(n1) * conj(x(n2))``.
-    """
-
-    n1: int
-    n2: int
-    window: int
-    hop_index: int
-    evidence: complex
-    window_phase: complex
-    relative_phase: complex
 
 
 @dataclass(frozen=True)
@@ -106,13 +86,6 @@ def default_degenerate_tol(n: int, noise_level: float) -> float:
     return n * noise_level + 1e-12
 
 
-def _resolve_degenerate_tol(degenerate_tol: float | None, n: int, noise_level: float) -> float:
-    if degenerate_tol is None:
-        return default_degenerate_tol(n, noise_level)
-    check_tolerance("degenerate_tol", degenerate_tol)
-    return degenerate_tol
-
-
 def _modulus(z: np.ndarray) -> np.ndarray:
     # equal to Python's abs(complex) bit for bit; np.abs on complex arrays can
     # differ in the last bit, which would move ties and tolerance decisions
@@ -127,14 +100,13 @@ class _EdgeTable:
     their other entries are meaningless.
     """
 
-    endpoints: np.ndarray
+    edges: np.ndarray
     usable: np.ndarray
     window: np.ndarray
     hop_index: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
     evidence: np.ndarray
-    window_phase: np.ndarray
     relative_phase: np.ndarray
     degenerate_tol: float
     noise_level: float
@@ -145,7 +117,7 @@ class _EdgeTable:
         if not bad.size:
             return
         i = int(rows[bad[0]])
-        ends = tuple(self.endpoints[i].tolist())
+        ends = tuple(self.edges[i].tolist())
         if not self.usable[i]:
             raise DegenerateEdgeError(
                 f"edge {ends} has no witness with supporting length >= 2", endpoints=ends
@@ -162,7 +134,7 @@ class _EdgeTable:
         out = []
         for i, a, b, w, h in zip(rows.tolist(), *(c[rows].tolist() for c in cols)):
             if w < 0:
-                a, b = self.endpoints[i].tolist()
+                a, b = self.edges[i].tolist()
                 out.append({"n1": a, "n2": b})
             else:
                 out.append({"n1": a, "n2": b, "window": w, "hop_index": h})
@@ -174,7 +146,7 @@ class _EdgeTable:
         Every tree edge must have a phase; the diagnostics are the witnesses
         used and the smallest evidence magnitude.
         """
-        rows = tree.edge_row
+        rows = tree.edges
         n1, n2 = self.n1[rows], self.n2[rows]
         forward = tree.child == n1
         if not np.where(forward, tree.parent == n2, (tree.child == n2) & (tree.parent == n1)).all():
@@ -200,22 +172,24 @@ class _EdgeTable:
         return out
 
 
-def _edge_table(
+def edge_phase(
     graph: SupportGraph,
     agg: AggregateMeasurements,
     fam: np.ndarray,
     supports: list[WindowSupport],
     degenerate_tol: float,
 ) -> _EdgeTable:
-    """Relative phase of every edge in one array pass over the correlation table.
+    """Relative phase of every edge of ``graph`` in one array pass over the correlation table.
 
-    Witnesses of windows with supporting length 1 are unusable.  Each edge
-    takes the usable witness of largest evidence magnitude, ties going to the
-    smaller (window, hop), provided it clears ``degenerate_tol``.
+    ``fam`` is a validated window family and ``supports`` its window
+    supports.  Witnesses of windows with supporting length 1 are unusable.
+    Each edge takes the usable witness of largest evidence magnitude, ties
+    going to the smaller (window, hop), provided it clears ``degenerate_tol``;
+    an edge without one gets window -1, and ``raise_degenerate`` names it.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
-    num_edges = len(graph.endpoints)
+    num_edges = len(graph.edges)
     lengths = np.array([ws.length for ws in supports])
     eid = np.repeat(np.arange(num_edges), np.diff(graph.offsets))
     keep = lengths[graph.window] >= 2
@@ -234,7 +208,7 @@ def _edge_table(
     # a support whose fields are per-witness arrays maps every chosen witness at once
     ws = WindowSupport(length=lengths[r], anchor=np.array([s.anchor for s in supports])[r])
     n1, n2 = endpoint_witness(ws, hop, m, n)
-    ends = graph.endpoints[chosen]
+    ends = graph.edges[chosen]
     match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
     if not match.all():
         k = int(np.argmin(match))
@@ -252,46 +226,17 @@ def _edge_table(
         return out
 
     return _EdgeTable(
-        endpoints=graph.endpoints,
+        edges=graph.edges,
         usable=usable,
         window=per_edge(r, -1),
         hop_index=per_edge(m, -1),
         n1=per_edge(n1, -1),
         n2=per_edge(n2, -1),
         evidence=per_edge(value, 0),
-        window_phase=per_edge(wp, 0),
         relative_phase=per_edge(rel, 0),
         degenerate_tol=degenerate_tol,
         noise_level=agg.noise_level,
     )
-
-
-def edge_phase(
-    edge: SupportGraphEdge,
-    agg: AggregateMeasurements,
-    windows,
-    degenerate_tol: float | None = None,
-) -> EdgePhaseEvidence:
-    """Extract the relative phase of one endpoint-graph edge.
-
-    The edge's usable witness with the largest evidence magnitude is chosen
-    (the most noise-robust choice), ties going to the smaller (window, hop),
-    and its evidence must clear the degeneracy tolerance; otherwise the edge
-    is unusable at this noise level.
-
-    This is the edge-phase table of the reconstruction pipeline run on a
-    single edge; ``windows`` are validated on every call.
-    """
-    fam = as_window_family(windows)
-    supports = [window_support(w) for w in fam]
-    tol = _resolve_degenerate_tol(degenerate_tol, fam.shape[1], agg.noise_level)
-    graph = SupportGraph.from_edges("endpoint", edge.endpoints, (edge,))
-    table = _edge_table(graph, agg, fam, supports, tol)
-    table.raise_degenerate(np.zeros(1, dtype=np.intp))
-    return EdgePhaseEvidence(*(c[0].item() for c in (
-        table.n1, table.n2, table.window, table.hop_index, table.evidence,
-        table.window_phase, table.relative_phase,
-    )))
 
 
 def propagate(
@@ -372,7 +317,10 @@ def _run_pipeline(
     rank_tol: float | None,
     degenerate_tol: float | None,
 ) -> ReconstructionResult:
-    degenerate_tol = _resolve_degenerate_tol(degenerate_tol, cfg.n, agg.noise_level)
+    if degenerate_tol is None:
+        degenerate_tol = default_degenerate_tol(cfg.n, agg.noise_level)
+    else:
+        check_tolerance("degenerate_tol", degenerate_tol)
     mats = certify_rank(fam, cfg.hop, rank_tol)
     magnitudes = recover_magnitudes(agg, mats, cfg)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
@@ -406,12 +354,12 @@ def _run_pipeline(
             f"length; edge phases would be ambiguous",
             failing=too_long,
         )
-    table = _edge_table(graph, agg, fam, supports, degenerate_tol)
-    table.raise_degenerate(tree.edge_row)
+    table = edge_phase(graph, agg, fam, supports, degenerate_tol)
+    table.raise_degenerate(tree.edges)
     phases, used = table.along(tree)
     result = replace(propagate(tree, magnitudes, phases, detected), modulation=mats)
     result.diagnostics.update(**used, **diagnostics)
-    nontree = np.setdiff1d(np.arange(len(graph.endpoints)), tree.edge_row)
+    nontree = np.setdiff1d(np.arange(len(graph.edges)), tree.edges)
     result.diagnostics["nontree_residuals"] = table.residuals(nontree, result.estimate)
     return result
 

@@ -15,17 +15,16 @@ Two graphs on the signal's support drive everything:
   covisibility graph, and its connectivity - together with short windows and
   full-rank modulation matrices - is sufficient for recovery.
 
-Both graphs are undirected, immutable, and held as arrays: a sorted
-``(E, 2)`` endpoint array and CSR witness arrays, which the builders fill
-from one ``lexsort`` over the flat (edge, window, hop) witnesses.  The
-spanning tree comes from one breadth-first search over a CSR adjacency and is
-held as parent, child and edge-row arrays in discovery order.  The
-``SupportGraphEdge`` and ``TreeEdge`` records are views built on demand.
+Both graphs are undirected, immutable, and held as arrays: ``edges``, a
+sorted ``(E, 2)`` array of endpoint pairs, and CSR witness arrays, which the
+builders fill from one ``lexsort`` over the flat (edge, window, hop)
+witnesses.  The spanning tree comes from one breadth-first search over a CSR
+adjacency and is held as parent, child and edge arrays in discovery order,
+its ``edges`` being rows of the graph's ``edges``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,35 +89,6 @@ def window_support(w, zero_tol: float = DEFAULT_ZERO_TOL) -> WindowSupport:
     return WindowSupport(length=n + 1 - int(gaps[best]), anchor=int(nonzero[best]))
 
 
-@dataclass(frozen=True)
-class SupportGraphEdge:
-    """Undirected edge between two support indices with its witness list.
-
-    Each witness is a (window, hop) pair recording which windowed section
-    certified the edge.
-    """
-
-    endpoints: tuple[int, int]
-    witnesses: tuple[tuple[int, int], ...]
-
-
-class _Records(Sequence):
-    """Records built from array rows on first iteration or indexing; ``len`` builds none."""
-
-    def __init__(self, size: int, build):
-        self._size, self._build = size, build
-
-    @cached_property
-    def _all(self) -> tuple:
-        return self._build()
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, i):
-        return self._all[i]
-
-
 def _ints(values) -> np.ndarray:
     return np.array(values, dtype=np.intp)
 
@@ -127,43 +97,19 @@ def _ints(values) -> np.ndarray:
 class SupportGraph:
     """Support graph with a variant tag ("covisibility" or "endpoint"), held as arrays.
 
-    ``endpoints`` is an ``(E, 2)`` array of (lo, hi) support indices, one row
-    per edge; the builders sort the rows.  Edge ``i``'s witnesses are the
-    (window, hop) pairs ``(window[j], hop_index[j])`` for ``offsets[i] <= j <
-    offsets[i + 1]``, in (window, hop) order.  ``edges`` shows the same edges
-    as ``SupportGraphEdge`` records.  Everything is computed once per graph
-    and shared; treat it as read-only.
+    ``edges`` is an ``(E, 2)`` array of (lo, hi) support indices, one row per
+    edge; the builders sort the rows.  Edge ``i``'s witnesses are the (window,
+    hop) pairs ``(window[j], hop_index[j])`` for ``offsets[i] <= j <
+    offsets[i + 1]``, in (window, hop) order, and every edge has at least one.
+    Everything is computed once per graph and shared; treat it as read-only.
     """
 
     variant: str
     vertices: tuple[int, ...]
-    endpoints: np.ndarray
+    edges: np.ndarray
     offsets: np.ndarray
     window: np.ndarray
     hop_index: np.ndarray
-
-    @classmethod
-    def from_edges(cls, variant: str, vertices, edges) -> SupportGraph:
-        """Graph from ``SupportGraphEdge`` records, kept in the given order."""
-        edges = tuple(edges)
-        verts = tuple(sorted({int(v) for v in vertices}))
-        ends = _ints([e.endpoints for e in edges]).reshape(-1, 2)
-        offsets = np.cumsum(_ints([0, *(len(e.witnesses) for e in edges)]))
-        window, hop_index = _ints([w for e in edges for w in e.witnesses]).reshape(-1, 2).T
-        return cls(variant, verts, ends, offsets, window, hop_index)
-
-    def _rows(self, pair) -> list:
-        """(lo, hi, witnesses) of every edge, each witness built by ``pair(window, hop)``."""
-        pairs = list(map(pair, self.window.tolist(), self.hop_index.tolist()))
-        bounds = self.offsets.tolist()
-        ends = self.endpoints.tolist()
-        return [(lo, hi, pairs[a:b]) for (lo, hi), a, b in zip(ends, bounds, bounds[1:])]
-
-    @cached_property
-    def edges(self) -> Sequence[SupportGraphEdge]:
-        return _Records(len(self.endpoints), lambda: tuple(
-            SupportGraphEdge((lo, hi), tuple(w)) for lo, hi, w in self._rows(lambda r, m: (r, m))
-        ))
 
     @cached_property
     def _forest(self) -> list[tuple[list[int], list[int], list[int], int]]:
@@ -172,7 +118,7 @@ class SupportGraph:
         Per component: its vertices in discovery order, the parent and edge
         row of each vertex after the first, and its depth.
         """
-        src, dst = np.concatenate((self.endpoints, self.endpoints[:, ::-1])).T
+        src, dst = np.concatenate((self.edges, self.edges[:, ::-1])).T
         order = np.lexsort((dst, src))
         depth = [-1] * (self.vertices[-1] + 1 if self.vertices else 0)
         starts = np.searchsorted(src[order], np.arange(len(depth) + 1)).tolist()
@@ -182,16 +128,16 @@ class SupportGraph:
             if depth[root] >= 0:
                 continue
             depth[root] = 0
-            queue, parent, edge_row = [root], [], []
+            queue, parent, tree_edges = [root], [], []
             for v in queue:  # the queue grows while it is walked
                 for i in range(starts[v], starts[v + 1]):
                     u = nbrs[i]
                     if depth[u] < 0:
                         depth[u] = depth[v] + 1
                         parent.append(v)
-                        edge_row.append(rows[i])
+                        tree_edges.append(rows[i])
                         queue.append(u)
-            forest.append((queue, parent, edge_row, depth[queue[-1]]))
+            forest.append((queue, parent, tree_edges, depth[queue[-1]]))
         return forest
 
     def components(self) -> list[list[int]]:
@@ -210,10 +156,13 @@ class SupportGraph:
 
     def to_dict(self) -> dict:
         """Certificate payload: the summary plus the edges with their witnesses."""
+        pairs = [[r, m] for r, m in zip(self.window.tolist(), self.hop_index.tolist())]
+        bounds = self.offsets.tolist()
         return {
             **self.summary(),
             "edges": [
-                {"n": lo, "n2": hi, "witnesses": w} for lo, hi, w in self._rows(lambda r, m: [r, m])
+                {"n": lo, "n2": hi, "witnesses": pairs[a:b]}
+                for (lo, hi), a, b in zip(self.edges.tolist(), bounds, bounds[1:])
             ],
         }
 
@@ -273,15 +222,6 @@ def covisibility_graph_from_support(
     return _section_graph("covisibility", vertices, n, sections)
 
 
-def build_covisibility_graph(
-    x, windows, hop: int, zero_tol: float = DEFAULT_ZERO_TOL
-) -> SupportGraph:
-    """Covisibility graph of a signal: vertices are its support indices."""
-    return covisibility_graph_from_support(
-        support(x, zero_tol), windows, hop, zero_tol
-    )
-
-
 def endpoint_graph_from_support(
     vertices,
     windows,
@@ -314,22 +254,13 @@ def build_endpoint_graph(
     return endpoint_graph_from_support(support(x, zero_tol), windows, hop, zero_tol)
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    """Spanning-tree edge oriented from the earlier-discovered vertex."""
-
-    parent: int
-    child: int
-    edge: SupportGraphEdge
-
-
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
     """BFS spanning tree of ``graph``, as arrays in discovery order.
 
     Tree edge ``k`` joins ``parent[k]``, found earlier, to ``child[k]`` through
-    graph edge row ``edge_row[k]``; ``root`` is None on an empty graph.
-    ``edges`` shows the same edges as ``TreeEdge`` records.
+    graph edge row ``edges[k]``, so ``graph.edges[tree.edges]`` holds the tree
+    edges' endpoint pairs; ``root`` is None on an empty graph.
     """
 
     graph: SupportGraph
@@ -337,14 +268,7 @@ class SpanningTree:
     depth: int
     parent: np.ndarray
     child: np.ndarray
-    edge_row: np.ndarray
-
-    @cached_property
-    def edges(self) -> Sequence[TreeEdge]:
-        return _Records(len(self.child), lambda: tuple(
-            TreeEdge(p, c, self.graph.edges[i])
-            for p, c, i in zip(self.parent.tolist(), self.child.tolist(), self.edge_row.tolist())
-        ))
+    edges: np.ndarray
 
 
 def spanning_tree(graph: SupportGraph) -> SpanningTree:
@@ -360,8 +284,8 @@ def spanning_tree(graph: SupportGraph) -> SpanningTree:
         raise DisconnectedGraphError(
             f"support graph has {len(comps)} components: {comps}", components=comps
         )
-    queue, parent, edge_row, depth = graph._forest[0] if graph.vertices else ([None], [], [], 0)
-    return SpanningTree(graph, queue[0], depth, _ints(parent), _ints(queue[1:]), _ints(edge_row))
+    queue, parent, tree_edges, depth = graph._forest[0] if graph.vertices else ([None], [], [], 0)
+    return SpanningTree(graph, queue[0], depth, _ints(parent), _ints(queue[1:]), _ints(tree_edges))
 
 
 def rotate_component_phase(

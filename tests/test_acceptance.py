@@ -13,10 +13,10 @@ import pytest
 from stftpr import (
     ProblemConfig,
     aggregate,
-    build_covisibility_graph,
     build_endpoint_graph,
     certify_rank,
     corrupt,
+    covisibility_graph_from_support,
     error_budget,
     exhaustive_ambiguity_search,
     is_connected,
@@ -30,6 +30,7 @@ from stftpr import (
     stability_constants,
     stft,
     stft_direct,
+    support,
     threshold_support,
 )
 from stftpr.errors import CertificationError
@@ -93,7 +94,7 @@ def test_criterion_3_necessary_condition():
     rng = np.random.default_rng(333)
     fam = [random_interval_window(n, L, rng) for L in (2, 4, 3)]
     x0 = antipodal_pair_signal(n)
-    graph = build_covisibility_graph(x0, fam, hop=1)
+    graph = covisibility_graph_from_support(support(x0), fam, hop=1)
     assert not is_connected(graph)
     base = measure(x0, fam, hop=1).values
     thetas = [0.05, 0.1, 0.2, 0.25, 0.4, 0.55, 0.7, 0.9]

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from stftpr import cli, spectral
 from stftpr.cli import _dump_json, main
 from stftpr.generators import chain_family, random_signal
+from stftpr.model import support
+from stftpr.oracle import DIRECT_TERM_CAP
 from stftpr.spectral import certify_rank
 from stftpr.supportgraph import (
-    build_covisibility_graph,
     build_endpoint_graph,
+    covisibility_graph_from_support,
     is_connected,
     long_windows,
     window_support,
@@ -365,7 +368,8 @@ class TestAnalyze:
         rng = np.random.default_rng(seed)
         fam = chain_family(40, 4, 16, rng)
         x = random_signal(40, rng)
-        cov, end = build_covisibility_graph(x, fam, 4), build_endpoint_graph(x, fam, 4)
+        cov = covisibility_graph_from_support(support(x), fam, 4)
+        end = build_endpoint_graph(x, fam, 4)
         mats = certify_rank(fam, 4)
         short = not long_windows([window_support(w) for w in fam], 40)
         assert is_connected(cov) and is_connected(end) and short and mats.certified
@@ -447,6 +451,37 @@ class TestVerify:
         assert all(line["pass"] for line in lines)
         cases = {line["case_id"] for line in lines}
         assert "measure" in cases and "magnitudes" in cases
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_one_line_per_endpoint_witness(self, capsys, seed):
+        # chain:4 windows on n=16, hop 4: the endpoint graph's witnesses, every one checked
+        code = run(
+            "verify", "--n", 16, "--hop", 4, "--num-windows", 6,
+            "--windows", "chain:4", "--signal", "random", "--seed", seed,
+        )
+        assert code == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        rng = np.random.default_rng(seed)
+        fam = chain_family(16, 4, 6, rng)
+        graph = build_endpoint_graph(random_signal(16, rng), fam, 4)
+        edges = [line for line in lines if line["case_id"].startswith("edge:")]
+        assert graph.offsets[-1] > 0 and len(edges) == graph.offsets[-1]
+        assert len(lines) == len(edges) + 6 + 2  # stft per window, measure, magnitudes
+        assert all(line["pass"] for line in lines)
+
+    def test_size_cap_exits_one(self, capsys):
+        # 6 windows * 64 hops * 256**2 direct terms, about six times the cap
+        start = time.perf_counter()
+        code = run(
+            "verify", "--n", 256, "--hop", 4, "--num-windows", 6,
+            "--windows", "chain:4", "--signal", "random", "--seed", 1,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the cap of {DIRECT_TERM_CAP}" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_usage_error_exits_one(capsys):

@@ -13,7 +13,6 @@ from stftpr import (
     aggregate,
     build_endpoint_graph,
     corrupt,
-    edge_phase,
     measure,
     phase_distance,
     reconstruct,
@@ -30,11 +29,37 @@ from stftpr.errors import (
     InvalidWindowError,
 )
 from stftpr.generators import certified_instance, random_interval_window
-from stftpr.supportgraph import SupportGraph, SupportGraphEdge, endpoint_witness
+from stftpr.supportgraph import endpoint_witness
+
+from conftest import graph_from_lists, witness_lists
 
 
 def _edge(graph, a, b):
-    return next(e for e in graph.edges if e.endpoints == (min(a, b), max(a, b)))
+    """Endpoints and witness list of the graph's edge joining ``a`` and ``b``."""
+    ends = (min(a, b), max(a, b))
+    return ends, witness_lists(graph)[ends]
+
+
+def _single_edge_phase(edge, agg, fam):
+    """``phase.edge_phase`` on the one-edge graph of ``edge = ((lo, hi), witnesses)``.
+
+    Returns ``(n1, n2, window, hop_index, relative_phase)`` of the chosen
+    witness, checked against :func:`_reference_edge_phase`, and raises
+    ``DegenerateEdgeError`` as the pipeline does when no witness clears the
+    pipeline's default tolerance.
+    """
+    fam = np.asarray(fam, dtype=complex)
+    degenerate_tol = phase.default_degenerate_tol(fam.shape[1], agg.noise_level)
+    supports = [window_support(w) for w in fam]
+    graph = graph_from_lists("endpoint", edge[0], [edge])
+    table = phase.edge_phase(graph, agg, fam, supports, degenerate_tol)
+    want = _reference_edge_phase(edge[1], agg, fam, supports, degenerate_tol)
+    assert (want is None) == (table.window[0] < 0)
+    table.raise_degenerate(np.zeros(1, dtype=np.intp))
+    cols = (table.n1, table.n2, table.window, table.hop_index, table.relative_phase)
+    got = tuple(c[0].item() for c in cols)
+    assert got[:4] == want[:4] and abs(got[4] - want[4]) <= 1e-12
+    return got
 
 
 class TestEdgePhase:
@@ -43,17 +68,17 @@ class TestEdgePhase:
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
         g = build_endpoint_graph(x, fam, 1)
-        ev = edge_phase(_edge(g, 0, 3), agg, fam)
-        assert ev.relative_phase == pytest.approx(1.0, abs=1e-12)
+        *_, rel = _single_edge_phase(_edge(g, 0, 3), agg, fam)
+        assert rel == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn(self):
         x = np.array([1j, 1, 1, 1], dtype=complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
         g = build_endpoint_graph(x, fam, 1)
-        ev = edge_phase(_edge(g, 0, 3), agg, fam)
-        assert (ev.n1, ev.n2) == (0, 3)  # hop 0 sees the anchor at index 0
-        assert ev.relative_phase == pytest.approx(1j, abs=1e-12)
+        n1, n2, _, _, rel = _single_edge_phase(_edge(g, 0, 3), agg, fam)
+        assert (n1, n2) == (0, 3)  # hop 0 sees the anchor at index 0
+        assert rel == pytest.approx(1j, abs=1e-12)
 
     def test_derived_tap_window(self):
         rng = np.random.default_rng(91)
@@ -64,10 +89,10 @@ class TestEdgePhase:
         g = build_endpoint_graph(x, fam, 1)
         for m in range(n):
             n1, n2 = m % n, (m - 2) % n
-            ev = edge_phase(_edge(g, n1, n2), agg, fam)
-            want = x[ev.n1] * np.conj(x[ev.n2])
+            a, b, _, _, rel = _single_edge_phase(_edge(g, n1, n2), agg, fam)
+            want = x[a] * np.conj(x[b])
             want /= abs(want)
-            assert abs(ev.relative_phase - want) <= 1e-9
+            assert abs(rel - want) <= 1e-9
 
     def test_identity_against_known_signal(self):
         rng = np.random.default_rng(97)
@@ -75,11 +100,12 @@ class TestEdgePhase:
         x, fam = certified_instance(n, hop, 4, rng)
         agg = aggregate(measure(x, fam, hop), fam)
         g = build_endpoint_graph(x, fam, hop)
-        for edge in g.edges:
-            ev = edge_phase(edge, agg, fam)
-            want = x[ev.n1] * np.conj(x[ev.n2])
+        assert len(g.edges)
+        for edge in witness_lists(g).items():
+            a, b, _, _, rel = _single_edge_phase(edge, agg, fam)
+            want = x[a] * np.conj(x[b])
             want /= abs(want)
-            assert abs(ev.relative_phase - want) <= 1e-10
+            assert abs(rel - want) <= 1e-10
 
     def test_degenerate_when_evidence_vanishes(self):
         # a frequency-constant grid has zero correlation for any span >= 1
@@ -89,7 +115,7 @@ class TestEdgePhase:
         flat = MeasurementGrid(values=np.ones((1, 4, 4)), noise_level=0.05)
         agg = aggregate(flat, fam)
         with pytest.raises(DegenerateEdgeError) as err:
-            edge_phase(_edge(g, 0, 3), agg, fam)
+            _single_edge_phase(_edge(g, 0, 3), agg, fam)
         assert err.value.endpoints == (0, 3)
 
 
@@ -109,7 +135,7 @@ class TestPropagate:
     def test_single_vertex(self):
         from stftpr.phase import propagate
 
-        tree = spanning_tree(SupportGraph.from_edges("endpoint", (2,), ()))
+        tree = spanning_tree(graph_from_lists("endpoint", (2,), []))
         res = propagate(tree, self._magnitudes([0, 0, 4.0, 0]), [], (2,))
         assert res.estimate[2] == pytest.approx(2.0)
         assert res.root_vertex == 2
@@ -117,8 +143,7 @@ class TestPropagate:
     def test_opposite_phases(self):
         from stftpr.phase import propagate
 
-        edge = SupportGraphEdge(endpoints=(0, 1), witnesses=((0, 0),))
-        tree = spanning_tree(SupportGraph.from_edges("endpoint", (0, 1), (edge,)))
+        tree = spanning_tree(graph_from_lists("endpoint", (0, 1), [((0, 1), [(0, 0)])]))
         assert (tree.parent.tolist(), tree.child.tolist(), tree.depth) == ([0], [1], 1)
         # the phasor of x(1) * conj(x(0)), carrying the root's phase to its child
         res = propagate(tree, self._magnitudes([1.0, 1.0]), [-1.0 + 0j], (0, 1))
@@ -128,7 +153,7 @@ class TestPropagate:
     def test_non_spanning_tree_rejected(self):
         from stftpr.phase import propagate
 
-        tree = spanning_tree(SupportGraph.from_edges("endpoint", (0,), ()))
+        tree = spanning_tree(graph_from_lists("endpoint", (0,), []))
         with pytest.raises(RuntimeError):
             propagate(tree, self._magnitudes([1.0, 1.0]), [], (0, 1))
 
@@ -227,14 +252,14 @@ class TestReconstruct:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.5, 1.5, n)
         agg = aggregate(measure(x, fam, 1), fam)
         graph = build_endpoint_graph(x, fam, 1)
-        assert graph.edges and all(len(e.witnesses) == 2 for e in graph.edges)
-        for edge in graph.edges:
+        edges = witness_lists(graph)
+        assert edges and all(len(ws) == 2 for ws in edges.values())
+        for ends, witnesses in edges.items():
             phases = []
-            for witness in edge.witnesses:
-                ev = edge_phase(SupportGraphEdge(edge.endpoints, (witness,)), agg, fam)
+            for witness in witnesses:
+                n1, n2, _, _, rel = _single_edge_phase((ends, [witness]), agg, fam)
                 # x(lo) * conj(x(hi)), whichever endpoint the witness calls n1
-                rel = ev.relative_phase
-                phases.append(rel if (ev.n1, ev.n2) == edge.endpoints else rel.conjugate())
+                phases.append(rel if (n1, n2) == ends else rel.conjugate())
             assert abs(phases[1] - phases[0]) <= 1e-9
 
     def test_sign_bookkeeping_both_walk_directions(self):
@@ -347,8 +372,8 @@ class TestReconstructCompressed:
         assert np.all(res.estimate == 0)
 
 
-def _reference_edge_phase(edge, agg, fam, supports, tol):
-    """The per-edge witness loop that the edge-phase table replaced.
+def _reference_edge_phase(witnesses, agg, fam, supports, tol):
+    """The per-edge witness loop that the array pass of ``edge_phase`` replaced.
 
     Witnesses are tried strongest evidence first, ties going to the smaller
     (window, hop).
@@ -358,7 +383,7 @@ def _reference_edge_phase(edge, agg, fam, supports, tol):
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
-    usable = [(r, m) for (r, m) in edge.witnesses if supports[r].length >= 2]
+    usable = [(r, m) for (r, m) in witnesses if supports[r].length >= 2]
     if not usable:
         return None
     mags = [abs(agg.correlation[r, m]) for (r, m) in usable]
@@ -399,9 +424,9 @@ class TestEdgeTable:
         graph = build_endpoint_graph(x, fam, hop)
         # a tolerance among the evidence magnitudes leaves some edges degenerate
         tol = data.draw(st.sampled_from([0.0, *np.quantile(np.abs(agg.correlation), [0.3, 0.7])]))
-        table = phase._edge_table(graph, agg, fam, supports, tol)
-        for i, edge in enumerate(graph.edges):
-            want = _reference_edge_phase(edge, agg, fam, supports, tol)
+        table = phase.edge_phase(graph, agg, fam, supports, tol)
+        for i, witnesses in enumerate(witness_lists(graph).values()):
+            want = _reference_edge_phase(witnesses, agg, fam, supports, tol)
             if want is None:
                 assert table.window[i] == -1
                 continue
@@ -417,23 +442,21 @@ class TestEdgeTable:
         x = np.ones(4, complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex), np.array([0, 2, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        only_short = SupportGraphEdge(endpoints=(0, 3), witnesses=((1, 0),))
         with pytest.raises(DegenerateEdgeError, match="supporting length >= 2"):
-            edge_phase(only_short, agg, fam)
-        mixed = SupportGraphEdge(endpoints=(0, 3), witnesses=((0, 0), (1, 0)))
-        ev = edge_phase(mixed, agg, fam)
-        assert (ev.window, ev.hop_index, ev.n1, ev.n2) == (0, 0, 0, 3)
+            _single_edge_phase(((0, 3), [(1, 0)]), agg, fam)
+        n1, n2, window, hop, _ = _single_edge_phase(((0, 3), [(0, 0), (1, 0)]), agg, fam)
+        assert (window, hop, n1, n2) == (0, 0, 0, 3)
 
     def test_evidence_ties_go_to_the_smaller_window(self):
         # edge (0, 3) is witnessed by window 0 at hop 1 and by window 1 at hop 0
         fam = [np.array([0, 1, 1, 0], dtype=complex), np.array([1, 1, 0, 0], dtype=complex)]
-        edge = SupportGraphEdge(endpoints=(0, 3), witnesses=((1, 0), (0, 1)))
+        edge = ((0, 3), [(0, 1), (1, 0)])
         for strength, want in ((0.25, (0, 1)), (0.5, (1, 0))):
             corr = np.zeros((2, 4), dtype=complex)
             corr[0, 1], corr[1, 0] = 0.25, strength * 1j
             agg = AggregateMeasurements(energy=np.ones((2, 4)), correlation=corr)
-            ev = edge_phase(edge, agg, fam)
-            assert (ev.window, ev.hop_index, ev.n1, ev.n2) == (*want, 0, 3)
+            n1, n2, window, hop, _ = _single_edge_phase(edge, agg, fam)
+            assert (window, hop, n1, n2) == (*want, 0, 3)
 
     def test_degenerate_nontree_edge_reports_none(self):
         # find an instance whose weakest non-tree edge sits below every tree edge,
@@ -444,10 +467,10 @@ class TestEdgeTable:
             grid = measure(x, fam, 1)
             agg = aggregate(grid, fam)
             graph = build_endpoint_graph(x, fam, 1)
-            tree = {te.edge.endpoints for te in spanning_tree(graph).edges}
+            tree = set(map(tuple, graph.edges[spanning_tree(graph).edges].tolist()))
             best = {
-                e.endpoints: max(abs(agg.correlation[r, m]) for r, m in e.witnesses)
-                for e in graph.edges
+                ends: max(abs(agg.correlation[r, m]) for r, m in witnesses)
+                for ends, witnesses in witness_lists(graph).items()
             }
             floor = min(best[p] for p in tree)
             weak = [p for p in best if p not in tree and best[p] < floor]
@@ -483,24 +506,24 @@ class TestTolerances:
         grid = measure(x, fam, 2)
         with pytest.raises(ConfigurationError, match="degenerate_tol"):
             reconstruct(grid, fam, ProblemConfig(8, 2, 3), degenerate_tol=tol)
-        agg = aggregate(grid, fam)
-        edge = build_endpoint_graph(x, fam, 2).edges[0]
         with pytest.raises(ConfigurationError, match="degenerate_tol"):
-            edge_phase(edge, agg, fam, degenerate_tol=tol)
+            reconstruct_compressed(
+                aggregate(grid, fam), fam, ProblemConfig(8, 2, 3), degenerate_tol=tol
+            )
 
 
 def _dict_walk(tree, table, amps, verts):
     """The evidence-dict walk the array walk replaced, one Python complex product per edge."""
-    ends = table.endpoints.tolist()
+    ends = table.edges.tolist()
     evidence = {
         tuple(ends[i]): (table.n1[i].item(), table.n2[i].item(), table.relative_phase[i].item())
-        for i in tree.edge_row.tolist()
+        for i in tree.edges.tolist()
     }
     phasor = {tree.root: 1.0 + 0.0j}
-    for te in tree.edges:
-        n1, n2, rel = evidence[te.edge.endpoints]
-        assert {te.parent, te.child} == {n1, n2}
-        phasor[te.child] = phasor[te.parent] * (rel if te.child == n1 else rel.conjugate())
+    for parent, child, i in zip(tree.parent.tolist(), tree.child.tolist(), tree.edges.tolist()):
+        n1, n2, rel = evidence[tuple(ends[i])]
+        assert {parent, child} == {n1, n2}
+        phasor[child] = phasor[parent] * (rel if child == n1 else rel.conjugate())
     estimate = np.zeros(amps.shape, dtype=complex)
     estimate[list(verts)] = amps[list(verts)] * np.array([phasor[v] for v in verts], dtype=complex)
     return estimate
@@ -524,7 +547,7 @@ class TestArrayWalk:
             verts = res.diagnostics["support"]
             graph = endpoint_graph_from_support(verts, fam, hop, supports=supports)
             tree = spanning_tree(graph)
-            table = phase._edge_table(
+            table = phase.edge_phase(
                 graph, agg, fam, supports, phase.default_degenerate_tol(n, 1e-9)
             )
             amps = np.sqrt(recover_magnitudes(agg, certify_rank(fam, hop), cfg).magnitudes_sq)
@@ -534,33 +557,36 @@ class TestArrayWalk:
             assert res.diagnostics["used_witnesses"] == [
                 {"n1": table.n1[i], "n2": table.n2[i], "window": table.window[i],
                  "hop_index": table.hop_index[i]}
-                for i in tree.edge_row.tolist()
+                for i in tree.edges.tolist()
             ]
 
-    def test_reconstruct_builds_no_edge_records(self, monkeypatch):
-        from stftpr.phase import EdgePhaseEvidence
-        from stftpr.supportgraph import TreeEdge
+    def test_reconstruct_runs_edge_phase_once(self, monkeypatch):
+        # one array pass per run, over every edge, reached through the module
+        # binding (where a tracer wraps it)
+        original = phase.edge_phase
+        seen = []
 
-        built = []
-        for cls in (SupportGraphEdge, TreeEdge, EdgePhaseEvidence):
-            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                built.append(_name)
-                _init(self, *args, **kwargs)
+        def counting(graph, *args):
+            table = original(graph, *args)
+            seen.append((len(graph.edges), table.window.size))
+            return table
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(phase, "edge_phase", counting)
         rng = np.random.default_rng(223)
         x, fam = certified_instance(24, 2, 3, rng)
         grid = measure(x, fam, 2)
         cfg = ProblemConfig(24, 2, 3)
         noisy = corrupt(grid, rng.uniform(-1e-9, 1e-9, grid.values.shape))
-        reconstruct(grid, fam, cfg)
-        reconstruct(noisy, fam, cfg, min_support_magnitude=0.5)
-        reconstruct_compressed(aggregate(grid, fam), fam, cfg)
-        assert built == []
-        # the counter itself works: iterating the views builds the records
-        graph = build_endpoint_graph(x, fam, 2)
-        list(spanning_tree(graph).edges)
-        assert set(built) == {"SupportGraphEdge", "TreeEdge"}
+        results = [
+            reconstruct(grid, fam, cfg),
+            reconstruct(noisy, fam, cfg, min_support_magnitude=0.5),
+            reconstruct_compressed(aggregate(grid, fam), fam, cfg),
+        ]
+        num_edges = len(build_endpoint_graph(x, fam, 2).edges)
+        assert seen == [(num_edges, num_edges)] * 3
+        for res in results:
+            d = res.diagnostics
+            assert len(d["used_witnesses"]) + len(d["nontree_residuals"]) == num_edges
 
 
 class TestNonFinitePrior:

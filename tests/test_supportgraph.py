@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stftpr import (
-    build_covisibility_graph,
     build_endpoint_graph,
     is_connected,
     measure,
     rotate_component_phase,
     spanning_tree,
+    support,
     window_support,
 )
 from stftpr.cli import _graph_text, _json_text
@@ -23,14 +23,14 @@ from stftpr.errors import (
 )
 from stftpr.generators import antipodal_pair_signal, random_interval_window
 from stftpr.supportgraph import (
-    SupportGraph,
-    SupportGraphEdge,
     WindowSupport,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
     long_windows,
 )
+
+from conftest import graph_from_lists, witness_lists
 
 
 class TestWindowSupport:
@@ -100,6 +100,16 @@ class TestEndpointWitness:
         assert long_windows(supports, 10) == []
 
 
+def _covisibility(x, fam, hop):
+    """Covisibility graph over the support of ``x``."""
+    return covisibility_graph_from_support(support(x), fam, hop)
+
+
+def _pairs(graph):
+    """The graph's edges as a set of (lo, hi) tuples."""
+    return set(map(tuple, graph.edges.tolist()))
+
+
 def _brute_covisibility_edges(x, fam, hop):
     n = len(x)
     verts = [t for t in range(n) if abs(x[t]) > 0]
@@ -119,7 +129,7 @@ def _brute_covisibility_edges(x, fam, hop):
 
 class TestCovisibilityGraph:
     def test_single_vertex(self):
-        g = build_covisibility_graph([0, 7, 0, 0], [[1, 1, 0, 0]], hop=1)
+        g = _covisibility([0, 7, 0, 0], [[1, 1, 0, 0]], hop=1)
         assert g.vertices == (1,)
         assert len(g.edges) == 0
         assert is_connected(g)
@@ -130,7 +140,7 @@ class TestCovisibilityGraph:
         x0 = antipodal_pair_signal(n)
         rng = np.random.default_rng(23)
         fam = [random_interval_window(n, L, rng) for L in (2, 4, 3)]
-        g = build_covisibility_graph(x0, fam, hop=1)
+        g = _covisibility(x0, fam, hop=1)
         assert len(g.edges) == 0
         assert not is_connected(g)
         assert g.components() == [[0], [4]]
@@ -138,8 +148,8 @@ class TestCovisibilityGraph:
     def test_matches_brute_force(self):
         fam = np.array([[1, 1, 1, 0, 0, 0]], dtype=complex)
         x = np.ones(6, complex)
-        g = build_covisibility_graph(x, fam, hop=1)
-        assert {e.endpoints for e in g.edges} == _brute_covisibility_edges(x, fam, 1)
+        g = _covisibility(x, fam, hop=1)
+        assert _pairs(g) == _brute_covisibility_edges(x, fam, 1)
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(29)
@@ -151,8 +161,8 @@ class TestCovisibilityGraph:
                 for _ in range(int(rng.integers(1, 4)))
             ]
             x = np.where(rng.random(n) < 0.6, rng.normal(size=n) + 1j, 0)
-            g = build_covisibility_graph(x, fam, hop)
-            assert {e.endpoints for e in g.edges} == _brute_covisibility_edges(x, fam, hop)
+            g = _covisibility(x, fam, hop)
+            assert _pairs(g) == _brute_covisibility_edges(x, fam, hop)
 
 
 class TestEndpointGraph:
@@ -168,7 +178,7 @@ class TestEndpointGraph:
         g = build_endpoint_graph(np.ones(8), [w], hop=1)
         expected = {(m % 8, (m - 3) % 8) for m in range(8)}
         expected = {(min(a, b), max(a, b)) for a, b in expected}
-        assert {e.endpoints for e in g.edges} == expected
+        assert _pairs(g) == expected
         assert is_connected(g)
 
     def test_span_four_splits(self):
@@ -188,8 +198,8 @@ class TestEndpointGraph:
                 for _ in range(int(rng.integers(1, 4)))
             ]
             x = np.where(rng.random(n) < 0.7, rng.normal(size=n) + 0.5j, 0)
-            cov = {e.endpoints for e in build_covisibility_graph(x, fam, hop).edges}
-            end = {e.endpoints for e in build_endpoint_graph(x, fam, hop).edges}
+            cov = _pairs(_covisibility(x, fam, hop))
+            end = _pairs(build_endpoint_graph(x, fam, hop))
             assert end <= cov
 
     @pytest.mark.parametrize("n", [6, 8, 9, 12])
@@ -216,33 +226,26 @@ class TestEndpointGraph:
 
 class TestConnectivity:
     def test_trivial_graphs(self):
-        one = SupportGraph.from_edges("covisibility", (3,), ())
+        one = graph_from_lists("covisibility", (3,), [])
         assert is_connected(one)
-        two = SupportGraph.from_edges("covisibility", (0, 1), ())
+        two = graph_from_lists("covisibility", (0, 1), [])
         assert not is_connected(two)
 
     def test_path_graph(self):
-        edges = tuple(
-            SupportGraphEdge(endpoints=(i, i + 1), witnesses=((0, i),))
-            for i in range(5)
-        )
-        g = SupportGraph.from_edges("endpoint", range(6), edges)
+        edges = [((i, i + 1), [(0, i)]) for i in range(5)]
+        g = graph_from_lists("endpoint", range(6), edges)
         assert is_connected(g)
 
 
 class TestSpanningTree:
     def test_single_vertex(self):
-        g = SupportGraph.from_edges("endpoint", (2,), ())
+        g = graph_from_lists("endpoint", (2,), [])
         tree = spanning_tree(g)
         assert tree.root == 2 and len(tree.edges) == 0 and tree.depth == 0
 
     def test_cycle(self):
-        edges = tuple(
-            SupportGraphEdge(endpoints=(min(i, (i + 1) % 4), max(i, (i + 1) % 4)),
-                             witnesses=((0, i),))
-            for i in range(4)
-        )
-        g = SupportGraph.from_edges("endpoint", (0, 1, 2, 3), edges)
+        edges = [((min(i, (i + 1) % 4), max(i, (i + 1) % 4)), [(0, i)]) for i in range(4)]
+        g = graph_from_lists("endpoint", (0, 1, 2, 3), edges)
         tree = spanning_tree(g)
         assert len(tree.edges) == 3
         assert tree.root == 0
@@ -253,13 +256,15 @@ class TestSpanningTree:
         tree = spanning_tree(g)
         assert tree.root == 0
         assert len(tree.edges) == 7
-        reached = {0} | {te.child for te in tree.edges}
+        reached = {0} | set(tree.child.tolist())
         assert reached == set(range(8))
-        for te in tree.edges:
-            assert te.parent in reached
+        assert set(tree.parent.tolist()) <= reached
+        # each tree edge's graph row joins its parent and child
+        for (lo, hi), p, c in zip(g.edges[tree.edges].tolist(), tree.parent, tree.child):
+            assert {lo, hi} == {p, c}
 
     def test_disconnected_raises_with_certificate(self):
-        g = SupportGraph.from_edges("endpoint", (0, 1, 5), ())
+        g = graph_from_lists("endpoint", (0, 1, 5), [])
         with pytest.raises(DisconnectedGraphError) as err:
             spanning_tree(g)
         assert err.value.components == ((0,), (1,), (5,))
@@ -273,7 +278,7 @@ class TestRotateComponentPhase:
             np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=complex),
             np.array([0, 1, 2, 1, 0, 0, 0, 0], dtype=complex),
         ])
-        graph = build_covisibility_graph(x0, fam, hop=1)
+        graph = _covisibility(x0, fam, hop=1)
         return x0, fam, graph
 
     def test_zero_turns_is_identity(self):
@@ -307,7 +312,7 @@ class TestRotateComponentPhase:
         # connected support: a single vertex cannot separate it
         fam = [np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)]
         x = np.ones(8, complex)
-        graph = build_covisibility_graph(x, fam, hop=1)
+        graph = _covisibility(x, fam, hop=1)
         with pytest.raises(InvalidPartitionError):
             rotate_component_phase(x, {0}, 0.3, graph)
 
@@ -407,12 +412,12 @@ def test_endpoint_graph_matches_brute_force(geometry):
     hop, fam, vertices = geometry
     graph = endpoint_graph_from_support(vertices, fam, hop)
     assert graph.vertices == tuple(sorted(vertices))
-    got = {edge.endpoints: edge.witnesses for edge in graph.edges}
+    got = witness_lists(graph)
     assert got == _brute_endpoint_witnesses(vertices, fam, hop)
-    assert [edge.endpoints for edge in graph.edges] == sorted(got)
-    for edge in graph.edges:
-        assert all(type(i) is int for i in edge.endpoints)
-        assert all(type(i) is int for w in edge.witnesses for i in w)
+    assert list(map(tuple, graph.edges.tolist())) == sorted(got)
+    assert graph.edges.shape == (len(got), 2) and graph.offsets.size == len(got) + 1
+    for arr in (graph.edges, graph.offsets, graph.window, graph.hop_index):
+        assert arr.dtype.kind == "i"
 
 
 def _dict_bfs(vertices, endpoints):
@@ -455,10 +460,7 @@ def _random_graphs(draw):
     vertices = sorted(draw(st.sets(st.integers(0, 24), min_size=1, max_size=14)))
     pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
     chosen = sorted(draw(st.sets(st.sampled_from(pairs), max_size=30)) if pairs else [])
-    edges = [
-        SupportGraphEdge(endpoints=p, witnesses=((draw(st.integers(0, 3)), k),))
-        for k, p in enumerate(chosen)
-    ]
+    edges = [(p, [(draw(st.integers(0, 3)), k)]) for k, p in enumerate(chosen)]
     return vertices, edges
 
 
@@ -467,8 +469,8 @@ def _random_graphs(draw):
 def test_array_bfs_matches_dict_bfs(graph_data):
     # sparse draws give disconnected graphs, dense ones connected graphs with cycles
     vertices, edges = graph_data
-    graph = SupportGraph.from_edges("endpoint", vertices, edges)
-    tree, depth, comps = _dict_bfs(vertices, [e.endpoints for e in edges])
+    graph = graph_from_lists("endpoint", vertices, edges)
+    tree, depth, comps = _dict_bfs(vertices, [p for p, _ in edges])
     assert graph.components() == comps
     if len(comps) > 1:
         with pytest.raises(DisconnectedGraphError) as err:
@@ -478,10 +480,8 @@ def test_array_bfs_matches_dict_bfs(graph_data):
         return
     got = spanning_tree(graph)
     assert got.root == vertices[0] and got.depth == depth
-    assert list(zip(got.parent.tolist(), got.child.tolist(), got.edge_row.tolist())) == tree
-    assert [(te.parent, te.child, te.edge) for te in got.edges] == [
-        (p, c, edges[i]) for p, c, i in tree
-    ]
+    assert list(zip(got.parent.tolist(), got.child.tolist(), got.edges.tolist())) == tree
+    assert graph.edges[got.edges].tolist() == [list(edges[i][0]) for _, _, i in tree]
 
 
 def _loop_covisibility_witnesses(vertices, fam, hop):
@@ -504,9 +504,9 @@ def _loop_covisibility_witnesses(vertices, fam, hop):
 def test_covisibility_witnesses_match_loop(geometry):
     hop, fam, vertices = geometry
     graph = covisibility_graph_from_support(vertices, fam, hop)
-    got = {edge.endpoints: edge.witnesses for edge in graph.edges}
+    got = witness_lists(graph)
     assert got == _loop_covisibility_witnesses(vertices, fam, hop)
-    assert [edge.endpoints for edge in graph.edges] == sorted(got)
+    assert list(map(tuple, graph.edges.tolist())) == sorted(got)
     assert graph.to_dict()["edges"] == [
         {"n": a, "n2": b, "witnesses": [list(w) for w in got[(a, b)]]} for a, b in sorted(got)
     ]
@@ -525,19 +525,23 @@ def test_graph_text_matches_stdlib_dump(geometry):
         )
 
 
-def test_graph_text_of_an_edge_without_witnesses():
-    graph = SupportGraph.from_edges(
-        "endpoint", [0, 1, 5], [SupportGraphEdge((0, 1), ()), SupportGraphEdge((1, 5), ((2, 3),))]
+def test_graph_text_of_a_nested_hand_built_graph():
+    # rows kept in the given order, witness lists of different lengths, a deeper pad
+    graph = graph_from_lists(
+        "endpoint", [0, 1, 5], [((1, 5), [(2, 3)]), ((0, 1), [(0, 0), (2, 1), (3, 0)])]
     )
     expected = json.dumps(graph.to_dict(), indent=2, sort_keys=True)
     assert _graph_text(graph, "\n  ") == expected.replace("\n", "\n  ")
 
 
-def test_len_of_edge_views_builds_no_records():
+def test_graph_and_tree_edges_are_arrays():
     w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
     graph = build_endpoint_graph(np.ones(8), [w], hop=1)
     tree = spanning_tree(graph)
     assert (len(graph.edges), len(tree.edges)) == (8, 7)
-    assert "_all" not in vars(graph.edges) and "_all" not in vars(tree.edges)
-    assert graph.edges[0] == SupportGraphEdge(endpoints=(0, 3), witnesses=((0, 3),))
-    assert tree.edges[-1].edge in graph.edges
+    assert (graph.offsets.size - 1, tree.child.size) == (8, 7)
+    assert graph.edges[0].tolist() == [0, 3] and witness_lists(graph)[(0, 3)] == ((0, 3),)
+    # the tree's edges index the graph's rows
+    ends = graph.edges[tree.edges]
+    assert ends.shape == (7, 2)
+    assert np.array_equal(np.sort(np.stack((tree.parent, tree.child), axis=1), axis=1), ends)
