@@ -74,7 +74,6 @@ from .supportgraph import (
     SpanningTree,
     SupportGraph,
     WindowSupport,
-    build_endpoint_graph,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     is_connected,
@@ -111,7 +110,6 @@ __all__ = [
     "UndefinedBudgetError",
     "WindowSupport",
     "aggregate",
-    "build_endpoint_graph",
     "certify_rank",
     "compare",
     "corrupt",

@@ -53,6 +53,7 @@ from .supportgraph import (
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
+    is_connected,
     long_windows,
     window_support,
 )
@@ -347,8 +348,8 @@ def cmd_analyze(args) -> int:
     end = endpoint_graph_from_support(supp, fam, cfg.hop, cfg.zero_tol, supports=supports)
     mats = certify_rank(fam, cfg.hop, args.rank_tol)
     short = not long_windows(supports, cfg.n)
-    necessary = len(cov.components()) <= 1
-    sufficient = len(end.components()) <= 1 and short and mats.certified
+    necessary = is_connected(cov)
+    sufficient = is_connected(end) and short and mats.certified
     if not necessary:
         verdict = "provably-non-retrievable"
     elif sufficient:
@@ -441,7 +442,7 @@ def cmd_verify(args) -> int:
     mats = certify_rank(fam, cfg.hop, args.rank_tol)
     if mats.certified:
         agg = aggregate(grid, fam, cfg.zero_tol)
-        mag = recover_magnitudes(agg, mats, cfg)
+        mag = recover_magnitudes(agg, mats)
         reports.append(
             compare("magnitudes", mag.magnitudes_sq, np.abs(x) ** 2, 1e-9)
         )

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import as_window_family
 from .spectral import certify_rank
-from .supportgraph import endpoint_graph_from_support
+from .supportgraph import endpoint_graph_from_support, is_connected
 
 # draws of window values before a generator gives up on certifying a family
 _MAX_TRIES = 64
@@ -137,7 +137,7 @@ def certified_instance(
     x = random_signal(n, rng, support=support)
     verts = np.flatnonzero(np.abs(x) > 0)
     graph = endpoint_graph_from_support(verts, as_window_family(fam), hop)
-    if len(graph.components()) > 1:
+    if not is_connected(graph):
         raise ConfigurationError(
             f"generated instance has a disconnected endpoint graph "
             f"(support {sorted(int(v) for v in verts)})"

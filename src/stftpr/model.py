@@ -31,6 +31,12 @@ def check_tolerance(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
 
 
+def check_hop(n: int, hop: int) -> None:
+    """Raise ``ConfigurationError`` unless ``hop`` is positive and divides ``n``."""
+    if hop <= 0 or n % hop != 0:
+        raise ConfigurationError(f"hop {hop} does not divide signal length {n}")
+
+
 def check_prior(value, message: str | None = None) -> float:
     """Minimum-magnitude prior as a float; ``InvalidPriorError`` unless finite and positive.
 
@@ -75,10 +81,7 @@ class ProblemConfig:
             raise ConfigurationError(
                 f"window count must be positive, got {self.num_windows}"
             )
-        if self.n % self.hop != 0:
-            raise ConfigurationError(
-                f"hop {self.hop} does not divide signal length {self.n}"
-            )
+        check_hop(self.n, self.hop)
         check_tolerance("zero_tol", self.zero_tol)
 
     @property

@@ -20,6 +20,8 @@ from .spectral import ModulationMatrices
 from .stft import MeasurementGrid, measure
 
 SEARCH_CANDIDATE_CAP = 10 ** 6
+# largest entrywise grid deviation at which a lattice candidate still matches
+MATCH_TOL = 1e-9
 # terms of the triple-loop DFT (windows * hops * n**2) that ``verify`` may
 # run; at about a microsecond per term, a few seconds of oracle time
 DIRECT_TERM_CAP = 4 * 10 ** 6
@@ -145,16 +147,16 @@ def exhaustive_ambiguity_search(
     cfg: ProblemConfig,
     phase_steps: int,
     magnitude_set,
-    match_tol: float = 1e-9,
 ) -> list[np.ndarray]:
     """All lattice signals whose measurement grid matches the given one.
 
     Candidates take each entry from ``magnitude_set`` times a ``phase_steps``-th
     root of unity (zero magnitude contributes the single value 0).  For a
     recoverable instance every match is a global rotation of one signal; for
-    a disconnected one, genuinely inequivalent matches appear.  Tiny instances
-    only: length at most 4, at most 16 phase steps, and a hard cap of 10**6
-    candidates.
+    a disconnected one, genuinely inequivalent matches appear.  A candidate
+    matches when no grid entry deviates by more than ``MATCH_TOL``.  Tiny
+    instances only: length at most 4, at most 16 phase steps, and a hard cap
+    of 10**6 candidates.
     """
     n = cfg.n
     if n > 4:
@@ -182,6 +184,6 @@ def exhaustive_ambiguity_search(
     for combo in itertools.product(values, repeat=n):
         cand = np.array(combo, dtype=complex)
         got = measure(cand, fam, cfg.hop).values
-        if np.max(np.abs(got - target)) <= match_tol:
+        if np.max(np.abs(got - target)) <= MATCH_TOL:
             matches.append(cand)
     return matches

@@ -239,28 +239,21 @@ def edge_phase(
     )
 
 
-def propagate(
-    tree: SpanningTree,
-    magnitudes: MagnitudeSpectrum,
-    phases,
-    support_set,
-) -> ReconstructionResult:
+def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> ReconstructionResult:
     """Walk the spanning tree, assigning each vertex its accumulated phasor.
 
+    The estimate is zero off the tree's vertices, ``tree.graph.vertices``.
     The root gets phase 0.  ``phases[k]`` is the unit phasor of
     ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.  The walk
     follows the tree's discovery order, so each parent's phasor is known
     before its children's, one plain Python complex product per edge.
     """
     amps = np.sqrt(magnitudes.magnitudes_sq)
-    verts = np.array(sorted({int(v) for v in support_set}), dtype=np.intp)
-    # position of each vertex in discovery order, -1 where the tree does not reach
-    walk = np.full(amps.shape[0], -1, dtype=np.intp)
+    verts = np.array(tree.graph.vertices, dtype=np.intp)
+    # position of each vertex in discovery order
+    walk = np.zeros(amps.shape[0], dtype=np.intp)
     if tree.root is not None:
         walk[[tree.root, *tree.child.tolist()]] = np.arange(tree.child.size + 1)
-    missing = verts[walk[verts] < 0]
-    if missing.size:
-        raise RuntimeError(f"tree does not span the support; unreached: {missing.tolist()}")
     phasor = [1.0 + 0.0j]
     for p, z in zip(walk[tree.parent].tolist(), np.asarray(phases, dtype=complex).tolist()):
         phasor.append(phasor[p] * z)
@@ -300,29 +293,26 @@ def _detect_support(
     )
 
 
-def _family(windows, cfg: ProblemConfig) -> np.ndarray:
-    fam = as_window_family(windows, cfg.n)
-    if fam.shape[0] != cfg.num_windows:
-        raise DimensionMismatchError(
-            f"config expects {cfg.num_windows} windows, family has {fam.shape[0]}"
-        )
-    return fam
-
-
 def _run_pipeline(
     agg: AggregateMeasurements,
-    fam: np.ndarray,
+    windows,
     cfg: ProblemConfig,
     min_support_magnitude: float | None,
     rank_tol: float | None,
     degenerate_tol: float | None,
 ) -> ReconstructionResult:
+    fam = as_window_family(windows, cfg.n)
+    if (fam.shape[0], *agg.energy.shape) != (cfg.num_windows, cfg.num_windows, cfg.num_hops):
+        raise DimensionMismatchError(
+            f"{fam.shape[0]} windows and aggregates of shape {agg.energy.shape} do not "
+            f"match config ({cfg.num_windows} windows, {cfg.num_hops} hops)"
+        )
     if degenerate_tol is None:
         degenerate_tol = default_degenerate_tol(cfg.n, agg.noise_level)
     else:
         check_tolerance("degenerate_tol", degenerate_tol)
     mats = certify_rank(fam, cfg.hop, rank_tol)
-    magnitudes = recover_magnitudes(agg, mats, cfg)
+    magnitudes = recover_magnitudes(agg, mats)
     supports = [window_support(w, cfg.zero_tol) for w in fam]
     detected, rule = _detect_support(
         magnitudes, agg.noise_level, cfg.zero_tol, min_support_magnitude
@@ -357,7 +347,7 @@ def _run_pipeline(
     table = edge_phase(graph, agg, fam, supports, degenerate_tol)
     table.raise_degenerate(tree.edges)
     phases, used = table.along(tree)
-    result = replace(propagate(tree, magnitudes, phases, detected), modulation=mats)
+    result = replace(propagate(tree, magnitudes, phases), modulation=mats)
     result.diagnostics.update(**used, **diagnostics)
     nontree = np.setdiff1d(np.arange(len(graph.edges)), tree.edges)
     result.diagnostics["nontree_residuals"] = table.residuals(nontree, result.estimate)
@@ -378,21 +368,17 @@ def reconstruct(
     modulation matrices, build the endpoint graph on the detected support and
     verify connectivity, then extract edge phases and propagate them over a
     spanning tree.  Each edge's phase comes from its witness of largest
-    evidence magnitude, ties going to the smaller (window, hop).  Raises ``CertificationError`` when the window family
-    fails the rank gate or has windows longer than half the signal,
+    evidence magnitude, ties going to the smaller (window, hop).  Raises
+    ``DimensionMismatchError`` when the grid, the windows and ``cfg`` disagree
+    in shape, ``CertificationError`` when the window family fails the rank
+    gate or has windows longer than half the signal,
     ``DisconnectedGraphError`` (carrying the component certificate) when the
     endpoint graph is disconnected, and ``DegenerateEdgeError`` when noise
     drowns out a needed edge.
     """
-    fam = _family(windows, cfg)
-    if grid.values.shape != (cfg.num_windows, cfg.num_hops, cfg.n):
-        raise DimensionMismatchError(
-            f"grid shape {grid.values.shape} does not match config "
-            f"({cfg.num_windows}, {cfg.num_hops}, {cfg.n})"
-        )
-    agg = aggregate(grid, fam, cfg.zero_tol)
     return _run_pipeline(
-        agg, fam, cfg, min_support_magnitude, rank_tol, degenerate_tol
+        aggregate(grid, windows, cfg.zero_tol), windows, cfg,
+        min_support_magnitude, rank_tol, degenerate_tol,
     )
 
 
@@ -413,14 +399,6 @@ def reconstruct_compressed(
     choice.  The support is detected from the recovered magnitudes and
     reported in ``diagnostics["support"]``.
     """
-    fam = _family(windows, cfg)
-    if agg.energy.shape != (cfg.num_windows, cfg.num_hops):
-        raise DimensionMismatchError(
-            f"aggregate shape {agg.energy.shape} does not match config "
-            f"({cfg.num_windows}, {cfg.num_hops})"
-        )
-    result = _run_pipeline(
-        agg, fam, cfg, min_support_magnitude, rank_tol, degenerate_tol
-    )
+    result = _run_pipeline(agg, windows, cfg, min_support_magnitude, rank_tol, degenerate_tol)
     result.diagnostics["compressed_count"] = agg.measurement_count
     return result

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, DimensionMismatchError
-from .model import ProblemConfig, as_window_family, check_tolerance
+from .model import as_window_family, check_hop, check_tolerance
 from .stft import AggregateMeasurements
 
 
@@ -88,16 +88,16 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     For hop 1 the condition reduces to every spectrum column being nonzero;
     for hop n it reduces to the matrix of squared window magnitudes having
     full rank.  Full rank requires at least as many windows as the hop.  A
-    negative or non-finite ``rank_tol`` raises ``ConfigurationError``: below
-    zero every singular value would count, certifying rank-deficient families.
+    hop that does not divide the window length, or a negative or non-finite
+    ``rank_tol``, raises ``ConfigurationError``: below zero every singular
+    value would count, certifying rank-deficient families.
     The stack is factored once, by one batched SVD of its conjugate (numpy's
     pseudo-inverse recipe): it gives the ranks and, when every residue
     certifies, the stacked pseudo-inverses ``V S^-1 U^H``, bit for bit numpy's.
     """
     fam = as_window_family(windows)
     n = fam.shape[1]
-    if hop <= 0 or n % hop != 0:
-        raise DimensionMismatchError(f"hop {hop} does not divide signal length {n}")
+    check_hop(n, hop)
     if rank_tol is None:
         rank_tol = default_rank_tol(fam.shape[0], hop)
     check_tolerance("rank_tol", rank_tol)
@@ -137,11 +137,7 @@ class MagnitudeSpectrum:
     severe_clamping: bool
 
 
-def recover_magnitudes(
-    agg: AggregateMeasurements,
-    mats: ModulationMatrices,
-    cfg: ProblemConfig | None = None,
-) -> MagnitudeSpectrum:
+def recover_magnitudes(agg: AggregateMeasurements, mats: ModulationMatrices) -> MagnitudeSpectrum:
     """Recover ``|x(t)|**2`` from the per-hop energies.
 
     A DFT of the energy rows over the hop axis gives, per residue m, a vector
@@ -153,7 +149,9 @@ def recover_magnitudes(
     reference this path is checked against.
 
     Negative squared magnitudes (noise artifacts) are clamped to zero;
-    ``severe_clamping`` flags a clamped mass above 10% of the total.
+    ``severe_clamping`` flags a clamped mass above 10% of the total.  n and
+    hop come from ``mats``; aggregates of another shape raise
+    ``DimensionMismatchError``.
     """
     if not mats.certified:
         raise CertificationError(
@@ -167,10 +165,6 @@ def recover_magnitudes(
             f"{mats.num_windows} windows x {mats.num_hops} hops"
         )
     n = mats.n
-    if cfg is not None and (cfg.n != n or cfg.hop != mats.hop):
-        raise DimensionMismatchError(
-            f"config ({cfg.n}, hop {cfg.hop}) does not match matrices ({n}, hop {mats.hop})"
-        )
     rhs = np.fft.fft(agg.energy, axis=1) / num_hops  # (R, M)
     # one stacked solve: (M, hop, R) @ (M, R, 1) -> power[m + M*j] = solution[m, j]
     solution = mats.pseudo_inverses @ rhs.T[:, :, None]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
-from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, check_tolerance
+from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, check_hop, check_tolerance
 from .supportgraph import window_support
 
 
@@ -41,8 +41,7 @@ def stft(x, w, hop: int) -> np.ndarray:
     xa = as_signal(x)
     n = xa.shape[0]
     wa = as_signal(w, n)
-    if hop <= 0 or n % hop != 0:
-        raise ConfigurationError(f"hop {hop} does not divide signal length {n}")
+    check_hop(n, hop)
     if not np.any(wa):
         raise InvalidWindowError("window is identically zero")
     num_hops = n // hop
@@ -181,8 +180,7 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
     xa = as_signal(x)
     n = xa.shape[0]
     fam = as_window_family(windows, n)
-    if hop <= 0 or n % hop != 0:
-        raise ConfigurationError(f"hop {hop} does not divide signal length {n}")
+    check_hop(n, hop)
     starts = hop * np.arange(n // hop)
     vals = np.empty((fam.shape[0], n // hop, n))
     tables = {}  # windows sharing a supporting length share one trig table

@@ -146,12 +146,11 @@ class SupportGraph:
 
     def summary(self) -> dict:
         """Certificate payload without its edge list: variant, vertices, connectivity."""
-        comps = self.components()
         return {
             "variant": self.variant,
             "vertices": list(self.vertices),
-            "connected": len(comps) <= 1,
-            "components": comps,
+            "connected": is_connected(self),
+            "components": self.components(),
         }
 
     def to_dict(self) -> dict:
@@ -169,7 +168,7 @@ class SupportGraph:
 
 def is_connected(graph: SupportGraph) -> bool:
     """BFS connectivity; empty and single-vertex graphs count as connected."""
-    return len(graph.components()) <= 1
+    return len(graph._forest) <= 1
 
 
 def _section_graph(variant: str, vertices, n: int, sections) -> SupportGraph:
@@ -208,16 +207,16 @@ def covisibility_graph_from_support(
 ) -> SupportGraph:
     """Covisibility graph over an explicit vertex set (support indices).
 
-    Each section sees one index per window tap above the tolerance, and every
-    pair of those taps is a candidate edge.
+    Each section sees one index per window tap in the window's
+    :func:`~stftpr.model.support`, and every pair of those taps is a
+    candidate edge.
     """
     fam = as_window_family(windows)
     n = fam.shape[1]
     hops = np.arange(n // hop)[:, None]
     sections = []
     for w in fam:
-        mags = np.abs(w)
-        taps = np.flatnonzero(mags > zero_tol * mags.max())
+        taps = _ints(support(w, zero_tol))
         sections.append(((hop * hops - taps) % n, *np.triu_indices(taps.size, 1)))
     return _section_graph("covisibility", vertices, n, sections)
 
@@ -247,13 +246,6 @@ def endpoint_graph_from_support(
     ])
 
 
-def build_endpoint_graph(
-    x, windows, hop: int, zero_tol: float = DEFAULT_ZERO_TOL
-) -> SupportGraph:
-    """Endpoint graph of a signal: vertices are its support indices."""
-    return endpoint_graph_from_support(support(x, zero_tol), windows, hop, zero_tol)
-
-
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
     """BFS spanning tree of ``graph``, as arrays in discovery order.
@@ -279,7 +271,7 @@ def spanning_tree(graph: SupportGraph) -> SpanningTree:
     reaches every vertex; if it does not, this raises with the component
     certificate.
     """
-    if len(graph._forest) > 1:
+    if not is_connected(graph):
         comps = graph.components()
         raise DisconnectedGraphError(
             f"support graph has {len(comps)} components: {comps}", components=comps
@@ -289,8 +281,7 @@ def spanning_tree(graph: SupportGraph) -> SpanningTree:
 
 
 def rotate_component_phase(
-    x, component, theta: float, graph: SupportGraph | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
+    x, component, theta: float, graph: SupportGraph, zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> np.ndarray:
     """Rotate the entries on ``component`` by ``exp(-2j*pi*theta)``, keep the rest.
 
@@ -298,9 +289,9 @@ def rotate_component_phase(
     When ``component`` is a union of connected components of the covisibility
     graph, the result has exactly the same magnitude measurements as ``x`` for
     every theta - the constructive witness that a disconnected graph makes the
-    signal unrecoverable.  Pass ``graph`` to have the separation property
-    verified; without it only basic sanity (nonempty, proper subset of the
-    support) is checked.
+    signal unrecoverable.  ``component`` must be a nonempty proper subset of
+    the support and a union of components of ``graph``, else
+    ``InvalidPartitionError``.
     """
     xa = as_signal(x)
     supp = set(support(xa, zero_tol))
@@ -311,12 +302,9 @@ def rotate_component_phase(
         raise InvalidPartitionError(f"component {sorted(comp)} is not a subset of the support")
     if comp == supp:
         raise InvalidPartitionError("component must be a proper subset of the support")
-    if graph is not None:
-        covered = set().union(*(c for c in map(set, graph.components()) if c <= comp))
-        if covered != comp:
-            raise InvalidPartitionError(
-                f"component {sorted(comp)} is not a union of graph components"
-            )
+    covered = set().union(*(c for c in map(set, graph.components()) if c <= comp))
+    if covered != comp:
+        raise InvalidPartitionError(f"component {sorted(comp)} is not a union of graph components")
     out = xa.copy()
     idx = sorted(comp)
     out[idx] = np.exp(-2j * np.pi * theta) * out[idx]

@@ -13,10 +13,10 @@ import pytest
 from stftpr import (
     ProblemConfig,
     aggregate,
-    build_endpoint_graph,
     certify_rank,
     corrupt,
     covisibility_graph_from_support,
+    endpoint_graph_from_support,
     error_budget,
     exhaustive_ambiguity_search,
     is_connected,
@@ -129,7 +129,7 @@ def test_criterion_4_coprimality():
         for length in range(2, n // 2 + 1):
             w = np.zeros(n, complex)
             w[:length] = 1.0
-            connected = is_connected(build_endpoint_graph(x, [w], hop=1))
+            connected = is_connected(endpoint_graph_from_support(support(x), [w], hop=1))
             assert connected == (math.gcd(length - 1, n) == 1), (n, length)
             checked += 1
     _report(4, "coprimality criterion", f"{checked} (n, length) cases, exact match")

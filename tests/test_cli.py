@@ -12,8 +12,8 @@ from stftpr.model import support
 from stftpr.oracle import DIRECT_TERM_CAP
 from stftpr.spectral import certify_rank
 from stftpr.supportgraph import (
-    build_endpoint_graph,
     covisibility_graph_from_support,
+    endpoint_graph_from_support,
     is_connected,
     long_windows,
     window_support,
@@ -284,6 +284,87 @@ class TestRecover:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [(lambda lines: ["r,m,k,val", *lines[1:]], "unexpected grid CSV header"),
+         (lambda lines: lines[:-1], "has 95 rows, expected 96")],
+        ids=["header", "short"],
+    )
+    def test_bad_grid_layout_exits_one(self, tmp_path, capsys, edit, match):
+        out = _simulate(tmp_path, "layout")
+        lines = (out / "grid.csv").read_text().splitlines()
+        (out / "grid.csv").write_text("\n".join(edit(lines)) + "\n")
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stftpr: error:" in err and match in err
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [({"window": 1}, "expected a list of windows"),
+         ([], "expected a list of windows"),
+         ([[["a", 0.0]] * 8], "expected [re, im] pairs"),
+         ([[[1.0, 0.0], [1.0]]], "expected [re, im] pairs"),  # ragged
+         ([[1.0] * 8], "expected an array of [re, im] pairs")],
+        ids=["object", "empty", "not-numbers", "ragged", "not-pairs"],
+    )
+    def test_bad_window_json_exits_one(self, tmp_path, capsys, payload, match):
+        out = _simulate(tmp_path, "winjson")
+        (out / "windows.json").write_text(json.dumps(payload))
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stftpr: error:" in err and match in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_window_count_differs_from_grid(self, tmp_path, capsys, compressed):
+        out = _simulate(tmp_path, "count")
+        windows = json.loads((out / "windows.json").read_text())
+        (out / "two.json").write_text(json.dumps(windows[:2]))
+        flags = ["--compressed"] if compressed else []
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "two.json", *flags)
+        assert code == 1
+        assert "stftpr: error: grid has 3 windows, family has 2" in capsys.readouterr().err
+
+    def test_delta_signal_one_vertex_support(self, tmp_path):
+        out = tmp_path / "delta"
+        assert run(
+            "simulate", "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+            "--signal", "delta", "--seed", 42, "--out", out,
+        ) == 0
+        report_path = tmp_path / "recover.json"
+        code = run(
+            "recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+            "--signal", out / "signal.json", "--out", report_path,
+        )
+        assert code == 0
+        rep, estimate = _read_estimate(report_path)
+        # the support is {0}: a one-vertex tree with no edges to walk
+        assert np.flatnonzero(estimate).tolist() == [0]
+        assert estimate[0] == pytest.approx(1.0)
+        assert rep["root_vertex"] == 0
+        assert rep["diagnostics"]["used_witnesses"] == []
+        assert rep["diagnostics"]["nontree_residuals"] == []
+
+
+@pytest.mark.parametrize(
+    "name, payload, what, length",
+    [("windows.json", [[[1.0, 0.0]] * 16] * 3, "window file", 16),
+     ("signal.json", [[1.0, 0.0]] * 4, "signal file", 4)],
+)
+def test_input_file_of_wrong_length_exits_one(tmp_path, capsys, name, payload, what, length):
+    out = _simulate(tmp_path, "len")
+    (out / name).write_text(json.dumps(payload))
+    code = run(
+        "analyze", "--n", 8, "--hop", 2, "--windows", out / "windows.json",
+        "--signal", out / "signal.json",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"stftpr: error: {what}" in err and f"has length {length}, expected 8" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 def test_zero_windows_exits_one(tmp_path, capsys, command):
     code = run(
@@ -369,7 +450,7 @@ class TestAnalyze:
         fam = chain_family(40, 4, 16, rng)
         x = random_signal(40, rng)
         cov = covisibility_graph_from_support(support(x), fam, 4)
-        end = build_endpoint_graph(x, fam, 4)
+        end = endpoint_graph_from_support(support(x), fam, 4)
         mats = certify_rank(fam, 4)
         short = not long_windows([window_support(w) for w in fam], 40)
         assert is_connected(cov) and is_connected(end) and short and mats.certified
@@ -463,7 +544,7 @@ class TestVerify:
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         rng = np.random.default_rng(seed)
         fam = chain_family(16, 4, 6, rng)
-        graph = build_endpoint_graph(random_signal(16, rng), fam, 4)
+        graph = endpoint_graph_from_support(support(random_signal(16, rng)), fam, 4)
         edges = [line for line in lines if line["case_id"].startswith("edge:")]
         assert graph.offsets[-1] > 0 and len(edges) == graph.offsets[-1]
         assert len(lines) == len(edges) + 6 + 2  # stft per window, measure, magnitudes

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from stftpr import GlobalPhaseDistance, ProblemConfig, phase_distance, support
 from stftpr.errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
-from stftpr.model import as_signal, as_window_family
+from stftpr.model import as_signal, as_window_family, check_hop
 
 TWO_PI = 2 * np.pi
 
@@ -122,6 +122,18 @@ def test_distance_dataclass_fields():
     res = phase_distance([1, 0], [1, 0])
     assert isinstance(res, GlobalPhaseDistance)
     assert 0.0 <= res.aligning_phase < TWO_PI
+
+
+def test_one_dimensional_window_is_a_one_window_family():
+    fam = as_window_family([1, 2j, 0, 0], 4)
+    assert fam.shape == (1, 4) and fam.dtype == complex
+    assert fam[0].tolist() == [1, 2j, 0, 0]
+
+
+@pytest.mark.parametrize("n, hop", [(10, 3), (8, 0), (8, -2), (4, 8)])
+def test_check_hop_rejects(n, hop):
+    with pytest.raises(ConfigurationError, match=f"^hop {hop} does not divide signal length {n}$"):
+        check_hop(n, hop)
 
 
 def test_window_family_names_the_first_zero_row():

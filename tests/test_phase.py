@@ -11,19 +11,21 @@ from stftpr import (
     MeasurementGrid,
     ProblemConfig,
     aggregate,
-    build_endpoint_graph,
     corrupt,
+    endpoint_graph_from_support,
     measure,
     phase_distance,
     reconstruct,
     reconstruct_compressed,
     spanning_tree,
+    support,
     window_support,
 )
 from stftpr.errors import (
     CertificationError,
     ConfigurationError,
     DegenerateEdgeError,
+    DimensionMismatchError,
     DisconnectedGraphError,
     InvalidPriorError,
     InvalidWindowError,
@@ -67,7 +69,7 @@ class TestEdgePhase:
         x = np.ones(4, complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        g = build_endpoint_graph(x, fam, 1)
+        g = endpoint_graph_from_support(support(x), fam, 1)
         *_, rel = _single_edge_phase(_edge(g, 0, 3), agg, fam)
         assert rel == pytest.approx(1.0, abs=1e-12)
 
@@ -75,7 +77,7 @@ class TestEdgePhase:
         x = np.array([1j, 1, 1, 1], dtype=complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        g = build_endpoint_graph(x, fam, 1)
+        g = endpoint_graph_from_support(support(x), fam, 1)
         n1, n2, _, _, rel = _single_edge_phase(_edge(g, 0, 3), agg, fam)
         assert (n1, n2) == (0, 3)  # hop 0 sees the anchor at index 0
         assert rel == pytest.approx(1j, abs=1e-12)
@@ -86,7 +88,7 @@ class TestEdgePhase:
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         fam = [np.array([1, 2, 1, 0, 0, 0, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        g = build_endpoint_graph(x, fam, 1)
+        g = endpoint_graph_from_support(support(x), fam, 1)
         for m in range(n):
             n1, n2 = m % n, (m - 2) % n
             a, b, _, _, rel = _single_edge_phase(_edge(g, n1, n2), agg, fam)
@@ -99,7 +101,7 @@ class TestEdgePhase:
         n, hop = 12, 3
         x, fam = certified_instance(n, hop, 4, rng)
         agg = aggregate(measure(x, fam, hop), fam)
-        g = build_endpoint_graph(x, fam, hop)
+        g = endpoint_graph_from_support(support(x), fam, hop)
         assert len(g.edges)
         for edge in witness_lists(g).items():
             a, b, _, _, rel = _single_edge_phase(edge, agg, fam)
@@ -111,7 +113,7 @@ class TestEdgePhase:
         # a frequency-constant grid has zero correlation for any span >= 1
         x = np.ones(4, complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
-        g = build_endpoint_graph(x, fam, 1)
+        g = endpoint_graph_from_support(support(x), fam, 1)
         flat = MeasurementGrid(values=np.ones((1, 4, 4)), noise_level=0.05)
         agg = aggregate(flat, fam)
         with pytest.raises(DegenerateEdgeError) as err:
@@ -136,7 +138,7 @@ class TestPropagate:
         from stftpr.phase import propagate
 
         tree = spanning_tree(graph_from_lists("endpoint", (2,), []))
-        res = propagate(tree, self._magnitudes([0, 0, 4.0, 0]), [], (2,))
+        res = propagate(tree, self._magnitudes([0, 0, 4.0, 0]), [])
         assert res.estimate[2] == pytest.approx(2.0)
         assert res.root_vertex == 2
 
@@ -146,16 +148,9 @@ class TestPropagate:
         tree = spanning_tree(graph_from_lists("endpoint", (0, 1), [((0, 1), [(0, 0)])]))
         assert (tree.parent.tolist(), tree.child.tolist(), tree.depth) == ([0], [1], 1)
         # the phasor of x(1) * conj(x(0)), carrying the root's phase to its child
-        res = propagate(tree, self._magnitudes([1.0, 1.0]), [-1.0 + 0j], (0, 1))
+        res = propagate(tree, self._magnitudes([1.0, 1.0]), [-1.0 + 0j])
         assert res.estimate[0] == pytest.approx(1.0)
         assert res.estimate[1] == pytest.approx(-1.0)
-
-    def test_non_spanning_tree_rejected(self):
-        from stftpr.phase import propagate
-
-        tree = spanning_tree(graph_from_lists("endpoint", (0,), []))
-        with pytest.raises(RuntimeError):
-            propagate(tree, self._magnitudes([1.0, 1.0]), [], (0, 1))
 
 
 class TestReconstruct:
@@ -251,7 +246,7 @@ class TestReconstruct:
         fam = [random_interval_window(n, 4, rng), random_interval_window(n, 4, rng)]
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.5, 1.5, n)
         agg = aggregate(measure(x, fam, 1), fam)
-        graph = build_endpoint_graph(x, fam, 1)
+        graph = endpoint_graph_from_support(support(x), fam, 1)
         edges = witness_lists(graph)
         assert edges and all(len(ws) == 2 for ws in edges.values())
         for ends, witnesses in edges.items():
@@ -323,6 +318,24 @@ class TestReconstruct:
         assert d["tree_depth"] >= 1
         for entry in d["nontree_residuals"]:
             assert entry["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["grid", "aggregates"])
+@pytest.mark.parametrize(
+    "num_windows, n, hop, cfg_windows",
+    [(2, 8, 2, 3), (3, 8, 2, 2), (3, 8, 4, 3), (3, 16, 2, 3)],
+    ids=["window-count", "config-windows", "config-hop", "config-length"],
+)
+def test_shape_mismatch_rejected(compressed, num_windows, n, hop, cfg_windows):
+    # the data hold 3 windows x 4 hops at n = 8; windows and config must agree with them
+    x, fam = certified_instance(8, 2, 3, np.random.default_rng(139))
+    grid = measure(x, fam, 2)
+    cfg = ProblemConfig(n, hop, cfg_windows)
+    with pytest.raises(DimensionMismatchError):
+        if compressed:
+            reconstruct_compressed(aggregate(grid, fam), fam[:num_windows], cfg)
+        else:
+            reconstruct(grid, fam[:num_windows], cfg)
 
 
 class TestReconstructCompressed:
@@ -421,7 +434,7 @@ class TestEdgeTable:
             grid = corrupt(grid, rng.uniform(-1e-3, 1e-3, grid.values.shape))
         agg = aggregate(grid, fam)
         supports = [window_support(w) for w in fam]
-        graph = build_endpoint_graph(x, fam, hop)
+        graph = endpoint_graph_from_support(support(x), fam, hop)
         # a tolerance among the evidence magnitudes leaves some edges degenerate
         tol = data.draw(st.sampled_from([0.0, *np.quantile(np.abs(agg.correlation), [0.3, 0.7])]))
         table = phase.edge_phase(graph, agg, fam, supports, tol)
@@ -466,7 +479,7 @@ class TestEdgeTable:
             x, fam = certified_instance(8, 1, 2, rng)
             grid = measure(x, fam, 1)
             agg = aggregate(grid, fam)
-            graph = build_endpoint_graph(x, fam, 1)
+            graph = endpoint_graph_from_support(support(x), fam, 1)
             tree = set(map(tuple, graph.edges[spanning_tree(graph).edges].tolist()))
             best = {
                 ends: max(abs(agg.correlation[r, m]) for r, m in witnesses)
@@ -550,7 +563,7 @@ class TestArrayWalk:
             table = phase.edge_phase(
                 graph, agg, fam, supports, phase.default_degenerate_tol(n, 1e-9)
             )
-            amps = np.sqrt(recover_magnitudes(agg, certify_rank(fam, hop), cfg).magnitudes_sq)
+            amps = np.sqrt(recover_magnitudes(agg, certify_rank(fam, hop)).magnitudes_sq)
             want = _dict_walk(tree, table, amps, verts)
             assert np.array_equal(res.estimate, want)
             assert res.diagnostics["tree_depth"] == tree.depth
@@ -582,7 +595,7 @@ class TestArrayWalk:
             reconstruct(noisy, fam, cfg, min_support_magnitude=0.5),
             reconstruct_compressed(aggregate(grid, fam), fam, cfg),
         ]
-        num_edges = len(build_endpoint_graph(x, fam, 2).edges)
+        num_edges = len(endpoint_graph_from_support(support(x), fam, 2).edges)
         assert seen == [(num_edges, num_edges)] * 3
         for res in results:
             d = res.diagnostics

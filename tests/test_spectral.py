@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stftpr import (
-    ProblemConfig,
     aggregate,
     certify_rank,
     magnitudes_direct,
@@ -10,7 +9,7 @@ from stftpr import (
     recover_magnitudes,
     window_power_spectra,
 )
-from stftpr.errors import CertificationError, ConfigurationError
+from stftpr.errors import CertificationError, ConfigurationError, DimensionMismatchError
 from stftpr.generators import certified_instance, chain_family, random_interval_window
 from stftpr.stft import AggregateMeasurements
 
@@ -179,6 +178,12 @@ class TestCertifyRank:
         with pytest.raises(ConfigurationError, match="rank_tol"):
             certify_rank([np.array([1, 1, 0, 0, 0, 0, 0, 0])], hop=1, rank_tol=rank_tol)
 
+    @pytest.mark.parametrize("hop", [0, 3, 16])
+    def test_hop_must_divide(self, hop):
+        # the same rule and class as ProblemConfig, stft and measure
+        with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide signal length 8"):
+            certify_rank([np.ones(8)], hop=hop)
+
     def test_full_hop_specialization(self):
         # rank gate == power matrix of the masks has full rank
         rng = np.random.default_rng(53)
@@ -279,11 +284,10 @@ class TestRecoverMagnitudes:
         assert mag.severe_clamping
         assert np.all(mag.magnitudes_sq >= 0)
 
-    def test_config_validation(self):
-        x, fam, agg, mats = self._instance(8, 2, 2, seed=83)
-        cfg = ProblemConfig(8, 2, 2)
-        recover_magnitudes(agg, mats, cfg)  # consistent: fine
-        from stftpr.errors import DimensionMismatchError
-
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 2)])
+    def test_aggregate_shape_must_match_matrices(self, shape):
+        # the matrices hold 2 windows x 4 hops; n and hop come from them alone
+        _, _, _, mats = self._instance(8, 2, 2, seed=83)
+        agg = AggregateMeasurements(energy=np.ones(shape), correlation=np.zeros(shape))
         with pytest.raises(DimensionMismatchError):
-            recover_magnitudes(agg, mats, ProblemConfig(8, 4, 2))
+            recover_magnitudes(agg, mats)

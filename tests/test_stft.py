@@ -291,6 +291,12 @@ class TestAggregate:
             tracemalloc.stop()
         assert peak < grid.values[0].nbytes  # a complex copy would be twice that
 
+    def test_window_count_must_match_grid(self):
+        w = [1, 1, 0, 0]
+        grid = measure([1, 2, 3, 4], [w, w], hop=2)
+        with pytest.raises(DimensionMismatchError, match="grid has 2 windows, family has 1"):
+            aggregate(grid, [w])
+
 
 class TestGridCsv:
     def test_round_trip(self, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stftpr import (
-    build_endpoint_graph,
     is_connected,
     measure,
     rotate_component_phase,
@@ -169,13 +168,13 @@ class TestEndpointGraph:
     def test_unit_length_windows_give_no_edges(self):
         w = np.zeros(6, complex)
         w[3] = 2.0
-        g = build_endpoint_graph(np.ones(6), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(6)), [w], hop=1)
         assert len(g.edges) == 0
 
     def test_span_three_cycle(self):
         # length 4 from anchor 0: edges join indices 3 apart; gcd(3, 8) = 1
         w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-        g = build_endpoint_graph(np.ones(8), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
         expected = {(m % 8, (m - 3) % 8) for m in range(8)}
         expected = {(min(a, b), max(a, b)) for a, b in expected}
         assert _pairs(g) == expected
@@ -184,7 +183,7 @@ class TestEndpointGraph:
     def test_span_four_splits(self):
         # length 5: offset 4, gcd(4, 8) = 4 components
         w = np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=complex)
-        g = build_endpoint_graph(np.ones(8), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
         assert not is_connected(g)
         assert len(g.components()) == 4
 
@@ -199,7 +198,7 @@ class TestEndpointGraph:
             ]
             x = np.where(rng.random(n) < 0.7, rng.normal(size=n) + 0.5j, 0)
             cov = _pairs(_covisibility(x, fam, hop))
-            end = _pairs(build_endpoint_graph(x, fam, hop))
+            end = _pairs(endpoint_graph_from_support(support(x), fam, hop))
             assert end <= cov
 
     @pytest.mark.parametrize("n", [6, 8, 9, 12])
@@ -209,7 +208,7 @@ class TestEndpointGraph:
         for length in range(2, n + 1):
             w = np.zeros(n, complex)
             w[:length] = 1.0
-            g = build_endpoint_graph(x, [w], hop=1)
+            g = endpoint_graph_from_support(support(x), [w], hop=1)
             assert is_connected(g) == (math.gcd(length - 1, n) == 1)
 
     @pytest.mark.parametrize("n", [6, 8, 9, 12])
@@ -220,7 +219,7 @@ class TestEndpointGraph:
         for _ in range(15):
             lengths = rng.integers(2, n + 1, size=int(rng.integers(1, 4)))
             fam = [random_interval_window(n, int(L), rng) for L in lengths]
-            g = build_endpoint_graph(x, fam, hop=1)
+            g = endpoint_graph_from_support(support(x), fam, hop=1)
             assert is_connected(g) == (math.gcd(*(int(L) - 1 for L in lengths), n) == 1)
 
 
@@ -252,7 +251,7 @@ class TestSpanningTree:
 
     def test_bfs_tree_on_span_three_graph(self):
         w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-        g = build_endpoint_graph(np.ones(8), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
         tree = spanning_tree(g)
         assert tree.root == 0
         assert len(tree.edges) == 7
@@ -319,7 +318,7 @@ class TestRotateComponentPhase:
 
 def test_certificate_dict_shape():
     w = np.array([1, 1, 0, 0], dtype=complex)
-    g = build_endpoint_graph(np.ones(4), [w], hop=1)
+    g = endpoint_graph_from_support(support(np.ones(4)), [w], hop=1)
     cert = g.to_dict()
     assert cert["variant"] == "endpoint"
     assert cert["connected"] is True
@@ -536,7 +535,7 @@ def test_graph_text_of_a_nested_hand_built_graph():
 
 def test_graph_and_tree_edges_are_arrays():
     w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-    graph = build_endpoint_graph(np.ones(8), [w], hop=1)
+    graph = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
     tree = spanning_tree(graph)
     assert (len(graph.edges), len(tree.edges)) == (8, 7)
     assert (graph.offsets.size - 1, tree.child.size) == (8, 7)

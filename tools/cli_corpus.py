@@ -1,7 +1,7 @@
 """Run a fixed corpus of stftpr CLI commands and print hashes of what they produce.
 
-The corpus covers every subcommand, exact and noisy grids, full and
-``--compressed`` recovery, and every exit code 0-4.  Commands run in process,
+The corpus covers every subcommand, every signal spec, exact and noisy
+grids, full and ``--compressed`` recovery, and every exit code 0-4.  Commands run in process,
 through ``stftpr.cli.main``, in a fresh temporary directory with relative
 paths, against whichever ``stftpr`` is first on ``sys.path``.  For each step
 the tool prints the command, its exit code and the SHA-256 of its stderr,
@@ -52,6 +52,11 @@ CORPUS = [
     "recover --grid deep/grid_noisy.csv --windows deep/windows.json"
     " --min-magnitude 0.5 --compressed --out deep/recover_compressed.json",
     "simulate --n 8 --hop 8 --num-windows 8 --windows masks --seed 5 --out masks",
+    # a one-vertex support: a spanning tree without edges
+    "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --signal delta --seed 42"
+    " --out delta",
+    "recover --grid delta/grid.csv --windows delta/windows.json --signal delta/signal.json"
+    " --out delta/recover.json",
     "analyze --n 40 --hop 4 --num-windows 16 --windows chain:4 --seed 1 --out certificate.json",
     "analyze --n 8 --hop 1 --num-windows 1 --windows random-support:4"
     " --signal antipodal-pair --seed 7",
