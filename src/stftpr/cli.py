@@ -49,7 +49,6 @@ from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
 from .supportgraph import (
     SupportGraph,
-    WindowSupport,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
@@ -316,7 +315,8 @@ def cmd_simulate(args) -> int:
         eps = rng.uniform(-args.noise, args.noise, grid.values.shape)
         write_grid_csv(corrupt(grid, eps), outdir / "grid_noisy.csv")
     mats = certify_rank(fam, cfg.hop, args.rank_tol)
-    supports = [window_support(w, cfg.zero_tol) for w in fam]
+    supports = window_support(fam, cfg.zero_tol)
+    lengths, anchors = supports.length.tolist(), supports.anchor.tolist()
     report = {
         "config": {
             "n": cfg.n,
@@ -330,8 +330,7 @@ def cmd_simulate(args) -> int:
         },
         "certification": mats.report(),
         "window_supports": [
-            {"window": r, "length": ws.length, "anchor": ws.anchor}
-            for r, ws in enumerate(supports)
+            {"window": r, "length": lengths[r], "anchor": anchors[r]} for r in range(len(lengths))
         ],
         "short_windows": not long_windows(supports, cfg.n),
         "signal_support": list(support(x, cfg.zero_tol)),
@@ -343,9 +342,9 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     _, fam, cfg, x = _instance(args)
     supp = support(x, cfg.zero_tol)
-    supports = [window_support(w, cfg.zero_tol) for w in fam]
+    supports = window_support(fam, cfg.zero_tol)
     cov = covisibility_graph_from_support(supp, fam, cfg.hop, cfg.zero_tol)
-    end = endpoint_graph_from_support(supp, fam, cfg.hop, cfg.zero_tol, supports=supports)
+    end = endpoint_graph_from_support(supp, supports, cfg.hop, cfg.n)
     mats = certify_rank(fam, cfg.hop, args.rank_tol)
     short = not long_windows(supports, cfg.n)
     necessary = is_connected(cov)
@@ -447,15 +446,10 @@ def cmd_verify(args) -> int:
             compare("magnitudes", mag.magnitudes_sq, np.abs(x) ** 2, 1e-9)
         )
         # every witness of every endpoint-graph edge, in (edge, window, hop) order
-        supports = [window_support(w, cfg.zero_tol) for w in fam]
-        graph = endpoint_graph_from_support(
-            support(x, cfg.zero_tol), fam, cfg.hop, cfg.zero_tol, supports=supports
-        )
+        supports = window_support(fam, cfg.zero_tol)
+        graph = endpoint_graph_from_support(support(x, cfg.zero_tol), supports, cfg.hop, cfg.n)
         r, m = graph.window, graph.hop_index
-        ws = WindowSupport(
-            length=np.array([s.length for s in supports])[r],
-            anchor=np.array([s.anchor for s in supports])[r],
-        )
+        ws = supports[r]
         n1, n2 = endpoint_witness(ws, cfg.hop, m, cfg.n)
         ends = np.repeat(graph.edges, np.diff(graph.offsets), axis=0)
         xs = x.tolist()

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import as_window_family
+from .model import check_hop
 from .spectral import certify_rank
-from .supportgraph import endpoint_graph_from_support, is_connected
+from .supportgraph import endpoint_graph_from_support, is_connected, window_support
 
 # draws of window values before a generator gives up on certifying a family
 _MAX_TRIES = 64
@@ -85,8 +85,7 @@ def chain_family(
     extra windows get random intervals of length 2..n//2.  Redraws values
     until the rank certificate passes (failures are measure-zero accidents).
     """
-    if hop < 1 or n % hop != 0:
-        raise ConfigurationError(f"hop {hop} does not divide {n}")
+    check_hop(n, hop)
     if num_windows < hop:
         raise ConfigurationError(
             f"full rank needs at least {hop} windows, got {num_windows}"
@@ -136,8 +135,7 @@ def certified_instance(
     fam = chain_family(n, hop, num_windows, rng)
     x = random_signal(n, rng, support=support)
     verts = np.flatnonzero(np.abs(x) > 0)
-    graph = endpoint_graph_from_support(verts, as_window_family(fam), hop)
-    if not is_connected(graph):
+    if not is_connected(endpoint_graph_from_support(verts, window_support(fam), hop, n)):
         raise ConfigurationError(
             f"generated instance has a disconnected endpoint graph "
             f"(support {sorted(int(v) for v in verts)})"

@@ -176,23 +176,23 @@ def edge_phase(
     graph: SupportGraph,
     agg: AggregateMeasurements,
     fam: np.ndarray,
-    supports: list[WindowSupport],
+    supports: WindowSupport,
     degenerate_tol: float,
 ) -> _EdgeTable:
     """Relative phase of every edge of ``graph`` in one array pass over the correlation table.
 
-    ``fam`` is a validated window family and ``supports`` its window
-    supports.  Witnesses of windows with supporting length 1 are unusable.
-    Each edge takes the usable witness of largest evidence magnitude, ties
-    going to the smaller (window, hop), provided it clears ``degenerate_tol``;
-    an edge without one gets window -1, and ``raise_degenerate`` names it.
+    ``fam`` is a validated window family and ``supports`` its
+    :func:`~stftpr.supportgraph.window_support`.  Witnesses of windows with
+    supporting length 1 are unusable.  Each edge takes the usable witness of
+    largest evidence magnitude, ties going to the smaller (window, hop),
+    provided it clears ``degenerate_tol``; an edge without one gets window
+    -1, and ``raise_degenerate`` names it.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
     num_edges = len(graph.edges)
-    lengths = np.array([ws.length for ws in supports])
     eid = np.repeat(np.arange(num_edges), np.diff(graph.offsets))
-    keep = lengths[graph.window] >= 2
+    keep = supports.length[graph.window] >= 2
     usable = np.zeros(num_edges, dtype=bool)
     usable[eid[keep]] = True
     eid, r, m = eid[keep], graph.window[keep], graph.hop_index[keep]
@@ -205,8 +205,7 @@ def edge_phase(
     first = first[mag[first] > degenerate_tol]
     chosen, r, m = eid[first], r[first], m[first]
     value = agg.correlation[r, m]
-    # a support whose fields are per-witness arrays maps every chosen witness at once
-    ws = WindowSupport(length=lengths[r], anchor=np.array([s.anchor for s in supports])[r])
+    ws = supports[r]
     n1, n2 = endpoint_witness(ws, hop, m, n)
     ends = graph.edges[chosen]
     match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
@@ -313,7 +312,7 @@ def _run_pipeline(
         check_tolerance("degenerate_tol", degenerate_tol)
     mats = certify_rank(fam, cfg.hop, rank_tol)
     magnitudes = recover_magnitudes(agg, mats)
-    supports = [window_support(w, cfg.zero_tol) for w in fam]
+    supports = window_support(fam, cfg.zero_tol)
     detected, rule = _detect_support(
         magnitudes, agg.noise_level, cfg.zero_tol, min_support_magnitude
     )
@@ -326,9 +325,7 @@ def _run_pipeline(
         "severe_clamping": magnitudes.severe_clamping,
     }
     # an empty support gives an empty graph and tree, and an all-zero estimate
-    graph = endpoint_graph_from_support(
-        detected, fam, cfg.hop, cfg.zero_tol, supports=supports
-    )
+    graph = endpoint_graph_from_support(detected, supports, cfg.hop, cfg.n)
     try:
         tree = spanning_tree(graph)
     except DisconnectedGraphError:

@@ -98,17 +98,16 @@ def stability_constants(
         )
     n = fam.shape[1]
     window_l2 = float(np.sqrt(np.sum(np.abs(fam) ** 2)))
-    endpoint_products = []
-    for w in fam:
-        ws = window_support(w, zero_tol)
-        endpoint_products.append(abs(w[ws.anchor] * w[ws.far(n)]))
+    ws, rows = window_support(fam, zero_tol), np.arange(fam.shape[0])
+    near, far = fam[rows, ws.anchor].tolist(), fam[rows, ws.far(n)].tolist()
     inverses = np.linalg.inv(mats.matrices.conj().transpose(0, 2, 1) @ mats.matrices)
     gram_l1 = 0.0
     for l1 in np.abs(inverses).sum(axis=(1, 2)).tolist():  # in residue order: A_norm1 keeps its bytes
         gram_l1 += l1
     return StabilityConstants(
         window_l2=window_l2,
-        min_endpoint_product=float(min(endpoint_products)),
+        # Python complex products and abs, entry by entry: np.abs can move its last bit
+        min_endpoint_product=min(abs(a * b) for a, b in zip(near, far)),
         gram_inverse_l1=gram_l1,
         n=n,
     )

@@ -95,13 +95,12 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     pseudo-inverse recipe): it gives the ranks and, when every residue
     certifies, the stacked pseudo-inverses ``V S^-1 U^H``, bit for bit numpy's.
     """
-    fam = as_window_family(windows)
-    n = fam.shape[1]
+    spectra = window_power_spectra(windows)  # validates the family first
+    num_windows, n = spectra.shape
     check_hop(n, hop)
     if rank_tol is None:
-        rank_tol = default_rank_tol(fam.shape[0], hop)
+        rank_tol = default_rank_tol(num_windows, hop)
     check_tolerance("rank_tol", rank_tol)
-    spectra = window_power_spectra(fam)
     num_hops = n // hop
     cols = np.arange(num_hops)[:, None] + np.arange(hop)[None, :] * num_hops
     stack = np.ascontiguousarray(spectra[:, cols].transpose(1, 0, 2))

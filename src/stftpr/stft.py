@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
 from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, check_hop, check_tolerance
-from .supportgraph import window_support
+from .supportgraph import WindowSupport, endpoint_witness, window_support
 
 
 def stft(x, w, hop: int) -> np.ndarray:
@@ -122,17 +122,18 @@ def _autocorrelation_coefficients(sections: np.ndarray) -> np.ndarray:
     return np.concatenate((c.real, c.imag[:, 1:]), axis=1)
 
 
-def _window_power(xa, w, starts, tables: dict, out: np.ndarray) -> None:
+def _window_power(xa, w, ws: WindowSupport, tables: dict, out: np.ndarray) -> None:
     """One window's ``(M, n)`` block of squared magnitudes, written into ``out``.
 
-    Sections, spectra and coefficients are locals, so none outlives the call.
+    ``ws`` is the window's exact support.  Sections, spectra and
+    coefficients are locals, so none outlives the call.
     """
-    n = xa.shape[0]
-    ws = window_support(w, 0.0)
+    n, num_hops = xa.shape[0], out.shape[0]
     offsets = np.arange(ws.length)
-    taps = w[(ws.anchor + ws.length - 1 - offsets) % n]
-    t = (starts[:, None] - ws.anchor - (ws.length - 1) + offsets[None, :]) % n
-    sections = xa[t] * taps
+    taps = w[(ws.far(n) - offsets) % n]
+    # section m starts at the index its window's far end sees
+    _, first = endpoint_witness(ws, n // num_hops, np.arange(num_hops), n)
+    sections = xa[(first[:, None] + offsets) % n] * taps
     # 2L - 1 <= log2 n: the table has 2L - 1 rows, an n-point FFT costs O(log n)
     # per output.  Well on the cheap side of the crossover: at n = 1024, M = 128
     # the routes break even between L = 32 and 64, and this stops at L = 5.
@@ -181,11 +182,11 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
     n = xa.shape[0]
     fam = as_window_family(windows, n)
     check_hop(n, hop)
-    starts = hop * np.arange(n // hop)
+    supports = window_support(fam, 0.0)
     vals = np.empty((fam.shape[0], n // hop, n))
     tables = {}  # windows sharing a supporting length share one trig table
     for r, w in enumerate(fam):
-        _window_power(xa, w, starts, tables, vals[r])
+        _window_power(xa, w, supports[r], tables, vals[r])
     return MeasurementGrid(values=vals, noise_level=0.0)
 
 
@@ -259,9 +260,8 @@ def aggregate(
     energy = grid.values.sum(axis=2)
     correlation = np.empty(energy.shape, dtype=complex)
     k = np.arange(n)
-    for r in range(fam.shape[0]):
-        span = window_support(fam[r], zero_tol).length - 1
-        angle = 2 * np.pi * k * span / n
+    for r, length in enumerate(window_support(fam, zero_tol).length.tolist()):
+        angle = 2 * np.pi * k * (length - 1) / n
         # two real mat-vecs: a complex one would first copy the block to complex
         correlation[r].real = grid.values[r] @ np.cos(angle)
         correlation[r].imag = grid.values[r] @ np.sin(angle)

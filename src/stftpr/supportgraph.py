@@ -30,20 +30,29 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InvalidPartitionError, InvalidWindowError
+from .errors import (
+    DimensionMismatchError, DisconnectedGraphError, InvalidPartitionError, InvalidWindowError,
+)
 from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, support
 
 
 @dataclass(frozen=True)
 class WindowSupport:
-    """Minimal cyclic interval [anchor, anchor + length - 1] covering a window."""
+    """Minimal cyclic interval [anchor, anchor + length - 1] covering a window.
 
-    length: int
-    anchor: int
+    A family's fields are arrays, entry r being window r's; ``supports[r]``
+    selects the windows that an int or an index array ``r`` names.
+    """
 
-    def far(self, n: int) -> int:
+    length: int | np.ndarray
+    anchor: int | np.ndarray
+
+    def far(self, n: int):
         """Index of the interval's far endpoint, ``anchor + length - 1`` mod n."""
         return (self.anchor + self.length - 1) % n
+
+    def __getitem__(self, r) -> WindowSupport:
+        return WindowSupport(self.length[r], self.anchor[r])
 
 
 def endpoint_witness(ws: WindowSupport, hop: int, m: int, n: int) -> tuple[int, int]:
@@ -51,42 +60,53 @@ def endpoint_witness(ws: WindowSupport, hop: int, m: int, n: int) -> tuple[int, 
 
     ``n1 = hop*m - anchor`` is seen through the window's anchor and
     ``n2 = n1 - (length - 1)`` through its far endpoint (indices mod n).
-    An integer array ``m`` gives arrays of endpoints, one pair per hop.
+    Array fields or an array ``m`` give arrays of endpoints, broadcast
+    against each other.
     """
     n1 = (hop * m - ws.anchor) % n
     return n1, (n1 - (ws.length - 1)) % n
 
 
-def long_windows(supports: list[WindowSupport], n: int) -> list[int]:
-    """Windows whose supporting length exceeds n/2; they make edge phases ambiguous."""
-    return [r for r, ws in enumerate(supports) if 2 * ws.length > n]
+def long_windows(supports: WindowSupport, n: int) -> list[int]:
+    """Windows of a family whose supporting length exceeds n/2; they make edge phases ambiguous."""
+    return np.flatnonzero(2 * supports.length > n).tolist()
 
 
 def window_support(w, zero_tol: float = DEFAULT_ZERO_TOL) -> WindowSupport:
-    """Supporting length and anchor of a window.
+    """Supporting length and anchor of a window, or of every row of an ``(R, n)`` family.
 
     The interval is the shortest cyclic run containing every entry above the
     relative tolerance; both endpoints then land on nonzero entries.  When
     several intervals tie for minimal length (e.g. (1, 0, 1, 0) on n = 4),
     the smallest anchor wins; a window with no zero entries gets anchor 0.
-    A window with no entry above the tolerance (``zero_tol >= 1``) raises
-    ``InvalidWindowError``.
+    A 1-d window gives int fields, a family ``(R,)`` intp arrays, all rows
+    in one pass.  A window with no entry above the tolerance (``zero_tol >=
+    1``) raises ``InvalidWindowError``, naming the first such row of a family.
     """
-    arr = as_signal(w)
-    n = arr.shape[0]
-    mags = np.abs(arr)
-    peak = float(mags.max()) if n else 0.0
-    if peak == 0.0:
-        raise InvalidWindowError("window is identically zero")
-    nonzero = np.flatnonzero(mags > zero_tol * peak)
-    if nonzero.size == 0:
-        raise InvalidWindowError(f"window has no entry above {zero_tol} times its peak")
-    # an interval starting at a nonzero entry ends at its cyclic predecessor, so
-    # its length is n + 1 minus the gap between the two: the widest gap gives the
-    # shortest interval, and argmax keeps the first (smallest) anchor among ties
-    gaps = nonzero - np.concatenate(([nonzero[-1] - n], nonzero[:-1]))
-    best = int(np.argmax(gaps))
-    return WindowSupport(length=n + 1 - int(gaps[best]), anchor=int(nonzero[best]))
+    arr = np.asarray(w, dtype=complex)
+    if arr.ndim not in (1, 2):
+        raise DimensionMismatchError(f"expected a window or a window family, got shape {arr.shape}")
+    mags = np.abs(arr if arr.ndim == 2 else arr[None, :])
+    n = mags.shape[1]
+    peak = mags.max(axis=1, initial=0.0)
+    above = mags > zero_tol * peak[:, None]
+    if not above.any(axis=1).all():
+        r = int(np.argmin(above.any(axis=1)))
+        name = "window" if arr.ndim == 1 else f"window {r}"
+        if peak[r] == 0.0:
+            raise InvalidWindowError(f"{name} is identically zero")
+        raise InvalidWindowError(f"{name} has no entry above {zero_tol} times its peak")
+    rows, nonzero = np.nonzero(above)
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first nonzero entry
+    # an interval starting at a nonzero entry ends at its cyclic predecessor in
+    # the same row, so its length is n + 1 minus the gap between the two
+    gaps = nonzero - np.roll(nonzero, 1)
+    gaps[first] = nonzero[first] + n - nonzero[np.roll(first, -1) - 1]
+    # per row, the widest gap (shortest interval), the smallest anchor among ties
+    best = np.lexsort((-gaps, rows))[first]
+    if arr.ndim == 1:
+        return WindowSupport(length=n + 1 - int(gaps[best[0]]), anchor=int(nonzero[best[0]]))
+    return WindowSupport(length=n + 1 - gaps[best], anchor=nonzero[best])
 
 
 def _ints(values) -> np.ndarray:
@@ -222,27 +242,19 @@ def covisibility_graph_from_support(
 
 
 def endpoint_graph_from_support(
-    vertices,
-    windows,
-    hop: int,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    supports: list[WindowSupport] | None = None,
+    vertices, supports: WindowSupport, hop: int, n: int
 ) -> SupportGraph:
-    """Endpoint graph over an explicit vertex set.
+    """Endpoint graph over an explicit vertex set, from a family's window supports.
 
     Each section sees the two :func:`endpoint_witness` indices of its window.
     Windows of supporting length 1 contribute no edges (the two interval
     endpoints coincide).
     """
-    fam = as_window_family(windows)
-    n = fam.shape[1]
-    if supports is None:
-        supports = [window_support(w, zero_tol) for w in fam]
-    hops = np.arange(n // hop)
+    # (R, M, 2): the two endpoints seen by each window's section at each hop
+    seen = np.stack(endpoint_witness(supports[:, None], hop, np.arange(n // hop), n), axis=2)
     pair = {True: (_ints([0]), _ints([1])), False: (_ints([]), _ints([]))}
     return _section_graph("endpoint", vertices, n, [
-        (np.stack(endpoint_witness(ws, hop, hops, n), axis=1), *pair[ws.length > 1])
-        for ws in supports
+        (s, *pair[length > 1]) for s, length in zip(seen, supports.length.tolist())
     ])
 
 

@@ -32,6 +32,7 @@ from stftpr import (
     stft_direct,
     support,
     threshold_support,
+    window_support,
 )
 from stftpr.errors import CertificationError
 from stftpr.generators import (
@@ -129,7 +130,8 @@ def test_criterion_4_coprimality():
         for length in range(2, n // 2 + 1):
             w = np.zeros(n, complex)
             w[:length] = 1.0
-            connected = is_connected(endpoint_graph_from_support(support(x), [w], hop=1))
+            graph = endpoint_graph_from_support(support(x), window_support([w]), 1, n)
+            connected = is_connected(graph)
             assert connected == (math.gcd(length - 1, n) == 1), (n, length)
             checked += 1
     _report(4, "coprimality criterion", f"{checked} (n, length) cases, exact match")

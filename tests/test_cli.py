@@ -400,7 +400,7 @@ def test_chain_hop_below_one_exits_one(tmp_path, capsys, command, spec):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert f"stftpr: error: hop {spec[6:]} does not divide 8" in err
+    assert f"stftpr: error: hop {spec[6:]} does not divide signal length 8" in err
     assert "Traceback" not in err
 
 
@@ -450,9 +450,9 @@ class TestAnalyze:
         fam = chain_family(40, 4, 16, rng)
         x = random_signal(40, rng)
         cov = covisibility_graph_from_support(support(x), fam, 4)
-        end = endpoint_graph_from_support(support(x), fam, 4)
+        end = endpoint_graph_from_support(support(x), window_support(fam), 4, 40)
         mats = certify_rank(fam, 4)
-        short = not long_windows([window_support(w) for w in fam], 40)
+        short = not long_windows(window_support(fam), 40)
         assert is_connected(cov) and is_connected(end) and short and mats.certified
         payload = {
             "covisibility": cov.to_dict(),
@@ -544,7 +544,8 @@ class TestVerify:
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         rng = np.random.default_rng(seed)
         fam = chain_family(16, 4, 6, rng)
-        graph = endpoint_graph_from_support(support(random_signal(16, rng)), fam, 4)
+        supp = support(random_signal(16, rng))
+        graph = endpoint_graph_from_support(supp, window_support(fam), 4, 16)
         edges = [line for line in lines if line["case_id"].startswith("edge:")]
         assert graph.offsets[-1] > 0 and len(edges) == graph.offsets[-1]
         assert len(lines) == len(edges) + 6 + 2  # stft per window, measure, magnitudes

@@ -53,7 +53,7 @@ def test_chain_family_connects_consecutive_indices():
     for n, hop, num in [(8, 1, 1), (8, 2, 3), (12, 4, 5), (16, 16, 16)]:
         fam = chain_family(n, hop, num, rng)
         assert certify_rank(fam, hop).certified
-        graph = endpoint_graph_from_support(range(n), fam, hop)
+        graph = endpoint_graph_from_support(range(n), window_support(fam), hop, n)
         pairs = set(map(tuple, graph.edges.tolist()))
         for t in range(n):
             a, b = t, (t + 1) % n
@@ -65,9 +65,9 @@ def test_chain_family_connects_consecutive_indices():
 def test_hop_below_one_rejected(hop):
     # hop 0 used to raise ZeroDivisionError from n % hop
     rng = np.random.default_rng(5)
-    with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide 8"):
+    with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide signal length 8"):
         chain_family(8, hop, 3, rng)
-    with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide 8"):
+    with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide signal length 8"):
         certified_instance(8, hop, 3, rng)
 
 

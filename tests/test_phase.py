@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stftpr import model, phase
+from stftpr import model, phase, supportgraph
 from stftpr import (
     AggregateMeasurements,
     MeasurementGrid,
@@ -33,6 +34,8 @@ from stftpr.errors import (
 from stftpr.generators import certified_instance, random_interval_window
 from stftpr.supportgraph import endpoint_witness
 
+stft_module = importlib.import_module("stftpr.stft")  # ``stftpr.stft`` is also a function
+
 from conftest import graph_from_lists, witness_lists
 
 
@@ -52,10 +55,10 @@ def _single_edge_phase(edge, agg, fam):
     """
     fam = np.asarray(fam, dtype=complex)
     degenerate_tol = phase.default_degenerate_tol(fam.shape[1], agg.noise_level)
-    supports = [window_support(w) for w in fam]
+    supports = window_support(fam)
     graph = graph_from_lists("endpoint", edge[0], [edge])
     table = phase.edge_phase(graph, agg, fam, supports, degenerate_tol)
-    want = _reference_edge_phase(edge[1], agg, fam, supports, degenerate_tol)
+    want = _reference_edge_phase(edge[1], agg, fam, degenerate_tol)
     assert (want is None) == (table.window[0] < 0)
     table.raise_degenerate(np.zeros(1, dtype=np.intp))
     cols = (table.n1, table.n2, table.window, table.hop_index, table.relative_phase)
@@ -69,7 +72,7 @@ class TestEdgePhase:
         x = np.ones(4, complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        g = endpoint_graph_from_support(support(x), fam, 1)
+        g = endpoint_graph_from_support(support(x), window_support(fam), 1, 4)
         *_, rel = _single_edge_phase(_edge(g, 0, 3), agg, fam)
         assert rel == pytest.approx(1.0, abs=1e-12)
 
@@ -77,7 +80,7 @@ class TestEdgePhase:
         x = np.array([1j, 1, 1, 1], dtype=complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        g = endpoint_graph_from_support(support(x), fam, 1)
+        g = endpoint_graph_from_support(support(x), window_support(fam), 1, 4)
         n1, n2, _, _, rel = _single_edge_phase(_edge(g, 0, 3), agg, fam)
         assert (n1, n2) == (0, 3)  # hop 0 sees the anchor at index 0
         assert rel == pytest.approx(1j, abs=1e-12)
@@ -88,7 +91,7 @@ class TestEdgePhase:
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         fam = [np.array([1, 2, 1, 0, 0, 0, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        g = endpoint_graph_from_support(support(x), fam, 1)
+        g = endpoint_graph_from_support(support(x), window_support(fam), 1, n)
         for m in range(n):
             n1, n2 = m % n, (m - 2) % n
             a, b, _, _, rel = _single_edge_phase(_edge(g, n1, n2), agg, fam)
@@ -101,7 +104,7 @@ class TestEdgePhase:
         n, hop = 12, 3
         x, fam = certified_instance(n, hop, 4, rng)
         agg = aggregate(measure(x, fam, hop), fam)
-        g = endpoint_graph_from_support(support(x), fam, hop)
+        g = endpoint_graph_from_support(support(x), window_support(fam), hop, n)
         assert len(g.edges)
         for edge in witness_lists(g).items():
             a, b, _, _, rel = _single_edge_phase(edge, agg, fam)
@@ -113,7 +116,7 @@ class TestEdgePhase:
         # a frequency-constant grid has zero correlation for any span >= 1
         x = np.ones(4, complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex)]
-        g = endpoint_graph_from_support(support(x), fam, 1)
+        g = endpoint_graph_from_support(support(x), window_support(fam), 1, 4)
         flat = MeasurementGrid(values=np.ones((1, 4, 4)), noise_level=0.05)
         agg = aggregate(flat, fam)
         with pytest.raises(DegenerateEdgeError) as err:
@@ -246,7 +249,7 @@ class TestReconstruct:
         fam = [random_interval_window(n, 4, rng), random_interval_window(n, 4, rng)]
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.5, 1.5, n)
         agg = aggregate(measure(x, fam, 1), fam)
-        graph = endpoint_graph_from_support(support(x), fam, 1)
+        graph = endpoint_graph_from_support(support(x), window_support(fam), 1, n)
         edges = witness_lists(graph)
         assert edges and all(len(ws) == 2 for ws in edges.values())
         for ends, witnesses in edges.items():
@@ -385,17 +388,18 @@ class TestReconstructCompressed:
         assert np.all(res.estimate == 0)
 
 
-def _reference_edge_phase(witnesses, agg, fam, supports, tol):
+def _reference_edge_phase(witnesses, agg, fam, tol):
     """The per-edge witness loop that the array pass of ``edge_phase`` replaced.
 
     Witnesses are tried strongest evidence first, ties going to the smaller
-    (window, hop).
+    (window, hop).  Each window's support comes from its own row.
 
     Returns ``(n1, n2, window, hop_index, relative_phase)``, or None when no
     usable witness clears ``tol``.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
+    supports = [window_support(w) for w in fam]
     usable = [(r, m) for (r, m) in witnesses if supports[r].length >= 2]
     if not usable:
         return None
@@ -433,13 +437,13 @@ class TestEdgeTable:
         if data.draw(st.booleans()):
             grid = corrupt(grid, rng.uniform(-1e-3, 1e-3, grid.values.shape))
         agg = aggregate(grid, fam)
-        supports = [window_support(w) for w in fam]
-        graph = endpoint_graph_from_support(support(x), fam, hop)
+        supports = window_support(fam)
+        graph = endpoint_graph_from_support(support(x), supports, hop, n)
         # a tolerance among the evidence magnitudes leaves some edges degenerate
         tol = data.draw(st.sampled_from([0.0, *np.quantile(np.abs(agg.correlation), [0.3, 0.7])]))
         table = phase.edge_phase(graph, agg, fam, supports, tol)
         for i, witnesses in enumerate(witness_lists(graph).values()):
-            want = _reference_edge_phase(witnesses, agg, fam, supports, tol)
+            want = _reference_edge_phase(witnesses, agg, fam, tol)
             if want is None:
                 assert table.window[i] == -1
                 continue
@@ -479,7 +483,7 @@ class TestEdgeTable:
             x, fam = certified_instance(8, 1, 2, rng)
             grid = measure(x, fam, 1)
             agg = aggregate(grid, fam)
-            graph = endpoint_graph_from_support(support(x), fam, 1)
+            graph = endpoint_graph_from_support(support(x), window_support(fam), 1, 8)
             tree = set(map(tuple, graph.edges[spanning_tree(graph).edges].tolist()))
             best = {
                 ends: max(abs(agg.correlation[r, m]) for r, m in witnesses)
@@ -556,9 +560,9 @@ class TestArrayWalk:
             cfg = ProblemConfig(n, hop, num_windows)
             res = reconstruct(grid, fam, cfg, min_support_magnitude=0.5)
             agg = aggregate(grid, fam)
-            supports = [window_support(w) for w in fam]
+            supports = window_support(fam)
             verts = res.diagnostics["support"]
-            graph = endpoint_graph_from_support(verts, fam, hop, supports=supports)
+            graph = endpoint_graph_from_support(verts, supports, hop, n)
             tree = spanning_tree(graph)
             table = phase.edge_phase(
                 graph, agg, fam, supports, phase.default_degenerate_tol(n, 1e-9)
@@ -595,11 +599,34 @@ class TestArrayWalk:
             reconstruct(noisy, fam, cfg, min_support_magnitude=0.5),
             reconstruct_compressed(aggregate(grid, fam), fam, cfg),
         ]
-        num_edges = len(endpoint_graph_from_support(support(x), fam, 2).edges)
+        num_edges = len(endpoint_graph_from_support(support(x), window_support(fam), 2, 24).edges)
         assert seen == [(num_edges, num_edges)] * 3
         for res in results:
             d = res.diagnostics
             assert len(d["used_witnesses"]) + len(d["nontree_residuals"]) == num_edges
+
+
+    def test_reconstruct_computes_window_supports_once(self, monkeypatch):
+        # the pipeline computes its family's supports in one call, through the
+        # module binding (where a tracer wraps it), and hands them down; the
+        # grid path adds aggregate's one call
+        calls = {}
+        for module in (phase, stft_module, supportgraph):
+            def counting(*args, _name=module.__name__, _fn=module.window_support):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(module, "window_support", counting)
+        rng = np.random.default_rng(233)
+        x, fam = certified_instance(24, 2, 5, rng)
+        grid = measure(x, fam, 2)
+        cfg = ProblemConfig(24, 2, 5)
+        agg = aggregate(grid, fam)
+        calls.clear()
+        reconstruct(grid, fam, cfg)
+        assert calls == {"stftpr.phase": 1, "stftpr.stft": 1}
+        calls.clear()
+        reconstruct_compressed(agg, fam, cfg)
+        assert calls == {"stftpr.phase": 1}
 
 
 class TestNonFinitePrior:

@@ -17,7 +17,8 @@ from stftpr.errors import (
     InvalidPriorError,
     UndefinedBudgetError,
 )
-from stftpr.generators import certified_instance
+from stftpr.generators import certified_instance, chain_family, random_interval_window
+from stftpr.supportgraph import window_support
 
 
 def _impulse_constants(n):
@@ -28,6 +29,33 @@ def _impulse_constants(n):
 
 
 class TestStabilityConstants:
+    def test_min_endpoint_product_is_the_exact_per_window_minimum(self):
+        # == and not approx: W_star's bytes go into bounds.json and recover.json,
+        # and a vectorised np.abs can move the last bit
+        rng = np.random.default_rng(229)
+        checked = 0
+        for trial in range(60):
+            n = int(rng.choice([8, 12, 16, 24]))
+            if trial % 2:
+                hop = int(rng.choice([d for d in (1, 2, 4) if n % d == 0]))
+                fam = chain_family(n, hop, hop + int(rng.integers(0, 4)), rng)
+            else:
+                hop = 1
+                fam = np.stack([
+                    random_interval_window(n, int(rng.integers(1, n // 2 + 1)), rng)
+                    for _ in range(int(rng.integers(1, 5)))
+                ])
+            mats = certify_rank(fam, hop)
+            if not mats.certified:
+                continue
+            want = []
+            for w in fam:
+                ws = window_support(w)
+                want.append(abs(complex(w[ws.anchor]) * complex(w[ws.far(n)])))
+            assert stability_constants(fam, mats).min_endpoint_product == min(want)
+            checked += 1
+        assert checked >= 40
+
     def test_impulse_window(self):
         n = 8
         consts = _impulse_constants(n)

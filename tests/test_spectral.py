@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stftpr import model, spectral
 from stftpr import (
     aggregate,
     certify_rank,
@@ -9,7 +10,9 @@ from stftpr import (
     recover_magnitudes,
     window_power_spectra,
 )
-from stftpr.errors import CertificationError, ConfigurationError, DimensionMismatchError
+from stftpr.errors import (
+    CertificationError, ConfigurationError, DimensionMismatchError, InvalidWindowError,
+)
 from stftpr.generators import certified_instance, chain_family, random_interval_window
 from stftpr.stft import AggregateMeasurements
 
@@ -177,6 +180,22 @@ class TestCertifyRank:
         # a negative tolerance counts every singular value, certifying anything
         with pytest.raises(ConfigurationError, match="rank_tol"):
             certify_rank([np.array([1, 1, 0, 0, 0, 0, 0, 0])], hop=1, rank_tol=rank_tol)
+
+    @pytest.mark.parametrize("hop,rank_tol", [(3, None), (1, -1.0)])
+    def test_family_errors_come_first(self, monkeypatch, hop, rank_tol):
+        # the family is validated once, inside window_power_spectra, and a bad
+        # family is named before a bad hop or rank_tol
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return model.as_window_family(*args)
+
+        monkeypatch.setattr(spectral, "as_window_family", counting)
+        with pytest.raises(InvalidWindowError, match="window 1 is identically zero"):
+            certify_rank([np.ones(8), np.zeros(8)], hop=hop, rank_tol=rank_tol)
+        assert certify_rank([np.ones(8)], hop=1).num_windows == 1
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("hop", [0, 3, 16])
     def test_hop_must_divide(self, hop):

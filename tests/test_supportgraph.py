@@ -94,7 +94,7 @@ class TestEndpointWitness:
         assert wrapped > 0 and strided > 0
 
     def test_long_windows(self):
-        supports = [WindowSupport(4, 0), WindowSupport(5, 3), WindowSupport(1, 7)]
+        supports = WindowSupport(length=np.array([4, 5, 1]), anchor=np.array([0, 3, 7]))
         assert long_windows(supports, 8) == [1]
         assert long_windows(supports, 10) == []
 
@@ -168,13 +168,13 @@ class TestEndpointGraph:
     def test_unit_length_windows_give_no_edges(self):
         w = np.zeros(6, complex)
         w[3] = 2.0
-        g = endpoint_graph_from_support(support(np.ones(6)), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(6)), window_support([w]), 1, 6)
         assert len(g.edges) == 0
 
     def test_span_three_cycle(self):
         # length 4 from anchor 0: edges join indices 3 apart; gcd(3, 8) = 1
         w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-        g = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
         expected = {(m % 8, (m - 3) % 8) for m in range(8)}
         expected = {(min(a, b), max(a, b)) for a, b in expected}
         assert _pairs(g) == expected
@@ -183,7 +183,7 @@ class TestEndpointGraph:
     def test_span_four_splits(self):
         # length 5: offset 4, gcd(4, 8) = 4 components
         w = np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=complex)
-        g = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
         assert not is_connected(g)
         assert len(g.components()) == 4
 
@@ -198,7 +198,7 @@ class TestEndpointGraph:
             ]
             x = np.where(rng.random(n) < 0.7, rng.normal(size=n) + 0.5j, 0)
             cov = _pairs(_covisibility(x, fam, hop))
-            end = _pairs(endpoint_graph_from_support(support(x), fam, hop))
+            end = _pairs(endpoint_graph_from_support(support(x), window_support(fam), hop, n))
             assert end <= cov
 
     @pytest.mark.parametrize("n", [6, 8, 9, 12])
@@ -208,7 +208,7 @@ class TestEndpointGraph:
         for length in range(2, n + 1):
             w = np.zeros(n, complex)
             w[:length] = 1.0
-            g = endpoint_graph_from_support(support(x), [w], hop=1)
+            g = endpoint_graph_from_support(support(x), window_support([w]), 1, n)
             assert is_connected(g) == (math.gcd(length - 1, n) == 1)
 
     @pytest.mark.parametrize("n", [6, 8, 9, 12])
@@ -219,7 +219,7 @@ class TestEndpointGraph:
         for _ in range(15):
             lengths = rng.integers(2, n + 1, size=int(rng.integers(1, 4)))
             fam = [random_interval_window(n, int(L), rng) for L in lengths]
-            g = endpoint_graph_from_support(support(x), fam, hop=1)
+            g = endpoint_graph_from_support(support(x), window_support(fam), 1, n)
             assert is_connected(g) == (math.gcd(*(int(L) - 1 for L in lengths), n) == 1)
 
 
@@ -251,7 +251,7 @@ class TestSpanningTree:
 
     def test_bfs_tree_on_span_three_graph(self):
         w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-        g = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
+        g = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
         tree = spanning_tree(g)
         assert tree.root == 0
         assert len(tree.edges) == 7
@@ -318,7 +318,7 @@ class TestRotateComponentPhase:
 
 def test_certificate_dict_shape():
     w = np.array([1, 1, 0, 0], dtype=complex)
-    g = endpoint_graph_from_support(support(np.ones(4)), [w], hop=1)
+    g = endpoint_graph_from_support(support(np.ones(4)), window_support([w]), 1, 4)
     cert = g.to_dict()
     assert cert["variant"] == "endpoint"
     assert cert["connected"] is True
@@ -374,6 +374,43 @@ class TestWindowSupportReference:
         assert (ws.length, ws.anchor) == _loop_window_support(w)
         assert type(ws.length) is int and type(ws.anchor) is int
 
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            [[3.0]],  # length-1 window
+            [[1, 0, 1, 0], [0, 0, 2j, 0], [1, 1, 1, 1], [0, 1, 0, 1]],  # tie, L = 1, no zeros
+            [[1, 1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 5]],  # wraps; far end at n - 1
+        ],
+        ids=["length-1", "tie-single-full", "wrap"],
+    )
+    def test_family_matches_rows(self, fam):
+        ws = window_support(fam)
+        assert ws.length.dtype == ws.anchor.dtype == np.intp
+        rows = [window_support(w) for w in fam]
+        assert ws.length.tolist() == [row.length for row in rows]
+        assert ws.anchor.tolist() == [row.anchor for row in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_family_matches_rows_on_random_patterns(self, data):
+        n = data.draw(st.integers(1, 16))
+        num_windows = data.draw(st.integers(1, 4))
+        fam = np.array([data.draw(_masked_windows(n, n)) for _ in range(num_windows)])
+        ws = window_support(fam)
+        assert ws.length.shape == ws.anchor.shape == (fam.shape[0],)
+        for r, w in enumerate(fam):
+            assert (ws.length[r], ws.anchor[r]) == _loop_window_support(w)
+            one = window_support(w)
+            assert (ws.length[r], ws.anchor[r]) == (one.length, one.anchor)
+        sub = ws[np.arange(fam.shape[0])[::-1]]
+        assert sub.length.tolist() == ws.length.tolist()[::-1]
+
+    def test_family_errors_name_the_row(self):
+        with pytest.raises(InvalidWindowError, match="window 2 is identically zero"):
+            window_support([[1, 0], [0, 1], [0, 0]])
+        with pytest.raises(InvalidWindowError, match="window 0 has no entry above"):
+            window_support([[1, 2], [3, 0]], zero_tol=1.0)
+
     def test_no_entry_above_tolerance(self):
         # zero_tol >= 1 leaves no entry strictly above the peak-relative floor
         with pytest.raises(InvalidWindowError, match="no entry above"):
@@ -409,7 +446,7 @@ def _endpoint_geometries(draw):
 def test_endpoint_graph_matches_brute_force(geometry):
     # length-1, wrapping and full-length windows, arbitrary vertex subsets
     hop, fam, vertices = geometry
-    graph = endpoint_graph_from_support(vertices, fam, hop)
+    graph = endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1])
     assert graph.vertices == tuple(sorted(vertices))
     got = witness_lists(graph)
     assert got == _brute_endpoint_witnesses(vertices, fam, hop)
@@ -516,8 +553,10 @@ def test_covisibility_witnesses_match_loop(geometry):
 def test_graph_text_matches_stdlib_dump(geometry):
     # both variants, including graphs with no vertices, no edges or several components
     hop, fam, vertices = geometry
-    for build in (covisibility_graph_from_support, endpoint_graph_from_support):
-        graph = build(vertices, fam, hop)
+    for graph in (
+        covisibility_graph_from_support(vertices, fam, hop),
+        endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1]),
+    ):
         assert _graph_text(graph, "\n") == json.dumps(graph.to_dict(), indent=2, sort_keys=True)
         assert _json_text({"graph": graph}, "\n") == json.dumps(
             {"graph": graph.to_dict()}, indent=2, sort_keys=True
@@ -535,7 +574,7 @@ def test_graph_text_of_a_nested_hand_built_graph():
 
 def test_graph_and_tree_edges_are_arrays():
     w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-    graph = endpoint_graph_from_support(support(np.ones(8)), [w], hop=1)
+    graph = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
     tree = spanning_tree(graph)
     assert (len(graph.edges), len(tree.edges)) == (8, 7)
     assert (graph.offsets.size - 1, tree.child.size) == (8, 7)

@@ -17,6 +17,7 @@ from stftpr.supportgraph import (
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     spanning_tree,
+    window_support,
 )
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -38,7 +39,7 @@ def test_edge_counters_on_real_graphs():
     targets = _load_tracer().TARGETS
     x, fam = certified_instance(16, 4, 6, np.random.default_rng(5))
     supp = support(x)
-    graph = endpoint_graph_from_support(supp, fam, 4)
+    graph = endpoint_graph_from_support(supp, window_support(fam), 4, 16)
     tree = spanning_tree(graph)
     cov = covisibility_graph_from_support(supp, fam, 4)
     results = {
