@@ -282,12 +282,12 @@ def _detect_support(
             "nonzero magnitude (min_support_magnitude)",
         )
         keep = np.sqrt(sq) > 0.5 * prior
-        return tuple(int(i) for i in np.flatnonzero(keep)), "half-minimum"
+        return tuple(np.flatnonzero(keep).tolist()), "half-minimum"
     peak = float(sq.max()) if sq.size else 0.0
     if peak == 0.0:
         return (), "relative-threshold"
     return (
-        tuple(int(i) for i in np.flatnonzero(sq > zero_tol * peak)),
+        tuple(np.flatnonzero(sq > zero_tol * peak).tolist()),
         "relative-threshold",
     )
 

@@ -42,6 +42,9 @@ class ModulationMatrices:
     window power spectra on residue class m mod ``n // hop``.  ``singular_values``
     is (num_hops, min(num_windows, hop)), each row descending; ``pseudo_inverses``
     is the (num_hops, hop, num_windows) solver stack if every residue certifies, else None.
+    Both are numpy's SVD results bit for bit, except for thin stacks (one window
+    or hop 1), which take the closed form of :func:`certify_rank`.  A residue
+    whose pseudo-inverse is not finite is in ``failing`` whatever its rank.
     """
 
     hop: int
@@ -79,6 +82,20 @@ class ModulationMatrices:
         }
 
 
+def _thin_singular_values(stack: np.ndarray) -> np.ndarray:
+    """2-norm of each one-row or one-column matrix of ``stack``, as (num_hops, 1).
+
+    The moduli are divided by their peak, rounded to a power of two, before
+    squaring: the scaling is exact, so in range the result is bit for bit the
+    plain root-sum-square, and it underflows or overflows only where LAPACK's
+    would.  ``frexp(0)`` has exponent 0, so a zero matrix gives 0.
+    """
+    moduli = np.hypot(stack.real, stack.imag).reshape(len(stack), -1)
+    _, exponent = np.frexp(moduli.max(axis=1, keepdims=True))
+    scaled = np.ldexp(moduli, -exponent)
+    return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=1, keepdims=True)), exponent)
+
+
 def certify_rank(windows, hop: int, rank_tol: float | None = None) -> ModulationMatrices:
     """Build every modulation matrix and certify full column rank.
 
@@ -90,10 +107,16 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     full rank.  Full rank requires at least as many windows as the hop.  A
     hop that does not divide the window length, or a negative or non-finite
     ``rank_tol``, raises ``ConfigurationError``: below zero every singular
-    value would count, certifying rank-deficient families.
+    value would count, certifying rank-deficient families.  A residue whose
+    pseudo-inverse is not finite (a singular value so small that its
+    reciprocal overflows) fails too, so a certified stack always solves.
     The stack is factored once, by one batched SVD of its conjugate (numpy's
     pseudo-inverse recipe): it gives the ranks and, when every residue
     certifies, the stacked pseudo-inverses ``V S^-1 U^H``, bit for bit numpy's.
+    Thin stacks (one window or hop 1) skip LAPACK: each matrix is one row or
+    one column ``a``, its one singular value ``s`` is its 2-norm and its
+    pseudo-inverse ``conj(a).T / s / s`` (divided twice, so ``s**2`` never
+    underflows); these agree with numpy's to a few eps, not bit for bit.
     """
     spectra = window_power_spectra(windows)  # validates the family first
     num_windows, n = spectra.shape
@@ -104,14 +127,28 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     num_hops = n // hop
     cols = np.arange(num_hops)[:, None] + np.arange(hop)[None, :] * num_hops
     stack = np.ascontiguousarray(spectra[:, cols].transpose(1, 0, 2))
-    u, svals, vt = np.linalg.svd(stack.conj(), full_matrices=False)
+    thin = min(num_windows, hop) == 1
+    if thin:
+        svals = _thin_singular_values(stack)
+    else:
+        u, svals, vt = np.linalg.svd(stack.conj(), full_matrices=False)
     ranks = np.sum(svals > rank_tol * float(svals[:, 0].max()), axis=1)
-    failing = tuple(np.flatnonzero(ranks != hop).tolist())
+    failing = ranks != hop
+    pseudo_inverses = None
+    if not failing.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            if thin:  # full rank at hop 1: one column per residue, s > 0
+                s = svals[:, :, None]
+                pseudo_inverses = stack.conj().transpose(0, 2, 1) / s / s
+            else:
+                pseudo_inverses = np.matmul(
+                    vt.transpose(0, 2, 1), (1.0 / svals)[:, :, None] * u.transpose(0, 2, 1))
+        failing = ~np.isfinite(pseudo_inverses).all(axis=(1, 2))
+    failing = tuple(np.flatnonzero(failing).tolist())
     return ModulationMatrices(
         hop=hop,
         matrices=stack,
-        pseudo_inverses=None if failing else np.matmul(
-            vt.transpose(0, 2, 1), (1.0 / svals)[:, :, None] * u.transpose(0, 2, 1)),
+        pseudo_inverses=None if failing else pseudo_inverses,
         ranks=tuple(ranks.tolist()),
         singular_values=svals,
         rank_tol=float(rank_tol),
@@ -141,7 +178,7 @@ def recover_magnitudes(agg: AggregateMeasurements, mats: ModulationMatrices) -> 
 
     A DFT of the energy rows over the hop axis gives, per residue m, a vector
     in the column span of the m-th modulation matrix; one product with the
-    rank gate's stacked SVD pseudo-inverses solves every residue's system,
+    rank gate's stacked pseudo-inverses solves every residue's system,
     yielding the power spectrum on each residue class, and an inverse DFT
     gives the squared magnitudes.  :func:`stftpr.oracle.magnitudes_direct`
     evaluates the explicit Gram-inverse formula term by term and is the

@@ -189,6 +189,26 @@ class TestRecover:
         assert code == 3
         assert "certification" in capsys.readouterr().err
 
+    def test_overflowing_pseudo_inverse_exits_three(self, tmp_path, capsys):
+        # windows at 1e-160: the gate's pseudo-inverses overflow, so it must not
+        # certify; recover used to estimate all zeros and fail later with a
+        # bare "Singular matrix" from the stability section
+        out = tmp_path / "tiny"
+        assert run(
+            "simulate", "--n", 64, "--hop", 4, "--num-windows", 6,
+            "--windows", "chain:4", "--signal", "random", "--seed", 3, "--out", out,
+        ) == 0
+        windows = json.loads((out / "windows.json").read_text())
+        tiny = [[[re * 1e-160, im * 1e-160] for re, im in row] for row in windows]
+        (out / "windows.json").write_text(json.dumps(tiny))
+        report = tmp_path / "tiny.json"
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+                   "--out", report)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "certification failure" in err and "Traceback" not in err
+        assert not report.exists()
+
     def test_degenerate_edge_exit_code(self, tmp_path, capsys):
         # hand-crafted frequency-constant grid: every correlation is exactly zero
         n = 4

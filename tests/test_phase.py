@@ -32,6 +32,7 @@ from stftpr.errors import (
     InvalidWindowError,
 )
 from stftpr.generators import certified_instance, random_interval_window
+from stftpr.spectral import MagnitudeSpectrum
 from stftpr.supportgraph import endpoint_witness
 
 stft_module = importlib.import_module("stftpr.stft")  # ``stftpr.stft`` is also a function
@@ -641,3 +642,17 @@ class TestNonFinitePrior:
             reconstruct(grid, fam, cfg, min_support_magnitude=prior)
         with pytest.raises(InvalidPriorError):
             reconstruct_compressed(aggregate(grid, fam), fam, cfg, min_support_magnitude=prior)
+
+
+class TestDetectSupport:
+    @pytest.mark.parametrize("noise_level", [0.0, 1e-9])
+    def test_support_is_python_ints(self, noise_level):
+        # the diagnostics and the endpoint graph take plain ints, not numpy scalars
+        sq = np.array([0.0, 1.0, 0.0, 4.0, 2.25])
+        magnitudes = MagnitudeSpectrum(
+            power_spectrum=np.fft.fft(sq) / sq.size, magnitudes_sq=sq,
+            clamped_mass=0.0, imag_residue=0.0, severe_clamping=False,
+        )
+        detected, _ = phase._detect_support(magnitudes, noise_level, 1e-12, 0.5)
+        assert detected == (1, 3, 4)
+        assert all(type(i) is int for i in detected)

@@ -3,17 +3,21 @@ import pytest
 
 from stftpr import model, spectral
 from stftpr import (
+    ProblemConfig,
     aggregate,
     certify_rank,
     magnitudes_direct,
     measure,
+    reconstruct,
     recover_magnitudes,
     window_power_spectra,
 )
 from stftpr.errors import (
     CertificationError, ConfigurationError, DimensionMismatchError, InvalidWindowError,
 )
-from stftpr.generators import certified_instance, chain_family, random_interval_window
+from stftpr.generators import (
+    certified_instance, chain_family, random_interval_window, rectangular_window,
+)
 from stftpr.stft import AggregateMeasurements
 
 
@@ -141,9 +145,28 @@ class TestCertifyRank:
         assert mats.certified
         assert calls == {"svd": 1, "pinv": 0}
 
+    def test_hop_one_makes_no_svd_call(self, monkeypatch):
+        # one-column (hop 1) and one-row (one window) stacks take the closed form
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        fam = chain_family(1024, 1, 1, np.random.default_rng(5))
+        row = chain_family(16, 1, 1, np.random.default_rng(7))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert certify_rank(fam, 1).certified
+        assert not certify_rank(row, 4).certified
+        assert calls == []
+
     def test_rank_certificate_matches_singular_values_only(self):
         # ranks, verdict and failing residues agree with a per-residue
-        # svd(compute_uv=False) at the family-wide threshold
+        # svd(compute_uv=False) at the family-wide threshold; singular values
+        # are LAPACK's bit for bit when min(R, hop) > 1, and for thin stacks
+        # they are the plain root-sum-square, within 4 eps of LAPACK's
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(61)
         for trial in range(60):
             hop = int(rng.choice([1, 2, 3, 4]))
@@ -166,8 +189,88 @@ class TestCertifyRank:
             assert mats.failing == failing
             assert mats.certified == (not failing)
             assert (mats.pseudo_inverses is None) == bool(failing)
-            smallest = min(float(np.linalg.svd(a.conj())[1][-1]) for a in mats.matrices)
-            assert mats.report()["singular_value_min"] == smallest
+            lapack = min(float(np.linalg.svd(a.conj())[1][-1]) for a in mats.matrices)
+            smallest = mats.report()["singular_value_min"]
+            if min(mats.num_windows, hop) > 1:
+                assert smallest == lapack
+            else:
+                moduli = np.hypot(mats.matrices.real, mats.matrices.imag)
+                assert smallest == float(np.sqrt(np.sum(moduli ** 2, axis=(1, 2))).min())
+                assert abs(smallest - lapack) <= 4 * eps * lapack
+
+    @staticmethod
+    def _thin_stacks(rng):
+        """(family, hop) pairs with min(R, hop) == 1: hop-1 columns and one-window rows."""
+        for trial in range(240):
+            kind = trial % 4
+            n = int(rng.integers(4, 17))
+            num_windows = int(rng.integers(1, 6))
+            if kind == 0:
+                fam, hop = chain_family(n, 1, num_windows, rng), 1
+            elif kind == 1:  # rectangular windows give exactly-zero spectrum columns
+                fam = np.stack([
+                    random_interval_window(n, int(rng.integers(1, n + 1)), rng)
+                    if rng.random() < 0.5 else
+                    np.roll(rectangular_window(n, int(rng.integers(1, n + 1))), int(rng.integers(0, n)))
+                    for _ in range(num_windows)
+                ])
+                hop = 1
+            elif kind == 2:
+                w = random_interval_window(n, int(rng.integers(1, n + 1)), rng)
+                fam, hop = np.stack([w] * num_windows), 1
+            else:
+                hop = int(rng.choice([2, 3, 4]))
+                n = hop * int(rng.integers(1, 6))
+                fam = random_interval_window(n, int(rng.integers(1, n + 1)), rng)[None, :]
+            yield fam * [1.0, 1e-100, 1e100][trial % 3], hop
+
+    def test_thin_closed_form_matches_lapack(self):
+        # hop 1 and one-window stacks skip LAPACK; the rank decisions must not
+        # move, singular values stay within 4 eps and pseudo-inverses within
+        # 8 eps of numpy's, including families scaled by 1e-100 and 1e100
+        eps = np.finfo(float).eps
+        thin = certified = 0
+        for fam, hop in self._thin_stacks(np.random.default_rng(71)):
+            mats = certify_rank(fam, hop)
+            assert mats.singular_values.shape == (mats.num_hops, 1)
+            lapack = np.stack([np.linalg.svd(a.conj(), compute_uv=False) for a in mats.matrices])
+            threshold = mats.rank_tol * float(lapack[:, 0].max())
+            ranks = tuple(np.sum(lapack > threshold, axis=1).tolist())
+            failing = tuple(m for m, rank in enumerate(ranks) if rank != hop)
+            assert mats.ranks == ranks
+            assert mats.failing == failing
+            assert mats.certified == (not failing)
+            assert np.all(np.abs(mats.singular_values - lapack) <= 4 * eps * lapack)
+            if mats.certified:
+                certified += 1
+                ref = np.stack([np.linalg.pinv(a) for a in mats.matrices])
+                # relative to each residue's largest entry: entries near an exact
+                # zero of the spectrum carry only rounding noise in both
+                scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+                assert np.all(np.abs(mats.pseudo_inverses - ref) <= 8 * eps * scale)
+            else:
+                assert mats.pseudo_inverses is None
+            thin += 1
+        assert thin >= 200 and 0 < certified < thin
+
+    @pytest.mark.parametrize("hop", [1, 4])
+    def test_overflowing_pseudo_inverse_does_not_certify(self, hop):
+        # windows at 1e-160 give singular values near 1e-322, whose reciprocals
+        # overflow: the gate used to certify them and recovery returned an
+        # all-zero estimate with an empty support
+        x, fam = certified_instance(64, hop, 6 if hop > 1 else 1, np.random.default_rng(3))
+        tiny = fam * 1e-160
+        mats = certify_rank(tiny, hop)
+        assert 0.0 < mats.report()["singular_value_min"] < 1e-300
+        assert not mats.certified
+        assert mats.pseudo_inverses is None
+        assert mats.failing == tuple(range(mats.num_hops))
+        grid = measure(x, tiny, hop)
+        with pytest.raises(CertificationError) as err:
+            recover_magnitudes(aggregate(grid, tiny), mats)
+        assert err.value.failing == mats.failing
+        with pytest.raises(CertificationError):
+            reconstruct(grid, tiny, ProblemConfig(64, hop, len(tiny)))
 
     def test_equality_is_identity(self):
         fam = chain_family(8, 2, 3, np.random.default_rng(67))
