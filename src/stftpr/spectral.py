@@ -42,9 +42,11 @@ class ModulationMatrices:
     window power spectra on residue class m mod ``n // hop``.  ``singular_values``
     is (num_hops, min(num_windows, hop)), each row descending; ``pseudo_inverses``
     is the (num_hops, hop, num_windows) solver stack if every residue certifies, else None.
-    Both are numpy's SVD results bit for bit, except for thin stacks (one window
-    or hop 1), which take the closed form of :func:`certify_rank`.  A residue
-    whose pseudo-inverse is not finite is in ``failing`` whatever its rank.
+    For residues m <= num_hops / 2 both are numpy's SVD results bit for bit;
+    residue num_hops - m holds the exact mirror of residue m (see
+    :func:`certify_rank`).  Thin stacks (one window or hop 1) take the closed
+    form of :func:`certify_rank` instead.  A residue whose pseudo-inverse is
+    not finite is in ``failing`` whatever its rank.
     """
 
     hop: int
@@ -110,9 +112,15 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     value would count, certifying rank-deficient families.  A residue whose
     pseudo-inverse is not finite (a singular value so small that its
     reciprocal overflows) fails too, so a certified stack always solves.
-    The stack is factored once, by one batched SVD of its conjugate (numpy's
-    pseudo-inverse recipe): it gives the ranks and, when every residue
-    certifies, the stacked pseudo-inverses ``V S^-1 U^H``, bit for bit numpy's.
+    The window power spectra are Hermitian, so residue ``M - m`` (``M = n //
+    hop``) is residue m conjugated with its columns reversed; the stack holds
+    that exact mirror.  Residues ``0 .. M // 2`` are factored once, by one
+    batched SVD of their conjugates (numpy's pseudo-inverse recipe): it gives
+    the ranks and, when every residue certifies, the stacked pseudo-inverses
+    ``V S^-1 U^H``, for residues ``<= M / 2`` bit for bit numpy's.  Residue
+    ``M - m`` takes residue m's singular values, and its pseudo-inverse is
+    residue m's conjugated with its rows reversed; these agree with numpy's
+    factorisation of the mirror to a few eps.
     Thin stacks (one window or hop 1) skip LAPACK: each matrix is one row or
     one column ``a``, its one singular value ``s`` is its 2-norm and its
     pseudo-inverse ``conj(a).T / s / s`` (divided twice, so ``s**2`` never
@@ -131,7 +139,16 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     if thin:
         svals = _thin_singular_values(stack)
     else:
-        u, svals, vt = np.linalg.svd(stack.conj(), full_matrices=False)
+        # the spectra are Hermitian, so residue M - m is residue m conjugated
+        # with its columns reversed: factor residues 0 .. M // 2 and fill rows
+        # half .. M - 1 with the exact mirrors of residues M - half .. 1
+        half = num_hops // 2 + 1
+        mirrored = slice(num_hops - half, 0, -1)
+        np.conjugate(stack[mirrored, :, ::-1], out=stack[half:])
+        u, s_half, vt = np.linalg.svd(stack[:half].conj(), full_matrices=False)
+        svals = np.empty((num_hops, s_half.shape[1]))
+        svals[:half] = s_half
+        svals[half:] = s_half[mirrored]
     ranks = np.sum(svals > rank_tol * float(svals[:, 0].max()), axis=1)
     failing = ranks != hop
     pseudo_inverses = None
@@ -141,8 +158,11 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
                 s = svals[:, :, None]
                 pseudo_inverses = stack.conj().transpose(0, 2, 1) / s / s
             else:
-                pseudo_inverses = np.matmul(
-                    vt.transpose(0, 2, 1), (1.0 / svals)[:, :, None] * u.transpose(0, 2, 1))
+                pseudo_inverses = np.empty((num_hops, hop, num_windows), dtype=complex)
+                np.matmul(vt.transpose(0, 2, 1), (1.0 / s_half)[:, :, None] * u.transpose(0, 2, 1),
+                          out=pseudo_inverses[:half])
+                # the mirror of a pseudo-inverse: conjugated, rows reversed
+                np.conjugate(pseudo_inverses[mirrored, ::-1], out=pseudo_inverses[half:])
         failing = ~np.isfinite(pseudo_inverses).all(axis=(1, 2))
     failing = tuple(np.flatnonzero(failing).tolist())
     return ModulationMatrices(
@@ -190,10 +210,12 @@ def recover_magnitudes(agg: AggregateMeasurements, mats: ModulationMatrices) -> 
     ``DimensionMismatchError``.
     """
     if not mats.certified:
-        raise CertificationError(
-            f"modulation matrices are rank-deficient at residues {list(mats.failing)}",
-            failing=mats.failing,
-        )
+        # the gate forms pseudo-inverses only at full rank, so a stack fails
+        # either on rank or, with every residue at full rank, on overflow
+        full_rank = all(mats.ranks[m] == mats.hop for m in mats.failing)
+        what = ("pseudo-inverses overflow" if full_rank
+                else "modulation matrices are rank-deficient")
+        raise CertificationError(f"{what} at residues {list(mats.failing)}", failing=mats.failing)
     num_windows, num_hops = agg.energy.shape
     if num_windows != mats.num_windows or num_hops != mats.num_hops:
         raise DimensionMismatchError(

@@ -122,25 +122,41 @@ def _autocorrelation_coefficients(sections: np.ndarray) -> np.ndarray:
     return np.concatenate((c.real, c.imag[:, 1:]), axis=1)
 
 
+def _cyclic_slices(xa: np.ndarray, start: int, hop: int, length: int) -> np.ndarray:
+    """Read-only ``(n // hop, length)`` view: row m is ``xa[start + hop*m + i]``, indices mod n.
+
+    The rows are strided slices of ``xa`` extended cyclically to ``n + length
+    - 1`` entries: ``sliding_window_view(ext, length)[::hop]``, built directly,
+    since that function's checks cost as much as a whole gather at small n.
+    """
+    n = xa.shape[0]
+    ext = np.take(xa, np.arange(start, start + n + length - 1), mode="wrap")
+    step = ext.itemsize
+    view = np.ndarray((n // hop, length), ext.dtype, ext, strides=(hop * step, step))
+    view.flags.writeable = False
+    return view
+
+
 def _window_power(xa, w, ws: WindowSupport, tables: dict, out: np.ndarray) -> None:
     """One window's ``(M, n)`` block of squared magnitudes, written into ``out``.
 
     ``ws`` is the window's exact support.  Sections, spectra and
     coefficients are locals, so none outlives the call.
     """
-    n, num_hops = xa.shape[0], out.shape[0]
-    offsets = np.arange(ws.length)
-    taps = w[(ws.far(n) - offsets) % n]
-    # section m starts at the index its window's far end sees
-    _, first = endpoint_witness(ws, n // num_hops, np.arange(num_hops), n)
-    sections = xa[(first[:, None] + offsets) % n] * taps
+    n, length = xa.shape[0], ws.length
+    hop = n // out.shape[0]
+    taps = w[(ws.far(n) - np.arange(length)) % n]
+    # section 0 starts at the index its window's far end sees, section m hop*m
+    # past it; the view is a temporary, so its extension is freed here
+    _, first = endpoint_witness(ws, hop, 0, n)
+    sections = _cyclic_slices(xa, first, hop, length) * taps
     # 2L - 1 <= log2 n: the table has 2L - 1 rows, an n-point FFT costs O(log n)
     # per output.  Well on the cheap side of the crossover: at n = 1024, M = 128
     # the routes break even between L = 32 and 64, and this stops at L = 5.
-    if 2 * ws.length - 1 <= n.bit_length() - 1:
-        if ws.length not in tables:
-            tables[ws.length] = _trig_table(ws.length, n)
-        np.matmul(_autocorrelation_coefficients(sections), tables[ws.length], out=out)
+    if 2 * length - 1 <= n.bit_length() - 1:
+        if length not in tables:
+            tables[length] = _trig_table(length, n)
+        np.matmul(_autocorrelation_coefficients(sections), tables[length], out=out)
         np.maximum(out, 0.0, out=out)
     else:
         f = np.fft.fft(sections, n=n, axis=1)

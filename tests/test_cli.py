@@ -187,7 +187,10 @@ class TestRecover:
         ) == 0  # two identical windows: planted rank deficiency
         code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
         assert code == 3
-        assert "certification" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "stftpr: certification failure: "
+            "modulation matrices are rank-deficient at residues [0, 1, 2, 3]\n"
+        )
 
     def test_overflowing_pseudo_inverse_exits_three(self, tmp_path, capsys):
         # windows at 1e-160: the gate's pseudo-inverses overflow, so it must not
@@ -205,8 +208,11 @@ class TestRecover:
         code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
                    "--out", report)
         assert code == 3
-        err = capsys.readouterr().err
-        assert "certification failure" in err and "Traceback" not in err
+        # every residue has full rank, so the message must not say rank-deficient
+        assert capsys.readouterr().err == (
+            "stftpr: certification failure: pseudo-inverses overflow at residues "
+            f"{list(range(16))}\n"
+        )
         assert not report.exists()
 
     def test_degenerate_edge_exit_code(self, tmp_path, capsys):

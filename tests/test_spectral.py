@@ -98,8 +98,11 @@ class TestCertifyRank:
 
     @pytest.mark.parametrize("family", ["certified-chain", "duplicated-windows"])
     def test_batched_gate_matches_per_residue_factorizations(self, family):
-        # the gate factors conj(A), as np.linalg.pinv does, so its singular
-        # values are those of that factorisation, bit for bit
+        # the gate factors conj(A), as np.linalg.pinv does, for residues up to
+        # M/2, so their singular values are that factorisation's bit for bit;
+        # residue M - m is the exact mirror of residue m, within 4 eps of the
+        # mirror's own factorisation
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(59)
         if family == "certified-chain":
             fam, hop = chain_family(16, 4, 6, rng), 4
@@ -112,9 +115,16 @@ class TestCertifyRank:
         scale = 0.0
         for m in range(num_hops):
             a = spectra[:, m + num_hops * np.arange(hop)]
-            assert np.array_equal(mats.matrices[m], a)
-            s = np.linalg.svd(a.conj())[1]
-            assert np.array_equal(mats.singular_values[m], s)
+            s = np.linalg.svd(mats.matrices[m].conj())[1]
+            if m <= num_hops // 2:
+                assert np.array_equal(mats.matrices[m], a)
+                assert np.array_equal(mats.singular_values[m], s)
+            else:
+                mirror = num_hops - m
+                assert np.array_equal(mats.matrices[m], mats.matrices[mirror].conj()[:, ::-1])
+                assert np.all(np.abs(mats.matrices[m] - a) <= 4 * eps * np.abs(a).max())
+                assert np.array_equal(mats.singular_values[m], mats.singular_values[mirror])
+                assert np.all(np.abs(mats.singular_values[m] - s) <= 4 * eps * s[0])
             scale = max(scale, float(s[0]))
         for m in range(num_hops):
             rank = int(np.sum(mats.singular_values[m] > mats.rank_tol * scale))
@@ -122,17 +132,26 @@ class TestCertifyRank:
         assert mats.certified == (family == "certified-chain")
         if mats.certified:
             for m in range(num_hops):
-                assert np.array_equal(mats.pseudo_inverses[m], np.linalg.pinv(mats.matrices[m]))
+                ref = np.linalg.pinv(mats.matrices[m])
+                if m <= num_hops // 2:
+                    assert np.array_equal(mats.pseudo_inverses[m], ref)
+                else:
+                    mirror = mats.pseudo_inverses[num_hops - m].conj()[::-1]
+                    assert np.array_equal(mats.pseudo_inverses[m], mirror)
+                    svals = mats.singular_values[m]
+                    tol = 8 * eps * svals[0] / svals[-1] * np.abs(ref).max()
+                    assert np.all(np.abs(mats.pseudo_inverses[m] - ref) <= tol)
         else:
             assert mats.pseudo_inverses is None
 
     def test_one_factorisation(self, monkeypatch):
-        calls = {"svd": 0, "pinv": 0}
+        # one batched SVD over residues 0 .. M/2; the rest are their mirrors
+        calls = {"svd": [], "pinv": 0}
         svd, pinv = np.linalg.svd, np.linalg.pinv
 
-        def counting_svd(*args, **kwargs):
-            calls["svd"] += 1
-            return svd(*args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            calls["svd"].append(a.shape)
+            return svd(a, *args, **kwargs)
 
         def counting_pinv(*args, **kwargs):
             calls["pinv"] += 1
@@ -143,7 +162,7 @@ class TestCertifyRank:
         monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
         mats = certify_rank(fam, 4)
         assert mats.certified
-        assert calls == {"svd": 1, "pinv": 0}
+        assert calls == {"svd": [(mats.num_hops // 2 + 1, 6, 4)], "pinv": 0}
 
     def test_hop_one_makes_no_svd_call(self, monkeypatch):
         # one-column (hop 1) and one-row (one window) stacks take the closed form
@@ -161,13 +180,9 @@ class TestCertifyRank:
         assert not certify_rank(row, 4).certified
         assert calls == []
 
-    def test_rank_certificate_matches_singular_values_only(self):
-        # ranks, verdict and failing residues agree with a per-residue
-        # svd(compute_uv=False) at the family-wide threshold; singular values
-        # are LAPACK's bit for bit when min(R, hop) > 1, and for thin stacks
-        # they are the plain root-sum-square, within 4 eps of LAPACK's
-        eps = np.finfo(float).eps
-        rng = np.random.default_rng(61)
+    @staticmethod
+    def _sweep(rng):
+        """60 (family, hop) pairs: chain, random-interval and duplicated windows at hop 1-4."""
         for trial in range(60):
             hop = int(rng.choice([1, 2, 3, 4]))
             n = hop * int(rng.integers(4, 9))
@@ -180,6 +195,16 @@ class TestCertifyRank:
             else:
                 w = random_interval_window(n, int(rng.integers(1, n + 1)), rng)
                 fam = [w] * int(rng.integers(1, 4))
+            yield fam, hop
+
+    def test_rank_certificate_matches_singular_values_only(self):
+        # ranks, verdict and failing residues agree with a per-residue
+        # svd(compute_uv=False) at the family-wide threshold; when
+        # min(R, hop) > 1 the smallest singular value is LAPACK's minimum over
+        # residues 0 .. M/2 bit for bit (the others are their mirrors), and
+        # for thin stacks it is the plain root-sum-square, within 4 eps of LAPACK's
+        eps = np.finfo(float).eps
+        for fam, hop in self._sweep(np.random.default_rng(61)):
             mats = certify_rank(fam, hop)
             svals = [np.linalg.svd(a, compute_uv=False) for a in mats.matrices]
             threshold = mats.rank_tol * max(float(s[0]) for s in svals)
@@ -189,14 +214,50 @@ class TestCertifyRank:
             assert mats.failing == failing
             assert mats.certified == (not failing)
             assert (mats.pseudo_inverses is None) == bool(failing)
-            lapack = min(float(np.linalg.svd(a.conj())[1][-1]) for a in mats.matrices)
             smallest = mats.report()["singular_value_min"]
             if min(mats.num_windows, hop) > 1:
-                assert smallest == lapack
+                paired = mats.matrices[: mats.num_hops // 2 + 1]
+                assert smallest == min(float(np.linalg.svd(a.conj())[1][-1]) for a in paired)
             else:
+                lapack = min(float(np.linalg.svd(a.conj())[1][-1]) for a in mats.matrices)
                 moduli = np.hypot(mats.matrices.real, mats.matrices.imag)
                 assert smallest == float(np.sqrt(np.sum(moduli ** 2, axis=(1, 2))).min())
                 assert abs(smallest - lapack) <= 4 * eps * lapack
+
+    def test_hermitian_pairing_matches_per_residue_lapack(self):
+        # the spectra are Hermitian, so residue M - m is residue m conjugated
+        # with its columns reversed; the gate factors residues 0 .. M/2 and
+        # mirrors the rest exactly, without moving a rank decision
+        paired = mirrored = certified = 0
+        for fam, hop in self._sweep(np.random.default_rng(61)):
+            mats = certify_rank(fam, hop)
+            if min(mats.num_windows, hop) == 1:
+                continue
+            paired += 1
+            num_hops, half = mats.num_hops, mats.num_hops // 2 + 1
+            spectra = window_power_spectra(fam)
+            unpaired = np.stack([spectra[:, m + num_hops * np.arange(hop)] for m in range(num_hops)])
+            assert np.array_equal(mats.matrices[:half], unpaired[:half])
+            lapack = np.stack([np.linalg.svd(a.conj())[1] for a in unpaired])
+            assert np.array_equal(mats.singular_values[:half], lapack[:half])
+            threshold = mats.rank_tol * float(lapack[:, 0].max())
+            ranks = tuple(np.sum(lapack > threshold, axis=1).tolist())
+            failing = tuple(m for m, rank in enumerate(ranks) if rank != hop)
+            assert mats.ranks == ranks
+            assert mats.failing == failing
+            assert mats.certified == (not failing)
+            for m in range(half, num_hops):
+                mirrored += 1
+                assert np.array_equal(mats.matrices[m], mats.matrices[num_hops - m].conj()[:, ::-1])
+                assert np.array_equal(mats.singular_values[m], mats.singular_values[num_hops - m])
+            if mats.certified:
+                certified += 1
+                for m in range(half):
+                    assert np.array_equal(mats.pseudo_inverses[m], np.linalg.pinv(unpaired[m]))
+                for m in range(half, num_hops):
+                    mirror = mats.pseudo_inverses[num_hops - m].conj()[::-1]
+                    assert np.array_equal(mats.pseudo_inverses[m], mirror)
+        assert paired >= 30 and mirrored > 0 and 0 < certified < paired
 
     @staticmethod
     def _thin_stacks(rng):
@@ -269,6 +330,7 @@ class TestCertifyRank:
         with pytest.raises(CertificationError) as err:
             recover_magnitudes(aggregate(grid, tiny), mats)
         assert err.value.failing == mats.failing
+        assert str(err.value).startswith("pseudo-inverses overflow at residues [0, 1, ")
         with pytest.raises(CertificationError):
             reconstruct(grid, tiny, ProblemConfig(64, hop, len(tiny)))
 
@@ -394,6 +456,7 @@ class TestRecoverMagnitudes:
         with pytest.raises(CertificationError) as err:
             recover_magnitudes(agg, mats)
         assert err.value.failing == (1, 2, 3)
+        assert str(err.value) == "modulation matrices are rank-deficient at residues [1, 2, 3]"
 
     def test_severe_clamping_flag(self):
         rng = np.random.default_rng(79)

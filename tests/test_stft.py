@@ -26,7 +26,7 @@ from stftpr.errors import (
 )
 from stftpr.generators import random_interval_window
 from stftpr.oracle import measure_direct, stft_direct
-from stftpr.stft import AggregateMeasurements
+from stftpr.stft import AggregateMeasurements, _autocorrelation_coefficients, _trig_table
 from stftpr.supportgraph import window_support
 
 # frozen via the direct-sum oracle: x=(1,2,3,4), w=(1,1,0,0), n=4, hop=2
@@ -172,6 +172,32 @@ class TestMeasureRoutes:
             s = _sections(x, w, hop)
             want = np.abs(np.fft.fft(s, n=n, axis=1) / n) ** 2
             assert np.array_equal(measure(x, [w], hop).values[0], want)
+
+    @pytest.mark.parametrize("n, hop, lengths, anchor", [
+        (64, 1, (3, 9), 62),  # hop 1, supports wrapping past n - 1
+        (64, 64, (2, 20), 63),  # hop n: one section
+        (64, 4, (1,), 17),
+        (64, 4, (64,), 0),  # L = n: no zero entry, so anchor 0
+        (96, 4, (2, 5, 40), 93),
+        (1024, 8, (2, 300), 900),
+    ])
+    def test_strided_gather_matches_fancy_index_gather(self, n, hop, lengths, anchor):
+        # sections are strided slices of a cyclic extension of x; they must
+        # equal the (M, L) fancy-index gather bit for bit on both routes
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        fam = [_window(n, anchor + r, rng.normal(size=length) + 1j)
+               for r, length in enumerate(lengths)]
+        vals = measure(x, fam, hop).values
+        for r, w in enumerate(fam):
+            sections = _sections(x, w, hop)
+            length = sections.shape[1]
+            if 2 * length - 1 <= n.bit_length() - 1:
+                want = np.maximum(
+                    _autocorrelation_coefficients(sections) @ _trig_table(length, n), 0.0)
+            else:
+                want = np.abs(np.fft.fft(sections, n=n, axis=1) / n) ** 2
+            assert np.array_equal(vals[r], want)
 
     def test_short_route_is_nonnegative_and_exact_on_zero_sections(self):
         rng = np.random.default_rng(22)
