@@ -37,6 +37,7 @@ from .oracle import (
     stft_direct,
 )
 from .phase import (
+    EdgeWitnesses,
     ReconstructionResult,
     default_degenerate_tol,
     edge_phase,
@@ -90,6 +91,7 @@ __all__ = [
     "DegenerateEdgeError",
     "DimensionMismatchError",
     "DisconnectedGraphError",
+    "EdgeWitnesses",
     "ErrorBudget",
     "GlobalPhaseDistance",
     "InvalidPartitionError",

@@ -43,7 +43,7 @@ from .generators import (
 )
 from .model import DEFAULT_ZERO_TOL, ProblemConfig, as_window_family, phase_distance, support
 from .oracle import DIRECT_TERM_CAP, compare, stft_direct
-from .phase import reconstruct, reconstruct_compressed
+from .phase import EdgeWitnesses, reconstruct, reconstruct_compressed
 from .robustness import error_budget, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
@@ -100,9 +100,10 @@ def _json_text(obj, pad: str) -> str:
 
     ``pad`` is the newline plus indent of the line ``obj`` starts on.  Numpy
     integers and floats are written as Python ints and floats, arrays as
-    nested lists, complex values as ``[re, im]``, tuples as lists and a
-    ``SupportGraph`` as its ``to_dict()``; dict keys are sorted after
-    ``str()``.  Any other type raises ``TypeError``.
+    nested lists, complex values as ``[re, im]``, tuples as lists, a
+    ``SupportGraph`` as its ``to_dict()`` and an ``EdgeWitnesses`` record as
+    its :func:`_witness_dicts`; dict keys are sorted after ``str()``.  Any
+    other type raises ``TypeError``.
     """
     fmt = _SCALAR_TEXT.get(type(obj))
     if fmt is not None:
@@ -121,6 +122,8 @@ def _json_text(obj, pad: str) -> str:
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
     if isinstance(obj, SupportGraph):
         return _graph_text(obj, pad)
+    if isinstance(obj, EdgeWitnesses):
+        return _json_text(_witness_dicts(obj), pad)
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, (int, np.integer)):
@@ -171,6 +174,24 @@ def _graph_text(graph: SupportGraph, pad: str) -> str:
     fields = {k: _json_text(v, inner) for k, v in graph.summary().items()}
     fields["edges"] = "[" + item + ("," + item).join(edges) + inner + "]" if edges else "[]"
     return _object_text(fields, pad)
+
+
+def _witness_dicts(witnesses: EdgeWitnesses) -> list[dict]:
+    """One dict per row of the record, as ``recover`` reports witnesses.
+
+    A row has keys ``n1``, ``n2``, ``window`` and ``hop_index``, and also
+    ``residual`` when the record carries residuals.  A degenerate row
+    (window -1) keeps only ``n1`` and ``n2``, and its residual is null.
+    """
+    cols = (witnesses.n1, witnesses.n2, witnesses.window, witnesses.hop_index)
+    out = [
+        {"n1": a, "n2": b, "window": w, "hop_index": h} if w >= 0 else {"n1": a, "n2": b}
+        for a, b, w, h in zip(*(c.tolist() for c in cols))
+    ]
+    if witnesses.residual is not None:
+        for entry, res in zip(out, witnesses.residual.tolist()):
+            entry["residual"] = res if "window" in entry else None
+    return out
 
 
 def _dump_json(payload, out: str | None) -> None:

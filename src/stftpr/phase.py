@@ -24,7 +24,10 @@ smaller (window, hop); that evidence must clear the degeneracy tolerance.
 The spanning tree's ``edges`` array picks the tree edges' phases, oriented
 from parent to child, and :func:`propagate` multiplies them along the tree
 in discovery order; the remaining edges give the residuals of the redundant
-edges.
+edges.  The tree edges' witnesses and the redundant edges' residuals come
+back as :class:`EdgeWitnesses` records of parallel arrays, and the detected
+support as an ``intp`` array, so the results hold no Python object per
+vertex or per edge.
 
 :func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
 rank gate, magnitudes, support, endpoint graph, edge phases, propagation -
@@ -58,16 +61,42 @@ from .supportgraph import (
 )
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeWitnesses:
+    """Chosen witnesses of a list of endpoint-graph edges, as parallel arrays.
+
+    Row k joins signal indices ``n1[k]`` and ``n2[k]`` through the (window,
+    hop) pair ``(window[k], hop_index[k])``, whose aggregate correlation
+    ``evidence[k]`` gave the edge its phase.  ``residual[k]`` is the edge's
+    phase residual against the estimate; it is None on the tree edges' record,
+    since the estimate is built from their phases.  A degenerate row (no
+    witness clears the tolerance) has window and hop -1, evidence 0 and
+    residual NaN, and its n1, n2 are the edge's (lo, hi).
+    """
+
+    n1: np.ndarray
+    n2: np.ndarray
+    window: np.ndarray
+    hop_index: np.ndarray
+    evidence: np.ndarray
+    residual: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.n1.size
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Estimate with its global phase anchored at the root support index.
 
     The estimate is exactly zero off the detected support; ``root_vertex``
     (the smallest support index) carries phase 0 by convention.  Diagnostics
-    include clamping residues, the weakest edge evidence used, tree depth,
-    the witnesses consumed, and phase residuals of redundant (non-tree) edges.
-    ``modulation`` holds the certified modulation matrices of the run; it is
-    never serialised.
+    include clamping residues, the weakest edge evidence used and tree depth;
+    ``support`` is the detected support as a sorted ``intp`` array, and
+    ``used_witnesses`` and ``nontree_residuals`` are :class:`EdgeWitnesses`
+    records of the tree edges' witnesses and of the redundant (non-tree)
+    edges' witnesses with their phase residuals.  ``modulation`` holds the
+    certified modulation matrices of the run; it is never serialised.
     """
 
     estimate: np.ndarray
@@ -97,7 +126,8 @@ class _EdgeTable:
     """Chosen witness and phases of every edge, one array entry per edge.
 
     ``window`` is -1 on edges with no usable witness above the tolerance;
-    their other entries are meaningless.
+    their ``n1``, ``n2`` are the edge's (lo, hi), and their other entries
+    are meaningless.
     """
 
     edges: np.ndarray
@@ -128,48 +158,39 @@ class _EdgeTable:
             endpoints=ends,
         )
 
-    def witnesses(self, rows) -> list[dict]:
-        """Chosen witness of each of ``rows``; a row without a phase gives only its endpoints."""
-        cols = (self.n1, self.n2, self.window, self.hop_index)
-        out = []
-        for i, a, b, w, h in zip(rows.tolist(), *(c[rows].tolist() for c in cols)):
-            if w < 0:
-                a, b = self.edges[i].tolist()
-                out.append({"n1": a, "n2": b})
-            else:
-                out.append({"n1": a, "n2": b, "window": w, "hop_index": h})
-        return out
+    def _record(self, rows: np.ndarray) -> EdgeWitnesses:
+        return EdgeWitnesses(
+            self.n1[rows], self.n2[rows], self.window[rows], self.hop_index[rows],
+            self.evidence[rows],
+        )
 
     def along(self, tree: SpanningTree) -> tuple[np.ndarray, dict]:
         """Phasors of ``x(child) * conj(x(parent))`` on the tree's edges, and their diagnostics.
 
-        Every tree edge must have a phase; the diagnostics are the witnesses
-        used and the smallest evidence magnitude.
+        Every tree edge must have a phase; the diagnostics are the record of
+        the witnesses used and the smallest evidence magnitude.
         """
         rows = tree.edges
-        n1, n2 = self.n1[rows], self.n2[rows]
-        forward = tree.child == n1
-        if not np.where(forward, tree.parent == n2, (tree.child == n2) & (tree.parent == n1)).all():
+        used = self._record(rows)
+        forward = tree.child == used.n1
+        if not np.where(forward, tree.parent == used.n2,
+                        (tree.child == used.n2) & (tree.parent == used.n1)).all():
             raise RuntimeError("edge-phase witnesses do not match the tree's edges")
         rel = self.relative_phase[rows]
         return np.where(forward, rel, rel.conj()), {
-            "used_witnesses": self.witnesses(rows),
-            "min_evidence": float(_modulus(self.evidence[rows]).min()) if rows.size else None,
+            "used_witnesses": used,
+            "min_evidence": float(_modulus(used.evidence).min()) if rows.size else None,
         }
 
-    def residuals(self, rows: np.ndarray, estimate: np.ndarray) -> list[dict]:
-        """Phase residual of each of ``rows`` against the estimate; None if degenerate."""
+    def residuals(self, rows: np.ndarray, estimate: np.ndarray) -> EdgeWitnesses:
+        """Record of ``rows`` with their phase residuals against the estimate; NaN if degenerate."""
         unit = np.zeros(estimate.shape, dtype=complex)
         on = estimate != 0
         unit[on] = estimate[on] / np.abs(estimate[on])
-        rows = np.asarray(rows, dtype=np.intp)
-        # degenerate rows (window -1) get a meaningless value here and None below
-        n1, n2 = self.n1[rows], self.n2[rows]
-        residual = _modulus(self.relative_phase[rows] - unit[n1] * np.conj(unit[n2]))
-        out = self.witnesses(rows)
-        for entry, res in zip(out, residual.tolist()):
-            entry["residual"] = res if "window" in entry else None
-        return out
+        rec = self._record(rows)
+        residual = _modulus(self.relative_phase[rows] - unit[rec.n1] * np.conj(unit[rec.n2]))
+        residual[rec.window < 0] = np.nan
+        return replace(rec, residual=residual)
 
 
 def edge_phase(
@@ -186,7 +207,7 @@ def edge_phase(
     supporting length 1 are unusable.  Each edge takes the usable witness of
     largest evidence magnitude, ties going to the smaller (window, hop),
     provided it clears ``degenerate_tol``; an edge without one gets window
-    -1, and ``raise_degenerate`` names it.
+    -1 and its own (lo, hi) as endpoints, and ``raise_degenerate`` names it.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
@@ -229,8 +250,8 @@ def edge_phase(
         usable=usable,
         window=per_edge(r, -1),
         hop_index=per_edge(m, -1),
-        n1=per_edge(n1, -1),
-        n2=per_edge(n2, -1),
+        n1=per_edge(n1, graph.edges[:, 0]),
+        n2=per_edge(n2, graph.edges[:, 1]),
         evidence=per_edge(value, 0),
         relative_phase=per_edge(rel, 0),
         degenerate_tol=degenerate_tol,
@@ -241,18 +262,17 @@ def edge_phase(
 def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> ReconstructionResult:
     """Walk the spanning tree, assigning each vertex its accumulated phasor.
 
-    The estimate is zero off the tree's vertices, ``tree.graph.vertices``.
-    The root gets phase 0.  ``phases[k]`` is the unit phasor of
-    ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.  The walk
-    follows the tree's discovery order, so each parent's phasor is known
-    before its children's, one plain Python complex product per edge.
+    The estimate is zero off the tree's vertices, the ``intp`` array
+    ``tree.graph.vertices``.  The root gets phase 0.  ``phases[k]`` is the
+    unit phasor of ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.
+    The walk follows the tree's discovery order, so each parent's phasor is
+    known before its children's, one plain Python complex product per edge.
     """
     amps = np.sqrt(magnitudes.magnitudes_sq)
-    verts = np.array(tree.graph.vertices, dtype=np.intp)
-    # position of each vertex in discovery order
+    verts = tree.graph.vertices
+    # position of each vertex in discovery order; the root's is 0
     walk = np.zeros(amps.shape[0], dtype=np.intp)
-    if tree.root is not None:
-        walk[[tree.root, *tree.child.tolist()]] = np.arange(tree.child.size + 1)
+    walk[tree.child] = np.arange(1, tree.child.size + 1)
     phasor = [1.0 + 0.0j]
     for p, z in zip(walk[tree.parent].tolist(), np.asarray(phases, dtype=complex).tolist()):
         phasor.append(phasor[p] * z)
@@ -266,8 +286,8 @@ def _detect_support(
     noise_level: float,
     zero_tol: float,
     min_support_magnitude: float | None,
-) -> tuple[tuple[int, ...], str]:
-    """Support of the recovered magnitudes.
+) -> tuple[np.ndarray, str]:
+    """Support of the recovered magnitudes, as a sorted ``intp`` array, and its rule.
 
     Exact data thresholds the squared magnitudes relative to their peak (the
     squared-domain analogue of the model-level rule, matching the noise floor
@@ -281,15 +301,10 @@ def _detect_support(
             "noisy reconstruction needs a positive prior for the smallest "
             "nonzero magnitude (min_support_magnitude)",
         )
-        keep = np.sqrt(sq) > 0.5 * prior
-        return tuple(np.flatnonzero(keep).tolist()), "half-minimum"
+        return np.flatnonzero(np.sqrt(sq) > 0.5 * prior), "half-minimum"
+    # an all-zero spectrum has peak 0 and, with nothing above 0, an empty support
     peak = float(sq.max()) if sq.size else 0.0
-    if peak == 0.0:
-        return (), "relative-threshold"
-    return (
-        tuple(np.flatnonzero(sq > zero_tol * peak).tolist()),
-        "relative-threshold",
-    )
+    return np.flatnonzero(sq > zero_tol * peak), "relative-threshold"
 
 
 def _run_pipeline(
@@ -317,7 +332,7 @@ def _run_pipeline(
         magnitudes, agg.noise_level, cfg.zero_tol, min_support_magnitude
     )
     diagnostics = {
-        "support": list(detected),
+        "support": detected,
         "support_rule": rule,
         "noise_level": agg.noise_level,
         "clamped_mass": magnitudes.clamped_mass,
@@ -334,7 +349,7 @@ def _run_pipeline(
             f"endpoint graph on the detected support has {len(comps)} components: {comps}",
             components=comps,
         ) from None
-    too_long = long_windows(supports, cfg.n) if detected else []
+    too_long = long_windows(supports, cfg.n) if detected.size else []
     if too_long:
         raise CertificationError(
             f"windows {too_long} have supporting length above half the signal "
@@ -346,8 +361,11 @@ def _run_pipeline(
     phases, used = table.along(tree)
     result = replace(propagate(tree, magnitudes, phases), modulation=mats)
     result.diagnostics.update(**used, **diagnostics)
-    nontree = np.setdiff1d(np.arange(len(graph.edges)), tree.edges)
-    result.diagnostics["nontree_residuals"] = table.residuals(nontree, result.estimate)
+    nontree = np.ones(len(graph.edges), dtype=bool)
+    nontree[tree.edges] = False
+    result.diagnostics["nontree_residuals"] = table.residuals(
+        np.flatnonzero(nontree), result.estimate
+    )
     return result
 
 

@@ -123,18 +123,36 @@ def _autocorrelation_coefficients(sections: np.ndarray) -> np.ndarray:
 
 
 def _cyclic_slices(xa: np.ndarray, start: int, hop: int, length: int) -> np.ndarray:
-    """Read-only ``(n // hop, length)`` view: row m is ``xa[start + hop*m + i]``, indices mod n.
+    """``(n // hop, length)`` array whose row m is ``xa[start + hop*m + i]``, indices mod n.
 
-    The rows are strided slices of ``xa`` extended cyclically to ``n + length
-    - 1`` entries: ``sliding_window_view(ext, length)[::hop]``, built directly,
-    since that function's checks cost as much as a whole gather at small n.
+    Overlapping sections (``length > hop``) are strided slices of ``xa``
+    extended cyclically to ``n + length - 1`` entries, returned as a
+    read-only view: ``sliding_window_view(ext, length)[::hop]``, built
+    directly, since that function's checks cost as much as a whole gather at
+    small n.  Sections that do not overlap hold only ``(n // hop) * length``
+    samples, so they are copied as column blocks of the ``(n // hop, hop)``
+    rows of ``xa``, shifted cyclically by whole rows; a section that
+    straddles a row boundary takes its tail from the next row.
     """
     n = xa.shape[0]
+    if length <= hop:
+        rows = xa.reshape(-1, hop)
+        q, col = divmod(start % n, hop)
+        out = _roll_rows(rows[:, col:col + length], q)
+        if col + length > hop:  # each section's tail is the head of the next row
+            tail = _roll_rows(rows[:, :col + length - hop], (q + 1) % rows.shape[0])
+            out = np.concatenate((out, tail), axis=1)
+        return out
     ext = np.take(xa, np.arange(start, start + n + length - 1), mode="wrap")
     step = ext.itemsize
     view = np.ndarray((n // hop, length), ext.dtype, ext, strides=(hop * step, step))
     view.flags.writeable = False
     return view
+
+
+def _roll_rows(block: np.ndarray, shift: int) -> np.ndarray:
+    """A copy of ``block`` whose row m is ``block[(m + shift) % len(block)]``."""
+    return np.concatenate((block[shift:], block[:shift]))
 
 
 def _window_power(xa, w, ws: WindowSupport, tables: dict, out: np.ndarray) -> None:
@@ -263,24 +281,44 @@ class AggregateMeasurements:
         return 2 * self.energy.shape[0] * self.energy.shape[1]
 
 
+# aggregate reads a window's grid block in row blocks of about this many bytes
+_AGGREGATE_BLOCK_BYTES = 512 * 1024
+
+
 def aggregate(
     grid: MeasurementGrid, windows, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> AggregateMeasurements:
-    """Collapse a measurement grid to per-(window, hop) energy and correlation."""
+    """Collapse a measurement grid to per-(window, hop) energy and correlation.
+
+    One pass over the grid: each window's ``(M, n)`` block is read in row
+    blocks of about ``_AGGREGATE_BLOCK_BYTES``, and each row block is summed
+    and multiplied by the modulation's cosine and sine while it is still in
+    cache.  The values are bit for bit those of ``values.sum(axis=2)`` and
+    two whole-block mat-vecs (with BLAS on one thread).
+    """
     fam = as_window_family(windows, grid.n)
     if fam.shape[0] != grid.num_windows:
         raise DimensionMismatchError(
             f"grid has {grid.num_windows} windows, family has {fam.shape[0]}"
         )
-    n = grid.n
-    energy = grid.values.sum(axis=2)
+    n, num_hops = grid.n, grid.num_hops
+    energy = np.empty((grid.num_windows, num_hops))
     correlation = np.empty(energy.shape, dtype=complex)
+    # rows of 8 * n bytes, in blocks of a multiple of 8 rows, so that BLAS groups
+    # the rows of a block as it does the whole block's; a one-row tail, which a
+    # mat-vec would round differently, joins the block before it
+    step = max(8, _AGGREGATE_BLOCK_BYTES // (8 * n) // 8 * 8)
+    stops = [*range(step, num_hops - 1, step), num_hops]
     k = np.arange(n)
     for r, length in enumerate(window_support(fam, zero_tol).length.tolist()):
         angle = 2 * np.pi * k * (length - 1) / n
-        # two real mat-vecs: a complex one would first copy the block to complex
-        correlation[r].real = grid.values[r] @ np.cos(angle)
-        correlation[r].imag = grid.values[r] @ np.sin(angle)
+        cos, sin = np.cos(angle), np.sin(angle)
+        for lo, hi in zip([0, *stops], stops):
+            blk = grid.values[r, lo:hi]
+            blk.sum(axis=1, out=energy[r, lo:hi])
+            # two real mat-vecs: a complex one would first copy the block to complex
+            correlation[r, lo:hi].real = blk @ cos
+            correlation[r, lo:hi].imag = blk @ sin
     return AggregateMeasurements(
         energy=energy, correlation=correlation, noise_level=grid.noise_level
     )

@@ -117,7 +117,8 @@ def _ints(values) -> np.ndarray:
 class SupportGraph:
     """Support graph with a variant tag ("covisibility" or "endpoint"), held as arrays.
 
-    ``edges`` is an ``(E, 2)`` array of (lo, hi) support indices, one row per
+    ``vertices`` is a sorted ``intp`` array of distinct support indices, and
+    ``edges`` an ``(E, 2)`` array of (lo, hi) support indices, one row per
     edge; the builders sort the rows.  Edge ``i``'s witnesses are the (window,
     hop) pairs ``(window[j], hop_index[j])`` for ``offsets[i] <= j <
     offsets[i + 1]``, in (window, hop) order, and every edge has at least one.
@@ -125,7 +126,7 @@ class SupportGraph:
     """
 
     variant: str
-    vertices: tuple[int, ...]
+    vertices: np.ndarray
     edges: np.ndarray
     offsets: np.ndarray
     window: np.ndarray
@@ -136,15 +137,19 @@ class SupportGraph:
         """One BFS per component from its smallest vertex, over a CSR adjacency of sorted rows.
 
         Per component: its vertices in discovery order, the parent and edge
-        row of each vertex after the first, and its depth.
+        row of each vertex after the first, and its depth.  The search stops
+        once every vertex is reached.
         """
         src, dst = np.concatenate((self.edges, self.edges[:, ::-1])).T
         order = np.lexsort((dst, src))
-        depth = [-1] * (self.vertices[-1] + 1 if self.vertices else 0)
+        vertices = self.vertices.tolist()
+        depth = [-1] * (vertices[-1] + 1 if vertices else 0)
         starts = np.searchsorted(src[order], np.arange(len(depth) + 1)).tolist()
         nbrs, rows = dst[order].tolist(), np.tile(np.arange(len(src) // 2), 2)[order].tolist()
-        forest = []
-        for root in self.vertices:
+        forest, unreached = [], len(vertices)
+        for root in vertices:
+            if not unreached:
+                break
             if depth[root] >= 0:
                 continue
             depth[root] = 0
@@ -158,6 +163,7 @@ class SupportGraph:
                         tree_edges.append(rows[i])
                         queue.append(u)
             forest.append((queue, parent, tree_edges, depth[queue[-1]]))
+            unreached -= len(queue)
         return forest
 
     def components(self) -> list[list[int]]:
@@ -168,7 +174,7 @@ class SupportGraph:
         """Certificate payload without its edge list: variant, vertices, connectivity."""
         return {
             "variant": self.variant,
-            "vertices": list(self.vertices),
+            "vertices": self.vertices.tolist(),
             "connected": is_connected(self),
             "components": self.components(),
         }
@@ -199,9 +205,12 @@ def _section_graph(variant: str, vertices, n: int, sections) -> SupportGraph:
     is an edge witnessed by ``(r, m)`` when both are vertices.  One ``lexsort``
     groups the witnesses by edge, then by (window, hop).
     """
-    verts = tuple(sorted({int(v) % n for v in vertices}))
     member = np.zeros(n, dtype=bool)
-    member[list(verts)] = True
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)  # a set, say, which numpy would not unpack
+    member[np.asarray(vertices, dtype=np.intp) % n] = True
+    # sorted and distinct; the copy lets go of the (k, 1) array nonzero builds
+    verts = np.flatnonzero(member).copy()
     parts = []
     for r, (seen, a, b) in enumerate(sections):
         # 32-bit witness arrays halve the peak of graphs with millions of witnesses
@@ -288,7 +297,7 @@ def spanning_tree(graph: SupportGraph) -> SpanningTree:
         raise DisconnectedGraphError(
             f"support graph has {len(comps)} components: {comps}", components=comps
         )
-    queue, parent, tree_edges, depth = graph._forest[0] if graph.vertices else ([None], [], [], 0)
+    queue, parent, tree_edges, depth = graph._forest[0] if graph._forest else ([None], [], [], 0)
     return SpanningTree(graph, queue[0], depth, _ints(parent), _ints(queue[1:]), _ints(tree_edges))
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from stftpr import aggregate, measure, support
 from stftpr.generators import certified_instance
-from stftpr.supportgraph import SupportGraph
+from stftpr.supportgraph import (
+    SupportGraph, endpoint_graph_from_support, spanning_tree, window_support,
+)
 
 
 def divisors(n):
@@ -14,7 +17,7 @@ def graph_from_lists(variant, vertices, edges):
 
     The rows keep the given order, so tests can build graphs no builder makes.
     """
-    verts = tuple(sorted({int(v) for v in vertices}))
+    verts = np.array(sorted({int(v) for v in vertices}), dtype=np.intp)
     ends = np.array([pair for pair, _ in edges], dtype=np.intp).reshape(-1, 2)
     offsets = np.cumsum([0, *(len(ws) for _, ws in edges)]).astype(np.intp)
     witnesses = np.array([w for _, ws in edges for w in ws], dtype=np.intp).reshape(-1, 2)
@@ -29,6 +32,31 @@ def witness_lists(graph):
         (lo, hi): tuple(pairs[a:b])
         for (lo, hi), a, b in zip(graph.edges.tolist(), bounds, bounds[1:])
     }
+
+
+def weak_nontree_instance():
+    """``(x, fam, grid, weak, tol)`` at n=8, hop 1, two windows, exact data.
+
+    ``weak`` lists the non-tree edges whose strongest evidence sits below
+    every tree edge's, and ``tol`` lies between the two, so a run at that
+    degeneracy tolerance keeps its tree and has degenerate non-tree edges.
+    """
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        x, fam = certified_instance(8, 1, 2, rng)
+        grid = measure(x, fam, 1)
+        agg = aggregate(grid, fam)
+        graph = endpoint_graph_from_support(support(x), window_support(fam), 1, 8)
+        tree = set(map(tuple, graph.edges[spanning_tree(graph).edges].tolist()))
+        best = {
+            ends: max(abs(agg.correlation[r, m]) for r, m in witnesses)
+            for ends, witnesses in witness_lists(graph).items()
+        }
+        floor = min(best[p] for p in tree)
+        weak = [p for p in best if p not in tree and best[p] < floor]
+        if weak:
+            return x, fam, grid, weak, 0.5 * (max(best[p] for p in weak) + floor)
+    pytest.fail("no instance with a weak non-tree edge")
 
 
 @pytest.fixture(scope="session")

@@ -178,8 +178,8 @@ def test_criterion_5_stability_bounds():
                     agg_exact = aggregate(exact, fam)
                     agg_noisy = aggregate(noisy, fam)
                     floor = consts.min_endpoint_product * min_mag ** 2 / n
-                    for used in res.diagnostics["used_witnesses"]:
-                        r, m = used["window"], used["hop_index"]
+                    used = res.diagnostics["used_witnesses"]
+                    for r, m in zip(used.window.tolist(), used.hop_index.tolist()):
                         c_exact = agg_exact.correlation[r, m]
                         c_noisy = agg_noisy.correlation[r, m]
                         assert abs(c_noisy - c_exact) <= n * noisy.noise_level * (1 + 1e-9) + 1e-12

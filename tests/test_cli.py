@@ -5,19 +5,23 @@ import time
 import numpy as np
 import pytest
 
-from stftpr import cli, spectral
+from stftpr import cli, phase, spectral
 from stftpr.cli import _dump_json, main
 from stftpr.generators import chain_family, random_signal
-from stftpr.model import support
+from stftpr.model import ProblemConfig, support
 from stftpr.oracle import DIRECT_TERM_CAP
 from stftpr.spectral import certify_rank
+from stftpr.stft import aggregate, read_grid_csv, write_grid_csv
 from stftpr.supportgraph import (
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     is_connected,
     long_windows,
+    spanning_tree,
     window_support,
 )
+
+from conftest import weak_nontree_instance
 
 
 def run(*argv):
@@ -372,6 +376,86 @@ class TestRecover:
         assert rep["root_vertex"] == 0
         assert rep["diagnostics"]["used_witnesses"] == []
         assert rep["diagnostics"]["nontree_residuals"] == []
+
+
+def _legacy_witness_dicts(table, rows, estimate=None):
+    """The per-edge dicts ``recover`` wrote before witnesses became records.
+
+    A copy of that builder: the chosen witness of each of ``rows`` of the
+    edge table, a row without a phase giving only its endpoints, and with
+    ``estimate`` each entry's phase residual (None if it has no phase).
+    """
+    cols = (table.n1, table.n2, table.window, table.hop_index)
+    out = []
+    for i, a, b, w, h in zip(rows.tolist(), *(c[rows].tolist() for c in cols)):
+        if w < 0:
+            a, b = table.edges[i].tolist()
+            out.append({"n1": a, "n2": b})
+        else:
+            out.append({"n1": a, "n2": b, "window": w, "hop_index": h})
+    if estimate is not None:
+        unit = np.zeros(estimate.shape, dtype=complex)
+        on = estimate != 0
+        unit[on] = estimate[on] / np.abs(estimate[on])
+        diff = table.relative_phase[rows] - unit[table.n1[rows]] * np.conj(unit[table.n2[rows]])
+        for entry, res in zip(out, np.hypot(diff.real, diff.imag).tolist()):
+            entry["residual"] = res if "window" in entry else None
+    return out
+
+
+class TestWitnessRecords:
+    """``recover`` writes the witness records as the per-edge dicts it used to build."""
+
+    @staticmethod
+    def _instance(tmp_path, case):
+        """Grid and window files, the recover flags and the library keywords of ``case``."""
+        if case == "weak":
+            _, fam, grid, _, tol = weak_nontree_instance()
+            out = tmp_path / "weak"
+            out.mkdir()
+            write_grid_csv(grid, out / "grid.csv")
+            cli.write_windows_json(out / "windows.json", fam)
+            return out / "grid.csv", ["--degenerate-tol", tol], {"degenerate_tol": tol}
+        signal = "delta" if case == "delta" else "random"
+        out = tmp_path / case
+        assert run(
+            "simulate", "--n", 16, "--hop", 2, "--num-windows", 4, "--windows", "chain:2",
+            "--signal", signal, "--seed", 43, "--noise", 1e-9, "--out", out,
+        ) == 0
+        if case == "noisy":
+            return out / "grid_noisy.csv", ["--min-magnitude", 0.5], {"min_support_magnitude": 0.5}
+        return out / "grid.csv", ["--compressed"] if case == "compressed" else [], {}
+
+    @pytest.mark.parametrize("case", ["exact", "compressed", "noisy", "weak", "delta"])
+    def test_matches_the_legacy_dicts(self, tmp_path, case):
+        grid_path, flags, kwargs = self._instance(tmp_path, case)
+        windows = grid_path.parent / "windows.json"
+        report = tmp_path / "recover.json"
+        assert run("recover", "--grid", grid_path, "--windows", windows, *flags,
+                   "--out", report) == 0
+        # the run again in the library, and the edge table its records come from
+        grid, fam = read_grid_csv(grid_path), cli.read_windows_json(windows)
+        cfg = ProblemConfig(grid.n, grid.hop, fam.shape[0])
+        res = phase.reconstruct(grid, fam, cfg, **kwargs)
+        supports = window_support(fam)
+        graph = endpoint_graph_from_support(res.diagnostics["support"], supports, grid.hop, grid.n)
+        tree = spanning_tree(graph)
+        tol = kwargs.get("degenerate_tol", phase.default_degenerate_tol(grid.n, grid.noise_level))
+        table = phase.edge_phase(graph, aggregate(grid, fam), fam, supports, tol)
+        nontree = np.setdiff1d(np.arange(len(graph.edges)), tree.edges)
+        used = _legacy_witness_dicts(table, tree.edges)
+        residuals = _legacy_witness_dicts(table, nontree, res.estimate)
+        if case == "delta":
+            assert used == residuals == []
+        else:
+            assert used and residuals
+        if case == "weak":
+            assert any(entry["residual"] is None for entry in residuals)
+        text = report.read_text()
+        want = json.loads(text)
+        want["diagnostics"]["used_witnesses"] = used
+        want["diagnostics"]["nontree_residuals"] = residuals
+        assert json.dumps(want, indent=2, sort_keys=True) + "\n" == text
 
 
 @pytest.mark.parametrize(

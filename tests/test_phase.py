@@ -1,5 +1,6 @@
 import importlib
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from stftpr.supportgraph import endpoint_witness
 
 stft_module = importlib.import_module("stftpr.stft")  # ``stftpr.stft`` is also a function
 
-from conftest import graph_from_lists, witness_lists
+from conftest import graph_from_lists, weak_nontree_instance, witness_lists
 
 
 def _edge(graph, a, b):
@@ -315,13 +316,12 @@ class TestReconstruct:
         cfg = ProblemConfig(n, hop, 2)
         res = reconstruct(measure(x, fam, hop), fam, cfg)
         d = res.diagnostics
-        assert d["support"] == list(range(n))
+        assert d["support"].tolist() == list(range(n))
         assert d["support_rule"] == "relative-threshold"
         assert len(d["used_witnesses"]) == n - 1
         assert d["min_evidence"] > 0
         assert d["tree_depth"] >= 1
-        for entry in d["nontree_residuals"]:
-            assert entry["residual"] <= 1e-9
+        assert (d["nontree_residuals"].residual <= 1e-9).all()
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["grid", "aggregates"])
@@ -354,7 +354,7 @@ class TestReconstructCompressed:
         comp = reconstruct_compressed(agg, fam, cfg)
         assert np.max(np.abs(comp.estimate - full.estimate)) <= 1e-10
         assert comp.diagnostics["compressed_count"] == 2 * n * num // hop == 24
-        assert comp.diagnostics["support"] == list(range(n))
+        assert comp.diagnostics["support"].tolist() == list(range(n))
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_one_pipeline(self, noise):
@@ -375,8 +375,8 @@ class TestReconstructCompressed:
         assert comp.root_vertex == full.root_vertex
         diagnostics = dict(comp.diagnostics)
         assert diagnostics.pop("compressed_count") == 2 * n * num // hop
-        assert diagnostics["support"] == list(range(n))
-        assert diagnostics == full.diagnostics
+        assert diagnostics["support"].tolist() == list(range(n))
+        assert _same_diagnostics(diagnostics, full.diagnostics)
         assert diagnostics["support_rule"] == ("half-minimum" if noise else "relative-threshold")
         assert full.modulation.certified and comp.modulation.certified
 
@@ -451,9 +451,8 @@ class TestEdgeTable:
             got = (table.n1[i], table.n2[i], table.window[i], table.hop_index[i])
             assert got == want[:4]
             assert abs(table.relative_phase[i] - want[4]) <= 1e-12
-        rows = list(range(len(graph.edges)))
-        for i, entry in zip(rows, table.residuals(rows, x)):
-            assert (entry["residual"] is None) == (table.window[i] == -1)
+        residuals = table.residuals(np.arange(len(graph.edges)), x)
+        assert np.array_equal(np.isnan(residuals.residual), table.window == -1)
 
     def test_length_one_witnesses_are_unusable(self):
         # window 1 has supporting length 1: its witness never carries a phase
@@ -477,30 +476,16 @@ class TestEdgeTable:
             assert (window, hop, n1, n2) == (*want, 0, 3)
 
     def test_degenerate_nontree_edge_reports_none(self):
-        # find an instance whose weakest non-tree edge sits below every tree edge,
-        # then put the tolerance between them: the tree survives, that edge does not
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            x, fam = certified_instance(8, 1, 2, rng)
-            grid = measure(x, fam, 1)
-            agg = aggregate(grid, fam)
-            graph = endpoint_graph_from_support(support(x), window_support(fam), 1, 8)
-            tree = set(map(tuple, graph.edges[spanning_tree(graph).edges].tolist()))
-            best = {
-                ends: max(abs(agg.correlation[r, m]) for r, m in witnesses)
-                for ends, witnesses in witness_lists(graph).items()
-            }
-            floor = min(best[p] for p in tree)
-            weak = [p for p in best if p not in tree and best[p] < floor]
-            if weak:
-                break
-        else:
-            pytest.fail("no instance with a weak non-tree edge")
-        tol = 0.5 * (max(best[p] for p in weak) + floor)
+        # the weakest non-tree edges sit below every tree edge, and the tolerance
+        # between them: the tree survives, those edges do not
+        x, fam, grid, weak, tol = weak_nontree_instance()
         res = reconstruct(grid, fam, ProblemConfig(8, 1, 2), degenerate_tol=tol)
-        entries = {(e["n1"], e["n2"]): e for e in res.diagnostics["nontree_residuals"]}
+        rec = res.diagnostics["nontree_residuals"]
+        cols = (rec.n1, rec.n2, rec.window, rec.hop_index, rec.residual)
+        entries = {(a, b): (w, h, r) for a, b, w, h, r in zip(*(c.tolist() for c in cols))}
         for p in weak:
-            assert entries[p] == {"n1": p[0], "n2": p[1], "residual": None}
+            window, hop, residual = entries[p]
+            assert (window, hop) == (-1, -1) and np.isnan(residual)
         assert phase_distance(res.estimate, x).distance <= 1e-8 * np.linalg.norm(x)
 
 
@@ -528,6 +513,18 @@ class TestTolerances:
             reconstruct_compressed(
                 aggregate(grid, fam), fam, ProblemConfig(8, 2, 3), degenerate_tol=tol
             )
+
+
+def _same_diagnostics(a: dict, b: dict) -> bool:
+    """``a == b`` for two runs' diagnostics, arrays and witness records compared entrywise."""
+    def same(u, v):
+        if isinstance(u, phase.EdgeWitnesses):
+            return all(same(getattr(u, f.name), getattr(v, f.name)) for f in fields(u))
+        if isinstance(u, np.ndarray):
+            return isinstance(v, np.ndarray) and np.array_equal(u, v, equal_nan=True)
+        return u == v
+
+    return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
 
 
 def _dict_walk(tree, table, amps, verts):
@@ -572,11 +569,10 @@ class TestArrayWalk:
             want = _dict_walk(tree, table, amps, verts)
             assert np.array_equal(res.estimate, want)
             assert res.diagnostics["tree_depth"] == tree.depth
-            assert res.diagnostics["used_witnesses"] == [
-                {"n1": table.n1[i], "n2": table.n2[i], "window": table.window[i],
-                 "hop_index": table.hop_index[i]}
-                for i in tree.edges.tolist()
-            ]
+            used = res.diagnostics["used_witnesses"]
+            for name in ("n1", "n2", "window", "hop_index", "evidence"):
+                assert np.array_equal(getattr(used, name), getattr(table, name)[tree.edges])
+            assert used.residual is None
 
     def test_reconstruct_runs_edge_phase_once(self, monkeypatch):
         # one array pass per run, over every edge, reached through the module
@@ -646,13 +642,25 @@ class TestNonFinitePrior:
 
 class TestDetectSupport:
     @pytest.mark.parametrize("noise_level", [0.0, 1e-9])
-    def test_support_is_python_ints(self, noise_level):
-        # the diagnostics and the endpoint graph take plain ints, not numpy scalars
+    def test_support_is_sorted_intp_array(self, noise_level):
+        # the diagnostics and the endpoint graph take the support as one array
         sq = np.array([0.0, 1.0, 0.0, 4.0, 2.25])
         magnitudes = MagnitudeSpectrum(
             power_spectrum=np.fft.fft(sq) / sq.size, magnitudes_sq=sq,
             clamped_mass=0.0, imag_residue=0.0, severe_clamping=False,
         )
         detected, _ = phase._detect_support(magnitudes, noise_level, 1e-12, 0.5)
-        assert detected == (1, 3, 4)
-        assert all(type(i) is int for i in detected)
+        assert detected.dtype == np.intp
+        assert detected.tolist() == [1, 3, 4]
+
+    def test_support_matches_the_model_support(self):
+        # an intp array on the left of == with a tuple of ints still gives a bool,
+        # as a caller comparing against stftpr.model.support expects; the graph's
+        # summary hands plain ints to JSON writers
+        x, fam = certified_instance(64, 1, 1, np.random.default_rng(239))
+        res = reconstruct(measure(x, fam, 1), fam, ProblemConfig(64, 1, 1))
+        assert (tuple(res.diagnostics["support"]) == support(x)) is True
+        graph = endpoint_graph_from_support(res.diagnostics["support"], window_support(fam), 1, 64)
+        vertices = graph.summary()["vertices"]
+        assert vertices == list(support(x))
+        assert all(type(v) is int for v in vertices)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import itertools
 import json
 import re
@@ -24,10 +25,12 @@ from stftpr.errors import (
     DimensionMismatchError,
     InvalidWindowError,
 )
-from stftpr.generators import random_interval_window
+from stftpr.generators import certified_instance, random_interval_window
 from stftpr.oracle import measure_direct, stft_direct
 from stftpr.stft import AggregateMeasurements, _autocorrelation_coefficients, _trig_table
 from stftpr.supportgraph import window_support
+
+stft_module = importlib.import_module("stftpr.stft")  # ``stftpr.stft`` is also a function
 
 # frozen via the direct-sum oracle: x=(1,2,3,4), w=(1,1,0,0), n=4, hop=2
 EXPECTED_STFT = np.array(
@@ -180,6 +183,10 @@ class TestMeasureRoutes:
         (64, 4, (64,), 0),  # L = n: no zero entry, so anchor 0
         (96, 4, (2, 5, 40), 93),
         (1024, 8, (2, 300), 900),
+        # L <= hop: sections that do not overlap; consecutive anchors put the
+        # first section at every column of a hop row, so some straddle a row
+        # boundary, and every start but 0 wraps the last sections past n - 1
+        (32, 4, (2, 2, 2, 2, 3, 3, 3, 3), 29),
     ])
     def test_strided_gather_matches_fancy_index_gather(self, n, hop, lengths, anchor):
         # sections are strided slices of a cyclic extension of x; they must
@@ -316,6 +323,31 @@ class TestAggregate:
         finally:
             tracemalloc.stop()
         assert peak < grid.values[0].nbytes  # a complex copy would be twice that
+
+    @pytest.mark.parametrize("n, hop, block_rows", [
+        (96, 8, 16),  # 12 rows: below one block
+        (128, 8, 16),  # 16 rows: exactly one block
+        (120, 1, 16),  # 120 rows: seven blocks and an 8-row tail
+        (100, 4, 16),  # 25 rows: a 9-row tail
+        (136, 8, 16),  # 17 rows: the one-row tail joins the block before it
+        (1024, 8, None),  # wide-exact's geometry at the module's block size
+        (1024, 1, None),  # deep-noisy's
+    ])
+    def test_row_blocks_match_whole_block_formula(self, monkeypatch, n, hop, block_rows):
+        # blocking changes the memory traffic only: energy and correlation are
+        # bit for bit the whole-block sum and the two whole-block mat-vecs
+        if block_rows is not None:
+            monkeypatch.setattr(stft_module, "_AGGREGATE_BLOCK_BYTES", block_rows * 8 * n)
+        rng = np.random.default_rng([n, hop])
+        x, fam = certified_instance(n, hop, 10 if hop == 8 else hop, rng)
+        grid = corrupt(measure(x, fam, hop), rng.uniform(-1e-9, 1e-9, (fam.shape[0], n // hop, n)))
+        agg = aggregate(grid, fam)
+        assert np.array_equal(agg.energy, grid.values.sum(axis=2))
+        k = np.arange(n)
+        for r, length in enumerate(window_support(fam).length.tolist()):
+            angle = 2 * np.pi * k * (length - 1) / n
+            assert np.array_equal(agg.correlation[r].real, grid.values[r] @ np.cos(angle))
+            assert np.array_equal(agg.correlation[r].imag, grid.values[r] @ np.sin(angle))
 
     def test_window_count_must_match_grid(self):
         w = [1, 1, 0, 0]
