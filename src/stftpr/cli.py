@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -138,41 +139,45 @@ def _json_text(obj, pad: str) -> str:
 
 
 def _object_text(texts: dict[str, str], pad: str) -> str:
-    """JSON object from the texts of its values, keys sorted."""
+    """JSON object from the texts of its values, keys sorted, in one join (``+`` would copy)."""
     if not texts:
         return "{}"
     inner = pad + "  "
-    return "{" + inner + ("," + inner).join(
-        [_encode_str(k) + ": " + t for k, t in sorted(texts.items())]
-    ) + pad + "}"
+    parts = [s for k, t in sorted(texts.items()) for s in ("," + inner + _encode_str(k) + ": ", t)]
+    return "".join(["{" + parts[0][1:], *parts[1:], pad, "}"])
 
 
 def _graph_text(graph: SupportGraph, pad: str) -> str:
     """``_json_text(graph.to_dict(), pad)``, written straight from the graph's arrays.
 
-    The text of each (window, hop) witness ``[r, m]`` is formatted once, into
-    a table indexed by ``window * M + hop_index``; an edge's witness list is
-    then one join over table entries, and its dict one format call.
+    The text ``[r, m]`` of each (window, hop) pair that witnesses is formatted twice,
+    with the next witness's separator and with its edge's close; only edge heads are
+    formatted per edge.  One object-array gather interleaves heads and witness
+    texts, and one join writes the edge list.  Every edge needs a witness.
     """
     inner = pad + "  "  # the graph's keys
     item = inner + "  "  # the edges
     key = item + "  "  # an edge's keys
     wit = key + "  "  # its witnesses
     pair = wit + "  "  # the two numbers of a witness
-    num_windows = int(graph.window.max()) + 1 if graph.window.size else 0
-    num_hops = int(graph.hop_index.max()) + 1 if graph.hop_index.size else 0
-    table = [f"[{pair}{r},{pair}{m}{wit}]" for r in range(num_windows) for m in range(num_hops)]
-    rows = graph.window.astype(np.intp) * num_hops + graph.hop_index
-    texts = [table[i] for i in rows.tolist()]
-    edge = ("{" + key + '"n": %d,' + key + '"n2": %d,' + key + '"witnesses": ['
-            + wit + "%s" + key + "]" + item + "}")
-    sep, bounds = "," + wit, graph.offsets.tolist()
-    edges = [
-        edge % (lo, hi, sep.join(texts[a:b]))
-        for (lo, hi), a, b in zip(graph.edges.tolist(), bounds, bounds[1:])
-    ]
     fields = {k: _json_text(v, inner) for k, v in graph.summary().items()}
-    fields["edges"] = "[" + item + ("," + item).join(edges) + inner + "]" if edges else "[]"
+    fields["edges"] = "[]"
+    if len(graph.edges):
+        num_hops = int(graph.hop_index.max()) + 1
+        slot = graph.window.astype(np.intp) * num_hops + graph.hop_index
+        present = np.zeros(int(slot.max()) + 1, dtype=bool)
+        present[slot] = True  # only the (window, hop) pairs that witness get a text
+        index = np.cumsum(present, dtype=np.intp)[slot] - 1
+        used = [divmod(s, num_hops) for s in np.flatnonzero(present).tolist()]
+        texts = [f"[{pair}{r},{pair}{m}{wit}]{end}" for end in ("," + wit, key + "]" + item + "}")
+                 for r, m in used]
+        head = f',{item}{{{key}"n": %d,{key}"n2": %d,{key}"witnesses": [{wit}'
+        heads = [head % (lo, hi) for lo, hi in graph.edges.tolist()]
+        heads[0] = "[" + heads[0][1:]
+        index[graph.offsets[1:] - 1] += len(used)  # an edge's last witness closes it
+        order = np.insert(index, graph.offsets[:-1], 2 * len(used) + np.arange(len(heads)))
+        pieces = np.array(texts + heads, dtype=object)[order].tolist()
+        fields["edges"] = "".join(pieces + [inner, "]"])
     return _object_text(fields, pad)
 
 
@@ -195,11 +200,9 @@ def _witness_dicts(witnesses: EdgeWitnesses) -> list[dict]:
 
 
 def _dump_json(payload, out: str | None) -> None:
-    text = _json_text(payload, "\n") + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    text = _json_text(payload, "\n")
+    with nullcontext(sys.stdout) if out is None or out == "-" else Path(out).open("w") as f:
+        f.writelines((text, "\n"))  # text + "\n" would copy the text
 
 
 def _pairs_to_complex(data, what: str) -> np.ndarray:

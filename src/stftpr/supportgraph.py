@@ -16,11 +16,12 @@ Two graphs on the signal's support drive everything:
   full-rank modulation matrices - is sufficient for recovery.
 
 Both graphs are undirected, immutable, and held as arrays: ``edges``, a
-sorted ``(E, 2)`` array of endpoint pairs, and CSR witness arrays, which the
-builders fill from one ``lexsort`` over the flat (edge, window, hop)
-witnesses.  The spanning tree comes from one breadth-first search over a CSR
-adjacency and is held as parent, child and edge arrays in discovery order,
-its ``edges`` being rows of the graph's ``edges``.
+sorted ``(E, 2)`` array of endpoint pairs, and CSR witness arrays, which both
+builders fill from one pass over every window's tap pairs against every hop,
+in chunks, and one sort of the witnesses by edge, then (window, hop).  The
+spanning tree comes from one breadth-first search over a CSR adjacency and is
+held as parent, child and edge arrays in discovery order, its ``edges`` being
+rows of the graph's ``edges``.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ def window_support(w, zero_tol: float = DEFAULT_ZERO_TOL) -> WindowSupport:
     return WindowSupport(length=n + 1 - gaps[best], anchor=nonzero[best])
 
 
-def _ints(values) -> np.ndarray:
-    return np.array(values, dtype=np.intp)
-
-
 @dataclass(frozen=True, eq=False)
 class SupportGraph:
     """Support graph with a variant tag ("covisibility" or "endpoint"), held as arrays.
@@ -197,13 +194,17 @@ def is_connected(graph: SupportGraph) -> bool:
     return len(graph._forest) <= 1
 
 
-def _section_graph(variant: str, vertices, n: int, sections) -> SupportGraph:
-    """Graph whose edges join two indices that one windowed section sees.
+_WITNESS_CHUNK = 1 << 16  # tap pairs times hops per chunk: a few MB of masks and indices
 
-    ``sections[r]`` is ``(seen, a, b)``: ``seen[m]`` lists the indices the
-    section of window ``r`` at hop ``m`` sees, and column pair ``(a[k], b[k])``
-    is an edge witnessed by ``(r, m)`` when both are vertices.  One ``lexsort``
-    groups the witnesses by edge, then by (window, hop).
+
+def _section_graph(variant: str, vertices, n: int, hop: int, window, tap_a, tap_b) -> SupportGraph:
+    """Graph whose edges join the two indices a tap pair of one windowed section sees.
+
+    Tap pair ``p`` of window ``window[p]`` sees ``(hop*m - tap_a[p]) % n`` and
+    ``(hop*m - tap_b[p]) % n`` at hop ``m``: an edge witnessed by ``(window[p], m)``
+    when both are vertices.  One pass over all pairs and hops, in chunks of
+    ``_WITNESS_CHUNK`` candidates, keys each witness by edge ``lo*n + hi`` and
+    slot ``window*M + hop`` for :func:`_sorted_witnesses`.
     """
     member = np.zeros(n, dtype=bool)
     if not isinstance(vertices, np.ndarray):
@@ -211,24 +212,48 @@ def _section_graph(variant: str, vertices, n: int, sections) -> SupportGraph:
     member[np.asarray(vertices, dtype=np.intp) % n] = True
     # sorted and distinct; the copy lets go of the (k, 1) array nonzero builds
     verts = np.flatnonzero(member).copy()
-    parts = []
-    for r, (seen, a, b) in enumerate(sections):
-        # 32-bit witness arrays halve the peak of graphs with millions of witnesses
-        seen = seen.astype(np.int32)
-        covered = member[seen]
-        m, k = np.nonzero(covered[:, a] & covered[:, b])
-        i, j = seen[m, a[k]], seen[m, b[k]]
-        r = np.full(m.size, r, dtype=np.int32)
-        parts.append((np.minimum(i, j), np.maximum(i, j), r, m.astype(np.int32)))
-    lo, hi, window, hop_index = map(np.concatenate, zip(*parts))
-    del parts
-    order = np.lexsort((hop_index, window, hi, lo))
-    lo, hi = lo[order], hi[order]
-    first = np.ones(lo.size, dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    num_hops = n // hop
+    # row s of seen is member[(s + hop*m) % n] over every hop m; tap t reads row n - t
+    seen = np.ndarray((n + 1, num_hops), bool, np.tile(member, 2), strides=(1, hop))
+    # 32-bit witness arrays halve the peak; a slot is below R*M <= the family's R*n entries
+    window, tap_a, tap_b = (np.asarray(v, dtype=np.int32) for v in (window, tap_a, tap_b))
+    step = max(1, _WITNESS_CHUNK // num_hops)
+    edge_keys, slot_keys = [], []
+    for start in range(0, max(window.size, 1), step):
+        a, b = tap_a[start:start + step], tap_b[start:start + step]
+        p, m = np.nonzero(seen[n - a] & seen[n - b])
+        m = m.astype(np.int32)
+        i, j = (hop * m - a[p]) % n, (hop * m - b[p]) % n
+        edge_keys.append(np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j))
+        slot_keys.append(window[start + p] * num_hops + m)
+    edge_key, slot = np.concatenate(edge_keys), np.concatenate(slot_keys)
+    del edge_keys, slot_keys
+    num_slots = (int(window.max(initial=0)) + 1) * num_hops
+    edge_key, slot = _sorted_witnesses(edge_key, slot, n, num_slots)
+    first = np.ones(edge_key.size, dtype=bool)
+    first[1:] = edge_key[1:] != edge_key[:-1]
     starts = np.flatnonzero(first)
-    ends, offsets = np.stack((lo[starts], hi[starts]), axis=1), np.append(starts, lo.size)
-    return SupportGraph(variant, verts, ends, offsets, window[order], hop_index[order])
+    ends = np.empty((starts.size, 2), dtype=np.int32)
+    np.divmod(edge_key[starts], n, out=(ends[:, 0], ends[:, 1]))
+    return SupportGraph(variant, verts, ends, np.append(starts, edge_key.size),
+                        *np.divmod(slot, num_hops))
+
+
+def _sorted_witnesses(edge_key, slot, n: int, num_slots: int):
+    """Witness keys, consumed, sorted by edge ``lo*n + hi`` and then by slot ``window*M + hop``.
+
+    One key ``edge_key*num_slots + slot``, sorted in place, while it fits in
+    int64; beyond that (n = 2**20 at hop 1 and 10 windows) a two-key lexsort.
+    """
+    if n * n * num_slots > 2**63:
+        order = np.lexsort((slot, edge_key))
+        return edge_key[order], slot[order]
+    edge_key *= num_slots
+    edge_key += slot
+    edge_key.sort()
+    slot = (edge_key % num_slots).astype(np.int32)
+    edge_key //= num_slots
+    return edge_key, slot
 
 
 def covisibility_graph_from_support(
@@ -241,13 +266,13 @@ def covisibility_graph_from_support(
     candidate edge.
     """
     fam = as_window_family(windows)
-    n = fam.shape[1]
-    hops = np.arange(n // hop)[:, None]
-    sections = []
-    for w in fam:
-        taps = _ints(support(w, zero_tol))
-        sections.append(((hop * hops - taps) % n, *np.triu_indices(taps.size, 1)))
-    return _section_graph("covisibility", vertices, n, sections)
+    mags = np.abs(fam)
+    rows, taps = np.nonzero(mags > zero_tol * mags.max(axis=1, keepdims=True))
+    # tap entry e pairs with each later entry of its row: e + 1, e + 2, ...
+    later = np.searchsorted(rows, rows, side="right") - np.arange(rows.size) - 1
+    a = np.repeat(np.arange(rows.size), later)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    return _section_graph("covisibility", vertices, fam.shape[1], hop, rows[a], taps[a], taps[b])
 
 
 def endpoint_graph_from_support(
@@ -255,16 +280,13 @@ def endpoint_graph_from_support(
 ) -> SupportGraph:
     """Endpoint graph over an explicit vertex set, from a family's window supports.
 
-    Each section sees the two :func:`endpoint_witness` indices of its window.
-    Windows of supporting length 1 contribute no edges (the two interval
-    endpoints coincide).
+    Each section sees the two :func:`endpoint_witness` indices of its window,
+    through the window's anchor and far taps.  Windows of supporting length 1
+    contribute no edges (the two interval endpoints coincide).
     """
-    # (R, M, 2): the two endpoints seen by each window's section at each hop
-    seen = np.stack(endpoint_witness(supports[:, None], hop, np.arange(n // hop), n), axis=2)
-    pair = {True: (_ints([0]), _ints([1])), False: (_ints([]), _ints([]))}
-    return _section_graph("endpoint", vertices, n, [
-        (s, *pair[length > 1]) for s, length in zip(seen, supports.length.tolist())
-    ])
+    long = np.flatnonzero(supports.length > 1)
+    ws = supports[long]
+    return _section_graph("endpoint", vertices, n, hop, long, ws.anchor, ws.far(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +320,8 @@ def spanning_tree(graph: SupportGraph) -> SpanningTree:
             f"support graph has {len(comps)} components: {comps}", components=comps
         )
     queue, parent, tree_edges, depth = graph._forest[0] if graph._forest else ([None], [], [], 0)
-    return SpanningTree(graph, queue[0], depth, _ints(parent), _ints(queue[1:]), _ints(tree_edges))
+    parent, child, edges = (np.array(v, dtype=np.intp) for v in (parent, queue[1:], tree_edges))
+    return SpanningTree(graph, queue[0], depth, parent, child, edges)
 
 
 def rotate_component_phase(

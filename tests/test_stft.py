@@ -176,6 +176,19 @@ class TestMeasureRoutes:
             want = np.abs(np.fft.fft(s, n=n, axis=1) / n) ** 2
             assert np.array_equal(measure(x, [w], hop).values[0], want)
 
+    @pytest.mark.parametrize("n", [40, 96, 1000, 1024])
+    def test_fft_route_scaling_matches_complex_division(self, n):
+        # the route scales the spectrum by multiplying its float view by 1/n; that
+        # must round as the complex f /= n it replaced (dividing the view by n
+        # rounds differently at every n here but 1024)
+        rng = np.random.default_rng(n)
+        for length in (7, n // 3):
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            w = _window(n, int(rng.integers(n)), rng.normal(size=length) + 1j)
+            f = np.fft.fft(_sections(x, w, 4), n=n, axis=1)
+            f /= n
+            assert np.array_equal(measure(x, [w], 4).values[0], np.abs(f) ** 2)
+
     @pytest.mark.parametrize("n, hop, lengths, anchor", [
         (64, 1, (3, 9), 62),  # hop 1, supports wrapping past n - 1
         (64, 64, (2, 20), 63),  # hop n: one section

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from stftpr.errors import (
     InvalidPartitionError,
     InvalidWindowError,
 )
-from stftpr.generators import antipodal_pair_signal, random_interval_window
+from stftpr.generators import antipodal_pair_signal, chain_family, random_interval_window
 from stftpr.supportgraph import (
     WindowSupport,
+    _sorted_witnesses,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
@@ -431,12 +433,20 @@ def _brute_endpoint_witnesses(vertices, fam, hop):
 
 
 @st.composite
+def _one_tap_windows(draw, n):
+    w = np.zeros(n, dtype=complex)
+    w[draw(st.integers(0, n - 1))] = 2.0
+    return w
+
+
+@st.composite
 def _endpoint_geometries(draw):
+    # up to 5 windows, one-tap windows among multi-tap ones: the flat tap-pair
+    # enumeration must start and stop each window's pairs at its own taps
     n = draw(st.integers(1, 16))
     hop = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-    fam = np.array(
-        [draw(_masked_windows(n, n)) for _ in range(draw(st.integers(1, 3)))]
-    )
+    windows = st.one_of(_masked_windows(n, n), _one_tap_windows(n))
+    fam = np.array([draw(windows) for _ in range(draw(st.integers(1, 5)))])
     vertices = draw(st.sets(st.integers(0, n - 1)))
     return hop, fam, vertices
 
@@ -583,3 +593,48 @@ def test_graph_and_tree_edges_are_arrays():
     ends = graph.edges[tree.edges]
     assert ends.shape == (7, 2)
     assert np.array_equal(np.sort(np.stack((tree.parent, tree.child), axis=1), axis=1), ends)
+
+
+def test_covisibility_peak_per_witness():
+    # full support at n = 256: 802,240 witnesses.  The per-window build peaked
+    # at 164.0 MB for 4,160,896 witnesses at n = 512 (39.4 B each); building
+    # every witness at once in int64 takes about 64 B each
+    n = 256
+    fam = chain_family(n, 4, 6, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        graph = covisibility_graph_from_support(range(n), fam, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.window.size == 802_240
+    assert peak <= 39.4 * graph.window.size
+
+
+def test_witness_keys_do_not_overflow_at_large_n():
+    # n = 2**20 at hop 1 with 10 windows: edge key * slots + slot passes int64
+    n, num_slots = 1 << 20, 10 << 20
+    big = (n - 2) * n + n - 1
+    keys, slots = _sorted_witnesses(
+        np.array([big, 1, big, 1], dtype=np.int64),
+        np.array([num_slots - 1, 5, 0, num_slots - 1], dtype=np.int32), n, num_slots,
+    )
+    assert keys.tolist() == [1, 1, big, big]
+    assert slots.tolist() == [5, num_slots - 1, 0, num_slots - 1]
+    # the same geometry through the endpoint builder: a sparse support that
+    # holds both endpoints of the first and last sections of every window
+    rng = np.random.default_rng(3)
+    supports = WindowSupport(rng.integers(2, n // 2, 10), rng.integers(0, n, 10))
+    ends = endpoint_witness(supports[:, None], 1, np.array([0, 1, n - 2, n - 1]), n)
+    vertices = set(np.concatenate(ends, axis=None).tolist())
+    graph = endpoint_graph_from_support(vertices, supports, 1, n)
+    member = np.zeros(n, dtype=bool)
+    member[list(vertices)] = True
+    found = {}
+    for r in range(10):
+        n1, n2 = endpoint_witness(supports[r], 1, np.arange(n), n)
+        for m in np.flatnonzero(member[n1] & member[n2]).tolist():
+            found.setdefault((min(n1[m], n2[m]), max(n1[m], n2[m])), []).append((r, m))
+    assert witness_lists(graph) == {pair: tuple(ws) for pair, ws in found.items()}
+    # edges whose one key (lo*n + hi)*slots + slot would wrap past int64
+    assert int(graph.edges[:, 0].max()) * n * num_slots >= 2**63
