@@ -42,7 +42,9 @@ from .generators import (
     random_signal,
     rectangular_window,
 )
-from .model import DEFAULT_ZERO_TOL, ProblemConfig, as_window_family, phase_distance, support
+from .model import (
+    DEFAULT_ZERO_TOL, ProblemConfig, as_window_family, check_tolerance, phase_distance, support,
+)
 from .oracle import DIRECT_TERM_CAP, compare, stft_direct
 from .phase import EdgeWitnesses, reconstruct, reconstruct_compressed
 from .robustness import error_budget, stability_constants
@@ -221,7 +223,10 @@ def _complex_to_pairs(x) -> list[list[float]]:
 
 def read_signal_json(path) -> np.ndarray:
     with Path(path).open() as fh:
-        return _pairs_to_complex(json.load(fh), f"signal file {path}")
+        x = _pairs_to_complex(json.load(fh), f"signal file {path}")
+    if not np.isfinite(x).all():
+        raise ConfigurationError(f"signal file {path} has a NaN or infinite entry")
+    return x
 
 
 def write_signal_json(path, x) -> None:
@@ -326,7 +331,11 @@ def _instance(args):
 
 
 def cmd_simulate(args) -> int:
-    if args.noise > 0:  # checked before any spec is read; no seed means no generator
+    # checked before any spec is read or file written; no seed means no generator
+    check_tolerance("--noise", args.noise)
+    if not np.isfinite(2 * args.noise):  # the width of the uniform draw
+        raise ConfigurationError(f"--noise {args.noise} is too large to draw noise from")
+    if args.noise > 0:
         _require_rng(args.seed, "--noise")
     rng, fam, cfg, x = _instance(args)
     outdir = Path(args.out)

@@ -60,7 +60,7 @@ class InvalidPriorError(PhaseRetrievalError, ValueError):
 
 
 class UndefinedBudgetError(PhaseRetrievalError, ValueError):
-    """Error budget undefined because the reference signal has empty support."""
+    """Error budget undefined: empty reference support, or a bound denominator that underflows."""
 
 
 class SearchSpaceError(PhaseRetrievalError, ValueError):

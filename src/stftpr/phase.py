@@ -15,19 +15,19 @@ x(n1)*conj(x(n2)), and a spanning-tree walk anchored at the smallest
 support index (phase 0 by convention) assembles the full signal from the
 recovered magnitudes.
 
-:func:`edge_phase` gives every edge of the endpoint graph its phase in a
-single array pass over the graph's witness arrays and the (window, hop)
-correlation table.  Any one witness determines an edge's phase, because the
-correlation collapses to a single term, so each edge takes its witness of
-largest evidence magnitude (the most robust to noise), ties going to the
-smaller (window, hop); that evidence must clear the degeneracy tolerance.
-The spanning tree's ``edges`` array picks the tree edges' phases, oriented
-from parent to child, and :func:`propagate` multiplies them along the tree
-in discovery order; the remaining edges give the residuals of the redundant
-edges.  The tree edges' witnesses and the redundant edges' residuals come
-back as :class:`EdgeWitnesses` records of parallel arrays, and the detected
-support as an ``intp`` array, so the results hold no Python object per
-vertex or per edge.
+:func:`edge_phase` gives every edge of the endpoint graph its witness and
+phase in a single array pass over the graph's witness arrays and the (window,
+hop) correlation table, as one :class:`EdgeWitnesses` record of parallel
+arrays with a row per edge.  Any one witness determines an edge's phase,
+because the correlation collapses to a single term, so each edge takes its
+witness of largest evidence magnitude (the most robust to noise), ties going
+to the smaller (window, hop); that evidence must clear the degeneracy
+tolerance.  The spanning tree's ``edges`` array selects the tree edges' rows,
+whose phases, oriented from parent to child, :func:`propagate` multiplies
+along the tree in discovery order; the remaining rows, set against the
+estimate, give the residuals of the redundant edges.  Both selections come
+back as records, and the detected support as an ``intp`` array, so the
+results hold no Python object per vertex or per edge.
 
 :func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
 rank gate, magnitudes, support, endpoint graph, edge phases, propagation -
@@ -36,7 +36,7 @@ and differ only in where the ``2nR/L`` aggregate statistics come from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,11 +67,13 @@ class EdgeWitnesses:
 
     Row k joins signal indices ``n1[k]`` and ``n2[k]`` through the (window,
     hop) pair ``(window[k], hop_index[k])``, whose aggregate correlation
-    ``evidence[k]`` gave the edge its phase.  ``residual[k]`` is the edge's
-    phase residual against the estimate; it is None on the tree edges' record,
-    since the estimate is built from their phases.  A degenerate row (no
-    witness clears the tolerance) has window and hop -1, evidence 0 and
-    residual NaN, and its n1, n2 are the edge's (lo, hi).
+    ``evidence[k]`` gave the edge its phase: ``phase[k]`` is the unit phasor
+    of ``x(n1[k]) * conj(x(n2[k]))``.  ``residual[k]`` is the edge's phase
+    residual against the estimate; it is None on records not set against an
+    estimate, such as :func:`edge_phase`'s and the tree edges'.  A degenerate
+    row (no witness clears the tolerance) has window and hop -1, evidence and
+    phase 0 and residual NaN, and its n1, n2 are the edge's (lo, hi).
+    ``record[rows]`` is the record of the selected rows.
     """
 
     n1: np.ndarray
@@ -79,10 +81,15 @@ class EdgeWitnesses:
     window: np.ndarray
     hop_index: np.ndarray
     evidence: np.ndarray
+    phase: np.ndarray
     residual: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.n1.size
+
+    def __getitem__(self, rows) -> EdgeWitnesses:
+        cols = {f.name: getattr(self, f.name) for f in fields(self)}
+        return EdgeWitnesses(**{k: None if v is None else v[rows] for k, v in cols.items()})
 
 
 @dataclass(frozen=True)
@@ -121,101 +128,27 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-@dataclass(frozen=True)
-class _EdgeTable:
-    """Chosen witness and phases of every edge, one array entry per edge.
-
-    ``window`` is -1 on edges with no usable witness above the tolerance;
-    their ``n1``, ``n2`` are the edge's (lo, hi), and their other entries
-    are meaningless.
-    """
-
-    edges: np.ndarray
-    usable: np.ndarray
-    window: np.ndarray
-    hop_index: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-    evidence: np.ndarray
-    relative_phase: np.ndarray
-    degenerate_tol: float
-    noise_level: float
-
-    def raise_degenerate(self, rows: np.ndarray) -> None:
-        """Raise ``DegenerateEdgeError`` for the first of ``rows`` without a phase."""
-        bad = np.flatnonzero(self.window[rows] < 0)
-        if not bad.size:
-            return
-        i = int(rows[bad[0]])
-        ends = tuple(self.edges[i].tolist())
-        if not self.usable[i]:
-            raise DegenerateEdgeError(
-                f"edge {ends} has no witness with supporting length >= 2", endpoints=ends
-            )
-        raise DegenerateEdgeError(
-            f"edge {ends}: all witness evidence magnitudes are below "
-            f"{self.degenerate_tol:.3e} (noise level {self.noise_level:.3e})",
-            endpoints=ends,
-        )
-
-    def _record(self, rows: np.ndarray) -> EdgeWitnesses:
-        return EdgeWitnesses(
-            self.n1[rows], self.n2[rows], self.window[rows], self.hop_index[rows],
-            self.evidence[rows],
-        )
-
-    def along(self, tree: SpanningTree) -> tuple[np.ndarray, dict]:
-        """Phasors of ``x(child) * conj(x(parent))`` on the tree's edges, and their diagnostics.
-
-        Every tree edge must have a phase; the diagnostics are the record of
-        the witnesses used and the smallest evidence magnitude.
-        """
-        rows = tree.edges
-        used = self._record(rows)
-        forward = tree.child == used.n1
-        if not np.where(forward, tree.parent == used.n2,
-                        (tree.child == used.n2) & (tree.parent == used.n1)).all():
-            raise RuntimeError("edge-phase witnesses do not match the tree's edges")
-        rel = self.relative_phase[rows]
-        return np.where(forward, rel, rel.conj()), {
-            "used_witnesses": used,
-            "min_evidence": float(_modulus(used.evidence).min()) if rows.size else None,
-        }
-
-    def residuals(self, rows: np.ndarray, estimate: np.ndarray) -> EdgeWitnesses:
-        """Record of ``rows`` with their phase residuals against the estimate; NaN if degenerate."""
-        unit = np.zeros(estimate.shape, dtype=complex)
-        on = estimate != 0
-        unit[on] = estimate[on] / np.abs(estimate[on])
-        rec = self._record(rows)
-        residual = _modulus(self.relative_phase[rows] - unit[rec.n1] * np.conj(unit[rec.n2]))
-        residual[rec.window < 0] = np.nan
-        return replace(rec, residual=residual)
-
-
 def edge_phase(
     graph: SupportGraph,
     agg: AggregateMeasurements,
     fam: np.ndarray,
     supports: WindowSupport,
     degenerate_tol: float,
-) -> _EdgeTable:
-    """Relative phase of every edge of ``graph`` in one array pass over the correlation table.
+) -> EdgeWitnesses:
+    """Witness and phase of every edge of ``graph``, in one array pass over the correlation table.
 
     ``fam`` is a validated window family and ``supports`` its
     :func:`~stftpr.supportgraph.window_support`.  Witnesses of windows with
     supporting length 1 are unusable.  Each edge takes the usable witness of
     largest evidence magnitude, ties going to the smaller (window, hop),
-    provided it clears ``degenerate_tol``; an edge without one gets window
-    -1 and its own (lo, hi) as endpoints, and ``raise_degenerate`` names it.
+    provided it clears ``degenerate_tol``.  Row k of the record is edge k of
+    ``graph.edges``; an edge without such a witness is a degenerate row.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
     num_edges = len(graph.edges)
     eid = np.repeat(np.arange(num_edges), np.diff(graph.offsets))
     keep = supports.length[graph.window] >= 2
-    usable = np.zeros(num_edges, dtype=bool)
-    usable[eid[keep]] = True
     eid, r, m = eid[keep], graph.window[keep], graph.hop_index[keep]
     mag = _modulus(agg.correlation[r, m])
     # by edge, then strongest evidence first, then smaller (window, hop)
@@ -245,17 +178,13 @@ def edge_phase(
         out[chosen] = col
         return out
 
-    return _EdgeTable(
-        edges=graph.edges,
-        usable=usable,
-        window=per_edge(r, -1),
-        hop_index=per_edge(m, -1),
+    return EdgeWitnesses(
         n1=per_edge(n1, graph.edges[:, 0]),
         n2=per_edge(n2, graph.edges[:, 1]),
+        window=per_edge(r, -1),
+        hop_index=per_edge(m, -1),
         evidence=per_edge(value, 0),
-        relative_phase=per_edge(rel, 0),
-        degenerate_tol=degenerate_tol,
-        noise_level=agg.noise_level,
+        phase=per_edge(rel, 0),
     )
 
 
@@ -356,15 +285,41 @@ def _run_pipeline(
             f"length; edge phases would be ambiguous",
             failing=too_long,
         )
-    table = edge_phase(graph, agg, fam, supports, degenerate_tol)
-    table.raise_degenerate(tree.edges)
-    phases, used = table.along(tree)
+    edges = edge_phase(graph, agg, fam, supports, degenerate_tol)
+    used = edges[tree.edges]
+    bad = np.flatnonzero(used.window < 0)
+    if bad.size:
+        i = int(tree.edges[bad[0]])
+        ends = tuple(graph.edges[i].tolist())
+        if supports.length[graph.window[graph.offsets[i]:graph.offsets[i + 1]]].max() < 2:
+            raise DegenerateEdgeError(
+                f"edge {ends} has no witness with supporting length >= 2", endpoints=ends
+            )
+        raise DegenerateEdgeError(
+            f"edge {ends}: all witness evidence magnitudes are below "
+            f"{degenerate_tol:.3e} (noise level {agg.noise_level:.3e})",
+            endpoints=ends,
+        )
+    forward = tree.child == used.n1
+    if not np.where(forward, tree.parent == used.n2,
+                    (tree.child == used.n2) & (tree.parent == used.n1)).all():
+        raise RuntimeError("edge-phase witnesses do not match the tree's edges")
+    phases = np.where(forward, used.phase, used.phase.conj())
     result = replace(propagate(tree, magnitudes, phases), modulation=mats)
-    result.diagnostics.update(**used, **diagnostics)
+    # the redundant edges' phases against the estimate; NaN where degenerate
     nontree = np.ones(len(graph.edges), dtype=bool)
     nontree[tree.edges] = False
-    result.diagnostics["nontree_residuals"] = table.residuals(
-        np.flatnonzero(nontree), result.estimate
+    rest = edges[nontree]
+    unit = np.zeros(cfg.n, dtype=complex)
+    on = result.estimate != 0
+    unit[on] = result.estimate[on] / np.abs(result.estimate[on])
+    residual = _modulus(rest.phase - unit[rest.n1] * np.conj(unit[rest.n2]))
+    residual[rest.window < 0] = np.nan
+    result.diagnostics.update(
+        used_witnesses=used,
+        min_evidence=float(_modulus(used.evidence).min()) if len(used) else None,
+        **diagnostics,
+        nontree_residuals=replace(rest, residual=residual),
     )
     return result
 

@@ -124,7 +124,9 @@ def error_budget(
     ``reference`` is either the true signal (test mode: the minimum is taken
     over its detected support) or a positive scalar prior for the smallest
     nonzero magnitude (deployment mode, the same quantity the half-minimum
-    support rule consumes).
+    support rule consumes).  A minimum so small that the phase bound's
+    denominator, ``min_endpoint_product * min_mag**2``, underflows to zero
+    raises ``UndefinedBudgetError``.
     """
     check_tolerance("noise_level", noise_level)
     if np.isscalar(reference) and not isinstance(reference, (complex, np.complexfloating)):
@@ -136,12 +138,16 @@ def error_budget(
             raise UndefinedBudgetError("reference signal has empty support")
         min_mag = float(np.min(np.abs(x[list(supp)])))
     min_sq = min_mag * min_mag
+    phase_denom = consts.min_endpoint_product * min_sq
+    if phase_denom == 0.0:
+        raise UndefinedBudgetError(
+            f"smallest magnitude {min_mag!r} is too small for the error budget: the "
+            f"phase bound's denominator underflows to zero"
+        )
     denom = 4.0 * consts.gram_inverse_l1 * consts.window_l2 ** 2
     admissible = bool(noise_level <= min_sq / denom)
     magnitude_bound = consts.gram_inverse_l1 * consts.window_l2 ** 2 * noise_level
-    phase_bound = (
-        2.0 * consts.n ** 3 * noise_level / (consts.min_endpoint_product * min_sq)
-    )
+    phase_bound = 2.0 * consts.n ** 3 * noise_level / phase_denom
     return ErrorBudget(
         noise_level=float(noise_level),
         admissible=admissible,

@@ -1,9 +1,13 @@
 import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stftpr import cli, phase, spectral
 from stftpr.cli import _dump_json, main
@@ -66,6 +70,20 @@ class TestSimulate:
         assert 0 < meta["noise_level"] <= 0.001
         exact_meta = json.loads((out / "grid.meta.json").read_text())
         assert exact_meta["noise_level"] == 0.0
+
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf", "1e308"])
+    def test_bad_noise_exits_one_and_writes_nothing(self, tmp_path, capsys, noise):
+        # -1 and nan used to exit 0 without a noisy grid; inf and 1e308 raised
+        # OverflowError after the signal, window and grid files were written
+        out = tmp_path / "bad-noise"
+        code = run(
+            "simulate", "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+            "--seed", 42, f"--noise={noise}", "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stftpr: error: --noise")
+        assert not out.exists()
 
     def test_random_without_seed_fails(self, tmp_path, capsys):
         code = run(
@@ -143,6 +161,21 @@ class TestRecover:
         assert code == 1
         err = capsys.readouterr().err
         assert "stftpr: error:" in err and "prior" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    @pytest.mark.parametrize("grid", ["grid.csv", "grid_noisy.csv"])
+    def test_underflowing_prior_exits_one(self, tmp_path, capsys, grid, compressed):
+        # the prior's square underflows to zero; the error budget divided by it
+        out = _simulate(tmp_path, "tiny", "--noise", "1e-7")
+        report = tmp_path / "tiny.json"
+        code = run(
+            "recover", "--grid", out / grid, "--windows", out / "windows.json",
+            "--min-magnitude", "1e-300", *(["--compressed"] if compressed else []),
+            "--out", report,
+        )
+        assert code == 1
+        assert "stftpr: error:" in capsys.readouterr().err
         assert not report.exists()
 
     def test_rank_gate_runs_once(self, tmp_path, monkeypatch):
@@ -378,18 +411,19 @@ class TestRecover:
         assert rep["diagnostics"]["nontree_residuals"] == []
 
 
-def _legacy_witness_dicts(table, rows, estimate=None):
+def _legacy_witness_dicts(graph, record, rows, estimate=None):
     """The per-edge dicts ``recover`` wrote before witnesses became records.
 
-    A copy of that builder: the chosen witness of each of ``rows`` of the
-    edge table, a row without a phase giving only its endpoints, and with
-    ``estimate`` each entry's phase residual (None if it has no phase).
+    A copy of that builder: the chosen witness of each of ``rows`` of
+    ``edge_phase``'s record of ``graph``, a row without a phase giving only
+    the edge's endpoints, and with ``estimate`` each entry's phase residual
+    (None if it has no phase).
     """
-    cols = (table.n1, table.n2, table.window, table.hop_index)
+    cols = (record.n1, record.n2, record.window, record.hop_index)
     out = []
     for i, a, b, w, h in zip(rows.tolist(), *(c[rows].tolist() for c in cols)):
         if w < 0:
-            a, b = table.edges[i].tolist()
+            a, b = graph.edges[i].tolist()
             out.append({"n1": a, "n2": b})
         else:
             out.append({"n1": a, "n2": b, "window": w, "hop_index": h})
@@ -397,7 +431,7 @@ def _legacy_witness_dicts(table, rows, estimate=None):
         unit = np.zeros(estimate.shape, dtype=complex)
         on = estimate != 0
         unit[on] = estimate[on] / np.abs(estimate[on])
-        diff = table.relative_phase[rows] - unit[table.n1[rows]] * np.conj(unit[table.n2[rows]])
+        diff = record.phase[rows] - unit[record.n1[rows]] * np.conj(unit[record.n2[rows]])
         for entry, res in zip(out, np.hypot(diff.real, diff.imag).tolist()):
             entry["residual"] = res if "window" in entry else None
     return out
@@ -433,7 +467,7 @@ class TestWitnessRecords:
         report = tmp_path / "recover.json"
         assert run("recover", "--grid", grid_path, "--windows", windows, *flags,
                    "--out", report) == 0
-        # the run again in the library, and the edge table its records come from
+        # the run again in the library, and the edge record its records come from
         grid, fam = read_grid_csv(grid_path), cli.read_windows_json(windows)
         cfg = ProblemConfig(grid.n, grid.hop, fam.shape[0])
         res = phase.reconstruct(grid, fam, cfg, **kwargs)
@@ -441,10 +475,10 @@ class TestWitnessRecords:
         graph = endpoint_graph_from_support(res.diagnostics["support"], supports, grid.hop, grid.n)
         tree = spanning_tree(graph)
         tol = kwargs.get("degenerate_tol", phase.default_degenerate_tol(grid.n, grid.noise_level))
-        table = phase.edge_phase(graph, aggregate(grid, fam), fam, supports, tol)
+        record = phase.edge_phase(graph, aggregate(grid, fam), fam, supports, tol)
         nontree = np.setdiff1d(np.arange(len(graph.edges)), tree.edges)
-        used = _legacy_witness_dicts(table, tree.edges)
-        residuals = _legacy_witness_dicts(table, nontree, res.estimate)
+        used = _legacy_witness_dicts(graph, record, tree.edges)
+        residuals = _legacy_witness_dicts(graph, record, nontree, res.estimate)
         if case == "delta":
             assert used == residuals == []
         else:
@@ -630,6 +664,16 @@ class TestBounds:
         assert out == "" and "stftpr: error:" in err
 
 
+    def test_underflowing_prior_exits_one(self, capsys):
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+            "--seed", 1, "--min-magnitude", "1e-300",
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "underflows" in err
+
+
 class TestVerify:
     def test_reports_all_pass(self, capsys):
         code = run(
@@ -674,6 +718,78 @@ class TestVerify:
         assert captured.out == ""
         assert f"the cap of {DIRECT_TERM_CAP}" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "recover", "bounds", "verify"])
+def test_non_finite_signal_file_exits_one(tmp_path, capsys, command, token):
+    # analyze used to certify an empty support, recover and bounds to report
+    # the support as empty, and simulate to write two files before failing
+    run_dir = _simulate(tmp_path, "run")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([[1.0, 0.0], [token, 0.0], *[[1.0, 0.0]] * 6]).replace('"', ""))
+    out = tmp_path / "out"
+    if command == "recover":
+        where = ["--grid", run_dir / "grid.csv", "--windows", run_dir / "windows.json"]
+    else:
+        where = ["--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2", "--seed", 42]
+    code = run(command, *where, "--signal", bad, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"stftpr: error: signal file {bad} has a NaN or infinite entry" in err
+    assert not out.exists()
+
+
+# every float flag of every subcommand, fuzzed on the n=8 chain:2 geometry
+_FLOAT_FLAGS = [
+    ("simulate", "--noise"), ("simulate", "--zero-tol"), ("simulate", "--rank-tol"),
+    ("analyze", "--zero-tol"), ("analyze", "--rank-tol"),
+    ("recover", "--zero-tol"), ("recover", "--rank-tol"), ("recover", "--degenerate-tol"),
+    ("recover", "--min-magnitude"),
+    ("bounds", "--noise"), ("bounds", "--zero-tol"), ("bounds", "--rank-tol"),
+    ("bounds", "--min-magnitude"),
+    ("verify", "--zero-tol"), ("verify", "--rank-tol"),
+]
+_SPECIAL = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0, 5e-324, 1e-300, 1e308]
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "run"
+    assert run(
+        "simulate", "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+        "--seed", 42, "--noise", "1e-7", "--out", out,
+    ) == 0
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(_FLOAT_FLAGS),
+    value=st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+    noisy=st.booleans(),
+)
+@example(case=("simulate", "--noise"), value=1e308, noisy=False)
+@example(case=("bounds", "--min-magnitude"), value=1e-300, noisy=False)
+@example(case=("recover", "--min-magnitude"), value=1e-300, noisy=True)
+def test_float_flags_never_escape_main(fuzz_run, case, value, noisy):
+    """Any float on any float flag ends in an exit code 0-4, never an exception."""
+    command, flag = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if command == "recover":
+            grid = fuzz_run / ("grid_noisy.csv" if noisy else "grid.csv")
+            where = ["--grid", grid, "--windows", fuzz_run / "windows.json",
+                     "--signal", fuzz_run / "signal.json"]
+        else:
+            where = ["--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+                     "--signal", "random", "--seed", 42]
+            if command == "bounds" and noisy:
+                where += ["--noise", "1e-7"]
+        # --flag=value, so that -inf is not read as an option; the flag comes
+        # last and overrides any default set in ``where``
+        code = run(command, *where, "--out", out, f"{flag}={value!r}")
+    assert code in range(5)
 
 
 def test_usage_error_exits_one(capsys):

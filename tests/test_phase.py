@@ -50,22 +50,24 @@ def _edge(graph, a, b):
 def _single_edge_phase(edge, agg, fam):
     """``phase.edge_phase`` on the one-edge graph of ``edge = ((lo, hi), witnesses)``.
 
-    Returns ``(n1, n2, window, hop_index, relative_phase)`` of the chosen
-    witness, checked against :func:`_reference_edge_phase`, and raises
-    ``DegenerateEdgeError`` as the pipeline does when no witness clears the
-    pipeline's default tolerance.
+    Returns ``(n1, n2, window, hop_index, phase)`` of the record's one row,
+    checked against :func:`_reference_edge_phase` at the pipeline's default
+    tolerance.  A degenerate row, checked to be one when the reference finds
+    no witness, is ``(lo, hi, -1, -1, 0)``.
     """
     fam = np.asarray(fam, dtype=complex)
     degenerate_tol = phase.default_degenerate_tol(fam.shape[1], agg.noise_level)
     supports = window_support(fam)
     graph = graph_from_lists("endpoint", edge[0], [edge])
-    table = phase.edge_phase(graph, agg, fam, supports, degenerate_tol)
+    record = phase.edge_phase(graph, agg, fam, supports, degenerate_tol)
+    assert len(record) == 1 and record.residual is None
     want = _reference_edge_phase(edge[1], agg, fam, degenerate_tol)
-    assert (want is None) == (table.window[0] < 0)
-    table.raise_degenerate(np.zeros(1, dtype=np.intp))
-    cols = (table.n1, table.n2, table.window, table.hop_index, table.relative_phase)
+    cols = (record.n1, record.n2, record.window, record.hop_index, record.phase)
     got = tuple(c[0].item() for c in cols)
-    assert got[:4] == want[:4] and abs(got[4] - want[4]) <= 1e-12
+    if want is None:
+        assert got == (*edge[0], -1, -1, 0) and record.evidence[0] == 0
+    else:
+        assert got[:4] == want[:4] and abs(got[4] - want[4]) <= 1e-12
     return got
 
 
@@ -121,9 +123,37 @@ class TestEdgePhase:
         g = endpoint_graph_from_support(support(x), window_support(fam), 1, 4)
         flat = MeasurementGrid(values=np.ones((1, 4, 4)), noise_level=0.05)
         agg = aggregate(flat, fam)
-        with pytest.raises(DegenerateEdgeError) as err:
-            _single_edge_phase(_edge(g, 0, 3), agg, fam)
-        assert err.value.endpoints == (0, 3)
+        assert _single_edge_phase(_edge(g, 0, 3), agg, fam) == (0, 3, -1, -1, 0)
+
+    def test_degenerate_tree_edge_raises(self):
+        # an evidence floor above every correlation leaves no tree edge a phase
+        rng = np.random.default_rng(83)
+        x, fam = certified_instance(8, 2, 3, rng)
+        grid = measure(x, fam, 2)
+        graph = endpoint_graph_from_support(support(x), window_support(fam), 2, 8)
+        first = tuple(graph.edges[spanning_tree(graph).edges[0]].tolist())
+        with pytest.raises(DegenerateEdgeError, match="below 1.000e[+]06") as err:
+            reconstruct(grid, fam, ProblemConfig(8, 2, 3), degenerate_tol=1e6)
+        assert err.value.endpoints == first
+
+    def test_tree_edge_without_usable_witness_raises(self, monkeypatch):
+        # a delta window has supporting length 1; builders never let it witness
+        # an edge, so a graph whose first tree edge only it witnesses is handmade
+        rng = np.random.default_rng(89)
+        x, fam = certified_instance(8, 2, 3, rng)
+        fam = np.vstack([fam, np.eye(8)[0]])
+        cfg = ProblemConfig(8, 2, 4)
+        graph = endpoint_graph_from_support(support(x), window_support(fam), 2, 8)
+        first = spanning_tree(graph).edges[0]
+        lists = list(witness_lists(graph).items())
+        lists[first] = (lists[first][0], [(3, 0)])
+        monkeypatch.setattr(
+            phase, "endpoint_graph_from_support",
+            lambda *args: graph_from_lists("endpoint", graph.vertices, lists),
+        )
+        with pytest.raises(DegenerateEdgeError, match="supporting length >= 2") as err:
+            reconstruct(measure(x, fam, 2), fam, cfg)
+        assert err.value.endpoints == lists[first][0]
 
 
 class TestPropagate:
@@ -395,8 +425,8 @@ def _reference_edge_phase(witnesses, agg, fam, tol):
     Witnesses are tried strongest evidence first, ties going to the smaller
     (window, hop).  Each window's support comes from its own row.
 
-    Returns ``(n1, n2, window, hop_index, relative_phase)``, or None when no
-    usable witness clears ``tol``.
+    Returns ``(n1, n2, window, hop_index, phase)``, or None when no usable
+    witness clears ``tol``.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
@@ -442,25 +472,29 @@ class TestEdgeTable:
         graph = endpoint_graph_from_support(support(x), supports, hop, n)
         # a tolerance among the evidence magnitudes leaves some edges degenerate
         tol = data.draw(st.sampled_from([0.0, *np.quantile(np.abs(agg.correlation), [0.3, 0.7])]))
-        table = phase.edge_phase(graph, agg, fam, supports, tol)
+        record = phase.edge_phase(graph, agg, fam, supports, tol)
+        assert len(record) == len(graph.edges) and record.residual is None
         for i, witnesses in enumerate(witness_lists(graph).values()):
             want = _reference_edge_phase(witnesses, agg, fam, tol)
             if want is None:
-                assert table.window[i] == -1
-                continue
-            got = (table.n1[i], table.n2[i], table.window[i], table.hop_index[i])
+                want = (*graph.edges[i].tolist(), -1, -1, 0)
+                assert record.evidence[i] == 0
+            got = (record.n1[i], record.n2[i], record.window[i], record.hop_index[i])
             assert got == want[:4]
-            assert abs(table.relative_phase[i] - want[4]) <= 1e-12
-        residuals = table.residuals(np.arange(len(graph.edges)), x)
-        assert np.array_equal(np.isnan(residuals.residual), table.window == -1)
+            assert abs(record.phase[i] - want[4]) <= 1e-12
+        # row selection keeps the columns parallel
+        rows = np.flatnonzero(record.window >= 0)[::-1]
+        picked = record[rows]
+        assert len(picked) == rows.size and picked.residual is None
+        for name in ("n1", "n2", "window", "hop_index", "evidence", "phase"):
+            assert np.array_equal(getattr(picked, name), getattr(record, name)[rows])
 
     def test_length_one_witnesses_are_unusable(self):
         # window 1 has supporting length 1: its witness never carries a phase
         x = np.ones(4, complex)
         fam = [np.array([1, 1, 0, 0], dtype=complex), np.array([0, 2, 0, 0], dtype=complex)]
         agg = aggregate(measure(x, fam, 1), fam)
-        with pytest.raises(DegenerateEdgeError, match="supporting length >= 2"):
-            _single_edge_phase(((0, 3), [(1, 0)]), agg, fam)
+        assert _single_edge_phase(((0, 3), [(1, 0)]), agg, fam) == (0, 3, -1, -1, 0)
         n1, n2, window, hop, _ = _single_edge_phase(((0, 3), [(0, 0), (1, 0)]), agg, fam)
         assert (window, hop, n1, n2) == (0, 0, 0, 3)
 
@@ -527,11 +561,11 @@ def _same_diagnostics(a: dict, b: dict) -> bool:
     return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
 
 
-def _dict_walk(tree, table, amps, verts):
+def _dict_walk(tree, record, amps, verts):
     """The evidence-dict walk the array walk replaced, one Python complex product per edge."""
-    ends = table.edges.tolist()
+    ends = tree.graph.edges.tolist()
     evidence = {
-        tuple(ends[i]): (table.n1[i].item(), table.n2[i].item(), table.relative_phase[i].item())
+        tuple(ends[i]): (record.n1[i].item(), record.n2[i].item(), record.phase[i].item())
         for i in tree.edges.tolist()
     }
     phasor = {tree.root: 1.0 + 0.0j}
@@ -562,16 +596,16 @@ class TestArrayWalk:
             verts = res.diagnostics["support"]
             graph = endpoint_graph_from_support(verts, supports, hop, n)
             tree = spanning_tree(graph)
-            table = phase.edge_phase(
+            record = phase.edge_phase(
                 graph, agg, fam, supports, phase.default_degenerate_tol(n, 1e-9)
             )
             amps = np.sqrt(recover_magnitudes(agg, certify_rank(fam, hop)).magnitudes_sq)
-            want = _dict_walk(tree, table, amps, verts)
+            want = _dict_walk(tree, record, amps, verts)
             assert np.array_equal(res.estimate, want)
             assert res.diagnostics["tree_depth"] == tree.depth
             used = res.diagnostics["used_witnesses"]
-            for name in ("n1", "n2", "window", "hop_index", "evidence"):
-                assert np.array_equal(getattr(used, name), getattr(table, name)[tree.edges])
+            for name in ("n1", "n2", "window", "hop_index", "evidence", "phase"):
+                assert np.array_equal(getattr(used, name), getattr(record, name)[tree.edges])
             assert used.residual is None
 
     def test_reconstruct_runs_edge_phase_once(self, monkeypatch):
@@ -581,9 +615,9 @@ class TestArrayWalk:
         seen = []
 
         def counting(graph, *args):
-            table = original(graph, *args)
-            seen.append((len(graph.edges), table.window.size))
-            return table
+            record = original(graph, *args)
+            seen.append((len(graph.edges), len(record)))
+            return record
 
         monkeypatch.setattr(phase, "edge_phase", counting)
         rng = np.random.default_rng(223)

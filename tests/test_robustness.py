@@ -137,6 +137,16 @@ class TestErrorBudget:
         with pytest.raises(InvalidPriorError):
             error_budget(consts, 0.0, 0.0)
 
+    @pytest.mark.parametrize("reference", [1e-300, np.array([1e-200, 0, 2e-200j, 0])])
+    def test_underflowing_square_is_undefined(self, reference):
+        # the squared minimum underflows to zero; the phase bound used to divide by it
+        consts = _impulse_constants(4)
+        for noise in (0.0, 1e-3):
+            with pytest.raises(UndefinedBudgetError, match="underflows"):
+                error_budget(consts, noise, reference)
+        # a square that is subnormal but nonzero still gives a bound
+        assert error_budget(consts, 1e-3, 1e-160).phase_bound == float("inf")
+
 
 class TestThresholdSupport:
     def test_exact_estimate_unchanged_on_support(self):

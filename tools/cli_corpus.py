@@ -96,6 +96,13 @@ CORPUS = [
     "bounds --n 8 --hop 2 --num-windows 2 --windows rectangular:3 --min-magnitude 1",
     # exit 4: an evidence floor above every correlation
     f"{_RECOVER} --degenerate-tol 1e6",
+    # exit 1: a noise level whose draw range overflows, a negative noise level,
+    # and a prior whose square underflows in the error budget
+    "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --noise 1e308"
+    " --out huge-noise",
+    "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --noise -1"
+    " --out negative-noise",
+    "bounds --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --min-magnitude 1e-300",
 ]
 
 
