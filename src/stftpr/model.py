@@ -139,20 +139,23 @@ def as_window_family(windows, n: int | None = None) -> np.ndarray:
     return fam
 
 
+def _above_tolerance(mags: np.ndarray, zero_tol: float) -> np.ndarray:
+    """Mask of the entries of ``mags`` above ``zero_tol`` times their row's (last axis's) peak.
+
+    A threshold that overflows to inf, or is NaN, marks nothing, and warns of neither.
+    """
+    peak = mags.max(axis=-1, keepdims=True, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mags > zero_tol * peak
+
+
 def support(x, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple[int, ...]:
     """Indices whose magnitude exceeds ``zero_tol`` relative to the peak.
 
     The threshold scales with the largest magnitude so the support set is
     invariant under nonzero rescaling.  An all-zero signal has empty support.
     """
-    arr = as_signal(x)
-    if arr.size == 0:
-        return ()
-    mags = np.abs(arr)
-    peak = float(mags.max())
-    if peak == 0.0:
-        return ()
-    return tuple(int(i) for i in np.flatnonzero(mags > zero_tol * peak))
+    return tuple(np.flatnonzero(_above_tolerance(np.abs(as_signal(x)), zero_tol)).tolist())
 
 
 def phase_distance(x, y) -> GlobalPhaseDistance:

@@ -46,7 +46,8 @@ from .errors import (
     DimensionMismatchError,
     DisconnectedGraphError,
 )
-from .model import ProblemConfig, as_window_family, check_prior, check_tolerance
+from .model import ProblemConfig, _above_tolerance, as_window_family, check_prior, check_tolerance
+from .robustness import threshold_support
 from .spectral import MagnitudeSpectrum, ModulationMatrices, certify_rank, recover_magnitudes
 from .stft import AggregateMeasurements, MeasurementGrid, aggregate
 from .supportgraph import (
@@ -138,22 +139,22 @@ def edge_phase(
     """Witness and phase of every edge of ``graph``, in one array pass over the correlation table.
 
     ``fam`` is a validated window family and ``supports`` its
-    :func:`~stftpr.supportgraph.window_support`.  Witnesses of windows with
-    supporting length 1 are unusable.  Each edge takes the usable witness of
-    largest evidence magnitude, ties going to the smaller (window, hop),
-    provided it clears ``degenerate_tol``.  Row k of the record is edge k of
-    ``graph.edges``; an edge without such a witness is a degenerate row.
+    :func:`~stftpr.supportgraph.window_support`.  Each edge takes the witness
+    of largest evidence magnitude, ties going to the smaller (window, hop),
+    provided it clears ``degenerate_tol``; else its row of the record (row k
+    is edge k of ``graph.edges``) is degenerate.  The endpoint builder drops
+    windows of supporting length 1; a chosen witness of one maps to no edge
+    and raises ``RuntimeError``.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
     num_edges = len(graph.edges)
     eid = np.repeat(np.arange(num_edges), np.diff(graph.offsets))
-    keep = supports.length[graph.window] >= 2
-    eid, r, m = eid[keep], graph.window[keep], graph.hop_index[keep]
+    r, m = graph.window, graph.hop_index
     mag = _modulus(agg.correlation[r, m])
     # by edge, then strongest evidence first, then smaller (window, hop)
     order = np.lexsort((m, r, -mag, eid))
-    # each edge's first entry is its strongest usable witness: if it does not
+    # each edge's first entry is its strongest witness: if it does not
     # clear the tolerance, no other witness of that edge does
     first = order[np.diff(eid[order], prepend=-1) != 0]
     first = first[mag[first] > degenerate_tol]
@@ -219,9 +220,10 @@ def _detect_support(
     """Support of the recovered magnitudes, as a sorted ``intp`` array, and its rule.
 
     Exact data thresholds the squared magnitudes relative to their peak (the
-    squared-domain analogue of the model-level rule, matching the noise floor
-    of the linear-algebra path).  Noisy data uses the half-minimum rule and
-    therefore needs the caller's prior on the smallest nonzero magnitude.
+    squared-domain analogue of :func:`~stftpr.model.support`, matching the
+    noise floor of the linear-algebra path).  Noisy data keeps the entries
+    :func:`~stftpr.robustness.threshold_support` keeps, so it needs the
+    caller's prior on the smallest nonzero magnitude.
     """
     sq = magnitudes.magnitudes_sq
     if noise_level > 0.0:
@@ -230,10 +232,8 @@ def _detect_support(
             "noisy reconstruction needs a positive prior for the smallest "
             "nonzero magnitude (min_support_magnitude)",
         )
-        return np.flatnonzero(np.sqrt(sq) > 0.5 * prior), "half-minimum"
-    # an all-zero spectrum has peak 0 and, with nothing above 0, an empty support
-    peak = float(sq.max()) if sq.size else 0.0
-    return np.flatnonzero(sq > zero_tol * peak), "relative-threshold"
+        return np.flatnonzero(threshold_support(np.sqrt(sq), prior).signal), "half-minimum"
+    return np.flatnonzero(_above_tolerance(sq, zero_tol)), "relative-threshold"
 
 
 def _run_pipeline(
@@ -289,12 +289,7 @@ def _run_pipeline(
     used = edges[tree.edges]
     bad = np.flatnonzero(used.window < 0)
     if bad.size:
-        i = int(tree.edges[bad[0]])
-        ends = tuple(graph.edges[i].tolist())
-        if supports.length[graph.window[graph.offsets[i]:graph.offsets[i + 1]]].max() < 2:
-            raise DegenerateEdgeError(
-                f"edge {ends} has no witness with supporting length >= 2", endpoints=ends
-            )
+        ends = tuple(graph.edges[tree.edges[bad[0]]].tolist())
         raise DegenerateEdgeError(
             f"edge {ends}: all witness evidence magnitudes are below "
             f"{degenerate_tol:.3e} (noise level {agg.noise_level:.3e})",

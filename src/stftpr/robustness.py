@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, UndefinedBudgetError
+from .errors import CertificationError, DimensionMismatchError, UndefinedBudgetError
 from .model import (
     DEFAULT_ZERO_TOL, as_signal, as_window_family, check_prior, check_tolerance, support,
 )
@@ -85,11 +85,16 @@ def stability_constants(
 ) -> StabilityConstants:
     """Compute the three constants; requires a passing rank certificate.
 
-    The Gram inverses are formed explicitly here, all residues in one batched
-    inverse (this is the one place the explicit inverse is the quantity of
-    interest rather than a solver).
+    ``windows`` must be the family ``mats`` certifies: a shape other than
+    ``(mats.num_windows, mats.n)`` raises ``DimensionMismatchError``, but
+    another family of that shape cannot be told apart.  The Gram inverses
+    are formed explicitly here, all residues in one batched inverse (the one
+    place the explicit inverse is the quantity of interest, not a solver).
     """
     fam = as_window_family(windows)
+    if fam.shape != (mats.num_windows, mats.n):
+        raise DimensionMismatchError(f"windows of shape {fam.shape} are not the certified "
+                                     f"({mats.num_windows}, {mats.n}) family")
     if not mats.certified:
         raise CertificationError(
             f"stability constants need certified matrices; failing residues "
@@ -161,7 +166,8 @@ def threshold_support(estimate, min_support_magnitude: float) -> ThresholdedEsti
     """Zero every entry at or below half the smallest-magnitude prior.
 
     Under admissible noise the surviving index set equals the true support
-    (and hence so does the endpoint graph built on it).
+    (and hence so does the endpoint graph built on it).  Noisy reconstruction
+    shares this rule: its support is what this keeps of the magnitudes.
     """
     threshold = 0.5 * check_prior(min_support_magnitude)
     x = as_signal(estimate)

@@ -125,34 +125,17 @@ def _autocorrelation_coefficients(sections: np.ndarray) -> np.ndarray:
 def _cyclic_slices(xa: np.ndarray, start: int, hop: int, length: int) -> np.ndarray:
     """``(n // hop, length)`` array whose row m is ``xa[start + hop*m + i]``, indices mod n.
 
-    Overlapping sections (``length > hop``) are strided slices of ``xa``
-    extended cyclically to ``n + length - 1`` entries, returned as a
-    read-only view: ``sliding_window_view(ext, length)[::hop]``, built
-    directly, since that function's checks cost as much as a whole gather at
-    small n.  Sections that do not overlap hold only ``(n // hop) * length``
-    samples, so they are copied as column blocks of the ``(n // hop, hop)``
-    rows of ``xa``, shifted cyclically by whole rows; a section that
-    straddles a row boundary takes its tail from the next row.
+    The rows are strided slices of ``xa`` extended cyclically to
+    ``n + length - 1`` entries, returned as a read-only view:
+    ``sliding_window_view(ext, length)[::hop]``, built directly, since that
+    function's checks cost as much as a whole gather at small n.
     """
     n = xa.shape[0]
-    if length <= hop:
-        rows = xa.reshape(-1, hop)
-        q, col = divmod(start % n, hop)
-        out = _roll_rows(rows[:, col:col + length], q)
-        if col + length > hop:  # each section's tail is the head of the next row
-            tail = _roll_rows(rows[:, :col + length - hop], (q + 1) % rows.shape[0])
-            out = np.concatenate((out, tail), axis=1)
-        return out
     ext = np.take(xa, np.arange(start, start + n + length - 1), mode="wrap")
     step = ext.itemsize
     view = np.ndarray((n // hop, length), ext.dtype, ext, strides=(hop * step, step))
     view.flags.writeable = False
     return view
-
-
-def _roll_rows(block: np.ndarray, shift: int) -> np.ndarray:
-    """A copy of ``block`` whose row m is ``block[(m + shift) % len(block)]``."""
-    return np.concatenate((block[shift:], block[:shift]))
 
 
 def _window_power(xa, w, ws: WindowSupport, tables: dict, out: np.ndarray) -> None:

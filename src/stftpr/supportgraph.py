@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError, DisconnectedGraphError, InvalidPartitionError, InvalidWindowError,
 )
-from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, support
+from .model import DEFAULT_ZERO_TOL, _above_tolerance, as_signal, as_window_family, support
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,11 @@ def window_support(w, zero_tol: float = DEFAULT_ZERO_TOL) -> WindowSupport:
         raise DimensionMismatchError(f"expected a window or a window family, got shape {arr.shape}")
     mags = np.abs(arr if arr.ndim == 2 else arr[None, :])
     n = mags.shape[1]
-    peak = mags.max(axis=1, initial=0.0)
-    above = mags > zero_tol * peak[:, None]
+    above = _above_tolerance(mags, zero_tol)
     if not above.any(axis=1).all():
         r = int(np.argmin(above.any(axis=1)))
         name = "window" if arr.ndim == 1 else f"window {r}"
-        if peak[r] == 0.0:
+        if not mags[r].any():
             raise InvalidWindowError(f"{name} is identically zero")
         raise InvalidWindowError(f"{name} has no entry above {zero_tol} times its peak")
     rows, nonzero = np.nonzero(above)
@@ -266,8 +265,7 @@ def covisibility_graph_from_support(
     candidate edge.
     """
     fam = as_window_family(windows)
-    mags = np.abs(fam)
-    rows, taps = np.nonzero(mags > zero_tol * mags.max(axis=1, keepdims=True))
+    rows, taps = np.nonzero(_above_tolerance(np.abs(fam), zero_tol))
     # tap entry e pairs with each later entry of its row: e + 1, e + 2, ...
     later = np.searchsorted(rows, rows, side="right") - np.arange(rows.size) - 1
     a = np.repeat(np.arange(rows.size), later)

@@ -209,9 +209,12 @@ def test_criterion_6_support_thresholding():
         grid = corrupt(measure(x, fam, hop), rng.uniform(-level, level, (num_windows, n // hop, n)))
         mag = recover_magnitudes(aggregate(grid, fam), mats)
         estimate = np.sqrt(mag.magnitudes_sq)
-        detected = set(np.flatnonzero(threshold_support(estimate, min_mag).signal))
-        if detected == set(supp):
+        kept = np.flatnonzero(threshold_support(estimate, min_mag).signal)
+        if set(kept) == set(supp):
             hits += 1
+        # reconstruct detects its support by the rule checked here
+        res = reconstruct(grid, fam, ProblemConfig(n, hop, num_windows), min_support_magnitude=min_mag)
+        assert np.array_equal(res.diagnostics["support"], kept), t
     assert hits == trials, f"{hits}/{trials}"
     _report(6, "support thresholding", f"{hits}/{trials} exact support recoveries")
 

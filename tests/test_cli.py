@@ -750,7 +750,10 @@ _FLOAT_FLAGS = [
     ("bounds", "--min-magnitude"),
     ("verify", "--zero-tol"), ("verify", "--rank-tol"),
 ]
-_SPECIAL = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0, 5e-324, 1e-300, 1e308]
+_SPECIAL = [
+    float("nan"), float("inf"), -float("inf"), -1.0, 0.0, 5e-324, 1e-300, 1e308,
+    sys.float_info.max,
+]
 
 
 @pytest.fixture(scope="module")
@@ -772,6 +775,7 @@ def fuzz_run(tmp_path_factory):
 @example(case=("simulate", "--noise"), value=1e308, noisy=False)
 @example(case=("bounds", "--min-magnitude"), value=1e-300, noisy=False)
 @example(case=("recover", "--min-magnitude"), value=1e-300, noisy=True)
+@example(case=("analyze", "--zero-tol"), value=sys.float_info.max, noisy=False)
 def test_float_flags_never_escape_main(fuzz_run, case, value, noisy):
     """Any float on any float flag ends in an exit code 0-4, never an exception."""
     command, flag = case

@@ -136,25 +136,6 @@ class TestEdgePhase:
             reconstruct(grid, fam, ProblemConfig(8, 2, 3), degenerate_tol=1e6)
         assert err.value.endpoints == first
 
-    def test_tree_edge_without_usable_witness_raises(self, monkeypatch):
-        # a delta window has supporting length 1; builders never let it witness
-        # an edge, so a graph whose first tree edge only it witnesses is handmade
-        rng = np.random.default_rng(89)
-        x, fam = certified_instance(8, 2, 3, rng)
-        fam = np.vstack([fam, np.eye(8)[0]])
-        cfg = ProblemConfig(8, 2, 4)
-        graph = endpoint_graph_from_support(support(x), window_support(fam), 2, 8)
-        first = spanning_tree(graph).edges[0]
-        lists = list(witness_lists(graph).items())
-        lists[first] = (lists[first][0], [(3, 0)])
-        monkeypatch.setattr(
-            phase, "endpoint_graph_from_support",
-            lambda *args: graph_from_lists("endpoint", graph.vertices, lists),
-        )
-        with pytest.raises(DegenerateEdgeError, match="supporting length >= 2") as err:
-            reconstruct(measure(x, fam, 2), fam, cfg)
-        assert err.value.endpoints == lists[first][0]
-
 
 class TestPropagate:
     def _magnitudes(self, sq):
@@ -425,18 +406,13 @@ def _reference_edge_phase(witnesses, agg, fam, tol):
     Witnesses are tried strongest evidence first, ties going to the smaller
     (window, hop).  Each window's support comes from its own row.
 
-    Returns ``(n1, n2, window, hop_index, phase)``, or None when no usable
-    witness clears ``tol``.
+    Returns ``(n1, n2, window, hop_index, phase)``, or None when no witness
+    clears ``tol``.
     """
     n = fam.shape[1]
     hop = n // agg.num_hops
     supports = [window_support(w) for w in fam]
-    usable = [(r, m) for (r, m) in witnesses if supports[r].length >= 2]
-    if not usable:
-        return None
-    mags = [abs(agg.correlation[r, m]) for (r, m) in usable]
-    order = [usable[i] for i in sorted(range(len(usable)), key=lambda i: (-mags[i], usable[i]))]
-    for r, m in order:
+    for r, m in sorted(witnesses, key=lambda w: (-abs(agg.correlation[w]), w)):
         value = complex(agg.correlation[r, m])
         if abs(value) <= tol:
             continue
@@ -489,14 +465,20 @@ class TestEdgeTable:
         for name in ("n1", "n2", "window", "hop_index", "evidence", "phase"):
             assert np.array_equal(getattr(picked, name), getattr(record, name)[rows])
 
-    def test_length_one_witnesses_are_unusable(self):
-        # window 1 has supporting length 1: its witness never carries a phase
+    def test_length_one_witness_raises(self):
+        # window 1 has supporting length 1, so no builder lets it witness an
+        # edge; on a hand-made graph its witness maps to the one index (3, 3)
+        # and edge_phase raises rather than give edge (0, 3) a phase from it,
+        # also when a usable but weaker (0.25 against 1.0) witness is listed
         x = np.ones(4, complex)
-        fam = [np.array([1, 1, 0, 0], dtype=complex), np.array([0, 2, 0, 0], dtype=complex)]
+        fam = np.array([[1, 1, 0, 0], [0, 2, 0, 0]], dtype=complex)
         agg = aggregate(measure(x, fam, 1), fam)
-        assert _single_edge_phase(((0, 3), [(1, 0)]), agg, fam) == (0, 3, -1, -1, 0)
-        n1, n2, window, hop, _ = _single_edge_phase(((0, 3), [(0, 0), (1, 0)]), agg, fam)
-        assert (window, hop, n1, n2) == (0, 0, 0, 3)
+        supports = window_support(fam)
+        tol = phase.default_degenerate_tol(4, agg.noise_level)
+        for witnesses in ([(1, 0)], [(0, 0), (1, 0)]):
+            graph = graph_from_lists("endpoint", (0, 3), [((0, 3), witnesses)])
+            with pytest.raises(RuntimeError, match=r"witness \(1, 0\) maps to \(3, 3\)"):
+                phase.edge_phase(graph, agg, fam, supports, tol)
 
     def test_evidence_ties_go_to_the_smaller_window(self):
         # edge (0, 3) is witnessed by window 0 at hop 1 and by window 1 at hop 0

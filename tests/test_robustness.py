@@ -14,6 +14,7 @@ from stftpr import (
 from stftpr.errors import (
     CertificationError,
     ConfigurationError,
+    DimensionMismatchError,
     InvalidPriorError,
     UndefinedBudgetError,
 )
@@ -80,6 +81,15 @@ class TestStabilityConstants:
         mats = certify_rank(fam, hop=1)
         with pytest.raises(CertificationError):
             stability_constants(fam, mats)
+
+    def test_family_of_another_certificate_rejected(self):
+        # the n = 16 family's l2 mass and endpoint products beside the n = 8
+        # family's Gram mass would pass for the constants of neither family
+        rng = np.random.default_rng(233)
+        mats = certify_rank(chain_family(8, 2, 3, rng), 2)
+        for other in (chain_family(16, 2, 5, rng), chain_family(8, 2, 4, rng)):
+            with pytest.raises(DimensionMismatchError, match="not the certified"):
+                stability_constants(other, mats)
 
     def test_json_keys(self):
         consts = _impulse_constants(4)

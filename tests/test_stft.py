@@ -196,9 +196,9 @@ class TestMeasureRoutes:
         (64, 4, (64,), 0),  # L = n: no zero entry, so anchor 0
         (96, 4, (2, 5, 40), 93),
         (1024, 8, (2, 300), 900),
-        # L <= hop: sections that do not overlap; consecutive anchors put the
-        # first section at every column of a hop row, so some straddle a row
-        # boundary, and every start but 0 wraps the last sections past n - 1
+        # L <= hop: sections that do not overlap; consecutive anchors start
+        # the first section at every offset within a hop, and every start
+        # but 0 wraps the last sections past n - 1
         (32, 4, (2, 2, 2, 2, 3, 3, 3, 3), 29),
     ])
     def test_strided_gather_matches_fancy_index_gather(self, n, hop, lengths, anchor):

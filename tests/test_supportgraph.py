@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,20 @@ class TestWindowSupport:
             for t in range(n):
                 if t not in inside:
                     assert w[t] == 0
+
+
+def test_threshold_overflow_marks_nothing_without_a_warning():
+    # zero_tol * peak overflows to inf: nothing is above it, and no
+    # RuntimeWarning escapes any of the relative-threshold callers
+    huge = sys.float_info.max
+    fam = chain_family(8, 2, 3, np.random.default_rng(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert support(np.arange(1, 9), huge) == ()
+        with pytest.raises(InvalidWindowError, match="no entry above"):
+            window_support(fam, huge)
+        graph = covisibility_graph_from_support(range(8), fam, 2, huge)
+    assert len(graph.edges) == 0 and graph.vertices.tolist() == list(range(8))
 
 
 class TestEndpointWitness:

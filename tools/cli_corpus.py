@@ -103,6 +103,10 @@ CORPUS = [
     "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --noise -1"
     " --out negative-noise",
     "bounds --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --min-magnitude 1e-300",
+    # exit 1: a relative tolerance whose threshold overflows leaves every window
+    # without support, with no numpy overflow warning on the way
+    "analyze --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1"
+    " --zero-tol 1.7976931348623157e308",
 ]
 
 
