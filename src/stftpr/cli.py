@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -113,7 +114,7 @@ def _json_text(obj, pad: str) -> str:
         return fmt(obj)
     if isinstance(obj, dict):
         inner = pad + "  "
-        return _object_text({str(k): _json_text(v, inner) for k, v in obj.items()}, pad)
+        return "".join(_object_parts({str(k): _json_text(v, inner) for k, v in obj.items()}, pad))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -140,47 +141,104 @@ def _json_text(obj, pad: str) -> str:
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def _object_text(texts: dict[str, str], pad: str) -> str:
-    """JSON object from the texts of its values, keys sorted, in one join (``+`` would copy)."""
-    if not texts:
-        return "{}"
+def _object_parts(values: dict, pad: str) -> list:
+    """A JSON object, keys sorted, as a list of texts with ``values``' values between them.
+
+    A value is a text, or an iterable of text pieces for :func:`_flatten`; the
+    list is joined or streamed as it is, as ``+`` would copy a value's text.
+    """
+    if not values:
+        return ["{}"]
     inner = pad + "  "
-    parts = [s for k, t in sorted(texts.items()) for s in ("," + inner + _encode_str(k) + ": ", t)]
-    return "".join(["{" + parts[0][1:], *parts[1:], pad, "}"])
+    parts = [s for k, v in sorted(values.items()) for s in ("," + inner + _encode_str(k) + ": ", v)]
+    parts[0] = "{" + parts[0][1:]
+    parts.append(pad + "}")
+    return parts
+
+
+def _flatten(parts) -> Iterator[str]:
+    """The text pieces of ``parts``: texts, and iterables of texts consumed in turn."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from part
+
+
+_WITNESS_SLICE = 1 << 12  # witnesses per piece of an edge list: a few hundred kB of text
+
+
+def _graph_pieces(graph: SupportGraph, pad: str) -> Iterator[str]:
+    """``_json_text(graph.to_dict(), pad)`` in pieces, the edge list from :func:`_edge_pieces`.
+
+    The summary is formatted at the call; the edge list as the pieces are read.
+    """
+    inner = pad + "  "  # the graph's keys
+    fields = {k: _json_text(v, inner) for k, v in graph.summary().items()}
+    fields["edges"] = _edge_pieces(graph, inner) if len(graph.edges) else "[]"
+    return _flatten(_object_parts(fields, pad))
 
 
 def _graph_text(graph: SupportGraph, pad: str) -> str:
-    """``_json_text(graph.to_dict(), pad)``, written straight from the graph's arrays.
+    """``_json_text(graph.to_dict(), pad)``, written straight from the graph's arrays."""
+    return "".join(_graph_pieces(graph, pad))
 
-    The text ``[r, m]`` of each (window, hop) pair that witnesses is formatted twice,
-    with the next witness's separator and with its edge's close; only edge heads are
-    formatted per edge.  One object-array gather interleaves heads and witness
-    texts, and one join writes the edge list.  Every edge needs a witness.
+
+def _edge_pieces(graph: SupportGraph, pad: str) -> Iterator[str]:
+    """The text of ``graph``'s (non-empty) edge list, one piece per ``_WITNESS_SLICE`` witnesses.
+
+    ``pad`` is the newline plus indent of the graph's keys.  The text ``[r, m]``
+    of each (window, hop) pair that witnesses is formatted twice: as an edge's
+    first witness, and after a separator.  An edge's head is two texts
+    formatted once per vertex, its ``"n"`` part (which closes the edge before
+    it) and its ``"n2"`` part.  Each slice gathers heads and witness texts from
+    one object array, at positions found by index arithmetic, and joins them.
+    Every edge needs a witness.
     """
-    inner = pad + "  "  # the graph's keys
-    item = inner + "  "  # the edges
+    item = pad + "  "  # the edges
     key = item + "  "  # an edge's keys
     wit = key + "  "  # its witnesses
     pair = wit + "  "  # the two numbers of a witness
-    fields = {k: _json_text(v, inner) for k, v in graph.summary().items()}
-    fields["edges"] = "[]"
-    if len(graph.edges):
-        num_hops = int(graph.hop_index.max()) + 1
-        slot = graph.window.astype(np.intp) * num_hops + graph.hop_index
-        present = np.zeros(int(slot.max()) + 1, dtype=bool)
-        present[slot] = True  # only the (window, hop) pairs that witness get a text
-        index = np.cumsum(present, dtype=np.intp)[slot] - 1
-        used = [divmod(s, num_hops) for s in np.flatnonzero(present).tolist()]
-        texts = [f"[{pair}{r},{pair}{m}{wit}]{end}" for end in ("," + wit, key + "]" + item + "}")
-                 for r, m in used]
-        head = f',{item}{{{key}"n": %d,{key}"n2": %d,{key}"witnesses": [{wit}'
-        heads = [head % (lo, hi) for lo, hi in graph.edges.tolist()]
-        heads[0] = "[" + heads[0][1:]
-        index[graph.offsets[1:] - 1] += len(used)  # an edge's last witness closes it
-        order = np.insert(index, graph.offsets[:-1], 2 * len(used) + np.arange(len(heads)))
-        pieces = np.array(texts + heads, dtype=object)[order].tolist()
-        fields["edges"] = "".join(pieces + [inner, "]"])
-    return _object_text(fields, pad)
+    close = key + "]" + item + "}"  # an edge's end
+    window, hop_index, starts = graph.window, graph.hop_index, graph.offsets[:-1]
+    total = int(graph.offsets[-1])
+    bounds = range(0, total, _WITNESS_SLICE)
+    present = np.zeros((int(window.max()) + 1, int(hop_index.max()) + 1), dtype=bool)
+    for a in bounds:  # only the (window, hop) pairs that witness get a text
+        present[window[a:a + _WITNESS_SLICE], hop_index[a:a + _WITNESS_SLICE]] = True
+    rank = np.cumsum(present, dtype=np.intp).reshape(present.shape) - 1
+    lead = [f"[{pair}{r},{pair}" for r in range(present.shape[0])]
+    tail = [f"{m}{wit}]" for m in range(present.shape[1])]
+    firsts = [lead[r] + tail[m] for r, m in zip(*(v.tolist() for v in np.nonzero(present)))]
+    verts = graph.vertices.tolist()
+    table = np.array(
+        [f",{wit}{t}" for t in firsts] + firsts
+        + [f'{close},{item}{{{key}"n": {v},{key}"n2": ' for v in verts]
+        + [f'{v},{key}"witnesses": [{wit}' for v in verts],
+        dtype=object,
+    )
+    used = len(firsts)  # rows: witnesses after a separator, first witnesses, "n" and "n2" parts
+    heads = np.searchsorted(graph.vertices, graph.edges) + (2 * used, 2 * used + len(verts))
+    head_at = starts + np.arange(0, 2 * len(starts), 2)  # each edge's head in the whole list
+    yield "["
+    for a in bounds:
+        b = min(a + _WITNESS_SLICE, total)
+        e0, e1 = starts.searchsorted((a, b))  # the edges whose first witness is in the slice
+        first = starts[e0:e1] - a
+        text = rank[window[a:b], hop_index[a:b]]
+        text[first] += used
+        # an edge's first witness is written three times; its head texts replace two
+        copies = np.ones(b - a, dtype=np.intp)
+        copies[first] = 3
+        order = text.repeat(copies)
+        at = head_at[e0:e1] - (a + 2 * e0)
+        order[at] = heads[e0:e1, 0]
+        order[at + 1] = heads[e0:e1, 1]
+        pieces = table[order].tolist()
+        if a == 0:
+            pieces[0] = pieces[0][len(close) + 1:]  # no edge before the first to close
+        yield "".join(pieces)
+    yield close + pad + "]"
 
 
 def _witness_dicts(witnesses: EdgeWitnesses) -> list[dict]:
@@ -202,9 +260,23 @@ def _witness_dicts(witnesses: EdgeWitnesses) -> list[dict]:
 
 
 def _dump_json(payload, out: str | None) -> None:
-    text = _json_text(payload, "\n")
+    """Write ``payload`` as :func:`_json_text` formats it, plus a newline, to ``out`` or stdout.
+
+    A top-level ``SupportGraph`` value is streamed from :func:`_graph_pieces`, so
+    no full-size copy of its text is made.  Every other value is formatted
+    before the file is opened, so a ``TypeError`` leaves no file.
+    """
+    if isinstance(payload, dict):
+        inner = "\n  "
+        parts = _object_parts({
+            str(k): _graph_pieces(v, inner) if isinstance(v, SupportGraph) else _json_text(v, inner)
+            for k, v in payload.items()
+        }, "\n")
+    else:
+        parts = [_json_text(payload, "\n")]
     with nullcontext(sys.stdout) if out is None or out == "-" else Path(out).open("w") as f:
-        f.writelines((text, "\n"))  # text + "\n" would copy the text
+        f.writelines(_flatten(parts))
+        f.write("\n")
 
 
 def _pairs_to_complex(data, what: str) -> np.ndarray:
@@ -338,6 +410,9 @@ def cmd_simulate(args) -> int:
     if args.noise > 0:
         _require_rng(args.seed, "--noise")
     rng, fam, cfg, x = _instance(args)
+    # the family is checked under --zero-tol and --rank-tol before any file is written
+    supports = window_support(fam, cfg.zero_tol)
+    certification = certify_rank(fam, cfg.hop, args.rank_tol).report()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_signal_json(outdir / "signal.json", x)
@@ -347,8 +422,6 @@ def cmd_simulate(args) -> int:
     if args.noise > 0:
         eps = rng.uniform(-args.noise, args.noise, grid.values.shape)
         write_grid_csv(corrupt(grid, eps), outdir / "grid_noisy.csv")
-    mats = certify_rank(fam, cfg.hop, args.rank_tol)
-    supports = window_support(fam, cfg.zero_tol)
     lengths, anchors = supports.length.tolist(), supports.anchor.tolist()
     report = {
         "config": {
@@ -361,7 +434,7 @@ def cmd_simulate(args) -> int:
             "windows": args.windows,
             "signal": args.signal,
         },
-        "certification": mats.report(),
+        "certification": certification,
         "window_supports": [
             {"window": r, "length": lengths[r], "anchor": anchors[r]} for r in range(len(lengths))
         ],

@@ -419,6 +419,8 @@ def read_grid_csv(path) -> MeasurementGrid:
         if header != ["r", "m", "k", "value"]:
             raise ConfigurationError(f"unexpected grid CSV header {header!r} in {path}")
         while chunk := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+            if not any(line.rstrip("\r\n") for line in chunk):
+                continue  # only blank lines, which loadtxt skips, but warns of alone
             try:
                 table = np.loadtxt(
                     chunk, delimiter=",", dtype=_GRID_ROW, comments=None, ndmin=1

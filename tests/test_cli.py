@@ -2,6 +2,8 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from stftpr.supportgraph import (
     window_support,
 )
 
-from conftest import weak_nontree_instance
+from conftest import graph_from_lists, weak_nontree_instance
 
 
 def run(*argv):
@@ -83,6 +85,19 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("stftpr: error: --noise")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--zero-tol=1", "--rank-tol=-1"])
+    def test_bad_family_tolerance_exits_one_and_writes_nothing(self, tmp_path, capsys, flag):
+        # a tolerance that leaves a window without support, or a negative rank
+        # tolerance, used to exit 1 after the signal, window and grid files were written
+        out = tmp_path / "bad-tol"
+        code = run(
+            "simulate", "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+            "--seed", 1, flag, "--out", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("stftpr: error:")
         assert not out.exists()
 
     def test_random_without_seed_fails(self, tmp_path, capsys):
@@ -324,6 +339,28 @@ class TestRecover:
         code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
         assert code == 1
         assert "stftpr: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [-1, 2], ids=["after-a-full-chunk", "inside-a-chunk"])
+    def test_blank_grid_line_is_skipped_anywhere(self, tmp_path, capsys, line):
+        # 512 data rows fill one read chunk exactly: a blank line at the end is a
+        # chunk of its own, which loadtxt used to warn of on stderr
+        out = tmp_path / "blank"
+        assert run("simulate", "--n", 16, "--hop", 2, "--num-windows", 4, "--windows", "chain:2",
+                   "--seed", 1, "--out", out) == 0
+        assert run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+                   "--out", tmp_path / "plain.json") == 0
+        lines = (out / "grid.csv").read_bytes().split(b"\r\n")
+        assert len(lines) == 1 + 512 + 1  # header, rows, and the empty tail
+        lines.insert(line, b"")
+        (out / "grid.csv").write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+                       "--out", tmp_path / "blank.json")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "blank.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     @pytest.mark.parametrize(
         "key, value, match",
@@ -587,25 +624,33 @@ class TestAnalyze:
         # the certify geometry; the graphs are written from their arrays, the
         # reference payload is built from to_dict() and dumped by the stdlib
         out = tmp_path / "certificate.json"
-        assert run("analyze", "--n", 40, "--hop", 4, "--num-windows", 16,
-                   "--windows", "chain:4", "--signal", "random", "--seed", seed,
-                   "--out", out) == 0
-        rng = np.random.default_rng(seed)
-        fam = chain_family(40, 4, 16, rng)
-        x = random_signal(40, rng)
-        cov = covisibility_graph_from_support(support(x), fam, 4)
-        end = endpoint_graph_from_support(support(x), window_support(fam), 4, 40)
-        mats = certify_rank(fam, 4)
-        short = not long_windows(window_support(fam), 40)
-        assert is_connected(cov) and is_connected(end) and short and mats.certified
-        payload = {
-            "covisibility": cov.to_dict(),
-            "endpoint": end.to_dict(),
-            "short_windows": short,
-            "certification": mats.report(),
-            "verdict": "provably-retrievable",
-        }
-        assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert run(*_certify_geometry(seed), "--out", out) == 0
+        assert out.read_text() == _certify_certificate(seed)
+
+
+def _certify_geometry(seed):
+    return ["analyze", "--n", 40, "--hop", 4, "--num-windows", 16,
+            "--windows", "chain:4", "--signal", "random", "--seed", seed]
+
+
+def _certify_certificate(seed):
+    """The stdlib dump, from ``to_dict()``, of the certificate ``_certify_geometry(seed)`` names."""
+    rng = np.random.default_rng(seed)
+    fam = chain_family(40, 4, 16, rng)
+    x = random_signal(40, rng)
+    cov = covisibility_graph_from_support(support(x), fam, 4)
+    end = endpoint_graph_from_support(support(x), window_support(fam), 4, 40)
+    mats = certify_rank(fam, 4)
+    short = not long_windows(window_support(fam), 40)
+    assert is_connected(cov) and is_connected(end) and short and mats.certified
+    payload = {
+        "covisibility": cov.to_dict(),
+        "endpoint": end.to_dict(),
+        "short_windows": short,
+        "certification": mats.report(),
+        "verdict": "provably-retrievable",
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestBounds:
@@ -904,3 +949,62 @@ class TestJsonOutput:
             raw = path.read_bytes()
             assert raw.startswith(b"r,m,k,value\r\n") and raw.endswith(b"\r\n")
             assert b"\n" not in raw.replace(b"\r\n", b"")
+
+
+_HAND_BUILT_GRAPHS = {
+    "no-edge": graph_from_lists("covisibility", [3], []),
+    "one-edge": graph_from_lists("endpoint", [0, 2], [((0, 2), [(1, 0)])]),
+    # at slices of 1, 2 and 3 witnesses, an edge's witnesses cross a slice boundary
+    "straddling": graph_from_lists("endpoint", [0, 1, 5, 7], [
+        ((0, 1), [(0, 0), (2, 1), (3, 0)]), ((1, 5), [(2, 3)]), ((5, 7), [(1, 1), (1, 2), (4, 0)]),
+    ]),
+}
+
+
+class TestStreamedCertificate:
+    """``_dump_json`` writes each top-level graph in slices of ``cli._WITNESS_SLICE`` witnesses."""
+
+    SLICES = [1, 2, 3, None]  # None keeps the default
+
+    @pytest.fixture(params=SLICES, ids=lambda k: f"slice={k or 'default'}")
+    def witness_slice(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(cli, "_WITNESS_SLICE", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("name", sorted(_HAND_BUILT_GRAPHS))
+    def test_hand_built_graph_matches_stdlib_dump(self, witness_slice, name, tmp_path):
+        graph = _HAND_BUILT_GRAPHS[name]
+        out = tmp_path / "report.json"
+        _dump_json({"graph": graph, "nested": [graph], "verdict": name}, str(out))
+        expected = {"graph": graph.to_dict(), "nested": [graph.to_dict()], "verdict": name}
+        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    def test_analyze_matches_stdlib_dump(self, witness_slice, out, tmp_path, capsys):
+        # both graph variants of the certify geometry, to a file and to stdout
+        path = tmp_path / "certificate.json" if out == "file" else "-"
+        assert run(*_certify_geometry(5), "--out", path) == 0
+        written = path.read_text() if out == "file" else capsys.readouterr().out
+        assert written == _certify_certificate(5)
+
+    def test_unserialisable_value_leaves_no_file(self, tmp_path):
+        # the graph sorts first, so a writer that streamed it before formatting
+        # the rest would leave a partial file
+        out = tmp_path / "report.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump_json({"graph": _HAND_BUILT_GRAPHS["straddling"], "z": object()}, str(out))
+        assert not out.exists()
+
+    def test_peak_memory_is_below_half_the_certificate(self, tmp_path):
+        # no full-size copy of the certificate text is made: the peak is the graph build
+        out = tmp_path / "certificate.json"
+        tracemalloc.start()
+        try:
+            code = run("analyze", "--n", 256, "--hop", 4, "--num-windows", 6,
+                       "--windows", "chain:4", "--seed", 1, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < out.stat().st_size / 2

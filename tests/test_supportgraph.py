@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stftpr import (
+    cli,
     is_connected,
     measure,
     rotate_component_phase,
@@ -587,6 +588,21 @@ def test_graph_text_matches_stdlib_dump(geometry):
         assert _json_text({"graph": graph}, "\n") == json.dumps(
             {"graph": graph.to_dict()}, indent=2, sort_keys=True
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=_endpoint_geometries(), witness_slice=st.integers(1, 6))
+def test_graph_text_in_small_slices_matches_stdlib_dump(geometry, witness_slice):
+    # slices of a few witnesses start and end inside and between edges' witness lists
+    hop, fam, vertices = geometry
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_WITNESS_SLICE", witness_slice)
+        for graph in (
+            covisibility_graph_from_support(vertices, fam, hop),
+            endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1]),
+        ):
+            expected = json.dumps(graph.to_dict(), indent=2, sort_keys=True)
+            assert _graph_text(graph, "\n") == expected
 
 
 def test_graph_text_of_a_nested_hand_built_graph():

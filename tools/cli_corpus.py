@@ -107,6 +107,10 @@ CORPUS = [
     # without support, with no numpy overflow warning on the way
     "analyze --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1"
     " --zero-tol 1.7976931348623157e308",
+    # exit 1: a tolerance that leaves a window without support, caught before
+    # simulate writes any file
+    "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --zero-tol 1"
+    " --out zero-tol",
 ]
 
 
