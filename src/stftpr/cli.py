@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Iterator
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -52,7 +51,6 @@ from .robustness import error_budget, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
 from .supportgraph import (
-    SupportGraph,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
@@ -104,28 +102,29 @@ def _json_text(obj, pad: str) -> str:
 
     ``pad`` is the newline plus indent of the line ``obj`` starts on.  Numpy
     integers and floats are written as Python ints and floats, arrays as
-    nested lists, complex values as ``[re, im]``, tuples as lists, a
-    ``SupportGraph`` as its ``to_dict()`` and an ``EdgeWitnesses`` record as
-    its :func:`_witness_dicts`; dict keys are sorted after ``str()``.  Any
-    other type raises ``TypeError``.
+    nested lists, complex values as ``[re, im]``, tuples as lists and an
+    ``EdgeWitnesses`` record as its :func:`_witness_dicts`; dict keys are
+    sorted after ``str()``.  Any other type raises ``TypeError``.
     """
     fmt = _SCALAR_TEXT.get(type(obj))
     if fmt is not None:
         return fmt(obj)
     if isinstance(obj, dict):
+        if not obj:
+            return "{}"
         inner = pad + "  "
-        return "".join(_object_parts({str(k): _json_text(v, inner) for k, v in obj.items()}, pad))
+        texts = {str(k): _json_text(v, inner) for k, v in obj.items()}
+        items = (_encode_str(k) + ": " + t for k, t in sorted(texts.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        try:  # a list of plain scalars, such as a witness pair, in one pass
+        try:  # a list of plain scalars, such as a forest row, in one pass
             texts = [_SCALAR_TEXT[type(v)](v) for v in obj]
         except KeyError:
             texts = [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
-    if isinstance(obj, SupportGraph):
-        return _graph_text(obj, pad)
     if isinstance(obj, EdgeWitnesses):
         return _json_text(_witness_dicts(obj), pad)
     if isinstance(obj, str):
@@ -139,106 +138,6 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, np.ndarray):
         return _json_text(obj.tolist(), pad)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _object_parts(values: dict, pad: str) -> list:
-    """A JSON object, keys sorted, as a list of texts with ``values``' values between them.
-
-    A value is a text, or an iterable of text pieces for :func:`_flatten`; the
-    list is joined or streamed as it is, as ``+`` would copy a value's text.
-    """
-    if not values:
-        return ["{}"]
-    inner = pad + "  "
-    parts = [s for k, v in sorted(values.items()) for s in ("," + inner + _encode_str(k) + ": ", v)]
-    parts[0] = "{" + parts[0][1:]
-    parts.append(pad + "}")
-    return parts
-
-
-def _flatten(parts) -> Iterator[str]:
-    """The text pieces of ``parts``: texts, and iterables of texts consumed in turn."""
-    for part in parts:
-        if isinstance(part, str):
-            yield part
-        else:
-            yield from part
-
-
-_WITNESS_SLICE = 1 << 12  # witnesses per piece of an edge list: a few hundred kB of text
-
-
-def _graph_pieces(graph: SupportGraph, pad: str) -> Iterator[str]:
-    """``_json_text(graph.to_dict(), pad)`` in pieces, the edge list from :func:`_edge_pieces`.
-
-    The summary is formatted at the call; the edge list as the pieces are read.
-    """
-    inner = pad + "  "  # the graph's keys
-    fields = {k: _json_text(v, inner) for k, v in graph.summary().items()}
-    fields["edges"] = _edge_pieces(graph, inner) if len(graph.edges) else "[]"
-    return _flatten(_object_parts(fields, pad))
-
-
-def _graph_text(graph: SupportGraph, pad: str) -> str:
-    """``_json_text(graph.to_dict(), pad)``, written straight from the graph's arrays."""
-    return "".join(_graph_pieces(graph, pad))
-
-
-def _edge_pieces(graph: SupportGraph, pad: str) -> Iterator[str]:
-    """The text of ``graph``'s (non-empty) edge list, one piece per ``_WITNESS_SLICE`` witnesses.
-
-    ``pad`` is the newline plus indent of the graph's keys.  The text ``[r, m]``
-    of each (window, hop) pair that witnesses is formatted twice: as an edge's
-    first witness, and after a separator.  An edge's head is two texts
-    formatted once per vertex, its ``"n"`` part (which closes the edge before
-    it) and its ``"n2"`` part.  Each slice gathers heads and witness texts from
-    one object array, at positions found by index arithmetic, and joins them.
-    Every edge needs a witness.
-    """
-    item = pad + "  "  # the edges
-    key = item + "  "  # an edge's keys
-    wit = key + "  "  # its witnesses
-    pair = wit + "  "  # the two numbers of a witness
-    close = key + "]" + item + "}"  # an edge's end
-    window, hop_index, starts = graph.window, graph.hop_index, graph.offsets[:-1]
-    total = int(graph.offsets[-1])
-    bounds = range(0, total, _WITNESS_SLICE)
-    present = np.zeros((int(window.max()) + 1, int(hop_index.max()) + 1), dtype=bool)
-    for a in bounds:  # only the (window, hop) pairs that witness get a text
-        present[window[a:a + _WITNESS_SLICE], hop_index[a:a + _WITNESS_SLICE]] = True
-    rank = np.cumsum(present, dtype=np.intp).reshape(present.shape) - 1
-    lead = [f"[{pair}{r},{pair}" for r in range(present.shape[0])]
-    tail = [f"{m}{wit}]" for m in range(present.shape[1])]
-    firsts = [lead[r] + tail[m] for r, m in zip(*(v.tolist() for v in np.nonzero(present)))]
-    verts = graph.vertices.tolist()
-    table = np.array(
-        [f",{wit}{t}" for t in firsts] + firsts
-        + [f'{close},{item}{{{key}"n": {v},{key}"n2": ' for v in verts]
-        + [f'{v},{key}"witnesses": [{wit}' for v in verts],
-        dtype=object,
-    )
-    used = len(firsts)  # rows: witnesses after a separator, first witnesses, "n" and "n2" parts
-    heads = np.searchsorted(graph.vertices, graph.edges) + (2 * used, 2 * used + len(verts))
-    head_at = starts + np.arange(0, 2 * len(starts), 2)  # each edge's head in the whole list
-    yield "["
-    for a in bounds:
-        b = min(a + _WITNESS_SLICE, total)
-        e0, e1 = starts.searchsorted((a, b))  # the edges whose first witness is in the slice
-        first = starts[e0:e1] - a
-        text = rank[window[a:b], hop_index[a:b]]
-        text[first] += used
-        # an edge's first witness is written three times; its head texts replace two
-        copies = np.ones(b - a, dtype=np.intp)
-        copies[first] = 3
-        order = text.repeat(copies)
-        at = head_at[e0:e1] - (a + 2 * e0)
-        order[at] = heads[e0:e1, 0]
-        order[at + 1] = heads[e0:e1, 1]
-        pieces = table[order].tolist()
-        if a == 0:
-            pieces[0] = pieces[0][len(close) + 1:]  # no edge before the first to close
-        yield "".join(pieces)
-    yield close + pad + "]"
 
 
 def _witness_dicts(witnesses: EdgeWitnesses) -> list[dict]:
@@ -262,21 +161,12 @@ def _witness_dicts(witnesses: EdgeWitnesses) -> list[dict]:
 def _dump_json(payload, out: str | None) -> None:
     """Write ``payload`` as :func:`_json_text` formats it, plus a newline, to ``out`` or stdout.
 
-    A top-level ``SupportGraph`` value is streamed from :func:`_graph_pieces`, so
-    no full-size copy of its text is made.  Every other value is formatted
-    before the file is opened, so a ``TypeError`` leaves no file.
+    The whole text is formatted before the file is opened, so a ``TypeError``
+    leaves no file.
     """
-    if isinstance(payload, dict):
-        inner = "\n  "
-        parts = _object_parts({
-            str(k): _graph_pieces(v, inner) if isinstance(v, SupportGraph) else _json_text(v, inner)
-            for k, v in payload.items()
-        }, "\n")
-    else:
-        parts = [_json_text(payload, "\n")]
+    text = _json_text(payload, "\n") + "\n"
     with nullcontext(sys.stdout) if out is None or out == "-" else Path(out).open("w") as f:
-        f.writelines(_flatten(parts))
-        f.write("\n")
+        f.write(text)
 
 
 def _pairs_to_complex(data, what: str) -> np.ndarray:
@@ -462,8 +352,8 @@ def cmd_analyze(args) -> int:
     else:
         verdict = "indeterminate"
     payload = {
-        "covisibility": cov,
-        "endpoint": end,
+        "covisibility": cov.to_dict(),
+        "endpoint": end.to_dict(),
         "short_windows": short,
         "certification": mats.report(),
         "verdict": verdict,

@@ -7,7 +7,9 @@ Two graphs on the signal's support drive everything:
   one windowed section together).  Its connectivity is necessary for the
   signal to be determined, up to a global phase, by the magnitude
   measurements; :func:`rotate_component_phase` produces the explicit
-  counterexample family when it is disconnected.
+  counterexample family when it is disconnected.  The builder returns a
+  spanning subgraph with exactly its components: the indices one section
+  sees form a clique, and the builder keeps a path through it.
 
 * the *endpoint* graph joins two support indices that sit exactly at the two
   endpoints of a translated window-support interval, i.e. at offset
@@ -17,11 +19,13 @@ Two graphs on the signal's support drive everything:
 
 Both graphs are undirected, immutable, and held as arrays: ``edges``, a
 sorted ``(E, 2)`` array of endpoint pairs, and CSR witness arrays, which both
-builders fill from one pass over every window's tap pairs against every hop,
-in chunks, and one sort of the witnesses by edge, then (window, hop).  The
-spanning tree comes from one breadth-first search over a CSR adjacency and is
-held as parent, child and edge arrays in discovery order, its ``edges`` being
-rows of the graph's ``edges``.
+builders fill from one pass over window taps against every hop, in chunks,
+joining pairs of taps visible in one section, and one sort of the witnesses
+by edge, then (window, hop).  The spanning tree comes from one
+breadth-first search over a CSR adjacency and is held as parent, child and
+edge arrays in discovery order, its ``edges`` being rows of the graph's
+``edges``; the same search gives the components and the spanning forest a
+certificate lists.
 """
 
 from __future__ import annotations
@@ -166,25 +170,22 @@ class SupportGraph:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
         return [sorted(queue) for queue, *_ in self._forest]
 
-    def summary(self) -> dict:
-        """Certificate payload without its edge list: variant, vertices, connectivity."""
+    def to_dict(self) -> dict:
+        """Certificate payload: variant, vertices, connectivity and a spanning forest.
+
+        ``forest`` has one ``[n, n2, window, hop_index]`` row per edge of the
+        BFS forest behind :meth:`components`, component by component in
+        discovery order: the edge's endpoints (lo, hi) and its first witness.
+        """
+        rows = np.array([row for _, _, edges, _ in self._forest for row in edges], dtype=np.intp)
+        first = self.offsets[rows]
+        forest = np.column_stack((self.edges[rows], self.window[first], self.hop_index[first]))
         return {
             "variant": self.variant,
             "vertices": self.vertices.tolist(),
             "connected": is_connected(self),
             "components": self.components(),
-        }
-
-    def to_dict(self) -> dict:
-        """Certificate payload: the summary plus the edges with their witnesses."""
-        pairs = [[r, m] for r, m in zip(self.window.tolist(), self.hop_index.tolist())]
-        bounds = self.offsets.tolist()
-        return {
-            **self.summary(),
-            "edges": [
-                {"n": lo, "n2": hi, "witnesses": pairs[a:b]}
-                for (lo, hi), a, b in zip(self.edges.tolist(), bounds, bounds[1:])
-            ],
+            "forest": forest.tolist(),
         }
 
 
@@ -193,17 +194,20 @@ def is_connected(graph: SupportGraph) -> bool:
     return len(graph._forest) <= 1
 
 
-_WITNESS_CHUNK = 1 << 16  # tap pairs times hops per chunk: a few MB of masks and indices
+_WITNESS_CHUNK = 1 << 16  # taps times hops per chunk: a few MB of masks and indices
 
 
-def _section_graph(variant: str, vertices, n: int, hop: int, window, tap_a, tap_b) -> SupportGraph:
-    """Graph whose edges join the two indices a tap pair of one windowed section sees.
+def _section_graph(variant: str, vertices, n: int, hop: int, rows, taps, link) -> SupportGraph:
+    """Graph whose edges join pairs of indices that one windowed section sees.
 
-    Tap pair ``p`` of window ``window[p]`` sees ``(hop*m - tap_a[p]) % n`` and
-    ``(hop*m - tap_b[p]) % n`` at hop ``m``: an edge witnessed by ``(window[p], m)``
-    when both are vertices.  One pass over all pairs and hops, in chunks of
-    ``_WITNESS_CHUNK`` candidates, keys each witness by edge ``lo*n + hi`` and
-    slot ``window*M + hop`` for :func:`_sorted_witnesses`.
+    Tap ``taps[p]`` of window ``rows[p]`` sees ``(hop*m - taps[p]) % n`` at hop
+    ``m``, and is visible there when that index is a vertex.  ``link(visible,
+    rows)`` maps a chunk's visibility, a (hops, taps) bool array, to the hop
+    offsets and the two tap positions ``p`` of each joined pair, an edge
+    witnessed by ``(rows[p], m)``: :func:`_chained` or :func:`_paired`.  One
+    pass over the taps against every hop, in chunks of ``_WITNESS_CHUNK``
+    candidates, keys each witness by edge ``lo*n + hi`` and slot
+    ``window*M + hop`` for :func:`_sorted_witnesses`.
     """
     member = np.zeros(n, dtype=bool)
     if not isinstance(vertices, np.ndarray):
@@ -212,22 +216,21 @@ def _section_graph(variant: str, vertices, n: int, hop: int, window, tap_a, tap_
     # sorted and distinct; the copy lets go of the (k, 1) array nonzero builds
     verts = np.flatnonzero(member).copy()
     num_hops = n // hop
-    # row s of seen is member[(s + hop*m) % n] over every hop m; tap t reads row n - t
-    seen = np.ndarray((n + 1, num_hops), bool, np.tile(member, 2), strides=(1, hop))
+    # seen[m, s] is member[(s + hop*m) % n]; tap t at hop m reads column n - t
+    seen = np.ndarray((num_hops, n + 1), bool, np.tile(member, 2), strides=(hop, 1))
     # 32-bit witness arrays halve the peak; a slot is below R*M <= the family's R*n entries
-    window, tap_a, tap_b = (np.asarray(v, dtype=np.int32) for v in (window, tap_a, tap_b))
-    step = max(1, _WITNESS_CHUNK // num_hops)
+    rows, taps = (np.asarray(v, dtype=np.int32) for v in (rows, taps))
+    step = max(1, _WITNESS_CHUNK // max(taps.size, 1))
     edge_keys, slot_keys = [], []
-    for start in range(0, max(window.size, 1), step):
-        a, b = tap_a[start:start + step], tap_b[start:start + step]
-        p, m = np.nonzero(seen[n - a] & seen[n - b])
-        m = m.astype(np.int32)
-        i, j = (hop * m - a[p]) % n, (hop * m - b[p]) % n
+    for start in range(0, num_hops, step):
+        m, a, b = link(seen[start:start + step, n - taps], rows)
+        m = m.astype(np.int32) + start
+        i, j = (hop * m - taps[a]) % n, (hop * m - taps[b]) % n
         edge_keys.append(np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j))
-        slot_keys.append(window[start + p] * num_hops + m)
+        slot_keys.append(rows[a] * num_hops + m)
     edge_key, slot = np.concatenate(edge_keys), np.concatenate(slot_keys)
     del edge_keys, slot_keys
-    num_slots = (int(window.max(initial=0)) + 1) * num_hops
+    num_slots = (int(rows.max(initial=0)) + 1) * num_hops
     edge_key, slot = _sorted_witnesses(edge_key, slot, n, num_slots)
     first = np.ones(edge_key.size, dtype=bool)
     first[1:] = edge_key[1:] != edge_key[:-1]
@@ -236,6 +239,24 @@ def _section_graph(variant: str, vertices, n: int, hop: int, window, tap_a, tap_
     np.divmod(edge_key[starts], n, out=(ends[:, 0], ends[:, 1]))
     return SupportGraph(variant, verts, ends, np.append(starts, edge_key.size),
                         *np.divmod(slot, num_hops))
+
+
+def _chained(visible, rows):
+    """Join each visible tap to the next visible tap of its window, taps grouped by window.
+
+    Every section's visible indices then form a path.
+    """
+    m, p = np.nonzero(visible)  # in (hop, tap) order
+    r = rows[p]
+    k = np.flatnonzero((m[1:] == m[:-1]) & (r[1:] == r[:-1]))
+    return m[k], p[k], p[k + 1]
+
+
+def _paired(visible, rows):
+    """Join tap ``q`` of the first half to tap ``q`` of the second half where both are visible."""
+    half = visible.shape[1] // 2
+    m, q = np.nonzero(visible[:, :half] & visible[:, half:])
+    return m, q, q + half
 
 
 def _sorted_witnesses(edge_key, slot, n: int, num_slots: int):
@@ -258,19 +279,18 @@ def _sorted_witnesses(edge_key, slot, n: int, num_slots: int):
 def covisibility_graph_from_support(
     vertices, windows, hop: int, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> SupportGraph:
-    """Covisibility graph over an explicit vertex set (support indices).
+    """Spanning subgraph of the covisibility graph over an explicit vertex set (support indices).
 
     Each section sees one index per window tap in the window's
-    :func:`~stftpr.model.support`, and every pair of those taps is a
-    candidate edge.
+    :func:`~stftpr.model.support`, and those it sees form a clique of the
+    covisibility graph.  Joining only consecutive visible taps keeps a path
+    through each clique, so the subgraph has the full graph's vertices and
+    components with O(R*M*L) witnesses instead of O(R*M*L**2); each of its
+    edges is a true covisibility edge with its own (window, hop) witnesses.
     """
     fam = as_window_family(windows)
     rows, taps = np.nonzero(_above_tolerance(np.abs(fam), zero_tol))
-    # tap entry e pairs with each later entry of its row: e + 1, e + 2, ...
-    later = np.searchsorted(rows, rows, side="right") - np.arange(rows.size) - 1
-    a = np.repeat(np.arange(rows.size), later)
-    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
-    return _section_graph("covisibility", vertices, fam.shape[1], hop, rows[a], taps[a], taps[b])
+    return _section_graph("covisibility", vertices, fam.shape[1], hop, rows, taps, _chained)
 
 
 def endpoint_graph_from_support(
@@ -279,12 +299,14 @@ def endpoint_graph_from_support(
     """Endpoint graph over an explicit vertex set, from a family's window supports.
 
     Each section sees the two :func:`endpoint_witness` indices of its window,
-    through the window's anchor and far taps.  Windows of supporting length 1
-    contribute no edges (the two interval endpoints coincide).
+    through the window's anchor and far taps, paired by :func:`_paired`.
+    Windows of supporting length 1 contribute no edges (the two interval
+    endpoints coincide).
     """
     long = np.flatnonzero(supports.length > 1)
     ws = supports[long]
-    return _section_graph("endpoint", vertices, n, hop, long, ws.anchor, ws.far(n))
+    taps = np.concatenate((ws.anchor, ws.far(n)))
+    return _section_graph("endpoint", vertices, n, hop, np.concatenate((long, long)), taps, _paired)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,12 @@ import pytest
 from stftpr import aggregate, measure, support
 from stftpr.generators import certified_instance
 from stftpr.supportgraph import (
-    SupportGraph, endpoint_graph_from_support, spanning_tree, window_support,
+    SupportGraph,
+    endpoint_graph_from_support,
+    endpoint_witness,
+    long_windows,
+    spanning_tree,
+    window_support,
 )
 
 
@@ -32,6 +37,118 @@ def witness_lists(graph):
         (lo, hi): tuple(pairs[a:b])
         for (lo, hi), a, b in zip(graph.edges.tolist(), bounds, bounds[1:])
     }
+
+
+def loop_covisibility_witnesses(vertices, fam, hop, zero_tol=1e-12):
+    """Every pair of vertices a (window, hop) section sees together, from a triple loop.
+
+    ``{(lo, hi): ((window, hop), ...)}``: the full covisibility graph, every
+    co-seen pair with all its witnesses, a tap counting when it lies above
+    ``zero_tol`` times its window's peak.
+    """
+    n = fam.shape[1]
+    verts = sorted({int(v) % n for v in vertices})
+    found = {}
+    for r, w in enumerate(fam):
+        mask = np.abs(w) > zero_tol * np.abs(w).max()
+        for m in range(n // hop):
+            covered = [v for v in verts if mask[(hop * m - v) % n]]
+            for i in range(len(covered)):
+                for j in range(i + 1, len(covered)):
+                    found.setdefault((covered[i], covered[j]), []).append((r, m))
+    return {pair: tuple(sorted(ws)) for pair, ws in found.items()}
+
+
+def loop_endpoint_witnesses(vertices, fam, hop, zero_tol=1e-12):
+    """Endpoint-graph witnesses from a literal loop over (window, hop)."""
+    n = fam.shape[1]
+    found = {}
+    for r, w in enumerate(fam):
+        ws = window_support(w, zero_tol)
+        for m in range(n // hop):
+            n1, n2 = endpoint_witness(ws, hop, m, n)
+            if n1 != n2 and n1 in vertices and n2 in vertices:
+                found.setdefault((min(n1, n2), max(n1, n2)), []).append((r, m))
+    return {pair: tuple(sorted(ws)) for pair, ws in found.items()}
+
+
+def union_components(vertices, pairs):
+    """Components of the graph on ``vertices`` joined by ``pairs``, by union-find.
+
+    Sorted vertex lists, ordered by minimum vertex, as ``SupportGraph.components``
+    gives them.
+    """
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    comps = {}
+    for v in sorted(vertices):
+        comps.setdefault(find(v), []).append(v)
+    return sorted(comps.values())
+
+
+def check_graph_certificate(cert, vertices, fam, hop, zero_tol=1e-12):
+    """Check one graph of an ``analyze`` certificate against the family; return its components.
+
+    Each ``forest`` row ``[n, n2, window, hop_index]`` is checked in O(1): a
+    covisibility row's window sees both indices at that hop, an endpoint
+    row's pair is the window's :func:`endpoint_witness` there.  Each
+    component C holds |C| - 1 rows that connect it, and the components and
+    connectivity are those of the loop reference's graph.
+    """
+    fam = np.asarray(fam, dtype=complex)
+    n = fam.shape[1]
+    verts = sorted({int(v) % n for v in vertices})
+    assert cert["vertices"] == verts
+    mask = np.abs(fam) > zero_tol * np.abs(fam).max(axis=1, keepdims=True)
+    covisibility = cert["variant"] == "covisibility"
+    if covisibility:
+        reference = loop_covisibility_witnesses(verts, fam, hop, zero_tol)
+    else:
+        assert cert["variant"] == "endpoint"
+        supports = window_support(fam, zero_tol)
+        reference = loop_endpoint_witnesses(set(verts), fam, hop, zero_tol)
+    member = set(verts)
+    for a, b, r, m in cert["forest"]:
+        assert a < b and a in member and b in member and 0 <= m < n // hop
+        if covisibility:
+            assert mask[r, (hop * m - a) % n] and mask[r, (hop * m - b) % n]
+        else:
+            assert sorted(endpoint_witness(supports[r], hop, m, n)) == [a, b]
+    comps = union_components(verts, reference)
+    assert cert["components"] == comps
+    assert cert["connected"] is (len(comps) <= 1)
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    inside = [[] for _ in comps]
+    for a, b, *_ in cert["forest"]:
+        assert where[a] == where[b]
+        inside[where[a]].append((a, b))
+    for comp, rows in zip(comps, inside):
+        assert len(rows) == len(comp) - 1
+        assert union_components(comp, rows) == [comp]
+    return comps
+
+
+def check_certificate(payload, x, fam, hop, zero_tol=1e-12):
+    """Check both graphs of an ``analyze`` payload and its verdict against loop references."""
+    supp = support(x, zero_tol)
+    cov = check_graph_certificate(payload["covisibility"], supp, fam, hop, zero_tol)
+    end = check_graph_certificate(payload["endpoint"], supp, fam, hop, zero_tol)
+    short = not long_windows(window_support(fam, zero_tol), len(x))
+    assert payload["short_windows"] is short
+    if len(cov) > 1:
+        assert payload["verdict"] == "provably-non-retrievable"
+    elif len(end) <= 1 and short and payload["certification"]["certified"]:
+        assert payload["verdict"] == "provably-retrievable"
+    else:
+        assert payload["verdict"] == "indeterminate"
 
 
 def weak_nontree_instance():

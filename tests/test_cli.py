@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from stftpr import cli, phase, spectral
 from stftpr.cli import _dump_json, main
-from stftpr.generators import chain_family, random_signal
+from stftpr.generators import antipodal_pair_signal, chain_family, random_signal
 from stftpr.model import ProblemConfig, support
 from stftpr.oracle import DIRECT_TERM_CAP
 from stftpr.spectral import certify_rank
@@ -27,7 +27,7 @@ from stftpr.supportgraph import (
     window_support,
 )
 
-from conftest import graph_from_lists, weak_nontree_instance
+from conftest import check_certificate, weak_nontree_instance
 
 
 def run(*argv):
@@ -621,11 +621,48 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 4242])
     def test_certificate_matches_stdlib_dump_of_to_dict(self, tmp_path, seed):
-        # the certify geometry; the graphs are written from their arrays, the
-        # reference payload is built from to_dict() and dumped by the stdlib
+        # the certify geometry; the reference payload is built from the graphs'
+        # to_dict() forests and dumped by the stdlib
         out = tmp_path / "certificate.json"
         assert run(*_certify_geometry(seed), "--out", out) == 0
         assert out.read_text() == _certify_certificate(seed)
+
+    @pytest.mark.parametrize(
+        "signal, seed",
+        [("random", 0), ("random", 5), ("random", 4242), ("antipodal-pair", 1)],
+    )
+    def test_certificate_checks_against_the_family(self, signal, seed, capsys):
+        # every forest row from the family, in O(1) each, and the verdict
+        # against loop references; antipodal-pair leaves two lone vertices
+        argv = _certify_geometry(seed)
+        argv[argv.index("--signal") + 1] = signal
+        assert run(*argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rng = np.random.default_rng(seed)
+        fam = chain_family(40, 4, 16, rng)
+        x = random_signal(40, rng) if signal == "random" else antipodal_pair_signal(40)
+        check_certificate(payload, x, fam, 4)
+        if signal == "antipodal-pair":
+            assert payload["covisibility"]["components"] == [[0], [20]]
+            assert payload["covisibility"]["forest"] == []
+            assert payload["verdict"] == "provably-non-retrievable"
+
+    def test_large_certificate_is_small_and_cheap(self, tmp_path):
+        # n = 1024, full support: each graph's certificate is a spanning tree
+        # of 1,023 rows, and the chained build stays far below the bound
+        out = tmp_path / "certificate.json"
+        tracemalloc.start()
+        try:
+            code = run("analyze", "--n", 1024, "--hop", 4, "--num-windows", 6,
+                       "--windows", "chain:4", "--seed", 1, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 40e6
+        assert out.stat().st_size < 250e3
+        cert = json.loads(out.read_text())
+        assert [len(cert[g]["forest"]) for g in ("covisibility", "endpoint")] == [1023, 1023]
 
 
 def _certify_geometry(seed):
@@ -910,6 +947,13 @@ class TestJsonOutput:
         expected = json.dumps(_stdlib_jsonify(payload), indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
 
+    def test_unserialisable_value_leaves_no_file(self, tmp_path):
+        # the whole payload is formatted before the file is opened
+        out = tmp_path / "report.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump_json({"a": list(range(10)), "z": object()}, str(out))
+        assert not out.exists()
+
     def test_unknown_type_raises_type_error(self, capsys):
         with pytest.raises(TypeError, match="not JSON serializable"):
             _dump_json({"a": [object()]}, None)
@@ -949,62 +993,3 @@ class TestJsonOutput:
             raw = path.read_bytes()
             assert raw.startswith(b"r,m,k,value\r\n") and raw.endswith(b"\r\n")
             assert b"\n" not in raw.replace(b"\r\n", b"")
-
-
-_HAND_BUILT_GRAPHS = {
-    "no-edge": graph_from_lists("covisibility", [3], []),
-    "one-edge": graph_from_lists("endpoint", [0, 2], [((0, 2), [(1, 0)])]),
-    # at slices of 1, 2 and 3 witnesses, an edge's witnesses cross a slice boundary
-    "straddling": graph_from_lists("endpoint", [0, 1, 5, 7], [
-        ((0, 1), [(0, 0), (2, 1), (3, 0)]), ((1, 5), [(2, 3)]), ((5, 7), [(1, 1), (1, 2), (4, 0)]),
-    ]),
-}
-
-
-class TestStreamedCertificate:
-    """``_dump_json`` writes each top-level graph in slices of ``cli._WITNESS_SLICE`` witnesses."""
-
-    SLICES = [1, 2, 3, None]  # None keeps the default
-
-    @pytest.fixture(params=SLICES, ids=lambda k: f"slice={k or 'default'}")
-    def witness_slice(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(cli, "_WITNESS_SLICE", request.param)
-        return request.param
-
-    @pytest.mark.parametrize("name", sorted(_HAND_BUILT_GRAPHS))
-    def test_hand_built_graph_matches_stdlib_dump(self, witness_slice, name, tmp_path):
-        graph = _HAND_BUILT_GRAPHS[name]
-        out = tmp_path / "report.json"
-        _dump_json({"graph": graph, "nested": [graph], "verdict": name}, str(out))
-        expected = {"graph": graph.to_dict(), "nested": [graph.to_dict()], "verdict": name}
-        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-
-    @pytest.mark.parametrize("out", ["file", "-"])
-    def test_analyze_matches_stdlib_dump(self, witness_slice, out, tmp_path, capsys):
-        # both graph variants of the certify geometry, to a file and to stdout
-        path = tmp_path / "certificate.json" if out == "file" else "-"
-        assert run(*_certify_geometry(5), "--out", path) == 0
-        written = path.read_text() if out == "file" else capsys.readouterr().out
-        assert written == _certify_certificate(5)
-
-    def test_unserialisable_value_leaves_no_file(self, tmp_path):
-        # the graph sorts first, so a writer that streamed it before formatting
-        # the rest would leave a partial file
-        out = tmp_path / "report.json"
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            _dump_json({"graph": _HAND_BUILT_GRAPHS["straddling"], "z": object()}, str(out))
-        assert not out.exists()
-
-    def test_peak_memory_is_below_half_the_certificate(self, tmp_path):
-        # no full-size copy of the certificate text is made: the peak is the graph build
-        out = tmp_path / "certificate.json"
-        tracemalloc.start()
-        try:
-            code = run("analyze", "--n", 256, "--hop", 4, "--num-windows", 6,
-                       "--windows", "chain:4", "--seed", 1, "--out", out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < out.stat().st_size / 2

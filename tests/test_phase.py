@@ -672,11 +672,11 @@ class TestDetectSupport:
     def test_support_matches_the_model_support(self):
         # an intp array on the left of == with a tuple of ints still gives a bool,
         # as a caller comparing against stftpr.model.support expects; the graph's
-        # summary hands plain ints to JSON writers
+        # certificate hands plain ints to JSON writers
         x, fam = certified_instance(64, 1, 1, np.random.default_rng(239))
         res = reconstruct(measure(x, fam, 1), fam, ProblemConfig(64, 1, 1))
         assert (tuple(res.diagnostics["support"]) == support(x)) is True
         graph = endpoint_graph_from_support(res.diagnostics["support"], window_support(fam), 1, 64)
-        vertices = graph.summary()["vertices"]
+        vertices = graph.to_dict()["vertices"]
         assert vertices == list(support(x))
         assert all(type(v) is int for v in vertices)

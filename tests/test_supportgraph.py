@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 import tracemalloc
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stftpr import (
-    cli,
     is_connected,
     measure,
     rotate_component_phase,
@@ -18,7 +16,6 @@ from stftpr import (
     support,
     window_support,
 )
-from stftpr.cli import _graph_text, _json_text
 from stftpr.errors import (
     DisconnectedGraphError,
     InvalidPartitionError,
@@ -34,7 +31,14 @@ from stftpr.supportgraph import (
     long_windows,
 )
 
-from conftest import graph_from_lists, witness_lists
+from conftest import (
+    check_graph_certificate,
+    graph_from_lists,
+    loop_covisibility_witnesses,
+    loop_endpoint_witnesses,
+    union_components,
+    witness_lists,
+)
 
 
 class TestWindowSupport:
@@ -164,10 +168,14 @@ class TestCovisibilityGraph:
         assert g.components() == [[0], [4]]
 
     def test_matches_brute_force(self):
+        # one window of three taps: each section's three indices are chained,
+        # not joined pairwise, and the graph spans the same single component
         fam = np.array([[1, 1, 1, 0, 0, 0]], dtype=complex)
         x = np.ones(6, complex)
         g = _covisibility(x, fam, hop=1)
-        assert _pairs(g) == _brute_covisibility_edges(x, fam, 1)
+        brute = _brute_covisibility_edges(x, fam, 1)
+        assert _pairs(g) < brute
+        assert g.components() == union_components(range(6), brute) == [list(range(6))]
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(29)
@@ -180,7 +188,9 @@ class TestCovisibilityGraph:
             ]
             x = np.where(rng.random(n) < 0.6, rng.normal(size=n) + 1j, 0)
             g = _covisibility(x, fam, hop)
-            assert _pairs(g) == _brute_covisibility_edges(x, fam, hop)
+            brute = _brute_covisibility_edges(x, fam, hop)
+            assert _pairs(g) <= brute
+            assert g.components() == union_components(support(x), brute)
 
 
 class TestEndpointGraph:
@@ -216,9 +226,12 @@ class TestEndpointGraph:
                 for _ in range(int(rng.integers(1, 4)))
             ]
             x = np.where(rng.random(n) < 0.7, rng.normal(size=n) + 0.5j, 0)
-            cov = _pairs(_covisibility(x, fam, hop))
-            end = _pairs(endpoint_graph_from_support(support(x), window_support(fam), hop, n))
-            assert end <= cov
+            # the full covisibility graph; the builder returns a spanning subgraph of it
+            cov = _brute_covisibility_edges(x, fam, hop)
+            end = endpoint_graph_from_support(support(x), window_support(fam), hop, n)
+            assert _pairs(end) <= cov
+            cov_comps = _covisibility(x, fam, hop).components()
+            assert all(any(set(c) <= set(d) for d in cov_comps) for c in end.components())
 
     @pytest.mark.parametrize("n", [6, 8, 9, 12])
     def test_coprime_criterion_full_support(self, n):
@@ -336,13 +349,15 @@ class TestRotateComponentPhase:
 
 
 def test_certificate_dict_shape():
+    # a 4-cycle: its BFS forest from vertex 0 keeps three edges, each with its first witness
     w = np.array([1, 1, 0, 0], dtype=complex)
     g = endpoint_graph_from_support(support(np.ones(4)), window_support([w]), 1, 4)
     cert = g.to_dict()
+    assert set(cert) == {"variant", "vertices", "connected", "components", "forest"}
     assert cert["variant"] == "endpoint"
     assert cert["connected"] is True
-    assert set(cert) == {"variant", "vertices", "edges", "connected", "components"}
-    assert all(set(e) == {"n", "n2", "witnesses"} for e in cert["edges"])
+    assert cert["forest"] == [[0, 1, 0, 1], [0, 3, 0, 0], [1, 2, 0, 2]]
+    assert all(type(v) is int for row in cert["forest"] for v in row)
 
 
 def _loop_window_support(w, zero_tol=1e-12):
@@ -436,19 +451,6 @@ class TestWindowSupportReference:
             window_support([1, 2, 0, 0], zero_tol=1.0)
 
 
-def _brute_endpoint_witnesses(vertices, fam, hop):
-    """Endpoint-graph witnesses from a literal loop over (window, hop)."""
-    n = fam.shape[1]
-    found = {}
-    for r, w in enumerate(fam):
-        ws = window_support(w)
-        for m in range(n // hop):
-            n1, n2 = endpoint_witness(ws, hop, m, n)
-            if n1 != n2 and n1 in vertices and n2 in vertices:
-                found.setdefault((min(n1, n2), max(n1, n2)), []).append((r, m))
-    return {pair: tuple(sorted(ws)) for pair, ws in found.items()}
-
-
 @st.composite
 def _one_tap_windows(draw, n):
     w = np.zeros(n, dtype=complex)
@@ -476,7 +478,7 @@ def test_endpoint_graph_matches_brute_force(geometry):
     graph = endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1])
     assert graph.vertices.tolist() == sorted(vertices)
     got = witness_lists(graph)
-    assert got == _brute_endpoint_witnesses(vertices, fam, hop)
+    assert got == loop_endpoint_witnesses(vertices, fam, hop)
     assert list(map(tuple, graph.edges.tolist())) == sorted(got)
     assert graph.edges.shape == (len(got), 2) and graph.offsets.size == len(got) + 1
     for arr in (graph.edges, graph.offsets, graph.window, graph.hop_index):
@@ -547,71 +549,59 @@ def test_array_bfs_matches_dict_bfs(graph_data):
     assert graph.edges[got.edges].tolist() == [list(edges[i][0]) for _, _, i in tree]
 
 
-def _loop_covisibility_witnesses(vertices, fam, hop):
-    """The per-(window, hop) triple loop the covisibility builder replaced."""
-    n = fam.shape[1]
-    verts = sorted({int(v) % n for v in vertices})
-    found = {}
-    for r, w in enumerate(fam):
-        mask = np.abs(w) > 1e-12 * np.abs(w).max()
-        for m in range(n // hop):
-            covered = [v for v in verts if mask[(hop * m - v) % n]]
-            for i in range(len(covered)):
-                for j in range(i + 1, len(covered)):
-                    found.setdefault((covered[i], covered[j]), []).append((r, m))
-    return {pair: tuple(sorted(ws)) for pair, ws in found.items()}
+@st.composite
+def _covisibility_geometries(draw):
+    # gapped windows with small taps that a relative tolerance of 1e-2 cuts,
+    # one-tap windows, every hop up to n, and any vertex set, empty included
+    n = draw(st.integers(1, 16))
+    hop = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    gapped = st.lists(st.sampled_from([0.0, 0.0, 1e-3, 1.0, 2.0]), min_size=n, max_size=n)
+    windows = st.one_of(gapped.filter(any).map(np.array), _one_tap_windows(n))
+    fam = np.array([draw(windows) for _ in range(draw(st.integers(1, 5)))], dtype=complex)
+    vertices = draw(st.sets(st.integers(0, n - 1)))
+    return hop, fam, vertices, draw(st.sampled_from([1e-12, 1e-2]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(geometry=_endpoint_geometries())
+@settings(max_examples=300, deadline=None)
+@given(geometry=_covisibility_geometries())
 def test_covisibility_witnesses_match_loop(geometry):
-    hop, fam, vertices = geometry
-    graph = covisibility_graph_from_support(vertices, fam, hop)
+    # the chained builder against every co-seen pair of the triple loop
+    hop, fam, vertices, zero_tol = geometry
+    n = fam.shape[1]
+    graph = covisibility_graph_from_support(vertices, fam, hop, zero_tol)
+    reference = loop_covisibility_witnesses(vertices, fam, hop, zero_tol)
+    verts = sorted(vertices)
+    assert graph.vertices.tolist() == verts
+    assert graph.components() == union_components(verts, reference)
     got = witness_lists(graph)
-    assert got == _loop_covisibility_witnesses(vertices, fam, hop)
     assert list(map(tuple, graph.edges.tolist())) == sorted(got)
-    assert graph.to_dict()["edges"] == [
-        {"n": a, "n2": b, "witnesses": [list(w) for w in got[(a, b)]]} for a, b in sorted(got)
-    ]
+    sections = {}
+    for pair, witnesses in got.items():
+        assert witnesses and list(witnesses) == sorted(set(witnesses))
+        assert set(witnesses) <= set(reference[pair])
+        for w in witnesses:
+            sections.setdefault(w, []).append(pair)
+    # each section joins its visible taps, in tap order, one to the next
+    mask = np.abs(fam) > zero_tol * np.abs(fam).max(axis=1, keepdims=True)
+    for r in range(len(fam)):
+        for m in range(n // hop):
+            seen = [(hop * m - t) % n for t in np.flatnonzero(mask[r]).tolist()]
+            seen = [v for v in seen if v in vertices]
+            chain = {(min(a, b), max(a, b)) for a, b in zip(seen, seen[1:])}
+            links = sections.pop((r, m), [])
+            assert len(links) == len(chain) and set(links) == chain
+    assert not sections
 
 
 @settings(max_examples=200, deadline=None)
-@given(geometry=_endpoint_geometries())
-def test_graph_text_matches_stdlib_dump(geometry):
-    # both variants, including graphs with no vertices, no edges or several components
-    hop, fam, vertices = geometry
-    for graph in (
-        covisibility_graph_from_support(vertices, fam, hop),
-        endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1]),
-    ):
-        assert _graph_text(graph, "\n") == json.dumps(graph.to_dict(), indent=2, sort_keys=True)
-        assert _json_text({"graph": graph}, "\n") == json.dumps(
-            {"graph": graph.to_dict()}, indent=2, sort_keys=True
-        )
-
-
-@settings(max_examples=100, deadline=None)
-@given(geometry=_endpoint_geometries(), witness_slice=st.integers(1, 6))
-def test_graph_text_in_small_slices_matches_stdlib_dump(geometry, witness_slice):
-    # slices of a few witnesses start and end inside and between edges' witness lists
-    hop, fam, vertices = geometry
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_WITNESS_SLICE", witness_slice)
-        for graph in (
-            covisibility_graph_from_support(vertices, fam, hop),
-            endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1]),
-        ):
-            expected = json.dumps(graph.to_dict(), indent=2, sort_keys=True)
-            assert _graph_text(graph, "\n") == expected
-
-
-def test_graph_text_of_a_nested_hand_built_graph():
-    # rows kept in the given order, witness lists of different lengths, a deeper pad
-    graph = graph_from_lists(
-        "endpoint", [0, 1, 5], [((1, 5), [(2, 3)]), ((0, 1), [(0, 0), (2, 1), (3, 0)])]
-    )
-    expected = json.dumps(graph.to_dict(), indent=2, sort_keys=True)
-    assert _graph_text(graph, "\n  ") == expected.replace("\n", "\n  ")
+@given(geometry=_covisibility_geometries())
+def test_certificates_check_against_the_family(geometry):
+    # both variants' forests, including graphs with no vertices, no edges or several components
+    hop, fam, vertices, zero_tol = geometry
+    cov = covisibility_graph_from_support(vertices, fam, hop, zero_tol)
+    end = endpoint_graph_from_support(vertices, window_support(fam, zero_tol), hop, fam.shape[1])
+    for graph in (cov, end):
+        check_graph_certificate(graph.to_dict(), vertices, fam, hop, zero_tol)
 
 
 def test_graph_and_tree_edges_are_arrays():
@@ -628,10 +618,11 @@ def test_graph_and_tree_edges_are_arrays():
 
 
 def test_covisibility_peak_per_witness():
-    # full support at n = 256: 802,240 witnesses.  The per-window build peaked
-    # at 164.0 MB for 4,160,896 witnesses at n = 512 (39.4 B each); building
-    # every witness at once in int64 takes about 64 B each
-    n = 256
+    # full support at n = 1024: every section sees all of its window's taps and
+    # chains them, 803 taps less one per window at each of 256 hops.  A per-window
+    # build of every pair peaked at 39.4 B per witness; building every witness
+    # at once in int64 takes about 64 B each
+    n = 1024
     fam = chain_family(n, 4, 6, np.random.default_rng(1))
     tracemalloc.start()
     try:
@@ -639,7 +630,8 @@ def test_covisibility_peak_per_witness():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert graph.window.size == 802_240
+    assert np.count_nonzero(fam) == 803
+    assert graph.window.size == (803 - 6) * 256
     assert peak <= 39.4 * graph.window.size
 
 

@@ -111,6 +111,10 @@ CORPUS = [
     # simulate writes any file
     "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --zero-tol 1"
     " --out zero-tol",
+    # exit 0: a certificate at n = 256, and one whose covisibility graph has
+    # two components, so that its forest is empty
+    "analyze --n 256 --hop 4 --num-windows 6 --windows chain:4 --seed 1",
+    "analyze --n 40 --hop 4 --num-windows 16 --windows chain:4 --signal antipodal-pair --seed 1",
 ]
 
 
