@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stftpr import cli, phase, spectral
+from stftpr import cli, phase, spectral, supportgraph
 from stftpr.cli import _dump_json, main
 from stftpr.generators import antipodal_pair_signal, chain_family, random_signal
 from stftpr.model import ProblemConfig, support
@@ -947,13 +947,6 @@ class TestJsonOutput:
         expected = json.dumps(_stdlib_jsonify(payload), indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
 
-    def test_unserialisable_value_leaves_no_file(self, tmp_path):
-        # the whole payload is formatted before the file is opened
-        out = tmp_path / "report.json"
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            _dump_json({"a": list(range(10)), "z": object()}, str(out))
-        assert not out.exists()
-
     def test_unknown_type_raises_type_error(self, capsys):
         with pytest.raises(TypeError, match="not JSON serializable"):
             _dump_json({"a": [object()]}, None)
@@ -993,3 +986,40 @@ class TestJsonOutput:
             raw = path.read_bytes()
             assert raw.startswith(b"r,m,k,value\r\n") and raw.endswith(b"\r\n")
             assert b"\n" not in raw.replace(b"\r\n", b"")
+
+
+class TestStreamedCertificate:
+    """``analyze`` certificates built in chunks of ``supportgraph._WITNESS_CHUNK`` candidates.
+
+    ``slice=k`` sets the chunk to ``32*k``: at seed 5 of the certify geometry
+    the endpoint build's 32 taps then take k hops per chunk, the last chunk
+    short at k = 3, and the covisibility build's 122 taps one hop per chunk.
+    The default builds each graph in one chunk.
+    """
+
+    SLICES = [1, 2, 3, None]  # None keeps the default
+    DEFAULT_CHUNK = supportgraph._WITNESS_CHUNK
+
+    @pytest.fixture(params=SLICES, ids=lambda k: f"slice={k or 'default'}")
+    def witness_slice(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(supportgraph, "_WITNESS_CHUNK", 32 * request.param)
+        return request.param
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    def test_analyze_matches_stdlib_dump(self, witness_slice, out, tmp_path, capsys):
+        # both graph variants of the certify geometry, to a file and to stdout;
+        # the reference is built in one chunk whatever the slice
+        path = tmp_path / "certificate.json" if out == "file" else "-"
+        assert run(*_certify_geometry(5), "--out", path) == 0
+        written = path.read_text() if out == "file" else capsys.readouterr().out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(supportgraph, "_WITNESS_CHUNK", self.DEFAULT_CHUNK)
+            assert written == _certify_certificate(5)
+
+    def test_unserialisable_value_leaves_no_file(self, tmp_path):
+        # the whole payload is formatted before the file is opened
+        out = tmp_path / "report.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump_json({"a": list(range(10)), "z": object()}, str(out))
+        assert not out.exists()

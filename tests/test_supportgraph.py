@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -14,8 +15,10 @@ from stftpr import (
     rotate_component_phase,
     spanning_tree,
     support,
+    supportgraph,
     window_support,
 )
+from stftpr.cli import _json_text
 from stftpr.errors import (
     DisconnectedGraphError,
     InvalidPartitionError,
@@ -602,6 +605,52 @@ def test_certificates_check_against_the_family(geometry):
     end = endpoint_graph_from_support(vertices, window_support(fam, zero_tol), hop, fam.shape[1])
     for graph in (cov, end):
         check_graph_certificate(graph.to_dict(), vertices, fam, hop, zero_tol)
+
+
+def _both_graphs(hop, fam, vertices):
+    return (
+        covisibility_graph_from_support(vertices, fam, hop),
+        endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometry=_endpoint_geometries())
+def test_graph_text_matches_stdlib_dump(geometry):
+    # both variants' certificates, including graphs with no vertices, no edges
+    # or several components, written by the one report emitter
+    for graph in _both_graphs(*geometry):
+        cert = graph.to_dict()
+        assert _json_text(cert, "\n") == json.dumps(cert, indent=2, sort_keys=True)
+        assert _json_text({"graph": cert}, "\n") == json.dumps(
+            {"graph": cert}, indent=2, sort_keys=True
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=_endpoint_geometries(), witness_slice=st.integers(1, 6))
+def test_graph_text_in_small_slices_matches_stdlib_dump(geometry, witness_slice):
+    # chunks of a few candidates put a seam between hops, or every hop in a
+    # chunk of its own; the graphs and their certificates match one chunk's
+    whole = _both_graphs(*geometry)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supportgraph, "_WITNESS_CHUNK", witness_slice)
+        sliced = _both_graphs(*geometry)
+    for graph, reference in zip(sliced, whole):
+        assert witness_lists(graph) == witness_lists(reference)
+        expected = json.dumps(reference.to_dict(), indent=2, sort_keys=True)
+        assert _json_text(graph.to_dict(), "\n") == expected
+
+
+def test_graph_text_of_a_nested_hand_built_graph():
+    # a forest row keeps its edge's first witness; a deeper pad indents every line
+    graph = graph_from_lists(
+        "endpoint", [0, 1, 5], [((1, 5), [(2, 3)]), ((0, 1), [(0, 0), (2, 1), (3, 0)])]
+    )
+    cert = graph.to_dict()
+    assert cert["forest"] == [[0, 1, 0, 0], [1, 5, 2, 3]]
+    expected = json.dumps(cert, indent=2, sort_keys=True)
+    assert _json_text(cert, "\n  ") == expected.replace("\n", "\n  ")
 
 
 def test_graph_and_tree_edges_are_arrays():
