@@ -48,7 +48,6 @@ from .phase import (
 from .robustness import (
     ErrorBudget,
     StabilityConstants,
-    ThresholdedEstimate,
     error_budget,
     stability_constants,
     threshold_support,
@@ -108,7 +107,6 @@ __all__ = [
     "SpanningTree",
     "StabilityConstants",
     "SupportGraph",
-    "ThresholdedEstimate",
     "UndefinedBudgetError",
     "WindowSupport",
     "aggregate",

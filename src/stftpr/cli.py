@@ -283,12 +283,12 @@ def _stability_section(fam, mats, noise_level, reference, min_magnitude, zero_to
 
 
 def _instance(args):
-    """The generator, window family, config and signal that ``args`` name, drawn in that order."""
+    """The generator, window family, config and signal (or None) that ``args`` name, in order."""
     ProblemConfig(args.n, args.hop, 1)  # names a bad --n or --hop before windows are drawn
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
     cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
-    x = _signal_from_spec(args.signal, args.n, rng)
+    x = _signal_from_spec(args.signal, args.n, rng) if args.signal is not None else None
     return rng, fam, cfg, x
 
 
@@ -380,13 +380,15 @@ def cmd_recover(args) -> int:
     if args.compressed:
         agg = aggregate(grid, fam, cfg.zero_tol)
         result = reconstruct_compressed(agg, fam, cfg, **kwargs)
+        diagnostics = {**result.diagnostics, "compressed_count": agg.measurement_count}
     else:
         result = reconstruct(grid, fam, cfg, **kwargs)
+        diagnostics = result.diagnostics
     report = {
         "estimate": _complex_to_pairs(result.estimate),
         "root_vertex": result.root_vertex,
         "connected": True,
-        "diagnostics": result.diagnostics,
+        "diagnostics": diagnostics,
         "stability": _stability_section(
             fam, result.modulation, grid.noise_level, reference, min_magnitude, cfg.zero_tol
         ),
@@ -403,15 +405,12 @@ def cmd_recover(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    ProblemConfig(args.n, args.hop, 1)
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
-    reference = _signal_from_spec(args.signal, args.n, rng) if args.signal else None
+    _, fam, cfg, reference = _instance(args)
     if reference is None and args.min_magnitude is None:
         raise ConfigurationError("bounds needs --signal or --min-magnitude")
     section = _stability_section(
-        fam, certify_rank(fam, args.hop, args.rank_tol), args.noise, reference,
-        args.min_magnitude, args.zero_tol,
+        fam, certify_rank(fam, cfg.hop, args.rank_tol), args.noise, reference,
+        args.min_magnitude, cfg.zero_tol,
     )
     _dump_json(section, args.out)
     return EXIT_OK

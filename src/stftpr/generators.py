@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import check_hop
+from .model import check_hop, support as signal_support
 from .spectral import certify_rank
 from .supportgraph import endpoint_graph_from_support, is_connected, window_support
 
@@ -134,10 +134,9 @@ def certified_instance(
     """
     fam = chain_family(n, hop, num_windows, rng)
     x = random_signal(n, rng, support=support)
-    verts = np.flatnonzero(np.abs(x) > 0)
+    verts = signal_support(x)
     if not is_connected(endpoint_graph_from_support(verts, window_support(fam), hop, n)):
         raise ConfigurationError(
-            f"generated instance has a disconnected endpoint graph "
-            f"(support {sorted(int(v) for v in verts)})"
+            f"generated instance has a disconnected endpoint graph (support {list(verts)})"
         )
     return x, fam

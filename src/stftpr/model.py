@@ -142,8 +142,11 @@ def as_window_family(windows, n: int | None = None) -> np.ndarray:
 def _above_tolerance(mags: np.ndarray, zero_tol: float) -> np.ndarray:
     """Mask of the entries of ``mags`` above ``zero_tol`` times their row's (last axis's) peak.
 
-    A threshold that overflows to inf, or is NaN, marks nothing, and warns of neither.
+    A negative, infinite or NaN ``zero_tol`` raises ``ConfigurationError``.  A
+    threshold that overflows to inf (``zero_tol`` near the float maximum)
+    marks nothing, and does not warn.
     """
+    check_tolerance("zero_tol", zero_tol)
     peak = mags.max(axis=-1, keepdims=True, initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         return mags > zero_tol * peak

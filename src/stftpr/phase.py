@@ -29,9 +29,11 @@ estimate, give the residuals of the redundant edges.  Both selections come
 back as records, and the detected support as an ``intp`` array, so the
 results hold no Python object per vertex or per edge.
 
-:func:`reconstruct` and :func:`reconstruct_compressed` run one pipeline -
-rank gate, magnitudes, support, endpoint graph, edge phases, propagation -
-and differ only in where the ``2nR/L`` aggregate statistics come from.
+:func:`reconstruct_compressed` is the pipeline - rank gate, magnitudes,
+support, endpoint graph, edge phases, propagation - on the ``2nR/L``
+aggregate statistics; its stages return arrays, and it builds the
+:class:`ReconstructionResult` once, at its end.  :func:`reconstruct` runs it
+on a measurement grid's aggregates.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .supportgraph import (
     WindowSupport,
     endpoint_graph_from_support,
     endpoint_witness,
+    is_connected,
     long_windows,
     spanning_tree,
     window_support,
@@ -144,8 +147,10 @@ def edge_phase(
     provided it clears ``degenerate_tol``; else its row of the record (row k
     is edge k of ``graph.edges``) is degenerate.  The endpoint builder drops
     windows of supporting length 1; a chosen witness of one maps to no edge
-    and raises ``RuntimeError``.
+    and raises ``RuntimeError``.  A negative, infinite or NaN
+    ``degenerate_tol`` raises ``ConfigurationError``.
     """
+    check_tolerance("degenerate_tol", degenerate_tol)
     n = fam.shape[1]
     hop = n // agg.num_hops
     num_edges = len(graph.edges)
@@ -189,8 +194,8 @@ def edge_phase(
     )
 
 
-def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> ReconstructionResult:
-    """Walk the spanning tree, assigning each vertex its accumulated phasor.
+def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> np.ndarray:
+    """Walk the spanning tree, giving each vertex its accumulated phasor; returns the estimate.
 
     The estimate is zero off the tree's vertices, the ``intp`` array
     ``tree.graph.vertices``.  The root gets phase 0.  ``phases[k]`` is the
@@ -208,7 +213,7 @@ def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> Reco
         phasor.append(phasor[p] * z)
     estimate = np.zeros(amps.shape[0], dtype=complex)
     estimate[verts] = amps[verts] * np.array(phasor)[walk[verts]]
-    return ReconstructionResult(estimate, tree.root, {"tree_depth": tree.depth})
+    return estimate
 
 
 def _detect_support(
@@ -232,18 +237,55 @@ def _detect_support(
             "noisy reconstruction needs a positive prior for the smallest "
             "nonzero magnitude (min_support_magnitude)",
         )
-        return np.flatnonzero(threshold_support(np.sqrt(sq), prior).signal), "half-minimum"
+        return np.flatnonzero(threshold_support(np.sqrt(sq), prior)), "half-minimum"
     return np.flatnonzero(_above_tolerance(sq, zero_tol)), "relative-threshold"
 
 
-def _run_pipeline(
+def reconstruct(
+    grid: MeasurementGrid,
+    windows,
+    cfg: ProblemConfig,
+    min_support_magnitude: float | None = None,
+    rank_tol: float | None = None,
+    degenerate_tol: float | None = None,
+) -> ReconstructionResult:
+    """Reconstruct a signal, up to a global phase, from a measurement grid.
+
+    Runs :func:`reconstruct_compressed` on the grid's aggregate statistics,
+    so it takes the same arguments after the grid and raises the same
+    errors.
+    """
+    return reconstruct_compressed(
+        aggregate(grid, windows, cfg.zero_tol), windows, cfg,
+        min_support_magnitude, rank_tol, degenerate_tol,
+    )
+
+
+def reconstruct_compressed(
     agg: AggregateMeasurements,
     windows,
     cfg: ProblemConfig,
-    min_support_magnitude: float | None,
-    rank_tol: float | None,
-    degenerate_tol: float | None,
+    min_support_magnitude: float | None = None,
+    rank_tol: float | None = None,
+    degenerate_tol: float | None = None,
 ) -> ReconstructionResult:
+    """Reconstruct a signal, up to a global phase, from the aggregate statistics alone.
+
+    Consumes exactly ``2 * num_windows * n / hop`` measurements (one energy
+    and one correlation per window and hop).  The three steps: recover
+    squared magnitudes through the certified modulation matrices, build the
+    endpoint graph on the detected support (reported in
+    ``diagnostics["support"]``) and verify connectivity, then extract edge
+    phases and propagate them over a spanning tree.  Each edge's phase comes
+    from its witness of largest evidence magnitude, ties going to the
+    smaller (window, hop).  Raises ``DimensionMismatchError`` when the
+    aggregates, the windows and ``cfg`` disagree in shape,
+    ``CertificationError`` when the window family fails the rank gate or has
+    windows longer than half the signal, ``DisconnectedGraphError``
+    (carrying the component certificate) when the endpoint graph is
+    disconnected, and ``DegenerateEdgeError`` when noise drowns out a needed
+    edge.
+    """
     fam = as_window_family(windows, cfg.n)
     if (fam.shape[0], *agg.energy.shape) != (cfg.num_windows, cfg.num_windows, cfg.num_hops):
         raise DimensionMismatchError(
@@ -252,7 +294,7 @@ def _run_pipeline(
         )
     if degenerate_tol is None:
         degenerate_tol = default_degenerate_tol(cfg.n, agg.noise_level)
-    else:
+    else:  # before the rank gate, so a bad tolerance is reported first
         check_tolerance("degenerate_tol", degenerate_tol)
     mats = certify_rank(fam, cfg.hop, rank_tol)
     magnitudes = recover_magnitudes(agg, mats)
@@ -260,24 +302,15 @@ def _run_pipeline(
     detected, rule = _detect_support(
         magnitudes, agg.noise_level, cfg.zero_tol, min_support_magnitude
     )
-    diagnostics = {
-        "support": detected,
-        "support_rule": rule,
-        "noise_level": agg.noise_level,
-        "clamped_mass": magnitudes.clamped_mass,
-        "imag_residue": magnitudes.imag_residue,
-        "severe_clamping": magnitudes.severe_clamping,
-    }
     # an empty support gives an empty graph and tree, and an all-zero estimate
     graph = endpoint_graph_from_support(detected, supports, cfg.hop, cfg.n)
-    try:
-        tree = spanning_tree(graph)
-    except DisconnectedGraphError:
+    if not is_connected(graph):
         comps = graph.components()
         raise DisconnectedGraphError(
             f"endpoint graph on the detected support has {len(comps)} components: {comps}",
             components=comps,
-        ) from None
+        )
+    tree = spanning_tree(graph)
     too_long = long_windows(supports, cfg.n) if detected.size else []
     if too_long:
         raise CertificationError(
@@ -299,71 +332,26 @@ def _run_pipeline(
     if not np.where(forward, tree.parent == used.n2,
                     (tree.child == used.n2) & (tree.parent == used.n1)).all():
         raise RuntimeError("edge-phase witnesses do not match the tree's edges")
-    phases = np.where(forward, used.phase, used.phase.conj())
-    result = replace(propagate(tree, magnitudes, phases), modulation=mats)
+    estimate = propagate(tree, magnitudes, np.where(forward, used.phase, used.phase.conj()))
     # the redundant edges' phases against the estimate; NaN where degenerate
     nontree = np.ones(len(graph.edges), dtype=bool)
     nontree[tree.edges] = False
     rest = edges[nontree]
     unit = np.zeros(cfg.n, dtype=complex)
-    on = result.estimate != 0
-    unit[on] = result.estimate[on] / np.abs(result.estimate[on])
+    on = estimate != 0
+    unit[on] = estimate[on] / np.abs(estimate[on])
     residual = _modulus(rest.phase - unit[rest.n1] * np.conj(unit[rest.n2]))
     residual[rest.window < 0] = np.nan
-    result.diagnostics.update(
-        used_witnesses=used,
-        min_evidence=float(_modulus(used.evidence).min()) if len(used) else None,
-        **diagnostics,
-        nontree_residuals=replace(rest, residual=residual),
-    )
-    return result
-
-
-def reconstruct(
-    grid: MeasurementGrid,
-    windows,
-    cfg: ProblemConfig,
-    min_support_magnitude: float | None = None,
-    rank_tol: float | None = None,
-    degenerate_tol: float | None = None,
-) -> ReconstructionResult:
-    """Reconstruct a signal, up to a global phase, from a measurement grid.
-
-    The three steps: recover squared magnitudes through the certified
-    modulation matrices, build the endpoint graph on the detected support and
-    verify connectivity, then extract edge phases and propagate them over a
-    spanning tree.  Each edge's phase comes from its witness of largest
-    evidence magnitude, ties going to the smaller (window, hop).  Raises
-    ``DimensionMismatchError`` when the grid, the windows and ``cfg`` disagree
-    in shape, ``CertificationError`` when the window family fails the rank
-    gate or has windows longer than half the signal,
-    ``DisconnectedGraphError`` (carrying the component certificate) when the
-    endpoint graph is disconnected, and ``DegenerateEdgeError`` when noise
-    drowns out a needed edge.
-    """
-    return _run_pipeline(
-        aggregate(grid, windows, cfg.zero_tol), windows, cfg,
-        min_support_magnitude, rank_tol, degenerate_tol,
-    )
-
-
-def reconstruct_compressed(
-    agg: AggregateMeasurements,
-    windows,
-    cfg: ProblemConfig,
-    min_support_magnitude: float | None = None,
-    rank_tol: float | None = None,
-    degenerate_tol: float | None = None,
-) -> ReconstructionResult:
-    """Reconstruct from the aggregate statistics alone.
-
-    Consumes exactly ``2 * num_windows * n / hop`` measurements (one energy
-    and one correlation per window and hop) and runs the pipeline of
-    :func:`reconstruct` on them, so ``reconstruct_compressed(aggregate(grid))``
-    returns the same estimate as ``reconstruct(grid)``, with the same witness
-    choice.  The support is detected from the recovered magnitudes and
-    reported in ``diagnostics["support"]``.
-    """
-    result = _run_pipeline(agg, windows, cfg, min_support_magnitude, rank_tol, degenerate_tol)
-    result.diagnostics["compressed_count"] = agg.measurement_count
-    return result
+    diagnostics = {
+        "support": detected,
+        "support_rule": rule,
+        "noise_level": agg.noise_level,
+        "clamped_mass": magnitudes.clamped_mass,
+        "imag_residue": magnitudes.imag_residue,
+        "severe_clamping": magnitudes.severe_clamping,
+        "tree_depth": tree.depth,
+        "used_witnesses": used,
+        "min_evidence": float(_modulus(used.evidence).min()) if len(used) else None,
+        "nontree_residuals": replace(rest, residual=residual),
+    }
+    return ReconstructionResult(estimate, tree.root, diagnostics, mats)

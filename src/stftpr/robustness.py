@@ -72,14 +72,6 @@ class ErrorBudget:
         }
 
 
-@dataclass(frozen=True)
-class ThresholdedEstimate:
-    """Estimate with sub-threshold entries zeroed: exact support under admissible noise."""
-
-    signal: np.ndarray
-    threshold: float
-
-
 def stability_constants(
     windows, mats: ModulationMatrices, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> StabilityConstants:
@@ -162,8 +154,8 @@ def error_budget(
     )
 
 
-def threshold_support(estimate, min_support_magnitude: float) -> ThresholdedEstimate:
-    """Zero every entry at or below half the smallest-magnitude prior.
+def threshold_support(estimate, min_support_magnitude: float) -> np.ndarray:
+    """The estimate with every entry at or below half the smallest-magnitude prior zeroed.
 
     Under admissible noise the surviving index set equals the true support
     (and hence so does the endpoint graph built on it).  Noisy reconstruction
@@ -171,5 +163,4 @@ def threshold_support(estimate, min_support_magnitude: float) -> ThresholdedEsti
     """
     threshold = 0.5 * check_prior(min_support_magnitude)
     x = as_signal(estimate)
-    out = np.where(np.abs(x) <= threshold, 0.0 + 0.0j, x)
-    return ThresholdedEstimate(signal=out, threshold=threshold)
+    return np.where(np.abs(x) <= threshold, 0.0 + 0.0j, x)

@@ -209,10 +209,14 @@ def _section_graph(variant: str, vertices, n: int, hop: int, rows, taps, link) -
     candidates, keys each witness by edge ``lo*n + hi`` and slot
     ``window*M + hop`` for :func:`_sorted_witnesses`.
     """
-    member = np.zeros(n, dtype=bool)
     if not isinstance(vertices, np.ndarray):
         vertices = list(vertices)  # a set, say, which numpy would not unpack
-    member[np.asarray(vertices, dtype=np.intp) % n] = True
+    idx = np.asarray(vertices, dtype=np.intp)
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise DimensionMismatchError(f"vertex {idx[outside][0]} is outside [0, {n})")
+    member = np.zeros(n, dtype=bool)
+    member[idx] = True
     # sorted and distinct; the copy lets go of the (k, 1) array nonzero builds
     verts = np.flatnonzero(member).copy()
     num_hops = n // hop

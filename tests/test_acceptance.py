@@ -209,7 +209,7 @@ def test_criterion_6_support_thresholding():
         grid = corrupt(measure(x, fam, hop), rng.uniform(-level, level, (num_windows, n // hop, n)))
         mag = recover_magnitudes(aggregate(grid, fam), mats)
         estimate = np.sqrt(mag.magnitudes_sq)
-        kept = np.flatnonzero(threshold_support(estimate, min_mag).signal)
+        kept = np.flatnonzero(threshold_support(estimate, min_mag))
         if set(kept) == set(supp):
             hits += 1
         # reconstruct detects its support by the rule checked here

@@ -691,6 +691,21 @@ def _certify_certificate(seed):
 
 
 class TestBounds:
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("reference", [["--signal", "random"], ["--min-magnitude", "0.5"]])
+    def test_bad_zero_tol_exits_one(self, capsys, value, reference):
+        # unchecked, -1 would fail in the error budget ("too small") and NaN on
+        # the window supports, with messages that do not name the tolerance rule
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+            "--seed", 1, *reference, f"--zero-tol={value}",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = f"stftpr: error: zero_tol must be finite and nonnegative, got {float(value)}"
+        assert want in captured.err
+
     def test_zero_noise(self, capsys):
         code = run(
             "bounds", "--n", 8, "--hop", 1, "--num-windows", 1,

@@ -4,8 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stftpr import GlobalPhaseDistance, ProblemConfig, phase_distance, support
+from stftpr import (
+    GlobalPhaseDistance,
+    ProblemConfig,
+    aggregate,
+    certify_rank,
+    covisibility_graph_from_support,
+    error_budget,
+    measure,
+    phase_distance,
+    stability_constants,
+    support,
+    window_support,
+)
 from stftpr.errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
+from stftpr.generators import certified_instance
 from stftpr.model import as_signal, as_window_family, check_hop
 
 TWO_PI = 2 * np.pi
@@ -52,6 +65,28 @@ class TestSupport:
     def test_length_check(self):
         with pytest.raises(DimensionMismatchError):
             as_signal([1, 2, 3], n=4)
+
+    @pytest.mark.parametrize("zero_tol", [-1.0, float("nan"), float("inf")])
+    def test_every_relative_threshold_checks_zero_tol(self, zero_tol):
+        # taken silently, -1 would give window_support length n and anchor 0
+        # for every window, and stability_constants W_star = 0
+        x, fam = certified_instance(8, 2, 3, np.random.default_rng(31))
+        grid = measure(x, fam, 2)
+        consts = stability_constants(fam, certify_rank(fam, 2))
+        calls = {
+            "support": lambda tol: support(x, tol),
+            "window_support": lambda tol: window_support(fam, tol),
+            "aggregate": lambda tol: aggregate(grid, fam, tol),
+            "covisibility_graph_from_support":
+                lambda tol: covisibility_graph_from_support(range(8), fam, 2, tol),
+            "stability_constants":
+                lambda tol: stability_constants(fam, certify_rank(fam, 2), tol),
+            "error_budget": lambda tol: error_budget(consts, 0.0, x, tol),
+        }
+        for call in calls.values():
+            call(1e-12)
+            with pytest.raises(ConfigurationError, match="^zero_tol must be finite"):
+                call(zero_tol)
 
 
 class TestPhaseDistance:

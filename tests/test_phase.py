@@ -154,9 +154,9 @@ class TestPropagate:
         from stftpr.phase import propagate
 
         tree = spanning_tree(graph_from_lists("endpoint", (2,), []))
-        res = propagate(tree, self._magnitudes([0, 0, 4.0, 0]), [])
-        assert res.estimate[2] == pytest.approx(2.0)
-        assert res.root_vertex == 2
+        estimate = propagate(tree, self._magnitudes([0, 0, 4.0, 0]), [])
+        assert estimate[2] == pytest.approx(2.0)
+        assert tree.root == 2
 
     def test_opposite_phases(self):
         from stftpr.phase import propagate
@@ -164,9 +164,9 @@ class TestPropagate:
         tree = spanning_tree(graph_from_lists("endpoint", (0, 1), [((0, 1), [(0, 0)])]))
         assert (tree.parent.tolist(), tree.child.tolist(), tree.depth) == ([0], [1], 1)
         # the phasor of x(1) * conj(x(0)), carrying the root's phase to its child
-        res = propagate(tree, self._magnitudes([1.0, 1.0]), [-1.0 + 0j])
-        assert res.estimate[0] == pytest.approx(1.0)
-        assert res.estimate[1] == pytest.approx(-1.0)
+        estimate = propagate(tree, self._magnitudes([1.0, 1.0]), [-1.0 + 0j])
+        assert estimate[0] == pytest.approx(1.0)
+        assert estimate[1] == pytest.approx(-1.0)
 
 
 class TestReconstruct:
@@ -364,7 +364,7 @@ class TestReconstructCompressed:
         agg = aggregate(grid, fam, cfg.zero_tol)
         comp = reconstruct_compressed(agg, fam, cfg)
         assert np.max(np.abs(comp.estimate - full.estimate)) <= 1e-10
-        assert comp.diagnostics["compressed_count"] == 2 * n * num // hop == 24
+        assert agg.measurement_count == 2 * n * num // hop == 24
         assert comp.diagnostics["support"].tolist() == list(range(n))
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
@@ -384,8 +384,7 @@ class TestReconstructCompressed:
         comp = reconstruct_compressed(agg, fam, cfg, min_support_magnitude=prior)
         assert np.array_equal(comp.estimate, full.estimate)
         assert comp.root_vertex == full.root_vertex
-        diagnostics = dict(comp.diagnostics)
-        assert diagnostics.pop("compressed_count") == 2 * n * num // hop
+        diagnostics = comp.diagnostics
         assert diagnostics["support"].tolist() == list(range(n))
         assert _same_diagnostics(diagnostics, full.diagnostics)
         assert diagnostics["support_rule"] == ("half-minimum" if noise else "relative-threshold")
@@ -529,6 +528,18 @@ class TestTolerances:
             reconstruct_compressed(
                 aggregate(grid, fam), fam, ProblemConfig(8, 2, 3), degenerate_tol=tol
             )
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_edge_phase_rejects_bad_degenerate_tol(self, tol):
+        # unchecked, a NaN tolerance would mark every edge degenerate, and -1 would pass
+        rng = np.random.default_rng(197)
+        x, fam = certified_instance(16, 2, 3, rng)
+        supports = supportgraph.window_support(fam)
+        graph = supportgraph.endpoint_graph_from_support(range(16), supports, 2, 16)
+        agg = aggregate(measure(x, fam, 2), fam)
+        assert len(phase.edge_phase(graph, agg, fam, supports, 1e-12)) == len(graph.edges) > 0
+        with pytest.raises(ConfigurationError, match="degenerate_tol must be finite"):
+            phase.edge_phase(graph, agg, fam, supports, tol)
 
 
 def _same_diagnostics(a: dict, b: dict) -> bool:

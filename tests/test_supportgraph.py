@@ -20,6 +20,7 @@ from stftpr import (
 )
 from stftpr.cli import _json_text
 from stftpr.errors import (
+    DimensionMismatchError,
     DisconnectedGraphError,
     InvalidPartitionError,
     InvalidWindowError,
@@ -194,6 +195,16 @@ class TestCovisibilityGraph:
             brute = _brute_covisibility_edges(x, fam, hop)
             assert _pairs(g) <= brute
             assert g.components() == union_components(support(x), brute)
+
+
+@pytest.mark.parametrize("vertices,bad", [([3, 19], 19), ([-1, 2], -1), ([16], 16)])
+def test_builders_reject_vertices_outside_the_signal(vertices, bad):
+    # taken mod n, [3, 19] would give vertices [3] and [-1, 2] would give [2, 15]
+    fam = chain_family(16, 2, 3, np.random.default_rng(11))
+    with pytest.raises(DimensionMismatchError, match=f"vertex {bad} is outside"):
+        covisibility_graph_from_support(vertices, fam, 2)
+    with pytest.raises(DimensionMismatchError, match=f"vertex {bad} is outside"):
+        endpoint_graph_from_support(vertices, window_support(fam), 2, 16)
 
 
 class TestEndpointGraph:

@@ -115,6 +115,11 @@ CORPUS = [
     # two components, so that its forest is empty
     "analyze --n 256 --hop 4 --num-windows 6 --windows chain:4 --seed 1",
     "analyze --n 40 --hop 4 --num-windows 16 --windows chain:4 --signal antipodal-pair --seed 1",
+    # exit 1: bounds checks --zero-tol before it computes anything
+    "bounds --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --min-magnitude 0.5"
+    " --zero-tol -1",
+    "bounds --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --min-magnitude 0.5"
+    " --zero-tol nan",
 ]
 
 
