@@ -46,7 +46,7 @@ from .model import (
     DEFAULT_ZERO_TOL, ProblemConfig, as_window_family, check_tolerance, phase_distance, support,
 )
 from .oracle import DIRECT_TERM_CAP, compare, stft_direct
-from .phase import EdgeWitnesses, reconstruct, reconstruct_compressed
+from .phase import EdgeWitnesses, reconstruct
 from .robustness import error_budget, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
@@ -215,10 +215,23 @@ def _require_rng(rng, what: str) -> np.random.Generator:
     return rng
 
 
+def _spec_file(spec: str) -> Path | None:
+    """Path of a file spec (one ending in ``.json`` or naming a regular file), else None."""
+    path = Path(spec)
+    return path if spec.endswith(".json") or path.is_file() else None
+
+
+def _spec_int(spec: str, arg: str, default: int) -> int:
+    """The integer argument of window generator spec ``spec``, or ``default`` without one."""
+    try:
+        return int(arg) if arg else default
+    except ValueError:
+        raise ConfigurationError(f"window spec {spec!r}: {arg!r} is not an integer") from None
+
+
 def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
     """A window family from a file path or a named generator spec."""
-    path = Path(spec)
-    if spec.endswith(".json") or path.exists():
+    if (path := _spec_file(spec)) is not None:
         fam = read_windows_json(path)
         if fam.shape[1] != n:
             raise ConfigurationError(
@@ -229,10 +242,9 @@ def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
         raise ConfigurationError(f"--num-windows must be at least 1, got {num_windows}")
     name, _, arg = spec.partition(":")
     if name == "rectangular":
-        length = int(arg) if arg else n
-        return np.stack([rectangular_window(n, length)] * num_windows)
+        return np.stack([rectangular_window(n, _spec_int(spec, arg, n))] * num_windows)
     if name == "random-support":
-        length = int(arg) if arg else max(2, n // 2)
+        length = _spec_int(spec, arg, max(2, n // 2))
         gen = _require_rng(rng, "the random-support window generator")
         return np.stack([random_interval_window(n, length, gen) for _ in range(num_windows)])
     if name == "masks":
@@ -240,8 +252,7 @@ def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
         return mask_family(n, num_windows, gen)
     if name == "chain":
         gen = _require_rng(rng, "the chain window generator")
-        hop = int(arg) if arg else 1
-        return chain_family(n, hop, num_windows, gen)
+        return chain_family(n, _spec_int(spec, arg, 1), num_windows, gen)
     raise ConfigurationError(
         f"unknown window spec {spec!r} (file path, rectangular:L, random-support:L, "
         f"masks, or chain:HOP)"
@@ -249,8 +260,7 @@ def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
 
 
 def _signal_from_spec(spec: str, n: int, rng) -> np.ndarray:
-    path = Path(spec)
-    if spec.endswith(".json") or path.exists():
+    if (path := _spec_file(spec)) is not None:
         x = read_signal_json(path)
         if x.shape[0] != n:
             raise ConfigurationError(
@@ -372,18 +382,11 @@ def cmd_recover(args) -> int:
         supp = support(reference, cfg.zero_tol)
         if supp:
             min_magnitude = float(np.min(np.abs(reference[list(supp)])))
-    kwargs = dict(
-        min_support_magnitude=min_magnitude,
-        rank_tol=args.rank_tol,
-        degenerate_tol=args.degenerate_tol,
-    )
-    if args.compressed:
-        agg = aggregate(grid, fam, cfg.zero_tol)
-        result = reconstruct_compressed(agg, fam, cfg, **kwargs)
-        diagnostics = {**result.diagnostics, "compressed_count": agg.measurement_count}
-    else:
-        result = reconstruct(grid, fam, cfg, **kwargs)
-        diagnostics = result.diagnostics
+    result = reconstruct(grid, fam, cfg, min_support_magnitude=min_magnitude,
+                         rank_tol=args.rank_tol, degenerate_tol=args.degenerate_tol)
+    diagnostics = result.diagnostics
+    if args.compressed:  # the aggregates' measurement count
+        diagnostics = {**diagnostics, "compressed_count": 2 * grid.num_windows * grid.num_hops}
     report = {
         "estimate": _complex_to_pairs(result.estimate),
         "root_vertex": result.root_vertex,
@@ -505,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--windows", required=True, help="window family JSON file")
     rec.add_argument("--signal", default=None, help="optional reference signal JSON")
     rec.add_argument("--compressed", action="store_true",
-                     help="reconstruct from the aggregate statistics only")
+                     help="also report the aggregates' measurement count (2nR/L)")
     rec.add_argument("--min-magnitude", type=float, default=None,
                      help="prior for the smallest nonzero signal magnitude (noisy data)")
     rec.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL)

@@ -18,14 +18,14 @@ Two graphs on the signal's support drive everything:
   full-rank modulation matrices - is sufficient for recovery.
 
 Both graphs are undirected, immutable, and held as arrays: ``edges``, a
-sorted ``(E, 2)`` array of endpoint pairs, and CSR witness arrays, which both
-builders fill from one pass over window taps against every hop, in chunks,
-joining pairs of taps visible in one section, and one sort of the witnesses
-by edge, then (window, hop).  The spanning tree comes from one
-breadth-first search over a CSR adjacency and is held as parent, child and
-edge arrays in discovery order, its ``edges`` being rows of the graph's
-``edges``; the same search gives the components and the spanning forest a
-certificate lists.
+sorted ``(E, 2)`` array of endpoint pairs, and CSR witness arrays.  One rule
+fills both, in one chunked pass of window taps against every hop: each tap
+visible in a section joins the next visible tap of its window there.  The
+covisibility taps are a window's entries above the tolerance, the endpoint
+taps its anchor and far end.  The spanning tree comes from one breadth-first
+search over a CSR adjacency and is held as parent, child and edge arrays in
+discovery order, its ``edges`` being rows of the graph's ``edges``; the same
+search gives the components and the spanning forest a certificate lists.
 """
 
 from __future__ import annotations
@@ -197,17 +197,15 @@ def is_connected(graph: SupportGraph) -> bool:
 _WITNESS_CHUNK = 1 << 16  # taps times hops per chunk: a few MB of masks and indices
 
 
-def _section_graph(variant: str, vertices, n: int, hop: int, rows, taps, link) -> SupportGraph:
-    """Graph whose edges join pairs of indices that one windowed section sees.
+def _section_graph(variant: str, vertices, n: int, hop: int, rows, taps) -> SupportGraph:
+    """Graph joining each visible tap to the next visible tap of its window at the same hop.
 
     Tap ``taps[p]`` of window ``rows[p]`` sees ``(hop*m - taps[p]) % n`` at hop
-    ``m``, and is visible there when that index is a vertex.  ``link(visible,
-    rows)`` maps a chunk's visibility, a (hops, taps) bool array, to the hop
-    offsets and the two tap positions ``p`` of each joined pair, an edge
-    witnessed by ``(rows[p], m)``: :func:`_chained` or :func:`_paired`.  One
-    pass over the taps against every hop, in chunks of ``_WITNESS_CHUNK``
-    candidates, keys each witness by edge ``lo*n + hi`` and slot
-    ``window*M + hop`` for :func:`_sorted_witnesses`.
+    ``m``, and is visible there when that index is a vertex; taps come grouped
+    by window, so the indices one section sees form a path, each edge
+    witnessed by ``(rows[p], m)``.  One pass over the taps against every hop,
+    in chunks of ``_WITNESS_CHUNK`` candidates, keys each witness by edge
+    ``lo*n + hi`` and slot ``window*M + hop`` for :func:`_sorted_witnesses`.
     """
     if not isinstance(vertices, np.ndarray):
         vertices = list(vertices)  # a set, say, which numpy would not unpack
@@ -227,11 +225,14 @@ def _section_graph(variant: str, vertices, n: int, hop: int, rows, taps, link) -
     step = max(1, _WITNESS_CHUNK // max(taps.size, 1))
     edge_keys, slot_keys = [], []
     for start in range(0, num_hops, step):
-        m, a, b = link(seen[start:start + step, n - taps], rows)
+        m, p = np.nonzero(seen[start:start + step, n - taps])  # in (hop, tap) order
         m = m.astype(np.int32) + start
-        i, j = (hop * m - taps[a]) % n, (hop * m - taps[b]) % n
+        slot, index = rows[p] * num_hops + m, (hop * m - taps[p]) % n
+        del m, p  # the chunk's widest arrays go before its keys are built
+        k = np.flatnonzero(slot[1:] == slot[:-1])  # the next visible tap is in the same section
+        i, j = index[k], index[k + 1]
         edge_keys.append(np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j))
-        slot_keys.append(rows[a] * num_hops + m)
+        slot_keys.append(slot[k])
     edge_key, slot = np.concatenate(edge_keys), np.concatenate(slot_keys)
     del edge_keys, slot_keys
     num_slots = (int(rows.max(initial=0)) + 1) * num_hops
@@ -243,24 +244,6 @@ def _section_graph(variant: str, vertices, n: int, hop: int, rows, taps, link) -
     np.divmod(edge_key[starts], n, out=(ends[:, 0], ends[:, 1]))
     return SupportGraph(variant, verts, ends, np.append(starts, edge_key.size),
                         *np.divmod(slot, num_hops))
-
-
-def _chained(visible, rows):
-    """Join each visible tap to the next visible tap of its window, taps grouped by window.
-
-    Every section's visible indices then form a path.
-    """
-    m, p = np.nonzero(visible)  # in (hop, tap) order
-    r = rows[p]
-    k = np.flatnonzero((m[1:] == m[:-1]) & (r[1:] == r[:-1]))
-    return m[k], p[k], p[k + 1]
-
-
-def _paired(visible, rows):
-    """Join tap ``q`` of the first half to tap ``q`` of the second half where both are visible."""
-    half = visible.shape[1] // 2
-    m, q = np.nonzero(visible[:, :half] & visible[:, half:])
-    return m, q, q + half
 
 
 def _sorted_witnesses(edge_key, slot, n: int, num_slots: int):
@@ -294,7 +277,7 @@ def covisibility_graph_from_support(
     """
     fam = as_window_family(windows)
     rows, taps = np.nonzero(_above_tolerance(np.abs(fam), zero_tol))
-    return _section_graph("covisibility", vertices, fam.shape[1], hop, rows, taps, _chained)
+    return _section_graph("covisibility", vertices, fam.shape[1], hop, rows, taps)
 
 
 def endpoint_graph_from_support(
@@ -302,15 +285,15 @@ def endpoint_graph_from_support(
 ) -> SupportGraph:
     """Endpoint graph over an explicit vertex set, from a family's window supports.
 
-    Each section sees the two :func:`endpoint_witness` indices of its window,
-    through the window's anchor and far taps, paired by :func:`_paired`.
-    Windows of supporting length 1 contribute no edges (the two interval
-    endpoints coincide).
+    A window's taps are its anchor and far end, so a section joins the two
+    :func:`endpoint_witness` indices it sees when both are vertices.  Windows
+    of supporting length 1 are dropped: their two taps coincide and would
+    join an index to itself.
     """
     long = np.flatnonzero(supports.length > 1)
     ws = supports[long]
-    taps = np.concatenate((ws.anchor, ws.far(n)))
-    return _section_graph("endpoint", vertices, n, hop, np.concatenate((long, long)), taps, _paired)
+    taps = np.stack((ws.anchor, ws.far(n)), axis=1).ravel()
+    return _section_graph("endpoint", vertices, n, hop, np.repeat(long, 2), taps)
 
 
 @dataclass(frozen=True, eq=False)

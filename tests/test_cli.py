@@ -144,10 +144,12 @@ class TestRecover:
         base = ["--grid", out / "grid.csv", "--windows", out / "windows.json"]
         assert run("recover", *base, "--out", full_path) == 0
         assert run("recover", *base, "--compressed", "--out", comp_path) == 0
-        _, full = _read_estimate(full_path)
+        full_rep, full = _read_estimate(full_path)
         comp_rep, comp = _read_estimate(comp_path)
         assert np.max(np.abs(full - comp)) <= 1e-10
-        assert comp_rep["diagnostics"]["compressed_count"] == 2 * 8 * 3 // 2
+        assert comp_rep["diagnostics"].pop("compressed_count") == 2 * 8 * 3 // 2
+        # every recovery runs from the aggregates; the flag only adds their count
+        assert comp_rep == full_rep
 
     def test_noisy_round_trip_with_reference_prior(self, tmp_path):
         out = _simulate(tmp_path, "noisy", "--noise", "1e-7")
@@ -583,6 +585,53 @@ def test_chain_hop_below_one_exits_one(tmp_path, capsys, command, spec):
     err = capsys.readouterr().err
     assert f"stftpr: error: hop {spec[6:]} does not divide signal length 8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, spec, message",
+    [
+        ("--signal", "", "unknown signal spec ''"),
+        ("--signal", "bogus", "unknown signal spec 'bogus'"),
+        ("--signal", "{dir}", "unknown signal spec {dir!r}"),
+        ("--windows", "", "unknown window spec ''"),
+        ("--windows", "{dir}", "unknown window spec {dir!r}"),
+        ("--windows", "chain:x", "window spec 'chain:x': 'x' is not an integer"),
+        ("--windows", "rectangular:3.5", "window spec 'rectangular:3.5': '3.5' is not an integer"),
+        ("--windows", "random-support:y", "window spec 'random-support:y': 'y' is not an integer"),
+    ],
+    ids=["signal-empty", "signal-unknown", "signal-directory", "windows-empty",
+         "windows-directory", "chain-x", "rectangular-x", "random-support-x"],
+)
+def test_bad_spec_is_named(tmp_path, capsys, flag, spec, message):
+    # an empty spec or a directory used to be read as a path ("Is a directory"),
+    # and a bad generator argument to fail in int() without naming the spec
+    given = {"--windows": "chain:2", "--signal": "random", flag: spec.format(dir=str(tmp_path))}
+    code = run(
+        "analyze", "--n", 8, "--hop", 2, "--num-windows", 3, "--seed", 1,
+        "--windows", given["--windows"], "--signal", given["--signal"],
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stftpr: error: " + message.format(dir=str(tmp_path)))
+
+
+@pytest.mark.parametrize("suffix", [".json", ".txt"])
+def test_analyze_reads_window_and_signal_files(tmp_path, capsys, suffix):
+    # a spec is a file when it ends in .json or names a regular file; the files
+    # simulate wrote give the certificate the generators give
+    out = _simulate(tmp_path, "files")
+    specs = []
+    for name in ("windows", "signal"):
+        specs.append(tmp_path / f"{name}{suffix}")
+        specs[-1].write_bytes((out / f"{name}.json").read_bytes())
+    assert run("analyze", "--n", 8, "--hop", 2, "--windows", specs[0], "--signal", specs[1]) == 0
+    from_files = capsys.readouterr().out
+    code = run(
+        "analyze", "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+        "--signal", "random", "--seed", 42,
+    )
+    assert code == 0
+    assert from_files == capsys.readouterr().out
 
 
 class TestAnalyze:

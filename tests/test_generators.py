@@ -71,6 +71,25 @@ def test_hop_below_one_rejected(hop):
         certified_instance(8, hop, 3, rng)
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda rng: random_interval_window(4, 0, rng),
+         r"^window length must be in \[1, 4\], got 0$"),
+        (lambda rng: mask_family(2, 2, rng), "^mask families need length >= 4, got 2$"),
+        (lambda rng: chain_family(8, 4, 3, rng), "^full rank needs at least 4 windows, got 3$"),
+        (lambda rng: chain_family(2, 1, 1, rng), "^chain families need length >= 4, got 2$"),
+        # chain windows are at most n/2 = 8 long, so no endpoint edge spans 0 to 8
+        (lambda rng: certified_instance(16, 4, 4, rng, support=[0, 8]),
+         r"^generated instance has a disconnected endpoint graph \(support \[0, 8\]\)$"),
+    ],
+    ids=["interval-length-0", "masks-n2", "chain-few-windows", "chain-n2", "split-support"],
+)
+def test_generator_rejects(make, match):
+    with pytest.raises(ConfigurationError, match=match):
+        make(np.random.default_rng(1))
+
+
 def test_random_signal_support_and_magnitudes():
     rng = np.random.default_rng(4)
     x = random_signal(10, rng, support=[1, 4, 7])

@@ -171,6 +171,11 @@ def test_check_hop_rejects(n, hop):
         check_hop(n, hop)
 
 
+def test_window_family_rejects_a_three_dimensional_array():
+    with pytest.raises(DimensionMismatchError, match=r"window family, got shape \(2, 2, 4\)$"):
+        as_window_family(np.ones((2, 2, 4)))
+
+
 def test_window_family_names_the_first_zero_row():
     fam = np.ones((6, 8), dtype=complex)
     fam[[2, 4]] = 0

@@ -49,6 +49,10 @@ class TestStftDirect:
     def test_zero_signal(self):
         assert np.all(stft_direct(np.zeros(6), np.ones(6), 3) == 0)
 
+    def test_hop_must_divide(self):
+        with pytest.raises(ConfigurationError, match="^hop 4 does not divide signal length 6$"):
+            stft_direct(np.ones(6), np.ones(6), 4)
+
     def test_agrees_with_fast_path(self):
         rng = np.random.default_rng(301)
         for _ in range(20):
@@ -150,3 +154,5 @@ class TestExhaustiveAmbiguitySearch:
         big_grid = measure(np.ones(5), [np.ones(5, complex)], 1)
         with pytest.raises(ConfigurationError):
             exhaustive_ambiguity_search(big_grid, [np.ones(5, complex)], big, 8, {1.0})
+        with pytest.raises(ConfigurationError, match="^magnitudes must be nonnegative$"):
+            exhaustive_ambiguity_search(grid, fam, cfg, 4, {-1.0, 1.0})

@@ -264,6 +264,17 @@ class TestCorrupt:
             corrupt(grid, np.zeros((1, 1, 3)))
 
 
+class TestShapes:
+    def test_grid_must_be_three_dimensional(self):
+        with pytest.raises(DimensionMismatchError, match=r"grid, got shape \(2, 4\)$"):
+            MeasurementGrid(np.ones((2, 4)))
+
+    def test_aggregate_shapes_must_agree(self):
+        match = r"^aggregate shapes disagree: \(1, 2\) vs \(1, 3\)$"
+        with pytest.raises(DimensionMismatchError, match=match):
+            AggregateMeasurements(np.ones((1, 2)), np.ones((1, 3)))
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_rejects(self, bad):

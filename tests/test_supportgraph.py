@@ -67,6 +67,10 @@ class TestWindowSupport:
         with pytest.raises(InvalidWindowError):
             window_support(np.zeros(4))
 
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"window family, got shape \(2, 2, 4\)$"):
+            window_support(np.ones((2, 2, 4)))
+
     def test_interval_contract_on_random_windows(self):
         # endpoints nonzero, exterior zero, for every constructed window
         rng = np.random.default_rng(17)

@@ -120,6 +120,10 @@ CORPUS = [
     " --zero-tol -1",
     "bounds --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --min-magnitude 0.5"
     " --zero-tol nan",
+    # exit 1: an empty signal spec and a generator argument that is not an
+    # integer are named as specs
+    "analyze --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --signal ''",
+    "analyze --n 8 --hop 2 --num-windows 3 --windows chain:x --seed 1",
 ]
 
 
