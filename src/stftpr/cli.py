@@ -100,11 +100,10 @@ _SCALAR_TEXT = {
 def _json_text(obj, pad: str) -> str:
     """JSON text of ``obj``, as ``json.dumps(indent=2, sort_keys=True)`` writes it.
 
-    ``pad`` is the newline plus indent of the line ``obj`` starts on.  Numpy
-    integers and floats are written as Python ints and floats, arrays as
-    nested lists, complex values as ``[re, im]``, tuples as lists and an
-    ``EdgeWitnesses`` record as its :func:`_witness_dicts`; dict keys are
-    sorted after ``str()``.  Any other type raises ``TypeError``.
+    ``pad`` is the newline plus indent of the line ``obj`` starts on.  ``obj``
+    holds JSON values only: dicts with ``str`` keys, lists, and values of
+    exactly the types ``str``, ``int``, ``float``, ``bool`` and ``None``.  Any
+    other type, a numpy scalar included, raises ``TypeError``.
     """
     fmt = _SCALAR_TEXT.get(type(obj))
     if fmt is not None:
@@ -113,10 +112,9 @@ def _json_text(obj, pad: str) -> str:
         if not obj:
             return "{}"
         inner = pad + "  "
-        texts = {str(k): _json_text(v, inner) for k, v in obj.items()}
-        items = (_encode_str(k) + ": " + t for k, t in sorted(texts.items()))
+        items = (_encode_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         inner = pad + "  "
@@ -125,18 +123,6 @@ def _json_text(obj, pad: str) -> str:
         except KeyError:
             texts = [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
-    if isinstance(obj, EdgeWitnesses):
-        return _json_text(_witness_dicts(obj), pad)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float_text(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _json_text([float(obj.real), float(obj.imag)], pad)
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), pad)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
@@ -183,11 +169,14 @@ def _complex_to_pairs(x) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in np.asarray(x, dtype=complex)]
 
 
-def read_signal_json(path) -> np.ndarray:
+def read_signal_json(path, n: int) -> np.ndarray:
+    """The signal in file ``path``, which must hold ``n`` finite entries."""
     with Path(path).open() as fh:
         x = _pairs_to_complex(json.load(fh), f"signal file {path}")
     if not np.isfinite(x).all():
         raise ConfigurationError(f"signal file {path} has a NaN or infinite entry")
+    if x.shape[0] != n:
+        raise ConfigurationError(f"signal file {path} has length {x.shape[0]}, expected {n}")
     return x
 
 
@@ -195,12 +184,16 @@ def write_signal_json(path, x) -> None:
     Path(path).write_text(json.dumps(_complex_to_pairs(x)) + "\n")
 
 
-def read_windows_json(path) -> np.ndarray:
+def read_windows_json(path, n: int) -> np.ndarray:
+    """The window family in file ``path``, each window of length ``n``."""
     with Path(path).open() as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
         raise ConfigurationError(f"window file {path}: expected a list of windows")
     rows = [_pairs_to_complex(row, f"window {i} in {path}") for i, row in enumerate(data)]
+    for row in rows:
+        if len(row) != n:
+            raise ConfigurationError(f"window file {path} has length {len(row)}, expected {n}")
     return as_window_family(np.stack(rows))
 
 
@@ -232,12 +225,7 @@ def _spec_int(spec: str, arg: str, default: int) -> int:
 def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
     """A window family from a file path or a named generator spec."""
     if (path := _spec_file(spec)) is not None:
-        fam = read_windows_json(path)
-        if fam.shape[1] != n:
-            raise ConfigurationError(
-                f"window file {spec} has length {fam.shape[1]}, expected {n}"
-            )
-        return fam
+        return read_windows_json(path, n)
     if num_windows < 1:
         raise ConfigurationError(f"--num-windows must be at least 1, got {num_windows}")
     name, _, arg = spec.partition(":")
@@ -248,6 +236,8 @@ def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
         gen = _require_rng(rng, "the random-support window generator")
         return np.stack([random_interval_window(n, length, gen) for _ in range(num_windows)])
     if name == "masks":
+        if arg:
+            raise ConfigurationError(f"window spec {spec!r}: masks takes no argument")
         gen = _require_rng(rng, "the masks window generator")
         return mask_family(n, num_windows, gen)
     if name == "chain":
@@ -261,12 +251,7 @@ def _windows_from_spec(spec: str, n: int, num_windows: int, rng) -> np.ndarray:
 
 def _signal_from_spec(spec: str, n: int, rng) -> np.ndarray:
     if (path := _spec_file(spec)) is not None:
-        x = read_signal_json(path)
-        if x.shape[0] != n:
-            raise ConfigurationError(
-                f"signal file {spec} has length {x.shape[0]}, expected {n}"
-            )
-        return x
+        return read_signal_json(path, n)
     if spec == "random":
         return random_signal(n, _require_rng(rng, "the random signal generator"))
     if spec == "delta":
@@ -374,9 +359,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_recover(args) -> int:
     grid = read_grid_csv(args.grid)
-    fam = read_windows_json(args.windows)
+    fam = read_windows_json(args.windows, grid.n)
     cfg = ProblemConfig(grid.n, grid.hop, fam.shape[0], args.zero_tol)
-    reference = read_signal_json(args.signal) if args.signal else None
+    reference = read_signal_json(args.signal, grid.n) if args.signal else None
     min_magnitude = args.min_magnitude
     if min_magnitude is None and grid.noise_level > 0 and reference is not None:
         supp = support(reference, cfg.zero_tol)
@@ -384,9 +369,12 @@ def cmd_recover(args) -> int:
             min_magnitude = float(np.min(np.abs(reference[list(supp)])))
     result = reconstruct(grid, fam, cfg, min_support_magnitude=min_magnitude,
                          rank_tol=args.rank_tol, degenerate_tol=args.degenerate_tol)
-    diagnostics = result.diagnostics
+    # a report holds JSON values only, so the support array and witness records become lists
+    diagnostics = dict(result.diagnostics, support=result.diagnostics["support"].tolist())
+    for key in ("used_witnesses", "nontree_residuals"):
+        diagnostics[key] = _witness_dicts(diagnostics[key])
     if args.compressed:  # the aggregates' measurement count
-        diagnostics = {**diagnostics, "compressed_count": 2 * grid.num_windows * grid.num_hops}
+        diagnostics["compressed_count"] = 2 * grid.num_windows * grid.num_hops
     report = {
         "estimate": _complex_to_pairs(result.estimate),
         "root_vertex": result.root_vertex,

@@ -365,29 +365,33 @@ def write_grid_csv(grid: MeasurementGrid, path) -> None:
         fh.write("\n")
 
 
-def _cell_indices(table: np.ndarray, shape, path, first_row: int) -> np.ndarray:
-    """Flat cell index of each parsed row; negative or out-of-range indices raise."""
+def _check_cell_order(table: np.ndarray, shape, path, first_row: int) -> None:
+    """Raise unless parsed row i holds flat cell ``first_row + i`` of ``shape``."""
     index = np.stack([table["r"], table["m"], table["k"]])
-    bad = np.flatnonzero(((index < 0) | (index >= np.array(shape)[:, None])).any(axis=0))
+    inside = ((index >= 0) & (index < np.array(shape)[:, None])).all(axis=0)
+    # rows out of range are zeroed first, so the flat index neither wraps nor raises
+    cell = np.ravel_multi_index(np.where(inside, index, 0), shape)
+    bad = np.flatnonzero(~inside | (cell != np.arange(first_row, first_row + cell.size)))
     if bad.size:
         raise ConfigurationError(
-            f"grid CSV {path} data row {first_row + int(bad[0]) + 1} has index "
-            f"{tuple(int(i) for i in index[:, bad[0]])} outside shape {shape}"
+            f"grid CSV {path} data row {first_row + int(bad[0]) + 1} has cell "
+            f"{tuple(index[:, bad[0]].tolist())} out of place: the rows must list the "
+            f"cells of shape {shape} once each, in (r, m, k) order"
         )
-    return np.ravel_multi_index(index, shape)
 
 
 def read_grid_csv(path) -> MeasurementGrid:
-    """Read a grid CSV and its sibling metadata.
+    """Read a grid CSV, in the form :func:`write_grid_csv` writes, and its sibling metadata.
 
-    Every ``(r, m, k)`` cell must appear exactly once, with each index in
-    ``[0, num_windows)``, ``[0, num_hops)`` and ``[0, n)`` respectively;
-    a negative, out-of-range or repeated index, a malformed row or a wrong
-    row count raises ``ConfigurationError``.  So do metadata dimensions
-    (``num_windows``, ``num_hops``, ``n``, ``hop``) that are not positive
-    JSON integers, a declared cell count the file is too small to hold, and
-    a ``hop`` other than ``n / num_hops``; all are caught before the grid is
-    allocated.
+    Data row i must hold the i-th cell in (r, m, k) order, each index in
+    ``[0, num_windows)``, ``[0, num_hops)`` and ``[0, n)`` respectively; a
+    row out of place (an index out of range, a cell repeated, swapped or
+    past the last), a malformed row or a wrong row count raises
+    ``ConfigurationError``.  So do metadata dimensions (``num_windows``,
+    ``num_hops``, ``n``, ``hop``) that are not positive JSON integers, a
+    ``noise_level`` that is not a JSON number, a declared cell count the
+    file is too small to hold, and a ``hop`` other than ``n / num_hops``;
+    all are caught before the grid is allocated.
     """
     path = Path(path)
     meta_file = _meta_path(path)
@@ -397,8 +401,11 @@ def read_grid_csv(path) -> MeasurementGrid:
         meta = json.load(fh)
     try:
         shape = tuple(_meta_dimension(meta, key) for key in ("num_windows", "num_hops", "n"))
-        hop, noise_level = _meta_dimension(meta, "hop"), float(meta["noise_level"])
-    except (KeyError, TypeError, ValueError) as exc:
+        hop, noise_level = _meta_dimension(meta, "hop"), meta["noise_level"]
+        if isinstance(noise_level, bool) or not isinstance(noise_level, (int, float)):
+            raise ValueError(f"noise_level must be a number, got {noise_level!r}")
+        noise_level = float(noise_level)  # an integer beyond the float range overflows
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad grid metadata in {meta_file}: {exc!r}") from None
     size = shape[0] * shape[1] * shape[2]
     # checked before allocating: metadata alone must not size a huge buffer
@@ -412,7 +419,6 @@ def read_grid_csv(path) -> MeasurementGrid:
             f"{shape[2]} / {shape[1]}"
         )
     values = np.empty(size, dtype=float)
-    seen = np.zeros(size, dtype=bool)
     rows = 0
     with path.open(newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -429,19 +435,9 @@ def read_grid_csv(path) -> MeasurementGrid:
                 raise ConfigurationError(
                     f"malformed grid CSV {path} after data row {rows}: {exc}"
                 ) from None
-            flat = _cell_indices(table, shape, path, rows)
-            # a repeat is a cell seen in an earlier chunk or earlier in this one
-            repeat = np.ones(flat.size, dtype=bool)
-            repeat[np.unique(flat, return_index=True)[1]] = False
-            repeat |= seen[flat]
-            if repeat.any():
-                cell = np.unravel_index(flat[np.argmax(repeat)], shape)
-                raise ConfigurationError(
-                    f"grid CSV {path} repeats cell {tuple(int(i) for i in cell)}"
-                )
-            seen[flat] = True
-            values[flat] = table["value"]
-            rows += flat.size
+            _check_cell_order(table, shape, path, rows)
+            values[rows:rows + table.size] = table["value"]
+            rows += table.size
     if rows != size:
         raise ConfigurationError(f"grid CSV {path} has {rows} rows, expected {size}")
     return MeasurementGrid(values=values.reshape(shape), noise_level=noise_level)

@@ -443,8 +443,10 @@ class TestGridCsv:
 
     @pytest.mark.parametrize(
         "row, match",
-        [("0,31,99,1.0", "outside shape"), ("0,31,-1,1.0", "outside shape"),
-         ("0,0,0,1.0", "repeats cell"), ("0,31,30,1.0", "repeats cell"),
+        [("0,31,99,1.0", r"data row 1024 has cell \(0, 31, 99\) out of place"),
+         ("0,31,-1,1.0", r"data row 1024 has cell \(0, 31, -1\) out of place"),
+         ("0,0,0,1.0", r"data row 1024 has cell \(0, 0, 0\) out of place"),
+         ("0,31,30,1.0", r"data row 1024 has cell \(0, 31, 30\) out of place"),
          ("0,31,31", "malformed"), ("0,31,31,nan", "NaN")],
         ids=["out-of-range", "negative", "duplicate-across-chunks",
              "duplicate-in-chunk", "short-row", "nan"],
@@ -454,6 +456,45 @@ class TestGridCsv:
         lines[-1] = row  # replaces the row for cell (0, 31, 31)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigurationError, match=match):
+            read_grid_csv(path)
+
+    # the reader takes the one form the writer writes: data row i holds cell i
+    # in (r, m, k) order, and any other row is named
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # two rows of a complete grid swapped, in the second parse chunk
+            (lambda lines: lines[:600] + [lines[601], lines[600]] + lines[602:],
+             r"data row 600 has cell \(0, 18, 24\) out of place"),
+            # a valid-looking row after the last cell
+            (lambda lines: lines + ["0,31,31,1.0"],
+             r"data row 1025 has cell \(0, 31, 31\) out of place"),
+            # r = 2**54 wraps (r*32 + 31)*32 + 31 to the row's own position
+            (lambda lines: lines[:-1] + [f"{2**54},31,31,1.0"],
+             rf"data row 1024 has cell \({2**54}, 31, 31\) out of place"),
+        ],
+        ids=["swapped", "past-the-end", "wrapping-index"],
+    )
+    def test_row_out_of_place_is_named(self, tmp_path, edit, message):
+        path, lines = self._written_grid(tmp_path)
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ConfigurationError, match=message):
+            read_grid_csv(path)
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [("1e-3", "noise_level must be a number"), (True, "noise_level must be a number"),
+         (10**400, "too large to convert to float")],
+        ids=["string", "bool", "huge-int"],
+    )
+    def test_non_numeric_noise_level_rejected(self, tmp_path, value, match):
+        # the string used to be read as 0.001, and true as 1.0
+        path, _ = self._written_grid(tmp_path)
+        meta_file = path.with_suffix(".meta.json")
+        meta = json.loads(meta_file.read_text())
+        meta["noise_level"] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="bad grid metadata.*" + match):
             read_grid_csv(path)
 
     def test_bad_meta_rejected(self, tmp_path):

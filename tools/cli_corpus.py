@@ -124,6 +124,11 @@ CORPUS = [
     # integer are named as specs
     "analyze --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --signal ''",
     "analyze --n 8 --hop 2 --num-windows 3 --windows chain:x --seed 1",
+    # exit 1: masks takes no argument, and a grid's noise_level must be a JSON number
+    "analyze --n 8 --hop 8 --num-windows 8 --windows masks:abc --seed 1 --signal ones",
+    ("set-meta", "meta/grid.meta.json",
+     {"hop": 2, "num_windows": 3, "num_hops": 4, "noise_level": "1e-3"}),
+    "recover --grid meta/grid.csv --windows meta/windows.json --min-magnitude 0.5",
 ]
 
 
