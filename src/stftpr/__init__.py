@@ -49,6 +49,7 @@ from .robustness import (
     ErrorBudget,
     StabilityConstants,
     error_budget,
+    min_support_magnitude,
     stability_constants,
     threshold_support,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "magnitudes_direct",
     "measure",
     "measure_direct",
+    "min_support_magnitude",
     "phase_distance",
     "propagate",
     "read_grid_csv",

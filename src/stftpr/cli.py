@@ -47,7 +47,7 @@ from .model import (
 )
 from .oracle import DIRECT_TERM_CAP, compare, stft_direct
 from .phase import EdgeWitnesses, reconstruct
-from .robustness import error_budget, stability_constants
+from .robustness import error_budget, min_support_magnitude, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
 from .supportgraph import (
@@ -267,19 +267,27 @@ def _signal_from_spec(spec: str, n: int, rng) -> np.ndarray:
     )
 
 
-def _stability_section(fam, mats, noise_level, reference, min_magnitude, zero_tol):
+def _prior(min_magnitude, reference, zero_tol):
+    """The run's smallest-magnitude prior: ``--min-magnitude``, else the reference's, else None."""
+    if min_magnitude is not None or reference is None:
+        return min_magnitude
+    return min_support_magnitude(reference, zero_tol)
+
+
+def _stability_section(fam, mats, noise_level, prior, zero_tol):
     consts = stability_constants(fam, mats, zero_tol)
     section = consts.to_dict()
     section["noise_level"] = float(noise_level)
-    ref = min_magnitude if min_magnitude is not None else reference
-    if ref is not None:
-        section.update(error_budget(consts, noise_level, ref, zero_tol).to_dict())
+    if prior is not None:
+        section.update(error_budget(consts, noise_level, prior).to_dict())
     return section
 
 
 def _instance(args):
     """The generator, window family, config and signal (or None) that ``args`` name, in order."""
     ProblemConfig(args.n, args.hop, 1)  # names a bad --n or --hop before windows are drawn
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
     cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
@@ -362,12 +370,8 @@ def cmd_recover(args) -> int:
     fam = read_windows_json(args.windows, grid.n)
     cfg = ProblemConfig(grid.n, grid.hop, fam.shape[0], args.zero_tol)
     reference = read_signal_json(args.signal, grid.n) if args.signal else None
-    min_magnitude = args.min_magnitude
-    if min_magnitude is None and grid.noise_level > 0 and reference is not None:
-        supp = support(reference, cfg.zero_tol)
-        if supp:
-            min_magnitude = float(np.min(np.abs(reference[list(supp)])))
-    result = reconstruct(grid, fam, cfg, min_support_magnitude=min_magnitude,
+    prior = _prior(args.min_magnitude, reference, cfg.zero_tol)
+    result = reconstruct(grid, fam, cfg, min_support_magnitude=prior,
                          rank_tol=args.rank_tol, degenerate_tol=args.degenerate_tol)
     # a report holds JSON values only, so the support array and witness records become lists
     diagnostics = dict(result.diagnostics, support=result.diagnostics["support"].tolist())
@@ -380,9 +384,8 @@ def cmd_recover(args) -> int:
         "root_vertex": result.root_vertex,
         "connected": True,
         "diagnostics": diagnostics,
-        "stability": _stability_section(
-            fam, result.modulation, grid.noise_level, reference, min_magnitude, cfg.zero_tol
-        ),
+        "stability": _stability_section(fam, result.modulation, grid.noise_level, prior,
+                                        cfg.zero_tol),
     }
     if reference is not None:
         dist = phase_distance(result.estimate, reference)
@@ -397,11 +400,11 @@ def cmd_recover(args) -> int:
 
 def cmd_bounds(args) -> int:
     _, fam, cfg, reference = _instance(args)
-    if reference is None and args.min_magnitude is None:
+    prior = _prior(args.min_magnitude, reference, cfg.zero_tol)
+    if prior is None:
         raise ConfigurationError("bounds needs --signal or --min-magnitude")
     section = _stability_section(
-        fam, certify_rank(fam, cfg.hop, args.rank_tol), args.noise, reference,
-        args.min_magnitude, cfg.zero_tol,
+        fam, certify_rank(fam, cfg.hop, args.rank_tol), args.noise, prior, cfg.zero_tol
     )
     _dump_json(section, args.out)
     return EXIT_OK

@@ -281,7 +281,7 @@ def reconstruct_compressed(
     smaller (window, hop).  Raises ``DimensionMismatchError`` when the
     aggregates, the windows and ``cfg`` disagree in shape,
     ``CertificationError`` when the window family fails the rank gate or has
-    windows longer than half the signal, ``DisconnectedGraphError``
+    windows longer than half the signal on a tree with edges, ``DisconnectedGraphError``
     (carrying the component certificate) when the endpoint graph is
     disconnected, and ``DegenerateEdgeError`` when noise drowns out a needed
     edge.
@@ -311,7 +311,8 @@ def reconstruct_compressed(
             components=comps,
         )
     tree = spanning_tree(graph)
-    too_long = long_windows(supports, cfg.n) if detected.size else []
+    # a tree without edges (at most one support index) needs no edge phase
+    too_long = long_windows(supports, cfg.n) if tree.edges.size else []
     if too_long:
         raise CertificationError(
             f"windows {too_long} have supporting length above half the signal "
@@ -328,10 +329,8 @@ def reconstruct_compressed(
             f"{degenerate_tol:.3e} (noise level {agg.noise_level:.3e})",
             endpoints=ends,
         )
+    # edge_phase matched each witness's (n1, n2) to its edge's endpoints
     forward = tree.child == used.n1
-    if not np.where(forward, tree.parent == used.n2,
-                    (tree.child == used.n2) & (tree.parent == used.n1)).all():
-        raise RuntimeError("edge-phase witnesses do not match the tree's edges")
     estimate = propagate(tree, magnitudes, np.where(forward, used.phase, used.phase.conj()))
     # the redundant edges' phases against the estimate; NaN where degenerate
     nontree = np.ones(len(graph.edges), dtype=bool)

@@ -11,7 +11,7 @@ per-entry phase error of the reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,13 +63,7 @@ class ErrorBudget:
     min_support_magnitude_sq: float
 
     def to_dict(self) -> dict:
-        return {
-            "noise_level": self.noise_level,
-            "admissible": self.admissible,
-            "magnitude_bound": self.magnitude_bound,
-            "phase_bound": self.phase_bound,
-            "min_support_magnitude_sq": self.min_support_magnitude_sq,
-        }
+        return asdict(self)
 
 
 def stability_constants(
@@ -110,30 +104,28 @@ def stability_constants(
     )
 
 
-def error_budget(
-    consts: StabilityConstants,
-    noise_level: float,
-    reference,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> ErrorBudget:
+def min_support_magnitude(x, zero_tol: float) -> float:
+    """Smallest magnitude on ``support(x, zero_tol)``, the prior :func:`error_budget` takes.
+
+    An empty support raises ``UndefinedBudgetError``.
+    """
+    x = as_signal(x)
+    supp = support(x, zero_tol)
+    if not supp:
+        raise UndefinedBudgetError("reference signal has empty support")
+    return float(np.min(np.abs(x[list(supp)])))
+
+
+def error_budget(consts: StabilityConstants, noise_level: float, prior: float) -> ErrorBudget:
     """Evaluate the admissibility condition and both error bounds.
 
-    ``reference`` is either the true signal (test mode: the minimum is taken
-    over its detected support) or a positive scalar prior for the smallest
-    nonzero magnitude (deployment mode, the same quantity the half-minimum
-    support rule consumes).  A minimum so small that the phase bound's
-    denominator, ``min_endpoint_product * min_mag**2``, underflows to zero
-    raises ``UndefinedBudgetError``.
+    ``prior`` is the signal's smallest nonzero magnitude, positive and finite,
+    which the half-minimum support rule also takes.  A prior so small that the
+    phase bound's denominator, ``min_endpoint_product * prior**2``, underflows
+    to zero raises ``UndefinedBudgetError``.
     """
     check_tolerance("noise_level", noise_level)
-    if np.isscalar(reference) and not isinstance(reference, (complex, np.complexfloating)):
-        min_mag = check_prior(float(reference))
-    else:
-        x = as_signal(reference)
-        supp = support(x, zero_tol)
-        if not supp:
-            raise UndefinedBudgetError("reference signal has empty support")
-        min_mag = float(np.min(np.abs(x[list(supp)])))
+    min_mag = check_prior(prior)
     min_sq = min_mag * min_mag
     phase_denom = consts.min_endpoint_product * min_sq
     if phase_denom == 0.0:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stftpr import (
+    DEFAULT_ZERO_TOL,
     ProblemConfig,
     aggregate,
     certify_rank,
@@ -22,6 +23,7 @@ from stftpr import (
     is_connected,
     magnitudes_direct,
     measure,
+    min_support_magnitude,
     phase_distance,
     reconstruct,
     reconstruct_compressed,
@@ -159,7 +161,8 @@ def test_criterion_5_stability_bounds():
                     level = 0.5 * admissible_level
                     exact = measure(x, fam, hop)
                     noisy = corrupt(exact, rng.uniform(-level, level, exact.values.shape))
-                    budget = error_budget(consts, noisy.noise_level, x)
+                    prior = min_support_magnitude(x, DEFAULT_ZERO_TOL)
+                    budget = error_budget(consts, noisy.noise_level, prior)
                     assert budget.admissible
                     res = reconstruct(noisy, fam, cfg, min_support_magnitude=min_mag)
 

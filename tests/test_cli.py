@@ -109,6 +109,19 @@ class TestSimulate:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "bounds", "verify"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
+        # numpy's default_rng used to reject it with "expected non-negative integer"
+        out = tmp_path / "negative-seed"
+        prior = ["--min-magnitude", 0.5] if command == "bounds" else []
+        code = run(
+            command, "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+            "--seed", -1, *prior, "--out", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "stftpr: error: --seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
     def test_masks_generator_certifies_full_hop(self, tmp_path):
         out = tmp_path / "masks"
         code = run(
@@ -165,6 +178,21 @@ class TestRecover:
         assert rep["stability"]["noise_level"] > 0
         assert rep["stability"]["admissible"] is True
         assert rep["reference_distance"]["distance"] <= 0.01
+
+    @pytest.mark.parametrize("grid", ["grid.csv", "grid_noisy.csv"])
+    def test_all_zero_reference_reports_empty_support(self, tmp_path, capsys, grid):
+        # the prior is worked out from the reference before reconstruction, so a
+        # noisy grid no longer reports a missing prior first
+        out = _simulate(tmp_path, "zero", "--noise", "1e-7")
+        (tmp_path / "zero.json").write_text(json.dumps([[0.0, 0.0]] * 8))
+        report = tmp_path / "zero-report.json"
+        code = run(
+            "recover", "--grid", out / grid, "--windows", out / "windows.json",
+            "--signal", tmp_path / "zero.json", "--out", report,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "stftpr: error: reference signal has empty support\n"
+        assert not report.exists()
 
     @pytest.mark.parametrize("prior", ["nan", "inf"])
     def test_non_finite_prior_exits_one(self, tmp_path, capsys, prior):
@@ -794,6 +822,17 @@ class TestBounds:
             "--windows", "rectangular:4", "--min-magnitude", 1.0,
         )
         assert code == 3
+
+    def test_all_zero_reference_exits_one_before_certification(self, tmp_path, capsys):
+        # the prior comes first: an uncertified family (exit 3) is not reached
+        (tmp_path / "zero.json").write_text(json.dumps([[0.0, 0.0]] * 8))
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--num-windows", 2,
+            "--windows", "rectangular:3", "--signal", tmp_path / "zero.json",
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "stftpr: error: reference signal has empty support\n"
 
     def test_needs_reference(self, capsys):
         code = run(

@@ -10,8 +10,8 @@ from stftpr import (
     aggregate,
     certify_rank,
     covisibility_graph_from_support,
-    error_budget,
     measure,
+    min_support_magnitude,
     phase_distance,
     stability_constants,
     support,
@@ -72,7 +72,6 @@ class TestSupport:
         # for every window, and stability_constants W_star = 0
         x, fam = certified_instance(8, 2, 3, np.random.default_rng(31))
         grid = measure(x, fam, 2)
-        consts = stability_constants(fam, certify_rank(fam, 2))
         calls = {
             "support": lambda tol: support(x, tol),
             "window_support": lambda tol: window_support(fam, tol),
@@ -81,7 +80,7 @@ class TestSupport:
                 lambda tol: covisibility_graph_from_support(range(8), fam, 2, tol),
             "stability_constants":
                 lambda tol: stability_constants(fam, certify_rank(fam, 2), tol),
-            "error_budget": lambda tol: error_budget(consts, 0.0, x, tol),
+            "min_support_magnitude": lambda tol: min_support_magnitude(x, tol),
         }
         for call in calls.values():
             call(1e-12)

@@ -216,6 +216,19 @@ class TestReconstruct:
             reconstruct(measure(x, fam, 1), fam, cfg)
         assert err.value.failing == (0,)
 
+    def test_long_window_on_one_vertex_support(self):
+        # a single support index needs no edge phase, so a window of length 5
+        # on n=8 is no reason to refuse it; this used to raise CertificationError
+        n = 8
+        fam = np.ones((1, n), dtype=complex)
+        fam[0, 5:] = 0
+        for k in range(n):
+            x = np.zeros(n, dtype=complex)
+            x[k] = 0.6 - 0.8j
+            res = reconstruct(measure(x, fam, 1), fam, ProblemConfig(n, 1, 1))
+            assert res.root_vertex == k
+            assert phase_distance(res.estimate, x).distance <= 1e-12
+
     def test_rank_gate(self):
         rng = np.random.default_rng(113)
         w = random_interval_window(8, 3, rng)

@@ -1,12 +1,16 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from stftpr import (
+    DEFAULT_ZERO_TOL,
     aggregate,
     certify_rank,
     corrupt,
     error_budget,
     measure,
+    min_support_magnitude,
     recover_magnitudes,
     stability_constants,
     threshold_support,
@@ -117,7 +121,7 @@ class TestErrorBudget:
         mats = certify_rank(fam, 2)
         consts = stability_constants(fam, mats)
         level = 1e-5
-        budget = error_budget(consts, level, x)
+        budget = error_budget(consts, level, min_support_magnitude(x, DEFAULT_ZERO_TOL))
         min_sq = min(abs(v) ** 2 for v in x if v != 0)
         w2_sq = sum(abs(v) ** 2 for w in fam for v in w)
         a1 = sum(
@@ -134,13 +138,19 @@ class TestErrorBudget:
 
     def test_signal_reference_uses_support_minimum(self):
         consts = _impulse_constants(4)
-        budget = error_budget(consts, 0.0, np.array([2.0, 0, 0.5j, 0]))
+        prior = min_support_magnitude(np.array([2.0, 0, 0.5j, 0]), DEFAULT_ZERO_TOL)
+        assert prior == 0.5
+        budget = error_budget(consts, 0.0, prior)
         assert budget.min_support_magnitude_sq == pytest.approx(0.25)
 
     def test_empty_support(self):
-        consts = _impulse_constants(4)
-        with pytest.raises(UndefinedBudgetError):
-            error_budget(consts, 0.0, np.zeros(4))
+        with pytest.raises(UndefinedBudgetError, match="reference signal has empty support"):
+            min_support_magnitude(np.zeros(4), DEFAULT_ZERO_TOL)
+
+    def test_takes_only_a_prior(self):
+        # a signal's smallest magnitude is min_support_magnitude's to work out
+        assert list(inspect.signature(error_budget).parameters) == [
+            "consts", "noise_level", "prior"]
 
     def test_nonpositive_prior(self):
         consts = _impulse_constants(4)
@@ -151,9 +161,10 @@ class TestErrorBudget:
     def test_underflowing_square_is_undefined(self, reference):
         # the squared minimum underflows to zero; the phase bound used to divide by it
         consts = _impulse_constants(4)
+        prior = min_support_magnitude(np.atleast_1d(reference), DEFAULT_ZERO_TOL)
         for noise in (0.0, 1e-3):
             with pytest.raises(UndefinedBudgetError, match="underflows"):
-                error_budget(consts, noise, reference)
+                error_budget(consts, noise, prior)
         # a square that is subnormal but nonzero still gives a bound
         assert error_budget(consts, 1e-3, 1e-160).phase_bound == float("inf")
 

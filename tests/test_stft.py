@@ -2,8 +2,12 @@ import csv
 import importlib
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +382,32 @@ class TestAggregate:
         grid = measure([1, 2, 3, 4], [w, w], hop=2)
         with pytest.raises(DimensionMismatchError, match="grid has 2 windows, family has 1"):
             aggregate(grid, [w])
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # a whole-block mat-vec per window, without the row blocks, gives
+        # different bytes on one and on two BLAS threads at each geometry
+        script = """
+import hashlib
+import numpy as np
+from stftpr import MeasurementGrid, aggregate
+from stftpr.generators import chain_family
+digest = hashlib.sha256()
+for n, hop, num_windows in ((1542, 2, 2), (1155, 1, 1), (1030, 2, 2)):
+    rng = np.random.default_rng(7)
+    fam = chain_family(n, hop, num_windows, rng)
+    agg = aggregate(MeasurementGrid(rng.uniform(0, 1, (num_windows, n // hop, n))), fam)
+    digest.update(agg.energy.tobytes() + agg.correlation.tobytes())
+print(digest.hexdigest())
+"""
+        src = str(Path(stft_module.__file__).parents[1])
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 class TestGridCsv:

@@ -129,6 +129,21 @@ CORPUS = [
     ("set-meta", "meta/grid.meta.json",
      {"hop": 2, "num_windows": 3, "num_hops": 4, "noise_level": "1e-3"}),
     "recover --grid meta/grid.csv --windows meta/windows.json --min-magnitude 0.5",
+    # exit 0: an indeterminate verdict (two identical windows fail the rank gate)
+    "analyze --n 8 --hop 2 --num-windows 2 --windows rectangular:3 --signal ones",
+    # exit 1: verify's cap on direct DFT terms, bounds without a prior, and a
+    # window file that is not a list of [re, im] pair lists
+    "verify --n 64 --hop 1 --num-windows 16 --windows chain:1 --seed 1",
+    "bounds --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1",
+    "recover --grid run/grid.csv --windows run/signal.json",
+    # exit 3: a window longer than half the signal on a connected support
+    "simulate --n 7 --hop 1 --num-windows 1 --windows rectangular:5 --signal ones --out long",
+    "recover --grid long/grid.csv --windows long/windows.json",
+    # exit 0: the same long window on a one-vertex support, which needs no edge phase
+    "simulate --n 8 --hop 1 --num-windows 1 --windows rectangular:5 --signal delta --out lw",
+    "recover --grid lw/grid.csv --windows lw/windows.json --signal lw/signal.json",
+    # exit 1: a negative seed
+    "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed -1 --out negative-seed",
 ]
 
 
