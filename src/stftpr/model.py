@@ -9,6 +9,7 @@ ever defined modulo a global phase, so signal comparisons go through
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,13 @@ def check_prior(value, message: str | None = None) -> float:
     """Minimum-magnitude prior as a float; ``InvalidPriorError`` unless finite and positive.
 
     NaN fails ``value > 0`` and gets ``message``, as a missing or nonpositive prior does.
+    Any other value that is not a real scalar, an array included, is named by its type.
     """
+    if value is not None and not isinstance(value, numbers.Real):
+        shape = f" of shape {value.shape}" if hasattr(value, "shape") else ""
+        raise InvalidPriorError(
+            f"minimum-magnitude prior must be a real scalar, got {type(value).__name__}{shape}"
+        )
     if value is None or not value > 0:
         raise InvalidPriorError(message or f"minimum-magnitude prior must be positive, got {value}")
     if not math.isfinite(value):

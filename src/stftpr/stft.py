@@ -13,6 +13,11 @@ energy, lag L - 1 the endpoint correlation that :func:`aggregate` extracts).
 Windows with ``2L - 1 <= log2 n`` are evaluated from those coefficients with
 one real matmul; longer ones take a zero-padded n-point FFT.  :func:`stft` and
 :func:`stftpr.oracle.measure_direct` stay the references for both routes.
+
+The grid is the only grid-sized array :func:`measure` makes: the FFT route
+transforms row blocks of sections with ``norm="forward"``, which scales each
+row by ``1/n`` as dividing the whole spectrum does, so blocking moves no byte;
+:class:`MeasurementGrid` checks finiteness in row blocks too.
 """
 
 from __future__ import annotations
@@ -51,10 +56,21 @@ def stft(x, w, hop: int) -> np.ndarray:
     return np.fft.fft(sections, axis=1) / n
 
 
+# the FFT route and the finiteness check go through rows in blocks of about
+# this many bytes of array rows, so neither forms a temporary the size of a grid
+_ROW_BLOCK_BYTES = 256 * 1024
+# aggregate reads a window's grid block in row blocks of about this many bytes
+_AGGREGATE_BLOCK_BYTES = 512 * 1024
+
+
 def _check_finite(what: str, noise_level: float, *arrays: np.ndarray) -> None:
     # one NaN would otherwise flow through the pipeline into a silent all-zero estimate
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ConfigurationError(f"{what} contains NaN or infinite values")
+    for a in arrays:
+        step = max(1, _ROW_BLOCK_BYTES // (a.itemsize * max(1, a.shape[-1])))
+        for lead in np.ndindex(a.shape[:-2]):
+            for lo in range(0, a.shape[-2], step):
+                if not np.isfinite(a[lead][lo:lo + step]).all():
+                    raise ConfigurationError(f"{what} contains NaN or infinite values")
     check_tolerance("noise_level", noise_level)
 
 
@@ -142,7 +158,8 @@ def _window_power(xa, w, ws: WindowSupport, tables: dict, out: np.ndarray) -> No
     """One window's ``(M, n)`` block of squared magnitudes, written into ``out``.
 
     ``ws`` is the window's exact support.  Sections, spectra and
-    coefficients are locals, so none outlives the call.
+    coefficients are locals, so none outlives the call; the FFT route holds
+    one row block of them at a time.
     """
     n, length = xa.shape[0], ws.length
     hop = n // out.shape[0]
@@ -150,22 +167,22 @@ def _window_power(xa, w, ws: WindowSupport, tables: dict, out: np.ndarray) -> No
     # section 0 starts at the index its window's far end sees, section m hop*m
     # past it; the view is a temporary, so its extension is freed here
     _, first = endpoint_witness(ws, hop, 0, n)
-    sections = _cyclic_slices(xa, first, hop, length) * taps
+    view = _cyclic_slices(xa, first, hop, length)
     # 2L - 1 <= log2 n: the table has 2L - 1 rows, an n-point FFT costs O(log n)
     # per output.  Well on the cheap side of the crossover: at n = 1024, M = 128
     # the routes break even between L = 32 and 64, and this stops at L = 5.
     if 2 * length - 1 <= n.bit_length() - 1:
         if length not in tables:
             tables[length] = _trig_table(length, n)
-        np.matmul(_autocorrelation_coefficients(sections), tables[length], out=out)
+        np.matmul(_autocorrelation_coefficients(view * taps), tables[length], out=out)
         np.maximum(out, 0.0, out=out)
     else:
-        f = np.fft.fft(sections, n=n, axis=1)
-        # complex f /= n multiplies by the reciprocal at about three times the cost
-        # of the float view's multiply, which rounds alike at every n
-        np.multiply(f.view(float), 1.0 / n, out=f.view(float))
-        np.abs(f, out=out)
-        np.square(out, out=out)
+        # one block of spectra at a time, written into out while it is in cache
+        step = max(1, _ROW_BLOCK_BYTES // (8 * n))
+        for lo in range(0, out.shape[0], step):
+            rows = out[lo:lo + step]
+            np.abs(np.fft.fft(view[lo:lo + step] * taps, n=n, axis=1, norm="forward"), out=rows)
+            np.square(rows, out=rows)
 
 
 def measure(x, windows, hop: int) -> MeasurementGrid:
@@ -190,9 +207,14 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
     * ``2L - 1 <= log2 n`` (short windows): the (M, 2L - 1) autocorrelation
       coefficients times one shared (2L - 1, n) trig table, a single real
       matmul, clamped at 0 so exact grids stay nonnegative;
-    * otherwise: a zero-padded n-point FFT of the L products.
+    * otherwise: a zero-padded n-point FFT of the L products, in row blocks
+      with ``norm="forward"``.  Each row is transformed on its own and the
+      forward norm scales each entry by ``1/n`` as dividing the spectrum
+      does, so the rows are bit for bit ``np.abs(np.fft.fft(s, n=n, axis=1) / n) ** 2``
+      of all M sections at once.
 
-    Both equal ``|stft(x, w, hop)|**2``; :func:`stft` and
+    Neither route allocates anything grid-sized beside the grid.  Both equal
+    ``|stft(x, w, hop)|**2``; :func:`stft` and
     :func:`stftpr.oracle.measure_direct` stay the references.  Values are
     deterministic, but short-window rows differ from an n-point FFT's in the
     last digits.
@@ -220,7 +242,8 @@ def corrupt(grid: MeasurementGrid, eps) -> MeasurementGrid:
         raise DimensionMismatchError(
             f"noise shape {e.shape} does not match grid shape {grid.values.shape}"
         )
-    level = float(np.max(np.abs(e))) if e.size else 0.0
+    # max |eps| without an |eps| array: negation is exact, and NaN propagates
+    level = float(np.maximum(e.max(), -e.min())) if e.size else 0.0
     return MeasurementGrid(values=grid.values + e, noise_level=grid.noise_level + level)
 
 
@@ -264,10 +287,6 @@ class AggregateMeasurements:
     def measurement_count(self) -> int:
         """Number of aggregate measurements: two per (window, hop)."""
         return 2 * self.energy.shape[0] * self.energy.shape[1]
-
-
-# aggregate reads a window's grid block in row blocks of about this many bytes
-_AGGREGATE_BLOCK_BYTES = 512 * 1024
 
 
 def aggregate(

@@ -222,6 +222,20 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidPriorError):
             threshold_support(np.ones(3), prior)
 
+    @pytest.mark.parametrize("prior, name", [
+        (np.array([2.0, 0, 0.5j, 0]), r"ndarray of shape \(4,\)"),  # a signal, not its prior
+        (np.array(0.5), r"ndarray of shape \(\)"),
+        ([0.5], "list"),
+        (0.5j, "complex"),
+        ("0.5", "str"),
+    ])
+    def test_non_scalar_prior_is_named(self, prior, name):
+        # numpy's bare "truth value of an array is ambiguous" used to escape
+        with pytest.raises(InvalidPriorError, match="must be a real scalar, got " + name):
+            error_budget(_impulse_constants(4), 0.0, prior)
+        with pytest.raises(InvalidPriorError, match="must be a real scalar"):
+            threshold_support(np.ones(3), prior)
+
     @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
     def test_error_budget_rejects_noise_level(self, noise):
         with pytest.raises(ConfigurationError, match="noise_level must be finite and nonnegative"):

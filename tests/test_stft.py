@@ -180,6 +180,32 @@ class TestMeasureRoutes:
             want = np.abs(np.fft.fft(s, n=n, axis=1) / n) ** 2
             assert np.array_equal(measure(x, [w], hop).values[0], want)
 
+    @pytest.mark.parametrize("block_rows", [1, 5, 24])  # one-row, ragged tail, one block
+    def test_fft_route_row_blocks_are_unchanged(self, monkeypatch, block_rows):
+        # the route transforms its sections in row blocks; no block size moves a byte
+        n, hop = 96, 4  # 24 sections
+        monkeypatch.setattr(stft_module, "_ROW_BLOCK_BYTES", block_rows * 8 * n)
+        rng = np.random.default_rng(block_rows)
+        for length in (7, 40, 96):
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            w = _window(n, int(rng.integers(n)), rng.normal(size=length) + 1j)
+            want = np.abs(np.fft.fft(_sections(x, w, hop), n=n, axis=1) / n) ** 2
+            assert np.array_equal(measure(x, [w], hop).values[0], want)
+
+    def test_peak_is_the_grid(self):
+        # one row block of spectra at a time: nothing grid-sized beside the grid
+        rng = np.random.default_rng(8)
+        n, hop = 1024, 4
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        fam = [_window(n, 3, rng.normal(size=length) + 1j) for length in (2, 500)]
+        tracemalloc.start()
+        try:
+            grid = measure(x, fam, hop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.values.nbytes + (1 << 20)
+
     @pytest.mark.parametrize("n", [40, 96, 1000, 1024])
     def test_fft_route_scaling_matches_complex_division(self, n):
         # the route scales the spectrum by multiplying its float view by 1/n; that
@@ -267,6 +293,22 @@ class TestCorrupt:
         with pytest.raises(DimensionMismatchError):
             corrupt(grid, np.zeros((1, 1, 3)))
 
+    @pytest.mark.parametrize("shift", [0.0, -3.0, 3.0])  # -3: the largest magnitude is negative
+    def test_level_is_max_abs_bit_for_bit(self, shift):
+        rng = np.random.default_rng([9, int(shift) + 3])
+        grid = measure(rng.normal(size=12) + 0j, [np.ones(12)], hop=3)
+        for _ in range(5):
+            eps = rng.normal(size=grid.values.shape) + shift
+            assert corrupt(grid, eps).noise_level == float(np.max(np.abs(eps)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        grid = measure(np.ones(6), [np.ones(6)], hop=2)
+        eps = np.zeros_like(grid.values)
+        eps[0, 1, 2] = bad
+        with pytest.raises(ConfigurationError):
+            corrupt(grid, eps)
+
 
 class TestShapes:
     def test_grid_must_be_three_dimensional(self):
@@ -286,6 +328,26 @@ class TestNonFinite:
         values[0, 1, 2] = bad
         with pytest.raises(ConfigurationError):
             MeasurementGrid(values)
+
+    @pytest.mark.parametrize("cell", [(0, 0, 0), (0, 6, 3), (2, 0, 4), (2, 6, 4)])
+    def test_grid_rejects_in_every_row_block(self, monkeypatch, cell):
+        # checked three rows at a time: a NaN in a later block or window still shows
+        monkeypatch.setattr(stft_module, "_ROW_BLOCK_BYTES", 3 * 8 * 5)
+        values = np.ones((3, 7, 5))
+        MeasurementGrid(values)
+        values[cell] = np.nan
+        with pytest.raises(ConfigurationError):
+            MeasurementGrid(values)
+
+    def test_grid_check_forms_no_grid_sized_mask(self):
+        values = np.ones((2, 512, 1024))  # 8 MB
+        tracemalloc.start()
+        try:
+            MeasurementGrid(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024  # a whole-grid isfinite mask is 1 MB
 
     def test_grid_rejects_non_finite_noise_level(self):
         with pytest.raises(ConfigurationError):
