@@ -42,9 +42,10 @@ def check_prior(value, message: str | None = None) -> float:
     """Minimum-magnitude prior as a float; ``InvalidPriorError`` unless finite and positive.
 
     NaN fails ``value > 0`` and gets ``message``, as a missing or nonpositive prior does.
-    Any other value that is not a real scalar, an array included, is named by its type.
+    Any other value that is not a real scalar, an array or a bool included, is named by
+    its type.
     """
-    if value is not None and not isinstance(value, numbers.Real):
+    if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         shape = f" of shape {value.shape}" if hasattr(value, "shape") else ""
         raise InvalidPriorError(
             f"minimum-magnitude prior must be a real scalar, got {type(value).__name__}{shape}"

@@ -154,16 +154,19 @@ def edge_phase(
     n = fam.shape[1]
     hop = n // agg.num_hops
     num_edges = len(graph.edges)
-    eid = np.repeat(np.arange(num_edges), np.diff(graph.offsets))
     r, m = graph.window, graph.hop_index
     mag = _modulus(agg.correlation[r, m])
-    # by edge, then strongest evidence first, then smaller (window, hop)
-    order = np.lexsort((m, r, -mag, eid))
-    # each edge's first entry is its strongest witness: if it does not
-    # clear the tolerance, no other witness of that edge does
-    first = order[np.diff(eid[order], prepend=-1) != 0]
-    first = first[mag[first] > degenerate_tol]
-    chosen, r, m = eid[first], r[first], m[first]
+    first = np.empty(0, dtype=np.intp)
+    if num_edges:  # an empty graph has no witnesses, and reduceat may reject empty input
+        # each edge's witnesses are in (window, hop) order, so the first one
+        # of largest evidence is its strongest witness with ties going to the
+        # smaller (window, hop); if it does not clear the tolerance, none does
+        starts = graph.offsets[:-1]
+        best = np.repeat(np.maximum.reduceat(mag, starts), np.diff(graph.offsets))
+        first = np.minimum.reduceat(np.where(mag == best, np.arange(mag.size), mag.size), starts)
+    chosen = np.flatnonzero(mag[first] > degenerate_tol)
+    first = first[chosen]
+    r, m = r[first], m[first]
     value = agg.correlation[r, m]
     ws = supports[r]
     n1, n2 = endpoint_witness(ws, hop, m, n)

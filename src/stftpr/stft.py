@@ -17,7 +17,8 @@ one real matmul; longer ones take a zero-padded n-point FFT.  :func:`stft` and
 The grid is the only grid-sized array :func:`measure` makes: the FFT route
 transforms row blocks of sections with ``norm="forward"``, which scales each
 row by ``1/n`` as dividing the whole spectrum does, so blocking moves no byte;
-:class:`MeasurementGrid` checks finiteness in row blocks too.
+:class:`MeasurementGrid` checks finiteness in row blocks too, and
+:func:`aggregate` reads the grid once, one real product per row block.
 """
 
 from __future__ import annotations
@@ -294,11 +295,12 @@ def aggregate(
 ) -> AggregateMeasurements:
     """Collapse a measurement grid to per-(window, hop) energy and correlation.
 
-    One pass over the grid: each window's ``(M, n)`` block is read in row
-    blocks of about ``_AGGREGATE_BLOCK_BYTES``, and each row block is summed
-    and multiplied by the modulation's cosine and sine while it is still in
-    cache.  The values are bit for bit those of ``values.sum(axis=2)`` and
-    two whole-block mat-vecs (with BLAS on one thread).
+    One read of the grid: each window's ``(M, n)`` block is taken in row
+    blocks of about ``_AGGREGATE_BLOCK_BYTES``, and one real matrix product
+    of the ``(3, n)`` table ``[1; cos; sin]`` of the modulation with a row
+    block writes its energies and both correlation parts.  Windows of one
+    supporting length share a table.  The bytes depend on the row blocks,
+    which come from the grid's shape alone, and not on the BLAS thread count.
     """
     fam = as_window_family(windows, grid.n)
     if fam.shape[0] != grid.num_windows:
@@ -306,26 +308,26 @@ def aggregate(
             f"grid has {grid.num_windows} windows, family has {fam.shape[0]}"
         )
     n, num_hops = grid.n, grid.num_hops
-    energy = np.empty((grid.num_windows, num_hops))
-    correlation = np.empty(energy.shape, dtype=complex)
-    # rows of 8 * n bytes, in blocks of a multiple of 8 rows, so that BLAS groups
-    # the rows of a block as it does the whole block's; a one-row tail, which a
-    # mat-vec would round differently, joins the block before it
+    # energy, then the real and imaginary parts of the correlation
+    parts = np.empty((3, grid.num_windows, num_hops))
+    # rows of 8 * n bytes, in blocks of a multiple of 8 rows; a one-row tail,
+    # which BLAS would take as a mat-vec, joins the block before it
     step = max(8, _AGGREGATE_BLOCK_BYTES // (8 * n) // 8 * 8)
     stops = [*range(step, num_hops - 1, step), num_hops]
     k = np.arange(n)
+    tables = {}
     for r, length in enumerate(window_support(fam, zero_tol).length.tolist()):
-        angle = 2 * np.pi * k * (length - 1) / n
-        cos, sin = np.cos(angle), np.sin(angle)
+        if length not in tables:
+            angle = 2 * np.pi * k * (length - 1) / n
+            tables[length] = np.stack((np.ones(n), np.cos(angle), np.sin(angle)))
         for lo, hi in zip([0, *stops], stops):
-            blk = grid.values[r, lo:hi]
-            # two real mat-vecs: a complex one would first copy the block to complex;
-            # the first streams the block from memory, the sum then reads it from cache
-            correlation[r, lo:hi].real = blk @ cos
-            blk.sum(axis=1, out=energy[r, lo:hi])
-            correlation[r, lo:hi].imag = blk @ sin
+            # real, so no complex copy of the block; each block is read once
+            np.matmul(tables[length], grid.values[r, lo:hi].T, out=parts[:, r, lo:hi])
+    correlation = np.empty(parts.shape[1:], dtype=complex)
+    correlation.real, correlation.imag = parts[1], parts[2]
+    # a copy, so that the result does not hold the three parts alive
     return AggregateMeasurements(
-        energy=energy, correlation=correlation, noise_level=grid.noise_level
+        energy=parts[0].copy(), correlation=correlation, noise_level=grid.noise_level
     )
 
 

@@ -436,7 +436,58 @@ def _reference_edge_phase(witnesses, agg, fam, tol):
     return None
 
 
+def _lexsort_witnesses(graph, agg, tol):
+    """Each edge's chosen ``(window, hop)``, by the lexsort ``edge_phase`` once chose with.
+
+    The witnesses are sorted by (edge, strongest evidence first, window, hop),
+    and an edge's first entry is its witness; ``(-1, -1)`` when that entry
+    does not clear ``tol``.
+    """
+    eid = np.repeat(np.arange(len(graph.edges)), np.diff(graph.offsets))
+    r, m = graph.window, graph.hop_index
+    mag = phase._modulus(agg.correlation[r, m])
+    order = np.lexsort((m, r, -mag, eid))
+    first = order[np.diff(eid[order], prepend=-1) != 0]
+    first = first[mag[first] > tol]
+    want = np.full((len(graph.edges), 2), -1)
+    want[eid[first]] = np.column_stack((r[first], m[first]))
+    return want
+
+
 class TestEdgeTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([6, 8, 12, 16, 24]),
+        witnesses=st.sampled_from(["one", "many", "mixed", "empty"]),
+        data=st.data(),
+    )
+    def test_witness_choice_matches_lexsort(self, seed, n, witnesses, data):
+        # evidence on a lattice of Gaussian integers ties often, and exactly
+        rng = np.random.default_rng(seed)
+        hop = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        num_windows = 1 if witnesses == "one" else data.draw(st.integers(2, 4))
+        lengths = rng.integers(2, n // 2 + 1, size=num_windows)
+        if witnesses == "many":
+            # one length at hop 1: every window witnesses every edge
+            hop, lengths[:] = 1, lengths[0]
+        fam = np.stack([random_interval_window(n, int(length), rng) for length in lengths])
+        supports = window_support(fam)
+        vertices = np.flatnonzero(rng.random(n) < 0.8)
+        if witnesses == "empty":
+            vertices = vertices[:1]  # at most one vertex: a graph without edges
+        graph = endpoint_graph_from_support(vertices, supports, hop, n)
+        counts = np.diff(graph.offsets)
+        assert {"one": np.all(counts == 1), "many": np.all(counts == num_windows),
+                "mixed": True, "empty": counts.size == 0}[witnesses]
+        shape = (num_windows, n // hop)
+        corr = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+        agg = AggregateMeasurements(energy=np.ones(shape), correlation=corr)
+        tol = data.draw(st.sampled_from([0.0, 1.0, 2.0]))
+        record = phase.edge_phase(graph, agg, fam, supports, tol)
+        got = np.column_stack((record.window, record.hop_index)).reshape(-1, 2)
+        assert np.array_equal(got, _lexsort_witnesses(graph, agg, tol))
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -667,9 +718,10 @@ class TestArrayWalk:
 
 
 class TestNonFinitePrior:
-    @pytest.mark.parametrize("prior", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("prior", [float("nan"), float("inf"), True, False])
     def test_noisy_reconstruct_rejects(self, prior):
-        # NaN used to detect an empty support and return an all-zero estimate
+        # NaN used to detect an empty support and return an all-zero estimate,
+        # and True to run the half-minimum rule with a prior of 1.0
         rng = np.random.default_rng(227)
         x, fam = certified_instance(8, 2, 2, rng)
         grid = corrupt(measure(x, fam, 2), rng.uniform(-1e-9, 1e-9, (2, 4, 8)))

@@ -228,6 +228,8 @@ class TestNonFiniteInputs:
         ([0.5], "list"),
         (0.5j, "complex"),
         ("0.5", "str"),
+        (True, "bool"),  # a numbers.Real, so it used to pass as a prior of 1.0
+        (False, "bool"),
     ])
     def test_non_scalar_prior_is_named(self, prior, name):
         # numpy's bare "truth value of an array is ambiguous" used to escape

@@ -29,7 +29,7 @@ from stftpr.errors import (
     DimensionMismatchError,
     InvalidWindowError,
 )
-from stftpr.generators import certified_instance, random_interval_window
+from stftpr.generators import random_interval_window
 from stftpr.oracle import measure_direct, stft_direct
 from stftpr.stft import AggregateMeasurements, _autocorrelation_coefficients, _trig_table
 from stftpr.supportgraph import window_support
@@ -401,7 +401,7 @@ class TestAggregate:
             assert np.max(np.abs(agg.correlation[r] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_no_complex_copy_of_the_grid(self):
-        # two real mat-vecs: peak allocation stays well below one complex grid block
+        # real products only: peak allocation stays well below one complex grid block
         rng = np.random.default_rng(6)
         n = 256
         fam = [random_interval_window(n, 9, rng)]
@@ -414,30 +414,37 @@ class TestAggregate:
             tracemalloc.stop()
         assert peak < grid.values[0].nbytes  # a complex copy would be twice that
 
-    @pytest.mark.parametrize("n, hop, block_rows", [
-        (96, 8, 16),  # 12 rows: below one block
-        (128, 8, 16),  # 16 rows: exactly one block
-        (120, 1, 16),  # 120 rows: seven blocks and an 8-row tail
-        (100, 4, 16),  # 25 rows: a 9-row tail
-        (136, 8, 16),  # 17 rows: the one-row tail joins the block before it
-        (1024, 8, None),  # wide-exact's geometry at the module's block size
-        (1024, 1, None),  # deep-noisy's
-    ])
-    def test_row_blocks_match_whole_block_formula(self, monkeypatch, n, hop, block_rows):
-        # blocking changes the memory traffic only: energy and correlation are
-        # bit for bit the whole-block sum and the two whole-block mat-vecs
+    @pytest.mark.parametrize("n, hop, block_rows, blocks", [
+        (96, 8, 16, [(0, 12)]),  # below one block
+        (128, 8, 16, [(0, 16)]),  # exactly one block
+        (120, 1, 16, [*((lo, lo + 16) for lo in range(0, 112, 16)), (112, 120)]),  # 8-row tail
+        (100, 4, 16, [(0, 16), (16, 25)]),  # a 9-row tail
+        (136, 8, 16, [(0, 17)]),  # the one-row tail joins the block before it
+        (64, 64, None, [(0, 1)]),  # one hop: a single row, which BLAS takes as a mat-vec
+        (1024, 8, None, [(0, 64), (64, 128)]),  # wide-exact's geometry at the module's size
+        (1024, 1, None, [(lo, lo + 64) for lo in range(0, 1024, 64)]),  # deep-noisy's
+    ], ids=["96-8-16", "128-8-16", "120-1-16", "100-4-16", "136-8-16", "64-64-None",
+            "1024-8-None", "1024-1-None"])
+    def test_row_blocks_are_one_product_each(self, monkeypatch, n, hop, block_rows, blocks):
+        # each row block is one product of the (3, n) table [1; cos; sin] with
+        # the block, so energy and correlation are bit for bit those products;
+        # a product's bits depend on its row count, so the blocks are pinned too
         if block_rows is not None:
             monkeypatch.setattr(stft_module, "_AGGREGATE_BLOCK_BYTES", block_rows * 8 * n)
         rng = np.random.default_rng([n, hop])
-        x, fam = certified_instance(n, hop, 10 if hop == 8 else hop, rng)
-        grid = corrupt(measure(x, fam, hop), rng.uniform(-1e-9, 1e-9, (fam.shape[0], n // hop, n)))
+        # windows 1 and 3 share a supporting length, and so a table
+        fam = np.stack([random_interval_window(n, length, rng) for length in (1, 5, n // 3, 5)])
+        grid = measure(rng.normal(size=n) + 1j * rng.normal(size=n), fam, hop)
+        grid = corrupt(grid, rng.uniform(-1e-9, 1e-9, grid.values.shape))
         agg = aggregate(grid, fam)
-        assert np.array_equal(agg.energy, grid.values.sum(axis=2))
         k = np.arange(n)
         for r, length in enumerate(window_support(fam).length.tolist()):
             angle = 2 * np.pi * k * (length - 1) / n
-            assert np.array_equal(agg.correlation[r].real, grid.values[r] @ np.cos(angle))
-            assert np.array_equal(agg.correlation[r].imag, grid.values[r] @ np.sin(angle))
+            table = np.stack((np.ones(n), np.cos(angle), np.sin(angle)))
+            want = np.concatenate([table @ grid.values[r, lo:hi].T for lo, hi in blocks], axis=1)
+            assert np.array_equal(agg.energy[r], want[0])
+            assert np.array_equal(agg.correlation[r].real, want[1])
+            assert np.array_equal(agg.correlation[r].imag, want[2])
 
     def test_window_count_must_match_grid(self):
         w = [1, 1, 0, 0]
@@ -447,17 +454,23 @@ class TestAggregate:
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # a whole-block mat-vec per window, without the row blocks, gives
-        # different bytes on one and on two BLAS threads at each geometry
+        # different bytes on one and on two BLAS threads at the chain
+        # geometries; at the last two a row block is only 8 rows of long rows
         script = """
 import hashlib
 import numpy as np
 from stftpr import MeasurementGrid, aggregate
-from stftpr.generators import chain_family
+from stftpr.generators import chain_family, random_interval_window
 digest = hashlib.sha256()
 for n, hop, num_windows in ((1542, 2, 2), (1155, 1, 1), (1030, 2, 2)):
     rng = np.random.default_rng(7)
     fam = chain_family(n, hop, num_windows, rng)
     agg = aggregate(MeasurementGrid(rng.uniform(0, 1, (num_windows, n // hop, n))), fam)
+    digest.update(agg.energy.tobytes() + agg.correlation.tobytes())
+for n, hop in ((16384, 1024), (65536, 4096)):
+    rng = np.random.default_rng(7)
+    fam = np.stack([random_interval_window(n, length, rng) for length in (5, n // 3)])
+    agg = aggregate(MeasurementGrid(rng.uniform(0, 1, (2, n // hop, n))), fam)
     digest.update(agg.energy.tobytes() + agg.correlation.tobytes())
 print(digest.hexdigest())
 """
@@ -467,9 +480,9 @@ print(digest.hexdigest())
                 [sys.executable, "-c", script], capture_output=True, text=True, check=True,
                 env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
             ).stdout
-            for threads in ("1", "2")
+            for threads in ("1", "2", "3")
         ]
-        assert len(digests[0]) == 65 and digests[0] == digests[1]
+        assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]
 
 
 class TestGridCsv:
