@@ -11,14 +11,20 @@ samples has a squared spectrum that is a trigonometric polynomial of degree
 L - 1 whose coefficients are the section's autocorrelations (lag 0 is its
 energy, lag L - 1 the endpoint correlation that :func:`aggregate` extracts).
 Windows with ``2L - 1 <= log2 n`` are evaluated from those coefficients with
-one real matmul; longer ones take a zero-padded n-point FFT.  :func:`stft` and
+a real matmul; longer ones take a zero-padded n-point FFT.  :func:`stft` and
 :func:`stftpr.oracle.measure_direct` stay the references for both routes.
 
-The grid is the only grid-sized array :func:`measure` makes: the FFT route
-transforms row blocks of sections with ``norm="forward"``, which scales each
-row by ``1/n`` as dividing the whole spectrum does, so blocking moves no byte;
-:class:`MeasurementGrid` checks finiteness in row blocks too, and
-:func:`aggregate` reads the grid once, one real product per row block.
+The grid is the only grid-sized array :func:`measure` makes.  It makes one
+pass per supporting length: the sections of every window of that length are
+gathered together and pushed through their route in row blocks, each
+finished while it is in cache.  The FFT route transforms each row on its own
+with ``norm="forward"``, which scales each row by ``1/n`` as dividing the
+whole spectrum does, so blocking moves no byte.  The short route's row
+blocks follow from n alone, and its products are one row block each, too
+small for BLAS to split between threads at the sizes tested, so their bytes
+do not depend on the thread count.  :class:`MeasurementGrid` checks
+finiteness in row blocks too, and :func:`aggregate` reads the grid once, one
+real product per row block.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
 from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, check_hop, check_tolerance
-from .supportgraph import WindowSupport, endpoint_witness, window_support
+from .supportgraph import endpoint_witness, window_support
 
 
 def stft(x, w, hop: int) -> np.ndarray:
@@ -139,53 +145,6 @@ def _autocorrelation_coefficients(sections: np.ndarray) -> np.ndarray:
     return np.concatenate((c.real, c.imag[:, 1:]), axis=1)
 
 
-def _cyclic_slices(xa: np.ndarray, start: int, hop: int, length: int) -> np.ndarray:
-    """``(n // hop, length)`` array whose row m is ``xa[start + hop*m + i]``, indices mod n.
-
-    The rows are strided slices of ``xa`` extended cyclically to
-    ``n + length - 1`` entries, returned as a read-only view:
-    ``sliding_window_view(ext, length)[::hop]``, built directly, since that
-    function's checks cost as much as a whole gather at small n.
-    """
-    n = xa.shape[0]
-    ext = np.take(xa, np.arange(start, start + n + length - 1), mode="wrap")
-    step = ext.itemsize
-    view = np.ndarray((n // hop, length), ext.dtype, ext, strides=(hop * step, step))
-    view.flags.writeable = False
-    return view
-
-
-def _window_power(xa, w, ws: WindowSupport, tables: dict, out: np.ndarray) -> None:
-    """One window's ``(M, n)`` block of squared magnitudes, written into ``out``.
-
-    ``ws`` is the window's exact support.  Sections, spectra and
-    coefficients are locals, so none outlives the call; the FFT route holds
-    one row block of them at a time.
-    """
-    n, length = xa.shape[0], ws.length
-    hop = n // out.shape[0]
-    taps = w[(ws.far(n) - np.arange(length)) % n]
-    # section 0 starts at the index its window's far end sees, section m hop*m
-    # past it; the view is a temporary, so its extension is freed here
-    _, first = endpoint_witness(ws, hop, 0, n)
-    view = _cyclic_slices(xa, first, hop, length)
-    # 2L - 1 <= log2 n: the table has 2L - 1 rows, an n-point FFT costs O(log n)
-    # per output.  Well on the cheap side of the crossover: at n = 1024, M = 128
-    # the routes break even between L = 32 and 64, and this stops at L = 5.
-    if 2 * length - 1 <= n.bit_length() - 1:
-        if length not in tables:
-            tables[length] = _trig_table(length, n)
-        np.matmul(_autocorrelation_coefficients(view * taps), tables[length], out=out)
-        np.maximum(out, 0.0, out=out)
-    else:
-        # one block of spectra at a time, written into out while it is in cache
-        step = max(1, _ROW_BLOCK_BYTES // (8 * n))
-        for lo in range(0, out.shape[0], step):
-            rows = out[lo:lo + step]
-            np.abs(np.fft.fft(view[lo:lo + step] * taps, n=n, axis=1, norm="forward"), out=rows)
-            np.square(rows, out=rows)
-
-
 def measure(x, windows, hop: int) -> MeasurementGrid:
     """Exact squared-magnitude measurements of the multiple-window STFT.
 
@@ -206,29 +165,78 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
     so each window takes one of two routes, chosen from L and n alone:
 
     * ``2L - 1 <= log2 n`` (short windows): the (M, 2L - 1) autocorrelation
-      coefficients times one shared (2L - 1, n) trig table, a single real
-      matmul, clamped at 0 so exact grids stay nonnegative;
-    * otherwise: a zero-padded n-point FFT of the L products, in row blocks
-      with ``norm="forward"``.  Each row is transformed on its own and the
+      coefficients times one shared (2L - 1, n) trig table, a real matmul,
+      clamped at 0 so exact grids stay nonnegative;
+    * otherwise: a zero-padded n-point FFT of the L products with
+      ``norm="forward"``.  Each row is transformed on its own and the
       forward norm scales each entry by ``1/n`` as dividing the spectrum
       does, so the rows are bit for bit ``np.abs(np.fft.fft(s, n=n, axis=1) / n) ** 2``
       of all M sections at once.
 
-    Neither route allocates anything grid-sized beside the grid.  Both equal
-    ``|stft(x, w, hop)|**2``; :func:`stft` and
-    :func:`stftpr.oracle.measure_direct` stay the references.  Values are
-    deterministic, but short-window rows differ from an n-point FFT's in the
-    last digits.
+    Windows of one supporting length share one pass: their sections are
+    gathered together, whole windows or whole row blocks of one window at a
+    time, and each window's rows go through the route in row blocks of about
+    ``_ROW_BLOCK_BYTES``, each finished (clamped, or squared) while it is in
+    cache.  Nothing grid-sized is allocated beside the grid, and every
+    gather is about one row block.  Both routes equal ``|stft(x, w, hop)|**2``;
+    :func:`stft` and :func:`stftpr.oracle.measure_direct` stay the references.
+    Values are deterministic, but short-window rows differ from an n-point
+    FFT's in the last digits.  A short-window row's bytes depend on its row
+    block, which n and the row's index in its window fix, and not on the
+    other windows; each product is one row block, and the bytes are the same
+    on 1, 2 and 3 BLAS threads at every size tested.
     """
     xa = as_signal(x)
     n = xa.shape[0]
     fam = as_window_family(windows, n)
     check_hop(n, hop)
     supports = window_support(fam, 0.0)
-    vals = np.empty((fam.shape[0], n // hop, n))
-    tables = {}  # windows sharing a supporting length share one trig table
-    for r, w in enumerate(fam):
-        _window_power(xa, w, supports[r], tables, vals[r])
+    num_hops = n // hop
+    vals = np.empty((fam.shape[0], num_hops, n))
+    step = max(1, _ROW_BLOCK_BYTES // (8 * n))  # grid rows per row block
+    for length in sorted(set(supports.length.tolist())):
+        rs = np.flatnonzero(supports.length == length)
+        ws, lags = supports[rs], np.arange(length)
+        # row t is the run x[t], ..., x[t + L - 1] of indices mod n:
+        # sliding_window_view(ext, L) of x extended cyclically, built directly,
+        # since that function's checks cost as much as a gather at small n
+        ext = np.concatenate((xa, xa[:length - 1]))
+        runs = np.ndarray((n, length), ext.dtype, ext, strides=(ext.itemsize,) * 2)
+        # section 0 starts at the index its window's far end sees, section m hop*m past it
+        _, first = endpoint_witness(ws, hop, 0, n)
+        # 2L - 1 <= log2 n: the table has 2L - 1 rows, an n-point FFT costs O(log n)
+        # per output.  Well on the cheap side of the crossover: at n = 1024, M = 128
+        # the routes break even between L = 32 and 64, and this stops at L = 5.
+        short = 2 * length - 1 <= n.bit_length() - 1
+        table = _trig_table(length, n) if short else None
+        # a gather is `wins` whole windows or `span` rows (whole row blocks) of
+        # one: one row block of spectra, or about _ROW_BLOCK_BYTES of short sections
+        budget = max(step, _ROW_BLOCK_BYTES // (16 * length)) if short else step
+        span, wins = min(num_hops, budget // step * step), max(1, budget // num_hops)
+        for j0, m0 in itertools.product(range(0, rs.size, wins), range(0, num_hops, span)):
+            j = np.arange(j0, min(j0 + wins, rs.size))
+            m = np.arange(m0, min(m0 + span, num_hops))
+            sections = runs[(first[j, None] + hop * m) % n]
+            sections *= fam[rs[j, None], (ws.far(n)[j, None] - lags) % n][:, None]  # the taps
+            if short:
+                block = _autocorrelation_coefficients(sections.reshape(-1, length))
+                block = block.reshape(j.size, m.size, -1)
+            else:
+                # padded, then transformed in place (out=, numpy >= 2.0): no second
+                # block, and faster than fft(sections, n=n), which pads row by row
+                block = np.zeros((j.size, m.size, n), complex)
+                block[..., :length] = sections
+                np.fft.fft(block, axis=-1, norm="forward", out=block)
+            # one row block of one window at a time, finished while it is in cache
+            for i, a in itertools.product(range(j.size), range(0, m.size, step)):
+                out = vals[rs[j0 + i], m0 + a:m0 + a + step]
+                if short:
+                    np.matmul(block[i, a:a + step], table, out=out)
+                    np.maximum(out, 0.0, out=out)
+                else:
+                    np.abs(block[i, a:a + step], out=out)
+                    np.square(out, out=out)
+            del sections, block  # so that no two gathers are alive at once
     return MeasurementGrid(values=vals, noise_level=0.0)
 
 

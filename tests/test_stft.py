@@ -147,6 +147,18 @@ def _sections(x, w, hop):
     return x[t] * w[(ws.anchor + ws.length - 1 - i) % n]
 
 
+def _on_blas_threads(script):
+    """Standard output of ``script``, run in a fresh process on 1, 2 and 3 BLAS threads."""
+    src = str(Path(stft_module.__file__).parents[1])
+    return [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2", "3")
+    ]
+
+
 @st.composite
 def _measure_geometries(draw):
     n = draw(st.integers(1, 32))
@@ -193,24 +205,25 @@ class TestMeasureRoutes:
             assert np.array_equal(measure(x, [w], hop).values[0], want)
 
     def test_peak_is_the_grid(self):
-        # one row block of spectra at a time: nothing grid-sized beside the grid
+        # one row block of spectra at a time: nothing grid-sized beside the grid,
+        # with both routes, and with ten windows of one long length sharing gathers
         rng = np.random.default_rng(8)
         n, hop = 1024, 4
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        fam = [_window(n, 3, rng.normal(size=length) + 1j) for length in (2, 500)]
-        tracemalloc.start()
-        try:
-            grid = measure(x, fam, hop)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < grid.values.nbytes + (1 << 20)
+        for lengths in ((2, 500), (400,) * 10):
+            fam = [_window(n, 3, rng.normal(size=length) + 1j) for length in lengths]
+            tracemalloc.start()
+            try:
+                grid = measure(x, fam, hop)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < grid.values.nbytes + (1 << 20), lengths
 
     @pytest.mark.parametrize("n", [40, 96, 1000, 1024])
     def test_fft_route_scaling_matches_complex_division(self, n):
-        # the route scales the spectrum by multiplying its float view by 1/n; that
-        # must round as the complex f /= n it replaced (dividing the view by n
-        # rounds differently at every n here but 1024)
+        # the route scales the spectrum with norm="forward"; that must round as
+        # the complex f /= n it replaced, at powers of two and at other n alike
         rng = np.random.default_rng(n)
         for length in (7, n // 3):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -248,6 +261,64 @@ class TestMeasureRoutes:
             else:
                 want = np.abs(np.fft.fft(sections, n=n, axis=1) / n) ** 2
             assert np.array_equal(vals[r], want)
+
+    @pytest.mark.parametrize("n, hop, block_rows", [
+        (96, 4, 1),  # one-row blocks; length-3 gathers of 16 rows, then 8
+        (96, 4, 5),  # ragged tail: 4 blocks of 5 rows and one of 4 per window
+        (96, 4, 24),  # one block per window
+        (96, 4, 72),  # three windows per block of spectra
+        (100, 2, 2),  # short gathers of 16 whole blocks, where 33 rows would fit
+        (1024, 8, None),  # the module's own block size
+    ])
+    def test_lengths_share_a_pass_bit_for_bit(self, monkeypatch, n, hop, block_rows):
+        # windows of one length share gathers, and equal lengths sit in rows
+        # that are not adjacent; each window's rows must equal, bit for bit,
+        # the per-window formula measure had before, taken in the same row blocks
+        if block_rows is not None:
+            monkeypatch.setattr(stft_module, "_ROW_BLOCK_BYTES", block_rows * 8 * n)
+        step = max(1, stft_module._ROW_BLOCK_BYTES // (8 * n))
+        rng = np.random.default_rng(n + hop)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        short = n.bit_length() // 2  # the longest L with 2L - 1 <= log2 n
+        lengths = (2, 40, short, 2, 7, 40, short, 2, n)
+        fam = [_window(n, int(rng.integers(n)), rng.normal(size=length) + 1j)
+               for length in lengths]
+        vals = measure(x, fam, hop).values
+        for r, w in enumerate(fam):
+            sections = _sections(x, w, hop)
+            length = sections.shape[1]
+            if 2 * length - 1 <= n.bit_length() - 1:
+                coefficients = _autocorrelation_coefficients(sections)
+                table = _trig_table(length, n)
+                want = np.maximum(np.concatenate(
+                    [coefficients[lo:lo + step] @ table
+                     for lo in range(0, len(coefficients), step)]), 0.0)
+            else:
+                want = np.abs(np.fft.fft(sections, n=n, axis=1) / n) ** 2
+            assert np.array_equal(vals[r], want), (r, length)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # one product per window, without the row blocks, gives different bytes
+        # on one and on two BLAS threads at the two chain geometries and at
+        # (1542, 2) with windows of length 5
+        script = """
+import hashlib
+import numpy as np
+from stftpr import measure
+from stftpr.generators import certified_instance, random_interval_window
+digest = hashlib.sha256()
+for n, hop, num_windows in ((1542, 2, 2), (1030, 2, 2)):
+    x, fam = certified_instance(n, hop, num_windows, np.random.default_rng(7))
+    digest.update(measure(x, fam, hop).values.tobytes())
+for n, hop in ((2048, 2), (1542, 2), (4096, 4), (3000, 3)):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    fam = np.stack([random_interval_window(n, 5, rng) for _ in range(3)])
+    digest.update(measure(x, fam, hop).values.tobytes())
+print(digest.hexdigest())
+"""
+        digests = _on_blas_threads(script)
+        assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]
 
     def test_short_route_is_nonnegative_and_exact_on_zero_sections(self):
         rng = np.random.default_rng(22)
@@ -474,14 +545,7 @@ for n, hop in ((16384, 1024), (65536, 4096)):
     digest.update(agg.energy.tobytes() + agg.correlation.tobytes())
 print(digest.hexdigest())
 """
-        src = str(Path(stft_module.__file__).parents[1])
-        digests = [
-            subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
-            ).stdout
-            for threads in ("1", "2", "3")
-        ]
+        digests = _on_blas_threads(script)
         assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]
 
 
