@@ -11,7 +11,8 @@ CRLF.
 
 Exit codes: 0 success, 1 usage or I/O problem (including a ``verify``
 instance too large for the direct oracle), 2 provably non-retrievable
-(disconnected support graph), 3 certification failure (rank gate or window
+(disconnected covisibility graph), 3 certification failure (rank gate, a
+disconnected endpoint graph on a connected covisibility graph, or window
 length), 4 degenerate edge (noise overwhelms a needed phase).
 """
 

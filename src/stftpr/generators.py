@@ -5,7 +5,8 @@ library itself never creates one.  ``chain_family`` is the workhorse for
 recoverable instances: its first ``hop`` windows have supporting length 2 at
 anchors 0..hop-1, which makes the endpoint graph contain every wrap-around
 consecutive pair (t, t-1) - a cycle on the full index set - so the graph
-restricted to any contiguous (or full) support is connected.
+restricted to any contiguous (or full) support is connected.  The family
+generators draw once and leave the rank gate to the caller's run.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from .errors import ConfigurationError
 from .model import check_hop, support as signal_support
 from .spectral import certify_rank
 from .supportgraph import endpoint_graph_from_support, is_connected, window_support
-
-# draws of window values before a generator gives up on certifying a family
-_MAX_TRIES = 64
 
 
 def rectangular_window(n: int, length: int) -> np.ndarray:
@@ -54,11 +52,11 @@ def random_interval_window(
 def mask_family(
     n: int, num_windows: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Half-length masks at cyclically staggered anchors, certified for hop = n.
+    """Half-length masks at cyclically staggered anchors, meant for hop = n.
 
     Each mask occupies a cyclic interval of length ``n // 2`` (so the short-
-    window requirement holds) anchored at its index mod n; values are redrawn
-    until the single full-hop modulation matrix has full rank.
+    window requirement holds) anchored at its index mod n, drawn once; the
+    caller's rank gate checks the single full-hop modulation matrix.
     """
     if n < 4:
         raise ConfigurationError(f"mask families need length >= 4, got {n}")
@@ -66,24 +64,18 @@ def mask_family(
         raise ConfigurationError(
             f"rank {n} needs at least {n} masks, got {num_windows}"
         )
-    length = n // 2
-    for _ in range(_MAX_TRIES):
-        fam = np.stack(
-            [random_interval_window(n, length, rng, anchor=r % n) for r in range(num_windows)]
-        )
-        if certify_rank(fam, n).certified:
-            return fam
-    raise ConfigurationError(f"could not certify a mask family after {_MAX_TRIES} tries")
+    rows = [random_interval_window(n, n // 2, rng, anchor=r % n) for r in range(num_windows)]
+    return np.stack(rows)
 
 
 def chain_family(
     n: int, hop: int, num_windows: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Certified family whose endpoint graph covers every consecutive pair.
+    """Family whose endpoint graph covers every consecutive pair.
 
     The first ``hop`` windows are length-2 intervals at anchors 0..hop-1;
-    extra windows get random intervals of length 2..n//2.  Redraws values
-    until the rank certificate passes (failures are measure-zero accidents).
+    extra windows get random intervals of length 2..n//2.  Drawn once: a
+    failed rank gate is a measure-zero accident for the caller's gate.
     """
     check_hop(n, hop)
     if num_windows < hop:
@@ -93,15 +85,11 @@ def chain_family(
     if n < 4:
         raise ConfigurationError(f"chain families need length >= 4, got {n}")
     max_len = max(2, n // 2)
-    for _ in range(_MAX_TRIES):
-        rows = [random_interval_window(n, 2, rng, anchor=a) for a in range(hop)]
-        for _ in range(num_windows - hop):
-            length = int(rng.integers(2, max_len + 1))
-            rows.append(random_interval_window(n, length, rng))
-        fam = np.stack(rows)
-        if certify_rank(fam, hop).certified:
-            return fam
-    raise ConfigurationError(f"could not certify a chain family after {_MAX_TRIES} tries")
+    rows = [random_interval_window(n, 2, rng, anchor=a) for a in range(hop)]
+    for _ in range(num_windows - hop):
+        length = int(rng.integers(2, max_len + 1))
+        rows.append(random_interval_window(n, length, rng))
+    return np.stack(rows)
 
 
 def random_signal(n: int, rng: np.random.Generator, support=None) -> np.ndarray:
@@ -130,9 +118,12 @@ def certified_instance(
     """(signal, windows) with a passing rank gate and connected endpoint graph.
 
     ``support``, when given, should be cyclically contiguous (or the full
-    index set) so the chain construction guarantees connectivity.
+    index set) so the chain construction guarantees connectivity.  The rank
+    gate runs once, at ``hop``; either failure raises ``ConfigurationError``.
     """
     fam = chain_family(n, hop, num_windows, rng)
+    if not certify_rank(fam, hop).certified:
+        raise ConfigurationError(f"generated window family fails the rank gate at hop {hop}")
     x = random_signal(n, rng, support=support)
     verts = signal_support(x)
     if not is_connected(endpoint_graph_from_support(verts, window_support(fam), hop, n)):

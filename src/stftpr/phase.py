@@ -56,6 +56,7 @@ from .supportgraph import (
     SpanningTree,
     SupportGraph,
     WindowSupport,
+    covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
     is_connected,
@@ -283,11 +284,12 @@ def reconstruct_compressed(
     from its witness of largest evidence magnitude, ties going to the
     smaller (window, hop).  Raises ``DimensionMismatchError`` when the
     aggregates, the windows and ``cfg`` disagree in shape,
-    ``CertificationError`` when the window family fails the rank gate or has
-    windows longer than half the signal on a tree with edges, ``DisconnectedGraphError``
-    (carrying the component certificate) when the endpoint graph is
-    disconnected, and ``DegenerateEdgeError`` when noise drowns out a needed
-    edge.
+    ``CertificationError`` when the window family fails the rank gate, when
+    the endpoint graph is disconnected but the covisibility graph is not, or
+    when windows longer than half the signal meet a tree with edges,
+    ``DisconnectedGraphError`` (carrying the covisibility components) when
+    both graphs are disconnected, a proof that the signal is not determined,
+    and ``DegenerateEdgeError`` when noise drowns out a needed edge.
     """
     fam = as_window_family(windows, cfg.n)
     if (fam.shape[0], *agg.energy.shape) != (cfg.num_windows, cfg.num_windows, cfg.num_hops):
@@ -308,10 +310,15 @@ def reconstruct_compressed(
     # an empty support gives an empty graph and tree, and an all-zero estimate
     graph = endpoint_graph_from_support(detected, supports, cfg.hop, cfg.n)
     if not is_connected(graph):
-        comps = graph.components()
-        raise DisconnectedGraphError(
-            f"endpoint graph on the detected support has {len(comps)} components: {comps}",
-            components=comps,
+        # only a disconnected covisibility graph proves the signal undetermined
+        cov = covisibility_graph_from_support(detected, fam, cfg.hop, cfg.zero_tol)
+        proof = not is_connected(cov)
+        comps = (cov if proof else graph).components()
+        found = f"graph on the detected support has {len(comps)} components: {comps}"
+        if proof:
+            raise DisconnectedGraphError(f"covisibility {found}", components=comps)
+        raise CertificationError(
+            f"endpoint {found}; the covisibility graph is connected, so recovery is undecided"
         )
     tree = spanning_tree(graph)
     # a tree without edges (at most one support index) needs no edge phase

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stftpr import cli, phase, spectral, supportgraph
+from stftpr import cli, generators, phase, spectral, supportgraph
 from stftpr.cli import _dump_json, main
-from stftpr.generators import antipodal_pair_signal, chain_family, random_signal
+from stftpr.errors import CertificationError, DisconnectedGraphError
+from stftpr.generators import (
+    antipodal_pair_signal, chain_family, random_interval_window, random_signal,
+)
 from stftpr.model import ProblemConfig, support
 from stftpr.oracle import DIRECT_TERM_CAP
 from stftpr.spectral import certify_rank
-from stftpr.stft import aggregate, read_grid_csv, write_grid_csv
+from stftpr.stft import aggregate, measure, read_grid_csv, write_grid_csv
 from stftpr.supportgraph import (
     covisibility_graph_from_support,
     endpoint_graph_from_support,
@@ -259,7 +262,27 @@ class TestRecover:
         ) == 0
         code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
         assert code == 2
-        assert "non-retrievable" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "stftpr: non-retrievable: covisibility graph on the detected support has 2 "
+            "components: [[0], [4]]\n"
+        )
+
+    def test_split_endpoint_graph_is_no_proof(self, tmp_path, capsys):
+        # a length-5 window at hop 1 on n = 12 joins only indices 4 apart, so
+        # the endpoint graph has 4 components; each section sees 5 consecutive
+        # indices, so the covisibility graph is connected and nothing is proved
+        out = tmp_path / "r5"
+        assert run(
+            "simulate", "--n", 12, "--hop", 1, "--num-windows", 1,
+            "--windows", "rectangular:5", "--seed", 1, "--out", out,
+        ) == 0
+        code = run("recover", "--grid", out / "grid.csv", "--windows", out / "windows.json")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "stftpr: certification failure: endpoint graph on the detected support has 4 "
+            "components: [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]]; the covisibility "
+            "graph is connected, so recovery is undecided\n"
+        )
 
     def test_certification_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "dup"
@@ -703,6 +726,69 @@ class TestAnalyze:
         assert verdict["covisibility"]["connected"] is True
         assert verdict["endpoint"]["connected"] is False
         assert verdict["verdict"] == "indeterminate"
+
+    @pytest.mark.parametrize(
+        "n, hop, num_windows, spec", [(40, 4, 16, "chain:4"), (8, 8, 8, "masks")],
+        ids=["chain", "masks"],
+    )
+    def test_rank_gate_runs_once(self, n, hop, num_windows, spec, monkeypatch, capsys):
+        # the generators draw without a gate, so the run's own gate, at its
+        # --hop, is the one call through either binding
+        original = spectral.certify_rank
+        calls = []
+
+        def counting(fam, hop, rank_tol=None):
+            calls.append(hop)
+            return original(fam, hop, rank_tol)
+
+        for module in (cli, generators):
+            assert module.certify_rank is original
+            monkeypatch.setattr(module, "certify_rank", counting)
+        assert run("analyze", "--n", n, "--hop", hop, "--num-windows", num_windows,
+                   "--windows", spec, "--seed", 1) == 0
+        assert json.loads(capsys.readouterr().out)["certification"]["certified"] is True
+        assert calls == [hop]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([6, 8, 12, 16]),
+        density=st.sampled_from([0.2, 0.5, 0.9]),
+        data=st.data(),
+    )
+    def test_disconnection_error_is_the_non_retrievable_verdict(self, seed, n, density, data):
+        # on an exact grid, reconstruct raises DisconnectedGraphError exactly
+        # when the rank gate passes and analyze proves the support
+        # non-retrievable, and it carries the covisibility components of support(x)
+        rng = np.random.default_rng(seed)
+        hop = data.draw(st.sampled_from([d for d in (1, 2, 3, 4) if n % d == 0]))
+        num_windows = data.draw(st.integers(hop, hop + 2))
+        fam = np.stack([
+            random_interval_window(n, int(rng.integers(1, n)), rng) for _ in range(num_windows)
+        ])
+        on = rng.random(n) < density
+        on[rng.integers(n)] = True
+        x = random_signal(n, rng, support=np.flatnonzero(on))
+        try:
+            phase.reconstruct(measure(x, fam, hop), fam, ProblemConfig(n, hop, num_windows))
+            raised = None
+        except DisconnectedGraphError as exc:
+            raised = exc
+        except CertificationError:
+            raised = None
+        with tempfile.TemporaryDirectory() as tmp:
+            windows, signal, out = (Path(tmp) / name for name in ("w.json", "x.json", "c.json"))
+            cli.write_windows_json(windows, fam)
+            cli.write_signal_json(signal, x)
+            assert run("analyze", "--n", n, "--hop", hop, "--windows", windows,
+                       "--signal", signal, "--out", out) == 0
+            cert = json.loads(out.read_text())
+        proof = cert["verdict"] == "provably-non-retrievable"
+        cov = covisibility_graph_from_support(support(x), fam, hop)
+        assert proof is not is_connected(cov)
+        assert (raised is not None) == (proof and cert["certification"]["certified"])
+        if raised is not None:
+            assert raised.components == tuple(map(tuple, cov.components()))
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 4242])
     def test_certificate_matches_stdlib_dump_of_to_dict(self, tmp_path, seed):

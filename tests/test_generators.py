@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from stftpr import certify_rank, is_connected, window_support
+from stftpr import certify_rank, generators, is_connected, window_support
 from stftpr.errors import ConfigurationError
 from stftpr.generators import (
     antipodal_pair_signal,
@@ -107,3 +109,44 @@ def test_certified_instance_deterministic():
     a = certified_instance(12, 3, 4, np.random.default_rng(99))
     b = certified_instance(12, 3, 4, np.random.default_rng(99))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+def test_first_draws_pass_the_rank_gate(n):
+    # the generators draw once and leave the gate to the run; every first draw
+    # of this grid certifies at its own hop (hop n for masks) on the default
+    # tolerance, as a redraw-until-certified loop never had to redraw
+    for hop in [d for d in range(1, n + 1) if n % d == 0]:
+        for num_windows in (hop, hop + 1, hop + 3, 2 * hop):
+            for seed in range(3):
+                fam = chain_family(n, hop, num_windows, np.random.default_rng(seed))
+                assert certify_rank(fam, hop).certified, (hop, num_windows, seed)
+    for num_windows in (n, n + 2, 2 * n):
+        for seed in range(3):
+            fam = mask_family(n, num_windows, np.random.default_rng(seed))
+            assert certify_rank(fam, n).certified, (num_windows, seed)
+
+
+def test_only_certified_instance_runs_the_rank_gate(monkeypatch):
+    calls = []
+
+    def gate(fam, hop, rank_tol=None):
+        calls.append(hop)
+        return certify_rank(fam, hop, rank_tol)
+
+    monkeypatch.setattr(generators, "certify_rank", gate)
+    rng = np.random.default_rng(6)
+    chain_family(8, 2, 3, rng)
+    mask_family(8, 8, rng)
+    assert calls == []
+    certified_instance(8, 2, 3, rng)
+    assert calls == [2]
+
+
+def test_certified_instance_rejects_a_failed_rank_gate(monkeypatch):
+    failed = SimpleNamespace(certified=False)
+    monkeypatch.setattr(generators, "certify_rank", lambda fam, hop, rank_tol=None: failed)
+    with pytest.raises(
+        ConfigurationError, match="^generated window family fails the rank gate at hop 2$"
+    ):
+        certified_instance(8, 2, 3, np.random.default_rng(1))

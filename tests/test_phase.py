@@ -195,15 +195,17 @@ class TestReconstruct:
 
     def test_even_span_disconnects_before_length_gate(self):
         # supporting length 5 on n=8 also violates the half-length bound, but
-        # the component certificate must win: disconnection is reported first
+        # the endpoint graph's 4 components are reported first; a length-5
+        # section sees 5 consecutive indices, so the covisibility graph is
+        # connected and nothing is proved: a certification failure, not exit 2
         rng = np.random.default_rng(107)
         n = 8
         fam = [random_interval_window(n, 5, rng)]
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.5, 1.5, n)
         cfg = ProblemConfig(n, 1, 1)
-        with pytest.raises(DisconnectedGraphError) as err:
+        with pytest.raises(CertificationError, match=r"^endpoint graph .* 4 components: ") as err:
             reconstruct(measure(x, fam, 1), fam, cfg)
-        assert len(err.value.components) == 4
+        assert not isinstance(err.value, DisconnectedGraphError)
 
     def test_long_window_rejected_when_connected(self):
         # length 6 on n=8: offset 5 is coprime (connected) but the window is too long

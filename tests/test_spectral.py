@@ -157,7 +157,7 @@ class TestCertifyRank:
             calls["pinv"] += 1
             return pinv(*args, **kwargs)
 
-        fam = chain_family(16, 4, 6, np.random.default_rng(5))  # draws run the gate too
+        fam = chain_family(16, 4, 6, np.random.default_rng(5))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
         mats = certify_rank(fam, 4)

@@ -86,7 +86,7 @@ CORPUS = [
     "recover --grid meta/grid.csv --windows meta/windows.json",
     ("set-meta", "meta/grid.meta.json", {"hop": 2, "num_windows": 10**6, "num_hops": 10**6}),
     "recover --grid meta/grid.csv --windows meta/windows.json",
-    # exit 2: disconnected endpoint graph on the detected support
+    # exit 2: disconnected covisibility graph on the detected support
     "simulate --n 8 --hop 1 --num-windows 2 --windows chain:1 --signal antipodal-pair"
     " --seed 9 --out antipodal",
     "recover --grid antipodal/grid.csv --windows antipodal/windows.json",
@@ -144,6 +144,10 @@ CORPUS = [
     "recover --grid lw/grid.csv --windows lw/windows.json --signal lw/signal.json",
     # exit 1: a negative seed
     "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed -1 --out negative-seed",
+    # exit 3: a length-5 window on n = 12 splits the endpoint graph into 4
+    # components, but the covisibility graph is connected, so nothing is proved
+    "simulate --n 12 --hop 1 --num-windows 1 --windows rectangular:5 --seed 1 --out r5",
+    "recover --grid r5/grid.csv --windows r5/windows.json",
 ]
 
 
