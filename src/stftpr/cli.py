@@ -167,7 +167,7 @@ def _pairs_to_complex(data, what: str) -> np.ndarray:
 
 
 def _complex_to_pairs(x) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(x, dtype=complex)]
+    return np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def read_signal_json(path, n: int) -> np.ndarray:

@@ -29,6 +29,7 @@ real product per row block.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -341,6 +342,7 @@ def aggregate(
 
 # one parsed grid CSV row: integer (r, m, k) and the float value
 _GRID_ROW = np.dtype([("r", np.int64), ("m", np.int64), ("k", np.int64), ("value", float)])
+_ROW_FORMAT = {"delimiter": ",", "dtype": _GRID_ROW, "comments": None}
 # rows parsed per numpy call: bounds the parse buffers to a few tens of kB
 _CSV_CHUNK_ROWS = 512
 
@@ -372,16 +374,15 @@ def write_grid_csv(grid: MeasurementGrid, path) -> None:
     sorted keys; its ``hop`` is ``grid.hop``.
     """
     path = Path(path)
-    suffixes = [f"{k}," for k in range(grid.n)]
+    # "%r" formats a float as float.__repr__ does; "\0" marks where "r,m," goes
+    template = "".join(f"\0{k},%r\r\n" for k in range(grid.n))
     with path.open("w", newline="") as fh:
         fh.write("r,m,k,value\r\n")
         # one write per (r, m) block keeps the string buffers O(n)
         for r in range(grid.num_windows):
             for m in range(grid.num_hops):
-                prefix = f"{r},{m},"
-                values = map(float.__repr__, grid.values[r, m].tolist())
-                rows = map(str.__add__, suffixes, values)
-                fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
+                rows = template.replace("\0", f"{r},{m},")
+                fh.write(rows % tuple(grid.values[r, m].tolist()))
     meta = {
         "n": grid.n,
         "hop": grid.hop,
@@ -394,8 +395,24 @@ def write_grid_csv(grid: MeasurementGrid, path) -> None:
         fh.write("\n")
 
 
+def _malformed_line(chunk: list[str], path, before: int) -> ConfigurationError:
+    """Name the first line of ``chunk`` (after file line ``before``) that loadtxt rejects."""
+    for i, line in enumerate(chunk, before + 1):
+        try:
+            if line.rstrip("\r\n"):  # blank lines are skipped, as in the chunk
+                np.loadtxt([line], **_ROW_FORMAT)
+        except ValueError as exc:  # its "at row" counts from its own input
+            cause = str(exc).rpartition(" at row ")[0] or exc
+            return ConfigurationError(f"malformed grid CSV {path} line {i}: {cause}")
+    return ConfigurationError(f"malformed grid CSV {path} after line {before}")
+
+
 def _check_cell_order(table: np.ndarray, shape, path, first_row: int) -> None:
     """Raise unless parsed row i holds flat cell ``first_row + i`` of ``shape``."""
+    with contextlib.suppress(ValueError):  # raised for an index out of range
+        cell = np.ravel_multi_index((table["r"], table["m"], table["k"]), shape)
+        if np.array_equal(cell, np.arange(first_row, first_row + table.size)):
+            return
     index = np.stack([table["r"], table["m"], table["k"]])
     inside = ((index >= 0) & (index < np.array(shape)[:, None])).all(axis=0)
     # rows out of range are zeroed first, so the flat index neither wraps nor raises
@@ -415,12 +432,13 @@ def read_grid_csv(path) -> MeasurementGrid:
     Data row i must hold the i-th cell in (r, m, k) order, each index in
     ``[0, num_windows)``, ``[0, num_hops)`` and ``[0, n)`` respectively; a
     row out of place (an index out of range, a cell repeated, swapped or
-    past the last), a malformed row or a wrong row count raises
-    ``ConfigurationError``.  So do metadata dimensions (``num_windows``,
-    ``num_hops``, ``n``, ``hop``) that are not positive JSON integers, a
-    ``noise_level`` that is not a JSON number, a declared cell count the
-    file is too small to hold, and a ``hop`` other than ``n / num_hops``;
-    all are caught before the grid is allocated.
+    past the last), a malformed row (named by its file line, the header
+    being line 1) or a wrong row count raises ``ConfigurationError``.  So
+    do metadata dimensions (``num_windows``, ``num_hops``, ``n``, ``hop``)
+    that are not positive JSON integers, a ``noise_level`` that is not a
+    JSON number, a declared cell count the file is too small to hold, and a
+    ``hop`` other than ``n / num_hops``; all are caught before the grid is
+    allocated.
     """
     path = Path(path)
     meta_file = _meta_path(path)
@@ -448,22 +466,19 @@ def read_grid_csv(path) -> MeasurementGrid:
             f"{shape[2]} / {shape[1]}"
         )
     values = np.empty(size, dtype=float)
-    rows = 0
+    rows, lines = 0, 1  # lines read so far, the header included
     with path.open(newline="") as fh:
         header = next(csv.reader(fh), None)
         if header != ["r", "m", "k", "value"]:
             raise ConfigurationError(f"unexpected grid CSV header {header!r} in {path}")
         while chunk := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+            lines += len(chunk)
             if not any(line.rstrip("\r\n") for line in chunk):
                 continue  # only blank lines, which loadtxt skips, but warns of alone
             try:
-                table = np.loadtxt(
-                    chunk, delimiter=",", dtype=_GRID_ROW, comments=None, ndmin=1
-                )
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"malformed grid CSV {path} after data row {rows}: {exc}"
-                ) from None
+                table = np.loadtxt(chunk, ndmin=1, **_ROW_FORMAT)
+            except ValueError:
+                raise _malformed_line(chunk, path, lines - len(chunk)) from None
             _check_cell_order(table, shape, path, rows)
             values[rows:rows + table.size] = table["value"]
             rows += table.size

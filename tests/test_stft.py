@@ -6,7 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +602,33 @@ class TestGridCsv:
         assert path.read_bytes().count(b"\r\n") == 1 + grid.values.size
         assert np.array_equal(read_grid_csv(path).values, grid.values)
 
+    # values whose shortest repr takes each of its forms: signed zero, a
+    # subnormal, exponent notation at both ends, and plain decimals
+    _EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e300, -1e300, 0.1, 2.0, -0.25]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+        data=st.data(),
+    )
+    def test_writer_matches_reference_over_shapes(self, shape, data):
+        num_windows, num_hops, hop = shape
+        values = data.draw(hnp.arrays(
+            float, (num_windows, num_hops, num_hops * hop),
+            elements=st.sampled_from(self._EDGE_VALUES)
+            | st.floats(allow_nan=False, allow_infinity=False),
+        ))
+        grid = MeasurementGrid(values=values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "grid.csv", Path(tmp) / "ref.csv"
+            write_grid_csv(grid, path)
+            self._reference_csv(grid, ref)
+            assert path.read_bytes() == ref.read_bytes()
+            loaded = read_grid_csv(path)
+        assert np.array_equal(loaded.values, values)
+        # array_equal takes -0.0 for 0.0; the sign must survive too
+        assert np.array_equal(np.signbit(loaded.values), np.signbit(values))
+
     @staticmethod
     def _written_grid(tmp_path):
         # n=32, one window, hop 1: 32 * 32 rows, more than one parse chunk
@@ -648,6 +677,55 @@ class TestGridCsv:
         path, lines = self._written_grid(tmp_path)
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ConfigurationError, match=message):
+            read_grid_csv(path)
+
+    # line forms the reader takes beside the writer's own, each without a
+    # warning; a line of only spaces is not one (test_malformed_line_is_named)
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda lines: "\n".join(lines) + "\n",
+            lambda lines: "\r".join(lines) + "\r",
+            lambda lines: "\r\n".join(lines) + "\r\n",
+            lambda lines: "\n".join(lines),
+            # 600 blank lines fill a whole parse chunk with no data row
+            lambda lines: "\n".join(lines[:300] + [""] * 600 + lines[300:]) + "\n",
+            lambda lines: "\n".join(lines) + "\n" * 5,
+            lambda lines: "\n".join(lines[:1] + [line + "  " for line in lines[1:]]) + "\n",
+            lambda lines: "\n".join(
+                lines[:1] + ["0" + line.replace(",", ",00", 2) for line in lines[1:]]
+            ) + "\n",
+        ],
+        ids=["lf", "lone-cr", "crlf", "no-final-newline", "blank-chunk", "blank-at-end",
+             "trailing-spaces", "leading-zeros"],
+    )
+    def test_accepted_forms_read_back(self, tmp_path, rewrite):
+        path, lines = self._written_grid(tmp_path)
+        expected = read_grid_csv(path).values
+        path.write_bytes(rewrite(lines).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(read_grid_csv(path).values, expected)
+
+    # the header is line 1, so data row i is line i + 1 when no blank line
+    # comes first; each parse chunk holds 512 lines; the cause is loadtxt's
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:11] + ["   "] + lines[12:],
+             "line 12: .*4 columns but 1 were found$"),
+            (lambda lines: lines[:599] + ["0,18,x,1.0"] + lines[600:],
+             "line 600: .*'x'"),
+            # 700 blank lines span a chunk, and the bad line is counted past them
+            (lambda lines: lines[:6] + [""] * 700 + lines[6:20] + ["0,0,19,1.0,2"] + lines[21:],
+             "line 721: .*4 columns but 5 were found$"),
+        ],
+        ids=["first-chunk", "later-chunk", "after-blank-lines"],
+    )
+    def test_malformed_line_is_named(self, tmp_path, edit, message):
+        path, lines = self._written_grid(tmp_path)
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ConfigurationError, match=f"malformed grid CSV .* {message}"):
             read_grid_csv(path)
 
     @pytest.mark.parametrize(
