@@ -72,6 +72,7 @@ from .stft import (
     write_grid_csv,
 )
 from .supportgraph import (
+    Geometry,
     SpanningTree,
     SupportGraph,
     WindowSupport,
@@ -93,6 +94,7 @@ __all__ = [
     "DisconnectedGraphError",
     "EdgeWitnesses",
     "ErrorBudget",
+    "Geometry",
     "GlobalPhaseDistance",
     "InvalidPartitionError",
     "InvalidPriorError",

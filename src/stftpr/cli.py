@@ -43,21 +43,19 @@ from .generators import (
     random_signal,
     rectangular_window,
 )
-from .model import (
-    DEFAULT_ZERO_TOL, ProblemConfig, as_window_family, check_tolerance, phase_distance, support,
-)
+from .model import DEFAULT_ZERO_TOL, ProblemConfig, check_tolerance, phase_distance, support
 from .oracle import DIRECT_TERM_CAP, compare, stft_direct
 from .phase import EdgeWitnesses, reconstruct
 from .robustness import error_budget, min_support_magnitude, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
 from .supportgraph import (
+    Geometry,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
     is_connected,
     long_windows,
-    window_support,
 )
 
 EXIT_OK = 0
@@ -186,7 +184,7 @@ def write_signal_json(path, x) -> None:
 
 
 def read_windows_json(path, n: int) -> np.ndarray:
-    """The window family in file ``path``, each window of length ``n``."""
+    """The ``(R, n)`` array of windows in file ``path``; the run's geometry checks the family."""
     with Path(path).open() as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
@@ -195,7 +193,7 @@ def read_windows_json(path, n: int) -> np.ndarray:
     for row in rows:
         if len(row) != n:
             raise ConfigurationError(f"window file {path} has length {len(row)}, expected {n}")
-    return as_window_family(np.stack(rows))
+    return np.stack(rows)
 
 
 def write_windows_json(path, fam) -> None:
@@ -275,8 +273,8 @@ def _prior(min_magnitude, reference, zero_tol):
     return min_support_magnitude(reference, zero_tol)
 
 
-def _stability_section(fam, mats, noise_level, prior, zero_tol):
-    consts = stability_constants(fam, mats, zero_tol)
+def _stability_section(mats, noise_level, prior):
+    consts = stability_constants(mats)
     section = consts.to_dict()
     section["noise_level"] = float(noise_level)
     if prior is not None:
@@ -285,15 +283,15 @@ def _stability_section(fam, mats, noise_level, prior, zero_tol):
 
 
 def _instance(args):
-    """The generator, window family, config and signal (or None) that ``args`` name, in order."""
+    """The generator, run geometry and signal (or None) that ``args`` name, in order."""
     ProblemConfig(args.n, args.hop, 1)  # names a bad --n or --hop before windows are drawn
     if args.seed is not None and args.seed < 0:
         raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     fam = _windows_from_spec(args.windows, args.n, args.num_windows, rng)
-    cfg = ProblemConfig(args.n, args.hop, fam.shape[0], args.zero_tol)
+    geom = Geometry(ProblemConfig(args.n, args.hop, len(fam), args.zero_tol), fam)
     x = _signal_from_spec(args.signal, args.n, rng) if args.signal is not None else None
-    return rng, fam, cfg, x
+    return rng, geom, x
 
 
 def cmd_simulate(args) -> int:
@@ -303,10 +301,9 @@ def cmd_simulate(args) -> int:
         raise ConfigurationError(f"--noise {args.noise} is too large to draw noise from")
     if args.noise > 0:
         _require_rng(args.seed, "--noise")
-    rng, fam, cfg, x = _instance(args)
-    # the family is checked under --zero-tol and --rank-tol before any file is written
-    supports = window_support(fam, cfg.zero_tol)
-    certification = certify_rank(fam, cfg.hop, args.rank_tol).report()
+    rng, geom, x = _instance(args)  # --zero-tol and --rank-tol are checked before any write
+    cfg, fam, supports = geom.cfg, geom.windows, geom.supports
+    certification = certify_rank(geom, args.rank_tol).report()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_signal_json(outdir / "signal.json", x)
@@ -340,13 +337,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _, fam, cfg, x = _instance(args)
-    supp = support(x, cfg.zero_tol)
-    supports = window_support(fam, cfg.zero_tol)
-    cov = covisibility_graph_from_support(supp, fam, cfg.hop, cfg.zero_tol)
-    end = endpoint_graph_from_support(supp, supports, cfg.hop, cfg.n)
-    mats = certify_rank(fam, cfg.hop, args.rank_tol)
-    short = not long_windows(supports, cfg.n)
+    _, geom, x = _instance(args)
+    supp = support(x, geom.cfg.zero_tol)
+    cov = covisibility_graph_from_support(supp, geom)
+    end = endpoint_graph_from_support(supp, geom)
+    mats = certify_rank(geom, args.rank_tol)
+    short = not long_windows(geom.supports, geom.cfg.n)
     necessary = is_connected(cov)
     sufficient = is_connected(end) and short and mats.certified
     if not necessary:
@@ -385,8 +381,7 @@ def cmd_recover(args) -> int:
         "root_vertex": result.root_vertex,
         "connected": True,
         "diagnostics": diagnostics,
-        "stability": _stability_section(fam, result.modulation, grid.noise_level, prior,
-                                        cfg.zero_tol),
+        "stability": _stability_section(result.modulation, grid.noise_level, prior),
     }
     if reference is not None:
         dist = phase_distance(result.estimate, reference)
@@ -400,19 +395,18 @@ def cmd_recover(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _, fam, cfg, reference = _instance(args)
-    prior = _prior(args.min_magnitude, reference, cfg.zero_tol)
+    _, geom, reference = _instance(args)
+    prior = _prior(args.min_magnitude, reference, geom.cfg.zero_tol)
     if prior is None:
         raise ConfigurationError("bounds needs --signal or --min-magnitude")
-    section = _stability_section(
-        fam, certify_rank(fam, cfg.hop, args.rank_tol), args.noise, prior, cfg.zero_tol
-    )
+    section = _stability_section(certify_rank(geom, args.rank_tol), args.noise, prior)
     _dump_json(section, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _, fam, cfg, x = _instance(args)
+    _, geom, x = _instance(args)
+    cfg, fam = geom.cfg, geom.windows
     terms = cfg.num_windows * cfg.num_hops * cfg.n ** 2
     if terms > DIRECT_TERM_CAP:
         raise SearchSpaceError(
@@ -428,18 +422,17 @@ def cmd_verify(args) -> int:
     # measure_direct's expression, on the transforms computed above
     oracle = np.stack([np.abs(direct) ** 2 for direct in directs])
     reports.append(compare("measure", grid.values, oracle, 1e-10))
-    mats = certify_rank(fam, cfg.hop, args.rank_tol)
+    mats = certify_rank(geom, args.rank_tol)
     if mats.certified:
-        agg = aggregate(grid, fam, cfg.zero_tol)
+        agg = aggregate(grid, geom)
         mag = recover_magnitudes(agg, mats)
         reports.append(
             compare("magnitudes", mag.magnitudes_sq, np.abs(x) ** 2, 1e-9)
         )
         # every witness of every endpoint-graph edge, in (edge, window, hop) order
-        supports = window_support(fam, cfg.zero_tol)
-        graph = endpoint_graph_from_support(support(x, cfg.zero_tol), supports, cfg.hop, cfg.n)
+        graph = endpoint_graph_from_support(support(x, cfg.zero_tol), geom)
         r, m = graph.window, graph.hop_index
-        ws = supports[r]
+        ws = geom.supports[r]
         n1, n2 = endpoint_witness(ws, cfg.hop, m, cfg.n)
         ends = np.repeat(graph.edges, np.diff(graph.offsets), axis=0)
         xs = x.tolist()

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import check_hop, support as signal_support
+from .model import ProblemConfig, check_hop, support as signal_support
 from .spectral import certify_rank
-from .supportgraph import endpoint_graph_from_support, is_connected, window_support
+from .supportgraph import Geometry, endpoint_graph_from_support, is_connected
 
 
 def rectangular_window(n: int, length: int) -> np.ndarray:
@@ -122,11 +122,12 @@ def certified_instance(
     gate runs once, at ``hop``; either failure raises ``ConfigurationError``.
     """
     fam = chain_family(n, hop, num_windows, rng)
-    if not certify_rank(fam, hop).certified:
+    geom = Geometry(ProblemConfig(n, hop, num_windows), fam)
+    if not certify_rank(geom).certified:
         raise ConfigurationError(f"generated window family fails the rank gate at hop {hop}")
     x = random_signal(n, rng, support=support)
     verts = signal_support(x)
-    if not is_connected(endpoint_graph_from_support(verts, window_support(fam), hop, n)):
+    if not is_connected(endpoint_graph_from_support(verts, geom)):
         raise ConfigurationError(
             f"generated instance has a disconnected endpoint graph (support {list(verts)})"
         )

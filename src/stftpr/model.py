@@ -83,8 +83,6 @@ class ProblemConfig:
     def __post_init__(self):
         if self.n <= 0:
             raise ConfigurationError(f"signal length must be positive, got {self.n}")
-        if self.hop <= 0:
-            raise ConfigurationError(f"hop must be positive, got {self.hop}")
         if self.num_windows <= 0:
             raise ConfigurationError(
                 f"window count must be positive, got {self.num_windows}"

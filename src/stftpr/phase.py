@@ -32,8 +32,9 @@ results hold no Python object per vertex or per edge.
 :func:`reconstruct_compressed` is the pipeline - rank gate, magnitudes,
 support, endpoint graph, edge phases, propagation - on the ``2nR/L``
 aggregate statistics; its stages return arrays, and it builds the
-:class:`ReconstructionResult` once, at its end.  :func:`reconstruct` runs it
-on a measurement grid's aggregates.
+:class:`ReconstructionResult` once, at its end.  Every stage takes the run's
+:class:`~stftpr.supportgraph.Geometry`; :func:`reconstruct` builds it once
+and runs the pipeline on a measurement grid's aggregates.
 """
 
 from __future__ import annotations
@@ -42,27 +43,23 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    DegenerateEdgeError,
-    DimensionMismatchError,
-    DisconnectedGraphError,
-)
-from .model import ProblemConfig, _above_tolerance, as_window_family, check_prior, check_tolerance
+from .errors import CertificationError, DegenerateEdgeError, DisconnectedGraphError
+from .model import ProblemConfig, _above_tolerance, check_prior, check_tolerance
 from .robustness import threshold_support
-from .spectral import MagnitudeSpectrum, ModulationMatrices, certify_rank, recover_magnitudes
+from .spectral import (
+    MagnitudeSpectrum, ModulationMatrices, _check_aggregates, certify_rank, recover_magnitudes,
+)
 from .stft import AggregateMeasurements, MeasurementGrid, aggregate
 from .supportgraph import (
+    Geometry,
     SpanningTree,
     SupportGraph,
-    WindowSupport,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
     is_connected,
     long_windows,
     spanning_tree,
-    window_support,
 )
 
 
@@ -134,26 +131,22 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 def edge_phase(
-    graph: SupportGraph,
-    agg: AggregateMeasurements,
-    fam: np.ndarray,
-    supports: WindowSupport,
-    degenerate_tol: float,
+    graph: SupportGraph, agg: AggregateMeasurements, geom: Geometry, degenerate_tol: float
 ) -> EdgeWitnesses:
     """Witness and phase of every edge of ``graph``, in one array pass over the correlation table.
 
-    ``fam`` is a validated window family and ``supports`` its
-    :func:`~stftpr.supportgraph.window_support`.  Each edge takes the witness
-    of largest evidence magnitude, ties going to the smaller (window, hop),
-    provided it clears ``degenerate_tol``; else its row of the record (row k
-    is edge k of ``graph.edges``) is degenerate.  The endpoint builder drops
+    ``graph`` is an endpoint graph of ``geom``; aggregates of another shape
+    raise ``DimensionMismatchError``.  Each edge takes the witness of largest
+    evidence magnitude, ties going to the smaller (window, hop), provided it
+    clears ``degenerate_tol``; else its row of the record (row k is edge k of
+    ``graph.edges``) is degenerate.  The endpoint builder drops
     windows of supporting length 1; a chosen witness of one maps to no edge
     and raises ``RuntimeError``.  A negative, infinite or NaN
     ``degenerate_tol`` raises ``ConfigurationError``.
     """
     check_tolerance("degenerate_tol", degenerate_tol)
-    n = fam.shape[1]
-    hop = n // agg.num_hops
+    _check_aggregates(agg, geom)
+    fam, n, hop = geom.windows, geom.cfg.n, geom.cfg.hop
     num_edges = len(graph.edges)
     r, m = graph.window, graph.hop_index
     mag = _modulus(agg.correlation[r, m])
@@ -169,7 +162,7 @@ def edge_phase(
     first = first[chosen]
     r, m = r[first], m[first]
     value = agg.correlation[r, m]
-    ws = supports[r]
+    ws = geom.supports[r]
     n1, n2 = endpoint_witness(ws, hop, m, n)
     ends = graph.edges[chosen]
     match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
@@ -255,20 +248,19 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Reconstruct a signal, up to a global phase, from a measurement grid.
 
-    Runs :func:`reconstruct_compressed` on the grid's aggregate statistics,
-    so it takes the same arguments after the grid and raises the same
-    errors.
+    Builds the run's :class:`~stftpr.supportgraph.Geometry` once and runs
+    :func:`reconstruct_compressed` on the grid's aggregate statistics, so it
+    raises the same errors.
     """
+    geom = Geometry(cfg, windows)
     return reconstruct_compressed(
-        aggregate(grid, windows, cfg.zero_tol), windows, cfg,
-        min_support_magnitude, rank_tol, degenerate_tol,
+        aggregate(grid, geom), geom, min_support_magnitude, rank_tol, degenerate_tol
     )
 
 
 def reconstruct_compressed(
     agg: AggregateMeasurements,
-    windows,
-    cfg: ProblemConfig,
+    geom: Geometry,
     min_support_magnitude: float | None = None,
     rank_tol: float | None = None,
     degenerate_tol: float | None = None,
@@ -283,7 +275,7 @@ def reconstruct_compressed(
     phases and propagate them over a spanning tree.  Each edge's phase comes
     from its witness of largest evidence magnitude, ties going to the
     smaller (window, hop).  Raises ``DimensionMismatchError`` when the
-    aggregates, the windows and ``cfg`` disagree in shape,
+    aggregates and the geometry disagree in shape,
     ``CertificationError`` when the window family fails the rank gate, when
     the endpoint graph is disconnected but the covisibility graph is not, or
     when windows longer than half the signal meet a tree with edges,
@@ -291,27 +283,22 @@ def reconstruct_compressed(
     both graphs are disconnected, a proof that the signal is not determined,
     and ``DegenerateEdgeError`` when noise drowns out a needed edge.
     """
-    fam = as_window_family(windows, cfg.n)
-    if (fam.shape[0], *agg.energy.shape) != (cfg.num_windows, cfg.num_windows, cfg.num_hops):
-        raise DimensionMismatchError(
-            f"{fam.shape[0]} windows and aggregates of shape {agg.energy.shape} do not "
-            f"match config ({cfg.num_windows} windows, {cfg.num_hops} hops)"
-        )
+    _check_aggregates(agg, geom)
+    cfg = geom.cfg
     if degenerate_tol is None:
         degenerate_tol = default_degenerate_tol(cfg.n, agg.noise_level)
     else:  # before the rank gate, so a bad tolerance is reported first
         check_tolerance("degenerate_tol", degenerate_tol)
-    mats = certify_rank(fam, cfg.hop, rank_tol)
+    mats = certify_rank(geom, rank_tol)
     magnitudes = recover_magnitudes(agg, mats)
-    supports = window_support(fam, cfg.zero_tol)
     detected, rule = _detect_support(
         magnitudes, agg.noise_level, cfg.zero_tol, min_support_magnitude
     )
     # an empty support gives an empty graph and tree, and an all-zero estimate
-    graph = endpoint_graph_from_support(detected, supports, cfg.hop, cfg.n)
+    graph = endpoint_graph_from_support(detected, geom)
     if not is_connected(graph):
         # only a disconnected covisibility graph proves the signal undetermined
-        cov = covisibility_graph_from_support(detected, fam, cfg.hop, cfg.zero_tol)
+        cov = covisibility_graph_from_support(detected, geom)
         proof = not is_connected(cov)
         comps = (cov if proof else graph).components()
         found = f"graph on the detected support has {len(comps)} components: {comps}"
@@ -322,14 +309,14 @@ def reconstruct_compressed(
         )
     tree = spanning_tree(graph)
     # a tree without edges (at most one support index) needs no edge phase
-    too_long = long_windows(supports, cfg.n) if tree.edges.size else []
+    too_long = long_windows(geom.supports, cfg.n) if tree.edges.size else []
     if too_long:
         raise CertificationError(
             f"windows {too_long} have supporting length above half the signal "
             f"length; edge phases would be ambiguous",
             failing=too_long,
         )
-    edges = edge_phase(graph, agg, fam, supports, degenerate_tol)
+    edges = edge_phase(graph, agg, geom, degenerate_tol)
     used = edges[tree.edges]
     bad = np.flatnonzero(used.window < 0)
     if bad.size:

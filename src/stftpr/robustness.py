@@ -15,12 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CertificationError, DimensionMismatchError, UndefinedBudgetError
-from .model import (
-    DEFAULT_ZERO_TOL, as_signal, as_window_family, check_prior, check_tolerance, support,
-)
+from .errors import CertificationError, UndefinedBudgetError
+from .model import as_signal, check_prior, check_tolerance, support
 from .spectral import ModulationMatrices
-from .supportgraph import window_support
 
 
 @dataclass(frozen=True)
@@ -66,30 +63,22 @@ class ErrorBudget:
         return asdict(self)
 
 
-def stability_constants(
-    windows, mats: ModulationMatrices, zero_tol: float = DEFAULT_ZERO_TOL
-) -> StabilityConstants:
-    """Compute the three constants; requires a passing rank certificate.
+def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
+    """The three constants of the family ``mats`` certifies; requires a passing certificate.
 
-    ``windows`` must be the family ``mats`` certifies: a shape other than
-    ``(mats.num_windows, mats.n)`` raises ``DimensionMismatchError``, but
-    another family of that shape cannot be told apart.  The Gram inverses
-    are formed explicitly here, all residues in one batched inverse (the one
-    place the explicit inverse is the quantity of interest, not a solver).
+    The family and its supports are ``mats.geometry``'s.  The Gram inverses are
+    formed explicitly here, all residues in one batched inverse (the one place
+    the explicit inverse is the quantity of interest, not a solver).
     """
-    fam = as_window_family(windows)
-    if fam.shape != (mats.num_windows, mats.n):
-        raise DimensionMismatchError(f"windows of shape {fam.shape} are not the certified "
-                                     f"({mats.num_windows}, {mats.n}) family")
     if not mats.certified:
         raise CertificationError(
             f"stability constants need certified matrices; failing residues "
             f"{list(mats.failing)}",
             failing=mats.failing,
         )
-    n = fam.shape[1]
+    fam, ws, n = mats.geometry.windows, mats.geometry.supports, mats.n
     window_l2 = float(np.sqrt(np.sum(np.abs(fam) ** 2)))
-    ws, rows = window_support(fam, zero_tol), np.arange(fam.shape[0])
+    rows = np.arange(fam.shape[0])
     near, far = fam[rows, ws.anchor].tolist(), fam[rows, ws.far(n)].tolist()
     inverses = np.linalg.inv(mats.matrices.conj().transpose(0, 2, 1) @ mats.matrices)
     gram_l1 = 0.0

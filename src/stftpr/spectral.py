@@ -5,7 +5,8 @@ signal's power spectrum (the DFT of ``|x|**2``).  That linear map factors into
 one small matrix per hop residue, built from the windows' power spectra; when
 every one of those modulation matrices has full column rank the map is
 invertible and ``|x(t)|**2`` is recovered exactly.  Certification of that rank
-condition is a hard gate: recovery refuses to run without it.
+condition is a hard gate: recovery refuses to run without it.  The matrices
+hold the run's :class:`~stftpr.supportgraph.Geometry`, the family they certify.
 """
 
 from __future__ import annotations
@@ -15,18 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, DimensionMismatchError
-from .model import as_window_family, check_hop, check_tolerance
+from .model import check_tolerance
 from .stft import AggregateMeasurements
+from .supportgraph import Geometry
 
 
-def window_power_spectra(windows) -> np.ndarray:
-    """Normalized DFT of each window's squared magnitudes, one row per window.
+def window_power_spectra(geom: Geometry) -> np.ndarray:
+    """Normalized DFT of each window's squared magnitudes, one row per window of the geometry.
 
     Row r is ``fft(|w_r|**2) / n``; entry 0 is the window's mean power (real
     and positive) and rows are conjugate-symmetric.
     """
-    fam = as_window_family(windows)
-    return np.fft.fft(np.abs(fam) ** 2, axis=1) / fam.shape[1]
+    return np.fft.fft(np.abs(geom.windows) ** 2, axis=1) / geom.cfg.n
 
 
 def default_rank_tol(num_windows: int, hop: int) -> float:
@@ -38,6 +39,7 @@ def default_rank_tol(num_windows: int, hop: int) -> float:
 class ModulationMatrices:
     """Per-hop-residue modulation matrices and their rank certificate, as stacks.
 
+    ``geometry`` is the certified run geometry, which gives ``n`` and ``hop``;
     ``matrices`` is (num_hops, num_windows, hop); ``matrices[m]`` samples the
     window power spectra on residue class m mod ``n // hop``.  ``singular_values``
     is (num_hops, min(num_windows, hop)), each row descending; ``pseudo_inverses``
@@ -49,7 +51,7 @@ class ModulationMatrices:
     not finite is in ``failing`` whatever its rank.
     """
 
-    hop: int
+    geometry: Geometry
     matrices: np.ndarray
     pseudo_inverses: np.ndarray | None
     ranks: tuple[int, ...]
@@ -66,8 +68,12 @@ class ModulationMatrices:
         return self.matrices.shape[0]
 
     @property
+    def hop(self) -> int:
+        return self.geometry.cfg.hop
+
+    @property
     def n(self) -> int:
-        return self.hop * self.num_hops
+        return self.geometry.cfg.n
 
     @property
     def certified(self) -> bool:
@@ -98,8 +104,8 @@ def _thin_singular_values(stack: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=1, keepdims=True)), exponent)
 
 
-def certify_rank(windows, hop: int, rank_tol: float | None = None) -> ModulationMatrices:
-    """Build every modulation matrix and certify full column rank.
+def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMatrices:
+    """Build every modulation matrix of the geometry and certify full column rank.
 
     Numerical rank counts singular values above ``rank_tol`` times the largest
     singular value across the *whole family* of matrices, so a residue whose
@@ -107,11 +113,11 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     For hop 1 the condition reduces to every spectrum column being nonzero;
     for hop n it reduces to the matrix of squared window magnitudes having
     full rank.  Full rank requires at least as many windows as the hop.  A
-    hop that does not divide the window length, or a negative or non-finite
-    ``rank_tol``, raises ``ConfigurationError``: below zero every singular
-    value would count, certifying rank-deficient families.  A residue whose
-    pseudo-inverse is not finite (a singular value so small that its
-    reciprocal overflows) fails too, so a certified stack always solves.
+    negative or non-finite ``rank_tol`` raises ``ConfigurationError``: below
+    zero every singular value would count, certifying rank-deficient
+    families.  A residue whose pseudo-inverse is not finite (a singular value
+    so small that its reciprocal overflows) fails too, so a certified stack
+    always solves.
     The window power spectra are Hermitian, so residue ``M - m`` (``M = n //
     hop``) is residue m conjugated with its columns reversed; the stack holds
     that exact mirror.  Residues ``0 .. M // 2`` are factored once, by one
@@ -126,9 +132,8 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
     pseudo-inverse ``conj(a).T / s / s`` (divided twice, so ``s**2`` never
     underflows); these agree with numpy's to a few eps, not bit for bit.
     """
-    spectra = window_power_spectra(windows)  # validates the family first
-    num_windows, n = spectra.shape
-    check_hop(n, hop)
+    spectra = window_power_spectra(geom)
+    (num_windows, n), hop = spectra.shape, geom.cfg.hop
     if rank_tol is None:
         rank_tol = default_rank_tol(num_windows, hop)
     check_tolerance("rank_tol", rank_tol)
@@ -166,7 +171,7 @@ def certify_rank(windows, hop: int, rank_tol: float | None = None) -> Modulation
         failing = ~np.isfinite(pseudo_inverses).all(axis=(1, 2))
     failing = tuple(np.flatnonzero(failing).tolist())
     return ModulationMatrices(
-        hop=hop,
+        geometry=geom,
         matrices=stack,
         pseudo_inverses=None if failing else pseudo_inverses,
         ranks=tuple(ranks.tolist()),
@@ -193,6 +198,14 @@ class MagnitudeSpectrum:
     severe_clamping: bool
 
 
+def _check_aggregates(agg: AggregateMeasurements, geom: Geometry) -> None:
+    """Raise ``DimensionMismatchError`` unless ``agg`` holds the geometry's (windows, hops)."""
+    want = (geom.cfg.num_windows, geom.cfg.num_hops)
+    if agg.energy.shape != want:
+        raise DimensionMismatchError(f"aggregates of shape {agg.energy.shape} do not match "
+                                     f"{want[0]} windows x {want[1]} hops")
+
+
 def recover_magnitudes(agg: AggregateMeasurements, mats: ModulationMatrices) -> MagnitudeSpectrum:
     """Recover ``|x(t)|**2`` from the per-hop energies.
 
@@ -216,13 +229,8 @@ def recover_magnitudes(agg: AggregateMeasurements, mats: ModulationMatrices) -> 
         what = ("pseudo-inverses overflow" if full_rank
                 else "modulation matrices are rank-deficient")
         raise CertificationError(f"{what} at residues {list(mats.failing)}", failing=mats.failing)
-    num_windows, num_hops = agg.energy.shape
-    if num_windows != mats.num_windows or num_hops != mats.num_hops:
-        raise DimensionMismatchError(
-            f"aggregates of shape {agg.energy.shape} do not match "
-            f"{mats.num_windows} windows x {mats.num_hops} hops"
-        )
-    n = mats.n
+    _check_aggregates(agg, mats.geometry)
+    n, num_hops = mats.n, mats.num_hops
     rhs = np.fft.fft(agg.energy, axis=1) / num_hops  # (R, M)
     # one stacked solve: (M, hop, R) @ (M, R, 1) -> power[m + M*j] = solution[m, j]
     solution = mats.pseudo_inverses @ rhs.T[:, :, None]

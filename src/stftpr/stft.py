@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, InvalidWindowError
-from .model import DEFAULT_ZERO_TOL, as_signal, as_window_family, check_hop, check_tolerance
-from .supportgraph import endpoint_witness, window_support
+from .model import as_signal, as_window_family, check_hop, check_tolerance
+from .supportgraph import Geometry, endpoint_witness, window_support
 
 
 def stft(x, w, hop: int) -> np.ndarray:
@@ -299,11 +299,10 @@ class AggregateMeasurements:
         return 2 * self.energy.shape[0] * self.energy.shape[1]
 
 
-def aggregate(
-    grid: MeasurementGrid, windows, zero_tol: float = DEFAULT_ZERO_TOL
-) -> AggregateMeasurements:
+def aggregate(grid: MeasurementGrid, geom: Geometry) -> AggregateMeasurements:
     """Collapse a measurement grid to per-(window, hop) energy and correlation.
 
+    The grid must have the geometry's shape, else ``DimensionMismatchError``.
     One read of the grid: each window's ``(M, n)`` block is taken in row
     blocks of about ``_AGGREGATE_BLOCK_BYTES``, and one real matrix product
     of the ``(3, n)`` table ``[1; cos; sin]`` of the modulation with a row
@@ -311,11 +310,10 @@ def aggregate(
     supporting length share a table.  The bytes depend on the row blocks,
     which come from the grid's shape alone, and not on the BLAS thread count.
     """
-    fam = as_window_family(windows, grid.n)
-    if fam.shape[0] != grid.num_windows:
-        raise DimensionMismatchError(
-            f"grid has {grid.num_windows} windows, family has {fam.shape[0]}"
-        )
+    cfg = geom.cfg
+    if grid.values.shape != (cfg.num_windows, cfg.num_hops, cfg.n):
+        raise DimensionMismatchError(f"grid has {grid.num_windows} windows, family has "
+                                     f"{cfg.num_windows} (grid shape {grid.values.shape})")
     n, num_hops = grid.n, grid.num_hops
     # energy, then the real and imaginary parts of the correlation
     parts = np.empty((3, grid.num_windows, num_hops))
@@ -325,7 +323,7 @@ def aggregate(
     stops = [*range(step, num_hops - 1, step), num_hops]
     k = np.arange(n)
     tables = {}
-    for r, length in enumerate(window_support(fam, zero_tol).length.tolist()):
+    for r, length in enumerate(geom.supports.length.tolist()):
         if length not in tables:
             angle = 2 * np.pi * k * (length - 1) / n
             tables[length] = np.stack((np.ones(n), np.cos(angle), np.sin(angle)))

@@ -1,5 +1,8 @@
 """Window support geometry and the two support graphs with their certificates.
 
+A run's :class:`Geometry` holds its config, its window family validated once
+against it, and the family's supports; every recovery stage takes it whole.
+
 Two graphs on the signal's support drive everything:
 
 * the *covisibility* graph joins two support indices whenever some hop
@@ -30,7 +33,7 @@ search gives the components and the spanning forest a certificate lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +41,9 @@ import numpy as np
 from .errors import (
     DimensionMismatchError, DisconnectedGraphError, InvalidPartitionError, InvalidWindowError,
 )
-from .model import DEFAULT_ZERO_TOL, _above_tolerance, as_signal, as_window_family, support
+from .model import (
+    DEFAULT_ZERO_TOL, ProblemConfig, _above_tolerance, as_signal, as_window_family, support,
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,28 @@ class WindowSupport:
 
     def __getitem__(self, r) -> WindowSupport:
         return WindowSupport(self.length[r], self.anchor[r])
+
+
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """A run's config, its window family validated against it, and the family's supports.
+
+    ``windows`` becomes :func:`~stftpr.model.as_window_family`'s ``(cfg.num_windows,
+    cfg.n)`` family (another count raises ``DimensionMismatchError``), and
+    ``supports`` is its :func:`window_support` at ``cfg.zero_tol``.
+    """
+
+    cfg: ProblemConfig
+    windows: np.ndarray
+    supports: WindowSupport = field(init=False)
+
+    def __post_init__(self):
+        fam = as_window_family(self.windows, self.cfg.n)
+        if fam.shape[0] != self.cfg.num_windows:
+            raise DimensionMismatchError(f"family has {fam.shape[0]} windows, "
+                                         f"config has {self.cfg.num_windows}")
+        object.__setattr__(self, "windows", fam)
+        object.__setattr__(self, "supports", window_support(fam, self.cfg.zero_tol))
 
 
 def endpoint_witness(ws: WindowSupport, hop: int, m: int, n: int) -> tuple[int, int]:
@@ -263,9 +290,7 @@ def _sorted_witnesses(edge_key, slot, n: int, num_slots: int):
     return edge_key, slot
 
 
-def covisibility_graph_from_support(
-    vertices, windows, hop: int, zero_tol: float = DEFAULT_ZERO_TOL
-) -> SupportGraph:
+def covisibility_graph_from_support(vertices, geom: Geometry) -> SupportGraph:
     """Spanning subgraph of the covisibility graph over an explicit vertex set (support indices).
 
     Each section sees one index per window tap in the window's
@@ -275,25 +300,24 @@ def covisibility_graph_from_support(
     components with O(R*M*L) witnesses instead of O(R*M*L**2); each of its
     edges is a true covisibility edge with its own (window, hop) witnesses.
     """
-    fam = as_window_family(windows)
-    rows, taps = np.nonzero(_above_tolerance(np.abs(fam), zero_tol))
-    return _section_graph("covisibility", vertices, fam.shape[1], hop, rows, taps)
+    cfg = geom.cfg
+    rows, taps = np.nonzero(_above_tolerance(np.abs(geom.windows), cfg.zero_tol))
+    return _section_graph("covisibility", vertices, cfg.n, cfg.hop, rows, taps)
 
 
-def endpoint_graph_from_support(
-    vertices, supports: WindowSupport, hop: int, n: int
-) -> SupportGraph:
-    """Endpoint graph over an explicit vertex set, from a family's window supports.
+def endpoint_graph_from_support(vertices, geom: Geometry) -> SupportGraph:
+    """Endpoint graph over an explicit vertex set, from the geometry's window supports.
 
     A window's taps are its anchor and far end, so a section joins the two
     :func:`endpoint_witness` indices it sees when both are vertices.  Windows
     of supporting length 1 are dropped: their two taps coincide and would
     join an index to itself.
     """
+    n, supports = geom.cfg.n, geom.supports
     long = np.flatnonzero(supports.length > 1)
     ws = supports[long]
     taps = np.stack((ws.anchor, ws.far(n)), axis=1).ravel()
-    return _section_graph("endpoint", vertices, n, hop, np.repeat(long, 2), taps)
+    return _section_graph("endpoint", vertices, n, geom.cfg.hop, np.repeat(long, 2), taps)
 
 
 @dataclass(frozen=True, eq=False)

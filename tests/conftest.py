@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stftpr import aggregate, measure, support
+from stftpr import DEFAULT_ZERO_TOL, Geometry, ProblemConfig, aggregate, measure, support
 from stftpr.generators import certified_instance
 from stftpr.supportgraph import (
     SupportGraph,
@@ -15,6 +15,13 @@ from stftpr.supportgraph import (
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def geom_at(windows, hop, zero_tol=DEFAULT_ZERO_TOL):
+    """The run geometry of ``windows`` at ``hop``, its n and window count read off their shape."""
+    shape = np.shape(windows)
+    return Geometry(ProblemConfig(shape[-1], hop, shape[0] if len(shape) > 1 else 1, zero_tol),
+                    windows)
 
 
 def graph_from_lists(variant, vertices, edges):
@@ -162,8 +169,9 @@ def weak_nontree_instance():
         rng = np.random.default_rng(seed)
         x, fam = certified_instance(8, 1, 2, rng)
         grid = measure(x, fam, 1)
-        agg = aggregate(grid, fam)
-        graph = endpoint_graph_from_support(support(x), window_support(fam), 1, 8)
+        geom = geom_at(fam, 1)
+        agg = aggregate(grid, geom)
+        graph = endpoint_graph_from_support(support(x), geom)
         tree = set(map(tuple, graph.edges[spanning_tree(graph).edges].tolist()))
         best = {
             ends: max(abs(agg.correlation[r, m]) for r, m in witnesses)

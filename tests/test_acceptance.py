@@ -12,6 +12,7 @@ import pytest
 
 from stftpr import (
     DEFAULT_ZERO_TOL,
+    Geometry,
     ProblemConfig,
     aggregate,
     certify_rank,
@@ -34,7 +35,6 @@ from stftpr import (
     stft_direct,
     support,
     threshold_support,
-    window_support,
 )
 from stftpr.errors import CertificationError
 from stftpr.generators import (
@@ -44,7 +44,7 @@ from stftpr.generators import (
     random_interval_window,
 )
 
-from conftest import divisors
+from conftest import divisors, geom_at
 
 
 def _report(num, name, detail):
@@ -73,8 +73,8 @@ def test_criterion_2_magnitude_formula(certified_sweep):
     worst_truth = 0.0
     worst_paths = 0.0
     for n, hop, num_windows, x, fam in certified_sweep:
-        agg = aggregate(measure(x, fam, hop), fam)
-        mats = certify_rank(fam, hop)
+        agg = aggregate(measure(x, fam, hop), geom_at(fam, hop))
+        mats = certify_rank(geom_at(fam, hop))
         assert mats.certified
         solved = recover_magnitudes(agg, mats).magnitudes_sq
         # the oracle evaluates the explicit Gram-inverse formula term by term
@@ -97,7 +97,7 @@ def test_criterion_3_necessary_condition():
     rng = np.random.default_rng(333)
     fam = [random_interval_window(n, L, rng) for L in (2, 4, 3)]
     x0 = antipodal_pair_signal(n)
-    graph = covisibility_graph_from_support(support(x0), fam, hop=1)
+    graph = covisibility_graph_from_support(support(x0), geom_at(fam, 1))
     assert not is_connected(graph)
     base = measure(x0, fam, hop=1).values
     thetas = [0.05, 0.1, 0.2, 0.25, 0.4, 0.55, 0.7, 0.9]
@@ -132,7 +132,7 @@ def test_criterion_4_coprimality():
         for length in range(2, n // 2 + 1):
             w = np.zeros(n, complex)
             w[:length] = 1.0
-            graph = endpoint_graph_from_support(support(x), window_support([w]), 1, n)
+            graph = endpoint_graph_from_support(support(x), geom_at([w], 1))
             connected = is_connected(graph)
             assert connected == (math.gcd(length - 1, n) == 1), (n, length)
             checked += 1
@@ -152,8 +152,8 @@ def test_criterion_5_stability_bounds():
                     rng = np.random.default_rng(seed)
                     x, fam = certified_instance(n, hop, num_windows, rng)
                     cfg = ProblemConfig(n, hop, num_windows)
-                    mats = certify_rank(fam, hop)
-                    consts = stability_constants(fam, mats)
+                    mats = certify_rank(geom_at(fam, hop))
+                    consts = stability_constants(mats)
                     min_mag = float(np.min(np.abs(x)))
                     admissible_level = min_mag ** 2 / (
                         4 * consts.gram_inverse_l1 * consts.window_l2 ** 2
@@ -178,8 +178,8 @@ def test_criterion_5_stability_bounds():
                     worst_phase = max(worst_phase, phase_err / budget.phase_bound)
 
                     # the two inequalities behind the phase bound, on every used edge
-                    agg_exact = aggregate(exact, fam)
-                    agg_noisy = aggregate(noisy, fam)
+                    agg_exact = aggregate(exact, geom_at(fam, hop))
+                    agg_noisy = aggregate(noisy, geom_at(fam, hop))
                     floor = consts.min_endpoint_product * min_mag ** 2 / n
                     used = res.diagnostics["used_witnesses"]
                     for r, m in zip(used.window.tolist(), used.hop_index.tolist()):
@@ -205,12 +205,12 @@ def test_criterion_6_support_thresholding():
         size = int(rng.integers(2, n))
         supp = range(size)
         x, fam = certified_instance(n, hop, num_windows, rng, support=supp)
-        mats = certify_rank(fam, hop)
-        consts = stability_constants(fam, mats)
+        mats = certify_rank(geom_at(fam, hop))
+        consts = stability_constants(mats)
         min_mag = float(np.min(np.abs(x[np.abs(x) > 0])))
         level = 0.9 * min_mag ** 2 / (4 * consts.gram_inverse_l1 * consts.window_l2 ** 2)
         grid = corrupt(measure(x, fam, hop), rng.uniform(-level, level, (num_windows, n // hop, n)))
-        mag = recover_magnitudes(aggregate(grid, fam), mats)
+        mag = recover_magnitudes(aggregate(grid, geom_at(fam, hop)), mats)
         estimate = np.sqrt(mag.magnitudes_sq)
         kept = np.flatnonzero(threshold_support(estimate, min_mag))
         if set(kept) == set(supp):
@@ -227,17 +227,17 @@ def test_criterion_7_compressed_measurements(certified_sweep):
     for n, hop, num_windows, x, fam in certified_sweep:
         cfg = ProblemConfig(n, hop, num_windows)
         grid = measure(x, fam, hop)
-        agg = aggregate(grid, fam)
+        agg = aggregate(grid, geom_at(fam, hop))
         assert agg.measurement_count == 2 * n * num_windows // hop
         full = reconstruct(grid, fam, cfg)
-        comp = reconstruct_compressed(agg, fam, cfg)
+        comp = reconstruct_compressed(agg, Geometry(cfg, fam))
         diff = float(np.max(np.abs(full.estimate - comp.estimate)))
         assert diff <= 1e-10, (n, hop, num_windows, diff)
         worst = max(worst, diff)
     # the headline count: n=8, hop=2, three windows -> 24 numbers
     rng = np.random.default_rng(777)
     x, fam = certified_instance(8, 2, 3, rng)
-    agg = aggregate(measure(x, fam, 2), fam)
+    agg = aggregate(measure(x, fam, 2), geom_at(fam, 2))
     assert agg.measurement_count == 24
     _report(7, "compressed measurements",
             f"count 2nR/hop verified on {len(certified_sweep)} instances, "
@@ -263,7 +263,7 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_rank_gate():
     rng = np.random.default_rng(999)
     w = random_interval_window(8, 3, rng)
-    planted = certify_rank([w, w], hop=2)
+    planted = certify_rank(geom_at([w, w], 2))
     assert not planted.certified
     assert planted.failing == (0, 1, 2, 3)
     assert planted.report()["failing_m"] == [0, 1, 2, 3]
@@ -273,7 +273,7 @@ def test_criterion_9_rank_gate():
     assert err.value.failing == (0, 1, 2, 3)
 
     healthy = chain_family(8, 2, 3, rng)
-    assert certify_rank(healthy, 2).certified
+    assert certify_rank(geom_at(healthy, 2)).certified
     _report(9, "rank gate",
             "planted deficiency rejected with failing residues listed; "
             "full-rank family certified")

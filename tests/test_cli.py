@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stftpr import cli, generators, phase, spectral, supportgraph
+from stftpr import cli, generators, model, phase, spectral, supportgraph
 from stftpr.cli import _dump_json, main
 from stftpr.errors import CertificationError, DisconnectedGraphError
 from stftpr.generators import (
@@ -22,6 +22,7 @@ from stftpr.oracle import DIRECT_TERM_CAP
 from stftpr.spectral import certify_rank
 from stftpr.stft import aggregate, measure, read_grid_csv, write_grid_csv
 from stftpr.supportgraph import (
+    Geometry,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     is_connected,
@@ -30,7 +31,7 @@ from stftpr.supportgraph import (
     window_support,
 )
 
-from conftest import check_certificate, weak_nontree_instance
+from conftest import check_certificate, geom_at, weak_nontree_instance
 
 
 def run(*argv):
@@ -562,11 +563,11 @@ class TestWitnessRecords:
         fam = cli.read_windows_json(windows, grid.n)
         cfg = ProblemConfig(grid.n, grid.hop, fam.shape[0])
         res = phase.reconstruct(grid, fam, cfg, **kwargs)
-        supports = window_support(fam)
-        graph = endpoint_graph_from_support(res.diagnostics["support"], supports, grid.hop, grid.n)
+        geom = Geometry(cfg, fam)
+        graph = endpoint_graph_from_support(res.diagnostics["support"], geom)
         tree = spanning_tree(graph)
         tol = kwargs.get("degenerate_tol", phase.default_degenerate_tol(grid.n, grid.noise_level))
-        record = phase.edge_phase(graph, aggregate(grid, fam), fam, supports, tol)
+        record = phase.edge_phase(graph, aggregate(grid, geom), geom, tol)
         nontree = np.setdiff1d(np.arange(len(graph.edges)), tree.edges)
         used = _legacy_witness_dicts(graph, record, tree.edges)
         residuals = _legacy_witness_dicts(graph, record, nontree, res.estimate)
@@ -737,9 +738,9 @@ class TestAnalyze:
         original = spectral.certify_rank
         calls = []
 
-        def counting(fam, hop, rank_tol=None):
-            calls.append(hop)
-            return original(fam, hop, rank_tol)
+        def counting(geom, rank_tol=None):
+            calls.append(geom.cfg.hop)
+            return original(geom, rank_tol)
 
         for module in (cli, generators):
             assert module.certify_rank is original
@@ -784,7 +785,7 @@ class TestAnalyze:
                        "--signal", signal, "--out", out) == 0
             cert = json.loads(out.read_text())
         proof = cert["verdict"] == "provably-non-retrievable"
-        cov = covisibility_graph_from_support(support(x), fam, hop)
+        cov = covisibility_graph_from_support(support(x), geom_at(fam, hop))
         assert proof is not is_connected(cov)
         assert (raised is not None) == (proof and cert["certification"]["certified"])
         if raised is not None:
@@ -846,9 +847,9 @@ def _certify_certificate(seed):
     rng = np.random.default_rng(seed)
     fam = chain_family(40, 4, 16, rng)
     x = random_signal(40, rng)
-    cov = covisibility_graph_from_support(support(x), fam, 4)
-    end = endpoint_graph_from_support(support(x), window_support(fam), 4, 40)
-    mats = certify_rank(fam, 4)
+    cov = covisibility_graph_from_support(support(x), geom_at(fam, 4))
+    end = endpoint_graph_from_support(support(x), geom_at(fam, 4))
+    mats = certify_rank(geom_at(fam, 4))
     short = not long_windows(window_support(fam), 40)
     assert is_connected(cov) and is_connected(end) and short and mats.certified
     payload = {
@@ -978,7 +979,7 @@ class TestVerify:
         rng = np.random.default_rng(seed)
         fam = chain_family(16, 4, 6, rng)
         supp = support(random_signal(16, rng))
-        graph = endpoint_graph_from_support(supp, window_support(fam), 4, 16)
+        graph = endpoint_graph_from_support(supp, geom_at(fam, 4))
         edges = [line for line in lines if line["case_id"].startswith("edge:")]
         assert graph.offsets[-1] > 0 and len(edges) == graph.offsets[-1]
         assert len(lines) == len(edges) + 6 + 2  # stft per window, measure, magnitudes
@@ -1073,6 +1074,39 @@ def test_float_flags_never_escape_main(fuzz_run, case, value, noisy):
         # last and overrides any default set in ``where``
         code = run(command, *where, "--out", out, f"{flag}={value!r}")
     assert code in range(5)
+
+
+_GENERATED = ("--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2", "--seed", 42)
+
+
+@pytest.mark.parametrize("command, args, want", [
+    ("simulate", _GENERATED, 2),
+    ("recover", ("--grid", "GRID", "--windows", "WINDOWS", "--signal", "SIGNAL"), 1),
+    ("analyze", _GENERATED, 1),
+    ("analyze", ("--n", 8, "--hop", 2, "--windows", "WINDOWS", "--signal", "SIGNAL"), 1),
+    ("bounds", (*_GENERATED, "--min-magnitude", 0.5), 1),
+    ("verify", _GENERATED, 2),
+], ids=["simulate", "recover", "analyze", "analyze-file", "bounds", "verify"])
+def test_each_command_validates_its_family_once(tmp_path, monkeypatch, command, args, want):
+    # the run's geometry validates the family and works out its supports once;
+    # simulate and verify add the forward model's own check in measure
+    out = _simulate(tmp_path, "run")
+    files = {key: out / name for key, name in
+             (("GRID", "grid.csv"), ("WINDOWS", "windows.json"), ("SIGNAL", "signal.json"))}
+    counts = {}
+    for module, name in ((model, "as_window_family"), (supportgraph, "window_support")):
+        original = getattr(module, name)
+
+        def counting(*a, _name=name, _fn=original, **kw):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*a, **kw)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("stftpr") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counting)
+    argv = [files.get(a, a) for a in args]
+    assert run(command, *argv, "--out", tmp_path / f"{command}.out") == 0
+    assert counts == {"as_window_family": want, "window_support": want}
 
 
 def test_usage_error_exits_one(capsys):

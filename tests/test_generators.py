@@ -16,6 +16,8 @@ from stftpr.generators import (
 )
 from stftpr.supportgraph import endpoint_graph_from_support
 
+from conftest import geom_at
+
 
 def test_rectangular_window():
     w = rectangular_window(6, 3)
@@ -45,7 +47,7 @@ def test_mask_family_certifies_full_hop():
     fam = mask_family(n, n, rng)
     assert fam.shape == (n, n)
     assert all(window_support(w).length == n // 2 for w in fam)
-    assert certify_rank(fam, n).certified
+    assert certify_rank(geom_at(fam, n)).certified
     with pytest.raises(ConfigurationError):
         mask_family(8, 4, rng)  # fewer masks than the rank requires
 
@@ -54,8 +56,8 @@ def test_chain_family_connects_consecutive_indices():
     rng = np.random.default_rng(3)
     for n, hop, num in [(8, 1, 1), (8, 2, 3), (12, 4, 5), (16, 16, 16)]:
         fam = chain_family(n, hop, num, rng)
-        assert certify_rank(fam, hop).certified
-        graph = endpoint_graph_from_support(range(n), window_support(fam), hop, n)
+        assert certify_rank(geom_at(fam, hop)).certified
+        graph = endpoint_graph_from_support(range(n), geom_at(fam, hop))
         pairs = set(map(tuple, graph.edges.tolist()))
         for t in range(n):
             a, b = t, (t + 1) % n
@@ -120,19 +122,19 @@ def test_first_draws_pass_the_rank_gate(n):
         for num_windows in (hop, hop + 1, hop + 3, 2 * hop):
             for seed in range(3):
                 fam = chain_family(n, hop, num_windows, np.random.default_rng(seed))
-                assert certify_rank(fam, hop).certified, (hop, num_windows, seed)
+                assert certify_rank(geom_at(fam, hop)).certified, (hop, num_windows, seed)
     for num_windows in (n, n + 2, 2 * n):
         for seed in range(3):
             fam = mask_family(n, num_windows, np.random.default_rng(seed))
-            assert certify_rank(fam, n).certified, (num_windows, seed)
+            assert certify_rank(geom_at(fam, n)).certified, (num_windows, seed)
 
 
 def test_only_certified_instance_runs_the_rank_gate(monkeypatch):
     calls = []
 
-    def gate(fam, hop, rank_tol=None):
-        calls.append(hop)
-        return certify_rank(fam, hop, rank_tol)
+    def gate(geom, rank_tol=None):
+        calls.append(geom.cfg.hop)
+        return certify_rank(geom, rank_tol)
 
     monkeypatch.setattr(generators, "certify_rank", gate)
     rng = np.random.default_rng(6)
@@ -145,7 +147,7 @@ def test_only_certified_instance_runs_the_rank_gate(monkeypatch):
 
 def test_certified_instance_rejects_a_failed_rank_gate(monkeypatch):
     failed = SimpleNamespace(certified=False)
-    monkeypatch.setattr(generators, "certify_rank", lambda fam, hop, rank_tol=None: failed)
+    monkeypatch.setattr(generators, "certify_rank", lambda geom, rank_tol=None: failed)
     with pytest.raises(
         ConfigurationError, match="^generated window family fails the rank gate at hop 2$"
     ):

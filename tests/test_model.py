@@ -21,6 +21,8 @@ from stftpr.errors import ConfigurationError, DimensionMismatchError, InvalidWin
 from stftpr.generators import certified_instance
 from stftpr.model import as_signal, as_window_family, check_hop
 
+from conftest import geom_at
+
 TWO_PI = 2 * np.pi
 
 
@@ -75,11 +77,11 @@ class TestSupport:
         calls = {
             "support": lambda tol: support(x, tol),
             "window_support": lambda tol: window_support(fam, tol),
-            "aggregate": lambda tol: aggregate(grid, fam, tol),
+            "aggregate": lambda tol: aggregate(grid, geom_at(fam, grid.hop, tol)),
             "covisibility_graph_from_support":
-                lambda tol: covisibility_graph_from_support(range(8), fam, 2, tol),
+                lambda tol: covisibility_graph_from_support(range(8), geom_at(fam, 2, tol)),
             "stability_constants":
-                lambda tol: stability_constants(fam, certify_rank(fam, 2), tol),
+                lambda tol: stability_constants(certify_rank(geom_at(fam, 2, tol))),
             "min_support_magnitude": lambda tol: min_support_magnitude(x, tol),
         }
         for call in calls.values():

@@ -18,6 +18,8 @@ from stftpr import (
 from stftpr.errors import ConfigurationError, SearchSpaceError
 from stftpr.generators import antipodal_pair_signal, certified_instance
 
+from conftest import geom_at
+
 
 # (n, hop, indices carrying the window's nonzero entries); measure takes its
 # autocorrelation route when 2L - 1 <= log2 n: L <= 3 at n = 64, L <= 5 at 1024
@@ -83,8 +85,8 @@ class TestStftDirect:
 def test_magnitudes_direct_matches_solver():
     rng = np.random.default_rng(311)
     x, fam = certified_instance(8, 2, 3, rng)
-    mats = certify_rank(fam, 2)
-    agg = aggregate(measure(x, fam, 2), fam)
+    mats = certify_rank(geom_at(fam, 2))
+    agg = aggregate(measure(x, fam, 2), geom_at(fam, 2))
     direct = magnitudes_direct(agg.energy, mats)
     solved = recover_magnitudes(agg, mats).magnitudes_sq
     assert np.max(np.abs(direct - solved)) <= 1e-9

@@ -5,6 +5,7 @@ import pytest
 
 from stftpr import (
     DEFAULT_ZERO_TOL,
+    Geometry,
     aggregate,
     certify_rank,
     corrupt,
@@ -25,12 +26,14 @@ from stftpr.errors import (
 from stftpr.generators import certified_instance, chain_family, random_interval_window
 from stftpr.supportgraph import window_support
 
+from conftest import geom_at
+
 
 def _impulse_constants(n):
     w = np.zeros(n, complex)
     w[0] = 1.0
-    mats = certify_rank([w], hop=1)
-    return stability_constants([w], mats)
+    mats = certify_rank(geom_at([w], 1))
+    return stability_constants(mats)
 
 
 class TestStabilityConstants:
@@ -50,14 +53,14 @@ class TestStabilityConstants:
                     random_interval_window(n, int(rng.integers(1, n // 2 + 1)), rng)
                     for _ in range(int(rng.integers(1, 5)))
                 ])
-            mats = certify_rank(fam, hop)
+            mats = certify_rank(geom_at(fam, hop))
             if not mats.certified:
                 continue
             want = []
             for w in fam:
                 ws = window_support(w)
                 want.append(abs(complex(w[ws.anchor]) * complex(w[ws.far(n)])))
-            assert stability_constants(fam, mats).min_endpoint_product == min(want)
+            assert stability_constants(mats).min_endpoint_product == min(want)
             checked += 1
         assert checked >= 40
 
@@ -72,9 +75,9 @@ class TestStabilityConstants:
     def test_homogeneity(self):
         rng = np.random.default_rng(211)
         _, fam = certified_instance(8, 2, 3, rng)
-        mats = certify_rank(fam, 2)
-        base = stability_constants(fam, mats)
-        doubled = stability_constants(2 * fam, certify_rank(2 * fam, 2))
+        mats = certify_rank(geom_at(fam, 2))
+        base = stability_constants(mats)
+        doubled = stability_constants(certify_rank(geom_at(2 * fam, 2)))
         assert doubled.window_l2 == pytest.approx(2 * base.window_l2, rel=1e-12)
         assert doubled.min_endpoint_product == pytest.approx(
             4 * base.min_endpoint_product, rel=1e-12
@@ -82,18 +85,22 @@ class TestStabilityConstants:
 
     def test_uncertified_family_rejected(self):
         fam = [np.ones(4, complex)]
-        mats = certify_rank(fam, hop=1)
+        mats = certify_rank(geom_at(fam, 1))
         with pytest.raises(CertificationError):
-            stability_constants(fam, mats)
+            stability_constants(mats)
 
     def test_family_of_another_certificate_rejected(self):
         # the n = 16 family's l2 mass and endpoint products beside the n = 8
-        # family's Gram mass would pass for the constants of neither family
+        # family's Gram mass would pass for the constants of neither family;
+        # the constants read the certified family itself, and a geometry holds
+        # no family of another shape
         rng = np.random.default_rng(233)
-        mats = certify_rank(chain_family(8, 2, 3, rng), 2)
+        fam = chain_family(8, 2, 3, rng)
+        mats = certify_rank(geom_at(fam, 2))
+        assert stability_constants(mats).window_l2 == float(np.sqrt(np.sum(np.abs(fam) ** 2)))
         for other in (chain_family(16, 2, 5, rng), chain_family(8, 2, 4, rng)):
-            with pytest.raises(DimensionMismatchError, match="not the certified"):
-                stability_constants(other, mats)
+            with pytest.raises(DimensionMismatchError):
+                Geometry(mats.geometry.cfg, other)
 
     def test_json_keys(self):
         consts = _impulse_constants(4)
@@ -118,8 +125,8 @@ class TestErrorBudget:
     def test_formulas_recomputed_independently(self):
         rng = np.random.default_rng(223)
         x, fam = certified_instance(8, 2, 3, rng)
-        mats = certify_rank(fam, 2)
-        consts = stability_constants(fam, mats)
+        mats = certify_rank(geom_at(fam, 2))
+        consts = stability_constants(mats)
         level = 1e-5
         budget = error_budget(consts, level, min_support_magnitude(x, DEFAULT_ZERO_TOL))
         min_sq = min(abs(v) ** 2 for v in x if v != 0)
@@ -197,12 +204,12 @@ class TestThresholdSupport:
             n, hop = 8, 2
             supp = range(2 + t % 6)
             x, fam = certified_instance(n, hop, 3, rng, support=supp)
-            mats = certify_rank(fam, hop)
-            consts = stability_constants(fam, mats)
+            mats = certify_rank(geom_at(fam, hop))
+            consts = stability_constants(mats)
             min_mag = min(abs(v) for v in x if v != 0)
             level = 0.9 * min_mag ** 2 / (4 * consts.gram_inverse_l1 * consts.window_l2 ** 2)
             grid = corrupt(measure(x, fam, hop), rng.uniform(-level, level, (3, 4, 8)))
-            mag = recover_magnitudes(aggregate(grid, fam), mats)
+            mag = recover_magnitudes(aggregate(grid, geom_at(fam, grid.hop)), mats)
             est = np.sqrt(mag.magnitudes_sq)
             detected = np.flatnonzero(threshold_support(est, min_mag))
             if set(detected) == set(supp):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stftpr import model, spectral
+from stftpr import model, supportgraph
 from stftpr import (
     ProblemConfig,
     aggregate,
@@ -20,20 +20,22 @@ from stftpr.generators import (
 )
 from stftpr.stft import AggregateMeasurements
 
+from conftest import geom_at
+
 
 class TestWindowPowerSpectra:
     def test_constant_window(self):
-        spectra = window_power_spectra([np.ones(4)])
+        spectra = window_power_spectra(geom_at([np.ones(4)], 1))
         assert np.allclose(spectra[0], [1, 0, 0, 0], atol=1e-14)
 
     def test_impulse_window(self):
         w = np.zeros(4, complex)
         w[0] = 1.0
-        spectra = window_power_spectra([w])
+        spectra = window_power_spectra(geom_at([w], 1))
         assert np.allclose(spectra[0], 0.25)
 
     def test_two_tap_window(self):
-        spectra = window_power_spectra([[1, 1, 0, 0]])
+        spectra = window_power_spectra(geom_at([[1, 1, 0, 0]], 1))
         k = np.arange(4)
         assert np.allclose(spectra[0], 0.25 * (1 + np.exp(-1j * np.pi * k / 2)))
 
@@ -42,14 +44,14 @@ class TestWindowPowerSpectra:
         for _ in range(20):
             n = int(rng.integers(2, 17))
             w = rng.normal(size=n) + 1j * rng.normal(size=n)
-            row = window_power_spectra([w])[0]
+            row = window_power_spectra(geom_at([w], 1))[0]
             assert row[0].real > 0 and abs(row[0].imag) < 1e-14
             assert np.allclose(row[(-np.arange(n)) % n], np.conj(row), atol=1e-12)
 
 
 class TestCertifyRank:
     def test_constant_window_fails_off_zero(self):
-        mats = certify_rank([np.ones(4)], hop=1)
+        mats = certify_rank(geom_at([np.ones(4)], 1))
         assert not mats.certified
         assert mats.failing == (1, 2, 3)
         assert mats.ranks == (1, 0, 0, 0)
@@ -57,7 +59,7 @@ class TestCertifyRank:
     def test_impulse_window_certifies(self):
         w = np.zeros(5, complex)
         w[0] = 1.0
-        mats = certify_rank([w], hop=1)
+        mats = certify_rank(geom_at([w], 1))
         assert mats.certified
         assert all(np.allclose(a, 0.2) for a in mats.matrices)
 
@@ -65,19 +67,19 @@ class TestCertifyRank:
         # one impulse per position: the power matrix is a scaled permutation
         n = 4
         fam = np.eye(n, dtype=complex)
-        mats = certify_rank(fam, hop=n)
+        mats = certify_rank(geom_at(fam, n))
         assert mats.certified
         assert mats.ranks == (n,)
 
     def test_duplicated_windows_rejected(self):
         rng = np.random.default_rng(43)
         w = random_interval_window(8, 3, rng)
-        mats = certify_rank([w, w], hop=2)
+        mats = certify_rank(geom_at([w, w], 2))
         assert not mats.certified
         assert mats.failing == tuple(range(4))
 
     def test_report_fields(self):
-        mats = certify_rank([np.ones(4)], hop=1)
+        mats = certify_rank(geom_at([np.ones(4)], 1))
         rep = mats.report()
         assert rep["certified"] is False
         assert rep["failing_m"] == [1, 2, 3]
@@ -90,8 +92,8 @@ class TestCertifyRank:
         rng = np.random.default_rng(47)
         for _ in range(10):
             fam = [random_interval_window(8, int(rng.integers(1, 9)), rng)]
-            mats = certify_rank(fam, hop=1)
-            spectra = window_power_spectra(fam)
+            mats = certify_rank(geom_at(fam, 1))
+            spectra = window_power_spectra(geom_at(fam, 1))
             threshold = mats.rank_tol * max(np.abs(spectra).max(), 0.0)
             nonzero = [bool(np.linalg.norm(spectra[:, m]) > threshold) for m in range(8)]
             assert [r == 1 for r in mats.ranks] == nonzero
@@ -109,8 +111,8 @@ class TestCertifyRank:
         else:
             w = random_interval_window(8, 3, rng)
             fam, hop = np.stack([w, w]), 2
-        mats = certify_rank(fam, hop)
-        spectra = window_power_spectra(fam)
+        mats = certify_rank(geom_at(fam, hop))
+        spectra = window_power_spectra(geom_at(fam, 1))
         num_hops = spectra.shape[1] // hop
         scale = 0.0
         for m in range(num_hops):
@@ -160,7 +162,7 @@ class TestCertifyRank:
         fam = chain_family(16, 4, 6, np.random.default_rng(5))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
-        mats = certify_rank(fam, 4)
+        mats = certify_rank(geom_at(fam, 4))
         assert mats.certified
         assert calls == {"svd": [(mats.num_hops // 2 + 1, 6, 4)], "pinv": 0}
 
@@ -176,8 +178,8 @@ class TestCertifyRank:
         fam = chain_family(1024, 1, 1, np.random.default_rng(5))
         row = chain_family(16, 1, 1, np.random.default_rng(7))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert certify_rank(fam, 1).certified
-        assert not certify_rank(row, 4).certified
+        assert certify_rank(geom_at(fam, 1)).certified
+        assert not certify_rank(geom_at(row, 4)).certified
         assert calls == []
 
     @staticmethod
@@ -205,7 +207,7 @@ class TestCertifyRank:
         # for thin stacks it is the plain root-sum-square, within 4 eps of LAPACK's
         eps = np.finfo(float).eps
         for fam, hop in self._sweep(np.random.default_rng(61)):
-            mats = certify_rank(fam, hop)
+            mats = certify_rank(geom_at(fam, hop))
             svals = [np.linalg.svd(a, compute_uv=False) for a in mats.matrices]
             threshold = mats.rank_tol * max(float(s[0]) for s in svals)
             ranks = tuple(int(np.sum(s > threshold)) for s in svals)
@@ -230,12 +232,12 @@ class TestCertifyRank:
         # mirrors the rest exactly, without moving a rank decision
         paired = mirrored = certified = 0
         for fam, hop in self._sweep(np.random.default_rng(61)):
-            mats = certify_rank(fam, hop)
+            mats = certify_rank(geom_at(fam, hop))
             if min(mats.num_windows, hop) == 1:
                 continue
             paired += 1
             num_hops, half = mats.num_hops, mats.num_hops // 2 + 1
-            spectra = window_power_spectra(fam)
+            spectra = window_power_spectra(geom_at(fam, 1))
             unpaired = np.stack([spectra[:, m + num_hops * np.arange(hop)] for m in range(num_hops)])
             assert np.array_equal(mats.matrices[:half], unpaired[:half])
             lapack = np.stack([np.linalg.svd(a.conj())[1] for a in unpaired])
@@ -292,7 +294,7 @@ class TestCertifyRank:
         eps = np.finfo(float).eps
         thin = certified = 0
         for fam, hop in self._thin_stacks(np.random.default_rng(71)):
-            mats = certify_rank(fam, hop)
+            mats = certify_rank(geom_at(fam, hop))
             assert mats.singular_values.shape == (mats.num_hops, 1)
             lapack = np.stack([np.linalg.svd(a.conj(), compute_uv=False) for a in mats.matrices])
             threshold = mats.rank_tol * float(lapack[:, 0].max())
@@ -321,14 +323,14 @@ class TestCertifyRank:
         # all-zero estimate with an empty support
         x, fam = certified_instance(64, hop, 6 if hop > 1 else 1, np.random.default_rng(3))
         tiny = fam * 1e-160
-        mats = certify_rank(tiny, hop)
+        mats = certify_rank(geom_at(tiny, hop))
         assert 0.0 < mats.report()["singular_value_min"] < 1e-300
         assert not mats.certified
         assert mats.pseudo_inverses is None
         assert mats.failing == tuple(range(mats.num_hops))
         grid = measure(x, tiny, hop)
         with pytest.raises(CertificationError) as err:
-            recover_magnitudes(aggregate(grid, tiny), mats)
+            recover_magnitudes(aggregate(grid, geom_at(tiny, grid.hop)), mats)
         assert err.value.failing == mats.failing
         assert str(err.value).startswith("pseudo-inverses overflow at residues [0, 1, ")
         with pytest.raises(CertificationError):
@@ -336,43 +338,46 @@ class TestCertifyRank:
 
     def test_equality_is_identity(self):
         fam = chain_family(8, 2, 3, np.random.default_rng(67))
-        mats = certify_rank(fam, 2)
+        mats = certify_rank(geom_at(fam, 2))
         assert mats == mats
-        assert certify_rank(fam, 2) != certify_rank(fam, 2)
+        assert certify_rank(geom_at(fam, 2)) != certify_rank(geom_at(fam, 2))
 
     @pytest.mark.parametrize("rank_tol", [-1.0, float("nan"), float("inf")])
     def test_bad_rank_tol_rejected(self, rank_tol):
         # a negative tolerance counts every singular value, certifying anything
         with pytest.raises(ConfigurationError, match="rank_tol"):
-            certify_rank([np.array([1, 1, 0, 0, 0, 0, 0, 0])], hop=1, rank_tol=rank_tol)
+            certify_rank(geom_at([np.array([1, 1, 0, 0, 0, 0, 0, 0])], 1), rank_tol)
 
     @pytest.mark.parametrize("hop,rank_tol", [(3, None), (1, -1.0)])
     def test_family_errors_come_first(self, monkeypatch, hop, rank_tol):
-        # the family is validated once, inside window_power_spectra, and a bad
-        # family is named before a bad hop or rank_tol
+        # the geometry validates the family once, after ProblemConfig has
+        # checked the hop: a bad family is named after a bad hop and before a
+        # bad rank_tol
         calls = []
 
         def counting(*args):
             calls.append(args)
             return model.as_window_family(*args)
 
-        monkeypatch.setattr(spectral, "as_window_family", counting)
-        with pytest.raises(InvalidWindowError, match="window 1 is identically zero"):
-            certify_rank([np.ones(8), np.zeros(8)], hop=hop, rank_tol=rank_tol)
-        assert certify_rank([np.ones(8)], hop=1).num_windows == 1
-        assert len(calls) == 2
+        monkeypatch.setattr(supportgraph, "as_window_family", counting)
+        error, match = ((ConfigurationError, "hop 3 does not divide signal length 8") if hop == 3
+                        else (InvalidWindowError, "window 1 is identically zero"))
+        with pytest.raises(error, match=match):
+            certify_rank(geom_at([np.ones(8), np.zeros(8)], hop), rank_tol)
+        assert certify_rank(geom_at([np.ones(8)], 1)).num_windows == 1
+        assert len(calls) == (1 if hop == 3 else 2)
 
     @pytest.mark.parametrize("hop", [0, 3, 16])
     def test_hop_must_divide(self, hop):
         # the same rule and class as ProblemConfig, stft and measure
         with pytest.raises(ConfigurationError, match=f"hop {hop} does not divide signal length 8"):
-            certify_rank([np.ones(8)], hop=hop)
+            certify_rank(geom_at([np.ones(8)], hop))
 
     def test_full_hop_specialization(self):
         # rank gate == power matrix of the masks has full rank
         rng = np.random.default_rng(53)
         fam = np.stack([random_interval_window(4, 2, rng, anchor=r) for r in range(4)])
-        mats = certify_rank(fam, hop=4)
+        mats = certify_rank(geom_at(fam, 4))
         power = np.abs(np.asarray(fam)) ** 2
         assert mats.certified == (np.linalg.matrix_rank(power) == 4)
 
@@ -382,15 +387,15 @@ class TestRecoverMagnitudes:
         rng = np.random.default_rng(seed)
         x, fam = certified_instance(n, hop, num_windows, rng)
         grid = measure(x, fam, hop)
-        agg = aggregate(grid, fam)
-        mats = certify_rank(fam, hop)
+        agg = aggregate(grid, geom_at(fam, grid.hop))
+        mats = certify_rank(geom_at(fam, hop))
         return x, fam, agg, mats
 
     def test_zero_signal(self):
         rng = np.random.default_rng(59)
         _, fam = certified_instance(8, 2, 2, rng)
-        agg = aggregate(measure(np.zeros(8), fam, 2), fam)
-        mag = recover_magnitudes(agg, certify_rank(fam, 2))
+        agg = aggregate(measure(np.zeros(8), fam, 2), geom_at(fam, 2))
+        mag = recover_magnitudes(agg, certify_rank(geom_at(fam, 2)))
         assert np.allclose(mag.magnitudes_sq, 0, atol=1e-14)
 
     def test_impulse_signal_impulse_window(self):
@@ -398,8 +403,8 @@ class TestRecoverMagnitudes:
         w[0] = 1.0
         x = np.zeros(6, complex)
         x[0] = 1.0
-        agg = aggregate(measure(x, [w], 1), [w])
-        mag = recover_magnitudes(agg, certify_rank([w], 1))
+        agg = aggregate(measure(x, [w], 1), geom_at([w], 1))
+        mag = recover_magnitudes(agg, certify_rank(geom_at([w], 1)))
         expected = np.zeros(6)
         expected[0] = 1.0
         assert np.allclose(mag.magnitudes_sq, expected, atol=1e-12)
@@ -439,10 +444,10 @@ class TestRecoverMagnitudes:
     def test_scaling(self, scalar):
         rng = np.random.default_rng(73)
         x, fam = certified_instance(8, 2, 3, rng)
-        mats = certify_rank(fam, 2)
-        base = recover_magnitudes(aggregate(measure(x, fam, 2), fam), mats)
+        mats = certify_rank(geom_at(fam, 2))
+        base = recover_magnitudes(aggregate(measure(x, fam, 2), geom_at(fam, 2)), mats)
         scaled = recover_magnitudes(
-            aggregate(measure(scalar * x, fam, 2), fam), mats
+            aggregate(measure(scalar * x, fam, 2), geom_at(fam, 2)), mats
         )
         assert np.allclose(
             scaled.magnitudes_sq, abs(scalar) ** 2 * base.magnitudes_sq, atol=1e-10
@@ -451,8 +456,8 @@ class TestRecoverMagnitudes:
     def test_uncertified_refused(self):
         x = np.ones(4, complex)
         fam = [np.ones(4, complex)]
-        agg = aggregate(measure(x, fam, 1), fam)
-        mats = certify_rank(fam, 1)
+        agg = aggregate(measure(x, fam, 1), geom_at(fam, 1))
+        mats = certify_rank(geom_at(fam, 1))
         with pytest.raises(CertificationError) as err:
             recover_magnitudes(agg, mats)
         assert err.value.failing == (1, 2, 3)
@@ -461,7 +466,7 @@ class TestRecoverMagnitudes:
     def test_severe_clamping_flag(self):
         rng = np.random.default_rng(79)
         _, fam = certified_instance(8, 2, 2, rng)
-        mats = certify_rank(fam, 2)
+        mats = certify_rank(geom_at(fam, 2))
         junk = AggregateMeasurements(
             energy=-np.ones((2, 4)), correlation=np.zeros((2, 4)), noise_level=1.0
         )

@@ -36,6 +36,8 @@ from stftpr.oracle import measure_direct, stft_direct
 from stftpr.stft import AggregateMeasurements, _autocorrelation_coefficients, _trig_table
 from stftpr.supportgraph import window_support
 
+from conftest import geom_at
+
 stft_module = importlib.import_module("stftpr.stft")  # ``stftpr.stft`` is also a function
 
 # frozen via the direct-sum oracle: x=(1,2,3,4), w=(1,1,0,0), n=4, hop=2
@@ -437,7 +439,7 @@ class TestNonFinite:
 class TestAggregate:
     def test_zero_grid(self):
         grid = measure(np.zeros(4), [[1, 1, 0, 0]], hop=2)
-        agg = aggregate(grid, [[1, 1, 0, 0]])
+        agg = aggregate(grid, geom_at([[1, 1, 0, 0]], 2))
         assert np.all(agg.energy == 0) and np.all(agg.correlation == 0)
 
     def test_unit_length_window_collapses(self):
@@ -446,18 +448,18 @@ class TestAggregate:
         x = rng.normal(size=6) + 1j * rng.normal(size=6)
         w = np.zeros(6, complex)
         w[2] = 1.5
-        agg = aggregate(measure(x, [w], hop=2), [w])
+        agg = aggregate(measure(x, [w], hop=2), geom_at([w], 2))
         assert np.allclose(agg.correlation, agg.energy)
 
     def test_derived_values(self):
         w = [1, 1, 0, 0]
-        agg = aggregate(measure([1, 2, 3, 4], [w], hop=2), [w])
+        agg = aggregate(measure([1, 2, 3, 4], [w], hop=2), geom_at([w], 2))
         assert np.allclose(agg.energy, [[4.25, 3.25]], atol=1e-12)
         assert np.allclose(agg.correlation, [[1.0, 1.5]], atol=1e-12)
 
     def test_measurement_count(self):
         w = [1, 1, 0, 0]
-        agg = aggregate(measure([1, 2, 3, 4], [w], hop=2), [w])
+        agg = aggregate(measure([1, 2, 3, 4], [w], hop=2), geom_at([w], 2))
         assert agg.measurement_count == 4  # 2 * 1 window * 2 hops
 
     def test_matches_complex_modulation(self):
@@ -467,7 +469,7 @@ class TestAggregate:
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         fam = np.stack([random_interval_window(n, length, rng) for length in (1, 5, 32)])
         grid = measure(x, fam, hop)
-        agg = aggregate(grid, fam)
+        agg = aggregate(grid, geom_at(fam, grid.hop))
         k = np.arange(n)
         for r, length in enumerate((1, 5, 32)):
             want = grid.values[r] @ np.exp(2j * np.pi * k * (length - 1) / n)
@@ -479,9 +481,10 @@ class TestAggregate:
         n = 256
         fam = [random_interval_window(n, 9, rng)]
         grid = measure(rng.normal(size=n) + 0j, fam, 1)
+        geom = geom_at(fam, 1)
         tracemalloc.start()
         try:
-            aggregate(grid, fam)
+            aggregate(grid, geom)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -509,7 +512,7 @@ class TestAggregate:
         fam = np.stack([random_interval_window(n, length, rng) for length in (1, 5, n // 3, 5)])
         grid = measure(rng.normal(size=n) + 1j * rng.normal(size=n), fam, hop)
         grid = corrupt(grid, rng.uniform(-1e-9, 1e-9, grid.values.shape))
-        agg = aggregate(grid, fam)
+        agg = aggregate(grid, geom_at(fam, grid.hop))
         k = np.arange(n)
         for r, length in enumerate(window_support(fam).length.tolist()):
             angle = 2 * np.pi * k * (length - 1) / n
@@ -523,7 +526,7 @@ class TestAggregate:
         w = [1, 1, 0, 0]
         grid = measure([1, 2, 3, 4], [w, w], hop=2)
         with pytest.raises(DimensionMismatchError, match="grid has 2 windows, family has 1"):
-            aggregate(grid, [w])
+            aggregate(grid, geom_at([w], grid.hop))
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # a whole-block mat-vec per window, without the row blocks, gives
@@ -532,18 +535,20 @@ class TestAggregate:
         script = """
 import hashlib
 import numpy as np
-from stftpr import MeasurementGrid, aggregate
+from stftpr import Geometry, MeasurementGrid, ProblemConfig, aggregate
 from stftpr.generators import chain_family, random_interval_window
 digest = hashlib.sha256()
 for n, hop, num_windows in ((1542, 2, 2), (1155, 1, 1), (1030, 2, 2)):
     rng = np.random.default_rng(7)
     fam = chain_family(n, hop, num_windows, rng)
-    agg = aggregate(MeasurementGrid(rng.uniform(0, 1, (num_windows, n // hop, n))), fam)
+    grid = MeasurementGrid(rng.uniform(0, 1, (num_windows, n // hop, n)))
+    agg = aggregate(grid, Geometry(ProblemConfig(n, hop, num_windows), fam))
     digest.update(agg.energy.tobytes() + agg.correlation.tobytes())
 for n, hop in ((16384, 1024), (65536, 4096)):
     rng = np.random.default_rng(7)
     fam = np.stack([random_interval_window(n, length, rng) for length in (5, n // 3)])
-    agg = aggregate(MeasurementGrid(rng.uniform(0, 1, (2, n // hop, n))), fam)
+    agg = aggregate(MeasurementGrid(rng.uniform(0, 1, (2, n // hop, n))),
+                    Geometry(ProblemConfig(n, hop, 2), fam))
     digest.update(agg.energy.tobytes() + agg.correlation.tobytes())
 print(digest.hexdigest())
 """

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stftpr import (
+    ProblemConfig,
     is_connected,
     measure,
     rotate_component_phase,
@@ -37,6 +39,7 @@ from stftpr.supportgraph import (
 
 from conftest import (
     check_graph_certificate,
+    geom_at,
     graph_from_lists,
     loop_covisibility_witnesses,
     loop_endpoint_witnesses,
@@ -97,7 +100,10 @@ def test_threshold_overflow_marks_nothing_without_a_warning():
         assert support(np.arange(1, 9), huge) == ()
         with pytest.raises(InvalidWindowError, match="no entry above"):
             window_support(fam, huge)
-        graph = covisibility_graph_from_support(range(8), fam, 2, huge)
+        # a Geometry refuses a family left without support, so the builder
+        # gets the fields it reads, the config and the family, alone
+        geom = SimpleNamespace(cfg=ProblemConfig(8, 2, 3, huge), windows=fam)
+        graph = covisibility_graph_from_support(range(8), geom)
     assert len(graph.edges) == 0 and graph.vertices.tolist() == list(range(8))
 
 
@@ -132,7 +138,7 @@ class TestEndpointWitness:
 
 def _covisibility(x, fam, hop):
     """Covisibility graph over the support of ``x``."""
-    return covisibility_graph_from_support(support(x), fam, hop)
+    return covisibility_graph_from_support(support(x), geom_at(fam, hop))
 
 
 def _pairs(graph):
@@ -206,22 +212,22 @@ def test_builders_reject_vertices_outside_the_signal(vertices, bad):
     # taken mod n, [3, 19] would give vertices [3] and [-1, 2] would give [2, 15]
     fam = chain_family(16, 2, 3, np.random.default_rng(11))
     with pytest.raises(DimensionMismatchError, match=f"vertex {bad} is outside"):
-        covisibility_graph_from_support(vertices, fam, 2)
+        covisibility_graph_from_support(vertices, geom_at(fam, 2))
     with pytest.raises(DimensionMismatchError, match=f"vertex {bad} is outside"):
-        endpoint_graph_from_support(vertices, window_support(fam), 2, 16)
+        endpoint_graph_from_support(vertices, geom_at(fam, 2))
 
 
 class TestEndpointGraph:
     def test_unit_length_windows_give_no_edges(self):
         w = np.zeros(6, complex)
         w[3] = 2.0
-        g = endpoint_graph_from_support(support(np.ones(6)), window_support([w]), 1, 6)
+        g = endpoint_graph_from_support(support(np.ones(6)), geom_at([w], 1))
         assert len(g.edges) == 0
 
     def test_span_three_cycle(self):
         # length 4 from anchor 0: edges join indices 3 apart; gcd(3, 8) = 1
         w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-        g = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
+        g = endpoint_graph_from_support(support(np.ones(8)), geom_at([w], 1))
         expected = {(m % 8, (m - 3) % 8) for m in range(8)}
         expected = {(min(a, b), max(a, b)) for a, b in expected}
         assert _pairs(g) == expected
@@ -230,7 +236,7 @@ class TestEndpointGraph:
     def test_span_four_splits(self):
         # length 5: offset 4, gcd(4, 8) = 4 components
         w = np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=complex)
-        g = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
+        g = endpoint_graph_from_support(support(np.ones(8)), geom_at([w], 1))
         assert not is_connected(g)
         assert len(g.components()) == 4
 
@@ -246,7 +252,7 @@ class TestEndpointGraph:
             x = np.where(rng.random(n) < 0.7, rng.normal(size=n) + 0.5j, 0)
             # the full covisibility graph; the builder returns a spanning subgraph of it
             cov = _brute_covisibility_edges(x, fam, hop)
-            end = endpoint_graph_from_support(support(x), window_support(fam), hop, n)
+            end = endpoint_graph_from_support(support(x), geom_at(fam, hop))
             assert _pairs(end) <= cov
             cov_comps = _covisibility(x, fam, hop).components()
             assert all(any(set(c) <= set(d) for d in cov_comps) for c in end.components())
@@ -258,7 +264,7 @@ class TestEndpointGraph:
         for length in range(2, n + 1):
             w = np.zeros(n, complex)
             w[:length] = 1.0
-            g = endpoint_graph_from_support(support(x), window_support([w]), 1, n)
+            g = endpoint_graph_from_support(support(x), geom_at([w], 1))
             assert is_connected(g) == (math.gcd(length - 1, n) == 1)
 
     @pytest.mark.parametrize("n", [6, 8, 9, 12])
@@ -269,7 +275,7 @@ class TestEndpointGraph:
         for _ in range(15):
             lengths = rng.integers(2, n + 1, size=int(rng.integers(1, 4)))
             fam = [random_interval_window(n, int(L), rng) for L in lengths]
-            g = endpoint_graph_from_support(support(x), window_support(fam), 1, n)
+            g = endpoint_graph_from_support(support(x), geom_at(fam, 1))
             assert is_connected(g) == (math.gcd(*(int(L) - 1 for L in lengths), n) == 1)
 
 
@@ -301,7 +307,7 @@ class TestSpanningTree:
 
     def test_bfs_tree_on_span_three_graph(self):
         w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-        g = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
+        g = endpoint_graph_from_support(support(np.ones(8)), geom_at([w], 1))
         tree = spanning_tree(g)
         assert tree.root == 0
         assert len(tree.edges) == 7
@@ -369,7 +375,7 @@ class TestRotateComponentPhase:
 def test_certificate_dict_shape():
     # a 4-cycle: its BFS forest from vertex 0 keeps three edges, each with its first witness
     w = np.array([1, 1, 0, 0], dtype=complex)
-    g = endpoint_graph_from_support(support(np.ones(4)), window_support([w]), 1, 4)
+    g = endpoint_graph_from_support(support(np.ones(4)), geom_at([w], 1))
     cert = g.to_dict()
     assert set(cert) == {"variant", "vertices", "connected", "components", "forest"}
     assert cert["variant"] == "endpoint"
@@ -493,7 +499,7 @@ def _endpoint_geometries(draw):
 def test_endpoint_graph_matches_brute_force(geometry):
     # length-1, wrapping and full-length windows, arbitrary vertex subsets
     hop, fam, vertices = geometry
-    graph = endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1])
+    graph = endpoint_graph_from_support(vertices, geom_at(fam, hop))
     assert graph.vertices.tolist() == sorted(vertices)
     got = witness_lists(graph)
     assert got == loop_endpoint_witnesses(vertices, fam, hop)
@@ -586,7 +592,7 @@ def test_covisibility_witnesses_match_loop(geometry):
     # the chained builder against every co-seen pair of the triple loop
     hop, fam, vertices, zero_tol = geometry
     n = fam.shape[1]
-    graph = covisibility_graph_from_support(vertices, fam, hop, zero_tol)
+    graph = covisibility_graph_from_support(vertices, geom_at(fam, hop, zero_tol))
     reference = loop_covisibility_witnesses(vertices, fam, hop, zero_tol)
     verts = sorted(vertices)
     assert graph.vertices.tolist() == verts
@@ -616,16 +622,16 @@ def test_covisibility_witnesses_match_loop(geometry):
 def test_certificates_check_against_the_family(geometry):
     # both variants' forests, including graphs with no vertices, no edges or several components
     hop, fam, vertices, zero_tol = geometry
-    cov = covisibility_graph_from_support(vertices, fam, hop, zero_tol)
-    end = endpoint_graph_from_support(vertices, window_support(fam, zero_tol), hop, fam.shape[1])
+    cov = covisibility_graph_from_support(vertices, geom_at(fam, hop, zero_tol))
+    end = endpoint_graph_from_support(vertices, geom_at(fam, hop, zero_tol))
     for graph in (cov, end):
         check_graph_certificate(graph.to_dict(), vertices, fam, hop, zero_tol)
 
 
 def _both_graphs(hop, fam, vertices):
     return (
-        covisibility_graph_from_support(vertices, fam, hop),
-        endpoint_graph_from_support(vertices, window_support(fam), hop, fam.shape[1]),
+        covisibility_graph_from_support(vertices, geom_at(fam, hop)),
+        endpoint_graph_from_support(vertices, geom_at(fam, hop)),
     )
 
 
@@ -670,7 +676,7 @@ def test_graph_text_of_a_nested_hand_built_graph():
 
 def test_graph_and_tree_edges_are_arrays():
     w = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=complex)
-    graph = endpoint_graph_from_support(support(np.ones(8)), window_support([w]), 1, 8)
+    graph = endpoint_graph_from_support(support(np.ones(8)), geom_at([w], 1))
     tree = spanning_tree(graph)
     assert (len(graph.edges), len(tree.edges)) == (8, 7)
     assert (graph.offsets.size - 1, tree.child.size) == (8, 7)
@@ -690,7 +696,7 @@ def test_covisibility_peak_per_witness():
     fam = chain_family(n, 4, 6, np.random.default_rng(1))
     tracemalloc.start()
     try:
-        graph = covisibility_graph_from_support(range(n), fam, 4)
+        graph = covisibility_graph_from_support(range(n), geom_at(fam, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -715,7 +721,10 @@ def test_witness_keys_do_not_overflow_at_large_n():
     supports = WindowSupport(rng.integers(2, n // 2, 10), rng.integers(0, n, 10))
     ends = endpoint_witness(supports[:, None], 1, np.array([0, 1, n - 2, n - 1]), n)
     vertices = set(np.concatenate(ends, axis=None).tolist())
-    graph = endpoint_graph_from_support(vertices, supports, 1, n)
+    # the builder reads the config and the supports: no 168 MB family is made
+    graph = endpoint_graph_from_support(
+        vertices, SimpleNamespace(cfg=ProblemConfig(n, 1, 10), supports=supports)
+    )
     member = np.zeros(n, dtype=bool)
     member[list(vertices)] = True
     found = {}

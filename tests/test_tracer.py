@@ -17,8 +17,9 @@ from stftpr.supportgraph import (
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     spanning_tree,
-    window_support,
 )
+
+from conftest import geom_at
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,9 +40,9 @@ def test_edge_counters_on_real_graphs():
     targets = _load_tracer().TARGETS
     x, fam = certified_instance(16, 4, 6, np.random.default_rng(5))
     supp = support(x)
-    graph = endpoint_graph_from_support(supp, window_support(fam), 4, 16)
+    graph = endpoint_graph_from_support(supp, geom_at(fam, 4))
     tree = spanning_tree(graph)
-    cov = covisibility_graph_from_support(supp, fam, 4)
+    cov = covisibility_graph_from_support(supp, geom_at(fam, 4))
     results = {
         "supportgraph.endpoint_graph": graph,
         "supportgraph.spanning_tree": tree,
