@@ -142,15 +142,19 @@ def _witness_dicts(witnesses: EdgeWitnesses) -> list[dict]:
     return out
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the path ``out``, or to stdout when ``out`` is None or ``-``."""
+    with nullcontext(sys.stdout) if out is None or out == "-" else Path(out).open("w") as f:
+        f.write(text)
+
+
 def _dump_json(payload, out: str | None) -> None:
     """Write ``payload`` as :func:`_json_text` formats it, plus a newline, to ``out`` or stdout.
 
     The whole text is formatted before the file is opened, so a ``TypeError``
     leaves no file.
     """
-    text = _json_text(payload, "\n") + "\n"
-    with nullcontext(sys.stdout) if out is None or out == "-" else Path(out).open("w") as f:
-        f.write(text)
+    _write(_json_text(payload, "\n") + "\n", out)
 
 
 def _pairs_to_complex(data, what: str) -> np.ndarray:
@@ -440,11 +444,7 @@ def cmd_verify(args) -> int:
             rhs = xs[i] * xs[j].conjugate() * near * far.conjugate()
             case = f"edge:({lo}, {hi}):witness=({window},{hop})"
             reports.append(compare(case, lhs, rhs, 1e-10))
-    lines = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(lines)
-    else:
-        Path(args.out).write_text(lines)
+    _write("".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports), args.out)
     return EXIT_OK
 
 

@@ -67,8 +67,12 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
     """The three constants of the family ``mats`` certifies; requires a passing certificate.
 
     The family and its supports are ``mats.geometry``'s.  The Gram inverses are
-    formed explicitly here, all residues in one batched inverse (the one place
-    the explicit inverse is the quantity of interest, not a solver).
+    read off the rank gate's pseudo-inverses, ``(A^H A)^-1 = P P^H``, so no
+    residue is factored a second time and no Gram matrix (whose condition
+    number is the square of A's) is formed.  P is divided by its largest
+    modulus before the product and the sum is scaled back in Python floats:
+    an l1 mass past the float range reads ``inf``, never NaN, and numpy warns
+    of no overflow.
     """
     if not mats.certified:
         raise CertificationError(
@@ -80,10 +84,9 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
     window_l2 = float(np.sqrt(np.sum(np.abs(fam) ** 2)))
     rows = np.arange(fam.shape[0])
     near, far = fam[rows, ws.anchor].tolist(), fam[rows, ws.far(n)].tolist()
-    inverses = np.linalg.inv(mats.matrices.conj().transpose(0, 2, 1) @ mats.matrices)
-    gram_l1 = 0.0
-    for l1 in np.abs(inverses).sum(axis=(1, 2)).tolist():  # in residue order: A_norm1 keeps its bytes
-        gram_l1 += l1
+    peak = float(np.abs(mats.pseudo_inverses).max())
+    scaled = mats.pseudo_inverses / peak
+    gram_l1 = float(np.abs(scaled @ scaled.conj().transpose(0, 2, 1)).sum()) * peak * peak
     return StabilityConstants(
         window_l2=window_l2,
         # Python complex products and abs, entry by entry: np.abs can move its last bit
@@ -111,7 +114,8 @@ def error_budget(consts: StabilityConstants, noise_level: float, prior: float) -
     ``prior`` is the signal's smallest nonzero magnitude, positive and finite,
     which the half-minimum support rule also takes.  A prior so small that the
     phase bound's denominator, ``min_endpoint_product * prior**2``, underflows
-    to zero raises ``UndefinedBudgetError``.
+    to zero raises ``UndefinedBudgetError``, and so does a family so large
+    that its gain ``gram_inverse_l1 * window_l2**2`` underflows to zero.
     """
     check_tolerance("noise_level", noise_level)
     min_mag = check_prior(prior)
@@ -122,9 +126,12 @@ def error_budget(consts: StabilityConstants, noise_level: float, prior: float) -
             f"smallest magnitude {min_mag!r} is too small for the error budget: the "
             f"phase bound's denominator underflows to zero"
         )
-    denom = 4.0 * consts.gram_inverse_l1 * consts.window_l2 ** 2
-    admissible = bool(noise_level <= min_sq / denom)
-    magnitude_bound = consts.gram_inverse_l1 * consts.window_l2 ** 2 * noise_level
+    gain = consts.gram_inverse_l1 * consts.window_l2 ** 2
+    if gain == 0.0:
+        raise UndefinedBudgetError("the budget's gain A_norm1 * W_norm2**2 underflows to zero")
+    admissible = bool(noise_level <= min_sq / (4.0 * gain))
+    # zero noise means zero error, also where A_norm1 reads inf (inf * 0 is NaN)
+    magnitude_bound = gain * noise_level if noise_level else 0.0
     phase_bound = 2.0 * consts.n ** 3 * noise_level / phase_denom
     return ErrorBudget(
         noise_level=float(noise_level),

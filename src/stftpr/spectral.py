@@ -43,7 +43,9 @@ class ModulationMatrices:
     ``matrices`` is (num_hops, num_windows, hop); ``matrices[m]`` samples the
     window power spectra on residue class m mod ``n // hop``.  ``singular_values``
     is (num_hops, min(num_windows, hop)), each row descending; ``pseudo_inverses``
-    is the (num_hops, hop, num_windows) solver stack if every residue certifies, else None.
+    is the (num_hops, hop, num_windows) stack P if every residue certifies, else None.
+    P feeds both the magnitude solve and the stability constants, whose Gram
+    inverses are ``(A^H A)^-1 = P P^H``: the gate's factorization is the only one.
     For residues m <= num_hops / 2 both are numpy's SVD results bit for bit;
     residue num_hops - m holds the exact mirror of residue m (see
     :func:`certify_rank`).  Thin stacks (one window or hop 1) take the closed

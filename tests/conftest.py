@@ -24,6 +24,14 @@ def geom_at(windows, hop, zero_tol=DEFAULT_ZERO_TOL):
                     windows)
 
 
+def near_singular_pair():
+    """An n = 8, hop 2 pair the rank gate certifies at a relative sigma_min of about 5e-9."""
+    w0 = np.array([1.0, 0.7, 0.4, 0, 0, 0, 0, 0], complex)
+    w1 = w0.copy()
+    w1[1] = 0.70000001
+    return np.stack([w0, w1])
+
+
 def graph_from_lists(variant, vertices, edges):
     """A ``SupportGraph`` from ``[((lo, hi), [(window, hop), ...]), ...]``.
 

@@ -31,7 +31,7 @@ from stftpr.supportgraph import (
     window_support,
 )
 
-from conftest import check_certificate, geom_at, weak_nontree_instance
+from conftest import check_certificate, geom_at, near_singular_pair, weak_nontree_instance
 
 
 def run(*argv):
@@ -963,6 +963,43 @@ class TestBounds:
         out = json.loads(capsys.readouterr().out)
         assert out["A_norm1"] == pytest.approx(n ** 3, rel=1e-9)
         assert out["admissible"] is False
+
+    def test_near_singular_pair(self, tmp_path, capsys):
+        # a pair the gate certifies, whose Gram matrix numpy called singular
+        cli.write_windows_json(tmp_path / "near.json", near_singular_pair())
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--windows", tmp_path / "near.json",
+            "--min-magnitude", 0.5, "--noise", 1e-12,
+        )
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert np.isfinite(json.loads(out)["A_norm1"])
+
+    def test_zero_noise_with_gram_mass_past_the_float_range(self, tmp_path, capsys):
+        # at zero noise the verdict is admissible whatever A_norm1 is; it used
+        # to read NaN and make the verdict false
+        fam = 1e-80 * chain_family(8, 2, 3, np.random.default_rng(1))
+        cli.write_windows_json(tmp_path / "tiny.json", fam)
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--windows", tmp_path / "tiny.json",
+            "--min-magnitude", 0.5, "--noise", 0,
+        )
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["A_norm1"] == np.inf
+        assert out["admissible"] is True and out["magnitude_bound"] == 0.0
+
+    def test_underflowing_gain_exits_one(self, tmp_path, capsys):
+        # A_norm1 below the float range made the budget NaN, or divided by zero
+        fam = 1e100 * chain_family(8, 2, 3, np.random.default_rng(1))
+        cli.write_windows_json(tmp_path / "big.json", fam)
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--windows", tmp_path / "big.json",
+            "--min-magnitude", 0.5, "--noise", 1e-12,
+        )
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "gain A_norm1 * W_norm2**2 underflows to zero" in err
 
     def test_certification_failure(self, tmp_path, capsys):
         code = run(

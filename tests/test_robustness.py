@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +25,15 @@ from stftpr.errors import (
     InvalidPriorError,
     UndefinedBudgetError,
 )
-from stftpr.generators import certified_instance, chain_family, random_interval_window
+from stftpr.generators import (
+    certified_instance,
+    chain_family,
+    mask_family,
+    random_interval_window,
+)
 from stftpr.supportgraph import window_support
 
-from conftest import geom_at
+from conftest import geom_at, near_singular_pair
 
 
 def _impulse_constants(n):
@@ -34,6 +41,16 @@ def _impulse_constants(n):
     w[0] = 1.0
     mats = certify_rank(geom_at([w], 1))
     return stability_constants(mats)
+
+
+def _svd_gram_inverse_l1(mats):
+    """Summed entrywise l1 mass of V S^-2 V^H, one SVD per modulation matrix."""
+    total = 0.0
+    for a in mats.matrices:
+        _, s, vh = np.linalg.svd(a, full_matrices=False)
+        v = vh.conj().T
+        total += float(np.abs((v / s ** 2) @ v.conj().T).sum())
+    return total
 
 
 class TestStabilityConstants:
@@ -102,6 +119,65 @@ class TestStabilityConstants:
             with pytest.raises(DimensionMismatchError):
                 Geometry(mats.geometry.cfg, other)
 
+    def test_near_singular_pair(self):
+        # the Gram matrix squares the pair's condition number: inverting it
+        # raised "Singular matrix" on a family the gate certifies
+        mats = certify_rank(geom_at(near_singular_pair(), 2))
+        assert mats.certified
+        assert mats.singular_values[:, -1].min() / mats.singular_values.max() < 1e-8
+        a1 = stability_constants(mats).gram_inverse_l1
+        assert np.isfinite(a1)
+        assert a1 == pytest.approx(_svd_gram_inverse_l1(mats), rel=1e-6)
+
+    def test_gram_inverse_l1_matches_svd_reference(self):
+        # mask families at hop n: the explicit Gram inverse was up to 2.3e-11 off
+        families = [(mask_family(n, n, np.random.default_rng(s)), n)
+                    for n in (12, 16) for s in range(40)]
+        rng = np.random.default_rng(239)
+        for n, hop in [(8, 2), (16, 4), (24, 1), (32, 4), (32, 8)] * 4:
+            families.append((chain_family(n, hop, hop + int(rng.integers(0, 4)), rng), hop))
+        checked = 0
+        for fam, hop in families:
+            mats = certify_rank(geom_at(fam, hop))
+            if not mats.certified:
+                continue
+            got = stability_constants(mats).gram_inverse_l1
+            assert got == pytest.approx(_svd_gram_inverse_l1(mats), rel=1e-12)
+            checked += 1
+        assert checked >= 90
+
+    def test_reads_the_pseudo_inverses_not_the_matrices(self):
+        # the rank gate's factorization is the only one: the constants never
+        # look at the modulation matrices again
+        rng = np.random.default_rng(241)
+        mats = certify_rank(geom_at(chain_family(16, 4, 6, rng), 4))
+        blind = dataclasses.replace(mats, matrices=np.full_like(mats.matrices, np.nan))
+        assert stability_constants(blind) == stability_constants(mats)
+
+    def test_scale_covariance(self):
+        # W_norm2, W_star and A_norm1 scale as |c|, |c|**2 and |c|**-4; past
+        # the float range (c = 1e-80) A_norm1 reads inf, with no NaN and no
+        # overflow warning
+        fam = chain_family(8, 2, 3, np.random.default_rng(1))
+        base = stability_constants(certify_rank(geom_at(fam, 2)))
+        for k in range(-60, 61):
+            c = 2.0 ** k
+            consts = stability_constants(certify_rank(geom_at(c * fam, 2)))
+            assert consts.window_l2 == pytest.approx(c * base.window_l2, rel=1e-12)
+            assert consts.min_endpoint_product == pytest.approx(
+                c ** 2 * base.min_endpoint_product, rel=1e-12
+            )
+            assert consts.gram_inverse_l1 == pytest.approx(
+                base.gram_inverse_l1 / c ** 4, rel=1e-12
+            )
+        mats = certify_rank(geom_at(1e-80 * fam, 2))
+        assert mats.certified
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            consts = stability_constants(mats)
+        assert consts.gram_inverse_l1 == np.inf
+        assert np.isfinite(consts.window_l2) and consts.min_endpoint_product > 0
+
     def test_json_keys(self):
         consts = _impulse_constants(4)
         assert set(consts.to_dict()) == {"W_norm2", "W_star", "A_norm1", "n"}
@@ -114,6 +190,24 @@ class TestErrorBudget:
         assert budget.admissible
         assert budget.magnitude_bound == 0.0
         assert budget.phase_bound == 0.0
+
+    def test_zero_noise_with_infinite_gram_mass(self):
+        # inf * 0 used to make the magnitude bound NaN and the verdict false
+        fam = 1e-80 * chain_family(8, 2, 3, np.random.default_rng(1))
+        consts = stability_constants(certify_rank(geom_at(fam, 2)))
+        assert consts.gram_inverse_l1 == np.inf
+        budget = error_budget(consts, 0.0, 0.5)
+        assert budget.admissible
+        assert budget.magnitude_bound == 0.0
+        assert budget.phase_bound == 0.0
+
+    def test_underflowing_gain_is_undefined(self):
+        # at c = 1e100 A_norm1 (scaling as c**-4) is below the float range
+        fam = 1e100 * chain_family(8, 2, 3, np.random.default_rng(1))
+        consts = stability_constants(certify_rank(geom_at(fam, 2)))
+        assert consts.gram_inverse_l1 == 0.0
+        with pytest.raises(UndefinedBudgetError, match="gain A_norm1"):
+            error_budget(consts, 1e-12, 0.5)
 
     def test_boundary_is_admissible(self):
         consts = _impulse_constants(8)

@@ -35,7 +35,13 @@ _EXACT = "--n 8 --hop 2 --num-windows 3 --windows chain:2 --signal random --seed
 _RECOVER = "recover --grid run/grid.csv --windows run/windows.json --signal run/signal.json"
 _NOISY = "recover --grid run/grid_noisy.csv --windows run/windows.json --signal run/signal.json"
 
-# a step is a CLI command line, or a ("set-meta", file, fields) edit of grid metadata
+# a near-singular pair the rank gate certifies (relative sigma_min about 5e-9):
+# w1 is w0 with tap 1 moved by 1e-8
+_W0 = [[1.0, 0.0], [0.7, 0.0], [0.4, 0.0]] + [[0.0, 0.0]] * 5
+_NEAR = [_W0, [_W0[0], [0.70000001, 0.0]] + _W0[2:]]
+
+# a step is a CLI command line, a ("set-meta", file, fields) edit of grid
+# metadata, or a ("write-json", file, payload) that writes a JSON input file
 CORPUS = [
     # exit 0: every subcommand, exact and noisy data
     f"simulate {_EXACT} --noise 1e-4 --out run",
@@ -150,6 +156,11 @@ CORPUS = [
     "simulate --n 8 --hop 1 --num-windows 2 --windows random-support:6 --signal delta --seed 1"
     " --out one",
     "recover --grid one/grid.csv --windows one/windows.json --signal one/signal.json",
+    # exit 0: stability constants of the near-singular pair, and of a mask
+    # family whose A_norm1 needs the pseudo-inverses' accuracy
+    ("write-json", "near.json", _NEAR),
+    "bounds --n 8 --hop 2 --windows near.json --min-magnitude 0.5 --noise 1e-12",
+    "bounds --n 16 --hop 16 --num-windows 16 --windows masks --seed 7 --min-magnitude 0.5",
 ]
 
 
@@ -194,7 +205,11 @@ def main() -> int:
         try:
             seen = _snapshot(root)
             for step in CORPUS:
-                if isinstance(step, tuple):
+                if isinstance(step, tuple) and step[0] == "write-json":
+                    _, name, payload = step
+                    print(f"# write-json {name}")
+                    (root / name).write_text(json.dumps(payload) + "\n")
+                elif isinstance(step, tuple):
                     _, name, fields = step
                     print(f"# set-meta {name} {json.dumps(fields, sort_keys=True)}")
                     _set_meta(root, name, fields)
