@@ -347,7 +347,7 @@ def cmd_analyze(args) -> int:
     mats = certify_rank(geom, args.rank_tol)
     # the verdict is recover's rule, run on the true support
     try:
-        certify_graph(end, geom)
+        certify_graph(end, geom, cov)
         verdict = "provably-retrievable" if mats.certified else "indeterminate"
     except DisconnectedGraphError:
         verdict = "provably-non-retrievable"

@@ -240,7 +240,7 @@ def _detect_support(
     return np.flatnonzero(_above_tolerance(sq, zero_tol)), "relative-threshold"
 
 
-def certify_graph(graph: SupportGraph, geom: Geometry) -> None:
+def certify_graph(graph: SupportGraph, geom: Geometry, cov: SupportGraph | None = None) -> None:
     """The graph half of the retrievability rule, on an endpoint graph of ``geom``.
 
     Returns when ``graph`` is connected and either has no edge (at most one
@@ -252,10 +252,12 @@ def certify_graph(graph: SupportGraph, geom: Geometry) -> None:
     proof that the signal is not determined, and ``CertificationError``
     when only the endpoint graph is disconnected or when windows longer
     than half the signal meet a graph with edges, where nothing is proved.
+    ``cov``, the covisibility graph on ``graph.vertices``, is built unless given.
     """
     if not is_connected(graph):
         # only a disconnected covisibility graph proves the signal undetermined
-        cov = covisibility_graph_from_support(graph.vertices, geom)
+        if cov is None:
+            cov = covisibility_graph_from_support(graph.vertices, geom)
         proof = not is_connected(cov)
         comps = (cov if proof else graph).components()
         found = f"graph on the detected support has {len(comps)} components: {comps}"

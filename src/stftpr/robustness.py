@@ -11,6 +11,7 @@ per-entry phase error of the reconstruction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,12 +29,15 @@ class StabilityConstants:
     ``min_endpoint_product``: smallest |w(anchor) * w(anchor + length - 1)|
     over the family (for length-1 windows the two endpoints coincide).
     ``gram_inverse_l1``: entrywise l1 mass of all per-residue Gram inverses.
+    ``gain``: the error budget's ``gram_inverse_l1 * window_l2**2``, finite
+    also where ``gram_inverse_l1`` alone is past the float range.
     """
 
     window_l2: float
     min_endpoint_product: float
     gram_inverse_l1: float
     n: int
+    gain: float
 
     def to_dict(self) -> dict:
         return {
@@ -72,7 +76,8 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
     number is the square of A's) is formed.  P is divided by its largest
     modulus before the product and the sum is scaled back in Python floats:
     an l1 mass past the float range reads ``inf``, never NaN, and numpy warns
-    of no overflow.
+    of no overflow.  ``gain`` is ``A_norm1 * W_norm2**2`` where that is finite,
+    else the scaled mass times ``(peak * W_norm2)**2``, which scales as |c|**-2.
     """
     if not mats.certified:
         raise CertificationError(
@@ -86,13 +91,18 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
     near, far = fam[rows, ws.anchor].tolist(), fam[rows, ws.far(n)].tolist()
     peak = float(np.abs(mats.pseudo_inverses).max())
     scaled = mats.pseudo_inverses / peak
-    gram_l1 = float(np.abs(scaled @ scaled.conj().transpose(0, 2, 1)).sum()) * peak * peak
+    mass = float(np.abs(scaled @ scaled.conj().transpose(0, 2, 1)).sum())
+    gram_l1 = mass * peak * peak
+    gain = gram_l1 * window_l2 ** 2
+    if not math.isfinite(gain):
+        gain = mass * (peak * window_l2) * (peak * window_l2)
     return StabilityConstants(
         window_l2=window_l2,
         # Python complex products and abs, entry by entry: np.abs can move its last bit
         min_endpoint_product=min(abs(a * b) for a, b in zip(near, far)),
         gram_inverse_l1=gram_l1,
         n=n,
+        gain=gain,
     )
 
 
@@ -126,7 +136,7 @@ def error_budget(consts: StabilityConstants, noise_level: float, prior: float) -
             f"smallest magnitude {min_mag!r} is too small for the error budget: the "
             f"phase bound's denominator underflows to zero"
         )
-    gain = consts.gram_inverse_l1 * consts.window_l2 ** 2
+    gain = consts.gain
     if gain == 0.0:
         raise UndefinedBudgetError("the budget's gain A_norm1 * W_norm2**2 underflows to zero")
     admissible = bool(noise_level <= min_sq / (4.0 * gain))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, DimensionMismatchError
+from .errors import CertificationError, ConfigurationError, DimensionMismatchError
 from .model import check_tolerance
 from .stft import AggregateMeasurements
 from .supportgraph import Geometry
@@ -117,9 +117,9 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
     full rank.  Full rank requires at least as many windows as the hop.  A
     negative or non-finite ``rank_tol`` raises ``ConfigurationError``: below
     zero every singular value would count, certifying rank-deficient
-    families.  A residue whose pseudo-inverse is not finite (a singular value
-    so small that its reciprocal overflows) fails too, so a certified stack
-    always solves.
+    families, and so do windows whose power spectra overflow.  A residue whose
+    pseudo-inverse is not finite (a singular value so small that its
+    reciprocal overflows) fails too, so a certified stack always solves.
     The window power spectra are Hermitian, so residue ``M - m`` (``M = n //
     hop``) is residue m conjugated with its columns reversed; the stack holds
     that exact mirror.  Residues ``0 .. M // 2`` are factored once, by one
@@ -134,7 +134,10 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
     pseudo-inverse ``conj(a).T / s / s`` (divided twice, so ``s**2`` never
     underflows); these agree with numpy's to a few eps, not bit for bit.
     """
-    spectra = window_power_spectra(geom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = window_power_spectra(geom)
+    if not np.isfinite(spectra).all():
+        raise ConfigurationError("window power spectra overflow the float range")
     (num_windows, n), hop = spectra.shape, geom.cfg.hop
     if rank_tol is None:
         rank_tol = default_rank_tol(num_windows, hop)

@@ -23,7 +23,8 @@ whole spectrum does, so blocking moves no byte.  The short route's row
 blocks follow from n alone, and its products are one row block each, too
 small for BLAS to split between threads at the sizes tested, so their bytes
 do not depend on the thread count.  :class:`MeasurementGrid` checks
-finiteness in row blocks too, and :func:`aggregate` reads the grid once, one
+finiteness in row blocks, except on a grid :func:`measure` proves finite
+from its inputs (see there), and :func:`aggregate` reads the grid once, one
 real product per row block.
 """
 
@@ -89,7 +90,8 @@ class MeasurementGrid:
     ``noise_level`` is the worst-case entrywise perturbation bound: 0 for
     exact data.  Noisy grids may contain small negative entries, bounded
     below by ``-noise_level``.  NaN or infinite values, and a negative or
-    non-finite ``noise_level``, raise ``ConfigurationError``.
+    non-finite ``noise_level``, raise ``ConfigurationError`` (checked in row
+    blocks; only :func:`measure` skips it, on a grid its inputs prove finite).
     """
 
     values: np.ndarray
@@ -146,6 +148,7 @@ def _autocorrelation_coefficients(sections: np.ndarray) -> np.ndarray:
     return np.concatenate((c.real, c.imag[:, 1:]), axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the bound, the grid check reports
 def measure(x, windows, hop: int) -> MeasurementGrid:
     """Exact squared-magnitude measurements of the multiple-window STFT.
 
@@ -167,7 +170,8 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
 
     * ``2L - 1 <= log2 n`` (short windows): the (M, 2L - 1) autocorrelation
       coefficients times one shared (2L - 1, n) trig table, a real matmul,
-      clamped at 0 so exact grids stay nonnegative;
+      clamped at 0 so exact grids stay nonnegative (a row block whose least
+      value is positive, where the clamp is the identity, is left as it is);
     * otherwise: a zero-padded n-point FFT of the L products with
       ``norm="forward"``.  Each row is transformed on its own and the
       forward norm scales each entry by ``1/n`` as dividing the spectrum
@@ -186,6 +190,14 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
     block, which n and the row's index in its window fix, and not on the
     other windows; each product is one row block, and the bytes are the same
     on 1, 2 and 3 BLAS threads at every size tested.
+
+    With ``B = n * max|x| * max|w|``, section products and FFT partial sums
+    are at most ``2 B`` in modulus, autocorrelations, matmul partial sums and
+    cells at most ``2 B**2``: when ``4 B**2`` is below the float maximum the
+    grid is finite and skips :class:`MeasurementGrid`'s row-block check.
+    Otherwise (a NaN or infinite entry, or magnitudes near 1e154) the check
+    runs and raises ``ConfigurationError`` on a NaN or infinite cell, with
+    no numpy overflow warning before it.
     """
     xa = as_signal(x)
     n = xa.shape[0]
@@ -193,6 +205,9 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
     check_hop(n, hop)
     supports = window_support(fam, 0.0)
     num_hops = n // hop
+    # the bound B of the docstring; NaN and inf fail the comparison
+    bound = n * float(np.abs(xa).max()) * float(np.abs(fam).max())
+    finite = 4.0 * bound * bound < np.finfo(float).max
     vals = np.empty((fam.shape[0], num_hops, n))
     step = max(1, _ROW_BLOCK_BYTES // (8 * n))  # grid rows per row block
     for length in sorted(set(supports.length.tolist())):
@@ -233,12 +248,18 @@ def measure(x, windows, hop: int) -> MeasurementGrid:
                 out = vals[rs[j0 + i], m0 + a:m0 + a + step]
                 if short:
                     np.matmul(block[i, a:a + step], table, out=out)
-                    np.maximum(out, 0.0, out=out)
+                    if not out.min() > 0.0:  # on a positive block the clamp is the identity
+                        np.maximum(out, 0.0, out=out)
                 else:
                     np.abs(block[i, a:a + step], out=out)
                     np.square(out, out=out)
             del sections, block  # so that no two gathers are alive at once
-    return MeasurementGrid(values=vals, noise_level=0.0)
+    if not finite:  # the row-block check raises on the first NaN or inf
+        return MeasurementGrid(values=vals, noise_level=0.0)
+    grid = object.__new__(MeasurementGrid)  # finite by the bound, so not read again
+    object.__setattr__(grid, "values", vals)
+    object.__setattr__(grid, "noise_level", 0.0)
+    return grid
 
 
 def corrupt(grid: MeasurementGrid, eps) -> MeasurementGrid:

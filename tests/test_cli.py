@@ -710,6 +710,28 @@ class TestAnalyze:
         assert verdict["short_windows"] is True
         assert verdict["certification"]["certified"] is True
 
+    def test_covisibility_graph_is_built_once(self, monkeypatch, capsys):
+        # a disconnected endpoint graph sends certify_graph to the covisibility
+        # graph, which analyze has already built for its payload
+        original = supportgraph.covisibility_graph_from_support
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (cli, phase):
+            assert module.covisibility_graph_from_support is original
+            monkeypatch.setattr(module, "covisibility_graph_from_support", counting)
+        code = run(
+            "analyze", "--n", 12, "--hop", 1, "--num-windows", 1,
+            "--windows", "rectangular:5", "--signal", "ones",
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["endpoint"]["connected"] is False and payload["verdict"] == "indeterminate"
+        assert len(calls) == 1
+
     def test_indeterminate_gap(self, tmp_path, capsys):
         # covisibility connected, endpoint graph split (offset 2 on n=6)
         code = run(
@@ -989,6 +1011,21 @@ class TestBounds:
         assert out["A_norm1"] == np.inf
         assert out["admissible"] is True and out["magnitude_bound"] == 0.0
 
+    def test_magnitude_bound_stays_finite_where_gram_mass_overflows(self, tmp_path, capsys):
+        # A_norm1 reads Infinity, but A_norm1 * W_norm2**2 is in range; the
+        # magnitude bound used to read Infinity too
+        fam = 1e-80 * chain_family(8, 2, 3, np.random.default_rng(1))
+        cli.write_windows_json(tmp_path / "tiny.json", fam)
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--windows", tmp_path / "tiny.json",
+            "--min-magnitude", 0.5, "--noise", 1e-12,
+        )
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        out = json.loads(out)
+        assert out["A_norm1"] == np.inf
+        assert 1e140 < out["magnitude_bound"] < 1e160 and out["admissible"] is False
+
     def test_underflowing_gain_exits_one(self, tmp_path, capsys):
         # A_norm1 below the float range made the budget NaN, or divided by zero
         fam = 1e100 * chain_family(8, 2, 3, np.random.default_rng(1))
@@ -1050,6 +1087,33 @@ class TestBounds:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and "underflows" in err
+
+
+class TestOverflow:
+    # inputs past the float range end in a typed error and exit 1; the suite
+    # makes a numpy RuntimeWarning an error, so a warning on the way fails here
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--out", "big"], ["analyze"], ["bounds", "--min-magnitude", 0.5],
+    ])
+    def test_windows_past_the_float_range(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cli.write_windows_json("big.json", 1e160 * chain_family(8, 2, 3, np.random.default_rng(1)))
+        code = run(command[0], "--n", 8, "--hop", 2, "--windows", "big.json", "--seed", 1,
+                   *command[1:])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "stftpr: error: window power spectra overflow the float range\n"
+        assert not (tmp_path / "big").exists()
+
+    @pytest.mark.parametrize("command", [["simulate", "--out", "run"], ["verify"]])
+    def test_grid_past_the_float_range(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cli.write_signal_json("big.json", np.full(8, 1e160, complex))
+        code = run(command[0], "--n", 8, "--hop", 2, "--num-windows", 3, "--windows", "chain:2",
+                   "--seed", 1, "--signal", "big.json", *command[1:])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "stftpr: error: measurement grid contains NaN or infinite values\n"
 
 
 class TestVerify:

@@ -201,6 +201,19 @@ class TestErrorBudget:
         assert budget.magnitude_bound == 0.0
         assert budget.phase_bound == 0.0
 
+    def test_gain_stays_finite_where_gram_mass_overflows(self):
+        # A_norm1 scales as c**-4 and W_norm2**2 as c**2: at c = 1e-80 the
+        # first is past the float range, but the gain and the bound are not
+        fam = chain_family(8, 2, 3, np.random.default_rng(1))
+        base = stability_constants(certify_rank(geom_at(fam, 2)))
+        assert base.gain == base.gram_inverse_l1 * base.window_l2 ** 2
+        consts = stability_constants(certify_rank(geom_at(1e-80 * fam, 2)))
+        assert consts.gram_inverse_l1 == np.inf
+        assert consts.gain == pytest.approx(base.gain * 1e160, rel=1e-12)
+        budget = error_budget(consts, 1e-12, 0.5)
+        assert budget.magnitude_bound == pytest.approx(base.gain * 1e148, rel=1e-12)
+        assert not budget.admissible
+
     def test_underflowing_gain_is_undefined(self):
         # at c = 1e100 A_norm1 (scaling as c**-4) is below the float range
         fam = 1e100 * chain_family(8, 2, 3, np.random.default_rng(1))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,17 @@ class TestCertifyRank:
         # a negative tolerance counts every singular value, certifying anything
         with pytest.raises(ConfigurationError, match="rank_tol"):
             certify_rank(geom_at([np.array([1, 1, 0, 0, 0, 0, 0, 0])], 1), rank_tol)
+
+    @pytest.mark.parametrize("hop", [1, 2])  # the thin closed form and the batched SVD
+    def test_overflowing_power_spectra_rejected(self, hop):
+        # |w|**2 past the float range used to reach LAPACK as inf and NaN, with
+        # three numpy warnings on the way and "SVD did not converge" at the end
+        fam = 1e160 * chain_family(8, hop, 3, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError,
+                               match="^window power spectra overflow the float range$"):
+                certify_rank(geom_at(fam, hop))
 
     @pytest.mark.parametrize("hop,rank_tol", [(3, None), (1, -1.0)])
     def test_family_errors_come_first(self, monkeypatch, hop, rank_tol):

@@ -31,7 +31,7 @@ from stftpr.errors import (
     DimensionMismatchError,
     InvalidWindowError,
 )
-from stftpr.generators import random_interval_window
+from stftpr.generators import certified_instance, random_interval_window, rectangular_window
 from stftpr.oracle import measure_direct, stft_direct
 from stftpr.stft import AggregateMeasurements, _autocorrelation_coefficients, _trig_table
 from stftpr.supportgraph import window_support
@@ -343,6 +343,19 @@ print(digest.hexdigest())
         vals = measure(np.ones(n), fam, hop).values
         assert (vals >= 0).all() and vals.max() > 1e-6
 
+    @pytest.mark.parametrize("signal", ["ones", "delta"])
+    @pytest.mark.parametrize("n, hop", [(96, 4), (64, 2)])
+    def test_spectra_reaching_zero_stay_clamped(self, signal, n, hop):
+        # a block is clamped unless its smallest value is positive: ones under
+        # rectangular windows has spectral zeros, delta has all-zero sections,
+        # and length-1 windows have one tap; short and FFT routes alike
+        x = np.ones(n, complex) if signal == "ones" else _window(n, 0, [1.0])
+        fam = [rectangular_window(n, length) for length in (1, 2, 3, 4, 5, 8, 40)]
+        fam += [_window(n, 7, [2j]), _window(n, n - 1, [-1.0])]
+        vals = measure(x, fam, hop).values
+        assert (vals >= 0).all() and (vals == 0).any()
+        assert np.allclose(measure_direct(x, fam, hop).values, vals, atol=1e-12)
+
 
 class TestCorrupt:
     def test_zero_noise(self):
@@ -413,6 +426,41 @@ class TestNonFinite:
         values[cell] = np.nan
         with pytest.raises(ConfigurationError):
             MeasurementGrid(values)
+
+    @pytest.mark.parametrize("length", [3, 40])  # the short and the FFT route at n = 96
+    @pytest.mark.parametrize("edit", ["nan", "inf", "signal 1e160", "window 1e160"])
+    def test_measure_rejects_without_a_warning(self, length, edit):
+        # past the bound on the inputs, the grid check names what went wrong;
+        # the overflow on the way must not warn first
+        rng = np.random.default_rng(9)
+        n = 96
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = _window(n, 5, rng.normal(size=length) + 1j)
+        if edit == "signal 1e160":
+            x *= 1e160
+        elif edit == "window 1e160":
+            w *= 1e160
+        else:
+            x[11] = float(edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError,
+                               match=r"^measurement grid contains NaN or infinite values$"):
+                measure(x, [w], 4)
+
+    def test_measure_skips_the_check_under_the_bound(self, monkeypatch):
+        # inputs whose bound 4 (n max|x| max|w|)**2 is in range give a finite
+        # grid, so measure does not read it again; the constructor still checks
+        calls = []
+        check = stft_module._check_finite
+        monkeypatch.setattr(stft_module, "_check_finite",
+                            lambda *args: calls.append(args) or check(*args))
+        x, fam = certified_instance(1024, 8, 10, np.random.default_rng(3))
+        grid = measure(x, fam, 8)
+        assert calls == []
+        assert np.isfinite(grid.values).all() and grid.noise_level == 0.0
+        MeasurementGrid(grid.values)
+        assert len(calls) == 1
 
     def test_grid_check_forms_no_grid_sized_mask(self):
         values = np.ones((2, 512, 1024))  # 8 MB

@@ -31,6 +31,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from stftpr.generators import chain_family
+
 _EXACT = "--n 8 --hop 2 --num-windows 3 --windows chain:2 --signal random --seed 42"
 _RECOVER = "recover --grid run/grid.csv --windows run/windows.json --signal run/signal.json"
 _NOISY = "recover --grid run/grid_noisy.csv --windows run/windows.json --signal run/signal.json"
@@ -39,6 +43,13 @@ _NOISY = "recover --grid run/grid_noisy.csv --windows run/windows.json --signal 
 # w1 is w0 with tap 1 moved by 1e-8
 _W0 = [[1.0, 0.0], [0.7, 0.0], [0.4, 0.0]] + [[0.0, 0.0]] * 5
 _NEAR = [_W0, [_W0[0], [0.70000001, 0.0]] + _W0[2:]]
+
+
+def _scaled_chain(scale: float) -> list:
+    """``chain_family(8, 2, 3, default_rng(1))`` times ``scale``, as a window file holds it."""
+    fam = scale * chain_family(8, 2, 3, np.random.default_rng(1))
+    return [[[v.real, v.imag] for v in w] for w in fam.tolist()]
+
 
 # a step is a CLI command line, a ("set-meta", file, fields) edit of grid
 # metadata, or a ("write-json", file, payload) that writes a JSON input file
@@ -161,6 +172,18 @@ CORPUS = [
     ("write-json", "near.json", _NEAR),
     "bounds --n 8 --hop 2 --windows near.json --min-magnitude 0.5 --noise 1e-12",
     "bounds --n 16 --hop 16 --num-windows 16 --windows masks --seed 7 --min-magnitude 0.5",
+    # exit 1: windows, then a signal, past the float range end in a typed
+    # error, with no numpy overflow warning on the way
+    ("write-json", "big-windows.json", _scaled_chain(1e160)),
+    "simulate --n 8 --hop 2 --windows big-windows.json --seed 1 --out big",
+    "analyze --n 8 --hop 2 --windows big-windows.json --seed 1",
+    "bounds --n 8 --hop 2 --windows big-windows.json --min-magnitude 0.5",
+    ("write-json", "big-signal.json", [[1e160, 0.0]] * 8),
+    "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1"
+    " --signal big-signal.json --out big-signal",
+    # exit 0: A_norm1 past the float range, with a finite magnitude bound
+    ("write-json", "tiny-windows.json", _scaled_chain(1e-80)),
+    "bounds --n 8 --hop 2 --windows tiny-windows.json --min-magnitude 0.5 --noise 1e-12",
 ]
 
 
