@@ -18,6 +18,7 @@ from .errors import ConfigurationError, SearchSpaceError
 from .model import ProblemConfig, as_signal, as_window_family
 from .spectral import ModulationMatrices
 from .stft import MeasurementGrid, measure
+from .supportgraph import SupportGraph
 
 SEARCH_CANDIDATE_CAP = 10 ** 6
 # largest entrywise grid deviation at which a lattice candidate still matches
@@ -187,3 +188,38 @@ def exhaustive_ambiguity_search(
         if np.max(np.abs(got - target)) <= MATCH_TOL:
             matches.append(cand)
     return matches
+
+
+def bfs_forest(graph: SupportGraph) -> list[tuple[list[int], list[int], list[int], int]]:
+    """One list BFS per component from its smallest vertex; the reference for ``graph._forest``.
+
+    Neighbours come in increasing order from a CSR adjacency of sorted rows.
+    Per component: its vertices in discovery order, the parent and edge row
+    of each vertex after the first, and its depth.  The search stops once
+    every vertex is reached.
+    """
+    src, dst = np.concatenate((graph.edges, graph.edges[:, ::-1])).T
+    order = np.lexsort((dst, src))
+    vertices = graph.vertices.tolist()
+    depth = [-1] * (vertices[-1] + 1 if vertices else 0)
+    starts = np.searchsorted(src[order], np.arange(len(depth) + 1)).tolist()
+    nbrs, rows = dst[order].tolist(), np.tile(np.arange(len(src) // 2), 2)[order].tolist()
+    forest, unreached = [], len(vertices)
+    for root in vertices:
+        if not unreached:
+            break
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue, parent, tree_edges = [root], [], []
+        for v in queue:  # the queue grows while it is walked
+            for i in range(starts[v], starts[v + 1]):
+                u = nbrs[i]
+                if depth[u] < 0:
+                    depth[u] = depth[v] + 1
+                    parent.append(v)
+                    tree_edges.append(rows[i])
+                    queue.append(u)
+        forest.append((queue, parent, tree_edges, depth[queue[-1]]))
+        unreached -= len(queue)
+    return forest

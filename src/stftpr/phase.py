@@ -200,7 +200,8 @@ def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> np.n
     ``tree.graph.vertices``.  The root gets phase 0.  ``phases[k]`` is the
     unit phasor of ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.
     The walk follows the tree's discovery order, so each parent's phasor is
-    known before its children's, one plain Python complex product per edge.
+    known before its children's, one plain Python complex product per edge;
+    it reads the parents' positions in that order through a ``memoryview``.
     """
     amps = np.sqrt(magnitudes.magnitudes_sq)
     verts = tree.graph.vertices
@@ -208,10 +209,11 @@ def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> np.n
     walk = np.zeros(amps.shape[0], dtype=np.intp)
     walk[tree.child] = np.arange(1, tree.child.size + 1)
     phasor = [1.0 + 0.0j]
-    for p, z in zip(walk[tree.parent].tolist(), np.asarray(phases, dtype=complex).tolist()):
+    for p, z in zip(memoryview(walk[tree.parent]), np.asarray(phases, dtype=complex).tolist()):
         phasor.append(phasor[p] * z)
+    phasor = np.array(phasor)  # the list goes before the estimate is assembled
     estimate = np.zeros(amps.shape[0], dtype=complex)
-    estimate[verts] = amps[verts] * np.array(phasor)[walk[verts]]
+    estimate[verts] = amps[verts] * phasor[walk[verts]]
     return estimate
 
 

@@ -26,10 +26,13 @@ sorted ``(E, 2)`` array of endpoint pairs, and CSR witness arrays.  One rule
 fills both, in one chunked pass of window taps against every hop: each tap
 visible in a section joins the next visible tap of its window there.  The
 covisibility taps are a window's entries above the tolerance, the endpoint
-taps its anchor and far end.  The spanning tree comes from one breadth-first
-search over a CSR adjacency and is held as parent, child and edge arrays in
-discovery order, its ``edges`` being rows of the graph's ``edges``; the same
-search gives the components and the spanning forest a certificate lists.
+taps its anchor and far end.  One breadth-first search per graph gives the
+components, the spanning forest a certificate lists and the spanning tree.
+Its queue pass walks flat ``intp`` arrays (a CSR adjacency, the depths and
+the queue) through ``memoryview`` and records only the discovery order and
+depths; one array pass then gives each vertex its parent and tree-edge row.
+The forest is held as read-only arrays in discovery order, so the graph
+stage keeps no Python object per vertex or edge.
 """
 
 from __future__ import annotations
@@ -161,42 +164,68 @@ class SupportGraph:
     hop_index: np.ndarray
 
     @cached_property
-    def _forest(self) -> list[tuple[list[int], list[int], list[int], int]]:
-        """One BFS per component from its smallest vertex, over a CSR adjacency of sorted rows.
+    def _forest(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """BFS forest, one search per component from its smallest vertex, as read-only arrays.
 
-        Per component: its vertices in discovery order, the parent and edge
-        row of each vertex after the first, and its depth.  The search stops
-        once every vertex is reached.
+        ``(order, level, parent, edge)``: the vertices in discovery order, each
+        one's depth in its component's tree (0 at the roots, each of which
+        starts a component), and the parent and edge row of each non-root
+        vertex, in discovery order.  One queue pass over a CSR adjacency of
+        sorted rows, through ``memoryview``, records the order and depths and
+        stops once every vertex is reached.  A vertex's parent is its
+        neighbour one level up that was discovered first, which is the one
+        the queue reached it from; one array pass finds them all.
         """
-        src, dst = np.concatenate((self.edges, self.edges[:, ::-1])).T
-        order = np.lexsort((dst, src))
-        vertices = self.vertices.tolist()
-        depth = [-1] * (vertices[-1] + 1 if vertices else 0)
-        starts = np.searchsorted(src[order], np.arange(len(depth) + 1)).tolist()
-        nbrs, rows = dst[order].tolist(), np.tile(np.arange(len(src) // 2), 2)[order].tolist()
-        forest, unreached = [], len(vertices)
-        for root in vertices:
-            if not unreached:
+        verts, num_edges = self.vertices, len(self.edges)
+        nv = int(verts[-1]) + 1 if verts.size else 0
+        src, dst = np.concatenate((self.edges, self.edges[:, ::-1])).astype(np.intp).T
+        starts = np.zeros(nv + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=nv), out=starts[1:])
+        nbrs = dst[np.argsort(src * nv + dst)]
+        depth = np.full(nv, -1, dtype=np.intp)
+        order = np.empty(verts.size, dtype=np.intp)
+        d, q, s, nb = map(memoryview, (depth, order, starts, nbrs))
+        head = tail = 0
+        for root in memoryview(verts):
+            if tail == verts.size:
                 break
-            if depth[root] >= 0:
+            if d[root] >= 0:
                 continue
-            depth[root] = 0
-            queue, parent, tree_edges = [root], [], []
-            for v in queue:  # the queue grows while it is walked
-                for i in range(starts[v], starts[v + 1]):
-                    u = nbrs[i]
-                    if depth[u] < 0:
-                        depth[u] = depth[v] + 1
-                        parent.append(v)
-                        tree_edges.append(rows[i])
-                        queue.append(u)
-            forest.append((queue, parent, tree_edges, depth[queue[-1]]))
-            unreached -= len(queue)
+            d[root], q[tail] = 0, root
+            tail += 1
+            while head < tail:  # the queue grows while it is walked
+                v = q[head]
+                head += 1
+                below = d[v] + 1
+                for u in nb[s[v]:s[v + 1]]:
+                    if d[u] < 0:
+                        d[u], q[tail] = below, u
+                        tail += 1
+        del nbrs, d, q, s, nb
+        level = depth[order]
+        pos = np.empty(nv, dtype=np.intp)
+        pos[order] = np.arange(order.size)
+        # directed rows (child, candidate) one level apart; each child keeps its first candidate
+        up = np.flatnonzero(depth[dst] == depth[src] - 1)
+        child, cand = pos[src[up]], pos[dst[up]]
+        first = np.full(order.size, order.size)
+        np.minimum.at(first, child, cand)
+        won = cand == first[child]
+        row = np.empty(order.size, dtype=np.intp)
+        row[child[won]] = up[won] % num_edges
+        nonroot = level > 0
+        forest = order, level, order[first[nonroot]], row[nonroot]
+        for a in forest:
+            a.flags.writeable = False
         return forest
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
-        return [sorted(queue) for queue, *_ in self._forest]
+        order, level = self._forest[:2]
+        roots = level == 0
+        flat = order[np.lexsort((order, np.cumsum(roots)))].tolist()
+        bounds = [*np.flatnonzero(roots).tolist(), order.size]
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def to_dict(self) -> dict:
         """Certificate payload: variant, vertices, connectivity and a spanning forest.
@@ -205,7 +234,7 @@ class SupportGraph:
         BFS forest behind :meth:`components`, component by component in
         discovery order: the edge's endpoints (lo, hi) and its first witness.
         """
-        rows = np.array([row for _, _, edges, _ in self._forest for row in edges], dtype=np.intp)
+        rows = self._forest[3]
         first = self.offsets[rows]
         forest = np.column_stack((self.edges[rows], self.window[first], self.hop_index[first]))
         return {
@@ -218,8 +247,8 @@ class SupportGraph:
 
 
 def is_connected(graph: SupportGraph) -> bool:
-    """BFS connectivity; empty and single-vertex graphs count as connected."""
-    return len(graph._forest) <= 1
+    """BFS connectivity: one search reaches every vertex; empty and single-vertex graphs count."""
+    return bool(graph._forest[1][1:].all())
 
 
 _WITNESS_CHUNK = 1 << 16  # taps times hops per chunk: a few MB of masks and indices
@@ -323,11 +352,12 @@ def endpoint_graph_from_support(vertices, geom: Geometry) -> SupportGraph:
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """BFS spanning tree of ``graph``, as arrays in discovery order.
+    """BFS spanning tree of ``graph``, as read-only ``intp`` arrays in discovery order.
 
     Tree edge ``k`` joins ``parent[k]``, found earlier, to ``child[k]`` through
     graph edge row ``edges[k]``, so ``graph.edges[tree.edges]`` holds the tree
-    edges' endpoint pairs; ``root`` is None on an empty graph.
+    edges' endpoint pairs; ``root`` is None on an empty graph.  The arrays are
+    views of the graph's cached forest.
     """
 
     graph: SupportGraph
@@ -339,21 +369,24 @@ class SpanningTree:
 
 
 def spanning_tree(graph: SupportGraph) -> SpanningTree:
-    """Deterministic BFS tree rooted at the smallest vertex.
+    """Deterministic BFS tree rooted at the smallest vertex, read off the graph's forest.
 
     Neighbors are visited in increasing order, so the tree (and everything
-    derived from it) is reproducible.  The graph is connected when the search
-    reaches every vertex; if it does not, this raises with the component
-    certificate.
+    derived from it) is reproducible: each vertex hangs from its neighbour one
+    level up that the search discovered first.  The graph is connected when
+    the search from the root reaches every vertex; if it does not, this
+    raises with the component certificate.  Nothing is copied: the tree's
+    arrays are views of the forest's.
     """
     if not is_connected(graph):
         comps = graph.components()
         raise DisconnectedGraphError(
             f"support graph has {len(comps)} components: {comps}", components=comps
         )
-    queue, parent, tree_edges, depth = graph._forest[0] if graph._forest else ([None], [], [], 0)
-    parent, child, edges = (np.array(v, dtype=np.intp) for v in (parent, queue[1:], tree_edges))
-    return SpanningTree(graph, queue[0], depth, parent, child, edges)
+    order, level, parent, edges = graph._forest
+    if not order.size:
+        return SpanningTree(graph, None, 0, parent, order[1:], edges)
+    return SpanningTree(graph, int(order[0]), int(level[-1]), parent, order[1:], edges)
 
 
 def rotate_component_phase(

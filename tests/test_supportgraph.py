@@ -28,6 +28,7 @@ from stftpr.errors import (
     InvalidWindowError,
 )
 from stftpr.generators import antipodal_pair_signal, chain_family, random_interval_window
+from stftpr.oracle import bfs_forest
 from stftpr.supportgraph import (
     WindowSupport,
     _sorted_witnesses,
@@ -571,6 +572,44 @@ def test_array_bfs_matches_dict_bfs(graph_data):
     assert got.root == vertices[0] and got.depth == depth
     assert list(zip(got.parent.tolist(), got.child.tolist(), got.edges.tolist())) == tree
     assert graph.edges[got.edges].tolist() == [list(edges[i][0]) for _, _, i in tree]
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=_endpoint_geometries())
+def test_array_forest_matches_list_bfs(geometry):
+    # both variants, with empty, single-vertex and disconnected supports,
+    # isolated vertices, wrapping intervals and length-1 windows
+    for graph in _both_graphs(*geometry):
+        forest = bfs_forest(graph)
+        order, level, parent, edge = graph._forest
+        assert order.tolist() == [v for queue, *_ in forest for v in queue]
+        assert parent.tolist() == [p for _, parents, _, _ in forest for p in parents]
+        assert edge.tolist() == [row for _, _, rows, _ in forest for row in rows]
+        roots = np.flatnonzero(level == 0)
+        assert roots.tolist() == np.cumsum([0, *(len(q) for q, *_ in forest)])[:-1].tolist()
+        last = np.append(roots[1:], order.size)[:roots.size] - 1
+        assert level[last].tolist() == [d for *_, d in forest]
+        comps = [sorted(queue) for queue, *_ in forest]
+        assert graph.components() == comps
+        assert is_connected(graph) is (len(forest) <= 1)
+        rows = [row for _, _, tree_rows, _ in forest for row in tree_rows]
+        first = graph.offsets[rows]
+        assert graph.to_dict()["forest"] == [
+            [*graph.edges[row].tolist(), int(graph.window[f]), int(graph.hop_index[f])]
+            for row, f in zip(rows, first.tolist())
+        ]
+        if len(forest) > 1:
+            with pytest.raises(DisconnectedGraphError) as err:
+                spanning_tree(graph)
+            assert err.value.components == tuple(map(tuple, comps))
+            continue
+        tree = spanning_tree(graph)
+        queue, parents, tree_rows, depth = forest[0] if forest else ([None], [], [], 0)
+        assert (tree.root, tree.depth) == (queue[0], depth)
+        assert tree.child.tolist() == queue[1:] and tree.parent.tolist() == parents
+        assert tree.edges.tolist() == tree_rows
+        for arr in (tree.parent, tree.child, tree.edges):
+            assert arr.dtype == np.intp and not arr.flags.writeable
 
 
 @st.composite
