@@ -1026,6 +1026,21 @@ class TestBounds:
         assert out["A_norm1"] == np.inf
         assert 1e140 < out["magnitude_bound"] < 1e160 and out["admissible"] is False
 
+    def test_window_mass_past_the_float_range(self, tmp_path, capsys):
+        # each window's power spectrum is finite, the family's squared mass is
+        # not: W_norm2 is finite and no numpy overflow warning escapes
+        fam = 5.364e153 * chain_family(8, 2, 3, np.random.default_rng(1))
+        cli.write_windows_json(tmp_path / "huge.json", fam)
+        code = run(
+            "bounds", "--n", 8, "--hop", 2, "--windows", tmp_path / "huge.json",
+            "--min-magnitude", 0.5, "--noise", 1e-300,
+        )
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        out = json.loads(out)
+        assert 1e154 < out["W_norm2"] < 2e154 and out["A_norm1"] == 0.0
+        assert out["admissible"] is True
+
     def test_underflowing_gain_exits_one(self, tmp_path, capsys):
         # A_norm1 below the float range made the budget NaN, or divided by zero
         fam = 1e100 * chain_family(8, 2, 3, np.random.default_rng(1))

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -177,6 +178,31 @@ class TestStabilityConstants:
             consts = stability_constants(mats)
         assert consts.gram_inverse_l1 == np.inf
         assert np.isfinite(consts.window_l2) and consts.min_endpoint_product > 0
+
+    def test_window_mass_past_the_float_range(self):
+        # the largest window's squared mass is 9e307, so the family's total is
+        # past the float range: W_norm2 is a scaled root-sum-square, finite and
+        # within an ulp or two of hypot over the moduli, and the gain comes from
+        # the scaled form, as A_norm1 (scaling as c**-4) underflows to zero
+        fam = chain_family(8, 2, 3, np.random.default_rng(1))
+        base = stability_constants(certify_rank(geom_at(fam, 2)))
+        c = 5.364e153
+        mats = certify_rank(geom_at(c * fam, 2))
+        assert mats.certified
+        consts = stability_constants(mats)
+        assert consts.window_l2 == pytest.approx(math.hypot(*np.abs(c * fam).ravel()), rel=1e-15)
+        assert consts.window_l2 == pytest.approx(c * base.window_l2, rel=1e-12)
+        assert consts.gram_inverse_l1 == 0.0
+        assert consts.gain == pytest.approx(base.gain / c ** 2, rel=1e-12)
+        budget = error_budget(consts, 1e-300, 0.5)
+        assert budget.admissible and budget.magnitude_bound == 0.0
+
+    def test_window_mass_in_range_is_the_plain_sum(self):
+        # the peak scaling is by a power of two, so in range no byte moves
+        for seed in range(20):
+            fam = chain_family(16, 4, 6, np.random.default_rng(seed)) * 10.0 ** (seed - 10)
+            consts = stability_constants(certify_rank(geom_at(fam, 4)))
+            assert consts.window_l2 == float(np.sqrt(np.sum(np.abs(fam) ** 2)))
 
     def test_json_keys(self):
         consts = _impulse_constants(4)

@@ -184,6 +184,10 @@ CORPUS = [
     # exit 0: A_norm1 past the float range, with a finite magnitude bound
     ("write-json", "tiny-windows.json", _scaled_chain(1e-80)),
     "bounds --n 8 --hop 2 --windows tiny-windows.json --min-magnitude 0.5 --noise 1e-12",
+    # exit 0: the largest window's squared mass is 9e307, so the family's
+    # total is past the float range; W_norm2 is finite, with no overflow warning
+    ("write-json", "huge-windows.json", _scaled_chain(5.364e153)),
+    "bounds --n 8 --hop 2 --windows huge-windows.json --min-magnitude 0.5 --noise 1e-300",
 ]
 
 
