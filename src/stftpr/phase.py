@@ -42,6 +42,7 @@ retrievability rule; the CLI's ``analyze`` verdict runs it too.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -132,6 +133,88 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _split(a):
+    """Veltkamp's split: ``a == hi + lo`` exactly, each part of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _endpoint_phasors(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's endpoint phasor ``w(far) * conj(w(anchor)) / |...|`` as ``head + tail``.
+
+    The phasor is worked out from the exact taps in 40-digit decimal, which
+    is exact on every platform and meets no float range limit.  ``head`` is
+    the 26-bit upper half of its nearest double and ``tail`` the double
+    nearest the rest (a double-double in Dekker's sense), so a product of
+    ``head`` with a double is exact in two doubles.
+    """
+    fam, ws = geom.windows, geom.supports
+    rows = np.arange(fam.shape[0])
+    ends = zip(fam[rows, ws.far(geom.cfg.n)].tolist(), fam[rows, ws.anchor].tolist())
+    head, tail = np.empty(rows.size, dtype=complex), np.empty(rows.size, dtype=complex)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k, (a, b) in enumerate(ends):
+            ar, ai, br, bi = map(Decimal, (a.real, a.imag, b.real, b.imag))
+            re, im = ar * br + ai * bi, ai * br - ar * bi
+            mod = (re * re + im * im).sqrt()
+            parts = (re / mod, im / mod)
+            top = [_split(float(v))[0] for v in parts]
+            head[k] = complex(*top)
+            tail[k] = complex(*(float(v - Decimal(t)) for v, t in zip(parts, top)))
+    return head, tail
+
+
+def _rotate(head: np.ndarray, tail: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """``(head + tail) * unit`` entrywise, each part rounded once.
+
+    Each part is Ogita, Rump and Oishi's Dot2 ("Accurate sum and dot
+    product", 2005) of the head's two products with the unit, plus the
+    tail's product.  A rounding that every edge of a window shared would add
+    up along tree paths; these do not.  Moduli are at most 1, so no step
+    leaves the float range.
+    """
+    hr, hi, tr, ti = head.real, head.imag, tail.real, tail.imag
+    ur, ui = (unit.real, *_split(unit.real)), (unit.imag, *_split(unit.imag))
+    out = np.empty(unit.size, dtype=complex)
+    out.real = _dot2(hr, ur, -hi, ui, tr * ur[0] - ti * ui[0])
+    out.imag = _dot2(hr, ui, hi, ur, tr * ui[0] + ti * ur[0])
+    return out
+
+
+def _dot2(a, b, c, d, rest) -> np.ndarray:
+    """``a*b + c*d + rest``, rounded once, for ``b = (b, *_split(b))`` and ``d`` alike.
+
+    ``a`` and ``c`` have at most 26 significant bits, so with ``b`` and ``d``
+    split each product is exact in two doubles (Dekker's TwoProduct, 1971);
+    TwoSum adds the two, and their errors join ``rest`` before the one
+    rounding, as if the whole were worked out in twice the precision.
+    """
+    (b, b1, b2), (d, d1, d2) = b, d
+    p, q = a * b, c * d
+    s = p + q
+    z = s - p
+    return s + ((p - (s - z)) + (q - z) + (a * b2 - (p - a * b1)) + (c * d2 - (q - c * d1)) + rest)
+
+
+def _strongest_witnesses(graph: SupportGraph, agg: AggregateMeasurements, degenerate_tol: float):
+    """Rows of the edges whose strongest witness clears ``degenerate_tol``, and those witnesses.
+
+    Each edge's witnesses are in (window, hop) order, so the first one of
+    largest evidence is its strongest, ties going to the smaller (window,
+    hop); if it does not clear the tolerance, none does.
+    """
+    mag = _modulus(agg.correlation[graph.window, graph.hop_index])
+    first = np.empty(0, dtype=np.intp)
+    if len(graph.edges):  # an empty graph has no witnesses, and reduceat may reject empty input
+        starts = graph.offsets[:-1]
+        best = np.repeat(np.maximum.reduceat(mag, starts), np.diff(graph.offsets))
+        first = np.minimum.reduceat(np.where(mag == best, np.arange(mag.size), mag.size), starts)
+    chosen = np.flatnonzero(mag[first] > degenerate_tol)
+    return chosen, first[chosen]
+
+
 def edge_phase(
     graph: SupportGraph, agg: AggregateMeasurements, geom: Geometry, degenerate_tol: float
 ) -> EdgeWitnesses:
@@ -148,24 +231,14 @@ def edge_phase(
     """
     check_tolerance("degenerate_tol", degenerate_tol)
     _check_aggregates(agg, geom)
-    fam, n, hop = geom.windows, geom.cfg.n, geom.cfg.hop
+    n, hop = geom.cfg.n, geom.cfg.hop
     num_edges = len(graph.edges)
-    r, m = graph.window, graph.hop_index
-    mag = _modulus(agg.correlation[r, m])
-    first = np.empty(0, dtype=np.intp)
-    if num_edges:  # an empty graph has no witnesses, and reduceat may reject empty input
-        # each edge's witnesses are in (window, hop) order, so the first one
-        # of largest evidence is its strongest witness with ties going to the
-        # smaller (window, hop); if it does not clear the tolerance, none does
-        starts = graph.offsets[:-1]
-        best = np.repeat(np.maximum.reduceat(mag, starts), np.diff(graph.offsets))
-        first = np.minimum.reduceat(np.where(mag == best, np.arange(mag.size), mag.size), starts)
-    chosen = np.flatnonzero(mag[first] > degenerate_tol)
-    first = first[chosen]
-    r, m = r[first], m[first]
+    chosen, first = _strongest_witnesses(graph, agg, degenerate_tol)
+    r, m = graph.window[first], graph.hop_index[first]
     value = agg.correlation[r, m]
-    ws = geom.supports[r]
-    n1, n2 = endpoint_witness(ws, hop, m, n)
+    head, tail = _endpoint_phasors(geom)
+    rel = _rotate(head[r], tail[r], value / _modulus(value))
+    n1, n2 = endpoint_witness(geom.supports[r], hop, m, n)
     ends = graph.edges[chosen]
     match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
     if not match.all():
@@ -174,11 +247,10 @@ def edge_phase(
             f"witness ({r[k]}, {m[k]}) maps to ({n1[k]}, {n2[k]}), "
             f"not edge {tuple(ends[k].tolist())}"
         )
-    wp = fam[r, ws.far(n)] * np.conj(fam[r, ws.anchor])
-    wp = wp / _modulus(wp)
-    rel = wp * value / _modulus(value)
 
     def per_edge(col, fill):
+        if chosen.size == num_edges:  # every edge has its witness
+            return col
         out = np.full(num_edges, fill, dtype=col.dtype)
         out[chosen] = col
         return out

@@ -1,5 +1,6 @@
 import importlib
 import json
+from decimal import Decimal, localcontext
 import sys
 import tempfile
 from dataclasses import fields
@@ -414,6 +415,77 @@ class TestCertifyGraph:
         assert type(got.value) is type(want.value) is error
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
+
+
+def _closed_form_aggregates(x, geom):
+    """Exact-data aggregates without a grid, from each section's samples.
+
+    A section's energy is the sum of its squared moduli over n, and its
+    correlation at lag L - 1 its one endpoint product over n.
+    """
+    n, hop = geom.cfg.n, geom.cfg.hop
+    m = np.arange(n // hop)
+    energy, corr = [], []
+    for r, w in enumerate(geom.windows):
+        taps = np.flatnonzero(w)
+        energy.append(np.sum(np.abs(x[(hop * m[:, None] - taps) % n] * w[taps]) ** 2, axis=1) / n)
+        ws = geom.supports[r]
+        n1, n2 = endpoint_witness(ws, hop, m, n)
+        corr.append(x[n1] * w[ws.anchor] * np.conj(x[n2] * w[ws.far(n)]) / n)
+    return AggregateMeasurements(np.array(energy), np.array(corr))
+
+
+class TestDepthError:
+    def test_closed_form_aggregates_match_the_grid(self):
+        x, fam = certified_instance(256, 1, 1, np.random.default_rng(1))
+        geom = geom_at(fam, 1)
+        got, want = _closed_form_aggregates(x, geom), aggregate(measure(x, fam, 1), geom)
+        assert np.max(np.abs(got.energy - want.energy)) <= 1e-14 * np.max(want.energy)
+        scale = np.max(np.abs(want.correlation))
+        assert np.max(np.abs(got.correlation - want.correlation)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_exact_error_grows_like_the_square_root_of_depth(self, n):
+        # every edge of the one window shares its endpoint phasor; rounded once
+        # per run, that rounding would repeat down each tree path and the error
+        # would grow like the depth (3.5e-14 to 1.8e-13 here), where fresh
+        # roundings per edge grow like its square root
+        eps = np.finfo(float).eps
+        for seed in range(1, 6):
+            x, fam = certified_instance(n, 1, 1, np.random.default_rng(seed))
+            geom = geom_at(fam, 1)
+            res = reconstruct_compressed(_closed_form_aggregates(x, geom), geom)
+            depth = res.diagnostics["tree_depth"]
+            assert depth == n // 2
+            err = phase_distance(res.estimate, x).distance / np.linalg.norm(x)
+            assert err <= 2 * np.sqrt(depth) * eps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_phases_within_an_ulp(self, seed):
+        # against the window's endpoint phasor in 40-digit decimal, times the
+        # unit correlation the edge pass works out in float64
+        rng = np.random.default_rng(seed)
+        x, fam = certified_instance(48, 4, 6, rng)
+        geom = geom_at(fam, 4)
+        agg = aggregate(measure(x, fam, 4), geom)
+        graph = endpoint_graph_from_support(support(x), geom)
+        record = phase.edge_phase(graph, agg, geom, 1e-12)
+        assert (record.window >= 0).all()
+        value = agg.correlation[record.window, record.hop_index]
+        unit = value / phase._modulus(value)
+        ws = geom.supports[record.window]
+        far, near = fam[record.window, ws.far(48)], fam[record.window, ws.anchor]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for got, u, a, b in zip(record.phase.tolist(), unit.tolist(), far.tolist(),
+                                    near.tolist()):
+                ar, ai, br, bi, ur, ui = map(Decimal, (a.real, a.imag, b.real, b.imag,
+                                                       u.real, u.imag))
+                pr, pi = ar * br + ai * bi, ai * br - ar * bi
+                mod = (pr * pr + pi * pi).sqrt()
+                want = ((pr * ur - pi * ui) / mod, (pr * ui + pi * ur) / mod)
+                for part, exact in zip((got.real, got.imag), want):
+                    assert abs(Decimal(part) - exact) <= Decimal(np.spacing(abs(float(exact))))
 
 
 class TestReconstructCompressed:
