@@ -191,35 +191,27 @@ def exhaustive_ambiguity_search(
 
 
 def bfs_forest(graph: SupportGraph) -> list[tuple[list[int], list[int], list[int], int]]:
-    """One list BFS per component from its smallest vertex; the reference for ``graph._forest``.
+    """One BFS per component over a dict of sorted neighbour lists; the reference for ``graph._forest``.
 
-    Neighbours come in increasing order from a CSR adjacency of sorted rows.
-    Per component: its vertices in discovery order, the parent and edge row
-    of each vertex after the first, and its depth.  The search stops once
-    every vertex is reached.
+    Each search starts from the smallest vertex not yet reached and visits
+    neighbours in increasing order.  Per component: its vertices in discovery
+    order, the parent and edge row of each vertex after the first, and its
+    depth.
     """
-    src, dst = np.concatenate((graph.edges, graph.edges[:, ::-1])).T
-    order = np.lexsort((dst, src))
-    vertices = graph.vertices.tolist()
-    depth = [-1] * (vertices[-1] + 1 if vertices else 0)
-    starts = np.searchsorted(src[order], np.arange(len(depth) + 1)).tolist()
-    nbrs, rows = dst[order].tolist(), np.tile(np.arange(len(src) // 2), 2)[order].tolist()
-    forest, unreached = [], len(vertices)
-    for root in vertices:
-        if not unreached:
-            break
-        if depth[root] >= 0:
-            continue
+    adj = {v: [] for v in graph.vertices.tolist()}
+    for row, (a, b) in enumerate(graph.edges.tolist()):
+        adj[a].append((b, row))
+        adj[b].append((a, row))
+    depth, forest = {}, []
+    for root in (v for v in adj if v not in depth):  # a vertex no search has reached yet
         depth[root] = 0
-        queue, parent, tree_edges = [root], [], []
+        queue, parent, rows = [root], [], []
         for v in queue:  # the queue grows while it is walked
-            for i in range(starts[v], starts[v + 1]):
-                u = nbrs[i]
-                if depth[u] < 0:
+            for u, row in sorted(adj[v]):
+                if u not in depth:
                     depth[u] = depth[v] + 1
                     parent.append(v)
-                    tree_edges.append(rows[i])
+                    rows.append(row)
                     queue.append(u)
-        forest.append((queue, parent, tree_edges, depth[queue[-1]]))
-        unreached -= len(queue)
+        forest.append((queue, parent, rows, depth[queue[-1]]))
     return forest

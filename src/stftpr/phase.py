@@ -140,34 +140,32 @@ def _split(a):
     return hi, a - hi
 
 
-def _endpoint_phasors(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
+def _endpoint_phasors(geom: Geometry) -> np.ndarray:
     """Each window's endpoint phasor ``w(far) * conj(w(anchor)) / |...|`` as ``head + tail``.
 
-    The phasor is worked out from the exact taps in 40-digit decimal, which
-    is exact on every platform and meets no float range limit.  ``head`` is
-    the 26-bit upper half of its nearest double and ``tail`` the double
-    nearest the rest (a double-double in Dekker's sense), so a product of
-    ``head`` with a double is exact in two doubles.
+    Rows: the head's real and imaginary parts, then the tail's, one column
+    per window.  The phasor is worked out from the exact taps in 40-digit
+    decimal, which is exact on every platform and meets no float range
+    limit.  The head is the 26-bit upper half of its nearest double and the
+    tail the double nearest the rest (a double-double in Dekker's sense), so
+    a product of the head with a double is exact in two doubles.
     """
     fam, ws = geom.windows, geom.supports
     rows = np.arange(fam.shape[0])
-    ends = zip(fam[rows, ws.far(geom.cfg.n)].tolist(), fam[rows, ws.anchor].tolist())
-    head, tail = np.empty(rows.size, dtype=complex), np.empty(rows.size, dtype=complex)
+    parts = []
     with localcontext() as ctx:
         ctx.prec = 40
-        for k, (a, b) in enumerate(ends):
+        for a, b in zip(fam[rows, ws.far(geom.cfg.n)].tolist(), fam[rows, ws.anchor].tolist()):
             ar, ai, br, bi = map(Decimal, (a.real, a.imag, b.real, b.imag))
             re, im = ar * br + ai * bi, ai * br - ar * bi
             mod = (re * re + im * im).sqrt()
-            parts = (re / mod, im / mod)
-            top = [_split(float(v))[0] for v in parts]
-            head[k] = complex(*top)
-            tail[k] = complex(*(float(v - Decimal(t)) for v, t in zip(parts, top)))
-    return head, tail
+            heads = [_split(float(v / mod))[0] for v in (re, im)]
+            parts.append((*heads, *(float(v / mod - Decimal(h)) for v, h in zip((re, im), heads))))
+    return np.array(parts).T
 
 
-def _rotate(head: np.ndarray, tail: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """``(head + tail) * unit`` entrywise, each part rounded once.
+def _rotate(hr, hi, tr, ti, unit: np.ndarray) -> np.ndarray:
+    """``(head + tail) * unit`` entrywise, each part rounded once, from the parts of each.
 
     Each part is Ogita, Rump and Oishi's Dot2 ("Accurate sum and dot
     product", 2005) of the head's two products with the unit, plus the
@@ -175,7 +173,6 @@ def _rotate(head: np.ndarray, tail: np.ndarray, unit: np.ndarray) -> np.ndarray:
     up along tree paths; these do not.  Moduli are at most 1, so no step
     leaves the float range.
     """
-    hr, hi, tr, ti = head.real, head.imag, tail.real, tail.imag
     ur, ui = (unit.real, *_split(unit.real)), (unit.imag, *_split(unit.imag))
     out = np.empty(unit.size, dtype=complex)
     out.real = _dot2(hr, ur, -hi, ui, tr * ur[0] - ti * ui[0])
@@ -231,14 +228,12 @@ def edge_phase(
     """
     check_tolerance("degenerate_tol", degenerate_tol)
     _check_aggregates(agg, geom)
-    n, hop = geom.cfg.n, geom.cfg.hop
     num_edges = len(graph.edges)
     chosen, first = _strongest_witnesses(graph, agg, degenerate_tol)
     r, m = graph.window[first], graph.hop_index[first]
     value = agg.correlation[r, m]
-    head, tail = _endpoint_phasors(geom)
-    rel = _rotate(head[r], tail[r], value / _modulus(value))
-    n1, n2 = endpoint_witness(geom.supports[r], hop, m, n)
+    rel = _rotate(*_endpoint_phasors(geom)[:, r], value / _modulus(value))
+    n1, n2 = endpoint_witness(geom.supports[r], geom.cfg.hop, m, geom.cfg.n)
     ends = graph.edges[chosen]
     match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
     if not match.all():

@@ -90,18 +90,15 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
     # plain root-sum-square bit for bit, and past it no square overflows
     moduli = np.abs(fam)
     exponent = int(np.frexp(moduli.max())[1])
-    scaled_l2 = float(np.sqrt(np.sum(np.square(np.ldexp(moduli, -exponent)))))
-    window_l2 = math.ldexp(scaled_l2, exponent)
+    window_l2 = math.ldexp(float(np.sqrt(np.sum(np.ldexp(moduli, -exponent) ** 2))), exponent)
     rows = np.arange(fam.shape[0])
     near, far = fam[rows, ws.anchor].tolist(), fam[rows, ws.far(n)].tolist()
     peak = float(np.abs(mats.pseudo_inverses).max())
     scaled = mats.pseudo_inverses / peak
     mass = float(np.abs(scaled @ scaled.conj().transpose(0, 2, 1)).sum())
     gram_l1 = mass * peak * peak
-    try:
-        gain = gram_l1 * window_l2 ** 2
-    except OverflowError:  # W_norm2 is finite, but its square is past the float range
-        gain = math.nan
+    # Python's float power raises where W_norm2 is finite but its square is not
+    gain = gram_l1 * window_l2 ** 2 if math.isfinite(window_l2 * window_l2) else math.nan
     if not math.isfinite(gain):
         gain = mass * (peak * window_l2) * (peak * window_l2)
     return StabilityConstants(

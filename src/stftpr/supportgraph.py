@@ -170,51 +170,43 @@ class SupportGraph:
         ``(order, level, parent, edge)``: the vertices in discovery order, each
         one's depth in its component's tree (0 at the roots, each of which
         starts a component), and the parent and edge row of each non-root
-        vertex, in discovery order.  One queue pass over a CSR adjacency of
-        sorted rows, through ``memoryview``, records the order and depths and
-        stops once every vertex is reached.  A vertex's parent is its
-        neighbour one level up that was discovered first, which is the one
-        the queue reached it from; one array pass finds them all.
+        vertex, in discovery order.  One queue pass over a CSR adjacency,
+        neighbours in increasing order, reads and writes flat ``intp`` arrays
+        through ``memoryview`` and records only the order and depths.  A
+        vertex's parent is its neighbour one level up that was discovered
+        first, which is the one the queue reached it from; one array pass
+        finds them all.
         """
-        verts, num_edges = self.vertices, len(self.edges)
+        verts = self.vertices
         nv = int(verts[-1]) + 1 if verts.size else 0
         src, dst = np.concatenate((self.edges, self.edges[:, ::-1])).astype(np.intp).T
-        starts = np.zeros(nv + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=nv), out=starts[1:])
+        starts = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=nv))))
         nbrs = dst[np.argsort(src * nv + dst)]
-        depth = np.full(nv, -1, dtype=np.intp)
-        order = np.empty(verts.size, dtype=np.intp)
+        depth, order = np.full(nv, -1, dtype=np.intp), np.empty(verts.size, dtype=np.intp)
         d, q, s, nb = map(memoryview, (depth, order, starts, nbrs))
-        head = tail = 0
-        for root in memoryview(verts):
-            if tail == verts.size:
-                break
-            if d[root] >= 0:
-                continue
-            d[root], q[tail] = 0, root
-            tail += 1
-            while head < tail:  # the queue grows while it is walked
-                v = q[head]
-                head += 1
-                below = d[v] + 1
-                for u in nb[s[v]:s[v + 1]]:
-                    if d[u] < 0:
-                        d[u], q[tail] = below, u
-                        tail += 1
+        roots, tail = iter(memoryview(verts)), 0
+        for head in range(verts.size):  # the queue grows while it is walked
+            if head == tail:  # it is empty: the smallest vertex not reached starts a component
+                root = next(v for v in roots if d[v] < 0)
+                d[root], q[tail] = 0, root
+                tail += 1
+            v = q[head]
+            below = d[v] + 1
+            for u in nb[s[v]:s[v + 1]]:
+                if d[u] < 0:
+                    d[u], q[tail] = below, u
+                    tail += 1
         del nbrs, d, q, s, nb
         level = depth[order]
         pos = np.empty(nv, dtype=np.intp)
         pos[order] = np.arange(order.size)
-        # directed rows (child, candidate) one level apart; each child keeps its first candidate
+        # directed rows from a child to a neighbour one level up; the one found
+        # first is its parent, and a key position * rows + row finds it with its row
         up = np.flatnonzero(depth[dst] == depth[src] - 1)
-        child, cand = pos[src[up]], pos[dst[up]]
-        first = np.full(order.size, order.size)
-        np.minimum.at(first, child, cand)
-        won = cand == first[child]
-        row = np.empty(order.size, dtype=np.intp)
-        row[child[won]] = up[won] % num_edges
-        nonroot = level > 0
-        forest = order, level, order[first[nonroot]], row[nonroot]
+        first = np.full(order.size, order.size * src.size)
+        np.minimum.at(first, pos[src[up]], pos[dst[up]] * src.size + up)
+        first = first[level > 0]
+        forest = order, level, order[first // src.size], first % src.size % len(self.edges)
         for a in forest:
             a.flags.writeable = False
         return forest
@@ -222,10 +214,7 @@ class SupportGraph:
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
         order, level = self._forest[:2]
-        roots = level == 0
-        flat = order[np.lexsort((order, np.cumsum(roots)))].tolist()
-        bounds = [*np.flatnonzero(roots).tolist(), order.size]
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        return [sorted(c.tolist()) for c in np.split(order, np.flatnonzero(level == 0))[1:]]
 
     def to_dict(self) -> dict:
         """Certificate payload: variant, vertices, connectivity and a spanning forest.
@@ -384,9 +373,8 @@ def spanning_tree(graph: SupportGraph) -> SpanningTree:
             f"support graph has {len(comps)} components: {comps}", components=comps
         )
     order, level, parent, edges = graph._forest
-    if not order.size:
-        return SpanningTree(graph, None, 0, parent, order[1:], edges)
-    return SpanningTree(graph, int(order[0]), int(level[-1]), parent, order[1:], edges)
+    root, depth = (int(order[0]), int(level[-1])) if order.size else (None, 0)
+    return SpanningTree(graph, root, depth, parent, order[1:], edges)
 
 
 def rotate_component_phase(

@@ -510,41 +510,6 @@ def test_endpoint_graph_matches_brute_force(geometry):
         assert arr.dtype.kind == "i"
 
 
-def _dict_bfs(vertices, endpoints):
-    """The dict-adjacency BFS the array core replaced: tree edges and components.
-
-    Returns the (parent, child, edge row) of each tree edge in discovery order
-    from the smallest vertex, the tree depth, and the components as sorted
-    vertex lists ordered by minimum vertex.
-    """
-    adj = {v: [] for v in vertices}
-    row = {}
-    for i, (a, b) in enumerate(endpoints):
-        adj[a].append(b)
-        adj[b].append(a)
-        row[(a, b)] = i
-    for v in adj:
-        adj[v].sort()
-    seen, comps, tree, depth = set(), [], [], {}
-    for start in vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        depth[start] = 0
-        queue, comp = [start], []
-        for v in queue:
-            comp.append(v)
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    depth[u] = depth[v] + 1
-                    queue.append(u)
-                    if not comps:  # the tree spans the first component only
-                        tree.append((v, u, row[(min(u, v), max(u, v))]))
-        comps.append(sorted(comp))
-    return tree, max(depth.values(), default=0), comps
-
-
 @st.composite
 def _random_graphs(draw):
     vertices = sorted(draw(st.sets(st.integers(0, 24), min_size=1, max_size=14)))
@@ -560,7 +525,8 @@ def test_array_bfs_matches_dict_bfs(graph_data):
     # sparse draws give disconnected graphs, dense ones connected graphs with cycles
     vertices, edges = graph_data
     graph = graph_from_lists("endpoint", vertices, edges)
-    tree, depth, comps = _dict_bfs(vertices, [p for p, _ in edges])
+    forest = bfs_forest(graph)
+    comps = [sorted(queue) for queue, *_ in forest]
     assert graph.components() == comps
     if len(comps) > 1:
         with pytest.raises(DisconnectedGraphError) as err:
@@ -568,10 +534,12 @@ def test_array_bfs_matches_dict_bfs(graph_data):
         assert err.value.components == tuple(tuple(c) for c in comps)
         assert str(err.value) == f"support graph has {len(comps)} components: {comps}"
         return
+    queue, parents, rows, depth = forest[0]
     got = spanning_tree(graph)
     assert got.root == vertices[0] and got.depth == depth
-    assert list(zip(got.parent.tolist(), got.child.tolist(), got.edges.tolist())) == tree
-    assert graph.edges[got.edges].tolist() == [list(edges[i][0]) for _, _, i in tree]
+    assert got.parent.tolist() == parents and got.child.tolist() == queue[1:]
+    assert got.edges.tolist() == rows
+    assert graph.edges[got.edges].tolist() == [list(edges[i][0]) for i in rows]
 
 
 @settings(max_examples=300, deadline=None)
