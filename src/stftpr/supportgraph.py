@@ -179,9 +179,9 @@ class SupportGraph:
         """
         verts = self.vertices
         nv = int(verts[-1]) + 1 if verts.size else 0
-        src, dst = np.concatenate((self.edges, self.edges[:, ::-1])).astype(np.intp).T
+        src, dst = np.concatenate((self.edges, self.edges[:, ::-1]), dtype=np.intp).T
         starts = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=nv))))
-        nbrs = dst[np.argsort(src * nv + dst)]
+        nbrs = dst[np.argsort(src * nv + dst)]  # by vertex, then neighbour
         depth, order = np.full(nv, -1, dtype=np.intp), np.empty(verts.size, dtype=np.intp)
         d, q, s, nb = map(memoryview, (depth, order, starts, nbrs))
         roots, tail = iter(memoryview(verts)), 0
@@ -214,7 +214,8 @@ class SupportGraph:
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
         order, level = self._forest[:2]
-        return [sorted(c.tolist()) for c in np.split(order, np.flatnonzero(level == 0))[1:]]
+        flat, bounds = order.tolist(), [*np.flatnonzero(level == 0).tolist(), order.size]
+        return [sorted(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def to_dict(self) -> dict:
         """Certificate payload: variant, vertices, connectivity and a spanning forest.
