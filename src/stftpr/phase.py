@@ -22,7 +22,10 @@ arrays with a row per edge.  Any one witness determines an edge's phase,
 because the correlation collapses to a single term, so each edge takes its
 witness of largest evidence magnitude (the most robust to noise), ties going
 to the smaller (window, hop); that evidence must clear the degeneracy
-tolerance.  The spanning tree's ``edges`` array selects the tree edges' rows,
+tolerance.  Each window's endpoint phasor is worked out once per run as a
+double-double, and each edge's phase is rounded once from it, so no
+rounding repeats down a tree path and exact-data errors grow like the
+square root of the tree depth.  The spanning tree's ``edges`` array selects the tree edges' rows,
 whose phases, oriented from parent to child, :func:`propagate` multiplies
 along the tree in discovery order; the remaining rows, set against the
 estimate, give the residuals of the redundant edges.  Both selections come

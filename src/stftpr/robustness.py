@@ -76,8 +76,11 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
     number is the square of A's) is formed.  P is divided by its largest
     modulus before the product and the sum is scaled back in Python floats:
     an l1 mass past the float range reads ``inf``, never NaN, and numpy warns
-    of no overflow.  ``gain`` is ``A_norm1 * W_norm2**2`` where that is finite,
-    else the scaled mass times ``(peak * W_norm2)**2``, which scales as |c|**-2.
+    of no overflow.  ``W_norm2`` is the root-sum-square of the moduli divided
+    by their peak's power of two, so it is finite also where the plain sum
+    of squares is not.  ``gain`` is ``A_norm1 * W_norm2**2`` where that is
+    finite, else the scaled mass times ``(peak * W_norm2)**2``, which scales
+    as |c|**-2.
     """
     if not mats.certified:
         raise CertificationError(
