@@ -196,7 +196,7 @@ class SupportGraph:
                 if d[u] < 0:
                     d[u], q[tail] = below, u
                     tail += 1
-        del nbrs, d, q, s, nb
+        del nbrs, d, q, s, nb  # the 2E neighbours go before the parent pass
         level = depth[order]
         pos = np.empty(nv, dtype=np.intp)
         pos[order] = np.arange(order.size)
