@@ -432,13 +432,12 @@ def cmd_verify(args) -> int:
         # every witness of every endpoint-graph edge, in (edge, window, hop) order
         graph = endpoint_graph_from_support(support(x, cfg.zero_tol), geom)
         r, m = graph.window, graph.hop_index
-        ws = geom.supports[r]
-        n1, n2 = endpoint_witness(ws, cfg.hop, m, cfg.n)
+        n1, n2 = endpoint_witness(geom.supports[r], cfg.hop, m, cfg.n)
         ends = np.repeat(graph.edges, np.diff(graph.offsets), axis=0)
         xs = x.tolist()
         cols = (ends.tolist(), r.tolist(), m.tolist(), n1.tolist(), n2.tolist(),
                 (cfg.n * agg.correlation[r, m]).tolist(),
-                fam[r, ws.anchor].tolist(), fam[r, ws.far(cfg.n)].tolist())
+                *(tap[r].tolist() for tap in geom.endpoint_taps))
         for (lo, hi), window, hop, i, j, lhs, near, far in zip(*cols):
             # Python complex products: vectorised ones can round differently
             rhs = xs[i] * xs[j].conjugate() * near * far.conjugate()

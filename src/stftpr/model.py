@@ -158,6 +158,29 @@ def _above_tolerance(mags: np.ndarray, zero_tol: float) -> np.ndarray:
         return mags > zero_tol * peak
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """``|z|`` entrywise, equal to Python's ``abs(complex)`` bit for bit.
+
+    ``np.abs`` on complex arrays can differ in the last bit, which would move
+    ties and tolerance decisions, so the choice lives here.
+    """
+    return np.hypot(z.real, z.imag)
+
+
+def _root_sum_square(moduli: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Root-sum-square of the nonnegative ``moduli`` along ``axis`` (all of them by default).
+
+    The reduced axes are kept, with length 1.  The moduli are divided by their
+    peak, rounded to a power of two, before squaring: the scaling is exact, so
+    in range the result is the plain root-sum-square bit for bit, and no
+    square overflows where the result is finite.  ``frexp(0)`` has exponent
+    0, so all-zero moduli give 0.
+    """
+    _, exponent = np.frexp(moduli.max(axis=axis, keepdims=True))
+    scaled = np.ldexp(moduli, -exponent)
+    return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=axis, keepdims=True)), exponent)
+
+
 def support(x, zero_tol: float = DEFAULT_ZERO_TOL) -> tuple[int, ...]:
     """Indices whose magnitude exceeds ``zero_tol`` relative to the peak.
 

@@ -50,7 +50,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .errors import CertificationError, DegenerateEdgeError, DisconnectedGraphError
-from .model import ProblemConfig, _above_tolerance, check_prior, check_tolerance
+from .model import ProblemConfig, _above_tolerance, _modulus, check_prior, check_tolerance
 from .robustness import threshold_support
 from .spectral import (
     MagnitudeSpectrum, ModulationMatrices, _check_aggregates, certify_rank, recover_magnitudes,
@@ -130,12 +130,6 @@ def default_degenerate_tol(n: int, noise_level: float) -> float:
     return n * noise_level + 1e-12
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    # equal to Python's abs(complex) bit for bit; np.abs on complex arrays can
-    # differ in the last bit, which would move ties and tolerance decisions
-    return np.hypot(z.real, z.imag)
-
-
 def _split(a):
     """Veltkamp's split: ``a == hi + lo`` exactly, each part of at most 26 significant bits."""
     c = 134217729.0 * a  # 2**27 + 1
@@ -153,12 +147,11 @@ def _endpoint_phasors(geom: Geometry) -> np.ndarray:
     tail the double nearest the rest (a double-double in Dekker's sense), so
     a product of the head with a double is exact in two doubles.
     """
-    fam, ws = geom.windows, geom.supports
-    rows = np.arange(fam.shape[0])
+    near, far = geom.endpoint_taps
     parts = []
     with localcontext() as ctx:
         ctx.prec = 40
-        for a, b in zip(fam[rows, ws.far(geom.cfg.n)].tolist(), fam[rows, ws.anchor].tolist()):
+        for a, b in zip(far.tolist(), near.tolist()):
             ar, ai, br, bi = map(Decimal, (a.real, a.imag, b.real, b.imag))
             re, im = ar * br + ai * bi, ai * br - ar * bi
             mod = (re * re + im * im).sqrt()

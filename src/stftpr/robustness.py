@@ -12,12 +12,13 @@ per-entry phase error of the reconstruction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import CertificationError, UndefinedBudgetError
-from .model import as_signal, check_prior, check_tolerance, support
+from .model import _root_sum_square, as_signal, check_prior, check_tolerance, support
 from .spectral import ModulationMatrices
 
 
@@ -29,8 +30,10 @@ class StabilityConstants:
     ``min_endpoint_product``: smallest |w(anchor) * w(anchor + length - 1)|
     over the family (for length-1 windows the two endpoints coincide).
     ``gram_inverse_l1``: entrywise l1 mass of all per-residue Gram inverses.
-    ``gain``: the error budget's ``gram_inverse_l1 * window_l2**2``, finite
-    also where ``gram_inverse_l1`` alone is past the float range.
+    ``gain``: the error budget's ``gram_inverse_l1 * window_l2**2``, formed
+    from scaled factors where ``gram_inverse_l1`` alone is past or below the
+    normal float range, so it is finite and nonzero wherever its value is in
+    range (see :func:`stability_constants`).
     """
 
     window_l2: float
@@ -76,11 +79,13 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
     number is the square of A's) is formed.  P is divided by its largest
     modulus before the product and the sum is scaled back in Python floats:
     an l1 mass past the float range reads ``inf``, never NaN, and numpy warns
-    of no overflow.  ``W_norm2`` is the root-sum-square of the moduli divided
-    by their peak's power of two, so it is finite also where the plain sum
-    of squares is not.  ``gain`` is ``A_norm1 * W_norm2**2`` where that is
-    finite, else the scaled mass times ``(peak * W_norm2)**2``, which scales
-    as |c|**-2.
+    of no overflow.  ``W_norm2`` is :func:`~stftpr.model._root_sum_square` of
+    the moduli, finite also where the plain sum of squares is not, and
+    ``W_star`` is read off :attr:`~stftpr.supportgraph.Geometry.endpoint_taps`.
+    ``gain`` is the plain ``A_norm1 * W_norm2**2`` where A_norm1 is a normal
+    float and that product is a positive finite float; else it is the scaled
+    mass times ``(peak * W_norm2)**2``.  For a family scaled by c that scales
+    as |c|**-2, and it is finite and nonzero wherever the gain is in range.
     """
     if not mats.certified:
         raise CertificationError(
@@ -88,28 +93,24 @@ def stability_constants(mats: ModulationMatrices) -> StabilityConstants:
             f"{list(mats.failing)}",
             failing=mats.failing,
         )
-    fam, ws, n = mats.geometry.windows, mats.geometry.supports, mats.n
-    # the moduli over their peak's power of two: exact, so in range this is the
-    # plain root-sum-square bit for bit, and past it no square overflows
-    moduli = np.abs(fam)
-    exponent = int(np.frexp(moduli.max())[1])
-    window_l2 = math.ldexp(float(np.sqrt(np.sum(np.ldexp(moduli, -exponent) ** 2))), exponent)
-    rows = np.arange(fam.shape[0])
-    near, far = fam[rows, ws.anchor].tolist(), fam[rows, ws.far(n)].tolist()
+    window_l2 = _root_sum_square(np.abs(mats.geometry.windows)).item()
+    near, far = (tap.tolist() for tap in mats.geometry.endpoint_taps)
     peak = float(np.abs(mats.pseudo_inverses).max())
     scaled = mats.pseudo_inverses / peak
     mass = float(np.abs(scaled @ scaled.conj().transpose(0, 2, 1)).sum())
     gram_l1 = mass * peak * peak
-    # Python's float power raises where W_norm2 is finite but its square is not
-    gain = gram_l1 * window_l2 ** 2 if math.isfinite(window_l2 * window_l2) else math.nan
-    if not math.isfinite(gain):
-        gain = mass * (peak * window_l2) * (peak * window_l2)
+    # the plain product where A_norm1 is a normal float (below, it has lost
+    # bits) and the product is positive and finite, so that W_norm2**2 (a
+    # float power, which raises past the float range) is too; else the scaled form
+    gain = mass * (peak * window_l2) * (peak * window_l2)
+    if gram_l1 >= sys.float_info.min and 0.0 < gram_l1 * (window_l2 * window_l2) < math.inf:
+        gain = gram_l1 * window_l2 ** 2
     return StabilityConstants(
         window_l2=window_l2,
         # Python complex products and abs, entry by entry: np.abs can move its last bit
         min_endpoint_product=min(abs(a * b) for a, b in zip(near, far)),
         gram_inverse_l1=gram_l1,
-        n=n,
+        n=mats.n,
         gain=gain,
     )
 
@@ -132,8 +133,9 @@ def error_budget(consts: StabilityConstants, noise_level: float, prior: float) -
     ``prior`` is the signal's smallest nonzero magnitude, positive and finite,
     which the half-minimum support rule also takes.  A prior so small that the
     phase bound's denominator, ``min_endpoint_product * prior**2``, underflows
-    to zero raises ``UndefinedBudgetError``, and so does a family so large
-    that its gain ``gram_inverse_l1 * window_l2**2`` underflows to zero.
+    to zero raises ``UndefinedBudgetError``, and so does a gain of zero, which
+    :func:`stability_constants` gives only where the gain itself is below the
+    float range, not where ``gram_inverse_l1`` alone is.
     """
     check_tolerance("noise_level", noise_level)
     min_mag = check_prior(prior)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ConfigurationError, DimensionMismatchError
-from .model import check_tolerance
+from .model import _modulus, _root_sum_square, check_tolerance
 from .stft import AggregateMeasurements
 from .supportgraph import Geometry
 
@@ -92,20 +92,6 @@ class ModulationMatrices:
         }
 
 
-def _thin_singular_values(stack: np.ndarray) -> np.ndarray:
-    """2-norm of each one-row or one-column matrix of ``stack``, as (num_hops, 1).
-
-    The moduli are divided by their peak, rounded to a power of two, before
-    squaring: the scaling is exact, so in range the result is bit for bit the
-    plain root-sum-square, and it underflows or overflows only where LAPACK's
-    would.  ``frexp(0)`` has exponent 0, so a zero matrix gives 0.
-    """
-    moduli = np.hypot(stack.real, stack.imag).reshape(len(stack), -1)
-    _, exponent = np.frexp(moduli.max(axis=1, keepdims=True))
-    scaled = np.ldexp(moduli, -exponent)
-    return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=1, keepdims=True)), exponent)
-
-
 def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMatrices:
     """Build every modulation matrix of the geometry and certify full column rank.
 
@@ -130,9 +116,11 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
     residue m's conjugated with its rows reversed; these agree with numpy's
     factorisation of the mirror to a few eps.
     Thin stacks (one window or hop 1) skip LAPACK: each matrix is one row or
-    one column ``a``, its one singular value ``s`` is its 2-norm and its
-    pseudo-inverse ``conj(a).T / s / s`` (divided twice, so ``s**2`` never
-    underflows); these agree with numpy's to a few eps, not bit for bit.
+    one column ``a``, its one singular value ``s`` is its 2-norm (the scaled
+    root-sum-square of its moduli, past the float range only where LAPACK's
+    is) and its pseudo-inverse ``conj(a).T / s / s`` (divided twice, so
+    ``s**2`` never underflows); these agree with numpy's to a few eps, not
+    bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         spectra = window_power_spectra(geom)
@@ -147,7 +135,7 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
     stack = np.ascontiguousarray(spectra[:, cols].transpose(1, 0, 2))
     thin = min(num_windows, hop) == 1
     if thin:
-        svals = _thin_singular_values(stack)
+        svals = _root_sum_square(_modulus(stack).reshape(num_hops, -1), axis=1)
     else:
         # the spectra are Hermitian, so residue M - m is residue m conjugated
         # with its columns reversed: factor residues 0 .. M // 2 and fill rows

@@ -76,6 +76,8 @@ class Geometry:
     ``windows`` becomes :func:`~stftpr.model.as_window_family`'s ``(cfg.num_windows,
     cfg.n)`` family (another count raises ``DimensionMismatchError``), and
     ``supports`` is its :func:`window_support` at ``cfg.zero_tol``.
+    :attr:`endpoint_taps` holds each window's two endpoint values, worked out
+    on first use.
     """
 
     cfg: ProblemConfig
@@ -89,6 +91,18 @@ class Geometry:
                                          f"config has {self.cfg.num_windows}")
         object.__setattr__(self, "windows", fam)
         object.__setattr__(self, "supports", window_support(fam, self.cfg.zero_tol))
+
+    @cached_property
+    def endpoint_taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(near, far)``: each window's tap at its anchor and at its far end, read-only.
+
+        ``near[r] = w_r(anchor)`` and ``far[r] = w_r(anchor + length - 1)``;
+        for a window of supporting length 1 the two coincide.
+        """
+        rows, ws = np.arange(self.cfg.num_windows), self.supports
+        near, far = self.windows[rows, ws.anchor], self.windows[rows, ws.far(self.cfg.n)]
+        near.flags.writeable = far.flags.writeable = False
+        return near, far
 
 
 def endpoint_witness(ws: WindowSupport, hop: int, m: int, n: int) -> tuple[int, int]:

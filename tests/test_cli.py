@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tempfile
 import time
@@ -1041,8 +1042,9 @@ class TestBounds:
         assert 1e154 < out["W_norm2"] < 2e154 and out["A_norm1"] == 0.0
         assert out["admissible"] is True
 
-    def test_underflowing_gain_exits_one(self, tmp_path, capsys):
-        # A_norm1 below the float range made the budget NaN, or divided by zero
+    def test_underflowing_gram_mass_exits_zero(self, tmp_path, capsys):
+        # A_norm1 below the float range made the budget NaN, then a false
+        # "gain underflows" exit 1; the gain is the scaled form, finite as c**-2
         fam = 1e100 * chain_family(8, 2, 3, np.random.default_rng(1))
         cli.write_windows_json(tmp_path / "big.json", fam)
         code = run(
@@ -1050,8 +1052,10 @@ class TestBounds:
             "--min-magnitude", 0.5, "--noise", 1e-12,
         )
         out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert "gain A_norm1 * W_norm2**2 underflows to zero" in err
+        assert code == 0 and err == ""
+        out = json.loads(out)
+        assert out["A_norm1"] == 0.0 and out["admissible"] is True
+        assert math.isclose(out["magnitude_bound"], 2.077232832162608e-209, rel_tol=1e-12)
 
     def test_certification_failure(self, tmp_path, capsys):
         code = run(

@@ -472,7 +472,7 @@ class TestDepthError:
         record = phase.edge_phase(graph, agg, geom, 1e-12)
         assert (record.window >= 0).all()
         value = agg.correlation[record.window, record.hop_index]
-        unit = value / phase._modulus(value)
+        unit = value / model._modulus(value)
         ws = geom.supports[record.window]
         far, near = fam[record.window, ws.far(48)], fam[record.window, ws.anchor]
         with localcontext() as ctx:
@@ -567,7 +567,7 @@ def _lexsort_witnesses(graph, agg, tol):
     """
     eid = np.repeat(np.arange(len(graph.edges)), np.diff(graph.offsets))
     r, m = graph.window, graph.hop_index
-    mag = phase._modulus(agg.correlation[r, m])
+    mag = model._modulus(agg.correlation[r, m])
     order = np.lexsort((m, r, -mag, eid))
     first = order[np.diff(eid[order], prepend=-1) != 0]
     first = first[mag[first] > tol]

@@ -9,6 +9,7 @@ import pytest
 from stftpr import (
     DEFAULT_ZERO_TOL,
     Geometry,
+    StabilityConstants,
     aggregate,
     certify_rank,
     corrupt,
@@ -32,6 +33,7 @@ from stftpr.generators import (
     mask_family,
     random_interval_window,
 )
+from stftpr.model import _root_sum_square
 from stftpr.supportgraph import window_support
 
 from conftest import geom_at, near_singular_pair
@@ -179,6 +181,33 @@ class TestStabilityConstants:
         assert consts.gram_inverse_l1 == np.inf
         assert np.isfinite(consts.window_l2) and consts.min_endpoint_product > 0
 
+    def test_scale_covariance_over_the_float_range(self):
+        # every power of two c at which the family certifies with finite power
+        # spectra: W_norm2 and W_star scale as c and c**2 exactly, and the gain
+        # as c**-2 wherever that is in range, also where A_norm1 (c**-4) is
+        # subnormal or zero; the budget never calls such a gain an underflow
+        fam = chain_family(8, 2, 3, np.random.default_rng(1))
+        base = stability_constants(certify_rank(geom_at(fam, 2)))
+        scales = []
+        for k in range(-540, 541):
+            c = 2.0 ** k
+            try:
+                mats = certify_rank(geom_at(c * fam, 2))
+            except ConfigurationError:  # power spectra past the float range
+                continue
+            if not mats.certified:
+                continue
+            scales.append(k)
+            consts = stability_constants(mats)
+            assert consts.window_l2 == c * base.window_l2
+            assert consts.min_endpoint_product == c * c * base.min_endpoint_product
+            gain = base.gain / c / c
+            if gain < math.inf:
+                assert math.isclose(consts.gain, gain, rel_tol=1e-12), k
+            error_budget(consts, 1e-12, 0.5)
+        assert scales == list(range(scales[0], scales[-1] + 1))
+        assert scales[0] <= -500 and scales[-1] >= 500
+
     def test_window_mass_past_the_float_range(self):
         # the largest window's squared mass is 9e307, so the family's total is
         # past the float range: W_norm2 is a scaled root-sum-square, finite and
@@ -198,11 +227,16 @@ class TestStabilityConstants:
         assert budget.admissible and budget.magnitude_bound == 0.0
 
     def test_window_mass_in_range_is_the_plain_sum(self):
-        # the peak scaling is by a power of two, so in range no byte moves
+        # the peak scaling is by a power of two, so in range no byte moves,
+        # for W_norm2 and for the root-sum-square along any axis
         for seed in range(20):
             fam = chain_family(16, 4, 6, np.random.default_rng(seed)) * 10.0 ** (seed - 10)
             consts = stability_constants(certify_rank(geom_at(fam, 4)))
             assert consts.window_l2 == float(np.sqrt(np.sum(np.abs(fam) ** 2)))
+            moduli = np.abs(fam).reshape(2, 3, 16)
+            for axis in (None, 0, 1, 2, -1):
+                plain = np.sqrt(np.sum(moduli ** 2, axis=axis, keepdims=True))
+                assert np.array_equal(_root_sum_square(moduli, axis), plain)
 
     def test_json_keys(self):
         consts = _impulse_constants(4)
@@ -241,12 +275,21 @@ class TestErrorBudget:
         assert not budget.admissible
 
     def test_underflowing_gain_is_undefined(self):
-        # at c = 1e100 A_norm1 (scaling as c**-4) is below the float range
-        fam = 1e100 * chain_family(8, 2, 3, np.random.default_rng(1))
-        consts = stability_constants(certify_rank(geom_at(fam, 2)))
+        # at c = 1e100 A_norm1 (scaling as c**-4) is below the float range, but
+        # the gain is the scaled form, finite as c**-2, so the budget is
+        # defined; only a gain that is itself zero leaves it undefined
+        fam = chain_family(8, 2, 3, np.random.default_rng(1))
+        base = stability_constants(certify_rank(geom_at(fam, 2)))
+        consts = stability_constants(certify_rank(geom_at(1e100 * fam, 2)))
         assert consts.gram_inverse_l1 == 0.0
+        assert math.isclose(consts.gain, base.gain / 1e200, rel_tol=1e-12)
+        budget = error_budget(consts, 1e-12, 0.5)
+        assert budget.admissible
+        assert math.isclose(budget.magnitude_bound, base.gain * 1e-212, rel_tol=1e-12)
+        zero = StabilityConstants(window_l2=1.0, min_endpoint_product=1.0,
+                                  gram_inverse_l1=0.0, n=8, gain=0.0)
         with pytest.raises(UndefinedBudgetError, match="gain A_norm1"):
-            error_budget(consts, 1e-12, 0.5)
+            error_budget(zero, 1e-12, 0.5)
 
     def test_boundary_is_admissible(self):
         consts = _impulse_constants(8)

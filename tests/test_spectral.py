@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -317,6 +318,17 @@ class TestCertifyRank:
                 assert mats.pseudo_inverses is None
             thin += 1
         assert thin >= 200 and 0 < certified < thin
+        # the closed form's root-sum-square, along either axis: moduli whose
+        # squares are past the float range give a finite norm within 2 ulp of
+        # math.hypot, with no overflow warning, and an all-zero row gives 0
+        huge = np.array([[1e308, 1e308, 3e307, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        want = math.hypot(*huge[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (model._root_sum_square(huge, 1), model._root_sum_square(huge.T, 0).T):
+                assert got.shape == (2, 1)
+                assert abs(got[0, 0] - want) <= 2 * math.ulp(want)
+                assert got[1, 0] == 0.0
 
     @pytest.mark.parametrize("hop", [1, 4])
     def test_overflowing_pseudo_inverse_does_not_certify(self, hop):

@@ -91,6 +91,25 @@ class TestWindowSupport:
                     assert w[t] == 0
 
 
+def test_geometry_endpoint_taps_are_the_interval_ends():
+    # each window's tap at its anchor and at its far end, worked out on first
+    # read and held read-only; a length-1 window's two taps coincide
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n = int(rng.integers(2, 17))
+        fam = np.stack([random_interval_window(n, int(rng.integers(1, n + 1)), rng)
+                        for _ in range(int(rng.integers(1, 5)))])
+        geom = geom_at(fam, 1)
+        assert "endpoint_taps" not in vars(geom)
+        near, far = geom.endpoint_taps
+        for r, w in enumerate(fam):
+            ws = window_support(w)
+            assert near[r] == w[ws.anchor] and far[r] == w[(ws.anchor + ws.length - 1) % n]
+            assert near[r] != 0 and far[r] != 0
+        assert not near.flags.writeable and not far.flags.writeable
+        assert geom.endpoint_taps is geom.endpoint_taps
+
+
 def test_threshold_overflow_marks_nothing_without_a_warning():
     # zero_tol * peak overflows to inf: nothing is above it, and no
     # RuntimeWarning escapes any of the relative-threshold callers

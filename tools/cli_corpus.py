@@ -188,6 +188,10 @@ CORPUS = [
     # total is past the float range; W_norm2 is finite, with no overflow warning
     ("write-json", "huge-windows.json", _scaled_chain(5.364e153)),
     "bounds --n 8 --hop 2 --windows huge-windows.json --min-magnitude 0.5 --noise 1e-300",
+    # exit 0: A_norm1 below the float range, so the gain is the scaled form,
+    # finite and nonzero, and the budget is defined
+    ("write-json", "large-windows.json", _scaled_chain(1e100)),
+    "bounds --n 8 --hop 2 --windows large-windows.json --min-magnitude 0.5 --noise 1e-12",
 ]
 
 
