@@ -45,7 +45,7 @@ from .generators import (
 )
 from .model import DEFAULT_ZERO_TOL, ProblemConfig, check_tolerance, phase_distance, support
 from .oracle import DIRECT_TERM_CAP, compare, stft_direct
-from .phase import EdgeWitnesses, certify_graph, reconstruct
+from .phase import EdgeWitnesses, reconstruct, verdict
 from .robustness import error_budget, min_support_magnitude, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
@@ -307,15 +307,16 @@ def cmd_simulate(args) -> int:
     rng, geom, x = _instance(args)  # --zero-tol and --rank-tol are checked before any write
     cfg, fam, supports = geom.cfg, geom.windows, geom.supports
     certification = certify_rank(geom, args.rank_tol).report()
+    grid = measure(x, fam, cfg.hop)  # a grid past the float range is refused before any write
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_signal_json(outdir / "signal.json", x)
-    write_windows_json(outdir / "windows.json", fam)
-    grid = measure(x, fam, cfg.hop)
     write_grid_csv(grid, outdir / "grid.csv")
     if args.noise > 0:
         eps = rng.uniform(-args.noise, args.noise, grid.values.shape)
         write_grid_csv(corrupt(grid, eps), outdir / "grid_noisy.csv")
+    del grid  # so that formatting the JSON files below does not add to the grid's peak
+    write_signal_json(outdir / "signal.json", x)
+    write_windows_json(outdir / "windows.json", fam)
     lengths, anchors = supports.length.tolist(), supports.anchor.tolist()
     report = {
         "config": {
@@ -345,20 +346,13 @@ def cmd_analyze(args) -> int:
     cov = covisibility_graph_from_support(supp, geom)
     end = endpoint_graph_from_support(supp, geom)
     mats = certify_rank(geom, args.rank_tol)
-    # the verdict is recover's rule, run on the true support
-    try:
-        certify_graph(end, geom, cov)
-        verdict = "provably-retrievable" if mats.certified else "indeterminate"
-    except DisconnectedGraphError:
-        verdict = "provably-non-retrievable"
-    except CertificationError:
-        verdict = "indeterminate"
     payload = {
         "covisibility": cov.to_dict(),
         "endpoint": end.to_dict(),
         "short_windows": not long_windows(geom.supports, geom.cfg.n),
         "certification": mats.report(),
-        "verdict": verdict,
+        # recover's rule, run on the true support
+        "verdict": verdict(end, mats, cov),
     }
     _dump_json(payload, args.out)
     return EXIT_OK

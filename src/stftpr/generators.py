@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import ProblemConfig, check_hop, support as signal_support
+from .phase import verdict
 from .spectral import certify_rank
-from .supportgraph import Geometry, endpoint_graph_from_support, is_connected
+from .supportgraph import Geometry, endpoint_graph_from_support
 
 
 def rectangular_window(n: int, length: int) -> np.ndarray:
@@ -115,20 +116,22 @@ def certified_instance(
     rng: np.random.Generator,
     support=None,
 ):
-    """(signal, windows) with a passing rank gate and connected endpoint graph.
+    """(signal, windows) that ``analyze`` calls provably-retrievable.
 
-    ``support``, when given, should be cyclically contiguous (or the full
-    index set) so the chain construction guarantees connectivity.  The rank
-    gate runs once, at ``hop``; either failure raises ``ConfigurationError``.
+    Draws a chain family and a signal once and accepts them only when
+    :func:`~stftpr.phase.verdict` on the signal's support, with the rank
+    gate at ``hop``, reads "provably-retrievable"; otherwise it raises
+    ``ConfigurationError`` naming the verdict.  ``support``, when given,
+    should be cyclically contiguous (or the full index set) so the chain
+    construction guarantees connectivity.
     """
     fam = chain_family(n, hop, num_windows, rng)
     geom = Geometry(ProblemConfig(n, hop, num_windows), fam)
-    if not certify_rank(geom).certified:
-        raise ConfigurationError(f"generated window family fails the rank gate at hop {hop}")
     x = random_signal(n, rng, support=support)
     verts = signal_support(x)
-    if not is_connected(endpoint_graph_from_support(verts, geom)):
+    found = verdict(endpoint_graph_from_support(verts, geom), certify_rank(geom))
+    if found != "provably-retrievable":
         raise ConfigurationError(
-            f"generated instance has a disconnected endpoint graph (support {list(verts)})"
+            f"generated instance is {found} at hop {hop} (support {list(verts)})"
         )
     return x, fam

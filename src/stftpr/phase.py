@@ -39,7 +39,9 @@ aggregate statistics; its stages return arrays, and it builds the
 :class:`~stftpr.supportgraph.Geometry`; :func:`reconstruct` builds it once
 and runs the pipeline on a measurement grid's aggregates.  Its graph gate,
 :func:`certify_graph`, is the one home of the graph half of the
-retrievability rule; the CLI's ``analyze`` verdict runs it too.
+retrievability rule; :func:`verdict` adds the rank gate to it, and is the
+one home of the verdict that ``analyze`` writes and
+:func:`~stftpr.generators.certified_instance` requires.
 """
 
 from __future__ import annotations
@@ -338,6 +340,25 @@ def certify_graph(graph: SupportGraph, geom: Geometry, cov: SupportGraph | None 
             f"length; edge phases would be ambiguous",
             failing=too_long,
         )
+
+
+def verdict(graph: SupportGraph, mats: ModulationMatrices, cov: SupportGraph | None = None) -> str:
+    """The retrievability verdict on ``graph``'s support, the rule ``recover`` runs.
+
+    :func:`certify_graph` on ``graph``, an endpoint graph of
+    ``mats.geometry``, decides first: ``DisconnectedGraphError`` reads
+    "provably-non-retrievable" and ``CertificationError`` "indeterminate".
+    A passing graph gate reads "provably-retrievable" when the rank gate
+    ``mats`` certifies, else "indeterminate".  ``cov`` is passed on to
+    :func:`certify_graph`.
+    """
+    try:
+        certify_graph(graph, mats.geometry, cov)
+    except DisconnectedGraphError:
+        return "provably-non-retrievable"
+    except CertificationError:
+        return "indeterminate"
+    return "provably-retrievable" if mats.certified else "indeterminate"
 
 
 def reconstruct(

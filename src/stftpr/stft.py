@@ -307,10 +307,6 @@ class AggregateMeasurements:
         object.__setattr__(self, "correlation", co)
 
     @property
-    def num_windows(self) -> int:
-        return self.energy.shape[0]
-
-    @property
     def num_hops(self) -> int:
         return self.energy.shape[1]
 

@@ -711,6 +711,36 @@ class TestAnalyze:
         assert verdict["short_windows"] is True
         assert verdict["certification"]["certified"] is True
 
+    # argv after "analyze", then the verdict and the certificate's covisibility
+    # and endpoint connectivity, rank gate and short-window flag that decide it
+    VERDICTS = {
+        "chain": ("--n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --signal ones",
+                  "provably-retrievable", True, True, True, True),
+        "antipodal-pair": (
+            "--n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1 --signal antipodal-pair",
+            "provably-non-retrievable", False, False, True, True),
+        "failed-rank-gate": ("--n 8 --hop 2 --num-windows 2 --windows rectangular:3 --signal delta",
+                             "indeterminate", True, True, False, True),
+        "endpoint-split": ("--n 12 --hop 1 --num-windows 1 --windows rectangular:5 --signal ones",
+                           "indeterminate", True, False, True, True),
+        "long-window": ("--n 7 --hop 1 --num-windows 1 --windows rectangular:5 --signal ones",
+                        "indeterminate", True, True, True, False),
+    }
+
+    @pytest.mark.parametrize("case", VERDICTS)
+    def test_verdict_is_phase_verdict(self, case, capsys):
+        argv, want, cov, end, certified, short = self.VERDICTS[case]
+        assert run("analyze", *argv.split()) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == want
+        assert payload["covisibility"]["connected"] is cov
+        assert payload["endpoint"]["connected"] is end
+        assert payload["certification"]["certified"] is certified
+        assert payload["short_windows"] is short
+        _, geom, x = cli._instance(cli.build_parser().parse_args(["analyze", *argv.split()]))
+        graph = endpoint_graph_from_support(support(x, geom.cfg.zero_tol), geom)
+        assert phase.verdict(graph, certify_rank(geom)) == want
+
     def test_covisibility_graph_is_built_once(self, monkeypatch, capsys):
         # a disconnected endpoint graph sends certify_graph to the covisibility
         # graph, which analyze has already built for its payload
@@ -1133,6 +1163,7 @@ class TestOverflow:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err == "stftpr: error: measurement grid contains NaN or infinite values\n"
+        assert not (tmp_path / "run").exists()  # simulate measures before it writes
 
 
 class TestVerify:

@@ -85,7 +85,7 @@ def test_hop_below_one_rejected(hop):
         (lambda rng: chain_family(2, 1, 1, rng), "^chain families need length >= 4, got 2$"),
         # chain windows are at most n/2 = 8 long, so no endpoint edge spans 0 to 8
         (lambda rng: certified_instance(16, 4, 4, rng, support=[0, 8]),
-         r"^generated instance has a disconnected endpoint graph \(support \[0, 8\]\)$"),
+         r"^generated instance is provably-non-retrievable at hop 4 \(support \[0, 8\]\)$"),
     ],
     ids=["interval-length-0", "masks-n2", "chain-few-windows", "chain-n2", "split-support"],
 )
@@ -146,9 +146,13 @@ def test_only_certified_instance_runs_the_rank_gate(monkeypatch):
 
 
 def test_certified_instance_rejects_a_failed_rank_gate(monkeypatch):
-    failed = SimpleNamespace(certified=False)
-    monkeypatch.setattr(generators, "certify_rank", lambda geom, rank_tol=None: failed)
+    # a connected endpoint graph with a failed gate is what analyze calls indeterminate
+    monkeypatch.setattr(
+        generators, "certify_rank",
+        lambda geom, rank_tol=None: SimpleNamespace(certified=False, geometry=geom),
+    )
     with pytest.raises(
-        ConfigurationError, match="^generated window family fails the rank gate at hop 2$"
+        ConfigurationError,
+        match=r"^generated instance is indeterminate at hop 2 \(support \[0, 1, 2, 3, 4, 5, 6, 7\]\)$",
     ):
         certified_instance(8, 2, 3, np.random.default_rng(1))

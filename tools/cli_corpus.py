@@ -173,7 +173,7 @@ CORPUS = [
     "bounds --n 8 --hop 2 --windows near.json --min-magnitude 0.5 --noise 1e-12",
     "bounds --n 16 --hop 16 --num-windows 16 --windows masks --seed 7 --min-magnitude 0.5",
     # exit 1: windows, then a signal, past the float range end in a typed
-    # error, with no numpy overflow warning on the way
+    # error, with no numpy overflow warning on the way and no file written
     ("write-json", "big-windows.json", _scaled_chain(1e160)),
     "simulate --n 8 --hop 2 --windows big-windows.json --seed 1 --out big",
     "analyze --n 8 --hop 2 --windows big-windows.json --seed 1",
