@@ -32,6 +32,13 @@ estimate, give the residuals of the redundant edges.  Both selections come
 back as records, and the detected support as an ``intp`` array, so the
 results hold no Python object per vertex or per edge.
 
+Each per-edge array has one copy alive at a time.  The rotation works
+through the edges in blocks, so beside the record it builds it holds only
+about a dozen block-length arrays.  That record is split into the tree rows and
+the redundant rows as soon as it returns, and it goes before the walk;
+during the walk the per-edge data alive are those two records, the
+oriented tree phases and the walk's list of phasors.
+
 :func:`reconstruct_compressed` is the pipeline - rank gate, magnitudes,
 support, endpoint graph, edge phases, propagation - on the ``2nR/L``
 aggregate statistics; its stages return arrays, and it builds the
@@ -162,35 +169,60 @@ def _endpoint_phasors(geom: Geometry) -> np.ndarray:
     return np.array(parts).T
 
 
-def _rotate(hr, hi, tr, ti, unit: np.ndarray) -> np.ndarray:
-    """``(head + tail) * unit`` entrywise, each part rounded once, from the parts of each.
+_EDGE_BLOCK = 1 << 13  # edges per block of the rotation and of the walk: 64 kB per float array
 
-    Each part is Ogita, Rump and Oishi's Dot2 ("Accurate sum and dot
-    product", 2005) of the head's two products with the unit, plus the
-    tail's product.  A rounding that every edge of a window shared would add
-    up along tree paths; these do not.  Moduli are at most 1, so no step
-    leaves the float range.
+
+def _rotate(parts: np.ndarray, window: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """``(head + tail) * value / |value|`` for row k's window ``window[k]``, each part rounded once.
+
+    ``parts`` is :func:`_endpoint_phasors`' table.  Each part is Ogita, Rump
+    and Oishi's Dot2 ("Accurate sum and dot product", 2005) of the head's two
+    products with the unit, plus the tail's product.  A rounding that every
+    edge of a window shared would add up along tree paths; these do not.
+    Moduli are at most 1, so no step leaves the float range.  The edges go
+    in blocks of ``_EDGE_BLOCK``, and each part of the phasor is gathered
+    where it is used, so beside the result a block holds thirteen float
+    arrays of block length.
     """
-    ur, ui = (unit.real, *_split(unit.real)), (unit.imag, *_split(unit.imag))
-    out = np.empty(unit.size, dtype=complex)
-    out.real = _dot2(hr, ur, -hi, ui, tr * ur[0] - ti * ui[0])
-    out.imag = _dot2(hr, ui, hi, ur, tr * ui[0] + ti * ur[0])
+    out = np.empty(value.size, dtype=complex)
+    for lo in range(0, value.size, _EDGE_BLOCK):
+        v, r, o = (x[lo:lo + _EDGE_BLOCK] for x in (value, window, out))
+        u, s = v / _modulus(v), np.empty(v.size, dtype=complex)
+        ur, ui = (u.real, *_split(u.real)), (u.imag, *_split(u.imag))
+        a, c, *tmp = np.empty((5, v.size))
+        np.take(parts[0], r, out=a)
+        # negation is exact: c is -hi for the real part and hi for the imaginary
+        _dot2(a, ur, np.negative(np.take(parts[1], r, out=c), out=c), ui, s.real, o.real, tmp)
+        _dot2(a, ui, np.negative(c, out=c), ur, s.imag, o.imag, tmp)
+        # the tails' products, tr*ur - ti*ui and tr*ui + ti*ur, join the errors
+        np.take(parts[2], r, out=a)
+        np.take(parts[3], r, out=c)
+        p, q = tmp[:2]
+        o.real += np.subtract(np.multiply(a, ur[0], out=p), np.multiply(c, ui[0], out=q), out=p)
+        o.imag += np.add(np.multiply(a, ui[0], out=p), np.multiply(c, ur[0], out=q), out=p)
+        np.add(s, o, out=o)
     return out
 
 
-def _dot2(a, b, c, d, rest) -> np.ndarray:
-    """``a*b + c*d + rest``, rounded once, for ``b = (b, *_split(b))`` and ``d`` alike.
+def _dot2(a, b, c, d, s, err, tmp) -> None:
+    """``a*b + c*d`` as ``s + err``, for ``b = (b, *_split(b))`` and ``d`` alike.
 
     ``a`` and ``c`` have at most 26 significant bits, so with ``b`` and ``d``
     split each product is exact in two doubles (Dekker's TwoProduct, 1971);
-    TwoSum adds the two, and their errors join ``rest`` before the one
-    rounding, as if the whole were worked out in twice the precision.
+    TwoSum adds the two into the rounded sum ``s``, and its error and the
+    products' go into ``err``, so that ``s + (err + rest)`` is rounded once,
+    as if the whole were worked out in twice the precision.  ``tmp`` holds
+    three scratch arrays.
     """
-    (b, b1, b2), (d, d1, d2) = b, d
-    p, q = a * b, c * d
-    s = p + q
-    z = s - p
-    return s + ((p - (s - z)) + (q - z) + (a * b2 - (p - a * b1)) + (c * d2 - (q - c * d1)) + rest)
+    p, q, z = tmp
+    np.add(np.multiply(a, b[0], out=p), np.multiply(c, d[0], out=q), out=s)
+    np.subtract(s, p, out=z)
+    # (p - (s - z)) + (q - z), then the products' errors x*y2 - (xy - x*y1)
+    np.subtract(p, np.subtract(s, z, out=err), out=err)
+    err += np.subtract(q, z, out=z)
+    for x, (y1, y2), xy in ((a, b[1:], p), (c, d[1:], q)):
+        np.subtract(xy, np.multiply(x, y1, out=z), out=z)
+        err += np.subtract(np.multiply(x, y2, out=xy), z, out=xy)
 
 
 def _strongest_witnesses(graph: SupportGraph, agg: AggregateMeasurements, degenerate_tol: float):
@@ -230,7 +262,7 @@ def edge_phase(
     chosen, first = _strongest_witnesses(graph, agg, degenerate_tol)
     r, m = graph.window[first], graph.hop_index[first]
     value = agg.correlation[r, m]
-    rel = _rotate(*_endpoint_phasors(geom)[:, r], value / _modulus(value))
+    rel = _rotate(_endpoint_phasors(geom), r, value)
     n1, n2 = endpoint_witness(geom.supports[r], geom.cfg.hop, m, geom.cfg.n)
     ends = graph.edges[chosen]
     match = ((n1 == ends[:, 0]) & (n2 == ends[:, 1])) | ((n1 == ends[:, 1]) & (n2 == ends[:, 0]))
@@ -265,20 +297,27 @@ def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> np.n
     ``tree.graph.vertices``.  The root gets phase 0.  ``phases[k]`` is the
     unit phasor of ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.
     The walk follows the tree's discovery order, so each parent's phasor is
-    known before its children's, one plain Python complex product per edge;
-    it reads the parents' positions in that order through a ``memoryview``.
+    known before its children's, one plain Python complex product per edge.
+    Beside ``phases``, the per-edge data alive during the walk are the
+    parents' positions in that order, read through a ``memoryview``, and
+    the list of phasors; ``phases`` is read ``_EDGE_BLOCK`` edges at a time,
+    and the list goes before the estimate is assembled, in place.
     """
     amps = np.sqrt(magnitudes.magnitudes_sq)
-    verts = tree.graph.vertices
-    # position of each vertex in discovery order; the root's is 0
-    walk = np.zeros(amps.shape[0], dtype=np.intp)
-    walk[tree.child] = np.arange(1, tree.child.size + 1)
+    # position of each parent in discovery order; the root's is 0
+    up = np.zeros(amps.shape[0], dtype=np.intp)
+    up[tree.child] = np.arange(1, tree.child.size + 1)
+    up = up[tree.parent]
     phasor = [1.0 + 0.0j]
-    for p, z in zip(memoryview(walk[tree.parent]), np.asarray(phases, dtype=complex).tolist()):
-        phasor.append(phasor[p] * z)
+    for lo in range(0, up.size, _EDGE_BLOCK):
+        for p, z in zip(memoryview(up[lo:lo + _EDGE_BLOCK]),
+                        np.asarray(phases[lo:lo + _EDGE_BLOCK], dtype=complex).tolist()):
+            phasor.append(phasor[p] * z)
     phasor = np.array(phasor)  # the list goes before the estimate is assembled
     estimate = np.zeros(amps.shape[0], dtype=complex)
-    estimate[verts] = amps[verts] * phasor[walk[verts]]
+    if tree.root is not None:
+        estimate[tree.root] = amps[tree.root]
+        estimate[tree.child] = np.multiply(phasor[1:], amps[tree.child], out=phasor[1:])
     return estimate
 
 
@@ -419,7 +458,11 @@ def reconstruct_compressed(
     certify_graph(graph, geom)
     tree = spanning_tree(graph)
     edges = edge_phase(graph, agg, geom, degenerate_tol)
-    used = edges[tree.edges]
+    # the tree rows and the redundant rows; the full record goes before the walk
+    nontree = np.ones(len(graph.edges), dtype=bool)
+    nontree[tree.edges] = False
+    used, rest = edges[tree.edges], edges[nontree]
+    del edges, nontree
     bad = np.flatnonzero(used.window < 0)
     if bad.size:
         ends = tuple(graph.edges[tree.edges[bad[0]]].tolist())
@@ -432,9 +475,6 @@ def reconstruct_compressed(
     forward = tree.child == used.n1
     estimate = propagate(tree, magnitudes, np.where(forward, used.phase, used.phase.conj()))
     # the redundant edges' phases against the estimate; NaN where degenerate
-    nontree = np.ones(len(graph.edges), dtype=bool)
-    nontree[tree.edges] = False
-    rest = edges[nontree]
     unit = np.zeros(cfg.n, dtype=complex)
     on = estimate != 0
     unit[on] = estimate[on] / np.abs(estimate[on])

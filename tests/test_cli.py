@@ -690,27 +690,6 @@ def test_analyze_reads_window_and_signal_files(tmp_path, capsys, suffix):
 
 
 class TestAnalyze:
-    def test_non_retrievable_verdict(self, tmp_path, capsys):
-        code = run(
-            "analyze", "--n", 8, "--hop", 1, "--num-windows", 1,
-            "--windows", "random-support:4", "--signal", "antipodal-pair", "--seed", 3,
-        )
-        assert code == 0
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["verdict"] == "provably-non-retrievable"
-        assert verdict["covisibility"]["connected"] is False
-
-    def test_retrievable_verdict(self, tmp_path, capsys):
-        code = run(
-            "analyze", "--n", 8, "--hop", 1, "--num-windows", 1,
-            "--windows", "random-support:4", "--signal", "ones", "--seed", 3,
-        )
-        assert code == 0
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["verdict"] == "provably-retrievable"
-        assert verdict["short_windows"] is True
-        assert verdict["certification"]["certified"] is True
-
     # argv after "analyze", then the verdict and the certificate's covisibility
     # and endpoint connectivity, rank gate and short-window flag that decide it
     VERDICTS = {
@@ -725,6 +704,16 @@ class TestAnalyze:
                            "indeterminate", True, False, True, True),
         "long-window": ("--n 7 --hop 1 --num-windows 1 --windows rectangular:5 --signal ones",
                         "indeterminate", True, True, True, False),
+        "non-retrievable": ("--n 8 --hop 1 --num-windows 1 --windows random-support:4 "
+                            "--signal antipodal-pair --seed 3",
+                            "provably-non-retrievable", False, False, True, True),
+        "retrievable": ("--n 8 --hop 1 --num-windows 1 --windows random-support:4 "
+                        "--signal ones --seed 3",
+                        "provably-retrievable", True, True, True, True),
+        # covisibility connected, endpoint graph split (offset 2 on n=6)
+        "indeterminate-gap": ("--n 6 --hop 1 --num-windows 1 --windows random-support:3 "
+                              "--signal ones --seed 11",
+                              "indeterminate", True, False, True, True),
     }
 
     @pytest.mark.parametrize("case", VERDICTS)
@@ -762,18 +751,6 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["endpoint"]["connected"] is False and payload["verdict"] == "indeterminate"
         assert len(calls) == 1
-
-    def test_indeterminate_gap(self, tmp_path, capsys):
-        # covisibility connected, endpoint graph split (offset 2 on n=6)
-        code = run(
-            "analyze", "--n", 6, "--hop", 1, "--num-windows", 1,
-            "--windows", "random-support:3", "--signal", "ones", "--seed", 11,
-        )
-        assert code == 0
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["covisibility"]["connected"] is True
-        assert verdict["endpoint"]["connected"] is False
-        assert verdict["verdict"] == "indeterminate"
 
     @pytest.mark.parametrize(
         "n, hop, num_windows, spec", [(40, 4, 16, "chain:4"), (8, 8, 8, "masks")],
