@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, SearchSpaceError
 from .model import ProblemConfig, as_signal, as_window_family
-from .spectral import ModulationMatrices
 from .stft import MeasurementGrid, measure
-from .supportgraph import SupportGraph
+from .supportgraph import Geometry, SupportGraph
 
 SEARCH_CANDIDATE_CAP = 10 ** 6
 # largest entrywise grid deviation at which a lattice candidate still matches
@@ -113,17 +112,23 @@ def measure_direct(x, windows, hop: int) -> MeasurementGrid:
     return MeasurementGrid(values=vals, noise_level=0.0)
 
 
-def magnitudes_direct(energy, mats: ModulationMatrices) -> np.ndarray:
+def magnitudes_direct(energy, geom: Geometry) -> np.ndarray:
     """Quadruple-sum closed form for ``|x(t)|**2`` from per-hop energies.
 
-    Evaluates the explicit Gram-inverse formula term by term (no FFT
-    factorization); the reference for the solver-based recovery path.
+    Builds each residue's modulation matrix from the windows of ``geom`` by
+    explicit DFT sums of their squared magnitudes, then evaluates the
+    explicit Gram-inverse formula term by term (no FFT factorization, and
+    nothing shared with the rank gate); the reference for the solver-based
+    recovery path.
     """
     energy = np.asarray(energy, dtype=float)
-    num_windows, num_hops = energy.shape
-    hop = mats.hop
-    n = mats.n
-    grams = [np.linalg.inv(a.conj().T @ a) for a in mats.matrices]
+    n, hop, num_hops = geom.cfg.n, geom.cfg.hop, geom.cfg.num_hops
+    power = (np.abs(geom.windows) ** 2).tolist()
+    # matrices[m][r, j]: window r's power spectrum at frequency m + num_hops * j
+    matrices = [np.array([[sum(p * cmath.exp(-2j * cmath.pi * (m + num_hops * j) * t / n)
+                               for t, p in enumerate(row)) / n for j in range(hop)]
+                          for row in power]) for m in range(num_hops)]
+    grams = [np.linalg.inv(a.conj().T @ a) for a in matrices]
     out = np.zeros(n, dtype=complex)
     for t in range(n):
         acc = 0j
@@ -135,8 +140,8 @@ def magnitudes_direct(energy, mats: ModulationMatrices) -> np.ndarray:
                             -2j * cmath.pi * (m * (mp * hop - t) / n - j * t / hop)
                         )
                         inner = 0j
-                        for r in range(num_windows):
-                            inner += np.conj(mats.matrices[m][r, jp]) * energy[r, mp]
+                        for r in range(len(power)):
+                            inner += np.conj(matrices[m][r, jp]) * energy[r, mp]
                         acc += (hop / n) * weight * grams[m][j, jp] * inner
         out[t] = acc
     return out.real

@@ -61,9 +61,7 @@ import numpy as np
 from .errors import CertificationError, DegenerateEdgeError, DisconnectedGraphError
 from .model import ProblemConfig, _above_tolerance, _modulus, check_prior, check_tolerance
 from .robustness import threshold_support
-from .spectral import (
-    MagnitudeSpectrum, ModulationMatrices, _check_aggregates, certify_rank, recover_magnitudes,
-)
+from .spectral import ModulationMatrices, _check_aggregates, certify_rank, recover_magnitudes
 from .stft import AggregateMeasurements, MeasurementGrid, aggregate
 from .supportgraph import (
     Geometry,
@@ -120,7 +118,7 @@ class ReconstructionResult:
     ``used_witnesses`` and ``nontree_residuals`` are :class:`EdgeWitnesses`
     records of the tree edges' witnesses and of the redundant (non-tree)
     edges' witnesses with their phase residuals.  ``modulation`` holds the
-    certified modulation matrices of the run; it is never serialised.
+    run's rank certificate, with its pseudo-inverses; it is never serialised.
     """
 
     estimate: np.ndarray
@@ -225,12 +223,21 @@ def _dot2(a, b, c, d, s, err, tmp) -> None:
         err += np.subtract(np.multiply(x, y2, out=xy), z, out=xy)
 
 
+def _evidence_floor(degenerate_tol: float) -> float:
+    """The evidence a witness must exceed: ``degenerate_tol``, at least the smallest normal float.
+
+    A subnormal correlation keeps only a few significant bits, so its phase
+    is no evidence at any tolerance (and its unit would overflow).
+    """
+    return max(degenerate_tol, float(np.finfo(float).tiny))
+
+
 def _strongest_witnesses(graph: SupportGraph, agg: AggregateMeasurements, degenerate_tol: float):
-    """Rows of the edges whose strongest witness clears ``degenerate_tol``, and those witnesses.
+    """Rows of the edges whose strongest witness clears the evidence floor, and those witnesses.
 
     Each edge's witnesses are in (window, hop) order, so the first one of
     largest evidence is its strongest, ties going to the smaller (window,
-    hop); if it does not clear the tolerance, none does.
+    hop); if it does not clear :func:`_evidence_floor`, none does.
     """
     mag = _modulus(agg.correlation[graph.window, graph.hop_index])
     first = np.empty(0, dtype=np.intp)
@@ -238,7 +245,7 @@ def _strongest_witnesses(graph: SupportGraph, agg: AggregateMeasurements, degene
         starts = graph.offsets[:-1]
         best = np.repeat(np.maximum.reduceat(mag, starts), np.diff(graph.offsets))
         first = np.minimum.reduceat(np.where(mag == best, np.arange(mag.size), mag.size), starts)
-    chosen = np.flatnonzero(mag[first] > degenerate_tol)
+    chosen = np.flatnonzero(mag[first] > _evidence_floor(degenerate_tol))
     return chosen, first[chosen]
 
 
@@ -250,11 +257,11 @@ def edge_phase(
     ``graph`` is an endpoint graph of ``geom``; aggregates of another shape
     raise ``DimensionMismatchError``.  Each edge takes the witness of largest
     evidence magnitude, ties going to the smaller (window, hop), provided it
-    clears ``degenerate_tol``; else its row of the record (row k is edge k of
-    ``graph.edges``) is degenerate.  The endpoint builder drops
-    windows of supporting length 1; a chosen witness of one maps to no edge
-    and raises ``RuntimeError``.  A negative, infinite or NaN
-    ``degenerate_tol`` raises ``ConfigurationError``.
+    exceeds ``degenerate_tol`` and the smallest normal float; else its row
+    of the record (row k is edge k of ``graph.edges``) is degenerate.  The
+    endpoint builder drops windows of supporting length 1; a chosen witness
+    of one maps to no edge and raises ``RuntimeError``.  A negative,
+    infinite or NaN ``degenerate_tol`` raises ``ConfigurationError``.
     """
     check_tolerance("degenerate_tol", degenerate_tol)
     _check_aggregates(agg, geom)
@@ -290,11 +297,12 @@ def edge_phase(
     )
 
 
-def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> np.ndarray:
+def propagate(tree: SpanningTree, magnitudes_sq: np.ndarray, phases) -> np.ndarray:
     """Walk the spanning tree, giving each vertex its accumulated phasor; returns the estimate.
 
     The estimate is zero off the tree's vertices, the ``intp`` array
-    ``tree.graph.vertices``.  The root gets phase 0.  ``phases[k]`` is the
+    ``tree.graph.vertices``, and its moduli are the square roots of the
+    recovered ``magnitudes_sq``.  The root gets phase 0.  ``phases[k]`` is the
     unit phasor of ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.
     The walk follows the tree's discovery order, so each parent's phasor is
     known before its children's, one plain Python complex product per edge.
@@ -303,7 +311,7 @@ def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> np.n
     the list of phasors; ``phases`` is read ``_EDGE_BLOCK`` edges at a time,
     and the list goes before the estimate is assembled, in place.
     """
-    amps = np.sqrt(magnitudes.magnitudes_sq)
+    amps = np.sqrt(magnitudes_sq)
     # position of each parent in discovery order; the root's is 0
     up = np.zeros(amps.shape[0], dtype=np.intp)
     up[tree.child] = np.arange(1, tree.child.size + 1)
@@ -322,12 +330,12 @@ def propagate(tree: SpanningTree, magnitudes: MagnitudeSpectrum, phases) -> np.n
 
 
 def _detect_support(
-    magnitudes: MagnitudeSpectrum,
+    magnitudes_sq: np.ndarray,
     noise_level: float,
     zero_tol: float,
     min_support_magnitude: float | None,
 ) -> tuple[np.ndarray, str]:
-    """Support of the recovered magnitudes, as a sorted ``intp`` array, and its rule.
+    """Support of the recovered ``magnitudes_sq``, as a sorted ``intp`` array, and its rule.
 
     Exact data thresholds the squared magnitudes relative to their peak (the
     squared-domain analogue of :func:`~stftpr.model.support`, matching the
@@ -335,15 +343,14 @@ def _detect_support(
     :func:`~stftpr.robustness.threshold_support` keeps, so it needs the
     caller's prior on the smallest nonzero magnitude.
     """
-    sq = magnitudes.magnitudes_sq
     if noise_level > 0.0:
         prior = check_prior(
             min_support_magnitude,
             "noisy reconstruction needs a positive prior for the smallest "
             "nonzero magnitude (min_support_magnitude)",
         )
-        return np.flatnonzero(threshold_support(np.sqrt(sq), prior)), "half-minimum"
-    return np.flatnonzero(_above_tolerance(sq, zero_tol)), "relative-threshold"
+        return np.flatnonzero(threshold_support(np.sqrt(magnitudes_sq), prior)), "half-minimum"
+    return np.flatnonzero(_above_tolerance(magnitudes_sq, zero_tol)), "relative-threshold"
 
 
 def certify_graph(graph: SupportGraph, geom: Geometry, cov: SupportGraph | None = None) -> None:
@@ -451,7 +458,7 @@ def reconstruct_compressed(
     mats = certify_rank(geom, rank_tol)
     magnitudes = recover_magnitudes(agg, mats)
     detected, rule = _detect_support(
-        magnitudes, agg.noise_level, cfg.zero_tol, min_support_magnitude
+        magnitudes.magnitudes_sq, agg.noise_level, cfg.zero_tol, min_support_magnitude
     )
     # an empty support gives an empty graph and tree, and an all-zero estimate
     graph = endpoint_graph_from_support(detected, geom)
@@ -468,12 +475,12 @@ def reconstruct_compressed(
         ends = tuple(graph.edges[tree.edges[bad[0]]].tolist())
         raise DegenerateEdgeError(
             f"edge {ends}: all witness evidence magnitudes are below "
-            f"{degenerate_tol:.3e} (noise level {agg.noise_level:.3e})",
+            f"{_evidence_floor(degenerate_tol):.3e} (noise level {agg.noise_level:.3e})",
             endpoints=ends,
         )
     # edge_phase matched each witness's (n1, n2) to its edge's endpoints
-    forward = tree.child == used.n1
-    estimate = propagate(tree, magnitudes, np.where(forward, used.phase, used.phase.conj()))
+    oriented = np.where(tree.child == used.n1, used.phase, used.phase.conj())
+    estimate = propagate(tree, magnitudes.magnitudes_sq, oriented)
     # the redundant edges' phases against the estimate; NaN where degenerate
     unit = np.zeros(cfg.n, dtype=complex)
     on = estimate != 0

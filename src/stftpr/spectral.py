@@ -5,8 +5,10 @@ signal's power spectrum (the DFT of ``|x|**2``).  That linear map factors into
 one small matrix per hop residue, built from the windows' power spectra; when
 every one of those modulation matrices has full column rank the map is
 invertible and ``|x(t)|**2`` is recovered exactly.  Certification of that rank
-condition is a hard gate: recovery refuses to run without it.  The matrices
-hold the run's :class:`~stftpr.supportgraph.Geometry`, the family they certify.
+condition is a hard gate: recovery refuses to run without it.  The gate's
+certificate holds the run's :class:`~stftpr.supportgraph.Geometry`, the
+family it certifies, and the pseudo-inverses the solve reads; the matrices
+themselves are not kept.
 """
 
 from __future__ import annotations
@@ -37,16 +39,16 @@ def default_rank_tol(num_windows: int, hop: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ModulationMatrices:
-    """Per-hop-residue modulation matrices and their rank certificate, as stacks.
+    """The rank certificate of the per-hop-residue modulation matrices, as stacks.
 
-    ``geometry`` is the certified run geometry, which gives ``n`` and ``hop``;
-    ``matrices`` is (num_hops, num_windows, hop); ``matrices[m]`` samples the
-    window power spectra on residue class m mod ``n // hop``.  ``singular_values``
-    is (num_hops, min(num_windows, hop)), each row descending; ``pseudo_inverses``
-    is the (num_hops, hop, num_windows) stack P if every residue certifies, else None.
-    P feeds both the magnitude solve and the stability constants, whose Gram
-    inverses are ``(A^H A)^-1 = P P^H``: the gate's factorization is the only one.
-    For residues m <= num_hops / 2 both are numpy's SVD results bit for bit;
+    ``geometry`` is the certified run geometry, which gives ``n``, ``hop`` and
+    the window and hop counts; the matrices themselves stay inside
+    :func:`certify_rank`.  ``singular_values`` is (num_hops, min(num_windows,
+    hop)), each row descending; ``pseudo_inverses`` is the (num_hops, hop,
+    num_windows) stack P if every residue certifies, else None.  P feeds both
+    the magnitude solve and the stability constants, whose Gram inverses are
+    ``(A^H A)^-1 = P P^H``: the gate's factorization is the only one.  For
+    residues m <= num_hops / 2 both are numpy's SVD results bit for bit;
     residue num_hops - m holds the exact mirror of residue m (see
     :func:`certify_rank`).  Thin stacks (one window or hop 1) take the closed
     form of :func:`certify_rank` instead.  A residue whose pseudo-inverse is
@@ -54,7 +56,6 @@ class ModulationMatrices:
     """
 
     geometry: Geometry
-    matrices: np.ndarray
     pseudo_inverses: np.ndarray | None
     ranks: tuple[int, ...]
     singular_values: np.ndarray
@@ -63,11 +64,11 @@ class ModulationMatrices:
 
     @property
     def num_windows(self) -> int:
-        return self.matrices.shape[1]
+        return self.geometry.cfg.num_windows
 
     @property
     def num_hops(self) -> int:
-        return self.matrices.shape[0]
+        return self.geometry.cfg.num_hops
 
     @property
     def hop(self) -> int:
@@ -107,8 +108,8 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
     pseudo-inverse is not finite (a singular value so small that its
     reciprocal overflows) fails too, so a certified stack always solves.
     The window power spectra are Hermitian, so residue ``M - m`` (``M = n //
-    hop``) is residue m conjugated with its columns reversed; the stack holds
-    that exact mirror.  Residues ``0 .. M // 2`` are factored once, by one
+    hop``) is residue m conjugated with its columns reversed.  Only residues
+    ``0 .. M // 2`` are gathered, and they are factored once, by one
     batched SVD of their conjugates (numpy's pseudo-inverse recipe): it gives
     the ranks and, when every residue certifies, the stacked pseudo-inverses
     ``V S^-1 U^H``, for residues ``<= M / 2`` bit for bit numpy's.  Residue
@@ -131,19 +132,17 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
         rank_tol = default_rank_tol(num_windows, hop)
     check_tolerance("rank_tol", rank_tol)
     num_hops = n // hop
-    cols = np.arange(num_hops)[:, None] + np.arange(hop)[None, :] * num_hops
-    stack = np.ascontiguousarray(spectra[:, cols].transpose(1, 0, 2))
     thin = min(num_windows, hop) == 1
+    # past the thin closed form, residues half .. M - 1 are the mirrors of
+    # residues M - half .. 1, so only residues 0 .. M // 2 are gathered
+    half = num_hops if thin else num_hops // 2 + 1
+    cols = np.arange(half)[:, None] + np.arange(hop)[None, :] * num_hops
+    stack = np.ascontiguousarray(spectra[:, cols].transpose(1, 0, 2))
     if thin:
         svals = _root_sum_square(_modulus(stack).reshape(num_hops, -1), axis=1)
     else:
-        # the spectra are Hermitian, so residue M - m is residue m conjugated
-        # with its columns reversed: factor residues 0 .. M // 2 and fill rows
-        # half .. M - 1 with the exact mirrors of residues M - half .. 1
-        half = num_hops // 2 + 1
         mirrored = slice(num_hops - half, 0, -1)
-        np.conjugate(stack[mirrored, :, ::-1], out=stack[half:])
-        u, s_half, vt = np.linalg.svd(stack[:half].conj(), full_matrices=False)
+        u, s_half, vt = np.linalg.svd(stack.conj(), full_matrices=False)
         svals = np.empty((num_hops, s_half.shape[1]))
         svals[:half] = s_half
         svals[half:] = s_half[mirrored]
@@ -165,7 +164,6 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
     failing = tuple(np.flatnonzero(failing).tolist())
     return ModulationMatrices(
         geometry=geom,
-        matrices=stack,
         pseudo_inverses=None if failing else pseudo_inverses,
         ranks=tuple(ranks.tolist()),
         singular_values=svals,
@@ -176,15 +174,14 @@ def certify_rank(geom: Geometry, rank_tol: float | None = None) -> ModulationMat
 
 @dataclass(frozen=True)
 class MagnitudeSpectrum:
-    """Recovered power spectrum and squared magnitudes, with recovery residues.
+    """Recovered squared magnitudes, with recovery residues.
 
-    ``power_spectrum`` is the DFT (with 1/n) of ``|x|**2``;
-    ``magnitudes_sq`` its inverse DFT with negatives clamped to zero.
+    ``magnitudes_sq`` is the inverse DFT of the recovered power spectrum (the
+    DFT, with 1/n, of ``|x|**2``) with negatives clamped to zero.
     ``clamped_mass`` and ``imag_residue`` record what clamping discarded;
     both are zero (to machine precision) for exact data.
     """
 
-    power_spectrum: np.ndarray
     magnitudes_sq: np.ndarray
     clamped_mass: float
     imag_residue: float
@@ -234,7 +231,6 @@ def recover_magnitudes(agg: AggregateMeasurements, mats: ModulationMatrices) -> 
     clamped_mass = float(-real[real < 0.0].sum())
     total = float(np.abs(real).sum())
     return MagnitudeSpectrum(
-        power_spectrum=power,
         magnitudes_sq=np.clip(real, 0.0, None),
         clamped_mass=clamped_mass,
         imag_residue=imag_residue,

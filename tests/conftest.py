@@ -24,6 +24,19 @@ def geom_at(windows, hop, zero_tol=DEFAULT_ZERO_TOL):
                     windows)
 
 
+def residue_matrices(fam, hop):
+    """The (n // hop, R, hop) modulation matrices of ``fam`` at ``hop``, by their definition.
+
+    Residue m's matrix holds, in row r and column j, window r's power
+    spectrum ``fft(|w_r|**2) / n`` at frequency ``m + M*j`` (``M = n // hop``):
+    every residue gathered, none mirrored.
+    """
+    power = np.abs(np.atleast_2d(np.asarray(fam, dtype=complex))) ** 2
+    spectra = np.fft.fft(power, axis=1) / power.shape[1]
+    num_hops = power.shape[1] // hop
+    return np.stack([spectra[:, m + num_hops * np.arange(hop)] for m in range(num_hops)])
+
+
 def near_singular_pair():
     """An n = 8, hop 2 pair the rank gate certifies at a relative sigma_min of about 5e-9."""
     w0 = np.array([1.0, 0.7, 0.4, 0, 0, 0, 0, 0], complex)

@@ -78,7 +78,7 @@ def test_criterion_2_magnitude_formula(certified_sweep):
         assert mats.certified
         solved = recover_magnitudes(agg, mats).magnitudes_sq
         # the oracle evaluates the explicit Gram-inverse formula term by term
-        direct = magnitudes_direct(agg.energy, mats)
+        direct = magnitudes_direct(agg.energy, geom_at(fam, hop))
         truth = np.abs(x) ** 2
         scale = float(truth.max())
         err_truth = float(np.max(np.abs(solved - truth))) / scale

@@ -87,7 +87,7 @@ def test_magnitudes_direct_matches_solver():
     x, fam = certified_instance(8, 2, 3, rng)
     mats = certify_rank(geom_at(fam, 2))
     agg = aggregate(measure(x, fam, 2), geom_at(fam, 2))
-    direct = magnitudes_direct(agg.energy, mats)
+    direct = magnitudes_direct(agg.energy, geom_at(fam, 2))
     solved = recover_magnitudes(agg, mats).magnitudes_sq
     assert np.max(np.abs(direct - solved)) <= 1e-9
     assert np.max(np.abs(direct - np.abs(x) ** 2)) <= 1e-9

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import warnings
@@ -36,7 +35,7 @@ from stftpr.generators import (
 from stftpr.model import _root_sum_square
 from stftpr.supportgraph import window_support
 
-from conftest import geom_at, near_singular_pair
+from conftest import geom_at, near_singular_pair, residue_matrices
 
 
 def _impulse_constants(n):
@@ -46,10 +45,10 @@ def _impulse_constants(n):
     return stability_constants(mats)
 
 
-def _svd_gram_inverse_l1(mats):
+def _svd_gram_inverse_l1(fam, hop):
     """Summed entrywise l1 mass of V S^-2 V^H, one SVD per modulation matrix."""
     total = 0.0
-    for a in mats.matrices:
+    for a in residue_matrices(fam, hop):
         _, s, vh = np.linalg.svd(a, full_matrices=False)
         v = vh.conj().T
         total += float(np.abs((v / s ** 2) @ v.conj().T).sum())
@@ -125,12 +124,13 @@ class TestStabilityConstants:
     def test_near_singular_pair(self):
         # the Gram matrix squares the pair's condition number: inverting it
         # raised "Singular matrix" on a family the gate certifies
-        mats = certify_rank(geom_at(near_singular_pair(), 2))
+        fam = near_singular_pair()
+        mats = certify_rank(geom_at(fam, 2))
         assert mats.certified
         assert mats.singular_values[:, -1].min() / mats.singular_values.max() < 1e-8
         a1 = stability_constants(mats).gram_inverse_l1
         assert np.isfinite(a1)
-        assert a1 == pytest.approx(_svd_gram_inverse_l1(mats), rel=1e-6)
+        assert a1 == pytest.approx(_svd_gram_inverse_l1(fam, 2), rel=1e-6)
 
     def test_gram_inverse_l1_matches_svd_reference(self):
         # mask families at hop n: the explicit Gram inverse was up to 2.3e-11 off
@@ -145,17 +145,9 @@ class TestStabilityConstants:
             if not mats.certified:
                 continue
             got = stability_constants(mats).gram_inverse_l1
-            assert got == pytest.approx(_svd_gram_inverse_l1(mats), rel=1e-12)
+            assert got == pytest.approx(_svd_gram_inverse_l1(fam, hop), rel=1e-12)
             checked += 1
         assert checked >= 90
-
-    def test_reads_the_pseudo_inverses_not_the_matrices(self):
-        # the rank gate's factorization is the only one: the constants never
-        # look at the modulation matrices again
-        rng = np.random.default_rng(241)
-        mats = certify_rank(geom_at(chain_family(16, 4, 6, rng), 4))
-        blind = dataclasses.replace(mats, matrices=np.full_like(mats.matrices, np.nan))
-        assert stability_constants(blind) == stability_constants(mats)
 
     def test_scale_covariance(self):
         # W_norm2, W_star and A_norm1 scale as |c|, |c|**2 and |c|**-4; past
@@ -309,7 +301,7 @@ class TestErrorBudget:
         w2_sq = sum(abs(v) ** 2 for w in fam for v in w)
         a1 = sum(
             abs(val)
-            for a in mats.matrices
+            for a in residue_matrices(fam, 2)
             for val in np.linalg.inv(a.conj().T @ a).ravel()
         )
         assert budget.min_support_magnitude_sq == pytest.approx(min_sq, rel=1e-12)

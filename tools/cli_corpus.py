@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stftpr.generators import chain_family
+from stftpr.generators import certified_instance, chain_family
 
 _EXACT = "--n 8 --hop 2 --num-windows 3 --windows chain:2 --signal random --seed 42"
 _RECOVER = "recover --grid run/grid.csv --windows run/windows.json --signal run/signal.json"
@@ -50,6 +50,11 @@ def _scaled_chain(scale: float) -> list:
     fam = scale * chain_family(8, 2, 3, np.random.default_rng(1))
     return [[[v.real, v.imag] for v in w] for w in fam.tolist()]
 
+
+# certified_instance(8, 2, 3, default_rng(1))'s signal at 1e-160, as a signal
+# file holds it; "chain:2 --seed 1" draws that instance's family
+_TINY = 1e-160 * certified_instance(8, 2, 3, np.random.default_rng(1))[0]
+_TINY_SIGNAL = [[v.real, v.imag] for v in _TINY.tolist()]
 
 # a step is a CLI command line, a ("set-meta", file, fields) edit of grid
 # metadata, or a ("write-json", file, payload) that writes a JSON input file
@@ -192,6 +197,12 @@ CORPUS = [
     # finite and nonzero, and the budget is defined
     ("write-json", "large-windows.json", _scaled_chain(1e100)),
     "bounds --n 8 --hop 2 --windows large-windows.json --min-magnitude 0.5 --noise 1e-12",
+    # exit 4: every correlation of that signal is below the smallest normal
+    # float, so no edge has evidence even at --degenerate-tol 0
+    ("write-json", "tiny-signal.json", _TINY_SIGNAL),
+    "simulate --n 8 --hop 2 --num-windows 3 --windows chain:2 --seed 1"
+    " --signal tiny-signal.json --out tiny-signal",
+    "recover --grid tiny-signal/grid.csv --windows tiny-signal/windows.json --degenerate-tol 0",
 ]
 
 
