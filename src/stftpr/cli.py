@@ -45,7 +45,7 @@ from .generators import (
 )
 from .model import DEFAULT_ZERO_TOL, ProblemConfig, check_tolerance, phase_distance, support
 from .oracle import DIRECT_TERM_CAP, compare, stft_direct
-from .phase import EdgeWitnesses, reconstruct, verdict
+from .phase import EdgeWitnesses, _grid_aggregates, reconstruct_compressed, verdict
 from .robustness import error_budget, min_support_magnitude, stability_constants
 from .spectral import certify_rank, recover_magnitudes
 from .stft import aggregate, corrupt, measure, read_grid_csv, stft, write_grid_csv
@@ -364,8 +364,10 @@ def cmd_recover(args) -> int:
     cfg = ProblemConfig(grid.n, grid.hop, fam.shape[0], args.zero_tol)
     reference = read_signal_json(args.signal, grid.n) if args.signal else None
     prior = _prior(args.min_magnitude, reference, cfg.zero_tol)
-    result = reconstruct(grid, fam, cfg, min_support_magnitude=prior,
-                         rank_tol=args.rank_tol, degenerate_tol=args.degenerate_tol)
+    # reconstruct's steps, keeping its one gate for the stability section
+    geom, agg = _grid_aggregates(grid, fam, cfg, args.degenerate_tol)
+    mats = certify_rank(geom, args.rank_tol)
+    result = reconstruct_compressed(agg, mats, prior, args.degenerate_tol)
     # a report holds JSON values only, so the support array and witness records become lists
     diagnostics = dict(result.diagnostics, support=result.diagnostics["support"].tolist())
     for key in ("used_witnesses", "nontree_residuals"):
@@ -375,7 +377,7 @@ def cmd_recover(args) -> int:
         "root_vertex": result.root_vertex,
         "connected": True,
         "diagnostics": diagnostics,
-        "stability": _stability_section(result.modulation, grid.noise_level, prior),
+        "stability": _stability_section(mats, grid.noise_level, prior),
     }
     if reference is not None:
         dist = phase_distance(result.estimate, reference)

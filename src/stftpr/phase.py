@@ -33,18 +33,22 @@ back as records, and the detected support as an ``intp`` array, so the
 results hold no Python object per vertex or per edge.
 
 Each per-edge array has one copy alive at a time.  The rotation works
-through the edges in blocks, so beside the record it builds it holds only
-about a dozen block-length arrays.  That record is split into the tree rows and
+through the edges in blocks, so beside the record it builds it holds ten
+block-length float arrays.  That record is split into the tree rows and
 the redundant rows as soon as it returns, and it goes before the walk;
 during the walk the per-edge data alive are those two records, the
-oriented tree phases and the walk's list of phasors.
+parents' positions and the walk's one list, of the oriented tree phases
+that each become their child's phasor.
 
-:func:`reconstruct_compressed` is the pipeline - rank gate, magnitudes,
-support, endpoint graph, edge phases, propagation - on the ``2nR/L``
-aggregate statistics; its stages return arrays, and it builds the
-:class:`ReconstructionResult` once, at its end.  Every stage takes the run's
-:class:`~stftpr.supportgraph.Geometry`; :func:`reconstruct` builds it once
-and runs the pipeline on a measurement grid's aggregates.  Its graph gate,
+:func:`reconstruct_compressed` is the pipeline - magnitudes, support,
+endpoint graph, edge phases, propagation - on the ``2nR/L`` aggregate
+statistics and the run's rank gate; its stages return arrays, and it builds
+the :class:`ReconstructionResult` once, at its end.  Every stage takes the
+run's :class:`~stftpr.supportgraph.Geometry`, which the pipeline reads off
+the gate; the gate itself goes right after the magnitude solve.
+:func:`reconstruct` builds the geometry once and runs the pipeline on a
+measurement grid's aggregates and a gate it does not keep.  The pipeline's
+graph gate,
 :func:`certify_graph`, is the one home of the graph half of the
 retrievability rule; :func:`verdict` adds the rank gate to it, and is the
 one home of the verdict that ``analyze`` writes and
@@ -67,6 +71,7 @@ from .supportgraph import (
     Geometry,
     SpanningTree,
     SupportGraph,
+    _components_text,
     covisibility_graph_from_support,
     endpoint_graph_from_support,
     endpoint_witness,
@@ -117,14 +122,14 @@ class ReconstructionResult:
     ``support`` is the detected support as a sorted ``intp`` array, and
     ``used_witnesses`` and ``nontree_residuals`` are :class:`EdgeWitnesses`
     records of the tree edges' witnesses and of the redundant (non-tree)
-    edges' witnesses with their phase residuals.  ``modulation`` holds the
-    run's rank certificate, with its pseudo-inverses; it is never serialised.
+    edges' witnesses with their phase residuals.  The rank gate the run was
+    given is not kept: a caller that reads it past the run, as ``recover``
+    does for its stability constants, keeps its own reference.
     """
 
     estimate: np.ndarray
     root_vertex: int | None
     diagnostics: dict
-    modulation: ModulationMatrices | None = None
 
 
 def default_degenerate_tol(n: int, noise_level: float) -> float:
@@ -137,11 +142,14 @@ def default_degenerate_tol(n: int, noise_level: float) -> float:
     return n * noise_level + 1e-12
 
 
-def _split(a):
-    """Veltkamp's split: ``a == hi + lo`` exactly, each part of at most 26 significant bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
+def _split(a, hi=None, lo=None):
+    """Veltkamp's split: ``a == hi + lo`` exactly, each part of at most 26 significant bits.
+
+    ``hi`` and ``lo``, if given, are the arrays the parts are written to.
+    """
+    c = np.multiply(134217729.0, a, out=hi)  # 2**27 + 1
+    hi = np.subtract(c, np.subtract(c, a, out=lo), out=hi)
+    return hi, np.subtract(a, hi, out=lo)
 
 
 def _endpoint_phasors(geom: Geometry) -> np.ndarray:
@@ -178,49 +186,57 @@ def _rotate(parts: np.ndarray, window: np.ndarray, value: np.ndarray) -> np.ndar
     products with the unit, plus the tail's product.  A rounding that every
     edge of a window shared would add up along tree paths; these do not.
     Moduli are at most 1, so no step leaves the float range.  The edges go
-    in blocks of ``_EDGE_BLOCK``, and each part of the phasor is gathered
-    where it is used, so beside the result a block holds thirteen float
-    arrays of block length.
+    in blocks of ``_EDGE_BLOCK``.  The real part is finished, tail products
+    included, before the imaginary part starts, and each is summed straight
+    into the result.  The unit's parts are split where they are used, the
+    imaginary one once for both, and the tail's parts gathered where they
+    are used, so beside the result a block holds ten float arrays of block
+    length: the unit, the head's two parts, the sum and five scratch.
     """
     out = np.empty(value.size, dtype=complex)
     for lo in range(0, value.size, _EDGE_BLOCK):
         v, r, o = (x[lo:lo + _EDGE_BLOCK] for x in (value, window, out))
-        u, s = v / _modulus(v), np.empty(v.size, dtype=complex)
-        ur, ui = (u.real, *_split(u.real)), (u.imag, *_split(u.imag))
-        a, c, *tmp = np.empty((5, v.size))
-        np.take(parts[0], r, out=a)
-        # negation is exact: c is -hi for the real part and hi for the imaginary
-        _dot2(a, ur, np.negative(np.take(parts[1], r, out=c), out=c), ui, s.real, o.real, tmp)
-        _dot2(a, ui, np.negative(c, out=c), ur, s.imag, o.imag, tmp)
-        # the tails' products, tr*ur - ti*ui and tr*ui + ti*ur, join the errors
-        np.take(parts[2], r, out=a)
-        np.take(parts[3], r, out=c)
+        u = v / _modulus(v)
+        a, c, s, *tmp = np.empty((8, v.size))
         p, q = tmp[:2]
-        o.real += np.subtract(np.multiply(a, ur[0], out=p), np.multiply(c, ui[0], out=q), out=p)
-        o.imag += np.add(np.multiply(a, ui[0], out=p), np.multiply(c, ur[0], out=q), out=p)
-        np.add(s, o, out=o)
+        np.take(parts[0], r, out=a)
+        np.take(parts[1], r, out=c)
+        # the real part, tr*ur - ti*ui beside the heads', then the imaginary,
+        # tr*ui + ti*ur, which starts from the split of ui the real part left;
+        # the negation is exact: c is -hi, then hi again
+        for b, d, tail, part, b_split in ((u.real, u.imag, np.subtract, o.real, False),
+                                          (u.imag, u.real, np.add, o.imag, True)):
+            _dot2(a, b, np.negative(c, out=c), d, s, part, tmp, b_split)
+            np.take(parts[2], r, out=p)
+            np.take(parts[3], r, out=q)
+            part += tail(np.multiply(p, b, out=p), np.multiply(q, d, out=q), out=p)
+            np.add(s, part, out=part)
     return out
 
 
-def _dot2(a, b, c, d, s, err, tmp) -> None:
-    """``a*b + c*d`` as ``s + err``, for ``b = (b, *_split(b))`` and ``d`` alike.
+def _dot2(a, b, c, d, s, err, tmp, b_split=False) -> None:
+    """``a*b + c*d`` as ``s + err``.
 
     ``a`` and ``c`` have at most 26 significant bits, so with ``b`` and ``d``
-    split each product is exact in two doubles (Dekker's TwoProduct, 1971);
-    TwoSum adds the two into the rounded sum ``s``, and its error and the
-    products' go into ``err``, so that ``s + (err + rest)`` is rounded once,
-    as if the whole were worked out in twice the precision.  ``tmp`` holds
-    three scratch arrays.
+    split by :func:`_split` each product is exact in two doubles
+    (Dekker's TwoProduct, 1971); TwoSum adds the two into the rounded sum
+    ``s``, and its error and the products' go into ``err``, so that ``s +
+    (err + rest)`` is rounded once, as if the whole were worked out in twice
+    the precision.  ``tmp`` holds five scratch arrays; the last two take
+    each split in turn and are left holding ``d``'s.  With ``b_split`` they
+    already hold ``b``'s.
     """
-    p, q, z = tmp
-    np.add(np.multiply(a, b[0], out=p), np.multiply(c, d[0], out=q), out=s)
+    p, q, z, hi, lo = tmp
+    np.add(np.multiply(a, b, out=p), np.multiply(c, d, out=q), out=s)
     np.subtract(s, p, out=z)
     # (p - (s - z)) + (q - z), then the products' errors x*y2 - (xy - x*y1)
     np.subtract(p, np.subtract(s, z, out=err), out=err)
     err += np.subtract(q, z, out=z)
-    for x, (y1, y2), xy in ((a, b[1:], p), (c, d[1:], q)):
-        np.subtract(xy, np.multiply(x, y1, out=z), out=z)
-        err += np.subtract(np.multiply(x, y2, out=xy), z, out=xy)
+    for x, y, xy, split in ((a, b, p, not b_split), (c, d, q, True)):
+        if split:
+            _split(y, hi, lo)
+        np.subtract(xy, np.multiply(x, hi, out=z), out=z)
+        err += np.subtract(np.multiply(x, lo, out=xy), z, out=xy)
 
 
 def _evidence_floor(degenerate_tol: float) -> float:
@@ -268,6 +284,9 @@ def edge_phase(
     num_edges = len(graph.edges)
     chosen, first = _strongest_witnesses(graph, agg, degenerate_tol)
     r, m = graph.window[first], graph.hop_index[first]
+    del first  # the witness indices go before the rotation, and so do the rows if all are chosen
+    if chosen.size == num_edges:  # every edge has its witness
+        chosen = slice(None)
     value = agg.correlation[r, m]
     rel = _rotate(_endpoint_phasors(geom), r, value)
     n1, n2 = endpoint_witness(geom.supports[r], geom.cfg.hop, m, geom.cfg.n)
@@ -281,7 +300,7 @@ def edge_phase(
         )
 
     def per_edge(col, fill):
-        if chosen.size == num_edges:  # every edge has its witness
+        if isinstance(chosen, slice):
             return col
         out = np.full(num_edges, fill, dtype=col.dtype)
         out[chosen] = col
@@ -297,19 +316,21 @@ def edge_phase(
     )
 
 
-def propagate(tree: SpanningTree, magnitudes_sq: np.ndarray, phases) -> np.ndarray:
+def propagate(tree: SpanningTree, magnitudes_sq: np.ndarray, used: EdgeWitnesses) -> np.ndarray:
     """Walk the spanning tree, giving each vertex its accumulated phasor; returns the estimate.
 
     The estimate is zero off the tree's vertices, the ``intp`` array
     ``tree.graph.vertices``, and its moduli are the square roots of the
-    recovered ``magnitudes_sq``.  The root gets phase 0.  ``phases[k]`` is the
-    unit phasor of ``x(child[k]) * conj(x(parent[k]))`` for tree edge ``k``.
-    The walk follows the tree's discovery order, so each parent's phasor is
-    known before its children's, one plain Python complex product per edge.
-    Beside ``phases``, the per-edge data alive during the walk are the
-    parents' positions in that order, read through a ``memoryview``, and
-    the list of phasors; ``phases`` is read ``_EDGE_BLOCK`` edges at a time,
-    and the list goes before the estimate is assembled, in place.
+    recovered ``magnitudes_sq``.  The root gets phase 0.  ``used`` is the
+    tree edges' witness record, row k for tree edge k, whose phase (the unit
+    phasor of ``x(n1[k]) * conj(x(n2[k]))``) is oriented here from parent to
+    child.  The walk follows the tree's discovery order, so each parent's
+    phasor is known before its children's, one plain Python complex product
+    per edge.  The oriented phases are the walk's one list, built
+    ``_EDGE_BLOCK`` edges at a time, and each entry is overwritten by its
+    child's phasor; beside it the walk holds only the parents' positions in
+    that order, read through a ``memoryview``.  The list goes before the
+    estimate is assembled, in place.
     """
     amps = np.sqrt(magnitudes_sq)
     # position of each parent in discovery order; the root's is 0
@@ -317,10 +338,13 @@ def propagate(tree: SpanningTree, magnitudes_sq: np.ndarray, phases) -> np.ndarr
     up[tree.child] = np.arange(1, tree.child.size + 1)
     up = up[tree.parent]
     phasor = [1.0 + 0.0j]
+    # edge_phase matched each witness's (n1, n2) to its edge's endpoints
     for lo in range(0, up.size, _EDGE_BLOCK):
-        for p, z in zip(memoryview(up[lo:lo + _EDGE_BLOCK]),
-                        np.asarray(phases[lo:lo + _EDGE_BLOCK], dtype=complex).tolist()):
-            phasor.append(phasor[p] * z)
+        z = used.phase[lo:lo + _EDGE_BLOCK]
+        phasor += np.where(tree.child[lo:lo + _EDGE_BLOCK] == used.n1[lo:lo + _EDGE_BLOCK],
+                           z, z.conj()).tolist()
+    for k, p in enumerate(memoryview(up), 1):
+        phasor[k] = phasor[p] * phasor[k]
     phasor = np.array(phasor)  # the list goes before the estimate is assembled
     estimate = np.zeros(amps.shape[0], dtype=complex)
     if tree.root is not None:
@@ -373,7 +397,7 @@ def certify_graph(graph: SupportGraph, geom: Geometry, cov: SupportGraph | None 
             cov = covisibility_graph_from_support(graph.vertices, geom)
         proof = not is_connected(cov)
         comps = (cov if proof else graph).components()
-        found = f"graph on the detected support has {len(comps)} components: {comps}"
+        found = f"graph on the detected support has {_components_text(comps)}"
         if proof:
             raise DisconnectedGraphError(f"covisibility {found}", components=comps)
         raise CertificationError(
@@ -418,45 +442,62 @@ def reconstruct(
     """Reconstruct a signal, up to a global phase, from a measurement grid.
 
     Builds the run's :class:`~stftpr.supportgraph.Geometry` once and runs
-    :func:`reconstruct_compressed` on the grid's aggregate statistics, so it
-    raises the same errors.
+    :func:`reconstruct_compressed` on the grid's aggregate statistics and the
+    rank gate :func:`~stftpr.spectral.certify_rank` at ``rank_tol``, so it
+    raises the same errors.  It keeps no reference to the gate, so the
+    gate's pseudo-inverses go with the magnitude solve.
+    """
+    geom, agg = _grid_aggregates(grid, windows, cfg, degenerate_tol)
+    return reconstruct_compressed(agg, certify_rank(geom, rank_tol), min_support_magnitude,
+                                  degenerate_tol)
+
+
+def _grid_aggregates(grid: MeasurementGrid, windows, cfg: ProblemConfig, degenerate_tol):
+    """The run's geometry and the grid's aggregates, with ``degenerate_tol`` checked.
+
+    The tolerance is checked before the caller builds the rank gate, so a bad
+    one is reported first.
     """
     geom = Geometry(cfg, windows)
-    return reconstruct_compressed(
-        aggregate(grid, geom), geom, min_support_magnitude, rank_tol, degenerate_tol
-    )
+    agg = aggregate(grid, geom)
+    if degenerate_tol is not None:
+        check_tolerance("degenerate_tol", degenerate_tol)
+    return geom, agg
 
 
 def reconstruct_compressed(
     agg: AggregateMeasurements,
-    geom: Geometry,
+    mats: ModulationMatrices,
     min_support_magnitude: float | None = None,
-    rank_tol: float | None = None,
     degenerate_tol: float | None = None,
 ) -> ReconstructionResult:
     """Reconstruct a signal, up to a global phase, from the aggregate statistics alone.
 
     Consumes exactly ``2 * num_windows * n / hop`` measurements (one energy
-    and one correlation per window and hop).  The three steps: recover
-    squared magnitudes through the certified modulation matrices, build the
+    and one correlation per window and hop).  ``mats`` is the run's rank
+    gate, :func:`~stftpr.spectral.certify_rank` of its geometry
+    ``mats.geometry``; the pipeline drops its reference to it right after
+    the magnitude solve, its last reader.  The three steps: recover squared
+    magnitudes through the certified modulation matrices, build the
     endpoint graph on the detected support (reported in
     ``diagnostics["support"]``) and verify connectivity, then extract edge
     phases and propagate them over a spanning tree.  Each edge's phase comes
     from its witness of largest evidence magnitude, ties going to the
     smaller (window, hop).  Raises ``DimensionMismatchError`` when the
     aggregates and the geometry disagree in shape, ``CertificationError``
-    when the window family fails the rank gate, the errors of
-    :func:`certify_graph` on the endpoint graph of the detected support,
-    and ``DegenerateEdgeError`` when noise drowns out a needed edge.
+    when the gate does not certify, the errors of :func:`certify_graph` on
+    the endpoint graph of the detected support, and ``DegenerateEdgeError``
+    when noise drowns out a needed edge.
     """
+    geom = mats.geometry
     _check_aggregates(agg, geom)
     cfg = geom.cfg
     if degenerate_tol is None:
         degenerate_tol = default_degenerate_tol(cfg.n, agg.noise_level)
-    else:  # before the rank gate, so a bad tolerance is reported first
+    else:  # before the gate's verdict, so a bad tolerance is reported first
         check_tolerance("degenerate_tol", degenerate_tol)
-    mats = certify_rank(geom, rank_tol)
     magnitudes = recover_magnitudes(agg, mats)
+    del mats  # nothing past the magnitude solve reads the gate
     detected, rule = _detect_support(
         magnitudes.magnitudes_sq, agg.noise_level, cfg.zero_tol, min_support_magnitude
     )
@@ -478,9 +519,7 @@ def reconstruct_compressed(
             f"{_evidence_floor(degenerate_tol):.3e} (noise level {agg.noise_level:.3e})",
             endpoints=ends,
         )
-    # edge_phase matched each witness's (n1, n2) to its edge's endpoints
-    oriented = np.where(tree.child == used.n1, used.phase, used.phase.conj())
-    estimate = propagate(tree, magnitudes.magnitudes_sq, oriented)
+    estimate = propagate(tree, magnitudes.magnitudes_sq, used)
     # the redundant edges' phases against the estimate; NaN where degenerate
     unit = np.zeros(cfg.n, dtype=complex)
     on = estimate != 0
@@ -499,4 +538,4 @@ def reconstruct_compressed(
         "min_evidence": float(_modulus(used.evidence).min()) if len(used) else None,
         "nontree_residuals": replace(rest, residual=residual),
     }
-    return ReconstructionResult(estimate, tree.root, diagnostics, mats)
+    return ReconstructionResult(estimate, tree.root, diagnostics)

@@ -372,6 +372,15 @@ class SpanningTree:
     edges: np.ndarray
 
 
+def _components_text(comps: list) -> str:
+    """``"K components: [...]"``, listing only the first 8 when there are more.
+
+    A failure message names the components; bounded, it stays short at any n.
+    """
+    listed = f": {comps}" if len(comps) <= 8 else f", the first 8: {comps[:8]}"
+    return f"{len(comps)} components{listed}"
+
+
 def spanning_tree(graph: SupportGraph) -> SpanningTree:
     """Deterministic BFS tree rooted at the smallest vertex, read off the graph's forest.
 
@@ -384,9 +393,8 @@ def spanning_tree(graph: SupportGraph) -> SpanningTree:
     """
     if not is_connected(graph):
         comps = graph.components()
-        raise DisconnectedGraphError(
-            f"support graph has {len(comps)} components: {comps}", components=comps
-        )
+        raise DisconnectedGraphError(f"support graph has {_components_text(comps)}",
+                                     components=comps)
     order, level, parent, edges = graph._forest
     root, depth = (int(order[0]), int(level[-1])) if order.size else (None, 0)
     return SpanningTree(graph, root, depth, parent, order[1:], edges)

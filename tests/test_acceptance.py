@@ -230,7 +230,7 @@ def test_criterion_7_compressed_measurements(certified_sweep):
         agg = aggregate(grid, geom_at(fam, hop))
         assert agg.measurement_count == 2 * n * num_windows // hop
         full = reconstruct(grid, fam, cfg)
-        comp = reconstruct_compressed(agg, Geometry(cfg, fam))
+        comp = reconstruct_compressed(agg, certify_rank(Geometry(cfg, fam)))
         diff = float(np.max(np.abs(full.estimate - comp.estimate)))
         assert diff <= 1e-10, (n, hop, num_windows, diff)
         worst = max(worst, diff)

@@ -245,6 +245,37 @@ class TestRecover:
         assert len(calls) == 1
         assert json.loads((tmp_path / "once.json").read_text())["stability"]["admissible"]
 
+    def test_pipeline_and_stability_read_one_gate(self, tmp_path, monkeypatch):
+        # recover builds its one gate, runs the pipeline on it and forms the
+        # stability section from that same gate afterwards
+        out = _simulate(tmp_path, "onegate")
+        gate, pipeline, section = cli.certify_rank, cli.reconstruct_compressed, cli._stability_section
+        built, read = [], []
+
+        def certify(*args):
+            built.append(gate(*args))
+            return built[-1]
+
+        def reconstruct_compressed(agg, mats, *args):
+            read.append(("pipeline", mats))
+            return pipeline(agg, mats, *args)
+
+        def stability(mats, *args):
+            read.append(("stability", mats))
+            return section(mats, *args)
+
+        monkeypatch.setattr(cli, "certify_rank", certify)
+        monkeypatch.setattr(cli, "reconstruct_compressed", reconstruct_compressed)
+        monkeypatch.setattr(cli, "_stability_section", stability)
+        assert run(
+            "recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+            "--signal", out / "signal.json", "--out", tmp_path / "onegate.json",
+        ) == 0
+        assert len(built) == 1
+        assert [(step, mats is built[0]) for step, mats in read] == [
+            ("pipeline", True), ("stability", True)
+        ]
+
     def test_missing_window_file(self, tmp_path, capsys):
         out = _simulate(tmp_path, "miss")
         code = run("recover", "--grid", out / "grid.csv", "--windows", tmp_path / "nope.json")
@@ -377,6 +408,22 @@ class TestRecover:
         err = capsys.readouterr().err
         assert "stftpr: error:" in err and "must be finite and nonnegative" in err
         assert not report.exists()
+
+    def test_bad_degenerate_tol_is_reported_before_the_gate(self, tmp_path, capsys, monkeypatch):
+        # with --rank-tol bad as well, the degenerate tolerance is named, and
+        # no gate is built
+        out = _simulate(tmp_path, "order")
+        built = []
+        monkeypatch.setattr(cli, "certify_rank", lambda *args: built.append(args))
+        code = run(
+            "recover", "--grid", out / "grid.csv", "--windows", out / "windows.json",
+            "--degenerate-tol=-1", "--rank-tol=-1",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "stftpr: error: degenerate_tol must be finite and nonnegative, got -1.0\n"
+        )
+        assert built == []
 
     @pytest.mark.parametrize(
         "row", ["2,3,7,nan", "0,3,99,1.0", "0,3,-1,1.0", "0,0,0,1.0"],
@@ -591,7 +638,7 @@ def test_input_file_of_wrong_length_exits_one(tmp_path, capsys, name, payload, w
     files = ["--windows", out / "windows.json", "--signal", out / "signal.json"]
     reconstructions = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "reconstruct", lambda *a, **k: reconstructions.append(a))
+        mp.setattr(cli, "reconstruct_compressed", lambda *a, **k: reconstructions.append(a))
         for command in (["analyze", "--n", 8, "--hop", 2], ["recover", "--grid", out / "grid.csv"]):
             assert run(*command, *files) == 1
             err = capsys.readouterr().err

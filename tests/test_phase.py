@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from stftpr import (
     Geometry,
     MeasurementGrid,
     ProblemConfig,
+    ReconstructionResult,
     aggregate,
+    certify_rank,
     corrupt,
     endpoint_graph_from_support,
     measure,
@@ -155,9 +158,17 @@ class TestEdgePhase:
         agg = aggregate(measure(1e-160 * x, fam, 2), geom)
         assert 0.0 < np.abs(agg.correlation).max() < np.finfo(float).tiny
         with pytest.raises(DegenerateEdgeError, match="below 2.225e-308 "):
-            reconstruct_compressed(agg, geom, degenerate_tol=0.0)
+            reconstruct_compressed(agg, certify_rank(geom), degenerate_tol=0.0)
         with pytest.raises(DegenerateEdgeError, match="below 1.000e-12 "):
-            reconstruct_compressed(agg, geom)
+            reconstruct_compressed(agg, certify_rank(geom))
+
+
+def _tree_record(n1, n2, phases):
+    """A tree edges' witness record with the given endpoints and phases."""
+    k = len(phases)
+    return phase.EdgeWitnesses(np.array(n1, dtype=np.intp), np.array(n2, dtype=np.intp),
+                               np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.intp),
+                               np.ones(k, dtype=complex), np.array(phases, dtype=complex))
 
 
 class TestPropagate:
@@ -165,7 +176,7 @@ class TestPropagate:
         from stftpr.phase import propagate
 
         tree = spanning_tree(graph_from_lists("endpoint", (2,), []))
-        estimate = propagate(tree, np.array([0, 0, 4.0, 0]), [])
+        estimate = propagate(tree, np.array([0, 0, 4.0, 0]), _tree_record([], [], []))
         assert estimate[2] == pytest.approx(2.0)
         assert tree.root == 2
 
@@ -175,9 +186,21 @@ class TestPropagate:
         tree = spanning_tree(graph_from_lists("endpoint", (0, 1), [((0, 1), [(0, 0)])]))
         assert (tree.parent.tolist(), tree.child.tolist(), tree.depth) == ([0], [1], 1)
         # the phasor of x(1) * conj(x(0)), carrying the root's phase to its child
-        estimate = propagate(tree, np.array([1.0, 1.0]), [-1.0 + 0j])
+        estimate = propagate(tree, np.array([1.0, 1.0]), _tree_record([1], [0], [-1.0]))
         assert estimate[0] == pytest.approx(1.0)
         assert estimate[1] == pytest.approx(-1.0)
+
+    def test_orients_each_phase_from_parent_to_child(self):
+        # a witness of x(0) * conj(x(1)) is conjugated on the way down to its
+        # child 1; one of x(2) * conj(x(1)) is taken as it is
+        from stftpr.phase import propagate
+
+        tree = spanning_tree(graph_from_lists("endpoint", (0, 1, 2), [
+            ((0, 1), [(0, 0)]), ((1, 2), [(0, 1)]),
+        ]))
+        assert (tree.parent.tolist(), tree.child.tolist()) == ([0, 1], [1, 2])
+        estimate = propagate(tree, np.ones(3), _tree_record([0, 2], [1, 1], [1j, 1j]))
+        assert estimate.tolist() == [1.0, -1j, 1.0 + 0j]
 
 
 class TestReconstruct:
@@ -375,7 +398,7 @@ def test_shape_mismatch_rejected(compressed, num_windows, n, hop, cfg_windows):
     with pytest.raises(DimensionMismatchError):
         if compressed:
             reconstruct_compressed(aggregate(grid, geom_at(fam, 2)),
-                                   Geometry(cfg, fam[:num_windows]))
+                                   certify_rank(Geometry(cfg, fam[:num_windows])))
         else:
             reconstruct(grid, fam[:num_windows], cfg)
 
@@ -392,6 +415,29 @@ class TestCertifyGraph:
         "empty": (6, [], None),
         "short-connected": (4, list(range(8)), None),
     }
+
+    @pytest.mark.parametrize(
+        "length, supp, error, kind, comps",
+        [(2, range(0, 40, 4), DisconnectedGraphError, "covisibility",
+          [[v] for v in range(0, 40, 4)]),
+         (11, range(40), CertificationError, "endpoint",
+          [list(range(i, 40, 10)) for i in range(10)])],
+        ids=["covisibility-split", "endpoint-split"],
+    )
+    def test_message_lists_the_first_eight_components(self, length, supp, error, kind, comps):
+        # a failure message grows with n unless bounded: of ten components it
+        # lists the first eight, while the payload keeps them all
+        fam = random_interval_window(40, length, np.random.default_rng(151))[None]
+        geom = geom_at(fam, 1)
+        graph = endpoint_graph_from_support(supp, geom)
+        with pytest.raises(error) as err:
+            phase.certify_graph(graph, geom)
+        found = f"{kind} graph on the detected support has 10 components, the first 8: {comps[:8]}"
+        assert str(err.value) == found + ("" if error is DisconnectedGraphError else
+                                          "; the covisibility graph is connected, so recovery "
+                                          "is undecided")
+        if error is DisconnectedGraphError:
+            assert err.value.components == tuple(map(tuple, comps))
 
     @pytest.mark.parametrize("case", CASES)
     def test_is_reconstructs_graph_gate(self, case):
@@ -457,7 +503,7 @@ class TestDepthError:
         for seed in range(1, 6):
             x, fam = certified_instance(n, 1, 1, np.random.default_rng(seed))
             geom = geom_at(fam, 1)
-            res = reconstruct_compressed(_closed_form_aggregates(x, geom), geom)
+            res = reconstruct_compressed(_closed_form_aggregates(x, geom), certify_rank(geom))
             depth = res.diagnostics["tree_depth"]
             assert depth == n // 2
             err = phase_distance(res.estimate, x).distance / np.linalg.norm(x)
@@ -549,13 +595,14 @@ class TestEdgeStage:
             got = phase._rotate(table, window, value)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("hop, num_windows, bound", [(1, 1, 282), (2, 2, 286)])
+    @pytest.mark.parametrize("hop, num_windows, bound", [(1, 1, 228), (2, 2, 220)])
     def test_traced_peak_per_index(self, hop, num_windows, bound):
         # the edge stage holds one copy of each per-edge array: the record
         # goes once split into tree and redundant rows, the rotation works in
-        # blocks, and the walk reads its phases in slices; neither the rank
-        # gate's matrices nor the power spectrum outlive their stage; the
-        # bounds are the measured 268.8 and 272.8 B per index plus 5%
+        # blocks of ten float arrays, and the walk's one list holds the
+        # oriented phases; neither the rank gate nor the power spectrum
+        # outlives the magnitude solve; the bounds are the measured 217.5 and
+        # 209.4 B per index plus 5%
         n = 2 ** 14
         rng = np.random.default_rng(1)
         fam = chain_family(n, hop, num_windows, rng)
@@ -564,11 +611,61 @@ class TestEdgeStage:
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            reconstruct_compressed(agg, geom)
+            reconstruct_compressed(agg, certify_rank(geom))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / n <= bound
+
+
+# before 3.11, CPython keeps a call's arguments on the caller's stack until the
+# call returns, so a gate passed straight into the pipeline outlives the solve
+_MOVES_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="call arguments stay referenced by the caller"
+)
+
+
+class TestGateLifetime:
+    """The rank gate lives only until the magnitude solve, its last reader in a run."""
+
+    def _run(self, monkeypatch, run):
+        # a weak reference to each gate built, looked at as the edge stage starts
+        gate, stage, refs, alive = phase.certify_rank, phase.edge_phase, [], []
+
+        def certify(*args):
+            mats = gate(*args)
+            refs.append(weakref.ref(mats))
+            return mats
+
+        def edges(*args):
+            alive.append(refs[-1]() is not None)
+            return stage(*args)
+
+        monkeypatch.setattr(phase, "certify_rank", certify)
+        monkeypatch.setattr(phase, "edge_phase", edges)
+        x, fam = certified_instance(16, 2, 3, np.random.default_rng(211))
+        grid = measure(x, fam, 2)
+        res = run(grid, fam, ProblemConfig(16, 2, 3))
+        assert phase_distance(res.estimate, x).distance <= 1e-10 * np.linalg.norm(x)
+        return alive
+
+    @_MOVES_ARGUMENTS
+    def test_reconstruct_keeps_no_gate_past_the_solve(self, monkeypatch):
+        assert self._run(monkeypatch, reconstruct) == [False]
+
+    @_MOVES_ARGUMENTS
+    def test_pipeline_drops_a_gate_passed_in(self, monkeypatch):
+        def run(grid, fam, cfg):
+            geom = Geometry(cfg, fam)
+            # the patched gate, through the module binding
+            return reconstruct_compressed(aggregate(grid, geom), phase.certify_rank(geom))
+
+        assert self._run(monkeypatch, run) == [False]
+
+    def test_result_holds_no_gate(self):
+        assert [f.name for f in fields(ReconstructionResult)] == [
+            "estimate", "root_vertex", "diagnostics"
+        ]
 
 
 class TestReconstructCompressed:
@@ -580,7 +677,7 @@ class TestReconstructCompressed:
         grid = measure(x, fam, hop)
         full = reconstruct(grid, fam, cfg)
         agg = aggregate(grid, geom_at(fam, grid.hop, cfg.zero_tol))
-        comp = reconstruct_compressed(agg, Geometry(cfg, fam))
+        comp = reconstruct_compressed(agg, certify_rank(Geometry(cfg, fam)))
         assert np.max(np.abs(comp.estimate - full.estimate)) <= 1e-10
         assert agg.measurement_count == 2 * n * num // hop == 24
         assert comp.diagnostics["support"].tolist() == list(range(n))
@@ -599,21 +696,21 @@ class TestReconstructCompressed:
             prior = float(np.min(np.abs(x)))
         full = reconstruct(grid, fam, cfg, min_support_magnitude=prior)
         agg = aggregate(grid, geom_at(fam, grid.hop, cfg.zero_tol))
-        comp = reconstruct_compressed(agg, Geometry(cfg, fam), min_support_magnitude=prior)
+        comp = reconstruct_compressed(agg, certify_rank(Geometry(cfg, fam)),
+                                      min_support_magnitude=prior)
         assert np.array_equal(comp.estimate, full.estimate)
         assert comp.root_vertex == full.root_vertex
         diagnostics = comp.diagnostics
         assert diagnostics["support"].tolist() == list(range(n))
         assert _same_diagnostics(diagnostics, full.diagnostics)
         assert diagnostics["support_rule"] == ("half-minimum" if noise else "relative-threshold")
-        assert full.modulation.certified and comp.modulation.certified
 
     def test_zero_aggregates(self):
         rng = np.random.default_rng(163)
         _, fam = certified_instance(8, 2, 2, rng)
         cfg = ProblemConfig(8, 2, 2)
         agg = aggregate(measure(np.zeros(8), fam, 2), geom_at(fam, 2))
-        res = reconstruct_compressed(agg, Geometry(cfg, fam))
+        res = reconstruct_compressed(agg, certify_rank(Geometry(cfg, fam)))
         assert np.all(res.estimate == 0)
 
 
@@ -784,6 +881,15 @@ class TestEdgeTable:
 
 
 class TestTolerances:
+    def test_bad_degenerate_tol_is_reported_before_the_gate(self, monkeypatch):
+        x, fam = certified_instance(8, 2, 3, np.random.default_rng(191))
+        built = []
+        monkeypatch.setattr(phase, "certify_rank", lambda *args: built.append(args))
+        with pytest.raises(ConfigurationError, match="^degenerate_tol must be finite"):
+            reconstruct(measure(x, fam, 2), fam, ProblemConfig(8, 2, 3), rank_tol=-1.0,
+                        degenerate_tol=-1.0)
+        assert built == []
+
     def test_negative_rank_tol_rejected(self):
         # [1, 1, 0, ...] is rank-deficient at n=8, hop 1; a negative rank_tol would
         # certify it and return an estimate with 14% relative error
@@ -805,7 +911,7 @@ class TestTolerances:
             reconstruct(grid, fam, ProblemConfig(8, 2, 3), degenerate_tol=tol)
         with pytest.raises(ConfigurationError, match="degenerate_tol"):
             geom = Geometry(ProblemConfig(8, 2, 3), fam)
-            reconstruct_compressed(aggregate(grid, geom), geom, degenerate_tol=tol)
+            reconstruct_compressed(aggregate(grid, geom), certify_rank(geom), degenerate_tol=tol)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_edge_phase_rejects_bad_degenerate_tol(self, tol):
@@ -852,7 +958,7 @@ def _dict_walk(tree, record, amps, verts):
 class TestArrayWalk:
     @pytest.mark.parametrize("n,hop,num_windows", [(64, 1, 1), (48, 4, 6), (32, 2, 3), (40, 8, 10)])
     def test_bit_identical_to_dict_walk(self, n, hop, num_windows):
-        from stftpr.spectral import certify_rank, recover_magnitudes
+        from stftpr.spectral import recover_magnitudes
         from stftpr.supportgraph import endpoint_graph_from_support
 
         for seed in range(3):
@@ -897,7 +1003,8 @@ class TestArrayWalk:
         results = [
             reconstruct(grid, fam, cfg),
             reconstruct(noisy, fam, cfg, min_support_magnitude=0.5),
-            reconstruct_compressed(aggregate(grid, geom_at(fam, 2)), Geometry(cfg, fam)),
+            reconstruct_compressed(aggregate(grid, geom_at(fam, 2)),
+                                   certify_rank(Geometry(cfg, fam))),
         ]
         num_edges = len(endpoint_graph_from_support(support(x), geom_at(fam, 2)).edges)
         assert seen == [(num_edges, num_edges)] * 3
@@ -925,7 +1032,7 @@ class TestArrayWalk:
         reconstruct(grid, fam, cfg)
         assert calls == {"stftpr.supportgraph": 1}
         calls.clear()
-        reconstruct_compressed(agg, Geometry(cfg, fam))
+        reconstruct_compressed(agg, certify_rank(Geometry(cfg, fam)))
         assert calls == {"stftpr.supportgraph": 1}
 
 
@@ -942,7 +1049,8 @@ class TestNonFinitePrior:
             reconstruct(grid, fam, cfg, min_support_magnitude=prior)
         with pytest.raises(InvalidPriorError):
             geom = Geometry(cfg, fam)
-            reconstruct_compressed(aggregate(grid, geom), geom, min_support_magnitude=prior)
+            reconstruct_compressed(aggregate(grid, geom), certify_rank(geom),
+                                   min_support_magnitude=prior)
 
 
 class TestDetectSupport:
